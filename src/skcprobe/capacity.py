@@ -15,21 +15,24 @@ Quantities (all in bits, log base 2):
 
 Each expectation has two algebraically equivalent per-sample forms computed
 through different factorizations; their agreement is part of the test suite,
-not an assumption.
+not an assumption.  Every per-sample integrand also accepts a block of
+draws (see ChannelRealization) and then evaluates all of its trials at once
+with stacked Gram products and factorizations; ``evaluate`` is the single
+Monte Carlo path that every estimate here goes through.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .channel import ChannelRealization, ProbingConfig, derive_gammas
 from .errors import GridTooSmall, InvalidNoise, OrderingViolation
 from .montecarlo import Estimate, McSettings, collect, summarize
-from .numerics import hermitize, logdet_hermitian_pd, logdet_lu
+from .numerics import conj_t, hermitize, logdet_hermitian_pd, logdet_lu
 
 
 def reciprocity_gain(config: ProbingConfig) -> float:
@@ -71,15 +74,22 @@ def entropy_given_channel(h: np.ndarray, gamma: float, slots: int) -> float:
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
-    return hermitize(m.conj().T @ m)
+    return hermitize(conj_t(m) @ m)
 
 
 def _outer(m: np.ndarray) -> np.ndarray:
-    return hermitize(m @ m.conj().T)
+    return hermitize(m @ conj_t(m))
+
+
+def _per_trial(value, realization: ChannelRealization):
+    """`value` as one number per trial: a float for a single draw, an array
+    over the trials of a block."""
+    out = np.broadcast_to(value, realization.trials_shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def secrecy_floor_sample(realization: ChannelRealization, config: ProbingConfig,
-                         form: str = "direct") -> float:
+                         form: str = "direct"):
     """Per-realization integrand of the secrecy floor (bits per probe slot).
 
     ``direct`` takes the difference of two n_a x n_a log-determinants, with
@@ -101,14 +111,14 @@ def secrecy_floor_sample(realization: ChannelRealization, config: ProbingConfig,
                - logdet_hermitian_pd(gam.gamma_ea * gram_e + eye))
     elif form == "inverse":
         if config.noise_ea == 0:
-            return 0.0
+            return _per_trial(0.0, realization)
         denom = gam.gamma_ba * (config.noise_b / config.noise_ea) * _gram(realization.g_a) + eye
         resolvent = eye + gam.gamma_ba * np.linalg.solve(denom, _gram(realization.h_ba))
         val = logdet_lu(resolvent)
     else:
         raise ValueError(f"unknown form {form!r}")
     # mathematically >= 0 (det of M + PSD over det of M); clamp round-off
-    return max(val, 0.0)
+    return _per_trial(np.maximum(val, 0.0), realization)
 
 
 def _floor_form(config: ProbingConfig) -> str:
@@ -116,7 +126,7 @@ def _floor_form(config: ProbingConfig) -> str:
 
 
 def bound_gap_sample(realization: ChannelRealization, config: ProbingConfig,
-                     form: str = "stacked") -> float:
+                     form: str = "stacked"):
     """Per-realization gap between the upper and Bob-side lower bound.
 
     ``stacked`` uses rectangular determinants of Bob's channel stacked over
@@ -124,13 +134,14 @@ def bound_gap_sample(realization: ChannelRealization, config: ProbingConfig,
     Exactly zero when v_b = 0.
     """
     if config.v_b == 0:
-        return 0.0
+        return _per_trial(0.0, realization)
     if config.noise_eb == 0:
         raise InvalidNoise("the bound gap diverges at noise_eb = 0 with v_b > 0")
     gam = derive_gammas(config)
     weight = config.noise_a / config.noise_eb
     if form == "stacked":
-        stacked = np.vstack([realization.h_ab, np.sqrt(weight) * realization.g_b])
+        stacked = np.concatenate([realization.h_ab, np.sqrt(weight) * realization.g_b],
+                                 axis=-2)
         big = logdet_hermitian_pd(
             gam.gamma_ab * _outer(stacked) + np.eye(config.n_a + config.n_e))
         small = logdet_hermitian_pd(
@@ -143,23 +154,27 @@ def bound_gap_sample(realization: ChannelRealization, config: ProbingConfig,
         val = config.v_b * logdet_lu(resolvent)
     else:
         raise ValueError(f"unknown form {form!r}")
-    return max(val, 0.0)
+    return _per_trial(np.maximum(val, 0.0), realization)
 
 
 def lower_bound_bob_sample(realization: ChannelRealization, config: ProbingConfig,
-                           form: str = "square") -> float:
+                           form: str = "square", floor=None):
     """Per-realization integrand of the Bob-side lower bound.
 
     ``square`` uses n_a/n_b-sized Gram determinants; ``rectangular`` uses
     the stacked (n_b+n_e)- and n_e-sized outer-product determinants.  Both
     reduce to pilot_mi + v_a * floor when v_b = 0, bit for bit in the
-    square form.
+    square form.  A caller that already holds the floor integrand on the
+    same draws passes it as ``floor`` so the square form does not compute
+    it again.
     """
     gam = derive_gammas(config)
     val = pilot_mi(config)
     if form == "square":
         if config.v_a:
-            val += config.v_a * secrecy_floor_sample(realization, config, _floor_form(config))
+            if floor is None:
+                floor = secrecy_floor_sample(realization, config, _floor_form(config))
+            val += config.v_a * floor
         if config.v_b:
             if config.noise_eb == 0:
                 raise InvalidNoise("lower bound diverges at noise_eb = 0 with v_b > 0")
@@ -168,17 +183,15 @@ def lower_bound_bob_sample(realization: ChannelRealization, config: ProbingConfi
                 logdet_hermitian_pd(gam.gamma_ab * _gram(realization.h_ab) + eye_b)
                 - logdet_hermitian_pd(gam.gamma_eb * _gram(realization.g_b) + eye_b))
     elif form == "rectangular":
-        if config.v_a:
-            if config.noise_ea == 0:
-                val += 0.0
-            else:
-                stacked = np.vstack([np.sqrt(config.noise_ea / config.noise_b) * realization.h_ba,
-                                     realization.g_a])
-                val += config.v_a * (
-                    logdet_hermitian_pd(gam.gamma_ea * _outer(stacked)
-                                        + np.eye(config.n_b + config.n_e))
-                    - logdet_hermitian_pd(gam.gamma_ea * _outer(realization.g_a)
-                                          + np.eye(config.n_e)))
+        if config.v_a and config.noise_ea > 0:
+            stacked = np.concatenate(
+                [np.sqrt(config.noise_ea / config.noise_b) * realization.h_ba,
+                 realization.g_a], axis=-2)
+            val += config.v_a * (
+                logdet_hermitian_pd(gam.gamma_ea * _outer(stacked)
+                                    + np.eye(config.n_b + config.n_e))
+                - logdet_hermitian_pd(gam.gamma_ea * _outer(realization.g_a)
+                                      + np.eye(config.n_e)))
         if config.v_b:
             if config.noise_eb == 0:
                 raise InvalidNoise("lower bound diverges at noise_eb = 0 with v_b > 0")
@@ -189,30 +202,92 @@ def lower_bound_bob_sample(realization: ChannelRealization, config: ProbingConfi
                                       + np.eye(config.n_e)))
     else:
         raise ValueError(f"unknown form {form!r}")
-    return val
+    return _per_trial(val, realization)
+
+
+# quantities that `evaluate` estimates; 'lower' is the larger side bound
+MC_QUANTITIES = ("floor", "gap", "lower_bob", "lower_alice", "upper", "lower")
+
+
+def trial_values(config: ProbingConfig, mc: McSettings,
+                 names: Iterable[str]) -> dict[str, np.ndarray]:
+    """Per-trial integrands of 'floor', 'gap' and 'lower_bob' on the engine's
+    shared draws, each evaluated once per block in the engine's form (the
+    floor form that _floor_form picks, the stacked gap, the square Bob-side
+    bound built on the same floor values)."""
+    names = frozenset(names)
+    floor_form = _floor_form(config)
+
+    def block_values(block: ChannelRealization) -> dict[str, np.ndarray]:
+        out = {}
+        floor = None
+        if "floor" in names or ("lower_bob" in names and config.v_a):
+            floor = secrecy_floor_sample(block, config, floor_form)
+        if "floor" in names:
+            out["floor"] = floor
+        if "lower_bob" in names:
+            out["lower_bob"] = lower_bound_bob_sample(block, config, floor=floor)
+        if "gap" in names:
+            out["gap"] = bound_gap_sample(block, config)
+        return out
+
+    return collect(block_values, config, mc)
+
+
+def _larger_side(alice: Estimate, bob: Estimate) -> Estimate:
+    """The reported lower bound: whichever side bound is larger."""
+    return alice if alice.mean > bob.mean else bob
+
+
+def evaluate(config: ProbingConfig, mc: McSettings,
+             quantities: Sequence[str]) -> dict[str, Estimate]:
+    """Monte Carlo estimates of the requested quantities (MC_QUANTITIES).
+
+    Only what the request needs is computed.  floor, gap, lower_bob and
+    upper come from one pass over shared draws, so upper == lower_bob + gap
+    per sample; the floor is exact 0 at noise_ea = 0 and the gap exact 0 at
+    v_b = 0.  lower_alice is the Bob-side bound of the role-swapped
+    scenario, drawn from its own blocks at the same seed.
+    """
+    unknown = set(quantities) - set(MC_QUANTITIES)
+    if unknown:
+        raise ValueError(f"unknown quantities {sorted(unknown)}; supported: {MC_QUANTITIES}")
+    wanted = set(quantities)
+    if "lower" in wanted:
+        wanted |= {"lower_bob", "lower_alice"}
+    sampled = []
+    if "floor" in wanted and config.noise_ea > 0:
+        sampled.append("floor")
+    if wanted & {"lower_bob", "upper"}:
+        sampled.append("lower_bob")
+    if wanted & {"gap", "upper"} and config.v_b > 0:
+        sampled.append("gap")
+    values = trial_values(config, mc, sampled) if sampled else {}
+    est = {name: summarize(v) for name, v in values.items()}
+    est.setdefault("floor", Estimate.exact(0.0))
+    est.setdefault("gap", Estimate.exact(0.0))
+    if "upper" in wanted:
+        est["upper"] = summarize(values["lower_bob"] + values["gap"]) \
+            if "gap" in values else est["lower_bob"]
+    if "lower_alice" in wanted:
+        est["lower_alice"] = lower_bound_alice(config, mc)
+    if "lower" in wanted:
+        est["lower"] = _larger_side(est["lower_alice"], est["lower_bob"])
+    return {q: est[q] for q in quantities}
 
 
 def secrecy_floor(config: ProbingConfig, mc: McSettings) -> Estimate:
     """Monte Carlo secrecy floor; exact 0 at noise_ea = 0."""
-    if config.noise_ea == 0:
-        return Estimate.exact(0.0)
-    values = collect({"floor": lambda r: secrecy_floor_sample(r, config, _floor_form(config))},
-                     config, mc)["floor"]
-    return summarize(values)
+    return evaluate(config, mc, ("floor",))["floor"]
 
 
 def bound_gap(config: ProbingConfig, mc: McSettings) -> Estimate:
     """Monte Carlo gap; exact 0 at v_b = 0."""
-    if config.v_b == 0:
-        return Estimate.exact(0.0)
-    values = collect({"gap": lambda r: bound_gap_sample(r, config)}, config, mc)["gap"]
-    return summarize(values)
+    return evaluate(config, mc, ("gap",))["gap"]
 
 
-def lower_bound_bob(config: ProbingConfig, mc: McSettings, form: str = "square") -> Estimate:
-    values = collect({"cb": lambda r: lower_bound_bob_sample(r, config, form)},
-                     config, mc)["cb"]
-    return summarize(values)
+def lower_bound_bob(config: ProbingConfig, mc: McSettings) -> Estimate:
+    return evaluate(config, mc, ("lower_bob",))["lower_bob"]
 
 
 def lower_bound_alice(config: ProbingConfig, mc: McSettings) -> Estimate:
@@ -230,13 +305,7 @@ def lower_bound_alice(config: ProbingConfig, mc: McSettings) -> Estimate:
 
 def upper_bound(config: ProbingConfig, mc: McSettings) -> Estimate:
     """Upper bound evaluated as lower_bound_bob + gap on shared draws."""
-    if config.v_b == 0:
-        return lower_bound_bob(config, mc)
-    arrays = collect({
-        "cb": lambda r: lower_bound_bob_sample(r, config),
-        "gap": lambda r: bound_gap_sample(r, config),
-    }, config, mc)
-    return summarize(arrays["cb"] + arrays["gap"])
+    return evaluate(config, mc, ("upper",))["upper"]
 
 
 @dataclass(frozen=True)
@@ -259,36 +328,14 @@ class SkcReport:
     @property
     def lower(self) -> Estimate:
         """The reported lower bound: whichever side bound is larger."""
-        return self.lower_alice if self.lower_alice.mean > self.lower_bob.mean \
-            else self.lower_bob
+        return _larger_side(self.lower_alice, self.lower_bob)
 
 
 def skc_report(config: ProbingConfig, mc: McSettings) -> SkcReport:
     """Evaluate all bounds on common random numbers."""
-    fns = {"cb": lambda r: lower_bound_bob_sample(r, config)}
-    if config.noise_ea > 0:
-        fns["floor"] = lambda r: secrecy_floor_sample(r, config, "direct")
-    if config.v_b > 0:
-        fns["gap"] = lambda r: bound_gap_sample(r, config)
-    arrays = collect(fns, config, mc)
-    cb = summarize(arrays["cb"])
-    floor = summarize(arrays["floor"]) if "floor" in arrays else Estimate.exact(0.0)
-    if "gap" in arrays:
-        gap = summarize(arrays["gap"])
-        upper = summarize(arrays["cb"] + arrays["gap"])
-    else:
-        gap = Estimate.exact(0.0)
-        upper = cb
-    return SkcReport(
-        pilot_mi=pilot_mi(config),
-        floor=floor,
-        lower_bob=cb,
-        lower_alice=lower_bound_alice(config, mc),
-        gap=gap,
-        upper=upper,
-        trials=mc.trials,
-        master_seed=mc.master_seed,
-    )
+    values = evaluate(config, mc, ("floor", "lower_bob", "lower_alice", "gap", "upper"))
+    return SkcReport(pilot_mi=pilot_mi(config), trials=mc.trials,
+                     master_seed=mc.master_seed, **values)
 
 
 def positive_part(x: int) -> int:

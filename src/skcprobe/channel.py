@@ -9,6 +9,7 @@ by the reciprocity coefficient rho; Eve's channels are independent.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -74,6 +75,10 @@ class ProbingConfig:
             raise ValidationError(f"phi_a < n_a ({self.phi_a} < {self.n_a}): pilot rows cannot be orthogonal")
         if self.phi_b < self.n_b:
             raise ValidationError(f"phi_b < n_b ({self.phi_b} < {self.n_b}): pilot rows cannot be orthogonal")
+        for name in ("power_a", "power_b", "noise_a", "noise_b", "noise_ea",
+                     "noise_eb", "rho"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("power_a", "power_b"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -148,12 +153,16 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One draw of the four channel matrices.
+    """One draw of the four channel matrices, or a block of draws.
 
     h_ba (n_b x n_a) is the Alice-to-Bob response, h_ab (n_a x n_b) the
     Bob-to-Alice response; g_a (n_e x n_a) and g_b (n_e x n_b) are Eve's
     channels from Alice and Bob.  Entrywise, h_ab^T = rho*h_ba +
     sqrt(1-|rho|^2)*residual, so rho=1 gives h_ab == h_ba^T exactly.
+
+    A block stacks its trials along a leading axis of every matrix
+    (h_ba has shape (trials, n_b, n_a), and so on); indexing a block
+    selects trials: block[j] is trial j, block[:k] the first k trials.
     """
 
     h_ba: np.ndarray
@@ -163,36 +172,47 @@ class ChannelRealization:
 
     @property
     def n_a(self) -> int:
-        return self.h_ba.shape[1]
+        return self.h_ba.shape[-1]
 
     @property
     def n_b(self) -> int:
-        return self.h_ba.shape[0]
+        return self.h_ba.shape[-2]
 
     @property
     def n_e(self) -> int:
-        return self.g_a.shape[0]
+        return self.g_a.shape[-2]
+
+    @property
+    def trials_shape(self) -> tuple[int, ...]:
+        """() for a single draw, (trials,) for a block."""
+        return self.h_ba.shape[:-2]
+
+    def __getitem__(self, index) -> "ChannelRealization":
+        return ChannelRealization(self.h_ba[index], self.h_ab[index],
+                                  self.g_a[index], self.g_b[index])
 
     def swap_roles(self) -> "ChannelRealization":
         return ChannelRealization(h_ba=self.h_ab, h_ab=self.h_ba,
                                   g_a=self.g_b, g_b=self.g_a)
 
 
-def sample_channels(config: ProbingConfig, stream) -> ChannelRealization:
-    """Draw one correlated channel realization.
+def sample_channels(config: ProbingConfig, stream,
+                    trials: int | None = None) -> ChannelRealization:
+    """Draw one correlated channel realization, or a block of `trials`.
 
-    Sampling order is fixed (h_ba, reciprocity residual, g_a, g_b) so that
-    changing n_e does not disturb the legitimate-channel draws of a given
-    stream -- that is what makes common-random-number sweeps work.
+    Sampling order is fixed (h_ba, reciprocity residual, g_a, g_b), each
+    drawn for the whole block at once, so that changing n_e does not
+    disturb the legitimate-channel draws of a given stream -- that is what
+    makes common-random-number sweeps work.
     """
     rng = as_generator(stream)
     rho = complex(config.rho)
-    h_ba = sample_cgaussian(config.n_b, config.n_a, rng)
-    resid = sample_cgaussian(config.n_b, config.n_a, rng)
+    h_ba = sample_cgaussian(config.n_b, config.n_a, rng, trials)
+    resid = sample_cgaussian(config.n_b, config.n_a, rng, trials)
     scale = np.sqrt(max(0.0, 1.0 - abs(rho) ** 2))
-    h_ab = np.ascontiguousarray((rho * h_ba + scale * resid).T)
-    g_a = sample_cgaussian(config.n_e, config.n_a, rng)
-    g_b = sample_cgaussian(config.n_e, config.n_b, rng)
+    h_ab = np.ascontiguousarray(np.swapaxes(rho * h_ba + scale * resid, -1, -2))
+    g_a = sample_cgaussian(config.n_e, config.n_a, rng, trials)
+    g_b = sample_cgaussian(config.n_e, config.n_b, rng, trials)
     return ChannelRealization(_frozen(h_ba), _frozen(h_ab), _frozen(g_a), _frozen(g_b))
 
 

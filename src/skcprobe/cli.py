@@ -8,6 +8,7 @@ failure, 5 verification failure.
 Defaults for the seed and thread count can be overridden with the
 SKCPROBE_SEED and SKCPROBE_THREADS environment variables; explicit flags
 beat the environment, which beats the spec file, which beats built-ins.
+The thread count is validated but has no effect on the computation.
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=None,
                        help="Monte Carlo trials per point (default: spec file or 10000)")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads; results never depend on this "
-                            f"(default: {THREADS_ENV} or 1)")
+                       help=f"accepted and validated (>= 1) but has no effect: "
+                            f"the engine runs on one thread (default: "
+                            f"{THREADS_ENV} or 1)")
         p.add_argument("--out", default=".", help="output directory (default: .)")
 
     add_common(sub.add_parser("eval", help="evaluate one configuration"))

@@ -20,18 +20,7 @@ from typing import Mapping, Sequence
 
 import yaml
 
-from .capacity import (
-    DofResult,
-    Estimate,
-    bound_gap,
-    dof_slope,
-    lower_bound_alice,
-    lower_bound_bob,
-    pilot_mi,
-    secrecy_floor,
-    skc_report,
-    upper_bound,
-)
+from .capacity import DofResult, Estimate, dof_slope, evaluate, pilot_mi
 from .channel import ProbingConfig
 from .errors import ParseError, ValidationError
 from .montecarlo import McSettings
@@ -157,6 +146,16 @@ def read_spec_text(path_or_name: str) -> tuple[str, str]:
     raise ParseError(f"config file not found: {path_or_name}")
 
 
+def _strict_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _mc_int(mc_raw: Mapping, key: str, default: int) -> int:
+    return _strict_int(mc_raw.get(key, default), f"mc.{key}")
+
+
 _SPEC_KEYS = {"name", "config", "cases", "sweep", "mc", "quantities", "svg",
               "power_grid"}
 
@@ -189,8 +188,9 @@ def load_spec(path_or_name: str, seed_override: int | None = None,
     mc_raw = raw.get("mc", {}) or {}
     if not isinstance(mc_raw, Mapping):
         raise ParseError("'mc' section must be a mapping")
-    trials = trials_override if trials_override is not None else int(mc_raw.get("trials", 10_000))
-    seed = seed_override if seed_override is not None else int(mc_raw.get("seed", 1))
+    trials = trials_override if trials_override is not None else \
+        _mc_int(mc_raw, "trials", 10_000)
+    seed = seed_override if seed_override is not None else _mc_int(mc_raw, "seed", 1)
     mc = McSettings(trials=trials, master_seed=seed, max_parallelism=threads)
 
     quantities = tuple(raw.get("quantities", ["bounds"]))
@@ -280,44 +280,15 @@ def expand_quantities(quantities: Sequence[str]) -> list[str]:
     return out
 
 
-_SINGLE_EVALUATORS = {
-    "floor": secrecy_floor,
-    "gap": bound_gap,
-    "lower_bob": lower_bound_bob,
-    "lower_alice": lower_bound_alice,
-    "upper": upper_bound,
-}
-
-
 def evaluate_quantities(config: ProbingConfig, mc: McSettings,
                         quantities: Sequence[str]) -> dict[str, Estimate]:
-    """Evaluate the requested quantities.
-
-    A lone Monte Carlo quantity runs standalone (sweeps over a single curve
-    stay cheap); any combination goes through the full shared-draw report.
-    """
+    """Evaluate the requested quantities, and only those, on shared draws."""
     expanded = expand_quantities(quantities)
-    out: dict[str, Estimate] = {}
-    if "pilot_mi" in expanded:
-        out["pilot_mi"] = Estimate.exact(pilot_mi(config))
     mc_quantities = [q for q in expanded if q != "pilot_mi"]
-    if not mc_quantities:
-        return out
-    if len(mc_quantities) == 1 and mc_quantities[0] in _SINGLE_EVALUATORS:
-        q = mc_quantities[0]
-        out[q] = _SINGLE_EVALUATORS[q](config, mc)
-        return out
-    report = skc_report(config, mc)
-    for q in mc_quantities:
-        out[q] = {
-            "floor": report.floor,
-            "gap": report.gap,
-            "lower_bob": report.lower_bob,
-            "lower_alice": report.lower_alice,
-            "upper": report.upper,
-            "lower": report.lower,
-        }[q]
-    return out
+    values = evaluate(config, mc, mc_quantities) if mc_quantities else {}
+    if "pilot_mi" in expanded:
+        values["pilot_mi"] = Estimate.exact(pilot_mi(config))
+    return values
 
 
 def _quantity_header(expanded: Sequence[str]) -> list[str]:
@@ -460,10 +431,11 @@ def run_verify(path_or_name: str, mc_overrides: Mapping,
     configs = [config_from_mapping(entry) for entry in raw["configs"]]
     mc_raw = dict(raw.get("mc", {}) or {})
     mc_raw.update({k: v for k, v in mc_overrides.items() if v is not None})
-    mc = McSettings(trials=int(mc_raw.get("trials", 2000)),
-                    master_seed=int(mc_raw.get("seed", 1)),
-                    max_parallelism=mc_raw.get("threads", 1))
-    realizations = int(raw.get("identity_realizations", 300))
+    mc = McSettings(trials=_mc_int(mc_raw, "trials", 2000),
+                    master_seed=_mc_int(mc_raw, "seed", 1),
+                    max_parallelism=_mc_int(mc_raw, "threads", 1))
+    realizations = _strict_int(raw.get("identity_realizations", 300),
+                               "identity_realizations")
     summary = run_suite(configs, mc, identity_realizations=realizations,
                         corrupt_pilot_mi=mutation_control)
     out_dir.mkdir(parents=True, exist_ok=True)

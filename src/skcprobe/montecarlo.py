@@ -1,17 +1,21 @@
 """Reproducible Monte Carlo expectation engine.
 
-Each trial draws its channel realization from a counter-based stream keyed
-by (master_seed, trial index), and aggregation uses a fixed-shape pairwise
-tree, so the result is bit-identical whether trials run serially or on any
-number of threads, and prefix estimates are exactly reproducible.
+Trials are drawn in fixed blocks of BLOCK trials: block b holds trials
+b*BLOCK .. (b+1)*BLOCK - 1 and is sampled as stacked (BLOCK, rows, cols)
+channel arrays from the counter-based stream keyed by (master_seed, b).
+A block is always drawn whole and then cut to the trial count, so the
+first k trials of a run are those of any longer run at the same seed and
+prefix estimates are exactly reproducible.  Integrands are evaluated once
+per block on the whole stack, and aggregation is a numpy reduction whose
+shape depends only on the number of values, so every result is
+bit-identical from run to run.  The engine is single-threaded; the
+parallelism setting is validated but changes nothing.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-import os
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -19,15 +23,19 @@ from .channel import ChannelRealization, ProbingConfig, sample_channels
 from .errors import IntegrandFailure, ValidationError
 from .numerics import RngStream
 
+# per-realization integrand: one draw in, one value out
 Integrand = Callable[[ChannelRealization], float]
+# block integrand: a block of draws in, named per-trial value arrays out
+BlockIntegrand = Callable[[ChannelRealization], Mapping[str, np.ndarray]]
 
-_PAIRWISE_LEAF = 16
+BLOCK = 256
 
 
 @dataclass(frozen=True)
 class McSettings:
     """Trial count, master seed, and parallelism bound (None = one worker
-    per CPU).  Parallelism never changes results, only wall time."""
+    per CPU).  Kept for compatibility: the engine runs on one thread and
+    parallelism never changes results."""
 
     trials: int = 10_000
     master_seed: int = 1
@@ -55,74 +63,91 @@ class Estimate:
 
 
 def pairwise_sum(values: Sequence[float]) -> float:
-    """Sum with a fixed-shape binary tree (shape depends only on length)."""
-    n = len(values)
-
-    def rec(lo: int, hi: int) -> float:
-        if hi - lo <= _PAIRWISE_LEAF:
-            s = 0.0
-            for i in range(lo, hi):
-                s += float(values[i])
-            return s
-        mid = (lo + hi) // 2
-        return rec(lo, mid) + rec(mid, hi)
-
-    return rec(0, n) if n else 0.0
+    """Sum by numpy's pairwise reduction over a contiguous float64 array,
+    whose shape depends only on the length."""
+    return float(np.add.reduce(np.ascontiguousarray(values, dtype=np.float64)))
 
 
 def summarize(values: Sequence[float], method: str = "monte-carlo") -> Estimate:
     """Two-pass mean/stderr, both passes pairwise for determinism."""
-    n = len(values)
+    x = np.ascontiguousarray(values, dtype=np.float64)
+    n = len(x)
     if n == 0:
         raise ValidationError("cannot summarize zero trials")
-    mean = pairwise_sum(values) / n
+    mean = pairwise_sum(x) / n
     if n == 1:
         return Estimate(mean=float(mean), stderr=0.0, trials=1, method=method)
-    sq = [(float(v) - mean) ** 2 for v in values]
-    var = pairwise_sum(sq) / (n - 1)
+    dev = x - mean
+    var = pairwise_sum(dev * dev) / (n - 1)
     return Estimate(mean=float(mean), stderr=float(np.sqrt(var / n)),
                     trials=n, method=method)
 
 
-def _worker_count(settings: McSettings) -> int:
-    if settings.max_parallelism is None:
-        return max(1, os.cpu_count() or 1)
-    return settings.max_parallelism
+def trial_blocks(config: ProbingConfig,
+                 settings: McSettings) -> Iterator[tuple[int, ChannelRealization]]:
+    """(first trial index, block of draws) for every block, in trial order;
+    the last block is cut to the trial count."""
+    for b, start in enumerate(range(0, settings.trials, BLOCK)):
+        block = sample_channels(config, RngStream(settings.master_seed, b), BLOCK)
+        yield start, block[:settings.trials - start]
 
 
-def collect(integrands: Mapping[str, Integrand], config: ProbingConfig,
+def require_finite(arrays: Mapping[str, np.ndarray]) -> None:
+    """Raise IntegrandFailure for the lowest trial index holding a NaN or
+    infinite value in any of the arrays."""
+    failures = []
+    for name, values in arrays.items():
+        bad = ~np.isfinite(values)
+        if bad.any():
+            failures.append((int(np.argmax(bad)), name))
+    if failures:
+        trial, name = min(failures)
+        raise IntegrandFailure(
+            f"trial {trial}: {name} integrand is {arrays[name][trial]}")
+
+
+def collect(integrand: BlockIntegrand, config: ProbingConfig,
             settings: McSettings) -> dict[str, np.ndarray]:
-    """Evaluate all integrands on shared channel draws, one draw per trial.
+    """Evaluate a block integrand on every block; one array per name.
 
-    Sharing draws is what turns expectation-level identities (for example
-    upper = lower + gap) into exact per-sample identities.  Any trial error
-    aborts the whole run, reported for the lowest failing trial index.
+    Every named value comes from the same draws, which is what turns
+    expectation-level identities (for example upper = lower + gap) into
+    exact per-sample identities.  An error in a block aborts the run,
+    reported for that block's trial range; a non-finite value aborts it
+    for the lowest failing trial index.
     """
-    names = list(integrands)
-    fns = [integrands[k] for k in names]
-
-    def run_trial(i: int) -> tuple[float, ...]:
+    parts: dict[str, list[np.ndarray]] = {}
+    for start, block in trial_blocks(config, settings):
         try:
-            r = sample_channels(config, RngStream(settings.master_seed, i))
-            return tuple(float(f(r)) for f in fns)
+            values = integrand(block)
         except Exception as exc:
-            raise IntegrandFailure(f"trial {i}: {exc}") from exc
+            stop = start + block.trials_shape[0] - 1
+            raise IntegrandFailure(f"trials {start}-{stop}: {exc}") from exc
+        for name, v in values.items():
+            parts.setdefault(name, []).append(v)
+    arrays = {name: np.concatenate(v) for name, v in parts.items()}
+    require_finite(arrays)
+    return arrays
 
-    workers = _worker_count(settings)
-    if workers == 1 or settings.trials == 1:
-        rows = [run_trial(i) for i in range(settings.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_trial, range(settings.trials)))
-    cols = np.array(rows, dtype=float)
-    return {name: cols[:, j] for j, name in enumerate(names)}
+
+def realization_values(integrand: Integrand, config: ProbingConfig,
+                       settings: McSettings) -> np.ndarray:
+    """A per-realization integrand evaluated on each trial of the blocks."""
+    values = np.empty(settings.trials)
+    for start, block in trial_blocks(config, settings):
+        for j in range(block.trials_shape[0]):
+            try:
+                values[start + j] = integrand(block[j])
+            except Exception as exc:
+                raise IntegrandFailure(f"trial {start + j}: {exc}") from exc
+    require_finite({"value": values})
+    return values
 
 
 def estimate(integrand: Integrand, config: ProbingConfig,
              settings: McSettings) -> Estimate:
     """Monte Carlo mean and standard error of a per-realization integrand."""
-    values = collect({"value": integrand}, config, settings)["value"]
-    return summarize(values)
+    return summarize(realization_values(integrand, config, settings))
 
 
 def convergence_report(integrand: Integrand, config: ProbingConfig,
@@ -130,8 +155,9 @@ def convergence_report(integrand: Integrand, config: ProbingConfig,
                        checkpoints: Sequence[int]) -> list[Estimate]:
     """Nested-prefix estimates: checkpoint k reuses the first k trials.
 
-    Because trial i's stream depends only on (master_seed, i), the k-trial
-    prefix is bit-identical to a fresh run with trials=k.
+    Because blocks are drawn whole from streams keyed by (master_seed,
+    block), the k-trial prefix is bit-identical to a fresh run with
+    trials=k.
     """
     if not checkpoints:
         raise ValidationError("checkpoints must be nonempty")
@@ -143,5 +169,5 @@ def convergence_report(integrand: Integrand, config: ProbingConfig,
     if checkpoints[-1] > settings.trials:
         raise ValidationError(
             f"largest checkpoint {checkpoints[-1]} exceeds trials {settings.trials}")
-    values = collect({"value": integrand}, config, settings)["value"]
+    values = realization_values(integrand, config, settings)
     return [summarize(values[:k]) for k in checkpoints]

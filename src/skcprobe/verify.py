@@ -8,7 +8,9 @@ Three kinds of checks live here:
 * Monte Carlo validation of the pilot-estimation error model and of the
   scalar ergodic capacity against adaptive quadrature;
 * per-realization determinant-identity checks certifying that the paired
-  evaluation forms of the gap, the floor, and the Bob-side bound agree.
+  evaluation forms of the gap, the floor, and the Bob-side bound agree, and
+  that the batched Monte Carlo engine reproduces the per-sample forms on
+  every trial.
 
 A deliberate mutation hook is included so a silently broken oracle cannot
 pass its own suite.
@@ -24,14 +26,16 @@ import numpy as np
 from scipy import integrate, special
 
 from .capacity import (
+    _floor_form,
     bound_gap_sample,
     lower_bound_bob_sample,
     pilot_mi,
     secrecy_floor_sample,
+    trial_values,
 )
 from .channel import ProbingConfig, derive_gammas, generate_pilot, sample_channels
 from .errors import DimensionGuard, QuadratureFailure, ValidationError
-from .montecarlo import McSettings, summarize
+from .montecarlo import McSettings, summarize, trial_blocks
 from .numerics import (
     RngStream,
     block2x2,
@@ -217,7 +221,11 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
       (c) Bob-side bound: square vs rectangular form within IDENTITY_ATOL;
       (d) gap integrand >= 0 throughout, and exactly 0 when v_b = 0;
       (e) with v_b forced to 0, the Bob-side integrand equals
-          pilot_mi + v_a * floor integrand bit for bit.
+          pilot_mi + v_a * floor integrand bit for bit;
+      (f) the batched engine's floor, gap and Bob-side integrands equal
+          the per-sample forms within IDENTITY_ATOL on every trial of the
+          engine's own draws (more than one block once realizations
+          exceeds the block size).
     """
     if realizations < 100:
         raise ValidationError(f"need >= 100 realizations, got {realizations}")
@@ -247,7 +255,7 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
         if abs(cb_square - cb_rect) > cb_dev:
             cb_dev, worst["cb"] = abs(cb_square - cb_rect), i
         expected = pilot_mi(oneway) + oneway.v_a * secrecy_floor_sample(
-            r, oneway, _floor_form_for(oneway))
+            r, oneway, _floor_form(oneway))
         actual = lower_bound_bob_sample(r, oneway, form="square")
         if abs(actual - expected) > oneway_dev:
             oneway_dev, worst["oneway"] = abs(actual - expected), i
@@ -275,12 +283,35 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
         ),
         outcome("one-way-identity", oneway_dev, 0.0, worst["oneway"],
                 "bitwise identity with v_b = 0"),
+        engine_agreement_check(config, realizations, master_seed),
     ]
     return results
 
 
-def _floor_form_for(config: ProbingConfig) -> str:
-    return "direct" if config.noise_ea > 0 else "inverse"
+def engine_agreement_check(config: ProbingConfig, realizations: int = 300,
+                           master_seed: int = 1) -> VerificationOutcome:
+    """Largest per-trial deviation of the batched engine's integrands from
+    the per-sample forms (floor in the form _floor_form picks, stacked gap,
+    square Bob-side bound), each evaluated on one draw of the same blocks."""
+    mc = McSettings(trials=realizations, master_seed=master_seed)
+    engine = trial_values(config, mc, ("floor", "gap", "lower_bob"))
+    references = {
+        "floor": lambda r: secrecy_floor_sample(r, config, _floor_form(config)),
+        "gap": lambda r: bound_gap_sample(r, config),
+        "lower_bob": lambda r: lower_bound_bob_sample(r, config),
+    }
+    dev, worst = 0.0, -1
+    for start, block in trial_blocks(config, mc):
+        for j in range(block.trials_shape[0]):
+            for name, reference in references.items():
+                d = float(abs(engine[name][start + j] - reference(block[j])))
+                if d > dev:
+                    dev, worst = d, start + j
+    return VerificationOutcome(
+        check_name="engine-reference-agreement", reference_value=0.0,
+        computed_value=dev, tolerance=IDENTITY_ATOL, passed=dev <= IDENTITY_ATOL,
+        detail=(f"max deviation at trial {worst}" if dev > IDENTITY_ATOL
+                else f"floor, gap and Bob-side bound over {realizations} trials"))
 
 
 SCALAR_CHECK_SNRS = (0.1, 1.0, 10.0)

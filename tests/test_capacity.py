@@ -41,7 +41,10 @@ from skcprobe import (
     skc_report,
     upper_bound,
 )
+from skcprobe.capacity import _floor_form, evaluate, trial_values
 from skcprobe.errors import GridTooSmall, InvalidNoise, OrderingViolation
+from skcprobe.montecarlo import BLOCK, summarize, trial_blocks
+from skcprobe.verify import IDENTITY_ATOL
 from conftest import make_config, make_realization
 
 LOG2_4_3 = 0.41503749927884382
@@ -203,6 +206,57 @@ class TestLowerBoundBob:
             square = lower_bound_bob_sample(r, cfg, "square")
             rect = lower_bound_bob_sample(r, cfg, "rectangular")
             assert abs(square - rect) <= 1e-9
+
+
+class TestBatchedIntegrands:
+    @pytest.mark.parametrize("overrides", [
+        dict(v_a=2, v_b=3, n_e=3),            # Bob probes too
+        dict(noise_ea=0.0),                   # noiseless Eve on Alice's probes
+        dict(rho=1.0),                        # perfect reciprocity
+        dict(n_a=2, n_b=3, n_e=1, v_b=2),     # n_a < n_b
+    ])
+    def test_engine_matches_per_sample_forms_on_every_trial(self, overrides):
+        cfg = make_config(**overrides)
+        mc = McSettings(trials=BLOCK + 44, master_seed=43)
+        engine = trial_values(cfg, mc, ("floor", "gap", "lower_bob"))
+        for start, block in trial_blocks(cfg, mc):
+            for j in range(block.trials_shape[0]):
+                r = block[j]
+                i = start + j
+                assert abs(engine["floor"][i]
+                           - secrecy_floor_sample(r, cfg, _floor_form(cfg))) <= IDENTITY_ATOL
+                assert abs(engine["gap"][i] - bound_gap_sample(r, cfg)) <= IDENTITY_ATOL
+                assert abs(engine["lower_bob"][i] - lower_bound_bob_sample(r, cfg)) <= IDENTITY_ATOL
+        assert all(len(v) == mc.trials for v in engine.values())
+
+    def test_stacked_forms_match_per_sample_forms(self):
+        cfg = make_config(n_a=3, n_b=2, n_e=4, v_a=2, v_b=3)
+        block = sample_channels(cfg, RngStream(61, 0), trials=40)
+        pairs = [(secrecy_floor_sample, "direct"), (secrecy_floor_sample, "inverse"),
+                 (bound_gap_sample, "stacked"), (bound_gap_sample, "inverse"),
+                 (lower_bound_bob_sample, "square"), (lower_bound_bob_sample, "rectangular")]
+        for fn, form in pairs:
+            stacked = fn(block, cfg, form)
+            assert stacked.shape == (40,)
+            singles = [fn(block[j], cfg, form) for j in range(40)]
+            assert np.max(np.abs(stacked - singles)) <= IDENTITY_ATOL
+
+    def test_floor_alone_equals_floor_in_report(self):
+        cfg = make_config(v_b=2)
+        mc = McSettings(trials=BLOCK + 30, master_seed=47)
+        assert secrecy_floor(cfg, mc) == skc_report(cfg, mc).floor
+        assert evaluate(cfg, mc, ("floor",)) == \
+            {"floor": evaluate(cfg, mc, ("floor", "gap", "lower", "upper"))["floor"]}
+
+    def test_upper_is_lower_bob_plus_gap_per_sample(self):
+        cfg = make_config(v_b=2)
+        mc = McSettings(trials=BLOCK + 30, master_seed=53)
+        values = trial_values(cfg, mc, ("gap", "lower_bob"))
+        assert upper_bound(cfg, mc) == summarize(values["lower_bob"] + values["gap"])
+
+    def test_unknown_quantity_rejected(self):
+        with pytest.raises(ValueError, match="unknown quantities"):
+            evaluate(make_config(), McSettings(trials=10), ("entropy",))
 
 
 class TestRoleSymmetry:

@@ -46,6 +46,15 @@ class TestProbingConfig:
         with pytest.raises(ValidationError):
             ProbingConfig(**bad)
 
+    @pytest.mark.parametrize("name,value", [
+        ("power_a", math.nan), ("power_b", math.inf), ("noise_a", math.nan),
+        ("noise_b", math.inf), ("noise_ea", math.inf), ("noise_eb", math.nan),
+        ("rho", math.nan), ("rho", complex(0.0, math.inf)),
+    ])
+    def test_non_finite_parameters_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            ProbingConfig(n_a=2, n_b=2, n_e=2, **{name: value})
+
     def test_swap_roles_is_involution(self):
         cfg = make_config(rho=0.3 + 0.4j)
         swapped = cfg.swap_roles()
@@ -129,6 +138,40 @@ class TestSampleChannels:
             unpaired += r.h_ab[0, 1] * np.conj(r.h_ba[0, 1])
         assert abs(paired / n - 0.9) < 0.02
         assert abs(unpaired / n) < 0.02
+
+
+class TestSampleChannelBlock:
+    def test_block_shapes_and_trial_indexing(self):
+        cfg = make_config(n_a=3, n_b=2, n_e=4)
+        block = sample_channels(cfg, RngStream(1, 0), trials=5)
+        assert block.trials_shape == (5,)
+        assert block.h_ba.shape == (5, 2, 3) and block.h_ab.shape == (5, 3, 2)
+        assert block.g_a.shape == (5, 4, 3) and block.g_b.shape == (5, 4, 2)
+        assert (block.n_a, block.n_b, block.n_e) == (3, 2, 4)
+        assert not block.h_ab.flags.writeable
+        one = block[2]
+        assert one.trials_shape == () and one.h_ba.shape == (2, 3)
+        np.testing.assert_array_equal(one.g_b, block.g_b[2])
+        assert block[:3].trials_shape == (3,)
+
+    def test_block_reciprocity_is_exact_transpose_per_trial(self):
+        cfg = make_config(rho=1.0)
+        block = sample_channels(cfg, RngStream(5, 3), trials=7)
+        np.testing.assert_array_equal(block.h_ab, np.swapaxes(block.h_ba, 1, 2))
+
+    def test_block_legitimate_draws_ignore_n_e(self):
+        small = sample_channels(make_config(n_e=1), RngStream(9, 0), trials=16)
+        large = sample_channels(make_config(n_e=6), RngStream(9, 0), trials=16)
+        np.testing.assert_array_equal(small.h_ba, large.h_ba)
+        np.testing.assert_array_equal(small.h_ab, large.h_ab)
+
+    def test_block_statistics(self):
+        cfg = ProbingConfig(n_a=1, n_b=1, n_e=1, rho=0.8)
+        block = sample_channels(cfg, RngStream(7, 0), trials=100_000)
+        h_ba, h_ab = block.h_ba[:, 0, 0], block.h_ab[:, 0, 0]
+        assert abs(np.var(h_ba) - 1.0) < 0.02
+        assert abs(np.var(h_ab) - 1.0) < 0.02
+        assert abs(np.mean(h_ab * np.conj(h_ba)) - 0.8) < 0.01
 
 
 class TestGeneratePilot:

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+
 from skcprobe.cli import main
 
 SMALL_EVAL = """
@@ -68,6 +70,36 @@ quantities: [gap]
 """
         spec = write(tmp_path, text, "diverges.yaml")
         assert main(["eval", "--config", spec, "--out", str(tmp_path)]) == 4
+
+    def test_non_finite_power_is_validation_error(self, tmp_path):
+        spec = write(tmp_path, "config: {n_a: 2, n_b: 2, n_e: 2, phi_a: 8, phi_b: 8, "
+                               "power_a: .nan}", "nan.yaml")
+        assert main(["eval", "--config", spec, "--out", str(tmp_path)]) == 3
+
+    def test_non_finite_integrand_is_numeric_error(self, tmp_path, capsys):
+        # finite inputs whose Gram matrices overflow give a NaN floor
+        spec = write(tmp_path, "config: {n_a: 2, n_b: 2, n_e: 2, phi_a: 8, phi_b: 8, "
+                               "power_a: 1.0e+308}\nmc: {trials: 300}\n"
+                               "quantities: [floor]\n", "overflow.yaml")
+        with np.errstate(all="ignore"):
+            code = main(["eval", "--config", spec, "--out", str(tmp_path)])
+        assert code == 4
+        assert "trial 0: floor integrand is nan" in capsys.readouterr().err
+
+    def test_fractional_trials_is_validation_error(self, tmp_path):
+        spec = write(tmp_path, SMALL_EVAL.replace("trials: 60", "trials: 1.5"), "frac.yaml")
+        assert main(["eval", "--config", spec, "--out", str(tmp_path)]) == 3
+
+    def test_fractional_verify_settings_are_validation_errors(self, tmp_path):
+        for old, new in (("seed: 1", "seed: 2.9"),
+                         ("identity_realizations: 110", "identity_realizations: 110.5")):
+            spec = write(tmp_path, VERIFY_SET.replace(old, new), "verify.yaml")
+            assert main(["verify", "--config", spec, "--out", str(tmp_path)]) == 3
+
+    def test_zero_threads_is_validation_error(self, tmp_path):
+        spec = write(tmp_path, SMALL_EVAL, "spec.yaml")
+        assert main(["eval", "--config", spec, "--threads", "0",
+                     "--out", str(tmp_path)]) == 3
 
     def test_verify_pass_and_mutation_control(self, tmp_path, capsys):
         spec = write(tmp_path, VERIFY_SET, "verify.yaml")

@@ -76,6 +76,17 @@ class TestLoadSpec:
         with pytest.raises(ParseError):
             load_spec(write(tmp_path, "config: [unclosed"))
 
+    @pytest.mark.parametrize("mc", ["{trials: 1.5}", "{seed: 2.9}", "{trials: true}",
+                                    "{seed: '3'}"])
+    def test_mc_integers_are_strict(self, tmp_path, mc):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            load_spec(write(tmp_path, MINIMAL + f"mc: {mc}\n"))
+
+    @pytest.mark.parametrize("entry", ["power_a: .nan", "noise_ea: .inf", "rho: .nan"])
+    def test_non_finite_config_values_rejected(self, tmp_path, entry):
+        with pytest.raises(ValidationError, match="must be finite"):
+            load_spec(write(tmp_path, MINIMAL + f"  {entry}\n"))
+
     def test_overrides_beat_file(self, tmp_path):
         spec = load_spec(write(tmp_path, SMALL_SWEEP), seed_override=9,
                          trials_override=50)

@@ -5,7 +5,7 @@ import pytest
 
 from skcprobe import Estimate, McSettings, convergence_report, estimate
 from skcprobe.errors import IntegrandFailure, ValidationError
-from skcprobe.montecarlo import pairwise_sum, summarize
+from skcprobe.montecarlo import BLOCK, collect, pairwise_sum, summarize, trial_blocks
 from conftest import make_config
 
 
@@ -70,6 +70,21 @@ class TestEstimate:
         with pytest.raises(IntegrandFailure, match="trial 3"):
             estimate(flaky, cfg, McSettings(trials=10, master_seed=1))
 
+    def test_non_finite_value_names_lowest_trial(self):
+        cfg = make_config(n_a=1, n_b=1, n_e=1)
+        calls = []
+
+        def integrand(r):
+            calls.append(r)
+            return {BLOCK + 44: np.inf, BLOCK + 4: np.nan}.get(len(calls) - 1, 1.0)
+
+        with pytest.raises(IntegrandFailure, match=f"trial {BLOCK + 4}: "):
+            estimate(integrand, cfg, McSettings(trials=BLOCK + 100, master_seed=1))
+
+    def test_parallelism_is_validated(self):
+        with pytest.raises(ValidationError):
+            McSettings(max_parallelism=0)
+
     def test_exact_constructor(self):
         est = Estimate.exact(1.25)
         assert est.stderr == 0.0 and est.method == "exact"
@@ -77,6 +92,47 @@ class TestEstimate:
     def test_trials_validated(self):
         with pytest.raises(ValidationError):
             McSettings(trials=0)
+
+
+class TestCollect:
+    def test_blocks_cover_trials_in_order(self):
+        cfg = make_config(n_a=1, n_b=1, n_e=1)
+        settings = McSettings(trials=2 * BLOCK + 3, master_seed=4)
+        starts = [(start, block.trials_shape) for start, block in trial_blocks(cfg, settings)]
+        assert starts == [(0, (BLOCK,)), (BLOCK, (BLOCK,)), (2 * BLOCK, (3,))]
+
+    def test_values_follow_trial_order(self):
+        cfg = make_config(n_a=1, n_b=1, n_e=1)
+        settings = McSettings(trials=BLOCK + 10, master_seed=6)
+        arrays = collect(lambda b: {"h": b.h_ba[:, 0, 0].real}, cfg, settings)
+        expected = [block[j].h_ba[0, 0].real for _, block in trial_blocks(cfg, settings)
+                    for j in range(block.trials_shape[0])]
+        np.testing.assert_array_equal(arrays["h"], expected)
+
+    def test_lowest_non_finite_trial_across_names(self):
+        cfg = make_config(n_a=1, n_b=1, n_e=1)
+
+        def integrand(block):
+            a = np.ones(block.trials_shape)
+            b = np.ones(block.trials_shape)
+            if block.trials_shape[0] < BLOCK:      # the last, partial block
+                a[7] = np.inf
+                b[3] = np.nan
+            return {"a": a, "b": b}
+
+        with pytest.raises(IntegrandFailure, match=f"trial {BLOCK + 3}: b integrand is nan"):
+            collect(integrand, cfg, McSettings(trials=BLOCK + 20, master_seed=1))
+
+    def test_error_names_the_block_trial_range(self):
+        cfg = make_config(n_a=1, n_b=1, n_e=1)
+
+        def integrand(block):
+            if block.trials_shape[0] < BLOCK:
+                raise RuntimeError("boom")
+            return {"a": np.zeros(block.trials_shape)}
+
+        with pytest.raises(IntegrandFailure, match=f"trials {BLOCK}-{BLOCK + 19}: boom"):
+            collect(integrand, cfg, McSettings(trials=BLOCK + 20, master_seed=1))
 
 
 class TestConvergenceReport:
@@ -87,6 +143,13 @@ class TestConvergenceReport:
         fresh = estimate(abs2_integrand, cfg, McSettings(trials=100, master_seed=9))
         assert table[0] == fresh
         assert table[0].trials == 100 and table[1].trials == 500
+
+    def test_prefix_across_block_boundary(self):
+        cfg = make_config(n_a=1, n_b=1, n_e=1)
+        settings = McSettings(trials=3 * BLOCK, master_seed=9)
+        table = convergence_report(abs2_integrand, cfg, settings, [BLOCK + 1, 2 * BLOCK + 7])
+        for k, est in zip((BLOCK + 1, 2 * BLOCK + 7), table):
+            assert est == estimate(abs2_integrand, cfg, McSettings(trials=k, master_seed=9))
 
     def test_constant_integrand_checkpoints_agree(self):
         cfg = make_config(n_a=1, n_b=1, n_e=1)

@@ -93,6 +93,45 @@ class TestLogdetHermitianPd:
         assert logdet_hermitian_pd(m) == pytest.approx(logdet_lu(m), abs=1e-10)
 
 
+class TestStackedLogdet:
+    @staticmethod
+    def pd_stack(rng, count, n):
+        a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+        return a @ np.swapaxes(a, 1, 2).conj() + np.eye(n)
+
+    def test_matches_per_matrix_values(self, rng):
+        stack = self.pd_stack(rng, 12, 3)
+        out = logdet_hermitian_pd(stack)
+        assert out.shape == (12,)
+        assert np.array_equal(out, [logdet_hermitian_pd(m) for m in stack])
+        lu = logdet_lu(stack)
+        assert lu.shape == (12,)
+        assert np.max(np.abs(out - lu)) <= 1e-10
+
+    def test_jitter_applies_per_failing_matrix(self, rng):
+        # a rank-deficient PSD matrix needs the jitter; its neighbours do not
+        stack = self.pd_stack(rng, 4, 2)
+        v = np.array([[1.0], [1.0j]])
+        stack[2] = v @ v.conj().T
+        out = logdet_hermitian_pd(stack)
+        assert np.isfinite(out).all()
+        assert out[0] == logdet_hermitian_pd(stack[0])
+        assert out[3] == logdet_hermitian_pd(stack[3])
+        assert out[2] < -30.0  # log2 of the tiny jitter-sized eigenvalue
+
+    def test_failure_names_the_matrix(self, rng):
+        stack = self.pd_stack(rng, 5, 2)
+        stack[3] = np.diag([1.0, -1.0])
+        with pytest.raises(NotPositiveDefinite, match="matrix 3: "):
+            logdet_hermitian_pd(stack)
+
+    def test_hermitian_check_covers_the_stack(self, rng):
+        stack = self.pd_stack(rng, 3, 2)
+        stack[1, 0, 1] += 1e-6
+        with pytest.raises(NotHermitian):
+            logdet_hermitian_pd(stack)
+
+
 class TestCapacityLogdet:
     def test_zero_snr(self, rng):
         h = rng.standard_normal((3, 2))

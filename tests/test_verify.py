@@ -109,6 +109,29 @@ class TestIdentitySuite:
         outcomes = determinant_identity_suite(make_config(rho=1.0), realizations=120)
         assert all(o.passed for o in outcomes)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(v_b=3), dict(noise_ea=0.0), dict(rho=1.0), dict(n_a=2, n_b=3, n_e=1)])
+    def test_engine_agreement_check_crosses_a_block(self, overrides):
+        outcomes = determinant_identity_suite(make_config(**overrides), realizations=300)
+        by_name = {o.check_name: o for o in outcomes}
+        check = by_name["engine-reference-agreement"]
+        assert check.passed and check.tolerance == 1e-9
+        assert "over 300 trials" in check.detail
+
+    def test_engine_agreement_outcome_is_plain_json(self, monkeypatch):
+        import json
+        import skcprobe.verify as verify
+        real = verify.trial_values
+
+        def shifted(config, mc, names):
+            return {k: v + 1e-12 for k, v in real(config, mc, names).items()}
+
+        monkeypatch.setattr(verify, "trial_values", shifted)
+        check = verify.engine_agreement_check(make_config(), realizations=120)
+        assert check.passed is True and type(check.computed_value) is float
+        assert 0.0 < check.computed_value <= 1e-9
+        json.dumps(check.__dict__)
+
     def test_requires_enough_realizations(self):
         with pytest.raises(ValidationError):
             determinant_identity_suite(make_config(), realizations=50)
