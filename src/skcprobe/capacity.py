@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .channel import ChannelRealization, ProbingConfig, derive_gammas
-from .errors import GridTooSmall, InvalidNoise, OrderingViolation
+from .errors import GridTooSmall, InvalidNoise, OrderingViolation, ValidationError
 from .montecarlo import Estimate, McSettings, collect, summarize
 from .numerics import conj_t, hermitize, logdet_hermitian_pd, logdet_lu
 
@@ -41,13 +41,25 @@ def reciprocity_gain(config: ProbingConfig) -> float:
     Equals 1 iff rho = 0 and grows without bound as |rho| -> 1 with strong
     pilots; always >= 1 since |rho|^2 <= 1 only shrinks the denominator's
     cross term.
+
+    The ratio (sa+1)(sb+1) / ((1-|rho|^2) sa sb + sa + sb + 1) of the pilot
+    SNR products sa, sb is evaluated divided through by (sa+1)(sb+1): with
+    u = 1/(s+1) and t = 1-u per side it is 1 + |rho|^2 ta tb / ((1-|rho|^2)
+    ta tb + ua + ta ub), built from terms in [0, 1] that cannot overflow at
+    any power, and exactly 1 at rho = 0 or zero power.  The denominator
+    vanishes only when both products overflow and |rho| = 1, where the gain
+    is infinite; that raises ValidationError.
     """
     g = derive_gammas(config)
-    sa = g.gamma_ba * config.psi_a
-    sb = g.gamma_ab * config.psi_b
-    num = (sb + 1.0) * (sa + 1.0)
-    den = (1.0 - abs(config.rho) ** 2) * sb * sa + sb + sa + 1.0
-    return num / den
+    ua = 1.0 / (g.gamma_ba * config.psi_a + 1.0)
+    ub = 1.0 / (g.gamma_ab * config.psi_b + 1.0)
+    ta, tb = 1.0 - ua, 1.0 - ub
+    r2 = abs(config.rho) ** 2
+    den = (1.0 - r2) * ta * tb + ua + ta * ub
+    if den == 0.0:
+        raise ValidationError("pilot MI is infinite: both pilot SNR products "
+                              "overflow and |rho| = 1")
+    return 1.0 + r2 * ta * tb / den
 
 
 def pilot_mi(config: ProbingConfig) -> float:

@@ -83,13 +83,21 @@ def summarize(values: Sequence[float], method: str = "monte-carlo") -> Estimate:
                     trials=n, method=method)
 
 
+def block_streams(settings: McSettings) -> Iterator[tuple[int, int, np.random.Generator]]:
+    """(first trial index, trials kept, generator of the block's stream) for
+    every block, in trial order.  A caller draws BLOCK trials from the
+    generator and keeps the first `trials kept` of them."""
+    for b, start in enumerate(range(0, settings.trials, BLOCK)):
+        yield (start, min(BLOCK, settings.trials - start),
+               RngStream(settings.master_seed, b).generator())
+
+
 def trial_blocks(config: ProbingConfig,
                  settings: McSettings) -> Iterator[tuple[int, ChannelRealization]]:
     """(first trial index, block of draws) for every block, in trial order;
     the last block is cut to the trial count."""
-    for b, start in enumerate(range(0, settings.trials, BLOCK)):
-        block = sample_channels(config, RngStream(settings.master_seed, b), BLOCK)
-        yield start, block[:settings.trials - start]
+    for start, kept, rng in block_streams(settings):
+        yield start, sample_channels(config, rng, BLOCK)[:kept]
 
 
 def require_finite(arrays: Mapping[str, np.ndarray]) -> None:

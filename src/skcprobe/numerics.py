@@ -10,6 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.random lazily; importing it here puts that cost in the
+# import of the package rather than in the first draw of a run
+from numpy.random import Generator, Philox
 
 from .errors import DimensionMismatch, NotHermitian, NotPositiveDefinite
 
@@ -32,19 +35,19 @@ class RngStream:
     master_seed: int
     stream_id: int = 0
 
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> Generator:
         key = np.array(
             [self.master_seed & _MASK64, self.stream_id & _MASK64],
             dtype=np.uint64,
         )
-        return np.random.Generator(np.random.Philox(key=key))
+        return Generator(Philox(key=key))
 
 
-def as_generator(stream: "RngStream | np.random.Generator") -> np.random.Generator:
+def as_generator(stream: "RngStream | Generator") -> Generator:
     """Accept either an RngStream or an already-built numpy Generator."""
     if isinstance(stream, RngStream):
         return stream.generator()
-    if isinstance(stream, np.random.Generator):
+    if isinstance(stream, Generator):
         return stream
     raise TypeError(f"expected RngStream or numpy Generator, got {type(stream)!r}")
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, special
 
 from .capacity import (
     _floor_form,
@@ -35,7 +34,7 @@ from .capacity import (
 )
 from .channel import ProbingConfig, derive_gammas, generate_pilot, sample_channels
 from .errors import DimensionGuard, QuadratureFailure, ValidationError
-from .montecarlo import McSettings, summarize, trial_blocks
+from .montecarlo import BLOCK, McSettings, block_streams, summarize, trial_blocks
 from .numerics import (
     RngStream,
     block2x2,
@@ -137,21 +136,22 @@ def pilot_estimation_check(config: ProbingConfig, mc: McSettings) -> Verificatio
     (sqrt(gamma)/(gamma*psi+1)) * Y @ Pi^H with per-entry error variance
     1/(gamma*psi+1).  The detail string reports the induced perturbation on
     a probe-window entry relative to the unit receiver noise, which is what
-    justifies treating the channel as known once psi is large.
+    justifies treating the channel as known once psi is large.  Block b's
+    channels and pilot-window noise are drawn whole, in that order, from
+    the engine's stream for (master_seed, b).
     """
     gamma = derive_gammas(config).gamma_ba
     psi = config.psi_a
     pi = generate_pilot(config.n_a, config.phi_a)
     scale = math.sqrt(gamma) / (gamma * psi + 1.0)
     per_trial = []
-    for trial in range(mc.trials):
-        rng = RngStream(mc.master_seed, trial).generator()
-        h = sample_cgaussian(config.n_b, config.n_a, rng)
-        w = sample_cgaussian(config.n_b, config.phi_a, rng)
+    for _, kept, rng in block_streams(mc):
+        h = sample_cgaussian(config.n_b, config.n_a, rng, BLOCK)[:kept]
+        w = sample_cgaussian(config.n_b, config.phi_a, rng, BLOCK)[:kept]
         y = math.sqrt(gamma) * (h @ pi) + w
         h_hat = scale * (y @ pi.conj().T)
-        per_trial.append(float(np.mean(np.abs(h_hat - h) ** 2)))
-    est = summarize(per_trial)
+        per_trial.append(np.mean(np.abs(h_hat - h) ** 2, axis=(-2, -1)))
+    est = summarize(np.concatenate(per_trial))
     reference = 1.0 / (gamma * psi + 1.0)
     passed = abs(est.mean - reference) <= MMSE_RTOL * reference
     leak = gamma * config.n_a * reference
@@ -171,8 +171,11 @@ def siso_ergodic_capacity(snr: float) -> float:
 
     Cross-checked internally against exp(1/snr)*E1(1/snr)/ln 2 whenever that
     expression is representable; disagreement or a poor quadrature error
-    estimate raises QuadratureFailure.
+    estimate raises QuadratureFailure.  scipy is imported here, on first
+    use, so that nothing but this oracle pays for loading it.
     """
+    from scipy import integrate, special
+
     if snr < 0:
         raise ValueError(f"snr must be >= 0, got {snr}")
     if snr == 0:
@@ -191,13 +194,12 @@ def siso_ergodic_capacity(snr: float) -> float:
 
 
 def scalar_capacity_check(snr: float, mc: McSettings) -> VerificationOutcome:
-    """Monte Carlo scalar capacity vs quadrature within 3 standard errors."""
+    """Monte Carlo scalar capacity vs quadrature within 3 standard errors,
+    over the engine's blocks of scalar channel draws."""
     config = ProbingConfig(n_a=1, n_b=1, n_e=1, phi_a=1, phi_b=1)
-    per_trial = []
-    for trial in range(mc.trials):
-        r = sample_channels(config, RngStream(mc.master_seed, trial))
-        per_trial.append(math.log2(1.0 + snr * abs(r.h_ba[0, 0]) ** 2))
-    est = summarize(per_trial)
+    gains = np.concatenate([np.abs(block.h_ba[:, 0, 0]) ** 2
+                            for _, block in trial_blocks(config, mc)])
+    est = summarize(np.log2(1.0 + snr * gains))
     reference = siso_ergodic_capacity(snr)
     tolerance = 3.0 * est.stderr
     passed = abs(est.mean - reference) <= tolerance

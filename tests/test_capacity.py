@@ -17,10 +17,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skcprobe import (
     Estimate,
     McSettings,
+    ProbingConfig,
     RngStream,
     bound_gap,
     bound_gap_sample,
@@ -42,7 +45,13 @@ from skcprobe import (
     upper_bound,
 )
 from skcprobe.capacity import _floor_form, evaluate, trial_values
-from skcprobe.errors import GridTooSmall, InvalidNoise, OrderingViolation
+from skcprobe.errors import (
+    GridTooSmall,
+    InvalidNoise,
+    OrderingViolation,
+    SkcError,
+    ValidationError,
+)
 from skcprobe.montecarlo import BLOCK, summarize, trial_blocks
 from skcprobe.verify import IDENTITY_ATOL
 from conftest import make_config, make_realization
@@ -95,6 +104,47 @@ class TestPilotMi:
         # both products still 1: gamma_ba*psi_a = 0.25*4, gamma_ab*psi_b = 6/6
         assert pilot_mi(cfg) == pytest.approx(6 * LOG2_4_3, rel=1e-12)
         assert pilot_mi(cfg) == pytest.approx(2.4902249956730629, rel=1e-12)
+
+    @pytest.mark.parametrize("power", [0.0, 1e-300])
+    def test_zero_and_vanishing_power_give_zero_bits(self, power):
+        for rho in (0.0, 0.9, 1.0):
+            cfg = make_config(rho=rho, power_a=power, power_b=power)
+            assert pilot_mi(cfg) == 0.0
+
+    def test_one_silent_side_gives_zero_bits(self):
+        assert pilot_mi(make_config(rho=1.0, power_a=0.0, power_b=1e160)) == 0.0
+
+
+class TestPilotMiAtExtremePower:
+    """Power 1e160 puts the SNR products sa = sb = 8e160 past the point
+    where their product overflows."""
+
+    @staticmethod
+    def config(rho):
+        return make_config(n_a=2, n_b=2, phi_a=8, phi_b=8,
+                           power_a=1e160, power_b=1e160, rho=rho)
+
+    def test_uncorrelated_is_zero(self):
+        assert pilot_mi(self.config(0.0)) == 0.0
+
+    def test_partial_reciprocity_saturates(self):
+        # gain -> 1 / (1 - |rho|^2) once both products dominate
+        assert pilot_mi(self.config(0.9)) == pytest.approx(
+            4 * math.log2(1.0 / 0.19), rel=1e-12)
+
+    def test_full_reciprocity_reaches_the_finite_limit(self):
+        # gain -> sa sb / (sa + sb), evaluated in logs
+        s = 8e160
+        limit = 4 * (math.log2(s) + math.log2(s) - math.log2(2 * s))
+        assert pilot_mi(self.config(1.0)) == pytest.approx(limit, rel=1e-12)
+
+    def test_overflowing_products_with_full_reciprocity_are_rejected(self):
+        # power/noise = 1e310 overflows: the pilot MI itself is infinite
+        cfg = make_config(power_a=1e300, power_b=1e300, noise_a=1e-10,
+                          noise_b=1e-10, rho=1.0)
+        with pytest.raises(ValidationError, match="pilot MI is infinite"):
+            pilot_mi(cfg)
+        assert math.isfinite(pilot_mi(replace(cfg, rho=0.9)))
 
 
 class TestMiGivenChannel:
@@ -324,6 +374,44 @@ class TestSkcReport:
                              noise_a=cfg.noise_a * factor, noise_b=cfg.noise_b * factor,
                              noise_ea=cfg.noise_ea * factor, noise_eb=cfg.noise_eb * factor)
             assert skc_report(scaled, mc) == skc_report(cfg, mc)
+
+
+@st.composite
+def valid_configs(draw):
+    """Small antenna counts, one- and two-way probing, powers from 1e-3 to
+    1e200 (past the point where pilot SNR products overflow), noiseless or
+    noisy eavesdroppers and reciprocity from none to perfect."""
+    n_a, n_b, n_e = (draw(st.integers(1, 3)) for _ in range(3))
+    power = st.floats(-3.0, 200.0).map(lambda e: 10.0 ** e)
+    eve_noise = st.one_of(st.just(0.0), st.floats(0.1, 10.0))
+    return ProbingConfig(
+        n_a=n_a, n_b=n_b, n_e=n_e,
+        v_a=draw(st.integers(0, 2)), v_b=draw(st.sampled_from((0, 1, 2))),
+        phi_a=n_a + draw(st.integers(0, 4)), phi_b=n_b + draw(st.integers(0, 4)),
+        power_a=draw(power), power_b=draw(power),
+        noise_ea=draw(eve_noise), noise_eb=draw(eve_noise),
+        rho=draw(st.one_of(st.sampled_from((0.0, 0.9, 1.0)), st.floats(0.0, 1.0))))
+
+
+class TestRandomValidConfigs:
+    @settings(max_examples=40, deadline=None)
+    @given(config=valid_configs(), seed=st.integers(0, 2**32 - 1))
+    def test_finite_or_named_error_and_shared_draw_identities(self, config, seed):
+        assert math.isfinite(pilot_mi(config))
+        mc = McSettings(trials=8, master_seed=seed)
+        try:
+            values = trial_values(config, mc, ("floor", "gap", "lower_bob"))
+            upper = evaluate(config, mc, ("upper",))["upper"]
+        except SkcError as exc:
+            assert type(exc) is not SkcError
+            return
+        for v in values.values():
+            assert v.shape == (8,) and np.isfinite(v).all()
+        gap = values["gap"]
+        assert (gap >= 0.0).all()
+        if config.v_b == 0:
+            assert (gap == 0.0).all()
+        assert upper == summarize(values["lower_bob"] + gap)
 
 
 class TestMonotonicity:

@@ -86,6 +86,16 @@ quantities: [gap]
         assert code == 4
         assert "trial 0: floor integrand is nan" in capsys.readouterr().err
 
+    def test_pilot_mi_finite_at_extreme_power(self, tmp_path, capsys):
+        spec = write(tmp_path, "config: {n_a: 2, n_b: 2, n_e: 2, phi_a: 8, phi_b: 8, "
+                               "power_a: 1.0e+160, power_b: 1.0e+160}\n"
+                               "quantities: [pilot_mi]\n", "strong.yaml")
+        assert main(["eval", "--config", spec, "--out", str(tmp_path)]) == 0
+        assert "nan" not in capsys.readouterr().out
+        header, row = (tmp_path / "strong.csv").read_text().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert np.isfinite(float(fields["pilot_mi_mean"]))
+
     def test_fractional_trials_is_validation_error(self, tmp_path):
         spec = write(tmp_path, SMALL_EVAL.replace("trials: 60", "trials: 1.5"), "frac.yaml")
         assert main(["eval", "--config", spec, "--out", str(tmp_path)]) == 3

@@ -1,0 +1,60 @@
+"""Import budget: only the quadrature oracle of `verify` loads scipy.
+
+Each case runs in a fresh interpreter, so modules imported by earlier tests
+in the same pytest process cannot hide or fake an import.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# runs the given statement, then prints the loaded scipy modules as JSON on
+# the last line of stdout
+PROBE = """
+import json, sys
+{statement}
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def loaded_scipy(statement: str) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", PROBE.format(statement=statement)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def cli_statement(argv: list[str]) -> str:
+    return (f"from skcprobe.cli import main\n"
+            f"assert main({argv!r}) == 0")
+
+
+def test_only_the_quadrature_oracle_loads_scipy(tmp_path):
+    out = str(tmp_path)
+    cases = {
+        "import": "import skcprobe, skcprobe.cli",
+        "eval": cli_statement(["eval", "--config", "oneway", "--trials", "50",
+                               "--out", out]),
+        "sweep": cli_statement(["sweep", "--config", "fig1", "--trials", "20",
+                                "--out", out]),
+        "dof": cli_statement(["dof", "--config", "fig2", "--trials", "20",
+                              "--out", out]),
+    }
+    for name, statement in cases.items():
+        assert loaded_scipy(statement) == [], f"{name} loaded scipy"
+    for name in ("oneway.csv", "fig1.csv", "fig2-dof.csv"):
+        assert (tmp_path / name).exists()
+
+    # the oracle itself still imports scipy on first use and keeps its value
+    # (e * E1(1) / ln 2, 30-digit mpmath, frozen)
+    modules = loaded_scipy(
+        "from skcprobe import siso_ergodic_capacity\n"
+        "value = siso_ergodic_capacity(1.0)\n"
+        "assert abs(value - 0.86034738227088595) <= 1e-10, value")
+    assert "scipy.integrate" in modules and "scipy.special" in modules
