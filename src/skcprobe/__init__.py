@@ -33,19 +33,14 @@ from .channel import (
     ChannelRealization,
     GammaSet,
     ProbingConfig,
-    ProbingObservation,
     derive_gammas,
     generate_pilot,
     sample_channels,
-    simulate_probing,
 )
 from .errors import SkcError
 from .montecarlo import Estimate, McSettings, convergence_report, estimate
 from .numerics import (
     RngStream,
-    block2x2,
-    capacity_logdet,
-    kron,
     logdet_hermitian_pd,
     logdet_lu,
     sample_cgaussian,

@@ -1,4 +1,4 @@
-"""Two-way MIMO probing scenario: configuration, channels, pilots, observations.
+"""Two-way MIMO probing scenario: configuration, channels, pilots.
 
 A coherence period has four windows: Alice sends a pilot (phi_a slots) then a
 random payload (v_a slots); Bob does the same (phi_b, v_b).  Channels are
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidNoise, PilotTooShort, ShapeMismatch, ValidationError
+from .errors import InvalidNoise, PilotTooShort, ValidationError
 from .numerics import as_generator, sample_cgaussian
 
 # |rho| at or above this counts as perfectly reciprocal (float equality with
@@ -230,64 +230,3 @@ def generate_pilot(n: int, phi: int) -> np.ndarray:
     k = np.arange(n, dtype=np.int64)[:, None]
     ell = np.arange(phi, dtype=np.int64)[None, :]
     return np.exp(-2j * np.pi * ((k * ell) % phi) / phi)
-
-
-@dataclass(frozen=True)
-class ProbingObservation:
-    """Received matrices for one coherence period, pilot block first.
-
-    y_a is n_a x (phi_b + v_b), y_b is n_b x (phi_a + v_a), y_ea/y_eb are
-    Eve's n_e-row counterparts.  The payloads x_a/x_b and pilots pi_a/pi_b
-    used to generate them are kept for downstream checks.
-    """
-
-    y_a: np.ndarray
-    y_b: np.ndarray
-    y_ea: np.ndarray
-    y_eb: np.ndarray
-    x_a: np.ndarray
-    x_b: np.ndarray
-    pi_a: np.ndarray
-    pi_b: np.ndarray
-
-
-def _payload(n: int, v: int, rng) -> np.ndarray:
-    if v == 0:
-        return np.zeros((n, 0), dtype=complex)
-    return sample_cgaussian(n, v, rng)
-
-
-def simulate_probing(config: ProbingConfig, realization: ChannelRealization,
-                     stream) -> ProbingObservation:
-    """Simulate all four received matrices with fresh payloads and noise.
-
-    Draw order: x_a, x_b, w_a, w_b, w_ea, w_eb.  Requires finite SNR at
-    every receiver (a noiseless Eve cannot be simulated, only analyzed).
-    """
-    if realization.h_ba.shape != (config.n_b, config.n_a) or \
-            realization.h_ab.shape != (config.n_a, config.n_b) or \
-            realization.g_a.shape != (config.n_e, config.n_a) or \
-            realization.g_b.shape != (config.n_e, config.n_b):
-        raise ShapeMismatch("realization shapes do not match the configuration")
-    if config.noise_ea == 0 or config.noise_eb == 0:
-        raise InvalidNoise("cannot simulate observations with zero eavesdropper noise")
-    g = derive_gammas(config)
-    rng = as_generator(stream)
-    pi_a = generate_pilot(config.n_a, config.phi_a)
-    pi_b = generate_pilot(config.n_b, config.phi_b)
-    x_a = _payload(config.n_a, config.v_a, rng)
-    x_b = _payload(config.n_b, config.v_b, rng)
-    w_a = sample_cgaussian(config.n_a, config.phi_b + config.v_b, rng)
-    w_b = sample_cgaussian(config.n_b, config.phi_a + config.v_a, rng)
-    w_ea = sample_cgaussian(config.n_e, config.phi_a + config.v_a, rng)
-    w_eb = sample_cgaussian(config.n_e, config.phi_b + config.v_b, rng)
-    y_a = np.sqrt(g.gamma_ab) * np.hstack([realization.h_ab @ pi_b,
-                                           realization.h_ab @ x_b]) + w_a
-    y_b = np.sqrt(g.gamma_ba) * np.hstack([realization.h_ba @ pi_a,
-                                           realization.h_ba @ x_a]) + w_b
-    y_ea = np.sqrt(g.gamma_ea) * np.hstack([realization.g_a @ pi_a,
-                                            realization.g_a @ x_a]) + w_ea
-    y_eb = np.sqrt(g.gamma_eb) * np.hstack([realization.g_b @ pi_b,
-                                            realization.g_b @ x_b]) + w_eb
-    return ProbingObservation(*(map(_frozen, (y_a, y_b, y_ea, y_eb, x_a, x_b))),
-                              pi_a=_frozen(pi_a), pi_b=_frozen(pi_b))

@@ -5,10 +5,11 @@ Subcommands: eval (single point), sweep (one-parameter curves), dof
 a contract: 0 success, 2 parse error, 3 validation error, 4 numeric
 failure, 5 verification failure.
 
-Defaults for the seed and thread count can be overridden with the
-SKCPROBE_SEED and SKCPROBE_THREADS environment variables; explicit flags
-beat the environment, which beats the spec file, which beats built-ins.
-The thread count is validated but has no effect on the computation.
+The default seed can be overridden with the SKCPROBE_SEED environment
+variable; an explicit flag beats the environment, which beats the spec
+file, which beats built-ins.  --threads and SKCPROBE_THREADS are accepted
+for compatibility only: each must be an integer >= 1, and neither reaches
+the computation, which runs on one thread.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .errors import (
     ParseError,
     PilotTooShort,
     QuadratureFailure,
-    ShapeMismatch,
     ValidationError,
 )
 from .experiments import (
@@ -55,7 +55,7 @@ SEED_ENV = "SKCPROBE_SEED"
 THREADS_ENV = "SKCPROBE_THREADS"
 
 _NUMERIC_ERRORS = (
-    NotHermitian, NotPositiveDefinite, DimensionMismatch, ShapeMismatch,
+    NotHermitian, NotPositiveDefinite, DimensionMismatch,
     InvalidNoise, PilotTooShort, OrderingViolation, GridTooSmall,
     IntegrandFailure, DimensionGuard, QuadratureFailure,
 )
@@ -87,9 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=None,
                        help="Monte Carlo trials per point (default: spec file or 10000)")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"accepted and validated (>= 1) but has no effect: "
-                            f"the engine runs on one thread (default: "
-                            f"{THREADS_ENV} or 1)")
+                       help=f"accepted for compatibility only: must be >= 1 "
+                            f"(as must {THREADS_ENV}) and has no effect")
         p.add_argument("--out", default=".", help="output directory (default: .)")
 
     add_common(sub.add_parser("eval", help="evaluate one configuration"))
@@ -109,11 +108,12 @@ def _resolve_seed(args) -> int | None:
     return _env_int(SEED_ENV)
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = _env_int(THREADS_ENV)
-    return env if env is not None else 1
+def _check_threads(args) -> None:
+    """--threads, else SKCPROBE_THREADS, must be an integer >= 1; the value
+    is not used."""
+    threads = args.threads if args.threads is not None else _env_int(THREADS_ENV)
+    if threads is not None and threads < 1:
+        raise ValidationError(f"--threads and {THREADS_ENV} must be >= 1, got {threads}")
 
 
 def _print_estimate_table(values, expanded) -> None:
@@ -130,7 +130,7 @@ def _print_estimate_table(values, expanded) -> None:
 
 def _cmd_eval(args) -> int:
     spec = load_spec(args.config, seed_override=_resolve_seed(args),
-                     trials_override=args.trials, threads=_resolve_threads(args))
+                     trials_override=args.trials)
     values, csv_path = run_eval(spec, Path(args.out))
     print(f"{spec.name}: n_a={spec.base.n_a} n_b={spec.base.n_b} n_e={spec.base.n_e} "
           f"v_a={spec.base.v_a} v_b={spec.base.v_b}")
@@ -141,7 +141,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = load_spec(args.config, seed_override=_resolve_seed(args),
-                     trials_override=args.trials, threads=_resolve_threads(args))
+                     trials_override=args.trials)
     csv_path, svg_path = run_sweep(spec, Path(args.out))
     print(f"wrote {csv_path}")
     if svg_path is not None:
@@ -151,7 +151,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_dof(args) -> int:
     spec = load_spec(args.config, seed_override=_resolve_seed(args),
-                     trials_override=args.trials, threads=_resolve_threads(args))
+                     trials_override=args.trials)
     results, csv_path = run_dof(spec, Path(args.out))
     for case in spec.cases:
         result = results[case.name]
@@ -172,8 +172,7 @@ def _cmd_dof(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    overrides = {"trials": args.trials, "seed": _resolve_seed(args),
-                 "threads": _resolve_threads(args)}
+    overrides = {"trials": args.trials, "seed": _resolve_seed(args)}
     summary, report_path = run_verify(args.config, overrides, Path(args.out),
                                       mutation_control=args.mutation_control)
     name_w = max(len(o.check_name) for o in summary.outcomes)
@@ -200,6 +199,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_threads(args)
         return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error (parse): {exc}", file=sys.stderr)

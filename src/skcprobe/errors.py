@@ -17,10 +17,6 @@ class DimensionMismatch(SkcError):
     """Matrix block or operand dimensions do not conform."""
 
 
-class ShapeMismatch(SkcError):
-    """A channel realization does not match the configuration."""
-
-
 class InvalidNoise(SkcError):
     """A noise variance is zero or negative where a finite SNR is required."""
 
@@ -38,7 +34,8 @@ class GridTooSmall(SkcError):
 
 
 class IntegrandFailure(SkcError):
-    """A Monte Carlo trial raised; carries the first failing trial index."""
+    """A Monte Carlo block raised, or gave a non-finite value; names the
+    block's trial range, or the lowest failing trial."""
 
 
 class DimensionGuard(SkcError):

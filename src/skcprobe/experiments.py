@@ -4,8 +4,9 @@ A spec is a single YAML file: a base scenario, optional named cases (config
 overrides, one curve each), an optional one-parameter sweep, Monte Carlo
 settings, and the list of quantities to report.  All numeric CSV fields are
 written with 12 significant digits and '.' as the decimal separator, so a
-given spec and seed always produce byte-identical output regardless of
-thread count.
+given spec and seed always produce byte-identical output.  Every mapping
+in a spec is checked for unknown keys, so a misspelt key is an error
+rather than a silent default.
 """
 
 from __future__ import annotations
@@ -158,11 +159,28 @@ def _mc_int(mc_raw: Mapping, key: str, default: int) -> int:
 
 _SPEC_KEYS = {"name", "config", "cases", "sweep", "mc", "quantities", "svg",
               "power_grid"}
+_MC_KEYS = {"trials", "seed"}
+_CASE_KEYS = {"name", "overrides"}
+_SWEEP_KEYS = {"parameter", "values"}
+_VERIFY_KEYS = {"name", "mc", "identity_realizations", "configs"}
+
+
+def _reject_unknown(mapping: Mapping, allowed: set, where: str) -> None:
+    unknown = set(mapping) - allowed
+    if unknown:
+        raise ParseError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _mc_section(raw: Mapping) -> Mapping:
+    mc_raw = raw.get("mc", {}) or {}
+    if not isinstance(mc_raw, Mapping):
+        raise ParseError("'mc' section must be a mapping")
+    _reject_unknown(mc_raw, _MC_KEYS, "'mc'")
+    return mc_raw
 
 
 def load_spec(path_or_name: str, seed_override: int | None = None,
-              trials_override: int | None = None,
-              threads: int | None = 1) -> ExperimentSpec:
+              trials_override: int | None = None) -> ExperimentSpec:
     """Load and validate an experiment spec.
 
     Defaults: 10^4 trials, seed 1, quantities ['bounds'], a single 'base'
@@ -176,22 +194,18 @@ def load_spec(path_or_name: str, seed_override: int | None = None,
         raise ParseError(f"invalid YAML in {path_or_name}: {exc}") from exc
     if not isinstance(raw, Mapping):
         raise ParseError(f"top level of {path_or_name} must be a mapping")
-    unknown = set(raw) - _SPEC_KEYS
-    if unknown:
-        raise ParseError(f"unknown top-level keys in {path_or_name}: {sorted(unknown)}")
+    _reject_unknown(raw, _SPEC_KEYS, f"the top level of {path_or_name}")
     if "config" not in raw:
         raise ParseError(f"{path_or_name} has no 'config' section")
 
     base = config_from_mapping(raw["config"])
     name = str(raw.get("name", default_name))
 
-    mc_raw = raw.get("mc", {}) or {}
-    if not isinstance(mc_raw, Mapping):
-        raise ParseError("'mc' section must be a mapping")
+    mc_raw = _mc_section(raw)
     trials = trials_override if trials_override is not None else \
         _mc_int(mc_raw, "trials", 10_000)
     seed = seed_override if seed_override is not None else _mc_int(mc_raw, "seed", 1)
-    mc = McSettings(trials=trials, master_seed=seed, max_parallelism=threads)
+    mc = McSettings(trials=trials, master_seed=seed)
 
     quantities = tuple(raw.get("quantities", ["bounds"]))
     if not quantities:
@@ -206,6 +220,7 @@ def load_spec(path_or_name: str, seed_override: int | None = None,
         if not isinstance(sweep_raw, Mapping) or \
                 "parameter" not in sweep_raw or "values" not in sweep_raw:
             raise ParseError("'sweep' needs 'parameter' and 'values'")
+        _reject_unknown(sweep_raw, _SWEEP_KEYS, "'sweep'")
         values = tuple(sweep_raw["values"])
         if not values:
             raise ValidationError("sweep values must be nonempty")
@@ -219,6 +234,7 @@ def load_spec(path_or_name: str, seed_override: int | None = None,
         for entry in raw["cases"]:
             if not isinstance(entry, Mapping) or "name" not in entry:
                 raise ParseError("each case needs a 'name'")
+            _reject_unknown(entry, _CASE_KEYS, f"case {entry['name']!r}")
             overrides = entry.get("overrides", {}) or {}
             merged = dict_config(base)
             merged.update(overrides)
@@ -428,12 +444,12 @@ def run_verify(path_or_name: str, mc_overrides: Mapping,
         raise ParseError(f"invalid YAML in {path_or_name}: {exc}") from exc
     if not isinstance(raw, Mapping) or "configs" not in raw:
         raise ParseError(f"{path_or_name} must be a mapping with a 'configs' list")
+    _reject_unknown(raw, _VERIFY_KEYS, f"the top level of {path_or_name}")
     configs = [config_from_mapping(entry) for entry in raw["configs"]]
-    mc_raw = dict(raw.get("mc", {}) or {})
+    mc_raw = dict(_mc_section(raw))
     mc_raw.update({k: v for k, v in mc_overrides.items() if v is not None})
     mc = McSettings(trials=_mc_int(mc_raw, "trials", 2000),
-                    master_seed=_mc_int(mc_raw, "seed", 1),
-                    max_parallelism=_mc_int(mc_raw, "threads", 1))
+                    master_seed=_mc_int(mc_raw, "seed", 1))
     realizations = _strict_int(raw.get("identity_realizations", 300),
                                "identity_realizations")
     summary = run_suite(configs, mc, identity_realizations=realizations,

@@ -5,11 +5,12 @@ b*BLOCK .. (b+1)*BLOCK - 1 and is sampled as stacked (BLOCK, rows, cols)
 channel arrays from the counter-based stream keyed by (master_seed, b).
 A block is always drawn whole and then cut to the trial count, so the
 first k trials of a run are those of any longer run at the same seed and
-prefix estimates are exactly reproducible.  Integrands are evaluated once
-per block on the whole stack, and aggregation is a numpy reduction whose
-shape depends only on the number of values, so every result is
-bit-identical from run to run.  The engine is single-threaded; the
-parallelism setting is validated but changes nothing.
+prefix estimates are exactly reproducible.  `collect` is the one trial
+loop: it evaluates a block integrand once per block on the whole stack,
+and `estimate` / `convergence_report` reduce what it returns.
+Aggregation is a numpy reduction whose shape depends only on the number
+of values, so every result is bit-identical from run to run.  The engine
+is single-threaded.
 """
 
 from __future__ import annotations
@@ -23,29 +24,24 @@ from .channel import ChannelRealization, ProbingConfig, sample_channels
 from .errors import IntegrandFailure, ValidationError
 from .numerics import RngStream
 
-# per-realization integrand: one draw in, one value out
-Integrand = Callable[[ChannelRealization], float]
 # block integrand: a block of draws in, named per-trial value arrays out
 BlockIntegrand = Callable[[ChannelRealization], Mapping[str, np.ndarray]]
+# a block of draws in, one value per trial out (every *_sample form is one)
+TrialIntegrand = Callable[[ChannelRealization], np.ndarray]
 
 BLOCK = 256
 
 
 @dataclass(frozen=True)
 class McSettings:
-    """Trial count, master seed, and parallelism bound (None = one worker
-    per CPU).  Kept for compatibility: the engine runs on one thread and
-    parallelism never changes results."""
+    """Trial count and master seed of a Monte Carlo run."""
 
     trials: int = 10_000
     master_seed: int = 1
-    max_parallelism: int | None = 1
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if self.max_parallelism is not None and self.max_parallelism < 1:
-            raise ValidationError("max_parallelism must be >= 1 or None")
 
 
 @dataclass(frozen=True)
@@ -138,27 +134,20 @@ def collect(integrand: BlockIntegrand, config: ProbingConfig,
     return arrays
 
 
-def realization_values(integrand: Integrand, config: ProbingConfig,
-                       settings: McSettings) -> np.ndarray:
-    """A per-realization integrand evaluated on each trial of the blocks."""
-    values = np.empty(settings.trials)
-    for start, block in trial_blocks(config, settings):
-        for j in range(block.trials_shape[0]):
-            try:
-                values[start + j] = integrand(block[j])
-            except Exception as exc:
-                raise IntegrandFailure(f"trial {start + j}: {exc}") from exc
-    require_finite({"value": values})
-    return values
+def _values(integrand: TrialIntegrand, config: ProbingConfig,
+            settings: McSettings) -> np.ndarray:
+    """A trial integrand's values on every trial, in trial order."""
+    return collect(lambda block: {"value": integrand(block)},
+                   config, settings)["value"]
 
 
-def estimate(integrand: Integrand, config: ProbingConfig,
+def estimate(integrand: TrialIntegrand, config: ProbingConfig,
              settings: McSettings) -> Estimate:
-    """Monte Carlo mean and standard error of a per-realization integrand."""
-    return summarize(realization_values(integrand, config, settings))
+    """Monte Carlo mean and standard error of a trial integrand."""
+    return summarize(_values(integrand, config, settings))
 
 
-def convergence_report(integrand: Integrand, config: ProbingConfig,
+def convergence_report(integrand: TrialIntegrand, config: ProbingConfig,
                        settings: McSettings,
                        checkpoints: Sequence[int]) -> list[Estimate]:
     """Nested-prefix estimates: checkpoint k reuses the first k trials.
@@ -177,5 +166,5 @@ def convergence_report(integrand: Integrand, config: ProbingConfig,
     if checkpoints[-1] > settings.trials:
         raise ValidationError(
             f"largest checkpoint {checkpoints[-1]} exceeds trials {settings.trials}")
-    values = realization_values(integrand, config, settings)
+    values = _values(integrand, config, settings)
     return [summarize(values[:k]) for k in checkpoints]

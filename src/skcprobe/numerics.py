@@ -119,8 +119,9 @@ def logdet_hermitian_pd(m: np.ndarray):
     """log2 det of a Hermitian positive-definite matrix via Cholesky.
 
     Accepts one matrix (returns a float) or a stack with shape (..., n, n)
-    (returns an array of shape (...)).  The input is checked against
-    HERMITIAN_ATOL and symmetrized before factorization.  If the
+    (returns an array of shape (...)).  The input must be Hermitian to
+    HERMITIAN_ATOL, which callers ensure by passing Gram products through
+    hermitize; it is checked and then factored as given.  If the
     factorization fails, each matrix is factored on its own and a failing
     one is retried once with a tiny trace-scaled diagonal jitter; a second
     failure raises NotPositiveDefinite naming the matrix's index in the
@@ -131,7 +132,6 @@ def logdet_hermitian_pd(m: np.ndarray):
     asym = float(np.max(np.abs(m - conj_t(m))))
     if asym > HERMITIAN_ATOL:
         raise NotHermitian(f"max asymmetry {asym:.3e} exceeds {HERMITIAN_ATOL:.0e}")
-    m = (m + conj_t(m)) / 2.0
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
@@ -150,37 +150,3 @@ def logdet_lu(m: np.ndarray):
     """
     _, logabs = np.linalg.slogdet(_square_stack(m))
     return _per_matrix(logabs / _LN2)
-
-
-def capacity_logdet(h: np.ndarray, gamma: float) -> float:
-    """log2 det(gamma h h^H + I) for a channel matrix h and SNR gamma >= 0.
-
-    Equals the Gram-side evaluation log2 det(gamma h^H h + I) by the
-    determinant push-through identity (tested, not assumed).
-    """
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got ndim {h.ndim}")
-    n = h.shape[0]
-    return logdet_hermitian_pd(gamma * hermitize(h @ h.conj().T) + np.eye(n))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, shape (ra*rb) x (ca*cb)."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
-def block2x2(a, c, ch, b) -> np.ndarray:
-    """Assemble the 2x2 block matrix [[a, c], [ch, b]].
-
-    The caller passes the lower-left block explicitly (usually c^H) so the
-    assembly itself stays a pure layout operation.
-    """
-    a, c, ch, b = (np.asarray(x) for x in (a, c, ch, b))
-    if a.shape[0] != c.shape[0] or ch.shape[0] != b.shape[0]:
-        raise DimensionMismatch("row counts of [a|c] and [ch|b] must match")
-    if a.shape[1] != ch.shape[1] or c.shape[1] != b.shape[1]:
-        raise DimensionMismatch("column counts of [a/ch] and [c/b] must match")
-    return np.block([[a, c], [ch, b]])

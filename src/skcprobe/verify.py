@@ -7,10 +7,10 @@ Three kinds of checks live here:
   against the closed form;
 * Monte Carlo validation of the pilot-estimation error model and of the
   scalar ergodic capacity against adaptive quadrature;
-* per-realization determinant-identity checks certifying that the paired
-  evaluation forms of the gap, the floor, and the Bob-side bound agree, and
-  that the batched Monte Carlo engine reproduces the per-sample forms on
-  every trial.
+* per-trial determinant-identity checks certifying that the paired
+  evaluation forms of the gap, the floor, and the Bob-side bound agree on
+  the engine's blocks of draws, and that the batched Monte Carlo engine
+  reproduces the per-sample forms on every trial.
 
 A deliberate mutation hook is included so a silently broken oracle cannot
 pass its own suite.
@@ -32,17 +32,20 @@ from .capacity import (
     secrecy_floor_sample,
     trial_values,
 )
-from .channel import ProbingConfig, derive_gammas, generate_pilot, sample_channels
+# sample_channels is not called here; the benchmark tracer
+# (perfbench/launch.py) wraps skcprobe.verify.sample_channels
+from .channel import ProbingConfig, derive_gammas, generate_pilot, sample_channels  # noqa: F401
 from .errors import DimensionGuard, QuadratureFailure, ValidationError
-from .montecarlo import BLOCK, McSettings, block_streams, summarize, trial_blocks
-from .numerics import (
-    RngStream,
-    block2x2,
-    hermitize,
-    kron,
-    logdet_hermitian_pd,
-    sample_cgaussian,
+from .montecarlo import (
+    BLOCK,
+    McSettings,
+    block_streams,
+    collect,
+    estimate,
+    summarize,
+    trial_blocks,
 )
+from .numerics import hermitize, logdet_hermitian_pd, sample_cgaussian
 
 # largest covariance factor we will form densely; beyond this the exact
 # evaluation would need structure-exploiting code that defeats its purpose
@@ -97,10 +100,10 @@ def pilot_mi_from_covariance(config: ProbingConfig) -> float:
     gam = derive_gammas(config)
     pi_a = generate_pilot(config.n_a, config.phi_a)
     pi_b = generate_pilot(config.n_b, config.phi_b)
-    blk_a = gam.gamma_ab * kron(hermitize(pi_b.T @ pi_b.conj()), np.eye(config.n_a)) + np.eye(dim_a)
-    blk_b = gam.gamma_ba * kron(np.eye(config.n_b), hermitize(pi_a.T @ pi_a.conj())) + np.eye(dim_b)
-    cross = complex(config.rho) * math.sqrt(gam.gamma_ba * gam.gamma_ab) * kron(pi_b.T, pi_a.conj())
-    joint = block2x2(blk_a, cross, cross.conj().T, blk_b)
+    blk_a = gam.gamma_ab * np.kron(hermitize(pi_b.T @ pi_b.conj()), np.eye(config.n_a)) + np.eye(dim_a)
+    blk_b = gam.gamma_ba * np.kron(np.eye(config.n_b), hermitize(pi_a.T @ pi_a.conj())) + np.eye(dim_b)
+    cross = complex(config.rho) * math.sqrt(gam.gamma_ba * gam.gamma_ab) * np.kron(pi_b.T, pi_a.conj())
+    joint = np.block([[blk_a, cross], [cross.conj().T, blk_b]])
     return (logdet_hermitian_pd(blk_a) + logdet_hermitian_pd(blk_b)
             - logdet_hermitian_pd(joint))
 
@@ -197,9 +200,8 @@ def scalar_capacity_check(snr: float, mc: McSettings) -> VerificationOutcome:
     """Monte Carlo scalar capacity vs quadrature within 3 standard errors,
     over the engine's blocks of scalar channel draws."""
     config = ProbingConfig(n_a=1, n_b=1, n_e=1, phi_a=1, phi_b=1)
-    gains = np.concatenate([np.abs(block.h_ba[:, 0, 0]) ** 2
-                            for _, block in trial_blocks(config, mc)])
-    est = summarize(np.log2(1.0 + snr * gains))
+    est = estimate(lambda block: np.log2(1.0 + snr * np.abs(block.h_ba[:, 0, 0]) ** 2),
+                   config, mc)
     reference = siso_ergodic_capacity(snr)
     tolerance = 3.0 * est.stderr
     passed = abs(est.mean - reference) <= tolerance
@@ -215,9 +217,10 @@ def scalar_capacity_check(snr: float, mc: McSettings) -> VerificationOutcome:
 
 def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
                                master_seed: int = 1) -> list[VerificationOutcome]:
-    """Per-realization certification of the paired evaluation forms.
+    """Per-trial certification of the paired evaluation forms.
 
-    Checks, over `realizations` independent draws:
+    Checks, over the first `realizations` trials of the engine's blocks at
+    `master_seed`, each form evaluated once per block:
       (a) gap: stacked vs resolvent form within IDENTITY_ATOL;
       (b) floor: direct vs resolvent form within IDENTITY_ATOL;
       (c) Bob-side bound: square vs rectangular form within IDENTITY_ATOL;
@@ -228,66 +231,60 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
           the per-sample forms within IDENTITY_ATOL on every trial of the
           engine's own draws (more than one block once realizations
           exceeds the block size).
+    A failing check names the trial with the largest deviation.
     """
     if realizations < 100:
         raise ValidationError(f"need >= 100 realizations, got {realizations}")
     oneway = replace(config, v_b=0)
-    gap_dev = floor_dev = cb_dev = oneway_dev = 0.0
-    gap_min = math.inf
-    gap_zero_dev = 0.0
-    worst = {"gap": -1, "floor": -1, "cb": -1, "oneway": -1}
-    for i in range(realizations):
-        r = sample_channels(config, RngStream(master_seed, i))
-        g_stacked = bound_gap_sample(r, config, form="stacked")
-        g_inverse = bound_gap_sample(r, config, form="inverse")
-        if abs(g_stacked - g_inverse) > gap_dev:
-            gap_dev, worst["gap"] = abs(g_stacked - g_inverse), i
-        gap_min = min(gap_min, g_stacked, g_inverse)
-        if config.v_b == 0:
-            gap_zero_dev = max(gap_zero_dev, abs(g_stacked), abs(g_inverse))
-        if config.noise_ea > 0:
-            f_direct = secrecy_floor_sample(r, config, form="direct")
-            f_inverse = secrecy_floor_sample(r, config, form="inverse")
-        else:
-            f_direct = f_inverse = secrecy_floor_sample(r, config, form="inverse")
-        if abs(f_direct - f_inverse) > floor_dev:
-            floor_dev, worst["floor"] = abs(f_direct - f_inverse), i
-        cb_square = lower_bound_bob_sample(r, config, form="square")
-        cb_rect = lower_bound_bob_sample(r, config, form="rectangular")
-        if abs(cb_square - cb_rect) > cb_dev:
-            cb_dev, worst["cb"] = abs(cb_square - cb_rect), i
-        expected = pilot_mi(oneway) + oneway.v_a * secrecy_floor_sample(
-            r, oneway, _floor_form(oneway))
-        actual = lower_bound_bob_sample(r, oneway, form="square")
-        if abs(actual - expected) > oneway_dev:
-            oneway_dev, worst["oneway"] = abs(actual - expected), i
 
-    def outcome(name, dev, tol, idx, extra=""):
+    def paired_forms(block):
+        floor_inverse = secrecy_floor_sample(block, config, form="inverse")
+        return {
+            "gap_stacked": bound_gap_sample(block, config, form="stacked"),
+            "gap_inverse": bound_gap_sample(block, config, form="inverse"),
+            # the direct form is undefined at noise_ea = 0
+            "floor_direct": (secrecy_floor_sample(block, config, form="direct")
+                             if config.noise_ea > 0 else floor_inverse),
+            "floor_inverse": floor_inverse,
+            "cb_square": lower_bound_bob_sample(block, config, form="square"),
+            "cb_rect": lower_bound_bob_sample(block, config, form="rectangular"),
+            "oneway_expected": pilot_mi(oneway) + oneway.v_a * secrecy_floor_sample(
+                block, oneway, _floor_form(oneway)),
+            "oneway_actual": lower_bound_bob_sample(block, oneway, form="square"),
+        }
+
+    v = collect(paired_forms, config, McSettings(trials=realizations,
+                                                 master_seed=master_seed))
+    gaps = np.concatenate([v["gap_stacked"], v["gap_inverse"]])
+
+    def outcome(name, a, b, tol, extra):
+        dev = np.abs(a - b)
+        worst = int(np.argmax(dev))
         return VerificationOutcome(
-            check_name=name, reference_value=0.0, computed_value=dev,
-            tolerance=tol, passed=dev <= tol,
-            detail=(f"max deviation at trial {idx}" if dev > tol else extra))
+            check_name=name, reference_value=0.0, computed_value=float(dev[worst]),
+            tolerance=tol, passed=bool(dev[worst] <= tol),
+            detail=(f"max deviation at trial {worst}" if dev[worst] > tol else extra))
 
-    results = [
-        outcome("gap-form-equivalence", gap_dev, IDENTITY_ATOL, worst["gap"],
-                f"over {realizations} realizations"),
-        outcome("floor-form-equivalence", floor_dev, IDENTITY_ATOL, worst["floor"],
-                f"over {realizations} realizations"),
-        outcome("lower-bob-form-equivalence", cb_dev, IDENTITY_ATOL, worst["cb"],
-                f"over {realizations} realizations"),
+    over = f"over {realizations} realizations"
+    return [
+        outcome("gap-form-equivalence", v["gap_stacked"], v["gap_inverse"],
+                IDENTITY_ATOL, over),
+        outcome("floor-form-equivalence", v["floor_direct"], v["floor_inverse"],
+                IDENTITY_ATOL, over),
+        outcome("lower-bob-form-equivalence", v["cb_square"], v["cb_rect"],
+                IDENTITY_ATOL, over),
         VerificationOutcome(
             check_name="gap-nonnegative",
             reference_value=0.0,
-            computed_value=float(gap_min),
+            computed_value=float(gaps.min()),
             tolerance=0.0,
-            passed=(gap_min >= 0.0) and (config.v_b > 0 or gap_zero_dev == 0.0),
+            passed=bool(gaps.min() >= 0.0) and (config.v_b > 0 or not gaps.any()),
             detail="gap must be exactly 0 when v_b = 0" if config.v_b == 0 else "",
         ),
-        outcome("one-way-identity", oneway_dev, 0.0, worst["oneway"],
+        outcome("one-way-identity", v["oneway_actual"], v["oneway_expected"], 0.0,
                 "bitwise identity with v_b = 0"),
         engine_agreement_check(config, realizations, master_seed),
     ]
-    return results
 
 
 def engine_agreement_check(config: ProbingConfig, realizations: int = 300,

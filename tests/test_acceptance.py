@@ -174,7 +174,7 @@ def test_acceptance_4_dof_slopes():
     """Floor vs log2(power): slope 2.0 +- 0.15 for (8,4,6), 0.0 +- 0.10 for
     (8,4,10), at 10^4 trials per grid point."""
     start = time.perf_counter()
-    spec = load_spec("fig2", trials_override=10_000, threads=4)
+    spec = load_spec("fig2", trials_override=10_000)
     results, _ = run_dof(spec, __import__("pathlib").Path("/tmp/skcprobe-acceptance"))
     slope6 = results["na8-nb4-ne6"].slope
     slope10 = results["na8-nb4-ne10"].slope
@@ -191,7 +191,7 @@ def test_acceptance_4_dof_slopes():
 def test_acceptance_5_floor_positive_and_monotone():
     """Floor stays significant and nonincreasing over 3 decades of the
     noise-variance ratio."""
-    mc = McSettings(trials=10_000, master_seed=1, max_parallelism=4)
+    mc = McSettings(trials=10_000, master_seed=1)
     ratios = np.logspace(-1.5, 1.5, 13)
     means, stderrs = [], []
     for ratio in ratios:

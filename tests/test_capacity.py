@@ -38,6 +38,7 @@ from skcprobe import (
     mi_given_channel,
     pilot_mi,
     reciprocity_gain,
+    sample_cgaussian,
     sample_channels,
     secrecy_floor,
     secrecy_floor_sample,
@@ -153,6 +154,17 @@ class TestMiGivenChannel:
 
     def test_scalar_one_bit(self):
         assert mi_given_channel(np.array([[1.0]]), 1.0, 1) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 8), cols=st.integers(1, 8),
+        gamma=st.floats(0.0, 50.0), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_push_through_equivalence(self, rows, cols, gamma, seed):
+        # det(g H H^H + I_N) == det(g H^H H + I_K)
+        h = sample_cgaussian(rows, cols, RngStream(seed, 0))
+        assert abs(mi_given_channel(h, gamma, 1)
+                   - mi_given_channel(h.conj().T, gamma, 1)) <= 1e-9
 
     def test_entropy_adds_gaussian_term(self):
         h = np.array([[1.0]])

@@ -1,4 +1,4 @@
-"""Scenario configuration, channel sampling, pilots, and probing simulation."""
+"""Scenario configuration, channel sampling, and pilots."""
 
 import math
 
@@ -11,14 +11,8 @@ from skcprobe import (
     derive_gammas,
     generate_pilot,
     sample_channels,
-    simulate_probing,
 )
-from skcprobe.errors import (
-    InvalidNoise,
-    PilotTooShort,
-    ShapeMismatch,
-    ValidationError,
-)
+from skcprobe.errors import PilotTooShort, ValidationError
 from conftest import make_config
 
 
@@ -100,14 +94,8 @@ class TestSampleChannels:
 
     def test_unit_variance_and_residual_variance(self):
         cfg = ProbingConfig(n_a=1, n_b=1, n_e=1, rho=0.8)
-        gen = RngStream(7, 0).generator()
-        n = 100_000
-        h_ba = np.empty(n, dtype=complex)
-        h_ab = np.empty(n, dtype=complex)
-        for i in range(n):
-            r = sample_channels(cfg, gen)
-            h_ba[i] = r.h_ba[0, 0]
-            h_ab[i] = r.h_ab[0, 0]
+        block = sample_channels(cfg, RngStream(7, 0), trials=100_000)
+        h_ba, h_ab = block.h_ba[:, 0, 0], block.h_ab[:, 0, 0]
         assert abs(np.var(h_ba) - 1.0) < 0.02
         assert abs(np.var(h_ab) - 1.0) < 0.02
         resid = h_ab - 0.8 * h_ba
@@ -116,28 +104,19 @@ class TestSampleChannels:
     @pytest.mark.parametrize("rho,tol", [(0.0, 0.02), (0.8, 0.01)])
     def test_cross_correlation_matches_rho(self, rho, tol):
         cfg = ProbingConfig(n_a=1, n_b=1, n_e=1, rho=rho)
-        gen = RngStream(11, 0).generator()
-        n = 100_000
-        acc = 0.0 + 0.0j
-        for _ in range(n):
-            r = sample_channels(cfg, gen)
-            # correlation pairs entry (j, i) of h_ab with entry (i, j) of h_ba
-            acc += r.h_ab[0, 0] * np.conj(r.h_ba[0, 0])
-        assert abs(acc / n - rho) < tol
+        block = sample_channels(cfg, RngStream(11, 0), trials=100_000)
+        # correlation pairs entry (j, i) of h_ab with entry (i, j) of h_ba
+        corr = np.mean(block.h_ab[:, 0, 0] * np.conj(block.h_ba[:, 0, 0]))
+        assert abs(corr - rho) < tol
 
     def test_transposed_entry_pairing_for_matrices(self):
         # rho couples h_ab[j, i] with h_ba[i, j], not the same-index entries
         cfg = ProbingConfig(n_a=2, n_b=3, n_e=1, rho=0.9)
-        gen = RngStream(13, 0).generator()
-        n = 40_000
-        paired = 0.0 + 0.0j
-        unpaired = 0.0 + 0.0j
-        for _ in range(n):
-            r = sample_channels(cfg, gen)
-            paired += r.h_ab[0, 1] * np.conj(r.h_ba[1, 0])
-            unpaired += r.h_ab[0, 1] * np.conj(r.h_ba[0, 1])
-        assert abs(paired / n - 0.9) < 0.02
-        assert abs(unpaired / n) < 0.02
+        block = sample_channels(cfg, RngStream(13, 0), trials=40_000)
+        paired = np.mean(block.h_ab[:, 0, 1] * np.conj(block.h_ba[:, 1, 0]))
+        unpaired = np.mean(block.h_ab[:, 0, 1] * np.conj(block.h_ba[:, 0, 1]))
+        assert abs(paired - 0.9) < 0.02
+        assert abs(unpaired) < 0.02
 
 
 class TestSampleChannelBlock:
@@ -190,52 +169,3 @@ class TestGeneratePilot:
     def test_too_short_raises(self):
         with pytest.raises(PilotTooShort):
             generate_pilot(3, 2)
-
-
-class TestSimulateProbing:
-    def test_window_bookkeeping(self):
-        cfg = make_config(n_a=3, n_b=2, n_e=2, v_a=0, v_b=2, phi_a=8, phi_b=4)
-        r = sample_channels(cfg, RngStream(1, 0))
-        obs = simulate_probing(cfg, r, RngStream(1, 1))
-        assert obs.y_b.shape == (2, 8)        # v_a = 0: pilot window only
-        assert obs.y_a.shape == (3, 4 + 2)
-        assert obs.y_ea.shape == (2, 8)
-        assert obs.y_eb.shape == (2, 6)
-        assert obs.x_a.shape == (3, 0)
-
-    def test_zero_power_leaves_pure_noise(self):
-        cfg = make_config(n_a=4, n_b=4, n_e=4, power_a=0.0, power_b=0.0,
-                          phi_a=64, phi_b=64, v_a=4, v_b=4)
-        entries = []
-        for trial in range(400):
-            r = sample_channels(cfg, RngStream(3, trial))
-            obs = simulate_probing(cfg, r, RngStream(4, trial))
-            entries.append(obs.y_b.ravel())
-            entries.append(obs.y_a.ravel())
-        flat = np.concatenate(entries)
-        assert flat.size >= 100_000
-        assert abs(np.var(flat) - 1.0) < 0.02
-
-    def test_pilot_window_variance(self):
-        # per-entry variance of the pilot block is gamma*1 + 1
-        cfg = ProbingConfig(n_a=1, n_b=1, n_e=1, phi_a=16, phi_b=16,
-                            power_a=4.0, v_a=0, v_b=0)
-        vals = []
-        for trial in range(2500):
-            r = sample_channels(cfg, RngStream(8, trial))
-            obs = simulate_probing(cfg, r, RngStream(9, trial))
-            vals.append(np.abs(obs.y_b[:, :16]) ** 2)
-        mean_power = float(np.mean(vals))
-        assert abs(mean_power - 5.0) < 0.03 * 5.0
-
-    def test_shape_mismatch_rejected(self):
-        cfg = make_config(n_a=3)
-        other = sample_channels(make_config(n_a=2), RngStream(1, 0))
-        with pytest.raises(ShapeMismatch):
-            simulate_probing(cfg, other, RngStream(1, 1))
-
-    def test_noiseless_eve_cannot_be_simulated(self):
-        cfg = make_config(noise_ea=0.0)
-        r = sample_channels(cfg, RngStream(1, 0))
-        with pytest.raises(InvalidNoise):
-            simulate_probing(cfg, r, RngStream(1, 1))

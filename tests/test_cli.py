@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from skcprobe.cli import main
 
@@ -27,6 +28,14 @@ sweep: {parameter: power_a, values: [0.5, 2.0, 8.0]}
 mc: {trials: 60, seed: 2}
 quantities: [floor]
 svg: true
+"""
+
+SMALL_DOF = """
+name: slope
+config: {n_a: 2, n_b: 1, n_e: 1, phi_a: 8, phi_b: 8, v_a: 1, v_b: 0}
+power_grid: [1.0, 10.0, 100.0, 1000.0]
+mc: {trials: 40, seed: 1}
+quantities: [floor]
 """
 
 VERIFY_SET = """
@@ -106,10 +115,36 @@ quantities: [gap]
             spec = write(tmp_path, VERIFY_SET.replace(old, new), "verify.yaml")
             assert main(["verify", "--config", spec, "--out", str(tmp_path)]) == 3
 
-    def test_zero_threads_is_validation_error(self, tmp_path):
-        spec = write(tmp_path, SMALL_EVAL, "spec.yaml")
-        assert main(["eval", "--config", spec, "--threads", "0",
-                     "--out", str(tmp_path)]) == 3
+    def test_zero_threads_is_validation_error(self, tmp_path, monkeypatch, capsys):
+        specs = {"eval": SMALL_EVAL, "sweep": SMALL_SWEEP, "dof": SMALL_DOF,
+                 "verify": VERIFY_SET}
+        for command, text in specs.items():
+            argv = [command, "--config", write(tmp_path, text, f"{command}.yaml"),
+                    "--out", str(tmp_path / command)]
+            assert main(argv + ["--threads", "0"]) == 3, command
+            assert "--threads" in capsys.readouterr().err
+            monkeypatch.setenv("SKCPROBE_THREADS", "0")
+            assert main(argv) == 3, command
+            assert "SKCPROBE_THREADS" in capsys.readouterr().err
+            monkeypatch.delenv("SKCPROBE_THREADS")
+            assert main(argv + ["--threads", "1"]) == 0, command
+
+    @pytest.mark.parametrize("command,text,old,new,key", [
+        ("eval", SMALL_EVAL, "mc: {trials: 60, seed: 2}", "mc: {trails: 60, sead: 2}",
+         "sead"),
+        ("sweep", SMALL_SWEEP, "{name: wide, overrides: {n_e: 4}}",
+         "{name: wide, overide: {n_e: 4}}", "overide"),
+        ("sweep", SMALL_SWEEP, "values: [0.5, 2.0, 8.0]}",
+         "values: [0.5, 2.0, 8.0], scale: log}", "scale"),
+        ("verify", VERIFY_SET, "identity_realizations: 110", "identity_realisations: 110",
+         "identity_realisations"),
+    ], ids=["mc", "case", "sweep", "verify-set"])
+    def test_unknown_spec_key_is_parse_error(self, tmp_path, capsys, command, text, old,
+                                             new, key):
+        assert old in text
+        spec = write(tmp_path, text.replace(old, new), "typo.yaml")
+        assert main([command, "--config", spec, "--out", str(tmp_path)]) == 2
+        assert repr(key) in capsys.readouterr().err
 
     def test_verify_pass_and_mutation_control(self, tmp_path, capsys):
         spec = write(tmp_path, VERIFY_SET, "verify.yaml")

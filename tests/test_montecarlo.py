@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
-from skcprobe import Estimate, McSettings, convergence_report, estimate
+from skcprobe import Estimate, McSettings, convergence_report, estimate, secrecy_floor
+from skcprobe.capacity import secrecy_floor_sample
 from skcprobe.errors import IntegrandFailure, ValidationError
 from skcprobe.montecarlo import BLOCK, collect, pairwise_sum, summarize, trial_blocks
 from conftest import make_config
 
 
-def abs2_integrand(r):
-    return float(np.abs(r.h_ba[0, 0]) ** 2)
+def abs2_integrand(block):
+    return np.abs(block.h_ba[:, 0, 0]) ** 2
+
+
+def constant(value):
+    return lambda block: np.full(block.trials_shape, value)
 
 
 class TestPairwiseSum:
@@ -32,7 +37,7 @@ class TestPairwiseSum:
 class TestEstimate:
     def test_constant_integrand(self):
         cfg = make_config(n_a=1, n_b=1, n_e=1)
-        est = estimate(lambda r: 3.0, cfg, McSettings(trials=50, master_seed=1))
+        est = estimate(constant(3.0), cfg, McSettings(trials=50, master_seed=1))
         assert est.mean == 3.0
         assert est.stderr == 0.0
         assert est.trials == 50
@@ -45,45 +50,26 @@ class TestEstimate:
         assert abs(est.mean - 1.0) <= 3.0 * est.stderr
         assert est.stderr == pytest.approx(1.0 / 100.0, rel=0.1)
 
-    def test_serial_and_parallel_bit_identical(self):
+    def test_sample_form_equals_summary_of_collected_values(self):
         cfg = make_config()
-        from skcprobe.capacity import secrecy_floor_sample
-        integrand = lambda r: secrecy_floor_sample(r, cfg)
-        serial = estimate(integrand, cfg, McSettings(trials=400, master_seed=5,
-                                                     max_parallelism=1))
-        threaded = estimate(integrand, cfg, McSettings(trials=400, master_seed=5,
-                                                       max_parallelism=4))
-        unbounded = estimate(integrand, cfg, McSettings(trials=400, master_seed=5,
-                                                        max_parallelism=None))
-        assert serial == threaded == unbounded
-
-    def test_failure_carries_first_trial_index(self):
-        cfg = make_config(n_a=1, n_b=1, n_e=1)
-
-        def flaky(r):
-            flaky.count += 1
-            if flaky.count >= 4:
-                raise RuntimeError("boom")
-            return 0.0
-
-        flaky.count = 0
-        with pytest.raises(IntegrandFailure, match="trial 3"):
-            estimate(flaky, cfg, McSettings(trials=10, master_seed=1))
+        settings = McSettings(trials=BLOCK + 144, master_seed=5)
+        est = estimate(lambda b: secrecy_floor_sample(b, cfg), cfg, settings)
+        values = collect(lambda b: {"floor": secrecy_floor_sample(b, cfg)}, cfg, settings)
+        assert est == summarize(values["floor"])
+        assert est == secrecy_floor(cfg, settings)
 
     def test_non_finite_value_names_lowest_trial(self):
         cfg = make_config(n_a=1, n_b=1, n_e=1)
-        calls = []
 
-        def integrand(r):
-            calls.append(r)
-            return {BLOCK + 44: np.inf, BLOCK + 4: np.nan}.get(len(calls) - 1, 1.0)
+        def integrand(block):
+            values = np.ones(block.trials_shape)
+            if block.trials_shape[0] < BLOCK:      # the last, partial block
+                values[44] = np.inf
+                values[4] = np.nan
+            return values
 
         with pytest.raises(IntegrandFailure, match=f"trial {BLOCK + 4}: "):
             estimate(integrand, cfg, McSettings(trials=BLOCK + 100, master_seed=1))
-
-    def test_parallelism_is_validated(self):
-        with pytest.raises(ValidationError):
-            McSettings(max_parallelism=0)
 
     def test_exact_constructor(self):
         est = Estimate.exact(1.25)
@@ -153,7 +139,7 @@ class TestConvergenceReport:
 
     def test_constant_integrand_checkpoints_agree(self):
         cfg = make_config(n_a=1, n_b=1, n_e=1)
-        table = convergence_report(lambda r: 2.5, cfg,
+        table = convergence_report(constant(2.5), cfg,
                                    McSettings(trials=100, master_seed=1), [10, 100])
         assert table[0].mean == table[1].mean == 2.5
 

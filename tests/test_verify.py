@@ -1,6 +1,7 @@
 """Verification layer: exact covariance oracle, estimation checks, suite."""
 
 import mpmath
+import numpy as np
 import pytest
 
 from skcprobe import (
@@ -13,6 +14,7 @@ from skcprobe import (
     siso_ergodic_capacity,
 )
 from skcprobe.errors import DimensionGuard, ValidationError
+from skcprobe.montecarlo import BLOCK, trial_blocks
 from skcprobe.verify import scalar_capacity_check
 from conftest import make_config
 
@@ -131,6 +133,31 @@ class TestIdentitySuite:
         assert check.passed is True and type(check.computed_value) is float
         assert 0.0 < check.computed_value <= 1e-9
         json.dumps(check.__dict__)
+
+    def test_failing_form_names_the_worst_trial_in_block_layout(self, monkeypatch):
+        import skcprobe.verify as verify
+        real = verify.bound_gap_sample
+
+        def skewed(block, config, form="stacked"):
+            # the resolvent form is off by 1e-6 |h_ba[0, 0]|^2 on the
+            # second, partial block only
+            value = real(block, config, form=form)
+            if form == "inverse" and block.trials_shape[0] < BLOCK:
+                value = value + 1e-6 * np.abs(block.h_ba[:, 0, 0]) ** 2
+            return value
+
+        monkeypatch.setattr(verify, "bound_gap_sample", skewed)
+        cfg = make_config()
+        (_, _), (start, last) = trial_blocks(cfg, McSettings(trials=300, master_seed=4))
+        gains = np.abs(last.h_ba[:, 0, 0]) ** 2
+        outcomes = determinant_identity_suite(cfg, realizations=300, master_seed=4)
+        by_name = {o.check_name: o for o in outcomes}
+        check = by_name["gap-form-equivalence"]
+        assert not check.passed
+        assert start == BLOCK
+        assert check.detail == f"max deviation at trial {BLOCK + int(np.argmax(gains))}"
+        assert check.computed_value == pytest.approx(1e-6 * gains.max(), rel=1e-6)
+        assert by_name["floor-form-equivalence"].passed
 
     def test_requires_enough_realizations(self):
         with pytest.raises(ValidationError):
