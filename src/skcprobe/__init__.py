@@ -10,24 +10,19 @@ __version__ = "0.1.0"
 
 from .capacity import (
     DofResult,
-    SkcReport,
-    bound_gap,
     bound_gap_sample,
     config_at_power,
     dof_formula,
     dof_slope,
     dof_window_split,
     entropy_given_channel,
+    evaluate,
     lower_bound_alice,
-    lower_bound_bob,
     lower_bound_bob_sample,
     mi_given_channel,
     pilot_mi,
     reciprocity_gain,
-    secrecy_floor,
     secrecy_floor_sample,
-    skc_report,
-    upper_bound,
 )
 from .channel import (
     ChannelRealization,

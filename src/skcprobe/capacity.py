@@ -1,17 +1,17 @@
 """Closed-form secret-key capacity quantities and their Monte Carlo estimates.
 
-Quantities (all in bits, log base 2):
+Quantities (all in bits, log base 2; QUANTITIES names them):
 
-* ``pilot_mi``      -- exact mutual information between the two pilot-window
+* ``pilot_mi``    -- exact mutual information between the two pilot-window
   observations; n_a*n_b*log2 of the reciprocity gain.
-* ``secrecy_floor`` -- expected secret bits per probing slot that Bob gains
+* ``floor``       -- expected secret bits per probing slot that Bob gains
   over Eve from Alice's random probes; positive whenever Eve's receive noise
   is nonzero.
-* ``lower_bound_bob`` / ``lower_bound_alice`` -- the two secret-key-rate
-  lower bounds per coherence period (the Alice-side bound is the Bob-side
-  bound of the role-swapped scenario).
-* ``bound_gap`` / ``upper_bound`` -- the upper bound exceeds the Bob-side
-  lower bound by a gap that is exactly zero when v_b = 0 (one-way probing).
+* ``lower_bob`` / ``lower_alice`` -- the two secret-key-rate lower bounds
+  per coherence period (the Alice-side bound is the Bob-side bound of the
+  role-swapped scenario); ``lower`` is the larger of the two.
+* ``gap`` / ``upper`` -- the upper bound exceeds the Bob-side lower bound
+  by a gap that is exactly zero when v_b = 0 (one-way probing).
 
 Each expectation has two algebraically equivalent per-sample forms computed
 through different factorizations; their agreement is part of the test suite,
@@ -217,18 +217,25 @@ def lower_bound_bob_sample(realization: ChannelRealization, config: ProbingConfi
     return _per_trial(val, realization)
 
 
-# quantities that `evaluate` estimates; 'lower' is the larger side bound
-MC_QUANTITIES = ("floor", "gap", "lower_bob", "lower_alice", "upper", "lower")
+# every quantity `evaluate` estimates; 'lower' is the larger side bound
+QUANTITIES = ("pilot_mi", "floor", "gap", "lower_bob", "lower_alice", "upper", "lower")
+
+
+def _alice_bound_diverges(config: ProbingConfig) -> bool:
+    """Eve observes Alice's probes noiselessly: the Alice-side bound is -inf."""
+    return config.noise_ea == 0 and config.v_a > 0
 
 
 def trial_values(config: ProbingConfig, mc: McSettings,
                  names: Iterable[str]) -> dict[str, np.ndarray]:
-    """Per-trial integrands of 'floor', 'gap' and 'lower_bob' on the engine's
-    shared draws, each evaluated once per block in the engine's form (the
-    floor form that _floor_form picks, the stacked gap, the square Bob-side
-    bound built on the same floor values)."""
+    """Per-trial integrands of 'floor', 'gap', 'lower_bob' and 'lower_alice'
+    on the engine's shared draws, each evaluated once per block in the
+    engine's form (the floor form that _floor_form picks, the stacked gap,
+    the square Bob-side bound built on the same floor values, and that
+    bound of the role-swapped scenario on the swapped block)."""
     names = frozenset(names)
     floor_form = _floor_form(config)
+    swapped = config.swap_roles()
 
     def block_values(block: ChannelRealization) -> dict[str, np.ndarray]:
         out = {}
@@ -241,113 +248,55 @@ def trial_values(config: ProbingConfig, mc: McSettings,
             out["lower_bob"] = lower_bound_bob_sample(block, config, floor=floor)
         if "gap" in names:
             out["gap"] = bound_gap_sample(block, config)
+        if "lower_alice" in names:
+            out["lower_alice"] = lower_bound_bob_sample(block.swap_roles(), swapped)
         return out
 
     return collect(block_values, config, mc)
 
 
-def _larger_side(alice: Estimate, bob: Estimate) -> Estimate:
-    """The reported lower bound: whichever side bound is larger."""
-    return alice if alice.mean > bob.mean else bob
-
-
 def evaluate(config: ProbingConfig, mc: McSettings,
              quantities: Sequence[str]) -> dict[str, Estimate]:
-    """Monte Carlo estimates of the requested quantities (MC_QUANTITIES).
-
-    Only what the request needs is computed.  floor, gap, lower_bob and
-    upper come from one pass over shared draws, so upper == lower_bob + gap
-    per sample; the floor is exact 0 at noise_ea = 0 and the gap exact 0 at
-    v_b = 0.  lower_alice is the Bob-side bound of the role-swapped
-    scenario, drawn from its own blocks at the same seed.
+    """Estimates of the requested QUANTITIES from at most one Monte Carlo
+    pass over shared draws, so upper == lower_bob + gap per sample and, at
+    v_a = 0, lower_alice == upper per sample.  pilot_mi is exact, as are the
+    floor at noise_ea = 0 (0), the gap at v_b = 0 (0) and lower_alice at
+    noise_ea = 0 with v_a > 0 (-inf).  'lower' is the larger side bound,
+    Bob's side winning ties.
     """
-    unknown = set(quantities) - set(MC_QUANTITIES)
+    unknown = set(quantities) - set(QUANTITIES)
     if unknown:
-        raise ValueError(f"unknown quantities {sorted(unknown)}; supported: {MC_QUANTITIES}")
+        raise ValueError(f"unknown quantities {sorted(unknown)}; supported: {QUANTITIES}")
     wanted = set(quantities)
     if "lower" in wanted:
         wanted |= {"lower_bob", "lower_alice"}
-    sampled = []
-    if "floor" in wanted and config.noise_ea > 0:
-        sampled.append("floor")
-    if wanted & {"lower_bob", "upper"}:
-        sampled.append("lower_bob")
-    if wanted & {"gap", "upper"} and config.v_b > 0:
-        sampled.append("gap")
+    if "upper" in wanted:
+        wanted |= {"lower_bob", "gap"}
+    exact = {}
+    if "pilot_mi" in wanted:
+        exact["pilot_mi"] = pilot_mi(config)
+    if config.noise_ea == 0:
+        exact["floor"] = 0.0
+    if config.v_b == 0:
+        exact["gap"] = 0.0
+    if _alice_bound_diverges(config):
+        exact["lower_alice"] = -math.inf
+    est = {name: Estimate.exact(value) for name, value in exact.items()}
+    sampled = wanted - set(exact) - {"upper", "lower"}
     values = trial_values(config, mc, sampled) if sampled else {}
-    est = {name: summarize(v) for name, v in values.items()}
-    est.setdefault("floor", Estimate.exact(0.0))
-    est.setdefault("gap", Estimate.exact(0.0))
+    est.update((name, summarize(v)) for name, v in values.items())
     if "upper" in wanted:
         est["upper"] = summarize(values["lower_bob"] + values["gap"]) \
             if "gap" in values else est["lower_bob"]
-    if "lower_alice" in wanted:
-        est["lower_alice"] = lower_bound_alice(config, mc)
     if "lower" in wanted:
-        est["lower"] = _larger_side(est["lower_alice"], est["lower_bob"])
+        alice, bob = est["lower_alice"], est["lower_bob"]
+        est["lower"] = alice if alice.mean > bob.mean else bob
     return {q: est[q] for q in quantities}
 
 
-def secrecy_floor(config: ProbingConfig, mc: McSettings) -> Estimate:
-    """Monte Carlo secrecy floor; exact 0 at noise_ea = 0."""
-    return evaluate(config, mc, ("floor",))["floor"]
-
-
-def bound_gap(config: ProbingConfig, mc: McSettings) -> Estimate:
-    """Monte Carlo gap; exact 0 at v_b = 0."""
-    return evaluate(config, mc, ("gap",))["gap"]
-
-
-def lower_bound_bob(config: ProbingConfig, mc: McSettings) -> Estimate:
-    return evaluate(config, mc, ("lower_bob",))["lower_bob"]
-
-
 def lower_bound_alice(config: ProbingConfig, mc: McSettings) -> Estimate:
-    """Alice-side lower bound: the Bob-side bound of the role-swapped
-    scenario, drawn with the same master seed.
-
-    With noise_ea = 0 and v_a > 0 this bound diverges to -inf (Eve observes
-    Alice's probes noiselessly), reported as an exact -inf so the combined
-    lower bound max(alice, bob) stays well defined.
-    """
-    if config.noise_ea == 0 and config.v_a > 0:
-        return Estimate.exact(-math.inf)
-    return lower_bound_bob(config.swap_roles(), mc)
-
-
-def upper_bound(config: ProbingConfig, mc: McSettings) -> Estimate:
-    """Upper bound evaluated as lower_bound_bob + gap on shared draws."""
-    return evaluate(config, mc, ("upper",))["upper"]
-
-
-@dataclass(frozen=True)
-class SkcReport:
-    """Bundle of every capacity quantity for one configuration.
-
-    All Monte Carlo members except lower_alice share channel draws, so
-    upper == lower_bob + gap holds per sample, not just in expectation.
-    """
-
-    pilot_mi: float
-    floor: Estimate
-    lower_bob: Estimate
-    lower_alice: Estimate
-    gap: Estimate
-    upper: Estimate
-    trials: int
-    master_seed: int
-
-    @property
-    def lower(self) -> Estimate:
-        """The reported lower bound: whichever side bound is larger."""
-        return _larger_side(self.lower_alice, self.lower_bob)
-
-
-def skc_report(config: ProbingConfig, mc: McSettings) -> SkcReport:
-    """Evaluate all bounds on common random numbers."""
-    values = evaluate(config, mc, ("floor", "lower_bob", "lower_alice", "gap", "upper"))
-    return SkcReport(pilot_mi=pilot_mi(config), trials=mc.trials,
-                     master_seed=mc.master_seed, **values)
+    """The Alice-side lower bound alone (see evaluate)."""
+    return evaluate(config, mc, ("lower_alice",))["lower_alice"]
 
 
 def positive_part(x: int) -> int:

@@ -21,7 +21,8 @@ from typing import Mapping, Sequence
 
 import yaml
 
-from .capacity import DofResult, Estimate, dof_slope, evaluate, pilot_mi
+from . import capacity
+from .capacity import DofResult, Estimate, dof_slope, evaluate
 from .channel import ProbingConfig
 from .errors import ParseError, ValidationError
 from .montecarlo import McSettings
@@ -33,11 +34,10 @@ SWEEP_PARAMETERS = ("noise_ea", "noise_eb", "power_a", "power_b",
 INT_PARAMETERS = ("v_a", "v_b", "n_e")
 LOG_AXIS_PARAMETERS = ("noise_ea", "noise_eb", "power_a", "power_b")
 
-QUANTITIES = ("pilot_mi", "floor", "gap", "lower_bob", "lower_alice",
-              "upper", "bounds")
-# 'bounds' is shorthand for the reported lower bound (the larger of the two
-# side bounds) together with the upper bound
+# 'bounds' is shorthand for the reported lower bound (the larger side bound)
+# and the upper bound; a spec names 'lower' only through it
 BOUNDS_COLUMNS = ("lower", "upper")
+QUANTITIES = tuple(q for q in capacity.QUANTITIES if q != "lower") + ("bounds",)
 
 CONFIG_KEYS = ("n_a", "n_b", "n_e", "v_a", "v_b", "phi_a", "phi_b",
                "power_a", "power_b", "noise_a", "noise_b",
@@ -171,6 +171,15 @@ def _reject_unknown(mapping: Mapping, allowed: set, where: str) -> None:
         raise ParseError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _list_section(raw: Mapping, key: str, default: list) -> list:
+    value = raw.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, list):
+        raise ValidationError(f"'{key}' must be a list, got {value!r}")
+    return value
+
+
 def _mc_section(raw: Mapping) -> Mapping:
     mc_raw = raw.get("mc", {}) or {}
     if not isinstance(mc_raw, Mapping):
@@ -207,7 +216,7 @@ def load_spec(path_or_name: str, seed_override: int | None = None,
     seed = seed_override if seed_override is not None else _mc_int(mc_raw, "seed", 1)
     mc = McSettings(trials=trials, master_seed=seed)
 
-    quantities = tuple(raw.get("quantities", ["bounds"]))
+    quantities = tuple(_list_section(raw, "quantities", ["bounds"]))
     if not quantities:
         raise ValidationError("quantities must be nonempty")
     for q in quantities:
@@ -221,21 +230,27 @@ def load_spec(path_or_name: str, seed_override: int | None = None,
                 "parameter" not in sweep_raw or "values" not in sweep_raw:
             raise ParseError("'sweep' needs 'parameter' and 'values'")
         _reject_unknown(sweep_raw, _SWEEP_KEYS, "'sweep'")
-        values = tuple(sweep_raw["values"])
+        values = sweep_raw["values"]
+        if not isinstance(values, list):
+            raise ValidationError(f"'sweep.values' must be a list, got {values!r}")
         if not values:
             raise ValidationError("sweep values must be nonempty")
         for v in values:
             apply_parameter(base, sweep_raw["parameter"], v)  # type/validity check
-        sweep = SweepSpec(parameter=str(sweep_raw["parameter"]), values=values)
+        sweep = SweepSpec(parameter=str(sweep_raw["parameter"]), values=tuple(values))
 
     cases: tuple[CaseSpec, ...]
-    if raw.get("cases"):
+    case_entries = _list_section(raw, "cases", [])
+    if case_entries:
         parsed = []
-        for entry in raw["cases"]:
+        for entry in case_entries:
             if not isinstance(entry, Mapping) or "name" not in entry:
                 raise ParseError("each case needs a 'name'")
             _reject_unknown(entry, _CASE_KEYS, f"case {entry['name']!r}")
             overrides = entry.get("overrides", {}) or {}
+            if not isinstance(overrides, Mapping):
+                raise ValidationError(
+                    f"overrides of case {entry['name']!r} must be a mapping, got {overrides!r}")
             merged = dict_config(base)
             merged.update(overrides)
             config_from_mapping(merged)  # validate the merge now, not mid-run
@@ -244,10 +259,18 @@ def load_spec(path_or_name: str, seed_override: int | None = None,
     else:
         cases = (CaseSpec("base", {}),)
 
-    power_grid = tuple(float(p) for p in raw.get("power_grid", []) or [])
+    grid = _list_section(raw, "power_grid", [])
+    try:
+        power_grid = tuple(float(p) for p in grid)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"'power_grid' entries must be numbers: {exc}") from exc
+
+    svg = raw.get("svg", False)
+    if not isinstance(svg, bool):
+        raise ValidationError(f"'svg' must be true or false, got {svg!r}")
 
     return ExperimentSpec(name=name, base=base, mc=mc, quantities=quantities,
-                          sweep=sweep, cases=cases, svg=bool(raw.get("svg", False)),
+                          sweep=sweep, cases=cases, svg=svg,
                           power_grid=power_grid)
 
 
@@ -298,13 +321,8 @@ def expand_quantities(quantities: Sequence[str]) -> list[str]:
 
 def evaluate_quantities(config: ProbingConfig, mc: McSettings,
                         quantities: Sequence[str]) -> dict[str, Estimate]:
-    """Evaluate the requested quantities, and only those, on shared draws."""
-    expanded = expand_quantities(quantities)
-    mc_quantities = [q for q in expanded if q != "pilot_mi"]
-    values = evaluate(config, mc, mc_quantities) if mc_quantities else {}
-    if "pilot_mi" in expanded:
-        values["pilot_mi"] = Estimate.exact(pilot_mi(config))
-    return values
+    """Evaluate the spec quantities, 'bounds' expanded, in one pass."""
+    return evaluate(config, mc, expand_quantities(quantities))
 
 
 def _quantity_header(expanded: Sequence[str]) -> list[str]:
@@ -386,7 +404,8 @@ def run_sweep(spec: ExperimentSpec, out_dir: Path) -> tuple[Path, Path | None]:
     return csv_path, svg_path
 
 
-DOF_QUANTITIES = ("floor", "gap", "lower_bob", "lower_alice", "upper")
+# the Monte Carlo quantities a spec can name
+DOF_QUANTITIES = tuple(q for q in QUANTITIES if q not in ("pilot_mi", "bounds"))
 
 
 def run_dof(spec: ExperimentSpec, out_dir: Path) -> tuple[dict[str, DofResult], Path]:
@@ -404,16 +423,14 @@ def run_dof(spec: ExperimentSpec, out_dir: Path) -> tuple[dict[str, DofResult], 
         raise ValidationError(
             f"dof needs one quantity from {DOF_QUANTITIES}, got {spec.quantities}")
 
-    def make_evaluator(name):
-        def evaluator(config: ProbingConfig) -> Estimate:
-            return evaluate_quantities(config, spec.mc, [name])[name]
-        return evaluator
+    def evaluator(config: ProbingConfig) -> Estimate:
+        return evaluate_quantities(config, spec.mc, [quantity_name])[quantity_name]
 
     results: dict[str, DofResult] = {}
     rows = []
     for case in spec.cases:
         config = case_config(spec, case)
-        result = dof_slope(make_evaluator(quantity_name), config, spec.power_grid)
+        result = dof_slope(evaluator, config, spec.power_grid)
         results[case.name] = result
         for p, mean, stderr in zip(result.p_grid, result.means, result.stderrs):
             rows.append([case.name, quantity_name, format_number(p),

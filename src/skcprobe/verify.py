@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .capacity import (
+    _alice_bound_diverges,
     _floor_form,
     bound_gap_sample,
     lower_bound_bob_sample,
@@ -227,9 +228,9 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
       (d) gap integrand >= 0 throughout, and exactly 0 when v_b = 0;
       (e) with v_b forced to 0, the Bob-side integrand equals
           pilot_mi + v_a * floor integrand bit for bit;
-      (f) the batched engine's floor, gap and Bob-side integrands equal
-          the per-sample forms within IDENTITY_ATOL on every trial of the
-          engine's own draws (more than one block once realizations
+      (f) the batched engine's floor, gap, Bob- and Alice-side integrands
+          equal the per-sample forms within IDENTITY_ATOL on every trial of
+          the engine's own draws (more than one block once realizations
           exceeds the block size).
     A failing check names the trial with the largest deviation.
     """
@@ -291,14 +292,20 @@ def engine_agreement_check(config: ProbingConfig, realizations: int = 300,
                            master_seed: int = 1) -> VerificationOutcome:
     """Largest per-trial deviation of the batched engine's integrands from
     the per-sample forms (floor in the form _floor_form picks, stacked gap,
-    square Bob-side bound), each evaluated on one draw of the same blocks."""
+    square Bob-side bound, and that bound of the role-swapped scenario on
+    the swapped draw unless it is the exact -inf), each evaluated on one
+    draw of the same blocks."""
     mc = McSettings(trials=realizations, master_seed=master_seed)
-    engine = trial_values(config, mc, ("floor", "gap", "lower_bob"))
+    swapped = config.swap_roles()
     references = {
         "floor": lambda r: secrecy_floor_sample(r, config, _floor_form(config)),
         "gap": lambda r: bound_gap_sample(r, config),
         "lower_bob": lambda r: lower_bound_bob_sample(r, config),
+        "lower_alice": lambda r: lower_bound_bob_sample(r.swap_roles(), swapped),
     }
+    if _alice_bound_diverges(config):
+        del references["lower_alice"]
+    engine = trial_values(config, mc, references)
     dev, worst = 0.0, -1
     for start, block in trial_blocks(config, mc):
         for j in range(block.trials_shape[0]):
@@ -310,7 +317,7 @@ def engine_agreement_check(config: ProbingConfig, realizations: int = 300,
         check_name="engine-reference-agreement", reference_value=0.0,
         computed_value=dev, tolerance=IDENTITY_ATOL, passed=dev <= IDENTITY_ATOL,
         detail=(f"max deviation at trial {worst}" if dev > IDENTITY_ATOL
-                else f"floor, gap and Bob-side bound over {realizations} trials"))
+                else f"{', '.join(references)} over {realizations} trials"))
 
 
 SCALAR_CHECK_SNRS = (0.1, 1.0, 10.0)

@@ -20,15 +20,14 @@ from skcprobe import (
     ProbingConfig,
     RngStream,
     derive_gammas,
+    evaluate,
     bound_gap_sample,
     lower_bound_bob_sample,
     pilot_mi,
     pilot_mi_from_covariance,
     sample_channels,
-    secrecy_floor,
     secrecy_floor_sample,
     siso_ergodic_capacity,
-    skc_report,
     pilot_estimation_check,
 )
 from skcprobe.cli import main
@@ -159,13 +158,13 @@ def test_acceptance_3_one_way_coincidence():
         if lhs != rhs:
             exact = False
             break
-    report = skc_report(cfg, McSettings(trials=400, master_seed=5))
-    coincide = (report.gap.stderr == 0.0 and report.gap.mean == 0.0
-                and report.lower.mean == report.upper.mean)
+    report = evaluate(cfg, McSettings(trials=400, master_seed=5), ("gap", "lower", "upper"))
+    coincide = (report["gap"].stderr == 0.0 and report["gap"].mean == 0.0
+                and report["lower"].mean == report["upper"].mean)
     ok = exact and coincide
     _report(3, "one-way coincidence", ok,
             f"bitwise integrand identity over 300 draws; lower == upper "
-            f"== {report.upper.mean:.6f}")
+            f"== {report['upper'].mean:.6f}")
     assert exact
     assert coincide
 
@@ -198,7 +197,7 @@ def test_acceptance_5_floor_positive_and_monotone():
         cfg = ProbingConfig(n_a=8, n_b=4, n_e=6, v_a=1, v_b=0,
                             power_a=10.0, power_b=10.0,
                             noise_b=1.0, noise_ea=1.0 / ratio, rho=0.0)
-        est = secrecy_floor(cfg, mc)
+        est = evaluate(cfg, mc, ("floor",))["floor"]
         means.append(est.mean)
         stderrs.append(est.stderr)
     positive = all(m > 3 * s for m, s in zip(means, stderrs))

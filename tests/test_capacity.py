@@ -25,27 +25,22 @@ from skcprobe import (
     McSettings,
     ProbingConfig,
     RngStream,
-    bound_gap,
     bound_gap_sample,
     config_at_power,
     dof_formula,
     dof_slope,
     dof_window_split,
     entropy_given_channel,
-    lower_bound_alice,
-    lower_bound_bob,
+    evaluate,
     lower_bound_bob_sample,
     mi_given_channel,
     pilot_mi,
     reciprocity_gain,
     sample_cgaussian,
     sample_channels,
-    secrecy_floor,
     secrecy_floor_sample,
-    skc_report,
-    upper_bound,
 )
-from skcprobe.capacity import _floor_form, evaluate, trial_values
+from skcprobe.capacity import QUANTITIES, _floor_form, trial_values
 from skcprobe.errors import (
     GridTooSmall,
     InvalidNoise,
@@ -53,7 +48,7 @@ from skcprobe.errors import (
     SkcError,
     ValidationError,
 )
-from skcprobe.montecarlo import BLOCK, summarize, trial_blocks
+from skcprobe.montecarlo import BLOCK, collect, summarize, trial_blocks
 from skcprobe.verify import IDENTITY_ATOL
 from conftest import make_config, make_realization
 
@@ -280,7 +275,10 @@ class TestBatchedIntegrands:
     def test_engine_matches_per_sample_forms_on_every_trial(self, overrides):
         cfg = make_config(**overrides)
         mc = McSettings(trials=BLOCK + 44, master_seed=43)
-        engine = trial_values(cfg, mc, ("floor", "gap", "lower_bob"))
+        # the Alice-side bound is sampled unless it is the exact -inf
+        alice_sampled = not (cfg.noise_ea == 0 and cfg.v_a > 0)
+        names = ("floor", "gap", "lower_bob") + (("lower_alice",) if alice_sampled else ())
+        engine = trial_values(cfg, mc, names)
         for start, block in trial_blocks(cfg, mc):
             for j in range(block.trials_shape[0]):
                 r = block[j]
@@ -289,6 +287,10 @@ class TestBatchedIntegrands:
                            - secrecy_floor_sample(r, cfg, _floor_form(cfg))) <= IDENTITY_ATOL
                 assert abs(engine["gap"][i] - bound_gap_sample(r, cfg)) <= IDENTITY_ATOL
                 assert abs(engine["lower_bob"][i] - lower_bound_bob_sample(r, cfg)) <= IDENTITY_ATOL
+                if alice_sampled:
+                    assert abs(engine["lower_alice"][i] - lower_bound_bob_sample(
+                        r.swap_roles(), cfg.swap_roles())) <= IDENTITY_ATOL
+        assert set(engine) == set(names)
         assert all(len(v) == mc.trials for v in engine.values())
 
     def test_stacked_forms_match_per_sample_forms(self):
@@ -306,7 +308,7 @@ class TestBatchedIntegrands:
     def test_floor_alone_equals_floor_in_report(self):
         cfg = make_config(v_b=2)
         mc = McSettings(trials=BLOCK + 30, master_seed=47)
-        assert secrecy_floor(cfg, mc) == skc_report(cfg, mc).floor
+        assert evaluate(cfg, mc, ("floor",))["floor"] == evaluate(cfg, mc, QUANTITIES)["floor"]
         assert evaluate(cfg, mc, ("floor",)) == \
             {"floor": evaluate(cfg, mc, ("floor", "gap", "lower", "upper"))["floor"]}
 
@@ -314,7 +316,24 @@ class TestBatchedIntegrands:
         cfg = make_config(v_b=2)
         mc = McSettings(trials=BLOCK + 30, master_seed=53)
         values = trial_values(cfg, mc, ("gap", "lower_bob"))
-        assert upper_bound(cfg, mc) == summarize(values["lower_bob"] + values["gap"])
+        assert evaluate(cfg, mc, ("upper",))["upper"] == \
+            summarize(values["lower_bob"] + values["gap"])
+
+    def test_one_collect_pass_for_any_request(self, monkeypatch):
+        import skcprobe.capacity as capacity
+        calls = []
+
+        def counting_collect(*args):
+            calls.append(args)
+            return collect(*args)
+
+        monkeypatch.setattr(capacity, "collect", counting_collect)
+        cfg = make_config(v_b=2)
+        mc = McSettings(trials=BLOCK + 30, master_seed=59)
+        for quantities in (("lower", "upper"), QUANTITIES):
+            calls.clear()
+            evaluate(cfg, mc, quantities)
+            assert len(calls) == 1, quantities
 
     def test_unknown_quantity_rejected(self):
         with pytest.raises(ValueError, match="unknown quantities"):
@@ -327,56 +346,66 @@ class TestRoleSymmetry:
                           power_a=2.0, power_b=2.0, noise_a=1.0, noise_b=1.0,
                           noise_ea=0.5, noise_eb=0.5, rho=0.8)
         mc = McSettings(trials=200, master_seed=7)
-        assert lower_bound_alice(cfg, mc) == lower_bound_bob(cfg, mc)
+        est = evaluate(cfg, mc, ("lower_alice", "lower_bob"))
+        alice, bob = est["lower_alice"], est["lower_bob"]
+        # the Alice-side bound is the Bob-side bound of the role-swapped
+        # scenario on the role-swapped draws of the same blocks
+        swapped = np.concatenate([lower_bound_bob_sample(block.swap_roles(), cfg.swap_roles())
+                                  for _, block in trial_blocks(cfg, mc)])
+        assert alice == summarize(swapped)
+        # the scenario is its own swap, so the two sides agree in expectation
+        assert abs(alice.mean - bob.mean) <= 3 * (alice.stderr + bob.stderr)
 
     def test_double_swap_bitwise_identical(self):
         cfg = make_config()
         mc = McSettings(trials=150, master_seed=3)
-        direct = lower_bound_bob(cfg, mc)
-        double = lower_bound_bob(cfg.swap_roles().swap_roles(), mc)
+        direct = evaluate(cfg, mc, ("lower_bob",))
+        double = evaluate(cfg.swap_roles().swap_roles(), mc, ("lower_bob",))
         assert direct == double
 
     def test_one_way_coincidence_under_swap(self):
-        # with v_a = 0 the Alice-side bound is the upper bound of the
-        # role-swapped scenario, bit for bit on shared draws
-        cfg = make_config(v_a=0, v_b=2)
+        # with v_a = 0 the Alice-side bound is the upper bound, per sample
+        # on the shared draws
         mc = McSettings(trials=300, master_seed=11)
-        alice = lower_bound_alice(cfg, mc)
-        swapped_upper = upper_bound(cfg.swap_roles(), mc)
-        assert alice == swapped_upper
-        # and it matches this scenario's upper bound within Monte Carlo noise
-        upper = upper_bound(cfg, mc)
-        assert abs(alice.mean - upper.mean) <= 3 * (alice.stderr + upper.stderr)
+        for cfg in (make_config(v_a=0, v_b=2),
+                    make_config(n_a=3, n_b=2, n_e=2, v_a=0, v_b=2, rho=0.3)):
+            values = trial_values(cfg, mc, ("lower_alice", "lower_bob", "gap"))
+            upper = values["lower_bob"] + values["gap"]
+            assert np.max(np.abs(values["lower_alice"] - upper)) <= IDENTITY_ATOL
+            est = evaluate(cfg, mc, ("lower_alice", "upper"))
+            assert abs(est["lower_alice"].mean - est["upper"].mean) <= IDENTITY_ATOL
 
 
 class TestSkcReport:
+    """`evaluate` asked for every quantity at once."""
+
     def test_shared_draws_make_upper_exact(self):
         cfg = make_config()
-        report = skc_report(cfg, McSettings(trials=300, master_seed=13))
-        assert report.upper.mean == pytest.approx(
-            report.lower_bob.mean + report.gap.mean, abs=1e-12)
+        report = evaluate(cfg, McSettings(trials=300, master_seed=13), QUANTITIES)
+        assert report["upper"].mean == pytest.approx(
+            report["lower_bob"].mean + report["gap"].mean, abs=1e-12)
 
     def test_one_way_bounds_coincide(self):
         cfg = make_config(v_a=2, v_b=0, noise_ea=0.25)
-        report = skc_report(cfg, McSettings(trials=300, master_seed=17))
-        assert report.gap.method == "exact" and report.gap.stderr == 0.0
-        assert report.upper == report.lower_bob
-        assert report.lower.mean == report.upper.mean
+        report = evaluate(cfg, McSettings(trials=300, master_seed=17), QUANTITIES)
+        assert report["gap"].method == "exact" and report["gap"].stderr == 0.0
+        assert report["upper"] == report["lower_bob"]
+        assert report["lower"].mean == report["upper"].mean
 
     def test_noiseless_eve_floor_is_exact_zero(self):
         cfg = make_config(noise_ea=0.0)
-        report = skc_report(cfg, McSettings(trials=150, master_seed=19))
-        assert report.floor == Estimate.exact(0.0)
+        report = evaluate(cfg, McSettings(trials=150, master_seed=19), QUANTITIES)
+        assert report["floor"] == Estimate.exact(0.0)
         # the Alice-side bound diverges when Eve hears Alice noiselessly
-        assert report.lower_alice.mean == -math.inf
-        assert report.lower == report.lower_bob
+        assert report["lower_alice"] == Estimate.exact(-math.inf)
+        assert report["lower"] == report["lower_bob"]
 
     def test_bound_ordering_within_noise(self):
         cfg = make_config()
-        report = skc_report(cfg, McSettings(trials=400, master_seed=23))
-        slack = 3 * (report.lower.stderr + report.upper.stderr)
-        assert report.upper.mean >= report.lower.mean - slack
-        assert report.gap.mean >= -3 * report.gap.stderr
+        report = evaluate(cfg, McSettings(trials=400, master_seed=23), QUANTITIES)
+        slack = 3 * (report["lower"].stderr + report["upper"].stderr)
+        assert report["upper"].mean >= report["lower"].mean - slack
+        assert report["gap"].mean >= -3 * report["gap"].stderr
 
     def test_common_snr_rescaling_is_bit_identical(self):
         cfg = make_config()
@@ -385,7 +414,7 @@ class TestSkcReport:
             scaled = replace(cfg, power_a=cfg.power_a * factor, power_b=cfg.power_b * factor,
                              noise_a=cfg.noise_a * factor, noise_b=cfg.noise_b * factor,
                              noise_ea=cfg.noise_ea * factor, noise_eb=cfg.noise_eb * factor)
-            assert skc_report(scaled, mc) == skc_report(cfg, mc)
+            assert evaluate(scaled, mc, QUANTITIES) == evaluate(cfg, mc, QUANTITIES)
 
 
 @st.composite
@@ -413,10 +442,15 @@ class TestRandomValidConfigs:
         mc = McSettings(trials=8, master_seed=seed)
         try:
             values = trial_values(config, mc, ("floor", "gap", "lower_bob"))
-            upper = evaluate(config, mc, ("upper",))["upper"]
+            est = evaluate(config, mc, ("upper", "lower_alice"))
         except SkcError as exc:
             assert type(exc) is not SkcError
             return
+        upper, alice = est["upper"], est["lower_alice"]
+        if config.noise_ea == 0 and config.v_a > 0:
+            assert alice == Estimate.exact(-math.inf)
+        else:
+            assert math.isfinite(alice.mean) and math.isfinite(alice.stderr)
         for v in values.values():
             assert v.shape == (8,) and np.isfinite(v).all()
         gap = values["gap"]
@@ -435,7 +469,7 @@ class TestMonotonicity:
         means = []
         for ratio in ratios:
             cfg = make_config(noise_b=1.0, noise_ea=1.0 / ratio)
-            means.append(secrecy_floor(cfg, mc).mean)
+            means.append(evaluate(cfg, mc, ("floor",))["floor"].mean)
         for a, b in zip(means, means[1:]):
             assert b <= a + 1e-12
 
@@ -515,7 +549,7 @@ class TestDofSlope:
         mc = McSettings(trials=2000, master_seed=37)
 
         def quantity(config):
-            return lower_bound_bob(config, mc)
+            return evaluate(config, mc, ("lower_bob",))["lower_bob"]
 
         result = dof_slope(quantity, cfg, [2.0 ** e for e in range(8, 21, 2)])
         assert result.slope == pytest.approx(expected, abs=0.2)
@@ -524,9 +558,10 @@ class TestDofSlope:
 class TestStandaloneEstimators:
     def test_floor_estimate_positive(self):
         cfg = make_config()
-        est = secrecy_floor(cfg, McSettings(trials=400, master_seed=41))
+        est = evaluate(cfg, McSettings(trials=400, master_seed=41), ("floor",))["floor"]
         assert est.mean > 3 * est.stderr
 
     def test_gap_exact_zero_short_circuit(self):
         cfg = make_config(v_b=0)
-        assert bound_gap(cfg, McSettings(trials=50, master_seed=1)) == Estimate.exact(0.0)
+        assert evaluate(cfg, McSettings(trials=50, master_seed=1), ("gap",)) == \
+            {"gap": Estimate.exact(0.0)}

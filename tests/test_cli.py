@@ -146,6 +146,33 @@ quantities: [gap]
         assert main([command, "--config", spec, "--out", str(tmp_path)]) == 2
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,text,old,new,named", [
+        ("dof", SMALL_DOF, "power_grid: [1.0, 10.0, 100.0, 1000.0]",
+         "power_grid: 1000.0", "'power_grid'"),
+        ("dof", SMALL_DOF, "power_grid: [1.0, 10.0, 100.0, 1000.0]",
+         "power_grid: {p: 1.0}", "'power_grid'"),
+        ("dof", SMALL_DOF, "power_grid: [1.0, 10.0, 100.0, 1000.0]",
+         "power_grid: [1, ten, 100, 1000]", "'power_grid'"),
+        ("sweep", SMALL_SWEEP, "  - {name: narrow, overrides: {n_e: 1}}\n"
+         "  - {name: wide, overrides: {n_e: 4}}\n", " 3\n", "'cases'"),
+        ("sweep", SMALL_SWEEP, "  - {name: narrow, overrides: {n_e: 1}}\n"
+         "  - {name: wide, overrides: {n_e: 4}}\n", " {name: wide}\n", "'cases'"),
+        ("sweep", SMALL_SWEEP, "values: [0.5, 2.0, 8.0]}", "values: 5}", "'sweep.values'"),
+        ("sweep", SMALL_SWEEP, "{name: wide, overrides: {n_e: 4}}",
+         "{name: wide, overrides: [1]}", "case 'wide'"),
+        ("eval", SMALL_EVAL, "quantities: [pilot_mi, bounds]", "quantities: bounds",
+         "'quantities'"),
+        ("sweep", SMALL_SWEEP, "svg: true", 'svg: "no"', "'svg'"),
+    ], ids=["grid-scalar", "grid-mapping", "grid-entry", "cases-scalar", "cases-mapping",
+            "sweep-values", "case-overrides", "quantities-string", "svg-string"])
+    def test_malformed_spec_section_is_validation_error(self, tmp_path, capsys, command,
+                                                        text, old, new, named):
+        assert old in text
+        spec = write(tmp_path, text.replace(old, new), "malformed.yaml")
+        assert main([command, "--config", spec, "--out", str(tmp_path)]) == 3
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "curve.svg").exists()
+
     def test_verify_pass_and_mutation_control(self, tmp_path, capsys):
         spec = write(tmp_path, VERIFY_SET, "verify.yaml")
         assert main(["verify", "--config", spec, "--out", str(tmp_path)]) == 0

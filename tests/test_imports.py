@@ -1,16 +1,21 @@
-"""Import budget: only the quadrature oracle of `verify` loads scipy.
+"""Import budget and attribute names the benchmark relies on.
 
-Each case runs in a fresh interpreter, so modules imported by earlier tests
-in the same pytest process cannot hide or fake an import.
+Only the quadrature oracle of `verify` loads scipy.  Each scipy case runs
+in a fresh interpreter, so modules imported by earlier tests in the same
+pytest process cannot hide or fake an import.
 """
 
+import functools
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # runs the given statement, then prints the loaded scipy modules as JSON on
 # the last line of stdout
@@ -58,3 +63,18 @@ def test_only_the_quadrature_oracle_loads_scipy(tmp_path):
         "value = siso_ergodic_capacity(1.0)\n"
         "assert abs(value - 0.86034738227088595) <= 1e-10, value")
     assert "scipy.integrate" in modules and "scipy.special" in modules
+
+
+def test_benchmark_trace_targets_resolve():
+    # the benchmark tracer wraps each (module, attribute) at install and
+    # fails there if one is gone; loading launch.py only defines names
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_launch", ROOT / "perfbench" / "launch.py")
+    launch = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(launch)
+    targets = [t for places in launch.TRACE_TARGETS.values() for t in places]
+    assert ("skcprobe.numerics", "RngStream.generator") in targets
+    for module, attribute in targets:
+        obj = functools.reduce(getattr, attribute.split("."),
+                               importlib.import_module(module))
+        assert callable(obj), f"{module}.{attribute}"

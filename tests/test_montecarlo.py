@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from skcprobe import Estimate, McSettings, convergence_report, estimate, secrecy_floor
+from skcprobe import Estimate, McSettings, convergence_report, estimate, evaluate
 from skcprobe.capacity import secrecy_floor_sample
 from skcprobe.errors import IntegrandFailure, ValidationError
 from skcprobe.montecarlo import BLOCK, collect, pairwise_sum, summarize, trial_blocks
@@ -56,7 +56,7 @@ class TestEstimate:
         est = estimate(lambda b: secrecy_floor_sample(b, cfg), cfg, settings)
         values = collect(lambda b: {"floor": secrecy_floor_sample(b, cfg)}, cfg, settings)
         assert est == summarize(values["floor"])
-        assert est == secrecy_floor(cfg, settings)
+        assert est == evaluate(cfg, settings, ("floor",))["floor"]
 
     def test_non_finite_value_names_lowest_trial(self):
         cfg = make_config(n_a=1, n_b=1, n_e=1)
