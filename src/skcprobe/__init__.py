@@ -17,6 +17,7 @@ from .capacity import (
     dof_window_split,
     entropy_given_channel,
     evaluate,
+    evaluate_many,
     lower_bound_alice,
     lower_bound_bob_sample,
     mi_given_channel,

@@ -17,20 +17,23 @@ Each expectation has two algebraically equivalent per-sample forms computed
 through different factorizations; their agreement is part of the test suite,
 not an assumption.  Every per-sample integrand also accepts a block of
 draws (see ChannelRealization) and then evaluates all of its trials at once
-with stacked Gram products and factorizations; ``evaluate`` is the single
-Monte Carlo path that every estimate here goes through.
+with stacked Gram products and factorizations.  ``evaluate_many`` is the
+single Monte Carlo path that every estimate here goes through: points whose
+draws are identical share one pass, and each block's Gram matrices are
+formed once for all of them (``evaluate`` is its one-point call).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .channel import ChannelRealization, ProbingConfig, derive_gammas
-from .errors import GridTooSmall, InvalidNoise, OrderingViolation, ValidationError
+from .errors import (GridTooSmall, IntegrandFailure, InvalidNoise, OrderingViolation,
+                     SkcError, ValidationError)
 from .montecarlo import Estimate, McSettings, collect, summarize
 from .numerics import conj_t, hermitize, logdet_hermitian_pd, logdet_lu
 
@@ -93,6 +96,32 @@ def _outer(m: np.ndarray) -> np.ndarray:
     return hermitize(m @ conj_t(m))
 
 
+class Grams:
+    """Gram matrices m^H m of the four channels of a draw or a block of
+    draws, each formed on first use.  A caller that evaluates several
+    configs on the same draws passes one store to every integrand, so each
+    Gram is formed once; swap_roles() reads the role-swapped draws' Grams
+    from the same store."""
+
+    _SWAPPED = {"h_ba": "h_ab", "h_ab": "h_ba", "g_a": "g_b", "g_b": "g_a"}
+
+    def __init__(self, realization: ChannelRealization, store: dict | None = None,
+                 swapped: bool = False):
+        self._realization = realization
+        self._store = {} if store is None else store
+        self._swapped = swapped
+
+    def __getitem__(self, channel: str) -> np.ndarray:
+        if self._swapped:
+            channel = self._SWAPPED[channel]
+        if channel not in self._store:
+            self._store[channel] = _gram(getattr(self._realization, channel))
+        return self._store[channel]
+
+    def swap_roles(self) -> "Grams":
+        return Grams(self._realization, self._store, not self._swapped)
+
+
 def _per_trial(value, realization: ChannelRealization):
     """`value` as one number per trial: a float for a single draw, an array
     over the trials of a block."""
@@ -101,7 +130,7 @@ def _per_trial(value, realization: ChannelRealization):
 
 
 def secrecy_floor_sample(realization: ChannelRealization, config: ProbingConfig,
-                         form: str = "direct"):
+                         form: str = "direct", grams: Grams | None = None):
     """Per-realization integrand of the secrecy floor (bits per probe slot).
 
     ``direct`` takes the difference of two n_a x n_a log-determinants, with
@@ -109,23 +138,24 @@ def secrecy_floor_sample(realization: ChannelRealization, config: ProbingConfig,
     ``inverse`` evaluates the equivalent resolvent determinant
     log2|I + gamma_ba H^H H (gamma_ba (noise_b/noise_ea) G^H G + I)^-1|.
     The direct form needs noise_ea > 0; the inverse form accepts the
-    noise_ea -> 0 limit, where the floor is exactly zero.
+    noise_ea -> 0 limit, where the floor is exactly zero.  `grams` is the
+    realization's Gram store when the caller shares it (see Grams).
     """
     gam = derive_gammas(config)
     eye = np.eye(config.n_a)
+    grams = Grams(realization) if grams is None else grams
     if form == "direct":
         if config.noise_ea == 0:
             raise InvalidNoise("direct form undefined at noise_ea = 0; use the inverse form")
-        gram_e = _gram(realization.g_a)
-        gram_h = _gram(realization.h_ba)
-        folded = gram_e + (config.noise_ea / config.noise_b) * gram_h
+        gram_e = grams["g_a"]
+        folded = gram_e + (config.noise_ea / config.noise_b) * grams["h_ba"]
         val = (logdet_hermitian_pd(gam.gamma_ea * folded + eye)
                - logdet_hermitian_pd(gam.gamma_ea * gram_e + eye))
     elif form == "inverse":
         if config.noise_ea == 0:
             return _per_trial(0.0, realization)
-        denom = gam.gamma_ba * (config.noise_b / config.noise_ea) * _gram(realization.g_a) + eye
-        resolvent = eye + gam.gamma_ba * np.linalg.solve(denom, _gram(realization.h_ba))
+        denom = gam.gamma_ba * (config.noise_b / config.noise_ea) * grams["g_a"] + eye
+        resolvent = eye + gam.gamma_ba * np.linalg.solve(denom, grams["h_ba"])
         val = logdet_lu(resolvent)
     else:
         raise ValueError(f"unknown form {form!r}")
@@ -170,30 +200,32 @@ def bound_gap_sample(realization: ChannelRealization, config: ProbingConfig,
 
 
 def lower_bound_bob_sample(realization: ChannelRealization, config: ProbingConfig,
-                           form: str = "square", floor=None):
+                           form: str = "square", floor=None, grams: Grams | None = None):
     """Per-realization integrand of the Bob-side lower bound.
 
     ``square`` uses n_a/n_b-sized Gram determinants; ``rectangular`` uses
     the stacked (n_b+n_e)- and n_e-sized outer-product determinants.  Both
     reduce to pilot_mi + v_a * floor when v_b = 0, bit for bit in the
     square form.  A caller that already holds the floor integrand on the
-    same draws passes it as ``floor`` so the square form does not compute
-    it again.
+    same draws passes it as ``floor``, and a caller that shares the draws'
+    Gram store passes it as ``grams``, so the square form computes neither
+    again.
     """
     gam = derive_gammas(config)
     val = pilot_mi(config)
     if form == "square":
+        grams = Grams(realization) if grams is None else grams
         if config.v_a:
             if floor is None:
-                floor = secrecy_floor_sample(realization, config, _floor_form(config))
+                floor = secrecy_floor_sample(realization, config, _floor_form(config), grams)
             val += config.v_a * floor
         if config.v_b:
             if config.noise_eb == 0:
                 raise InvalidNoise("lower bound diverges at noise_eb = 0 with v_b > 0")
             eye_b = np.eye(config.n_b)
             val += config.v_b * (
-                logdet_hermitian_pd(gam.gamma_ab * _gram(realization.h_ab) + eye_b)
-                - logdet_hermitian_pd(gam.gamma_eb * _gram(realization.g_b) + eye_b))
+                logdet_hermitian_pd(gam.gamma_ab * grams["h_ab"] + eye_b)
+                - logdet_hermitian_pd(gam.gamma_eb * grams["g_b"] + eye_b))
     elif form == "rectangular":
         if config.v_a and config.noise_ea > 0:
             stacked = np.concatenate(
@@ -219,6 +251,9 @@ def lower_bound_bob_sample(realization: ChannelRealization, config: ProbingConfi
 
 # every quantity `evaluate` estimates; 'lower' is the larger side bound
 QUANTITIES = ("pilot_mi", "floor", "gap", "lower_bob", "lower_alice", "upper", "lower")
+# the Monte Carlo integrands, in the order a point evaluates them (the
+# Bob-side bound reuses the point's floor values)
+SAMPLED = ("floor", "lower_bob", "gap", "lower_alice")
 
 
 def _alice_bound_diverges(config: ProbingConfig) -> bool:
@@ -226,43 +261,102 @@ def _alice_bound_diverges(config: ProbingConfig) -> bool:
     return config.noise_ea == 0 and config.v_a > 0
 
 
-def trial_values(config: ProbingConfig, mc: McSettings,
-                 names: Iterable[str]) -> dict[str, np.ndarray]:
-    """Per-trial integrands of 'floor', 'gap', 'lower_bob' and 'lower_alice'
-    on the engine's shared draws, each evaluated once per block in the
-    engine's form (the floor form that _floor_form picks, the stacked gap,
-    the square Bob-side bound built on the same floor values, and that
-    bound of the role-swapped scenario on the swapped block)."""
-    names = frozenset(names)
-    floor_form = _floor_form(config)
-    swapped = config.swap_roles()
+def _draws_key(config: ProbingConfig) -> tuple:
+    """The parameters sample_channels reads: configs equal on them get the
+    same draws."""
+    return (config.n_a, config.n_b, config.n_e, config.rho)
 
-    def block_values(block: ChannelRealization) -> dict[str, np.ndarray]:
+
+class _Key(NamedTuple):
+    """One point's quantity in a batched pass, printed in error messages as
+    the point's label and the quantity."""
+
+    point: int
+    quantity: str
+    label: str
+
+    def __str__(self) -> str:
+        return f"{self.label}: {self.quantity}" if self.label else self.quantity
+
+
+def _group_integrand(plan: Sequence[tuple[_Key, ProbingConfig]]):
+    """Block integrand of every (key, config) in `plan`, all on the same
+    draws and sharing one Gram store per block, so that only the scaled
+    log-dets are per point.  A lower_alice key carries the role-swapped
+    config."""
+
+    def block_values(block: ChannelRealization) -> dict[_Key, np.ndarray]:
+        grams = Grams(block)
+        swapped, swapped_grams = block.swap_roles(), grams.swap_roles()
+        floors = {}
         out = {}
-        floor = None
-        if "floor" in names or ("lower_bob" in names and config.v_a):
-            floor = secrecy_floor_sample(block, config, floor_form)
-        if "floor" in names:
-            out["floor"] = floor
-        if "lower_bob" in names:
-            out["lower_bob"] = lower_bound_bob_sample(block, config, floor=floor)
-        if "gap" in names:
-            out["gap"] = bound_gap_sample(block, config)
-        if "lower_alice" in names:
-            out["lower_alice"] = lower_bound_bob_sample(block.swap_roles(), swapped)
+        for key, config in plan:
+            try:
+                if key.quantity == "floor":
+                    out[key] = floors[key.point] = secrecy_floor_sample(
+                        block, config, _floor_form(config), grams)
+                elif key.quantity == "lower_bob":
+                    out[key] = lower_bound_bob_sample(
+                        block, config, floor=floors.get(key.point), grams=grams)
+                elif key.quantity == "gap":
+                    out[key] = bound_gap_sample(block, config)
+                else:
+                    out[key] = lower_bound_bob_sample(swapped, config, grams=swapped_grams)
+            except SkcError as exc:
+                raise IntegrandFailure(f"{key}: {exc}") from exc
         return out
 
-    return collect(block_values, config, mc)
+    return block_values
 
 
-def evaluate(config: ProbingConfig, mc: McSettings,
-             quantities: Sequence[str]) -> dict[str, Estimate]:
-    """Estimates of the requested QUANTITIES from at most one Monte Carlo
-    pass over shared draws, so upper == lower_bob + gap per sample and, at
-    v_a = 0, lower_alice == upper per sample.  pilot_mi is exact, as are the
-    floor at noise_ea = 0 (0), the gap at v_b = 0 (0) and lower_alice at
-    noise_ea = 0 with v_a > 0 (-inf).  'lower' is the larger side bound,
-    Bob's side winning ties.
+def trial_values_many(points: Sequence[tuple[ProbingConfig, Iterable[str]]],
+                      mc: McSettings, labels: Sequence[str] | None = None
+                      ) -> list[dict[str, np.ndarray]]:
+    """Per-trial integrands of the SAMPLED quantities each (config, names)
+    point asks for, on the engine's shared draws: the floor in the form
+    _floor_form picks, the stacked gap, the square Bob-side bound built on
+    the same floor values, and that bound of the role-swapped scenario on
+    the swapped draws.
+
+    Points whose configs agree on what sample_channels reads get identical
+    draws, so each such group takes one collect pass.  A failure names the
+    point by its label (none by default) and the quantity.
+    """
+    labels = [""] * len(points) if labels is None else list(labels)
+    groups: dict[tuple, list[tuple[_Key, ProbingConfig]]] = {}
+    for i, (config, names) in enumerate(points):
+        names = frozenset(names)
+        for q in SAMPLED:
+            if q in names:
+                groups.setdefault(_draws_key(config), []).append(
+                    (_Key(i, q, labels[i]),
+                     config.swap_roles() if q == "lower_alice" else config))
+    values: list[dict[str, np.ndarray]] = [{} for _ in points]
+    for plan in groups.values():
+        sampling = points[plan[0][0].point][0]
+        for key, v in collect(_group_integrand(plan), sampling, mc).items():
+            values[key.point][key.quantity] = v
+    return values
+
+
+def trial_values(config: ProbingConfig, mc: McSettings,
+                 names: Iterable[str]) -> dict[str, np.ndarray]:
+    """trial_values_many at one point."""
+    return trial_values_many([(config, names)], mc)[0]
+
+
+def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
+                  quantities: Sequence[str],
+                  labels: Sequence[str] | None = None) -> list[dict[str, Estimate]]:
+    """Estimates of the requested QUANTITIES at every config, in order.
+
+    Each point's Monte Carlo quantities come from shared draws, so upper ==
+    lower_bob + gap per sample and, at v_a = 0, lower_alice == upper per
+    sample; configs with identical draws share one pass (see
+    trial_values_many, which also says how `labels` name a failing point).
+    pilot_mi is exact, as are the floor at noise_ea = 0 (0), the gap at
+    v_b = 0 (0) and lower_alice at noise_ea = 0 with v_a > 0 (-inf).
+    'lower' is the larger side bound, Bob's side winning ties.
     """
     unknown = set(quantities) - set(QUANTITIES)
     if unknown:
@@ -272,26 +366,38 @@ def evaluate(config: ProbingConfig, mc: McSettings,
         wanted |= {"lower_bob", "lower_alice"}
     if "upper" in wanted:
         wanted |= {"lower_bob", "gap"}
-    exact = {}
-    if "pilot_mi" in wanted:
-        exact["pilot_mi"] = pilot_mi(config)
-    if config.noise_ea == 0:
-        exact["floor"] = 0.0
-    if config.v_b == 0:
-        exact["gap"] = 0.0
-    if _alice_bound_diverges(config):
-        exact["lower_alice"] = -math.inf
-    est = {name: Estimate.exact(value) for name, value in exact.items()}
-    sampled = wanted - set(exact) - {"upper", "lower"}
-    values = trial_values(config, mc, sampled) if sampled else {}
-    est.update((name, summarize(v)) for name, v in values.items())
-    if "upper" in wanted:
-        est["upper"] = summarize(values["lower_bob"] + values["gap"]) \
-            if "gap" in values else est["lower_bob"]
-    if "lower" in wanted:
-        alice, bob = est["lower_alice"], est["lower_bob"]
-        est["lower"] = alice if alice.mean > bob.mean else bob
-    return {q: est[q] for q in quantities}
+    exacts = []
+    for config in configs:
+        exact = {}
+        if "pilot_mi" in wanted:
+            exact["pilot_mi"] = pilot_mi(config)
+        if config.noise_ea == 0:
+            exact["floor"] = 0.0
+        if config.v_b == 0:
+            exact["gap"] = 0.0
+        if _alice_bound_diverges(config):
+            exact["lower_alice"] = -math.inf
+        exacts.append(exact)
+    sampled = [(config, wanted.difference(exact))
+               for config, exact in zip(configs, exacts)]
+    results = []
+    for exact, values in zip(exacts, trial_values_many(sampled, mc, labels)):
+        est = {name: Estimate.exact(value) for name, value in exact.items()}
+        est.update((name, summarize(v)) for name, v in values.items())
+        if "upper" in wanted:
+            est["upper"] = summarize(values["lower_bob"] + values["gap"]) \
+                if "gap" in values else est["lower_bob"]
+        if "lower" in wanted:
+            alice, bob = est["lower_alice"], est["lower_bob"]
+            est["lower"] = alice if alice.mean > bob.mean else bob
+        results.append({q: est[q] for q in quantities})
+    return results
+
+
+def evaluate(config: ProbingConfig, mc: McSettings,
+             quantities: Sequence[str]) -> dict[str, Estimate]:
+    """evaluate_many at one config: at most one Monte Carlo pass."""
+    return evaluate_many([config], mc, quantities)[0]
 
 
 def lower_bound_alice(config: ProbingConfig, mc: McSettings) -> Estimate:
@@ -366,9 +472,11 @@ MIN_GRID_POINTS = 4
 MIN_GRID_DECADES = 3.0
 
 
-def dof_slope(quantity: Callable[[ProbingConfig], Estimate], config: ProbingConfig,
-              p_grid: Sequence[float]) -> DofResult:
-    """Fit the slope of quantity(config at power p) against log2 p.
+def dof_slope(quantity: Callable[[Sequence[ProbingConfig]], Sequence[Estimate]],
+              config: ProbingConfig, p_grid: Sequence[float]) -> DofResult:
+    """Fit the slope of a quantity's estimate at config_at_power(config, p)
+    against log2 p.  `quantity` estimates it at every grid point in one call
+    (for example through evaluate_many), in grid order.
 
     The fit uses only the top half of the grid to approximate the infinite-
     power limit while keeping runtime bounded.  The grid must have at least
@@ -386,7 +494,7 @@ def dof_slope(quantity: Callable[[ProbingConfig], Estimate], config: ProbingConf
     decades = math.log10(grid[-1] / grid[0])
     if decades < MIN_GRID_DECADES * (1.0 - 1e-9):
         raise GridTooSmall(f"grid spans {decades:.2f} decades, need >= {MIN_GRID_DECADES}")
-    ests = [quantity(config_at_power(config, p)) for p in grid]
+    ests = quantity([config_at_power(config, p) for p in grid])
     means = np.array([e.mean for e in ests])
     top = slice(len(grid) // 2, None)
     x = np.log2(np.array(grid[top]))

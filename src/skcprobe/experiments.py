@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import yaml
 
 from . import capacity
-from .capacity import DofResult, Estimate, dof_slope, evaluate
+from .capacity import DofResult, Estimate, dof_slope, evaluate_many
 from .channel import ProbingConfig
 from .errors import ParseError, ValidationError
 from .montecarlo import McSettings
@@ -254,7 +254,11 @@ def load_spec(path_or_name: str, seed_override: int | None = None,
             merged = dict_config(base)
             merged.update(overrides)
             config_from_mapping(merged)  # validate the merge now, not mid-run
-            parsed.append(CaseSpec(name=str(entry["name"]), overrides=dict(overrides)))
+            case_name = str(entry["name"])
+            if any(case.name == case_name for case in parsed):
+                raise ValidationError(f"duplicate case name {case_name!r}: case names "
+                                      "key the output rows and curves")
+            parsed.append(CaseSpec(name=case_name, overrides=dict(overrides)))
         cases = tuple(parsed)
     else:
         cases = (CaseSpec("base", {}),)
@@ -319,10 +323,12 @@ def expand_quantities(quantities: Sequence[str]) -> list[str]:
     return out
 
 
-def evaluate_quantities(config: ProbingConfig, mc: McSettings,
-                        quantities: Sequence[str]) -> dict[str, Estimate]:
-    """Evaluate the spec quantities, 'bounds' expanded, in one pass."""
-    return evaluate(config, mc, expand_quantities(quantities))
+def evaluate_quantities(configs: Sequence[ProbingConfig], mc: McSettings,
+                        quantities: Sequence[str],
+                        labels: Sequence[str] | None = None) -> list[dict[str, Estimate]]:
+    """Evaluate the spec quantities, 'bounds' expanded, at every config; the
+    configs with identical draws share one pass (see evaluate_many)."""
+    return evaluate_many(configs, mc, expand_quantities(quantities), labels)
 
 
 def _quantity_header(expanded: Sequence[str]) -> list[str]:
@@ -354,7 +360,7 @@ def run_eval(spec: ExperimentSpec, out_dir: Path) -> tuple[dict[str, Estimate], 
     if spec.sweep is not None:
         raise ValidationError("eval does not accept a sweep; use the sweep command")
     expanded = expand_quantities(spec.quantities)
-    values = evaluate_quantities(spec.base, spec.mc, spec.quantities)
+    (values,) = evaluate_quantities([spec.base], spec.mc, spec.quantities)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{spec.name}.csv"
     _write_csv(csv_path, _quantity_header(expanded),
@@ -363,7 +369,9 @@ def run_eval(spec: ExperimentSpec, out_dir: Path) -> tuple[dict[str, Estimate], 
 
 
 def run_sweep(spec: ExperimentSpec, out_dir: Path) -> tuple[Path, Path | None]:
-    """One CSV row per (case, swept value); common draws across rows.
+    """One CSV row per (case, swept value); common draws across rows, and
+    one Monte Carlo pass per case unless the sweep changes the draws (n_e
+    or rho).
 
     The optional SVG plots the first requested quantity, one polyline per
     case, with a log x-axis for power and noise sweeps.
@@ -374,14 +382,17 @@ def run_sweep(spec: ExperimentSpec, out_dir: Path) -> tuple[Path, Path | None]:
     header = ["case", "sweep_param", "sweep_value"] + _quantity_header(expanded)
     rows = []
     curves: dict[str, tuple[list[float], list[float]]] = {}
+    parameter = spec.sweep.parameter
     for case in spec.cases:
         base = case_config(spec, case)
         xs: list[float] = []
         ys: list[float] = []
-        for value in spec.sweep.values:
-            config = apply_parameter(base, spec.sweep.parameter, value)
-            values = evaluate_quantities(config, spec.mc, spec.quantities)
-            rows.append([case.name, spec.sweep.parameter, format_number(value)]
+        configs = [apply_parameter(base, parameter, value) for value in spec.sweep.values]
+        labels = [f"case {case.name!r}, {parameter} = {format_number(value)}"
+                  for value in spec.sweep.values]
+        points = evaluate_quantities(configs, spec.mc, spec.quantities, labels)
+        for value, values in zip(spec.sweep.values, points):
+            rows.append([case.name, parameter, format_number(value)]
                         + _quantity_fields(values, expanded, spec.mc))
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 xs.append(float(value))
@@ -414,7 +425,8 @@ def run_dof(spec: ExperimentSpec, out_dir: Path) -> tuple[dict[str, DofResult], 
     Needs a 'power_grid' (>= 4 increasing values over >= 3 decades); both
     transmit powers are scaled together by each grid value.  Prints the
     closed-form pre-log next to the fit, plus the window-split table for
-    the config's total probing budget.
+    the config's total probing budget.  Each case's grid takes one Monte
+    Carlo pass.
     """
     if not spec.power_grid:
         raise ValidationError("dof command requires a 'power_grid' list in the spec")
@@ -423,14 +435,16 @@ def run_dof(spec: ExperimentSpec, out_dir: Path) -> tuple[dict[str, DofResult], 
         raise ValidationError(
             f"dof needs one quantity from {DOF_QUANTITIES}, got {spec.quantities}")
 
-    def evaluator(config: ProbingConfig) -> Estimate:
-        return evaluate_quantities(config, spec.mc, [quantity_name])[quantity_name]
+    def evaluator(case: CaseSpec):
+        labels = [f"case {case.name!r}, power {format_number(p)}" for p in spec.power_grid]
+        return lambda configs: [
+            values[quantity_name] for values in
+            evaluate_quantities(configs, spec.mc, [quantity_name], labels)]
 
     results: dict[str, DofResult] = {}
     rows = []
     for case in spec.cases:
-        config = case_config(spec, case)
-        result = dof_slope(evaluator, config, spec.power_grid)
+        result = dof_slope(evaluator(case), case_config(spec, case), spec.power_grid)
         results[case.name] = result
         for p, mean, stderr in zip(result.p_grid, result.means, result.stderrs):
             rows.append([case.name, quantity_name, format_number(p),

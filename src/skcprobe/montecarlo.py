@@ -16,7 +16,7 @@ is single-threaded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -24,8 +24,9 @@ from .channel import ChannelRealization, ProbingConfig, sample_channels
 from .errors import IntegrandFailure, ValidationError
 from .numerics import RngStream
 
-# block integrand: a block of draws in, named per-trial value arrays out
-BlockIntegrand = Callable[[ChannelRealization], Mapping[str, np.ndarray]]
+# block integrand: a block of draws in, named per-trial value arrays out; a
+# name is any orderable key, printed with str() in error messages
+BlockIntegrand = Callable[[ChannelRealization], Mapping[Hashable, np.ndarray]]
 # a block of draws in, one value per trial out (every *_sample form is one)
 TrialIntegrand = Callable[[ChannelRealization], np.ndarray]
 
@@ -96,7 +97,7 @@ def trial_blocks(config: ProbingConfig,
         yield start, sample_channels(config, rng, BLOCK)[:kept]
 
 
-def require_finite(arrays: Mapping[str, np.ndarray]) -> None:
+def require_finite(arrays: Mapping[Hashable, np.ndarray]) -> None:
     """Raise IntegrandFailure for the lowest trial index holding a NaN or
     infinite value in any of the arrays."""
     failures = []
@@ -111,7 +112,7 @@ def require_finite(arrays: Mapping[str, np.ndarray]) -> None:
 
 
 def collect(integrand: BlockIntegrand, config: ProbingConfig,
-            settings: McSettings) -> dict[str, np.ndarray]:
+            settings: McSettings) -> dict[Hashable, np.ndarray]:
     """Evaluate a block integrand on every block; one array per name.
 
     Every named value comes from the same draws, which is what turns
@@ -120,7 +121,7 @@ def collect(integrand: BlockIntegrand, config: ProbingConfig,
     reported for that block's trial range; a non-finite value aborts it
     for the lowest failing trial index.
     """
-    parts: dict[str, list[np.ndarray]] = {}
+    parts: dict[Hashable, list[np.ndarray]] = {}
     for start, block in trial_blocks(config, settings):
         try:
             values = integrand(block)

@@ -21,6 +21,7 @@ from skcprobe import (
     RngStream,
     derive_gammas,
     evaluate,
+    evaluate_many,
     bound_gap_sample,
     lower_bound_bob_sample,
     pilot_mi,
@@ -192,14 +193,13 @@ def test_acceptance_5_floor_positive_and_monotone():
     noise-variance ratio."""
     mc = McSettings(trials=10_000, master_seed=1)
     ratios = np.logspace(-1.5, 1.5, 13)
-    means, stderrs = [], []
-    for ratio in ratios:
-        cfg = ProbingConfig(n_a=8, n_b=4, n_e=6, v_a=1, v_b=0,
-                            power_a=10.0, power_b=10.0,
-                            noise_b=1.0, noise_ea=1.0 / ratio, rho=0.0)
-        est = evaluate(cfg, mc, ("floor",))["floor"]
-        means.append(est.mean)
-        stderrs.append(est.stderr)
+    configs = [ProbingConfig(n_a=8, n_b=4, n_e=6, v_a=1, v_b=0,
+                             power_a=10.0, power_b=10.0,
+                             noise_b=1.0, noise_ea=1.0 / ratio, rho=0.0)
+               for ratio in ratios]
+    ests = [point["floor"] for point in evaluate_many(configs, mc, ("floor",))]
+    means = [est.mean for est in ests]
+    stderrs = [est.stderr for est in ests]
     positive = all(m > 3 * s for m, s in zip(means, stderrs))
     monotone = all(
         means[i + 1] - means[i] <= 3 * math.hypot(stderrs[i], stderrs[i + 1])

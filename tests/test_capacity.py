@@ -32,6 +32,7 @@ from skcprobe import (
     dof_window_split,
     entropy_given_channel,
     evaluate,
+    evaluate_many,
     lower_bound_bob_sample,
     mi_given_channel,
     pilot_mi,
@@ -40,14 +41,24 @@ from skcprobe import (
     sample_channels,
     secrecy_floor_sample,
 )
-from skcprobe.capacity import QUANTITIES, _floor_form, trial_values
+from skcprobe.capacity import (
+    QUANTITIES,
+    SAMPLED,
+    _alice_bound_diverges,
+    _floor_form,
+    trial_values,
+    trial_values_many,
+)
 from skcprobe.errors import (
     GridTooSmall,
+    IntegrandFailure,
     InvalidNoise,
+    NotPositiveDefinite,
     OrderingViolation,
     SkcError,
     ValidationError,
 )
+from skcprobe.experiments import load_spec
 from skcprobe.montecarlo import BLOCK, collect, summarize, trial_blocks
 from skcprobe.verify import IDENTITY_ATOL
 from conftest import make_config, make_realization
@@ -340,6 +351,130 @@ class TestBatchedIntegrands:
             evaluate(make_config(), McSettings(trials=10), ("entropy",))
 
 
+class TestEvaluateMany:
+    """The batched path equals one-config evaluate bit for bit, point by
+    point, however its configs group into shared draws."""
+
+    @staticmethod
+    def assert_equals_one_config_evaluate(configs, mc, quantities):
+        batched = evaluate_many(configs, mc, quantities)
+        assert len(batched) == len(configs)
+        for config, point in zip(configs, batched):
+            assert point == evaluate(config, mc, quantities), config
+        # every integrand, except the Alice-side bound where it is the exact -inf
+        points = [(c, [n for n in SAMPLED if n in quantities
+                       and not (n == "lower_alice" and _alice_bound_diverges(c))])
+                  for c in configs]
+        for (config, names), values in zip(points, trial_values_many(points, mc)):
+            single = trial_values(config, mc, names)
+            assert values.keys() == single.keys()
+            for name in values:
+                assert np.array_equal(values[name], single[name]), (config, name)
+        return batched
+
+    def test_fig1_noise_grid_with_noiseless_eve(self):
+        spec = load_spec("fig1")
+        base = replace(spec.base, n_e=6)
+        configs = [replace(base, noise_ea=float(v)) for v in spec.sweep.values + (0.0,)]
+        mc = McSettings(trials=BLOCK + 30, master_seed=3)
+        batched = self.assert_equals_one_config_evaluate(configs, mc, QUANTITIES)
+        assert batched[-1]["floor"] == Estimate.exact(0.0)
+        # and the floor equals the per-sample direct form summarized over the blocks
+        for config, point in zip(configs[:-1], batched):
+            direct = np.concatenate([secrecy_floor_sample(block, config)
+                                     for _, block in trial_blocks(config, mc)])
+            assert point["floor"] == summarize(direct)
+
+    def test_fig2_power_grid(self):
+        spec = load_spec("fig2")
+        configs = [config_at_power(spec.base, p) for p in spec.power_grid]
+        mc = McSettings(trials=BLOCK + 30, master_seed=5)
+        self.assert_equals_one_config_evaluate(configs, mc, ("floor", "lower_bob", "upper"))
+
+    def test_two_way_every_quantity(self):
+        base = make_config(n_a=3, n_b=2, n_e=2, v_a=2, v_b=1, rho=0.7)
+        configs = [base, replace(base, noise_eb=0.25), replace(base, power_a=40.0),
+                   replace(base, v_a=0), replace(base, noise_ea=0.0)]
+        mc = McSettings(trials=BLOCK + 30, master_seed=7)
+        self.assert_equals_one_config_evaluate(configs, mc, QUANTITIES)
+
+    def test_mixed_draw_groups(self, monkeypatch):
+        import skcprobe.capacity as capacity
+        import skcprobe.montecarlo as montecarlo
+        collects, samples = [], []
+
+        def counting_collect(*args):
+            collects.append(args)
+            return collect(*args)
+
+        def counting_sample(*args):
+            samples.append(args)
+            return sample_channels(*args)
+
+        monkeypatch.setattr(capacity, "collect", counting_collect)
+        monkeypatch.setattr(montecarlo, "sample_channels", counting_sample)
+        base = make_config(n_a=3, n_b=2, n_e=2, v_a=1, v_b=1, rho=0.7)
+        # four draw groups, interleaved: (n_e, rho) = (2, .7), (3, .7), (2, 0), (3, 0)
+        configs = [base, replace(base, n_e=3), replace(base, rho=0.0),
+                   replace(base, power_a=5.0), replace(base, n_e=3, rho=0.0),
+                   replace(base, n_e=3, noise_ea=2.0), replace(base, rho=0.0, v_b=0)]
+        mc = McSettings(trials=2 * BLOCK + 5, master_seed=11)
+        batched = evaluate_many(configs, mc, QUANTITIES)
+        assert len(collects) == 4
+        assert len(samples) == 4 * math.ceil(mc.trials / BLOCK)
+        monkeypatch.undo()
+        assert batched == self.assert_equals_one_config_evaluate(configs, mc, QUANTITIES)
+
+    def test_each_gram_formed_once_per_block(self, monkeypatch):
+        import skcprobe.capacity as capacity
+        formed = []
+        real = capacity._gram
+        monkeypatch.setattr(capacity, "_gram", lambda m: formed.append(m.shape) or real(m))
+        mc = McSettings(trials=BLOCK + 30, master_seed=5)
+        spec = load_spec("fig2")
+        evaluate_many([config_at_power(spec.base, p) for p in spec.power_grid], mc,
+                      ("floor",))
+        assert len(formed) == 2 * 2          # g_a and h_ba in each of two blocks
+        formed.clear()
+        base = make_config(v_a=2, v_b=1)
+        evaluate_many([base, replace(base, power_a=9.0), replace(base, noise_eb=0.5)],
+                      mc, QUANTITIES)
+        assert len(formed) == 4 * 2          # all four channels, once per block
+
+    def test_exact_points_take_no_pass(self, monkeypatch):
+        import skcprobe.capacity as capacity
+        calls = []
+        monkeypatch.setattr(capacity, "collect", lambda *args: calls.append(args))
+        configs = [make_config(noise_ea=0.0), make_config(noise_ea=0.0, power_a=9.0)]
+        batched = evaluate_many(configs, McSettings(trials=10), ("pilot_mi", "floor"))
+        assert calls == []
+        assert [p["floor"] for p in batched] == [Estimate.exact(0.0)] * 2
+
+    def test_failure_names_point_and_quantity(self, monkeypatch):
+        import skcprobe.capacity as capacity
+        real = capacity.secrecy_floor_sample
+
+        def failing(block, config, *args):
+            if config.power_a == 8.0:
+                raise NotPositiveDefinite("matrix 3: Cholesky failed")
+            return real(block, config, *args)
+
+        monkeypatch.setattr(capacity, "secrecy_floor_sample", failing)
+        configs = [make_config(power_a=p) for p in (2.0, 8.0)]
+        with pytest.raises(IntegrandFailure,
+                           match="trials 0-9: at power 8: floor: matrix 3: Cholesky failed"):
+            evaluate_many(configs, McSettings(trials=10), ("floor",),
+                          labels=["at power 2", "at power 8"])
+
+    def test_non_finite_value_names_point_and_quantity(self):
+        configs = [make_config(power_a=p) for p in (2.0, 1.0e308)]
+        with np.errstate(all="ignore"), \
+                pytest.raises(IntegrandFailure,
+                              match="trial 0: huge: floor integrand is nan"):
+            evaluate_many(configs, McSettings(trials=10), ("floor",),
+                          labels=["small", "huge"])
+
+
 class TestRoleSymmetry:
     def test_symmetric_config_gives_identical_bounds(self):
         cfg = make_config(n_a=2, n_b=2, v_a=1, v_b=1, phi_a=16, phi_b=16,
@@ -503,8 +638,8 @@ class TestDofFormula:
 class TestDofSlope:
     @staticmethod
     def exact_quantity(fn):
-        def evaluator(config):
-            return Estimate.exact(fn(config))
+        def evaluator(configs):
+            return [Estimate.exact(fn(config)) for config in configs]
         return evaluator
 
     def test_constant_quantity_has_zero_slope(self):
@@ -548,8 +683,8 @@ class TestDofSlope:
         assert dof_formula(cfg) == expected
         mc = McSettings(trials=2000, master_seed=37)
 
-        def quantity(config):
-            return evaluate(config, mc, ("lower_bob",))["lower_bob"]
+        def quantity(configs):
+            return [v["lower_bob"] for v in evaluate_many(configs, mc, ("lower_bob",))]
 
         result = dof_slope(quantity, cfg, [2.0 ** e for e in range(8, 21, 2)])
         assert result.slope == pytest.approx(expected, abs=0.2)

@@ -17,14 +17,16 @@ mc: {trials: 60, seed: 2}
 quantities: [pilot_mi, bounds]
 """
 
+SWEEP_CASES = """cases:
+  - {name: narrow, overrides: {n_e: 1}}
+  - {name: wide, overrides: {n_e: 4}}
+"""
+
 SMALL_SWEEP = """
 name: curve
 config: {n_a: 2, n_b: 2, n_e: 2, phi_a: 8, phi_b: 8, v_a: 1, v_b: 1,
          noise_ea: 0.5}
-cases:
-  - {name: narrow, overrides: {n_e: 1}}
-  - {name: wide, overrides: {n_e: 4}}
-sweep: {parameter: power_a, values: [0.5, 2.0, 8.0]}
+""" + SWEEP_CASES + """sweep: {parameter: power_a, values: [0.5, 2.0, 8.0]}
 mc: {trials: 60, seed: 2}
 quantities: [floor]
 svg: true
@@ -172,6 +174,35 @@ quantities: [gap]
         assert main([command, "--config", spec, "--out", str(tmp_path)]) == 3
         assert named in capsys.readouterr().err
         assert not (tmp_path / "curve.svg").exists()
+
+    @pytest.mark.parametrize("command,text,outputs", [
+        ("sweep", SMALL_SWEEP, ("curve.csv", "curve.svg")),
+        ("dof", SMALL_DOF, ("slope-dof.csv",)),
+    ], ids=["sweep", "dof"])
+    def test_duplicate_case_name_is_validation_error(self, tmp_path, capsys, command,
+                                                     text, outputs):
+        cases = ("cases:\n  - {name: a, overrides: {n_e: 1}}\n"
+                 "  - {name: a, overrides: {n_e: 3}}\n")
+        text = text.replace(SWEEP_CASES, "") + cases
+        spec = write(tmp_path, text, "twins.yaml")
+        assert main([command, "--config", spec, "--out", str(tmp_path)]) == 3
+        assert "duplicate case name 'a'" in capsys.readouterr().err
+        assert not any((tmp_path / name).exists() for name in outputs)
+
+    @pytest.mark.parametrize("command,text,old,new,named", [
+        ("sweep", SMALL_SWEEP, "values: [0.5, 2.0, 8.0]", "values: [1.0, 1.0e+308]",
+         "case 'narrow', power_a = 1e+308: floor integrand is "),
+        ("dof", SMALL_DOF, "power_grid: [1.0, 10.0, 100.0, 1000.0]",
+         "power_grid: [1.0, 10.0, 100.0, 1.0e+308]",
+         "case 'base', power 1e+308: floor integrand is "),
+    ], ids=["sweep", "dof"])
+    def test_failing_point_is_named(self, tmp_path, capsys, command, text, old, new, named):
+        assert old in text
+        spec = write(tmp_path, text.replace(old, new), "overflow.yaml")
+        with np.errstate(all="ignore"):
+            code = main([command, "--config", spec, "--out", str(tmp_path)])
+        assert code == 4
+        assert f"trial 0: {named}" in capsys.readouterr().err
 
     def test_verify_pass_and_mutation_control(self, tmp_path, capsys):
         spec = write(tmp_path, VERIFY_SET, "verify.yaml")
