@@ -41,14 +41,24 @@ from .numerics import (
     logdet_lu,
     sample_cgaussian,
 )
-from .verify import (
-    VerificationOutcome,
-    VerificationSummary,
-    determinant_identity_suite,
-    pilot_estimation_check,
-    pilot_mi_from_covariance,
-    run_suite,
-    siso_ergodic_capacity,
+# the verification suite loads on first use of one of its names, so that
+# eval, sweep and dof never import it
+_VERIFY_NAMES = (
+    "VerificationOutcome",
+    "VerificationSummary",
+    "determinant_identity_suite",
+    "pilot_estimation_check",
+    "pilot_mi_from_covariance",
+    "run_suite",
+    "siso_ergodic_capacity",
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name: str):
+    if name in _VERIFY_NAMES:
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_VERIFY_NAMES)

@@ -9,7 +9,8 @@ Quantities (all in bits, log base 2; QUANTITIES names them):
   is nonzero.
 * ``lower_bob`` / ``lower_alice`` -- the two secret-key-rate lower bounds
   per coherence period (the Alice-side bound is the Bob-side bound of the
-  role-swapped scenario); ``lower`` is the larger of the two.
+  role-swapped scenario); ``lower`` is the larger of the two, which is
+  always the Bob-side bound when v_b = 0.
 * ``gap`` / ``upper`` -- the upper bound exceeds the Bob-side lower bound
   by a gap that is exactly zero when v_b = 0 (one-way probing).
 
@@ -356,17 +357,25 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
     trial_values_many, which also says how `labels` name a failing point).
     pilot_mi is exact, as are the floor at noise_ea = 0 (0), the gap at
     v_b = 0 (0) and lower_alice at noise_ea = 0 with v_a > 0 (-inf).
-    'lower' is the larger side bound, Bob's side winning ties.
+
+    'lower' is the larger side bound, Bob's side winning ties.  At v_b = 0
+    it is lower_bob (which is then also upper), and lower_alice is sampled
+    only when named: per sample, lower_bob - lower_alice = (pilot_mi - the
+    role-swapped pilot_mi) + v_a * [log2det(I + gamma_ea G + gamma_ba H) -
+    log2det(I + gamma_ba H)] >= 0, with G, H the Grams of g_a, h_ba.  (At
+    v_a = v_b = 0 the difference is the round-off between the two pilot_mi
+    values, which is the one case where comparing the means could pick the
+    Alice side.)
     """
     unknown = set(quantities) - set(QUANTITIES)
     if unknown:
         raise ValueError(f"unknown quantities {sorted(unknown)}; supported: {QUANTITIES}")
     wanted = set(quantities)
     if "lower" in wanted:
-        wanted |= {"lower_bob", "lower_alice"}
+        wanted.add("lower_bob")
     if "upper" in wanted:
         wanted |= {"lower_bob", "gap"}
-    exacts = []
+    exacts, sampled = [], []
     for config in configs:
         exact = {}
         if "pilot_mi" in wanted:
@@ -378,17 +387,19 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
         if _alice_bound_diverges(config):
             exact["lower_alice"] = -math.inf
         exacts.append(exact)
-    sampled = [(config, wanted.difference(exact))
-               for config, exact in zip(configs, exacts)]
+        names = wanted | {"lower_alice"} if "lower" in wanted and config.v_b else wanted
+        sampled.append((config, names.difference(exact)))
     results = []
-    for exact, values in zip(exacts, trial_values_many(sampled, mc, labels)):
+    for (config, _), exact, values in zip(sampled, exacts,
+                                         trial_values_many(sampled, mc, labels)):
         est = {name: Estimate.exact(value) for name, value in exact.items()}
         est.update((name, summarize(v)) for name, v in values.items())
         if "upper" in wanted:
             est["upper"] = summarize(values["lower_bob"] + values["gap"]) \
                 if "gap" in values else est["lower_bob"]
         if "lower" in wanted:
-            alice, bob = est["lower_alice"], est["lower_bob"]
+            bob = est["lower_bob"]
+            alice = est["lower_alice"] if config.v_b else bob
             est["lower"] = alice if alice.mean > bob.mean else bob
         results.append({q: est[q] for q in quantities})
     return results

@@ -19,6 +19,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .capacity import dof_formula, dof_window_split
 from .errors import (
@@ -200,7 +202,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_threads(args)
-        return _COMMANDS[args.command](args)
+        # an overflow or NaN ends the run as the program's own named error
+        # (exit 4), so numpy's floating-point warnings would only print
+        # ahead of that line
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error (parse): {exc}", file=sys.stderr)
         return EXIT_PARSE

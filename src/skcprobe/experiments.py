@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import yaml
 
@@ -27,7 +27,9 @@ from .channel import ProbingConfig
 from .errors import ParseError, ValidationError
 from .montecarlo import McSettings
 from .svgplot import line_chart
-from .verify import VerificationSummary, run_suite
+
+if TYPE_CHECKING:
+    from .verify import VerificationSummary
 
 SWEEP_PARAMETERS = ("noise_ea", "noise_eb", "power_a", "power_b",
                     "rho", "v_a", "v_b", "n_e")
@@ -147,6 +149,18 @@ def read_spec_text(path_or_name: str) -> tuple[str, str]:
     raise ParseError(f"config file not found: {path_or_name}")
 
 
+# libyaml's parser where PyYAML has it; it feeds the same safe constructor
+# as the pure-Python loader, so a spec parses to the same objects
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _parse_yaml(text: str, path_or_name: str):
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise ParseError(f"invalid YAML in {path_or_name}: {exc}") from exc
+
+
 def _strict_int(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
@@ -197,10 +211,7 @@ def load_spec(path_or_name: str, seed_override: int | None = None,
     problems; ValidationError names the violated rule.
     """
     text, default_name = read_spec_text(path_or_name)
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"invalid YAML in {path_or_name}: {exc}") from exc
+    raw = _parse_yaml(text, path_or_name)
     if not isinstance(raw, Mapping):
         raise ParseError(f"top level of {path_or_name} must be a mapping")
     _reject_unknown(raw, _SPEC_KEYS, f"the top level of {path_or_name}")
@@ -458,6 +469,13 @@ def run_dof(spec: ExperimentSpec, out_dir: Path) -> tuple[dict[str, DofResult], 
     return results, csv_path
 
 
+def run_suite(*args, **kwargs) -> VerificationSummary:
+    """verify.run_suite, imported on the first call, so that eval, sweep
+    and dof never load the verification suite."""
+    from .verify import run_suite as suite
+    return suite(*args, **kwargs)
+
+
 def run_verify(path_or_name: str, mc_overrides: Mapping,
                out_dir: Path, mutation_control: bool = False
                ) -> tuple[VerificationSummary, Path]:
@@ -469,10 +487,7 @@ def run_verify(path_or_name: str, mc_overrides: Mapping,
     must fail (negative control for the oracle itself).
     """
     text, name = read_spec_text(path_or_name)
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"invalid YAML in {path_or_name}: {exc}") from exc
+    raw = _parse_yaml(text, path_or_name)
     if not isinstance(raw, Mapping) or "configs" not in raw:
         raise ParseError(f"{path_or_name} must be a mapping with a 'configs' list")
     _reject_unknown(raw, _VERIFY_KEYS, f"the top level of {path_or_name}")

@@ -35,7 +35,12 @@ BLOCK = 256
 
 @dataclass(frozen=True)
 class McSettings:
-    """Trial count and master seed of a Monte Carlo run."""
+    """Trial count and master seed of a Monte Carlo run.
+
+    The seed keys a 64-bit Philox stream, so it must lie in [0, 2**64):
+    a seed outside that range would silently draw what its value modulo
+    2**64 draws while the output records the unreduced seed.
+    """
 
     trials: int = 10_000
     master_seed: int = 1
@@ -43,6 +48,9 @@ class McSettings:
     def __post_init__(self):
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ValidationError(
+                f"seed must be in [0, 2**64), got {self.master_seed}")
 
 
 @dataclass(frozen=True)

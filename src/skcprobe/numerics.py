@@ -102,17 +102,30 @@ def _per_matrix(values: np.ndarray):
 
 def _cholesky_jittered(m: np.ndarray, index: int) -> np.ndarray:
     """Cholesky factor of one matrix, retried once with a tiny trace-scaled
-    diagonal jitter; `index` names the matrix in the error."""
+    diagonal jitter; `index` names the matrix in the error.  A matrix whose
+    trace overflows has no finite jitter and is not retried: its factor is
+    all NaN."""
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         n = m.shape[0]
         jitter = 1e-12 * float(np.real(np.trace(m))) / n
+        if not np.isfinite(jitter):
+            return np.full_like(m, np.nan)
         try:
             return np.linalg.cholesky(m + jitter * np.eye(n))
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefinite(
                 f"matrix {index}: Cholesky failed even with jitter {jitter:.3e}") from exc
+
+
+def _non_finite_logdets(m: np.ndarray):
+    """logdet_hermitian_pd of a stack in which some matrix holds a NaN or an
+    infinite entry: NaN for each such matrix, which is not factored (the
+    identity stands in for it, so every other matrix keeps its index)."""
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    out = logdet_hermitian_pd(np.where(finite[..., None, None], m, np.eye(m.shape[-1])))
+    return _per_matrix(np.where(finite, out, np.nan))
 
 
 def logdet_hermitian_pd(m: np.ndarray):
@@ -127,11 +140,19 @@ def logdet_hermitian_pd(m: np.ndarray):
     failure raises NotPositiveDefinite naming the matrix's index in the
     flattened stack (these matrices are PD by construction, so failure
     indicates a caller bug rather than bad data).
+
+    Two matrices are out of double range and get a NaN log-det, which the
+    Monte Carlo engine's finiteness check then reports for its trial: one
+    holding a NaN or an infinite entry (its asymmetry reads NaN), which is
+    not factored, and one whose factorization fails and whose trace, and
+    so its jitter, overflows.
     """
     m = _square_stack(m)
     asym = float(np.max(np.abs(m - conj_t(m))))
-    if asym > HERMITIAN_ATOL:
-        raise NotHermitian(f"max asymmetry {asym:.3e} exceeds {HERMITIAN_ATOL:.0e}")
+    if not asym <= HERMITIAN_ATOL:
+        if not np.isnan(asym):
+            raise NotHermitian(f"max asymmetry {asym:.3e} exceeds {HERMITIAN_ATOL:.0e}")
+        return _non_finite_logdets(m)
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:

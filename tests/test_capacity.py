@@ -475,6 +475,60 @@ class TestEvaluateMany:
                           labels=["small", "huge"])
 
 
+class TestOneWayLower:
+    """At v_b = 0 the reported lower bound is the Bob-side bound, which is
+    also the upper bound, and the Alice side is sampled only when named."""
+
+    ONE_WAY = {
+        "oneway": {},
+        "n_a<n_b": dict(n_a=2, n_b=3, n_e=2),
+        "rho=1": dict(rho=1.0),
+        "noisy-eve": dict(noise_ea=1.0e6),
+        "noiseless-eve": dict(noise_ea=0.0),
+    }
+
+    @staticmethod
+    def one_way(overrides):
+        return replace(load_spec("oneway").base, **overrides)
+
+    def test_lower_upper_take_one_pass_without_the_role_swap(self, monkeypatch):
+        import skcprobe.capacity as capacity
+        collects, bob_configs, logdets = [], [], []
+
+        def counting_collect(*args):
+            collects.append(args)
+            return collect(*args)
+
+        def recording_bob(block, config, *args, **kwargs):
+            bob_configs.append(config)
+            return lower_bound_bob_sample(block, config, *args, **kwargs)
+
+        real_logdet = capacity.logdet_hermitian_pd
+        monkeypatch.setattr(capacity, "collect", counting_collect)
+        monkeypatch.setattr(capacity, "lower_bound_bob_sample", recording_bob)
+        monkeypatch.setattr(capacity, "logdet_hermitian_pd",
+                            lambda m: logdets.append(m.shape) or real_logdet(m))
+        cfg = self.one_way({})
+        mc = McSettings(trials=2 * BLOCK + 9, master_seed=71)
+        est = evaluate(cfg, mc, ("lower", "upper"))
+        blocks = math.ceil(mc.trials / BLOCK)
+        assert len(collects) == 1
+        assert bob_configs == [cfg] * blocks         # never the role-swapped config
+        assert len(logdets) == 2 * blocks            # the floor's two; Bob's bound reuses it
+        assert est["lower"] == est["upper"]
+
+    @pytest.mark.parametrize("overrides", list(ONE_WAY.values()), ids=list(ONE_WAY))
+    def test_lower_is_lower_bob_bit_for_bit(self, overrides):
+        cfg = self.one_way(overrides)
+        mc = McSettings(trials=BLOCK + 21, master_seed=73)
+        est = evaluate(cfg, mc, ("lower", "lower_bob", "upper"))
+        named = evaluate(cfg, mc, ("lower", "lower_alice"))
+        assert est["lower"] == est["lower_bob"] == est["upper"]
+        assert named["lower"] == est["lower"]
+        assert named["lower_alice"].mean <= est["lower_bob"].mean
+        assert est["lower"].method == "monte-carlo"
+
+
 class TestRoleSymmetry:
     def test_symmetric_config_gives_identical_bounds(self):
         cfg = make_config(n_a=2, n_b=2, v_a=1, v_b=1, phi_a=16, phi_b=16,
@@ -575,8 +629,10 @@ class TestRandomValidConfigs:
     def test_finite_or_named_error_and_shared_draw_identities(self, config, seed):
         assert math.isfinite(pilot_mi(config))
         mc = McSettings(trials=8, master_seed=seed)
+        alice_sampled = not _alice_bound_diverges(config)
+        names = ("floor", "gap", "lower_bob") + (("lower_alice",) if alice_sampled else ())
         try:
-            values = trial_values(config, mc, ("floor", "gap", "lower_bob"))
+            values = trial_values(config, mc, names)
             est = evaluate(config, mc, ("upper", "lower_alice"))
         except SkcError as exc:
             assert type(exc) is not SkcError
@@ -592,6 +648,11 @@ class TestRandomValidConfigs:
         assert (gap >= 0.0).all()
         if config.v_b == 0:
             assert (gap == 0.0).all()
+            # why 'lower' is the Bob-side bound at v_b = 0 without sampling
+            # the Alice side: that side is never larger, per sample
+            if alice_sampled:
+                bob, alice = values["lower_bob"], values["lower_alice"]
+                assert (alice - bob <= 1e-12 * (np.abs(alice) + np.abs(bob))).all()
         assert upper == summarize(values["lower_bob"] + gap)
 
 

@@ -40,6 +40,13 @@ mc: {trials: 40, seed: 1}
 quantities: [floor]
 """
 
+OVERFLOW_SWEEP = """
+config: {n_a: 4, n_b: 2, n_e: 2}
+sweep: {parameter: power_a, values: [1.0, 1.0e+308]}
+mc: {trials: 60, seed: 2}
+quantities: [floor]
+"""
+
 VERIFY_SET = """
 name: tiny-verify
 mc: {trials: 500, seed: 1}
@@ -204,6 +211,18 @@ quantities: [gap]
         assert code == 4
         assert f"trial 0: {named}" in capsys.readouterr().err
 
+    def test_numpy_warnings_stay_off_stderr(self, tmp_path):
+        # at 1e308 several numpy operations overflow; the only line on stderr
+        # is the program's own error, which names the point
+        spec = write(tmp_path, OVERFLOW_SWEEP, "overflow.yaml")
+        proc = subprocess.run(
+            [sys.executable, "-m", "skcprobe.cli", "sweep", "--config", spec,
+             "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines() == [
+            "error (numeric): trial 0: case 'base', power_a = 1e+308: floor integrand is nan"]
+
     def test_verify_pass_and_mutation_control(self, tmp_path, capsys):
         spec = write(tmp_path, VERIFY_SET, "verify.yaml")
         assert main(["verify", "--config", spec, "--out", str(tmp_path)]) == 0
@@ -276,6 +295,43 @@ class TestEnvironmentOverrides:
         spec = write(tmp_path, SMALL_EVAL, "spec.yaml")
         monkeypatch.setenv("SKCPROBE_SEED", "not-a-number")
         assert main(["eval", "--config", spec, "--out", str(tmp_path)]) == 3
+
+
+class TestSeedRange:
+    """A master seed keys a 64-bit stream: one outside [0, 2**64) would draw
+    what its value modulo 2**64 draws, so every route to it rejects it."""
+
+    RULE = "seed must be in [0, 2**64)"
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_flag(self, tmp_path, capsys, seed):
+        spec = write(tmp_path, SMALL_EVAL, "spec.yaml")
+        assert main(["eval", "--config", spec, "--seed", seed, "--out", str(tmp_path)]) == 3
+        assert self.RULE in capsys.readouterr().err
+        assert not (tmp_path / "point.csv").exists()
+
+    def test_environment(self, tmp_path, capsys, monkeypatch):
+        spec = write(tmp_path, SMALL_EVAL, "spec.yaml")
+        monkeypatch.setenv("SKCPROBE_SEED", "-1")
+        assert main(["eval", "--config", spec, "--out", str(tmp_path)]) == 3
+        assert self.RULE in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,text,old", [
+        ("eval", SMALL_EVAL, "seed: 2"),
+        ("verify", VERIFY_SET, "seed: 1"),
+    ], ids=["spec", "verify-set"])
+    def test_spec_file(self, tmp_path, capsys, command, text, old):
+        assert old in text
+        spec = write(tmp_path, text.replace(old, f"seed: {2**64}"), "spec.yaml")
+        assert main([command, "--config", spec, "--out", str(tmp_path)]) == 3
+        assert self.RULE in capsys.readouterr().err
+
+    def test_largest_seed_runs(self, tmp_path):
+        spec = write(tmp_path, SMALL_EVAL, "spec.yaml")
+        seed = str(2**64 - 1)
+        assert main(["eval", "--config", spec, "--seed", seed, "--out", str(tmp_path)]) == 0
+        row = (tmp_path / "point.csv").read_text().splitlines()[1]
+        assert row.endswith("," + seed)
 
 
 class TestOneWayReport:

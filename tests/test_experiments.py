@@ -76,6 +76,16 @@ class TestLoadSpec:
         with pytest.raises(ParseError):
             load_spec(write(tmp_path, "config: [unclosed"))
 
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "oneway", "verify-default"])
+    def test_spec_loader_matches_the_pure_python_safe_loader(self, name):
+        # specs parse with libyaml where PyYAML has it; the objects must be
+        # those of yaml.SafeLoader (numbers, exponents, booleans, rho strings)
+        import yaml
+        from skcprobe.experiments import _YAML_LOADER, bundled_config_text
+        extra = "\nextra: {a: 1.0e+308, b: -2, c: true, d: '0.5+0.5j', e: [1, 2.5e-3]}\n"
+        text = bundled_config_text(name) + extra
+        assert yaml.load(text, Loader=_YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
     @pytest.mark.parametrize("mc", ["{trials: 1.5}", "{seed: 2.9}", "{trials: true}",
                                     "{seed: '3'}"])
     def test_mc_integers_are_strict(self, tmp_path, mc):

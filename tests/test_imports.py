@@ -1,8 +1,9 @@
 """Import budget and attribute names the benchmark relies on.
 
-Only the quadrature oracle of `verify` loads scipy.  Each scipy case runs
-in a fresh interpreter, so modules imported by earlier tests in the same
-pytest process cannot hide or fake an import.
+Only the quadrature oracle of `verify` loads scipy, and only `verify` (or a
+verify name taken from the package) loads the verification suite.  Each
+case runs in a fresh interpreter, so modules imported by earlier tests in
+the same pytest process cannot hide or fake an import.
 """
 
 import functools
@@ -14,20 +15,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+VERIFY = "skcprobe.verify"
 
-# runs the given statement, then prints the loaded scipy modules as JSON on
-# the last line of stdout
+# runs the given statement, then prints the loaded scipy modules and the
+# verification suite, if loaded, as JSON on the last line of stdout
 PROBE = """
 import json, sys
 {statement}
 print(json.dumps(sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy."))))
-"""
+                        if m == "scipy" or m.startswith("scipy.") or m == "%s")))
+""" % VERIFY
 
 
-def loaded_scipy(statement: str) -> list[str]:
+def loaded_modules(statement: str) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", PROBE.format(statement=statement)],
                           capture_output=True, text=True, env=env)
@@ -35,26 +39,38 @@ def loaded_scipy(statement: str) -> list[str]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def loaded_scipy(statement: str) -> list[str]:
+    return [m for m in loaded_modules(statement) if m != VERIFY]
+
+
 def cli_statement(argv: list[str]) -> str:
     return (f"from skcprobe.cli import main\n"
             f"assert main({argv!r}) == 0")
 
 
-def test_only_the_quadrature_oracle_loads_scipy(tmp_path):
-    out = str(tmp_path)
+@pytest.fixture(scope="module")
+def cli_probes(tmp_path_factory):
+    """(output directory, {case: modules loaded}) of a fresh interpreter
+    that imports the package or runs one of eval, sweep and dof."""
+    out = tmp_path_factory.mktemp("cli")
     cases = {
         "import": "import skcprobe, skcprobe.cli",
         "eval": cli_statement(["eval", "--config", "oneway", "--trials", "50",
-                               "--out", out]),
+                               "--out", str(out)]),
         "sweep": cli_statement(["sweep", "--config", "fig1", "--trials", "20",
-                                "--out", out]),
+                                "--out", str(out)]),
         "dof": cli_statement(["dof", "--config", "fig2", "--trials", "20",
-                              "--out", out]),
+                              "--out", str(out)]),
     }
-    for name, statement in cases.items():
-        assert loaded_scipy(statement) == [], f"{name} loaded scipy"
+    return out, {name: loaded_modules(statement) for name, statement in cases.items()}
+
+
+def test_only_the_quadrature_oracle_loads_scipy(cli_probes):
+    out, loaded = cli_probes
+    for name, modules in loaded.items():
+        assert [m for m in modules if m != VERIFY] == [], f"{name} loaded scipy"
     for name in ("oneway.csv", "fig1.csv", "fig2-dof.csv"):
-        assert (tmp_path / name).exists()
+        assert (out / name).exists()
 
     # the oracle itself still imports scipy on first use and keeps its value
     # (e * E1(1) / ln 2, 30-digit mpmath, frozen)
@@ -63,6 +79,20 @@ def test_only_the_quadrature_oracle_loads_scipy(tmp_path):
         "value = siso_ergodic_capacity(1.0)\n"
         "assert abs(value - 0.86034738227088595) <= 1e-10, value")
     assert "scipy.integrate" in modules and "scipy.special" in modules
+
+
+def test_eval_sweep_dof_do_not_load_the_verify_suite(cli_probes):
+    _, loaded = cli_probes
+    for name, modules in loaded.items():
+        assert VERIFY not in modules, f"{name} loaded the verification suite"
+    # the package still exports the suite's names, loading it on first use
+    modules = loaded_modules(
+        "from skcprobe import run_suite, VerificationSummary\n"
+        "import skcprobe, skcprobe.experiments\n"
+        "assert run_suite.__module__ == 'skcprobe.verify'\n"
+        "assert {'run_suite', 'VerificationSummary'} <= set(skcprobe.__all__)\n"
+        "assert callable(skcprobe.experiments.run_suite)")
+    assert modules == [VERIFY]
 
 
 def test_benchmark_trace_targets_resolve():

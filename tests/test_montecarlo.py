@@ -79,6 +79,14 @@ class TestEstimate:
         with pytest.raises(ValidationError):
             McSettings(trials=0)
 
+    def test_seed_is_a_64_bit_key(self):
+        # outside [0, 2**64) a seed would alias its value modulo 2**64
+        for seed in (-1, 2**64, -2**64):
+            with pytest.raises(ValidationError, match=r"seed must be in \[0, 2\*\*64\)"):
+                McSettings(master_seed=seed)
+        assert McSettings(master_seed=0).master_seed == 0
+        assert McSettings(master_seed=2**64 - 1).master_seed == 2**64 - 1
+
 
 class TestCollect:
     def test_blocks_cover_trials_in_order(self):

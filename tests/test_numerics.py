@@ -141,6 +141,27 @@ class TestStackedLogdet:
         with pytest.raises(NotHermitian):
             logdet_hermitian_pd(stack)
 
+    @pytest.mark.parametrize("entry", [np.inf, np.nan, complex(np.inf, 1.0)])
+    def test_non_finite_matrix_is_nan_and_not_factored(self, rng, entry):
+        # its asymmetry reads NaN; the other matrices keep their values
+        stack = self.pd_stack(rng, 4, 2)
+        stack[1, 0, 0] = entry
+        with np.errstate(invalid="ignore"):
+            out = logdet_hermitian_pd(stack)
+            single = logdet_hermitian_pd(stack[1])
+        assert np.isnan(out[1]) and np.isnan(single)
+        for k in (0, 2, 3):
+            assert out[k] == logdet_hermitian_pd(stack[k])
+
+    def test_overflowing_trace_gives_nan_not_an_infinite_jitter(self, rng):
+        # finite and not PD, but its trace, and so its jitter, overflows
+        stack = self.pd_stack(rng, 3, 3)
+        stack[1] = np.diag([1.0e308, 1.0e308, -1.0])
+        with np.errstate(over="ignore"):
+            out = logdet_hermitian_pd(stack)
+        assert np.isnan(out[1])
+        assert out[2] == logdet_hermitian_pd(stack[2])
+
 
 class TestCapacityLogdet:
     # log2 det(I + gamma H H^H), the capacity log-det; mi_given_channel
