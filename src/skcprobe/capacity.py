@@ -483,20 +483,15 @@ MIN_GRID_POINTS = 4
 MIN_GRID_DECADES = 3.0
 
 
-def dof_slope(quantity: Callable[[Sequence[ProbingConfig]], Sequence[Estimate]],
-              config: ProbingConfig, p_grid: Sequence[float]) -> DofResult:
-    """Fit the slope of a quantity's estimate at config_at_power(config, p)
-    against log2 p.  `quantity` estimates it at every grid point in one call
-    (for example through evaluate_many), in grid order.
-
-    The fit uses only the top half of the grid to approximate the infinite-
-    power limit while keeping runtime bounded.  The grid must have at least
-    MIN_GRID_POINTS strictly increasing values spanning MIN_GRID_DECADES
-    decades.
-    """
-    grid = [float(p) for p in p_grid]
+def checked_power_grid(p_grid: Sequence[float]) -> tuple[float, ...]:
+    """The grid as floats, if it has at least MIN_GRID_POINTS strictly
+    increasing, finite, positive values spanning MIN_GRID_DECADES decades;
+    otherwise GridTooSmall names the broken rule."""
+    grid = tuple(float(p) for p in p_grid)
     if len(grid) < MIN_GRID_POINTS:
         raise GridTooSmall(f"need >= {MIN_GRID_POINTS} grid points, got {len(grid)}")
+    if not all(math.isfinite(p) for p in grid):
+        raise GridTooSmall("grid values must be finite")
     for lo, hi in zip(grid, grid[1:]):
         if hi <= lo:
             raise GridTooSmall("grid must be strictly increasing")
@@ -505,6 +500,20 @@ def dof_slope(quantity: Callable[[Sequence[ProbingConfig]], Sequence[Estimate]],
     decades = math.log10(grid[-1] / grid[0])
     if decades < MIN_GRID_DECADES * (1.0 - 1e-9):
         raise GridTooSmall(f"grid spans {decades:.2f} decades, need >= {MIN_GRID_DECADES}")
+    return grid
+
+
+def dof_slope(quantity: Callable[[Sequence[ProbingConfig]], Sequence[Estimate]],
+              config: ProbingConfig, p_grid: Sequence[float]) -> DofResult:
+    """Fit the slope of a quantity's estimate at config_at_power(config, p)
+    against log2 p.  `quantity` estimates it at every grid point in one call
+    (for example through evaluate_many), in grid order.
+
+    The fit uses only the top half of the grid to approximate the infinite-
+    power limit while keeping runtime bounded.  The grid must pass
+    checked_power_grid.
+    """
+    grid = checked_power_grid(p_grid)
     ests = quantity([config_at_power(config, p) for p in grid])
     means = np.array([e.mean for e in ests])
     top = slice(len(grid) // 2, None)
@@ -520,7 +529,7 @@ def dof_slope(quantity: Callable[[Sequence[ProbingConfig]], Sequence[Estimate]],
         formula_value=formula,
         slope=float(coef[0]),
         fit_residual=float(np.sqrt(np.mean(resid ** 2))),
-        p_grid=tuple(grid),
+        p_grid=grid,
         means=tuple(float(m) for m in means),
         stderrs=tuple(float(e.stderr) for e in ests),
     )

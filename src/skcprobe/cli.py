@@ -15,6 +15,9 @@ the computation, which runs on one thread.
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import os
 import sys
 from pathlib import Path
@@ -26,7 +29,6 @@ from .capacity import dof_formula, dof_window_split
 from .errors import (
     DimensionGuard,
     DimensionMismatch,
-    GridTooSmall,
     IntegrandFailure,
     InvalidNoise,
     NotHermitian,
@@ -58,7 +60,7 @@ THREADS_ENV = "SKCPROBE_THREADS"
 
 _NUMERIC_ERRORS = (
     NotHermitian, NotPositiveDefinite, DimensionMismatch,
-    InvalidNoise, PilotTooShort, OrderingViolation, GridTooSmall,
+    InvalidNoise, PilotTooShort, OrderingViolation,
     IntegrandFailure, DimensionGuard, QuadratureFailure,
 )
 
@@ -198,7 +200,23 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _freeze_heap_at_exit() -> None:
+    """At interpreter exit, move every live object into the collector's
+    permanent generation, so that shutdown does not walk the import-time
+    object graph (numpy, PyYAML, scipy after verify) to free memory the OS
+    takes back anyway.  Registered once per process; in-process callers
+    keep a normal collector until their own interpreter exits.
+
+    Frozen objects in reference cycles are never finalized, so everything
+    the CLI writes must be closed before main returns: today every output
+    goes through Path.write_text.
+    """
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _freeze_heap_at_exit()
     args = build_parser().parse_args(argv)
     try:
         _check_threads(args)

@@ -22,9 +22,9 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import yaml
 
 from . import capacity
-from .capacity import DofResult, Estimate, dof_slope, evaluate_many
+from .capacity import DofResult, Estimate, checked_power_grid, dof_slope, evaluate_many
 from .channel import ProbingConfig
-from .errors import ParseError, ValidationError
+from .errors import GridTooSmall, ParseError, ValidationError
 from .montecarlo import McSettings
 from .svgplot import line_chart
 
@@ -275,10 +275,13 @@ def load_spec(path_or_name: str, seed_override: int | None = None,
         cases = (CaseSpec("base", {}),)
 
     grid = _list_section(raw, "power_grid", [])
+    for p in grid:
+        if not isinstance(p, (int, float)) or isinstance(p, bool):
+            raise ValidationError(f"'power_grid' entries must be numbers, got {p!r}")
     try:
-        power_grid = tuple(float(p) for p in grid)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"'power_grid' entries must be numbers: {exc}") from exc
+        power_grid = checked_power_grid(grid) if grid else ()
+    except GridTooSmall as exc:
+        raise ValidationError(f"'power_grid': {exc}") from exc
 
     svg = raw.get("svg", False)
     if not isinstance(svg, bool):

@@ -37,15 +37,20 @@ BLOCK = 256
 class McSettings:
     """Trial count and master seed of a Monte Carlo run.
 
-    The seed keys a 64-bit Philox stream, so it must lie in [0, 2**64):
-    a seed outside that range would silently draw what its value modulo
-    2**64 draws while the output records the unreduced seed.
+    Both must be integers, and a bool is not one.  The seed keys a 64-bit
+    Philox stream, so it must lie in [0, 2**64): a seed outside that range
+    would silently draw what its value modulo 2**64 draws while the output
+    records the unreduced seed.
     """
 
     trials: int = 10_000
     master_seed: int = 1
 
     def __post_init__(self):
+        for name in ("trials", "master_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.master_seed < 2 ** 64:

@@ -1,5 +1,8 @@
 """CLI behavior: exit codes, output determinism, environment overrides."""
 
+import atexit
+import functools
+import gc
 import json
 import subprocess
 import sys
@@ -7,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from skcprobe import cli
 from skcprobe.cli import main
 
 SMALL_EVAL = """
@@ -162,6 +166,20 @@ quantities: [gap]
          "power_grid: {p: 1.0}", "'power_grid'"),
         ("dof", SMALL_DOF, "power_grid: [1.0, 10.0, 100.0, 1000.0]",
          "power_grid: [1, ten, 100, 1000]", "'power_grid'"),
+        ("dof", SMALL_DOF, "power_grid: [1.0, 10.0, 100.0, 1000.0]",
+         'power_grid: [1.0, "10", 100.0, 1000.0]', "'power_grid'"),
+        ("dof", SMALL_DOF, "power_grid: [1.0, 10.0, 100.0, 1000.0]",
+         "power_grid: [true, 10.0, 100.0, 1000.0]", "'power_grid'"),
+        ("dof", SMALL_DOF, "power_grid: [1.0, 10.0, 100.0, 1000.0]",
+         "power_grid: [1.0, 100.0, 1000.0]", "'power_grid'"),
+        ("dof", SMALL_DOF, "power_grid: [1.0, 10.0, 100.0, 1000.0]",
+         "power_grid: [1.0, 100.0, 10.0, 1000.0]", "'power_grid'"),
+        ("dof", SMALL_DOF, "power_grid: [1.0, 10.0, 100.0, 1000.0]",
+         "power_grid: [-1.0, 10.0, 100.0, 1000.0]", "'power_grid'"),
+        ("dof", SMALL_DOF, "power_grid: [1.0, 10.0, 100.0, 1000.0]",
+         "power_grid: [1.0, 10.0, 100.0, 900.0]", "'power_grid'"),
+        ("dof", SMALL_DOF, "power_grid: [1.0, 10.0, 100.0, 1000.0]",
+         "power_grid: [1.0, 10.0, 100.0, .inf]", "'power_grid'"),
         ("sweep", SMALL_SWEEP, "  - {name: narrow, overrides: {n_e: 1}}\n"
          "  - {name: wide, overrides: {n_e: 4}}\n", " 3\n", "'cases'"),
         ("sweep", SMALL_SWEEP, "  - {name: narrow, overrides: {n_e: 1}}\n"
@@ -172,8 +190,10 @@ quantities: [gap]
         ("eval", SMALL_EVAL, "quantities: [pilot_mi, bounds]", "quantities: bounds",
          "'quantities'"),
         ("sweep", SMALL_SWEEP, "svg: true", 'svg: "no"', "'svg'"),
-    ], ids=["grid-scalar", "grid-mapping", "grid-entry", "cases-scalar", "cases-mapping",
-            "sweep-values", "case-overrides", "quantities-string", "svg-string"])
+    ], ids=["grid-scalar", "grid-mapping", "grid-entry", "grid-quoted", "grid-bool",
+            "grid-points", "grid-order", "grid-positive", "grid-decades", "grid-infinite",
+            "cases-scalar", "cases-mapping", "sweep-values", "case-overrides",
+            "quantities-string", "svg-string"])
     def test_malformed_spec_section_is_validation_error(self, tmp_path, capsys, command,
                                                         text, old, new, named):
         assert old in text
@@ -376,3 +396,43 @@ class TestConsoleEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "wrote" in proc.stdout
+
+
+FREEZE_PROBE = """
+import atexit, gc, sys
+# registered before main, so it runs after main's exit hook
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+from skcprobe.cli import main
+code = main(sys.argv[1:])
+print("frozen on return:", gc.get_freeze_count() > 0)
+sys.exit(code)
+"""
+
+
+class TestHeapFrozenAtExit:
+    def test_subprocess_heap_is_frozen_at_shutdown(self, tmp_path):
+        spec = write(tmp_path, SMALL_EVAL, "spec.yaml")
+        proc = subprocess.run(
+            [sys.executable, "-c", FREEZE_PROBE, "eval", "--config", spec,
+             "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[-2:] == ["frozen on return: False", "frozen at exit: True"]
+        assert (tmp_path / "point.csv").read_text().count("\n") == 2
+
+    def test_in_process_main_only_registers_the_hook(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # main freezes nothing itself, and however often it runs, the
+        # process gets one exit hook
+        spec = write(tmp_path, SMALL_EVAL, "spec.yaml")
+        registered = []
+        monkeypatch.setattr(atexit, "register", registered.append)
+        # a fresh once-per-process registration, as in a new process
+        monkeypatch.setattr(cli, "_freeze_heap_at_exit",
+                            functools.cache(cli._freeze_heap_at_exit.__wrapped__))
+        frozen = gc.get_freeze_count()
+        for _ in range(2):
+            assert main(["eval", "--config", spec, "--out", str(tmp_path)]) == 0
+            assert gc.get_freeze_count() == frozen
+        assert registered == [gc.freeze]

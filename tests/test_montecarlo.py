@@ -87,6 +87,16 @@ class TestEstimate:
         assert McSettings(master_seed=0).master_seed == 0
         assert McSettings(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
+    @pytest.mark.parametrize("field,value", [
+        ("master_seed", 1.5), ("master_seed", True), ("master_seed", "1"),
+        ("trials", 2.5), ("trials", True), ("trials", 100.0),
+    ])
+    def test_fields_must_be_integers(self, field, value):
+        # a float seed or trial count used to fail later with a raw
+        # TypeError, and master_seed=True drew seed 1
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            McSettings(**{field: value})
+
 
 class TestCollect:
     def test_blocks_cover_trials_in_order(self):
