@@ -12,11 +12,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidNoise, PilotTooShort, ValidationError
-from .numerics import as_generator, sample_cgaussian
+from .numerics import RngStream, sample_cgaussian
 
 # |rho| at or above this counts as perfectly reciprocal (float equality with
 # 1.0 would be meaningless).
@@ -151,9 +152,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+# the channel that each channel becomes when Alice and Bob exchange roles
+_SWAPPED = {"h_ba": "h_ab", "h_ab": "h_ba", "g_a": "g_b", "g_b": "g_a"}
+
+
 class ChannelRealization:
-    """One draw of the four channel matrices, or a block of draws.
+    """One draw of the four channel matrices, or a block of draws, each
+    matrix produced on first read and then kept.
 
     h_ba (n_b x n_a) is the Alice-to-Bob response, h_ab (n_a x n_b) the
     Bob-to-Alice response; g_a (n_e x n_a) and g_b (n_e x n_b) are Eve's
@@ -163,12 +168,37 @@ class ChannelRealization:
     A block stacks its trials along a leading axis of every matrix
     (h_ba has shape (trials, n_b, n_a), and so on); indexing a block
     selects trials: block[j] is trial j, block[:k] the first k trials.
+    Indexing and swap_roles read the matrices of the realization they
+    come from, so neither draws anything a caller does not read.
+
+    `read(realization, name)` produces the matrix `name` (h_ba, h_ab, g_a
+    or g_b) on its first read.  from_arrays builds a realization from given
+    matrices, and sample_channels one that draws them.
     """
 
-    h_ba: np.ndarray
-    h_ab: np.ndarray
-    g_a: np.ndarray
-    g_b: np.ndarray
+    __slots__ = ("_read", "_matrices", "trials_shape")
+
+    def __init__(self, read: Callable[["ChannelRealization", str], np.ndarray],
+                 trials_shape: tuple[int, ...]):
+        self._read = read
+        self._matrices: dict[str, np.ndarray] = {}
+        self.trials_shape = trials_shape  # () for a single draw, (trials,) for a block
+
+    @classmethod
+    def from_arrays(cls, h_ba, h_ab, g_a, g_b) -> "ChannelRealization":
+        matrices = {"h_ba": h_ba, "h_ab": h_ab, "g_a": g_a, "g_b": g_b}
+        return cls(lambda _, name: matrices[name], np.shape(h_ba)[:-2])
+
+    def _matrix(self, name: str) -> np.ndarray:
+        m = self._matrices.get(name)
+        if m is None:
+            m = self._matrices[name] = self._read(self, name)
+        return m
+
+    h_ba = property(lambda self: self._matrix("h_ba"))
+    h_ab = property(lambda self: self._matrix("h_ab"))
+    g_a = property(lambda self: self._matrix("g_a"))
+    g_b = property(lambda self: self._matrix("g_b"))
 
     @property
     def n_a(self) -> int:
@@ -182,38 +212,51 @@ class ChannelRealization:
     def n_e(self) -> int:
         return self.g_a.shape[-2]
 
-    @property
-    def trials_shape(self) -> tuple[int, ...]:
-        """() for a single draw, (trials,) for a block."""
-        return self.h_ba.shape[:-2]
-
     def __getitem__(self, index) -> "ChannelRealization":
-        return ChannelRealization(self.h_ba[index], self.h_ab[index],
-                                  self.g_a[index], self.g_b[index])
+        shape = np.empty(self.trials_shape, dtype=bool)[index].shape
+        return ChannelRealization(lambda _, name: self._matrix(name)[index], shape)
 
     def swap_roles(self) -> "ChannelRealization":
-        return ChannelRealization(h_ba=self.h_ab, h_ab=self.h_ba,
-                                  g_a=self.g_b, g_b=self.g_a)
+        return ChannelRealization(lambda _, name: self._matrix(_SWAPPED[name]),
+                                  self.trials_shape)
 
 
-def sample_channels(config: ProbingConfig, stream,
+# the matrices sample_channels draws; each comes from the substream of the
+# block's stream numbered by its position here
+DRAWN = ("h_ba", "residual", "g_a", "g_b")
+
+
+def sample_channels(config: ProbingConfig, stream: RngStream,
                     trials: int | None = None) -> ChannelRealization:
-    """Draw one correlated channel realization, or a block of `trials`.
+    """One correlated channel realization, or a block of `trials`, whose
+    matrices are drawn on first read.
 
-    Sampling order is fixed (h_ba, reciprocity residual, g_a, g_b), each
-    drawn for the whole block at once, so that changing n_e does not
-    disturb the legitimate-channel draws of a given stream -- that is what
-    makes common-random-number sweeps work.
+    Each matrix of DRAWN (h_ba, the reciprocity residual, g_a, g_b) is one
+    sample_cgaussian draw from its own substream of `stream`, so it depends
+    only on the stream and its own shape: h_ba does not change with n_e or
+    rho, nor g_a with n_b or rho -- that is what makes common-random-number
+    sweeps work -- and an integrand that reads h_ba and g_a draws nothing
+    else.  h_ab is formed from h_ba and the residual when it is read.
+    Draws are trial-major, so the first k trials of a block are those of
+    any larger block from the same stream, and a single draw is trial 0.
     """
-    rng = as_generator(stream)
+    if not isinstance(stream, RngStream):
+        raise TypeError(f"expected RngStream, got {type(stream)!r}")
+    shapes = {"h_ba": (config.n_b, config.n_a), "residual": (config.n_b, config.n_a),
+              "g_a": (config.n_e, config.n_a), "g_b": (config.n_e, config.n_b)}
     rho = complex(config.rho)
-    h_ba = sample_cgaussian(config.n_b, config.n_a, rng, trials)
-    resid = sample_cgaussian(config.n_b, config.n_a, rng, trials)
     scale = np.sqrt(max(0.0, 1.0 - abs(rho) ** 2))
-    h_ab = np.ascontiguousarray(np.swapaxes(rho * h_ba + scale * resid, -1, -2))
-    g_a = sample_cgaussian(config.n_e, config.n_a, rng, trials)
-    g_b = sample_cgaussian(config.n_e, config.n_b, rng, trials)
-    return ChannelRealization(_frozen(h_ba), _frozen(h_ab), _frozen(g_a), _frozen(g_b))
+
+    def draw(name: str) -> np.ndarray:
+        return sample_cgaussian(*shapes[name], stream.split(DRAWN.index(name)), trials)
+
+    def read(block: ChannelRealization, name: str) -> np.ndarray:
+        if name != "h_ab":
+            return _frozen(draw(name))
+        h_ab = rho * block.h_ba + scale * draw("residual")
+        return _frozen(np.ascontiguousarray(np.swapaxes(h_ab, -1, -2)))
+
+    return ChannelRealization(read, () if trials is None else (trials,))
 
 
 def generate_pilot(n: int, phi: int) -> np.ndarray:

@@ -286,6 +286,12 @@ def load_spec(path_or_name: str, seed_override: int | None = None,
     svg = raw.get("svg", False)
     if not isinstance(svg, bool):
         raise ValidationError(f"'svg' must be true or false, got {svg!r}")
+    if svg and sweep is not None and sweep.parameter in LOG_AXIS_PARAMETERS:
+        for v in sweep.values:
+            if not v > 0:
+                raise ValidationError(
+                    f"'sweep.values': the SVG plots {sweep.parameter} on a log axis, "
+                    f"which needs positive values, got {v!r}")
 
     return ExperimentSpec(name=name, base=base, mc=mc, quantities=quantities,
                           sweep=sweep, cases=cases, svg=svg,
@@ -388,7 +394,9 @@ def run_sweep(spec: ExperimentSpec, out_dir: Path) -> tuple[Path, Path | None]:
     or rho).
 
     The optional SVG plots the first requested quantity, one polyline per
-    case, with a log x-axis for power and noise sweeps.
+    case, with a log x-axis for power and noise sweeps.  A point whose mean
+    is not finite (lower_alice is -inf with a noiseless Eve) is in the CSV
+    but not in the chart.
     """
     if spec.sweep is None:
         raise ValidationError("sweep command requires a 'sweep' section")
@@ -408,9 +416,11 @@ def run_sweep(spec: ExperimentSpec, out_dir: Path) -> tuple[Path, Path | None]:
         for value, values in zip(spec.sweep.values, points):
             rows.append([case.name, parameter, format_number(value)]
                         + _quantity_fields(values, expanded, spec.mc))
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
+            y = values[expanded[0]].mean
+            if isinstance(value, (int, float)) and not isinstance(value, bool) \
+                    and math.isfinite(y):
                 xs.append(float(value))
-                ys.append(values[expanded[0]].mean)
+                ys.append(y)
         curves[case.name] = (xs, ys)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{spec.name}.csv"

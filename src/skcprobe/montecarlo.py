@@ -1,9 +1,12 @@
 """Reproducible Monte Carlo expectation engine.
 
 Trials are drawn in fixed blocks of BLOCK trials: block b holds trials
-b*BLOCK .. (b+1)*BLOCK - 1 and is sampled as stacked (BLOCK, rows, cols)
-channel arrays from the counter-based stream keyed by (master_seed, b).
-A block is always drawn whole and then cut to the trial count, so the
+b*BLOCK .. (b+1)*BLOCK - 1 and is sampled as stacked (trials, rows, cols)
+channel arrays from the counter-based stream keyed by (master_seed, b),
+one substream per channel matrix.  A matrix is drawn when an integrand
+first reads it, so a block costs only the channels its integrands use.
+Draws are trial-major, and the last block draws only the trials the run
+keeps; its first k trials are still those of the whole block, so the
 first k trials of a run are those of any longer run at the same seed and
 prefix estimates are exactly reproducible.  `collect` is the one trial
 loop: it evaluates a block integrand once per block on the whole stack,
@@ -93,21 +96,20 @@ def summarize(values: Sequence[float], method: str = "monte-carlo") -> Estimate:
                     trials=n, method=method)
 
 
-def block_streams(settings: McSettings) -> Iterator[tuple[int, int, np.random.Generator]]:
-    """(first trial index, trials kept, generator of the block's stream) for
-    every block, in trial order.  A caller draws BLOCK trials from the
-    generator and keeps the first `trials kept` of them."""
+def block_streams(settings: McSettings) -> Iterator[tuple[int, int, RngStream]]:
+    """(first trial index, trials kept, stream of the block) for every
+    block, in trial order.  A caller draws the kept trials, and no more,
+    from substreams of the stream."""
     for b, start in enumerate(range(0, settings.trials, BLOCK)):
-        yield (start, min(BLOCK, settings.trials - start),
-               RngStream(settings.master_seed, b).generator())
+        yield start, min(BLOCK, settings.trials - start), RngStream(settings.master_seed, b)
 
 
 def trial_blocks(config: ProbingConfig,
                  settings: McSettings) -> Iterator[tuple[int, ChannelRealization]]:
     """(first trial index, block of draws) for every block, in trial order;
-    the last block is cut to the trial count."""
-    for start, kept, rng in block_streams(settings):
-        yield start, sample_channels(config, rng, BLOCK)[:kept]
+    the last block holds only the trials up to the trial count."""
+    for start, kept, stream in block_streams(settings):
+        yield start, sample_channels(config, stream, kept)
 
 
 def require_finite(arrays: Mapping[Hashable, np.ndarray]) -> None:
@@ -166,9 +168,9 @@ def convergence_report(integrand: TrialIntegrand, config: ProbingConfig,
                        checkpoints: Sequence[int]) -> list[Estimate]:
     """Nested-prefix estimates: checkpoint k reuses the first k trials.
 
-    Because blocks are drawn whole from streams keyed by (master_seed,
-    block), the k-trial prefix is bit-identical to a fresh run with
-    trials=k.
+    Because every block is drawn trial-major from streams keyed by
+    (master_seed, block), the k-trial prefix is bit-identical to a fresh
+    run with trials=k.
     """
     if not checkpoints:
         raise ValidationError("checkpoints must be nonempty")

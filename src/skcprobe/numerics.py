@@ -24,51 +24,58 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-based random stream keyed by (master_seed, stream_id).
+    """Counter-based random stream keyed by (master_seed, stream_id), split
+    into substreams.
 
     Identical keys reproduce identical sequences bit for bit; distinct
     stream ids are independent by construction (Philox keyed generator).
-    The Monte Carlo engine draws trial block b from stream_id=b, so a
-    block's draws depend only on (master_seed, b).
+    Substream k of a stream starts the Philox4x64 counter at k * 2**192,
+    that is with k in the counter's high 64-bit word; a draw advances the
+    counter from its low word, one step per four 64-bit outputs, so two
+    substreams could only overlap after 2**192 steps.  The Monte Carlo
+    engine draws trial block b from stream_id=b and each channel matrix of
+    the block from its own substream (see channel.sample_channels), so a
+    matrix's draws depend only on (master_seed, b, matrix).
     """
 
     master_seed: int
     stream_id: int = 0
+    substream: int = 0
 
     def generator(self) -> Generator:
         key = np.array(
             [self.master_seed & _MASK64, self.stream_id & _MASK64],
             dtype=np.uint64,
         )
-        return Generator(Philox(key=key))
+        counter = np.array([0, 0, 0, self.substream & _MASK64], dtype=np.uint64)
+        return Generator(Philox(key=key, counter=counter))
+
+    def split(self, substream: int) -> "RngStream":
+        """Substream `substream` of this stream's key."""
+        return RngStream(self.master_seed, self.stream_id, substream)
 
 
-def as_generator(stream: "RngStream | Generator") -> Generator:
-    """Accept either an RngStream or an already-built numpy Generator."""
-    if isinstance(stream, RngStream):
-        return stream.generator()
-    if isinstance(stream, Generator):
-        return stream
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(stream)!r}")
+_SQRT_HALF = float(np.sqrt(0.5))
 
 
-def sample_cgaussian(rows: int, cols: int, stream, trials: int | None = None) -> np.ndarray:
+def sample_cgaussian(rows: int, cols: int, stream: RngStream,
+                     trials: int | None = None) -> np.ndarray:
     """Draw a rows x cols matrix of iid CN(0, 1) entries, or a stack of
     `trials` such matrices with shape (trials, rows, cols).
 
     Real and imaginary parts are independent N(0, 1/2), so each complex
-    entry has unit variance.  All real parts are drawn before all imaginary
-    parts.
+    entry has unit variance.  The draw is one standard_normal of shape
+    (trials, rows, cols, 2) viewed as complex: trial-major, each entry's
+    real part followed by its imaginary part.  So the first k trials drawn
+    from a stream are those of any longer draw from the same stream, and a
+    single matrix is trial 0 of a stack.
     """
     if rows < 1 or cols < 1:
         raise DimensionMismatch(f"matrix shape must be >= 1x1, got {rows}x{cols}")
     shape = (rows, cols) if trials is None else (trials, rows, cols)
-    rng = as_generator(stream)
-    out = np.empty(shape, dtype=complex)
-    out.real = rng.standard_normal(shape)
-    out.imag = rng.standard_normal(shape)
-    out /= np.sqrt(2.0)
-    return out
+    parts = stream.generator().standard_normal(shape + (2,))
+    parts *= _SQRT_HALF
+    return parts.view(complex).reshape(shape)
 
 
 def conj_t(m: np.ndarray) -> np.ndarray:

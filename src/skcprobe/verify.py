@@ -33,12 +33,9 @@ from .capacity import (
     secrecy_floor_sample,
     trial_values,
 )
-# sample_channels is not called here; the benchmark tracer
-# (perfbench/launch.py) wraps skcprobe.verify.sample_channels
-from .channel import ProbingConfig, derive_gammas, generate_pilot, sample_channels  # noqa: F401
+from .channel import DRAWN, ProbingConfig, derive_gammas, generate_pilot, sample_channels
 from .errors import DimensionGuard, QuadratureFailure, ValidationError
 from .montecarlo import (
-    BLOCK,
     McSettings,
     block_streams,
     collect,
@@ -141,17 +138,18 @@ def pilot_estimation_check(config: ProbingConfig, mc: McSettings) -> Verificatio
     1/(gamma*psi+1).  The detail string reports the induced perturbation on
     a probe-window entry relative to the unit receiver noise, which is what
     justifies treating the channel as known once psi is large.  Block b's
-    channels and pilot-window noise are drawn whole, in that order, from
-    the engine's stream for (master_seed, b).
+    channel is the engine's h_ba of that block, and its pilot-window noise
+    comes from the next substream after the engine's channel matrices
+    (see channel.DRAWN), both drawn for the block's kept trials only.
     """
     gamma = derive_gammas(config).gamma_ba
     psi = config.psi_a
     pi = generate_pilot(config.n_a, config.phi_a)
     scale = math.sqrt(gamma) / (gamma * psi + 1.0)
     per_trial = []
-    for _, kept, rng in block_streams(mc):
-        h = sample_cgaussian(config.n_b, config.n_a, rng, BLOCK)[:kept]
-        w = sample_cgaussian(config.n_b, config.phi_a, rng, BLOCK)[:kept]
+    for _, kept, stream in block_streams(mc):
+        h = sample_channels(config, stream, kept).h_ba
+        w = sample_cgaussian(config.n_b, config.phi_a, stream.split(len(DRAWN)), kept)
         y = math.sqrt(gamma) * (h @ pi) + w
         h_hat = scale * (y @ pi.conj().T)
         per_trial.append(np.mean(np.abs(h_hat - h) ** 2, axis=(-2, -1)))

@@ -26,7 +26,7 @@ def make_realization(h_ba, g_a, g_b, h_ab=None) -> ChannelRealization:
     h_ab = h_ba.T.copy() if h_ab is None else np.asarray(h_ab, dtype=complex)
     for m in (h_ba, h_ab, g_a, g_b):
         m.flags.writeable = False
-    return ChannelRealization(h_ba=h_ba, h_ab=h_ab, g_a=g_a, g_b=g_b)
+    return ChannelRealization.from_arrays(h_ba=h_ba, h_ab=h_ab, g_a=g_a, g_b=g_b)
 
 
 @pytest.fixture

@@ -180,9 +180,8 @@ class TestMiGivenChannel:
     def test_mc_mean_matches_quadrature(self):
         # E{log2(1+|h|^2)} = 0.86034738227088595 (mpmath quadrature)
         cfg = make_config(n_a=1, n_b=1, n_e=1)
-        gen = RngStream(31, 0).generator()
-        vals = [mi_given_channel(sample_channels(cfg, gen).h_ba, 1.0, 1)
-                for _ in range(10_000)]
+        block = sample_channels(cfg, RngStream(31, 0), trials=10_000)
+        vals = [mi_given_channel(h, 1.0, 1) for h in block.h_ba]
         stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
         assert abs(float(np.mean(vals)) - 0.86034738227088595) <= 3 * stderr
 
@@ -424,6 +423,26 @@ class TestEvaluateMany:
         assert len(samples) == 4 * math.ceil(mc.trials / BLOCK)
         monkeypatch.undo()
         assert batched == self.assert_equals_one_config_evaluate(configs, mc, QUANTITIES)
+
+    @pytest.mark.parametrize("overrides,quantities,per_block", [
+        (dict(v_b=0), ("floor",), 2),
+        (dict(v_b=0), ("lower", "upper"), 2),
+        (dict(v_b=1), ("lower", "upper"), 4),
+    ], ids=["floor", "oneway-bounds", "twoway-bounds"])
+    def test_matrices_drawn_per_block(self, monkeypatch, overrides, quantities, per_block):
+        # an integrand draws only the channels it reads: the floor and the
+        # one-way bounds read h_ba and g_a; the two-way bounds also read
+        # h_ab (from h_ba and the residual) and g_b
+        import skcprobe.channel as channel
+        drawn = []
+        real = channel.sample_cgaussian
+        monkeypatch.setattr(channel, "sample_cgaussian",
+                            lambda *args: drawn.append(args) or real(*args))
+        mc = McSettings(trials=2 * BLOCK + 5, master_seed=2)
+        evaluate(make_config(n_a=3, n_b=2, n_e=2, **overrides), mc, quantities)
+        assert len(drawn) == per_block * math.ceil(mc.trials / BLOCK)
+        assert sorted(trials for *_, trials in drawn) == \
+            sorted([BLOCK] * 2 * per_block + [5] * per_block)
 
     def test_each_gram_formed_once_per_block(self, monkeypatch):
         import skcprobe.capacity as capacity

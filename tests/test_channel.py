@@ -144,6 +144,46 @@ class TestSampleChannelBlock:
         np.testing.assert_array_equal(small.h_ba, large.h_ba)
         np.testing.assert_array_equal(small.h_ab, large.h_ab)
 
+    def test_h_ba_ignores_n_e_and_rho(self):
+        ref = sample_channels(make_config(n_e=2, rho=0.8), RngStream(9, 2), trials=16)
+        for cfg in (make_config(n_e=5, rho=0.8), make_config(n_e=2, rho=0.1 + 0.3j),
+                    make_config(n_e=1, rho=1.0)):
+            other = sample_channels(cfg, RngStream(9, 2), trials=16)
+            np.testing.assert_array_equal(other.h_ba, ref.h_ba)
+
+    def test_g_a_ignores_n_b_and_rho(self):
+        ref = sample_channels(make_config(n_b=2, rho=0.8), RngStream(9, 2), trials=16)
+        for cfg in (make_config(n_b=4, rho=0.8), make_config(n_b=2, rho=0.0),
+                    make_config(n_b=1, rho=-0.5j)):
+            other = sample_channels(cfg, RngStream(9, 2), trials=16)
+            np.testing.assert_array_equal(other.g_a, ref.g_a)
+
+    def test_single_draw_is_trial_zero_of_a_block(self):
+        cfg = make_config(n_a=3, n_b=2, n_e=4)
+        one = sample_channels(cfg, RngStream(3, 1))
+        block = sample_channels(cfg, RngStream(3, 1), trials=5)
+        for name in ("h_ba", "h_ab", "g_a", "g_b"):
+            np.testing.assert_array_equal(getattr(one, name), getattr(block, name)[0])
+
+    def test_matrices_drawn_on_first_read_only(self, monkeypatch):
+        import skcprobe.channel as channel
+        drawn = []
+        real = channel.sample_cgaussian
+        monkeypatch.setattr(channel, "sample_cgaussian",
+                            lambda *args: drawn.append(args[:2]) or real(*args))
+        cfg = make_config(n_a=3, n_b=2, n_e=4)
+        block = sample_channels(cfg, RngStream(1, 0), trials=5)
+        assert drawn == []
+        block[1:3].swap_roles().h_ab
+        block.g_a, block.h_ba
+        assert drawn == [(2, 3), (4, 3)]           # h_ba, then g_a
+        block.h_ab, block[0].h_ab, block.swap_roles().h_ba
+        assert drawn == [(2, 3), (4, 3), (2, 3)]   # the residual, once
+
+    def test_a_generator_is_not_a_stream(self):
+        with pytest.raises(TypeError, match="expected RngStream"):
+            sample_channels(make_config(), RngStream(1, 0).generator())
+
     def test_block_statistics(self):
         cfg = ProbingConfig(n_a=1, n_b=1, n_e=1, rho=0.8)
         block = sample_channels(cfg, RngStream(7, 0), trials=100_000)

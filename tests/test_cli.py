@@ -10,8 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from skcprobe import cli
+from skcprobe import cli, config_at_power, secrecy_floor_sample
 from skcprobe.cli import main
+from skcprobe.experiments import apply_parameter, case_config, load_spec
+from skcprobe.montecarlo import trial_blocks
 
 SMALL_EVAL = """
 name: point
@@ -59,6 +61,17 @@ configs:
   - {n_a: 2, n_b: 2, n_e: 2, v_a: 1, v_b: 1, phi_a: 8, phi_b: 8,
      noise_ea: 0.5, noise_eb: 2.0, rho: 0.8}
 """
+
+
+def first_non_finite_floor(config, mc):
+    """Lowest trial of the engine's draws whose per-sample floor is not
+    finite, or None."""
+    with np.errstate(all="ignore"):
+        for start, block in trial_blocks(config, mc):
+            for j in range(block.trials_shape[0]):
+                if not np.isfinite(secrecy_floor_sample(block[j], config)):
+                    return start + j
+    return None
 
 
 def write(tmp_path, text, name):
@@ -190,17 +203,43 @@ quantities: [gap]
         ("eval", SMALL_EVAL, "quantities: [pilot_mi, bounds]", "quantities: bounds",
          "'quantities'"),
         ("sweep", SMALL_SWEEP, "svg: true", 'svg: "no"', "'svg'"),
+        ("sweep", SMALL_SWEEP, "values: [0.5, 2.0, 8.0]}", "values: [0.0, 2.0, 8.0]}",
+         "'sweep.values'"),
     ], ids=["grid-scalar", "grid-mapping", "grid-entry", "grid-quoted", "grid-bool",
             "grid-points", "grid-order", "grid-positive", "grid-decades", "grid-infinite",
             "cases-scalar", "cases-mapping", "sweep-values", "case-overrides",
-            "quantities-string", "svg-string"])
+            "quantities-string", "svg-string", "svg-log-axis-zero"])
     def test_malformed_spec_section_is_validation_error(self, tmp_path, capsys, command,
                                                         text, old, new, named):
         assert old in text
         spec = write(tmp_path, text.replace(old, new), "malformed.yaml")
         assert main([command, "--config", spec, "--out", str(tmp_path)]) == 3
         assert named in capsys.readouterr().err
-        assert not (tmp_path / "curve.svg").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["malformed.yaml"]
+
+    @pytest.mark.parametrize("old,new,plotted", [
+        # every point of case 'wide' is -inf: only 'narrow' is drawn
+        ("values: [0.5, 2.0, 8.0]", "values: [0.5, 2.0, 8.0]", {"narrow": 3}),
+        # at v_a = 0 the Alice-side bound is finite again
+        ("parameter: power_a, values: [0.5, 2.0, 8.0]", "parameter: v_a, values: [0, 1, 2]",
+         {"narrow": 3, "wide": 1}),
+    ], ids=["whole-curve", "some-points"])
+    def test_sweep_chart_leaves_out_non_finite_points(self, tmp_path, capsys, old, new,
+                                                      plotted):
+        text = SMALL_SWEEP.replace(old, new).replace(
+            "{name: wide, overrides: {n_e: 4}}",
+            "{name: wide, overrides: {n_e: 4, noise_ea: 0.0}}").replace(
+            "quantities: [floor]", "quantities: [lower_alice]")
+        spec = write(tmp_path, text, "noiseless.yaml")
+        assert main(["sweep", "--config", spec, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "curve.csv").read_text().splitlines()[1:]
+        assert sum(r.startswith("wide,") and ",-inf," in r for r in rows) == 3 - plotted.get("wide", 0)
+        svg = (tmp_path / "curve.svg").read_text()
+        polylines = [line for line in svg.splitlines() if line.startswith("<polyline")]
+        assert [line.split('"')[1].count(",") for line in polylines] == list(plotted.values())
+        assert "nan" not in svg and "inf" not in svg
+        for name in ("narrow", "wide"):
+            assert (f">{name}</text>" in svg) == (name in plotted)
 
     @pytest.mark.parametrize("command,text,outputs", [
         ("sweep", SMALL_SWEEP, ("curve.csv", "curve.svg")),
@@ -229,7 +268,14 @@ quantities: [gap]
         with np.errstate(all="ignore"):
             code = main([command, "--config", spec, "--out", str(tmp_path)])
         assert code == 4
-        assert f"trial 0: {named}" in capsys.readouterr().err
+        # the failing point is the first case at 1e+308
+        loaded = load_spec(spec)
+        base = case_config(loaded, loaded.cases[0])
+        failing = apply_parameter(base, "power_a", 1e308) if command == "sweep" \
+            else config_at_power(base, 1e308)
+        trial = first_non_finite_floor(failing, loaded.mc)
+        assert trial is not None
+        assert f"trial {trial}: {named}" in capsys.readouterr().err
 
     def test_numpy_warnings_stay_off_stderr(self, tmp_path):
         # at 1e308 several numpy operations overflow; the only line on stderr

@@ -113,6 +113,21 @@ class TestCollect:
                     for j in range(block.trials_shape[0])]
         np.testing.assert_array_equal(arrays["h"], expected)
 
+    def test_short_run_is_a_prefix_of_a_longer_one(self):
+        # the short run's last block draws 44 trials, the long run's draws
+        # the whole block; both begin with the same 44
+        cfg = make_config(n_a=3, n_b=2, n_e=2, rho=0.6)
+
+        def channels(block):
+            return {name: getattr(block, name).reshape(block.trials_shape[0], -1)
+                    for name in ("h_ba", "h_ab", "g_a", "g_b")}
+
+        short = collect(channels, cfg, McSettings(trials=BLOCK + 44, master_seed=3))
+        long = collect(channels, cfg, McSettings(trials=2 * BLOCK + 9, master_seed=3))
+        for name, values in short.items():
+            assert values.shape[0] == BLOCK + 44
+            np.testing.assert_array_equal(values, long[name][:BLOCK + 44])
+
     def test_lowest_non_finite_trial_across_names(self):
         cfg = make_config(n_a=1, n_b=1, n_e=1)
 

@@ -48,6 +48,33 @@ class TestSampleCGaussian:
         with pytest.raises(DimensionMismatch):
             sample_cgaussian(0, 3, RngStream(1))
 
+    def test_substreams_differ_and_zero_is_the_stream_itself(self):
+        stream = RngStream(99, 7)
+        assert stream.split(0) == stream
+        draws = [sample_cgaussian(4, 4, stream.split(k)) for k in range(4)]
+        for i in range(4):
+            for j in range(i):
+                assert not np.array_equal(draws[i], draws[j])
+
+    def test_substream_starts_in_the_counter_high_word(self):
+        state = RngStream(5, 3, 2).generator().bit_generator.state["state"]
+        np.testing.assert_array_equal(state["counter"], [0, 0, 0, 2])
+        np.testing.assert_array_equal(state["key"], [5, 3])
+
+    def test_trial_major_prefix(self):
+        # the first k trials of a stack are those of any longer stack, and a
+        # single matrix is trial 0
+        long = sample_cgaussian(2, 3, RngStream(4, 1), trials=300)
+        np.testing.assert_array_equal(sample_cgaussian(2, 3, RngStream(4, 1), trials=7),
+                                      long[:7])
+        np.testing.assert_array_equal(sample_cgaussian(2, 3, RngStream(4, 1)), long[0])
+
+    def test_real_and_imaginary_parts_interleave(self):
+        normals = RngStream(8, 0).generator().standard_normal(12)
+        m = sample_cgaussian(2, 3, RngStream(8, 0))
+        np.testing.assert_array_equal(m.real.ravel(), normals[0::2] * np.sqrt(0.5))
+        np.testing.assert_array_equal(m.imag.ravel(), normals[1::2] * np.sqrt(0.5))
+
 
 class TestLogdetHermitianPd:
     def test_identity_is_zero(self):
