@@ -21,7 +21,8 @@ draws (see ChannelRealization) and then evaluates all of its trials at once
 with stacked Gram products and factorizations.  ``evaluate_many`` is the
 single Monte Carlo path that every estimate here goes through: points whose
 draws are identical share one pass, and each block's Gram matrices are
-formed once for all of them (``evaluate`` is its one-point call).
+formed once for all of them, which also build what they factor in the
+block's work matrices (see Grams; ``evaluate`` is its one-point call).
 """
 
 from __future__ import annotations
@@ -93,34 +94,52 @@ def _gram(m: np.ndarray) -> np.ndarray:
     return hermitize(conj_t(m) @ m)
 
 
-def _outer(m: np.ndarray) -> np.ndarray:
-    return hermitize(m @ conj_t(m))
+def _outer(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return hermitize(m @ conj_t(m), out)
 
 
 class Grams:
     """Gram matrices m^H m of the four channels of a draw or a block of
-    draws, each formed on first use.  A caller that evaluates several
-    configs on the same draws passes one store to every integrand, so each
-    Gram is formed once; swap_roles() reads the role-swapped draws' Grams
-    from the same store."""
+    draws, each formed on first use, and the block's work matrices.  A
+    caller that evaluates several configs on the same draws passes one
+    store to every integrand, so each Gram is formed once; swap_roles()
+    reads the role-swapped draws' Grams, and the same work matrices, from
+    the same store.
+
+    work(shape) is a (trials, rows, cols) complex stack, allocated on first
+    use and then overwritten by every integrand that asks for that shape:
+    each builds the matrices it factors there (gamma G + I and the like) in
+    place.  A 200-trial stack of 8 x 8 matrices is 200 KB, above the
+    allocator's mmap threshold, so fresh temporaries at every point of a
+    sweep would be returned to the OS and faulted back in page by page.  A
+    work matrix holds only what its last writer left there; no integrand
+    returns one or a view of one.
+    """
 
     _SWAPPED = {"h_ba": "h_ab", "h_ab": "h_ba", "g_a": "g_b", "g_b": "g_a"}
 
-    def __init__(self, realization: ChannelRealization, store: dict | None = None,
-                 swapped: bool = False):
+    def __init__(self, realization: ChannelRealization,
+                 shared: tuple[dict, dict] | None = None, swapped: bool = False):
         self._realization = realization
-        self._store = {} if store is None else store
+        self._grams, self._work = ({}, {}) if shared is None else shared
         self._swapped = swapped
 
     def __getitem__(self, channel: str) -> np.ndarray:
         if self._swapped:
             channel = self._SWAPPED[channel]
-        if channel not in self._store:
-            self._store[channel] = _gram(getattr(self._realization, channel))
-        return self._store[channel]
+        if channel not in self._grams:
+            self._grams[channel] = _gram(getattr(self._realization, channel))
+        return self._grams[channel]
+
+    def work(self, shape: tuple[int, int]) -> np.ndarray:
+        """The work stack of matrix shape `shape`."""
+        if shape not in self._work:
+            self._work[shape] = np.empty(self._realization.trials_shape + shape,
+                                         dtype=complex)
+        return self._work[shape]
 
     def swap_roles(self) -> "Grams":
-        return Grams(self._realization, self._store, not self._swapped)
+        return Grams(self._realization, (self._grams, self._work), not self._swapped)
 
 
 def _per_trial(value, realization: ChannelRealization):
@@ -140,7 +159,9 @@ def secrecy_floor_sample(realization: ChannelRealization, config: ProbingConfig,
     log2|I + gamma_ba H^H H (gamma_ba (noise_b/noise_ea) G^H G + I)^-1|.
     The direct form needs noise_ea > 0; the inverse form accepts the
     noise_ea -> 0 limit, where the floor is exactly zero.  `grams` is the
-    realization's Gram store when the caller shares it (see Grams).
+    realization's Gram store when the caller shares it (see Grams); the
+    direct form builds both matrices it factors, one after the other, in
+    the store's n_a x n_a work matrix rather than in fresh arrays.
     """
     gam = derive_gammas(config)
     eye = np.eye(config.n_a)
@@ -149,9 +170,16 @@ def secrecy_floor_sample(realization: ChannelRealization, config: ProbingConfig,
         if config.noise_ea == 0:
             raise InvalidNoise("direct form undefined at noise_ea = 0; use the inverse form")
         gram_e = grams["g_a"]
-        folded = gram_e + (config.noise_ea / config.noise_b) * grams["h_ba"]
-        val = (logdet_hermitian_pd(gam.gamma_ea * folded + eye)
-               - logdet_hermitian_pd(gam.gamma_ea * gram_e + eye))
+        # gamma_ea (G + (noise_ea/noise_b) H) + I, then gamma_ea G + I
+        work = grams.work((config.n_a, config.n_a))
+        np.multiply(grams["h_ba"], config.noise_ea / config.noise_b, out=work)
+        work += gram_e
+        work *= gam.gamma_ea
+        work += eye
+        folded = logdet_hermitian_pd(work)
+        np.multiply(gram_e, gam.gamma_ea, out=work)
+        work += eye
+        val = folded - logdet_hermitian_pd(work)
     elif form == "inverse":
         if config.noise_ea == 0:
             return _per_trial(0.0, realization)
@@ -169,12 +197,13 @@ def _floor_form(config: ProbingConfig) -> str:
 
 
 def bound_gap_sample(realization: ChannelRealization, config: ProbingConfig,
-                     form: str = "stacked"):
+                     form: str = "stacked", grams: Grams | None = None):
     """Per-realization gap between the upper and Bob-side lower bound.
 
     ``stacked`` uses rectangular determinants of Bob's channel stacked over
-    Eve's weighted channel; ``inverse`` uses the n_b x n_b resolvent form.
-    Exactly zero when v_b = 0.
+    Eve's weighted channel, built in the work matrices of `grams` (see
+    Grams) when the caller shares a store; ``inverse`` uses the n_b x n_b
+    resolvent form.  Exactly zero when v_b = 0.
     """
     if config.v_b == 0:
         return _per_trial(0.0, realization)
@@ -183,13 +212,21 @@ def bound_gap_sample(realization: ChannelRealization, config: ProbingConfig,
     gam = derive_gammas(config)
     weight = config.noise_a / config.noise_eb
     if form == "stacked":
-        stacked = np.concatenate([realization.h_ab, np.sqrt(weight) * realization.g_b],
-                                 axis=-2)
-        big = logdet_hermitian_pd(
-            gam.gamma_ab * _outer(stacked) + np.eye(config.n_a + config.n_e))
-        small = logdet_hermitian_pd(
-            gam.gamma_ab * _outer(realization.h_ab) + np.eye(config.n_a))
-        val = config.v_b * (big - small)
+        grams = Grams(realization) if grams is None else grams
+        n_a, n = config.n_a, config.n_a + config.n_e
+        stacked = grams.work((n, config.n_b))
+        stacked[..., :n_a, :] = realization.h_ab
+        np.multiply(realization.g_b, np.sqrt(weight), out=stacked[..., n_a:, :])
+        # at n_b = n this is stacked's own work matrix, written only after
+        # the product is formed
+        work = _outer(stacked, grams.work((n, n)))
+        work *= gam.gamma_ab
+        work += np.eye(n)
+        big = logdet_hermitian_pd(work)
+        work = _outer(realization.h_ab, grams.work((n_a, n_a)))
+        work *= gam.gamma_ab
+        work += np.eye(n_a)
+        val = config.v_b * (big - logdet_hermitian_pd(work))
     elif form == "inverse":
         eye = np.eye(config.n_b)
         denom = gam.gamma_ab * _gram(realization.h_ab) + eye
@@ -224,9 +261,13 @@ def lower_bound_bob_sample(realization: ChannelRealization, config: ProbingConfi
             if config.noise_eb == 0:
                 raise InvalidNoise("lower bound diverges at noise_eb = 0 with v_b > 0")
             eye_b = np.eye(config.n_b)
-            val += config.v_b * (
-                logdet_hermitian_pd(gam.gamma_ab * grams["h_ab"] + eye_b)
-                - logdet_hermitian_pd(gam.gamma_eb * grams["g_b"] + eye_b))
+            work = grams.work((config.n_b, config.n_b))
+            np.multiply(grams["h_ab"], gam.gamma_ab, out=work)
+            work += eye_b
+            at_alice = logdet_hermitian_pd(work)
+            np.multiply(grams["g_b"], gam.gamma_eb, out=work)
+            work += eye_b
+            val += config.v_b * (at_alice - logdet_hermitian_pd(work))
     elif form == "rectangular":
         if config.v_a and config.noise_ea > 0:
             stacked = np.concatenate(
@@ -300,7 +341,7 @@ def _group_integrand(plan: Sequence[tuple[_Key, ProbingConfig]]):
                     out[key] = lower_bound_bob_sample(
                         block, config, floor=floors.get(key.point), grams=grams)
                 elif key.quantity == "gap":
-                    out[key] = bound_gap_sample(block, config)
+                    out[key] = bound_gap_sample(block, config, grams=grams)
                 else:
                     out[key] = lower_bound_bob_sample(swapped, config, grams=swapped_grams)
             except SkcError as exc:

@@ -44,11 +44,13 @@ from skcprobe import (
 from skcprobe.capacity import (
     QUANTITIES,
     SAMPLED,
+    Grams,
     _alice_bound_diverges,
     _floor_form,
     trial_values,
     trial_values_many,
 )
+from skcprobe.channel import derive_gammas
 from skcprobe.errors import (
     GridTooSmall,
     IntegrandFailure,
@@ -348,6 +350,120 @@ class TestBatchedIntegrands:
     def test_unknown_quantity_rejected(self):
         with pytest.raises(ValueError, match="unknown quantities"):
             evaluate(make_config(), McSettings(trials=10), ("entropy",))
+
+
+def _conj_t(m):
+    return np.swapaxes(m, -1, -2).conj()
+
+
+def _hermitize(m):
+    return (m + _conj_t(m)) / 2.0
+
+
+def _cholesky_logdet(m):
+    diag = np.real(np.diagonal(np.linalg.cholesky(m), axis1=-2, axis2=-1))
+    return 2.0 * np.sum(np.log2(diag), axis=-1)
+
+
+def textbook_floor(r, cfg):
+    """The direct floor as a plain expression, one fresh array per step."""
+    gam = derive_gammas(cfg)
+    eye = np.eye(cfg.n_a)
+    gram_e = _hermitize(_conj_t(r.g_a) @ r.g_a)
+    folded = gram_e + (cfg.noise_ea / cfg.noise_b) * _hermitize(_conj_t(r.h_ba) @ r.h_ba)
+    return np.maximum(_cholesky_logdet(gam.gamma_ea * folded + eye)
+                      - _cholesky_logdet(gam.gamma_ea * gram_e + eye), 0.0)
+
+
+def textbook_lower_bob(r, cfg):
+    """The square Bob-side bound on the direct floor, as a plain expression."""
+    gam = derive_gammas(cfg)
+    eye_b = np.eye(cfg.n_b)
+    probe_b = (_cholesky_logdet(gam.gamma_ab * _hermitize(_conj_t(r.h_ab) @ r.h_ab) + eye_b)
+               - _cholesky_logdet(gam.gamma_eb * _hermitize(_conj_t(r.g_b) @ r.g_b) + eye_b))
+    return pilot_mi(cfg) + cfg.v_a * textbook_floor(r, cfg) + cfg.v_b * probe_b
+
+
+def textbook_gap(r, cfg):
+    """The stacked gap as a plain expression."""
+    gam = derive_gammas(cfg)
+    weight = cfg.noise_a / cfg.noise_eb
+    stacked = np.concatenate([r.h_ab, np.sqrt(weight) * r.g_b], axis=-2)
+    big = _cholesky_logdet(gam.gamma_ab * _hermitize(stacked @ _conj_t(stacked))
+                           + np.eye(cfg.n_a + cfg.n_e))
+    small = _cholesky_logdet(gam.gamma_ab * _hermitize(r.h_ab @ _conj_t(r.h_ab))
+                             + np.eye(cfg.n_a))
+    return np.maximum(cfg.v_b * (big - small), 0.0)
+
+
+# (8, 4, 6) is fig1's first case, whose 256-trial 8 x 8 stacks are 256 KiB;
+# (6, 4, 5) with both probes is the benchmark's two-way scenario (11 x 11
+# stacked gap); (2, 8, 6) puts the 8 x 8 stacks on Bob's side, where the
+# gap's stacked channel is as square as the outer product formed from it
+WORK_CONFIGS = {
+    "fig1": dict(n_a=8, n_b=4, n_e=6, v_a=1, v_b=0, power_a=10.0, power_b=10.0,
+                 noise_ea=0.3, rho=0.0),
+    "twoway": dict(n_a=6, n_b=4, n_e=5, v_a=2, v_b=3, power_a=10.0, power_b=10.0,
+                   noise_ea=0.3, noise_eb=2.0, rho=0.7),
+    "bob-wider": dict(n_a=2, n_b=8, n_e=6, v_a=1, v_b=2, power_b=30.0),
+}
+
+
+class TestWorkMatrices:
+    """The integrands build what they factor in the block's work matrices
+    (see Grams); every value equals the plain expression bit for bit, and
+    nothing they return is overwritten by a later integrand."""
+
+    @pytest.mark.parametrize("name", sorted(WORK_CONFIGS))
+    def test_integrands_equal_their_textbook_expressions(self, name):
+        cfg = make_config(**WORK_CONFIGS[name])
+        block = sample_channels(cfg, RngStream(71, 0), trials=BLOCK)
+        for r in (block, block[0], block[BLOCK - 1]):
+            assert np.array_equal(secrecy_floor_sample(r, cfg), textbook_floor(r, cfg))
+            assert np.array_equal(lower_bound_bob_sample(r, cfg), textbook_lower_bob(r, cfg))
+            if cfg.v_b:
+                assert np.array_equal(bound_gap_sample(r, cfg), textbook_gap(r, cfg))
+
+    @pytest.mark.parametrize("name", sorted(WORK_CONFIGS))
+    def test_engine_points_equal_their_textbook_expressions(self, name):
+        # three points on shared draws and one Gram store per block, each
+        # with every integrand including the role-swapped bound
+        base = make_config(**WORK_CONFIGS[name])
+        configs = [base, replace(base, power_a=3.0, noise_ea=0.05),
+                   replace(base, power_b=0.5, noise_eb=0.4)]
+        mc = McSettings(trials=BLOCK + 7, master_seed=73)
+        points = trial_values_many([(c, SAMPLED) for c in configs], mc)
+        for cfg, values in zip(configs, points):
+            expected = {"floor": [], "lower_bob": [], "gap": [], "lower_alice": []}
+            for _, block in trial_blocks(cfg, mc):
+                expected["floor"].append(textbook_floor(block, cfg))
+                expected["lower_bob"].append(textbook_lower_bob(block, cfg))
+                expected["gap"].append(textbook_gap(block, cfg) if cfg.v_b
+                                       else np.zeros(block.trials_shape))
+                expected["lower_alice"].append(
+                    textbook_lower_bob(block.swap_roles(), cfg.swap_roles()))
+            for q in SAMPLED:
+                assert np.array_equal(values[q], np.concatenate(expected[q])), (cfg, q)
+
+    def test_returned_values_survive_later_points_and_the_swapped_view(self):
+        cfg = make_config(**WORK_CONFIGS["twoway"])
+        other = replace(cfg, power_a=0.5, power_b=20.0, noise_ea=2.0)
+        block = sample_channels(cfg, RngStream(79, 0), trials=BLOCK)
+        grams = Grams(block)
+        swapped = grams.swap_roles()
+        first = [secrecy_floor_sample(block, cfg, grams=grams),
+                 lower_bound_bob_sample(block, cfg, grams=grams),
+                 bound_gap_sample(block, cfg, grams=grams),
+                 lower_bound_bob_sample(block.swap_roles(), cfg.swap_roles(), grams=swapped)]
+        kept = [v.copy() for v in first]
+        # the same block's work matrices, written again by other points
+        assert swapped.work((cfg.n_a, cfg.n_a)) is grams.work((cfg.n_a, cfg.n_a))
+        secrecy_floor_sample(block, other, grams=grams)
+        lower_bound_bob_sample(block, other, grams=grams)
+        bound_gap_sample(block, other, grams=grams)
+        lower_bound_bob_sample(block.swap_roles(), other.swap_roles(), grams=swapped)
+        for value, copy in zip(first, kept):
+            assert np.array_equal(value, copy)
 
 
 class TestEvaluateMany:

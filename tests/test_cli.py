@@ -286,8 +286,13 @@ quantities: [gap]
              "--out", str(tmp_path)],
             capture_output=True, text=True)
         assert proc.returncode == 4
+        loaded = load_spec(spec)
+        failing = apply_parameter(case_config(loaded, loaded.cases[0]), "power_a", 1e308)
+        trial = first_non_finite_floor(failing, loaded.mc)
+        assert trial is not None
         assert proc.stderr.splitlines() == [
-            "error (numeric): trial 0: case 'base', power_a = 1e+308: floor integrand is nan"]
+            f"error (numeric): trial {trial}: case 'base', power_a = 1e+308: "
+            "floor integrand is nan"]
 
     def test_verify_pass_and_mutation_control(self, tmp_path, capsys):
         spec = write(tmp_path, VERIFY_SET, "verify.yaml")

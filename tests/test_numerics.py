@@ -18,6 +18,7 @@ from skcprobe import (
     sample_cgaussian,
 )
 from skcprobe.errors import DimensionMismatch, NotHermitian, NotPositiveDefinite
+from skcprobe.numerics import _max_asymmetry, hermitize
 
 
 class TestSampleCGaussian:
@@ -168,6 +169,18 @@ class TestStackedLogdet:
         with pytest.raises(NotHermitian):
             logdet_hermitian_pd(stack)
 
+    @pytest.mark.parametrize("index,asymmetry", [((1, 0), "1.000e-06"),
+                                                 ((2, 2), "2.000e-06"),
+                                                 ((0, 2), "1.000e-06")],
+                             ids=["lower", "diagonal", "upper"])
+    def test_asymmetry_is_caught_in_either_triangle(self, rng, index, asymmetry):
+        # the check reads one triangle; a lower entry, or an imaginary part
+        # on the diagonal, shows there as well
+        stack = self.pd_stack(rng, 3, 3)
+        stack[(1,) + index] += 1e-6j
+        with pytest.raises(NotHermitian, match=f"max asymmetry {asymmetry} "):
+            logdet_hermitian_pd(stack)
+
     @pytest.mark.parametrize("entry", [np.inf, np.nan, complex(np.inf, 1.0)])
     def test_non_finite_matrix_is_nan_and_not_factored(self, rng, entry):
         # its asymmetry reads NaN; the other matrices keep their values
@@ -188,6 +201,60 @@ class TestStackedLogdet:
             out = logdet_hermitian_pd(stack)
         assert np.isnan(out[1])
         assert out[2] == logdet_hermitian_pd(stack[2])
+
+
+class TestMaxAsymmetry:
+    """The one-triangle check equals the maximum over the whole difference
+    m - m^H, bit for bit, and leaves its input as it was."""
+
+    @staticmethod
+    def full(m):
+        return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())))
+
+    @staticmethod
+    def same(a, b):
+        return a == b or (math.isnan(a) and math.isnan(b))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (256, 8, 8), (3, 4, 6, 6)])
+    def test_equals_the_full_difference_on_random_stacks(self, rng, shape):
+        special = [np.nan, np.inf, -np.inf, complex(np.inf, 1.0),
+                   complex(0.0, -np.inf), complex(np.nan, 0.0), 0.0, -0.0]
+        for trial in range(40):
+            m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            if trial % 2:
+                m = (m + np.swapaxes(m, -1, -2).conj()) / 2.0  # Hermitian ...
+                m *= 10.0 ** rng.integers(-300, 300)
+                m.flat[rng.integers(m.size)] += 1e-7  # ... but for one entry
+            for _ in range(trial % 4):
+                m.flat[rng.integers(m.size)] = special[rng.integers(len(special))]
+            before = m.copy()
+            with np.errstate(invalid="ignore", over="ignore"):
+                expected, got = self.full(m), _max_asymmetry(m)
+            assert self.same(got, expected), (trial, got, expected)
+            assert np.array_equal(m, before, equal_nan=True)
+
+    def test_exactly_hermitian_reads_zero(self, rng):
+        a = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
+        assert _max_asymmetry(hermitize(a)) == 0.0
+
+
+class TestHermitize:
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_is_the_plain_formula_in_one_c_contiguous_array(self, rng, transposed):
+        a = rng.standard_normal((256, 8, 8)) + 1j * rng.standard_normal((256, 8, 8))
+        m = np.swapaxes(a, -1, -2) if transposed else a
+        expected = (m + np.swapaxes(m, -1, -2).conj()) / 2.0
+        before = m.copy()
+        out = hermitize(m)
+        assert np.array_equal(out, expected)
+        assert out.flags.c_contiguous
+        assert np.array_equal(m, before)
+
+    def test_writes_into_a_given_array(self, rng):
+        m = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+        work = np.full((3, 2, 2), np.nan, dtype=complex)
+        assert hermitize(m, work) is work
+        assert np.array_equal(work, (m + np.swapaxes(m, -1, -2).conj()) / 2.0)
 
 
 class TestCapacityLogdet:
