@@ -15,12 +15,10 @@ from .capacity import (
     dof_formula,
     dof_slope,
     dof_window_split,
-    entropy_given_channel,
     evaluate,
     evaluate_many,
     lower_bound_alice,
     lower_bound_bob_sample,
-    mi_given_channel,
     pilot_mi,
     reciprocity_gain,
     secrecy_floor_sample,
@@ -34,7 +32,7 @@ from .channel import (
     sample_channels,
 )
 from .errors import SkcError
-from .montecarlo import Estimate, McSettings, convergence_report, estimate
+from .montecarlo import Estimate, McSettings, estimate
 from .numerics import (
     RngStream,
     logdet_hermitian_pd,

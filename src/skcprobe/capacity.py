@@ -14,9 +14,10 @@ Quantities (all in bits, log base 2; QUANTITIES names them):
 * ``gap`` / ``upper`` -- the upper bound exceeds the Bob-side lower bound
   by a gap that is exactly zero when v_b = 0 (one-way probing).
 
-Each expectation has two algebraically equivalent per-sample forms computed
-through different factorizations; their agreement is part of the test suite,
-not an assumption.  Every per-sample integrand also accepts a block of
+Each expectation has one per-sample form here, the one the engine runs;
+skcprobe.verify holds an algebraically equivalent form of each, computed
+through a different factorization, and certifies their agreement on the
+engine's draws.  Every per-sample integrand also accepts a block of
 draws (see ChannelRealization) and then evaluates all of its trials at once
 with stacked Gram products and factorizations.  ``evaluate_many`` is the
 single Monte Carlo path that every estimate here goes through: points whose
@@ -33,11 +34,11 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization, ProbingConfig, derive_gammas
+from .channel import _SWAPPED, ChannelRealization, ProbingConfig, derive_gammas
 from .errors import (GridTooSmall, IntegrandFailure, InvalidNoise, OrderingViolation,
                      SkcError, ValidationError)
 from .montecarlo import Estimate, McSettings, collect, summarize
-from .numerics import conj_t, hermitize, logdet_hermitian_pd, logdet_lu
+from .numerics import conj_t, hermitize, logdet_hermitian_pd
 
 
 def reciprocity_gain(config: ProbingConfig) -> float:
@@ -72,24 +73,6 @@ def pilot_mi(config: ProbingConfig) -> float:
     return config.n_a * config.n_b * math.log2(reciprocity_gain(config))
 
 
-def mi_given_channel(h: np.ndarray, gamma: float, slots: int) -> float:
-    """MI of a random probe through a known channel: slots * log2 det(gamma h h^H + I)."""
-    if slots < 0:
-        raise ValueError(f"slots must be >= 0, got {slots}")
-    if slots == 0:
-        return 0.0
-    h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
-    return slots * logdet_hermitian_pd(gamma * _outer(h) + np.eye(n))
-
-
-def entropy_given_channel(h: np.ndarray, gamma: float, slots: int) -> float:
-    """Differential entropy of the probe observation given the channel."""
-    h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
-    return n * slots * math.log2(math.pi * math.e) + mi_given_channel(h, gamma, slots)
-
-
 def _gram(m: np.ndarray) -> np.ndarray:
     return hermitize(conj_t(m) @ m)
 
@@ -116,8 +99,6 @@ class Grams:
     returns one or a view of one.
     """
 
-    _SWAPPED = {"h_ba": "h_ab", "h_ab": "h_ba", "g_a": "g_b", "g_b": "g_a"}
-
     def __init__(self, realization: ChannelRealization,
                  shared: tuple[dict, dict] | None = None, swapped: bool = False):
         self._realization = realization
@@ -126,7 +107,7 @@ class Grams:
 
     def __getitem__(self, channel: str) -> np.ndarray:
         if self._swapped:
-            channel = self._SWAPPED[channel]
+            channel = _SWAPPED[channel]
         if channel not in self._grams:
             self._grams[channel] = _gram(getattr(self._realization, channel))
         return self._grams[channel]
@@ -142,153 +123,97 @@ class Grams:
         return Grams(self._realization, (self._grams, self._work), not self._swapped)
 
 
-def _per_trial(value, realization: ChannelRealization):
-    """`value` as one number per trial: a float for a single draw, an array
-    over the trials of a block."""
-    out = np.broadcast_to(value, realization.trials_shape)
-    return float(out) if out.ndim == 0 else out
-
-
 def secrecy_floor_sample(realization: ChannelRealization, config: ProbingConfig,
-                         form: str = "direct", grams: Grams | None = None):
+                         grams: Grams | None = None):
     """Per-realization integrand of the secrecy floor (bits per probe slot).
 
-    ``direct`` takes the difference of two n_a x n_a log-determinants, with
-    Bob's channel folded into Eve's Gram matrix at weight noise_ea/noise_b;
-    ``inverse`` evaluates the equivalent resolvent determinant
-    log2|I + gamma_ba H^H H (gamma_ba (noise_b/noise_ea) G^H G + I)^-1|.
-    The direct form needs noise_ea > 0; the inverse form accepts the
-    noise_ea -> 0 limit, where the floor is exactly zero.  `grams` is the
-    realization's Gram store when the caller shares it (see Grams); the
-    direct form builds both matrices it factors, one after the other, in
-    the store's n_a x n_a work matrix rather than in fresh arrays.
+    The difference of two n_a x n_a log-determinants, with Bob's channel
+    folded into Eve's Gram matrix at weight noise_ea/noise_b.  It is
+    exactly 0 at noise_ea = 0, the floor's limit there only when n_e >= n_a.
+    `grams` is the realization's Gram store when the caller shares it (see
+    Grams); both matrices it factors are built, one after the other, in the
+    store's n_a x n_a work matrix rather than in fresh arrays.
     """
+    if config.noise_ea == 0:
+        return realization.per_trial(0.0)
     gam = derive_gammas(config)
     eye = np.eye(config.n_a)
     grams = Grams(realization) if grams is None else grams
-    if form == "direct":
-        if config.noise_ea == 0:
-            raise InvalidNoise("direct form undefined at noise_ea = 0; use the inverse form")
-        gram_e = grams["g_a"]
-        # gamma_ea (G + (noise_ea/noise_b) H) + I, then gamma_ea G + I
-        work = grams.work((config.n_a, config.n_a))
-        np.multiply(grams["h_ba"], config.noise_ea / config.noise_b, out=work)
-        work += gram_e
-        work *= gam.gamma_ea
-        work += eye
-        folded = logdet_hermitian_pd(work)
-        np.multiply(gram_e, gam.gamma_ea, out=work)
-        work += eye
-        val = folded - logdet_hermitian_pd(work)
-    elif form == "inverse":
-        if config.noise_ea == 0:
-            return _per_trial(0.0, realization)
-        denom = gam.gamma_ba * (config.noise_b / config.noise_ea) * grams["g_a"] + eye
-        resolvent = eye + gam.gamma_ba * np.linalg.solve(denom, grams["h_ba"])
-        val = logdet_lu(resolvent)
-    else:
-        raise ValueError(f"unknown form {form!r}")
+    gram_e = grams["g_a"]
+    # gamma_ea (G + (noise_ea/noise_b) H) + I, then gamma_ea G + I
+    work = grams.work((config.n_a, config.n_a))
+    np.multiply(grams["h_ba"], config.noise_ea / config.noise_b, out=work)
+    work += gram_e
+    work *= gam.gamma_ea
+    work += eye
+    folded = logdet_hermitian_pd(work)
+    np.multiply(gram_e, gam.gamma_ea, out=work)
+    work += eye
+    val = folded - logdet_hermitian_pd(work)
     # mathematically >= 0 (det of M + PSD over det of M); clamp round-off
-    return _per_trial(np.maximum(val, 0.0), realization)
-
-
-def _floor_form(config: ProbingConfig) -> str:
-    return "direct" if config.noise_ea > 0 else "inverse"
+    return realization.per_trial(np.maximum(val, 0.0))
 
 
 def bound_gap_sample(realization: ChannelRealization, config: ProbingConfig,
-                     form: str = "stacked", grams: Grams | None = None):
+                     grams: Grams | None = None):
     """Per-realization gap between the upper and Bob-side lower bound.
 
-    ``stacked`` uses rectangular determinants of Bob's channel stacked over
-    Eve's weighted channel, built in the work matrices of `grams` (see
-    Grams) when the caller shares a store; ``inverse`` uses the n_b x n_b
-    resolvent form.  Exactly zero when v_b = 0.
+    Rectangular determinants of Bob's channel stacked over Eve's weighted
+    channel, built in the work matrices of `grams` (see Grams) when the
+    caller shares a store.  Exactly zero when v_b = 0.
     """
     if config.v_b == 0:
-        return _per_trial(0.0, realization)
+        return realization.per_trial(0.0)
     if config.noise_eb == 0:
         raise InvalidNoise("the bound gap diverges at noise_eb = 0 with v_b > 0")
     gam = derive_gammas(config)
     weight = config.noise_a / config.noise_eb
-    if form == "stacked":
-        grams = Grams(realization) if grams is None else grams
-        n_a, n = config.n_a, config.n_a + config.n_e
-        stacked = grams.work((n, config.n_b))
-        stacked[..., :n_a, :] = realization.h_ab
-        np.multiply(realization.g_b, np.sqrt(weight), out=stacked[..., n_a:, :])
-        # at n_b = n this is stacked's own work matrix, written only after
-        # the product is formed
-        work = _outer(stacked, grams.work((n, n)))
-        work *= gam.gamma_ab
-        work += np.eye(n)
-        big = logdet_hermitian_pd(work)
-        work = _outer(realization.h_ab, grams.work((n_a, n_a)))
-        work *= gam.gamma_ab
-        work += np.eye(n_a)
-        val = config.v_b * (big - logdet_hermitian_pd(work))
-    elif form == "inverse":
-        eye = np.eye(config.n_b)
-        denom = gam.gamma_ab * _gram(realization.h_ab) + eye
-        resolvent = eye + gam.gamma_ab * weight * np.linalg.solve(denom, _gram(realization.g_b))
-        val = config.v_b * logdet_lu(resolvent)
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return _per_trial(np.maximum(val, 0.0), realization)
+    grams = Grams(realization) if grams is None else grams
+    n_a, n = config.n_a, config.n_a + config.n_e
+    stacked = grams.work((n, config.n_b))
+    stacked[..., :n_a, :] = realization.h_ab
+    np.multiply(realization.g_b, np.sqrt(weight), out=stacked[..., n_a:, :])
+    # at n_b = n this is stacked's own work matrix, written only after the
+    # product is formed
+    work = _outer(stacked, grams.work((n, n)))
+    work *= gam.gamma_ab
+    work += np.eye(n)
+    big = logdet_hermitian_pd(work)
+    work = _outer(realization.h_ab, grams.work((n_a, n_a)))
+    work *= gam.gamma_ab
+    work += np.eye(n_a)
+    val = config.v_b * (big - logdet_hermitian_pd(work))
+    return realization.per_trial(np.maximum(val, 0.0))
 
 
 def lower_bound_bob_sample(realization: ChannelRealization, config: ProbingConfig,
-                           form: str = "square", floor=None, grams: Grams | None = None):
+                           floor=None, grams: Grams | None = None):
     """Per-realization integrand of the Bob-side lower bound.
 
-    ``square`` uses n_a/n_b-sized Gram determinants; ``rectangular`` uses
-    the stacked (n_b+n_e)- and n_e-sized outer-product determinants.  Both
-    reduce to pilot_mi + v_a * floor when v_b = 0, bit for bit in the
-    square form.  A caller that already holds the floor integrand on the
-    same draws passes it as ``floor``, and a caller that shares the draws'
-    Gram store passes it as ``grams``, so the square form computes neither
-    again.
+    n_a/n_b-sized Gram determinants; equal to pilot_mi + v_a * floor bit for
+    bit when v_b = 0.  A caller that already holds the floor integrand on
+    the same draws passes it as ``floor``, and a caller that shares the
+    draws' Gram store passes it as ``grams``, so neither is computed again.
     """
     gam = derive_gammas(config)
     val = pilot_mi(config)
-    if form == "square":
-        grams = Grams(realization) if grams is None else grams
-        if config.v_a:
-            if floor is None:
-                floor = secrecy_floor_sample(realization, config, _floor_form(config), grams)
-            val += config.v_a * floor
-        if config.v_b:
-            if config.noise_eb == 0:
-                raise InvalidNoise("lower bound diverges at noise_eb = 0 with v_b > 0")
-            eye_b = np.eye(config.n_b)
-            work = grams.work((config.n_b, config.n_b))
-            np.multiply(grams["h_ab"], gam.gamma_ab, out=work)
-            work += eye_b
-            at_alice = logdet_hermitian_pd(work)
-            np.multiply(grams["g_b"], gam.gamma_eb, out=work)
-            work += eye_b
-            val += config.v_b * (at_alice - logdet_hermitian_pd(work))
-    elif form == "rectangular":
-        if config.v_a and config.noise_ea > 0:
-            stacked = np.concatenate(
-                [np.sqrt(config.noise_ea / config.noise_b) * realization.h_ba,
-                 realization.g_a], axis=-2)
-            val += config.v_a * (
-                logdet_hermitian_pd(gam.gamma_ea * _outer(stacked)
-                                    + np.eye(config.n_b + config.n_e))
-                - logdet_hermitian_pd(gam.gamma_ea * _outer(realization.g_a)
-                                      + np.eye(config.n_e)))
-        if config.v_b:
-            if config.noise_eb == 0:
-                raise InvalidNoise("lower bound diverges at noise_eb = 0 with v_b > 0")
-            val += config.v_b * (
-                logdet_hermitian_pd(gam.gamma_ab * _outer(realization.h_ab)
-                                    + np.eye(config.n_a))
-                - logdet_hermitian_pd(gam.gamma_eb * _outer(realization.g_b)
-                                      + np.eye(config.n_e)))
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return _per_trial(val, realization)
+    grams = Grams(realization) if grams is None else grams
+    if config.v_a:
+        if floor is None:
+            floor = secrecy_floor_sample(realization, config, grams)
+        val += config.v_a * floor
+    if config.v_b:
+        if config.noise_eb == 0:
+            raise InvalidNoise("lower bound diverges at noise_eb = 0 with v_b > 0")
+        eye_b = np.eye(config.n_b)
+        work = grams.work((config.n_b, config.n_b))
+        np.multiply(grams["h_ab"], gam.gamma_ab, out=work)
+        work += eye_b
+        at_alice = logdet_hermitian_pd(work)
+        np.multiply(grams["g_b"], gam.gamma_eb, out=work)
+        work += eye_b
+        val += config.v_b * (at_alice - logdet_hermitian_pd(work))
+    return realization.per_trial(val)
 
 
 # every quantity `evaluate` estimates; 'lower' is the larger side bound
@@ -336,7 +261,7 @@ def _group_integrand(plan: Sequence[tuple[_Key, ProbingConfig]]):
             try:
                 if key.quantity == "floor":
                     out[key] = floors[key.point] = secrecy_floor_sample(
-                        block, config, _floor_form(config), grams)
+                        block, config, grams)
                 elif key.quantity == "lower_bob":
                     out[key] = lower_bound_bob_sample(
                         block, config, floor=floors.get(key.point), grams=grams)
@@ -355,10 +280,9 @@ def trial_values_many(points: Sequence[tuple[ProbingConfig, Iterable[str]]],
                       mc: McSettings, labels: Sequence[str] | None = None
                       ) -> list[dict[str, np.ndarray]]:
     """Per-trial integrands of the SAMPLED quantities each (config, names)
-    point asks for, on the engine's shared draws: the floor in the form
-    _floor_form picks, the stacked gap, the square Bob-side bound built on
-    the same floor values, and that bound of the role-swapped scenario on
-    the swapped draws.
+    point asks for, on the engine's shared draws: the floor, the gap, the
+    Bob-side bound built on the same floor values, and that bound of the
+    role-swapped scenario on the swapped draws.
 
     Points whose configs agree on what sample_channels reads get identical
     draws, so each such group takes one collect pass.  A failure names the
@@ -379,12 +303,6 @@ def trial_values_many(points: Sequence[tuple[ProbingConfig, Iterable[str]]],
         for key, v in collect(_group_integrand(plan), sampling, mc).items():
             values[key.point][key.quantity] = v
     return values
-
-
-def trial_values(config: ProbingConfig, mc: McSettings,
-                 names: Iterable[str]) -> dict[str, np.ndarray]:
-    """trial_values_many at one point."""
-    return trial_values_many([(config, names)], mc)[0]
 
 
 def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,

@@ -220,6 +220,12 @@ class ChannelRealization:
         return ChannelRealization(lambda _, name: self._matrix(_SWAPPED[name]),
                                   self.trials_shape)
 
+    def per_trial(self, value):
+        """`value` as one number per trial: a float for a single draw, an
+        array over the trials of a block."""
+        out = np.broadcast_to(value, self.trials_shape)
+        return float(out) if out.ndim == 0 else out
+
 
 # the matrices sample_channels draws; each comes from the substream of the
 # block's stream numbered by its position here

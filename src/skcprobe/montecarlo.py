@@ -10,7 +10,7 @@ keeps; its first k trials are still those of the whole block, so the
 first k trials of a run are those of any longer run at the same seed and
 prefix estimates are exactly reproducible.  `collect` is the one trial
 loop: it evaluates a block integrand once per block on the whole stack,
-and `estimate` / `convergence_report` reduce what it returns.
+and `estimate` reduces what it returns to a mean and standard error.
 Aggregation is a numpy reduction whose shape depends only on the number
 of values, so every result is bit-identical from run to run.  The engine
 is single-threaded.
@@ -30,7 +30,7 @@ from .numerics import RngStream
 # block integrand: a block of draws in, named per-trial value arrays out; a
 # name is any orderable key, printed with str() in error messages
 BlockIntegrand = Callable[[ChannelRealization], Mapping[Hashable, np.ndarray]]
-# a block of draws in, one value per trial out (every *_sample form is one)
+# a block of draws in, one value per trial out (every *_sample integrand is one)
 TrialIntegrand = Callable[[ChannelRealization], np.ndarray]
 
 BLOCK = 256
@@ -150,37 +150,8 @@ def collect(integrand: BlockIntegrand, config: ProbingConfig,
     return arrays
 
 
-def _values(integrand: TrialIntegrand, config: ProbingConfig,
-            settings: McSettings) -> np.ndarray:
-    """A trial integrand's values on every trial, in trial order."""
-    return collect(lambda block: {"value": integrand(block)},
-                   config, settings)["value"]
-
-
 def estimate(integrand: TrialIntegrand, config: ProbingConfig,
              settings: McSettings) -> Estimate:
     """Monte Carlo mean and standard error of a trial integrand."""
-    return summarize(_values(integrand, config, settings))
-
-
-def convergence_report(integrand: TrialIntegrand, config: ProbingConfig,
-                       settings: McSettings,
-                       checkpoints: Sequence[int]) -> list[Estimate]:
-    """Nested-prefix estimates: checkpoint k reuses the first k trials.
-
-    Because every block is drawn trial-major from streams keyed by
-    (master_seed, block), the k-trial prefix is bit-identical to a fresh
-    run with trials=k.
-    """
-    if not checkpoints:
-        raise ValidationError("checkpoints must be nonempty")
-    prev = 0
-    for k in checkpoints:
-        if k <= prev:
-            raise ValidationError(f"checkpoints must be strictly increasing: {checkpoints}")
-        prev = k
-    if checkpoints[-1] > settings.trials:
-        raise ValidationError(
-            f"largest checkpoint {checkpoints[-1]} exceeds trials {settings.trials}")
-    values = _values(integrand, config, settings)
-    return [summarize(values[:k]) for k in checkpoints]
+    return summarize(collect(lambda block: {"value": integrand(block)},
+                             config, settings)["value"])

@@ -7,10 +7,11 @@ Three kinds of checks live here:
   against the closed form;
 * Monte Carlo validation of the pilot-estimation error model and of the
   scalar ergodic capacity against adaptive quadrature;
-* per-trial determinant-identity checks certifying that the paired
-  evaluation forms of the gap, the floor, and the Bob-side bound agree on
-  the engine's blocks of draws, and that the batched Monte Carlo engine
-  reproduces the per-sample forms on every trial.
+* per-trial determinant-identity checks on the engine's blocks of draws:
+  the engine's floor, gap and Bob-side integrands against oracle forms that
+  reach each value through a different factorization and are built from
+  skcprobe.numerics alone, sharing no engine code; and the batched engine
+  against its per-sample integrands on every trial.
 
 A deliberate mutation hook is included so a silently broken oracle cannot
 pass its own suite.
@@ -26,15 +27,15 @@ import numpy as np
 
 from .capacity import (
     _alice_bound_diverges,
-    _floor_form,
     bound_gap_sample,
     lower_bound_bob_sample,
     pilot_mi,
     secrecy_floor_sample,
-    trial_values,
+    trial_values_many,
 )
-from .channel import DRAWN, ProbingConfig, derive_gammas, generate_pilot, sample_channels
-from .errors import DimensionGuard, QuadratureFailure, ValidationError
+from .channel import (DRAWN, ChannelRealization, ProbingConfig, derive_gammas,
+                      generate_pilot, sample_channels)
+from .errors import DimensionGuard, InvalidNoise, QuadratureFailure, ValidationError
 from .montecarlo import (
     McSettings,
     block_streams,
@@ -43,7 +44,7 @@ from .montecarlo import (
     summarize,
     trial_blocks,
 )
-from .numerics import hermitize, logdet_hermitian_pd, sample_cgaussian
+from .numerics import conj_t, hermitize, logdet_hermitian_pd, logdet_lu, sample_cgaussian
 
 # largest covariance factor we will form densely; beyond this the exact
 # evaluation would need structure-exploiting code that defeats its purpose
@@ -214,20 +215,76 @@ def scalar_capacity_check(snr: float, mc: McSettings) -> VerificationOutcome:
     )
 
 
+def floor_resolvent(realization: ChannelRealization, config: ProbingConfig):
+    """Oracle of the floor integrand: the resolvent determinant
+    log2|I + gamma_ba H^H H (gamma_ba (noise_b/noise_ea) G^H G + I)^-1|,
+    exactly zero at noise_ea = 0."""
+    if config.noise_ea == 0:
+        return realization.per_trial(0.0)
+    gam = derive_gammas(config)
+    eye = np.eye(config.n_a)
+    gram_e = hermitize(conj_t(realization.g_a) @ realization.g_a)
+    gram_h = hermitize(conj_t(realization.h_ba) @ realization.h_ba)
+    denom = gam.gamma_ba * (config.noise_b / config.noise_ea) * gram_e + eye
+    val = logdet_lu(eye + gam.gamma_ba * np.linalg.solve(denom, gram_h))
+    return realization.per_trial(np.maximum(val, 0.0))
+
+
+def gap_resolvent(realization: ChannelRealization, config: ProbingConfig):
+    """Oracle of the gap integrand: v_b times the n_b x n_b resolvent
+    determinant; exactly zero at v_b = 0."""
+    if config.v_b == 0:
+        return realization.per_trial(0.0)
+    if config.noise_eb == 0:
+        raise InvalidNoise("the bound gap diverges at noise_eb = 0 with v_b > 0")
+    gam = derive_gammas(config)
+    weight = config.noise_a / config.noise_eb
+    h, g = realization.h_ab, realization.g_b
+    eye = np.eye(config.n_b)
+    denom = gam.gamma_ab * hermitize(conj_t(h) @ h) + eye
+    resolvent = eye + gam.gamma_ab * weight * np.linalg.solve(denom, hermitize(conj_t(g) @ g))
+    val = config.v_b * logdet_lu(resolvent)
+    return realization.per_trial(np.maximum(val, 0.0))
+
+
+def lower_bob_rectangular(realization: ChannelRealization, config: ProbingConfig):
+    """Oracle of the Bob-side bound integrand: the stacked (n_b+n_e)- and
+    n_e-sized outer-product determinants in place of the engine's Gram
+    determinants."""
+    gam = derive_gammas(config)
+    val = pilot_mi(config)
+
+    def logdet_outer(gamma, m):
+        return logdet_hermitian_pd(gamma * hermitize(m @ conj_t(m)) + np.eye(m.shape[-2]))
+
+    if config.v_a and config.noise_ea > 0:
+        stacked = np.concatenate(
+            [np.sqrt(config.noise_ea / config.noise_b) * realization.h_ba,
+             realization.g_a], axis=-2)
+        val += config.v_a * (logdet_outer(gam.gamma_ea, stacked)
+                             - logdet_outer(gam.gamma_ea, realization.g_a))
+    if config.v_b:
+        if config.noise_eb == 0:
+            raise InvalidNoise("lower bound diverges at noise_eb = 0 with v_b > 0")
+        val += config.v_b * (logdet_outer(gam.gamma_ab, realization.h_ab)
+                             - logdet_outer(gam.gamma_eb, realization.g_b))
+    return realization.per_trial(val)
+
+
 def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
                                master_seed: int = 1) -> list[VerificationOutcome]:
     """Per-trial certification of the paired evaluation forms.
 
     Checks, over the first `realizations` trials of the engine's blocks at
     `master_seed`, each form evaluated once per block:
-      (a) gap: stacked vs resolvent form within IDENTITY_ATOL;
-      (b) floor: direct vs resolvent form within IDENTITY_ATOL;
-      (c) Bob-side bound: square vs rectangular form within IDENTITY_ATOL;
+      (a) gap: engine vs gap_resolvent within IDENTITY_ATOL;
+      (b) floor: engine vs floor_resolvent within IDENTITY_ATOL;
+      (c) Bob-side bound: engine vs lower_bob_rectangular within IDENTITY_ATOL;
       (d) gap integrand >= 0 throughout, and exactly 0 when v_b = 0;
       (e) with v_b forced to 0, the Bob-side integrand equals
           pilot_mi + v_a * floor integrand bit for bit;
       (f) the batched engine's floor, gap, Bob- and Alice-side integrands
-          equal the per-sample forms within IDENTITY_ATOL on every trial of
+          equal the per-sample integrands within IDENTITY_ATOL on every trial of
           the engine's own draws (more than one block once realizations
           exceeds the block size).
     A failing check names the trial with the largest deviation.
@@ -237,19 +294,17 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
     oneway = replace(config, v_b=0)
 
     def paired_forms(block):
-        floor_inverse = secrecy_floor_sample(block, config, form="inverse")
+        floor_inverse = floor_resolvent(block, config)
         return {
-            "gap_stacked": bound_gap_sample(block, config, form="stacked"),
-            "gap_inverse": bound_gap_sample(block, config, form="inverse"),
-            # the direct form is undefined at noise_ea = 0
-            "floor_direct": (secrecy_floor_sample(block, config, form="direct")
-                             if config.noise_ea > 0 else floor_inverse),
+            "gap_stacked": bound_gap_sample(block, config),
+            "gap_inverse": gap_resolvent(block, config),
+            "floor_direct": secrecy_floor_sample(block, config),
             "floor_inverse": floor_inverse,
-            "cb_square": lower_bound_bob_sample(block, config, form="square"),
-            "cb_rect": lower_bound_bob_sample(block, config, form="rectangular"),
+            "cb_square": lower_bound_bob_sample(block, config),
+            "cb_rect": lower_bob_rectangular(block, config),
             "oneway_expected": pilot_mi(oneway) + oneway.v_a * secrecy_floor_sample(
-                block, oneway, _floor_form(oneway)),
-            "oneway_actual": lower_bound_bob_sample(block, oneway, form="square"),
+                block, oneway),
+            "oneway_actual": lower_bound_bob_sample(block, oneway),
         }
 
     v = collect(paired_forms, config, McSettings(trials=realizations,
@@ -289,21 +344,20 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
 def engine_agreement_check(config: ProbingConfig, realizations: int = 300,
                            master_seed: int = 1) -> VerificationOutcome:
     """Largest per-trial deviation of the batched engine's integrands from
-    the per-sample forms (floor in the form _floor_form picks, stacked gap,
-    square Bob-side bound, and that bound of the role-swapped scenario on
-    the swapped draw unless it is the exact -inf), each evaluated on one
-    draw of the same blocks."""
+    the per-sample integrands (floor, gap, Bob-side bound, and that bound
+    of the role-swapped scenario on the swapped draw unless it is the exact
+    -inf), each evaluated on one draw of the same blocks."""
     mc = McSettings(trials=realizations, master_seed=master_seed)
     swapped = config.swap_roles()
     references = {
-        "floor": lambda r: secrecy_floor_sample(r, config, _floor_form(config)),
+        "floor": lambda r: secrecy_floor_sample(r, config),
         "gap": lambda r: bound_gap_sample(r, config),
         "lower_bob": lambda r: lower_bound_bob_sample(r, config),
         "lower_alice": lambda r: lower_bound_bob_sample(r.swap_roles(), swapped),
     }
     if _alice_bound_diverges(config):
         del references["lower_alice"]
-    engine = trial_values(config, mc, references)
+    engine = trial_values_many([(config, references)], mc)[0]
     dev, worst = 0.0, -1
     for start, block in trial_blocks(config, mc):
         for j in range(block.trials_shape[0]):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from skcprobe import ChannelRealization, ProbingConfig
+from skcprobe import ChannelRealization, ProbingConfig, logdet_hermitian_pd
+from skcprobe.numerics import conj_t, hermitize
 
 
 def make_config(**overrides) -> ProbingConfig:
@@ -27,6 +28,13 @@ def make_realization(h_ba, g_a, g_b, h_ab=None) -> ChannelRealization:
     for m in (h_ba, h_ab, g_a, g_b):
         m.flags.writeable = False
     return ChannelRealization.from_arrays(h_ba=h_ba, h_ab=h_ab, g_a=g_a, g_b=g_b)
+
+
+def capacity_logdet(h, gamma):
+    """log2 det(gamma h h^H + I), the MI of a Gaussian probe through a known
+    channel h, for one matrix or a stack."""
+    h = np.asarray(h, dtype=complex)
+    return logdet_hermitian_pd(gamma * hermitize(h @ conj_t(h)) + np.eye(h.shape[-2]))
 
 
 @pytest.fixture

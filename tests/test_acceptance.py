@@ -33,6 +33,7 @@ from skcprobe import (
 )
 from skcprobe.cli import main
 from skcprobe.experiments import load_spec, run_dof
+from skcprobe.verify import floor_resolvent, gap_resolvent, lower_bob_rectangular
 
 # e * E1(1) / ln 2, 30-digit mpmath, frozen before the build
 SCALAR_CAPACITY_AT_ONE = 0.86034738227088595
@@ -101,9 +102,10 @@ def test_acceptance_2_determinant_identities():
         for trial in range(25):
             r = sample_channels(cfg, RngStream(777, total))
             total += 1
-            # gap: both library forms plus this test's LU-based Gram form
-            g_stacked = bound_gap_sample(r, cfg, "stacked")
-            g_inverse = bound_gap_sample(r, cfg, "inverse")
+            # gap: the engine and verify's oracle form plus this test's
+            # LU-based Gram form
+            g_stacked = bound_gap_sample(r, cfg)
+            g_inverse = gap_resolvent(r, cfg)
             hh = r.h_ab.conj().T @ r.h_ab
             gg = r.g_b.conj().T @ r.g_b
             w = cfg.noise_a / cfg.noise_eb
@@ -116,9 +118,9 @@ def test_acceptance_2_determinant_identities():
             if cfg.v_b == 0:
                 zero_gap_violation = max(zero_gap_violation,
                                          abs(g_stacked), abs(g_inverse))
-            # floor: direct vs inverse vs LU oracle
-            f_direct = secrecy_floor_sample(r, cfg, "direct")
-            f_inverse = secrecy_floor_sample(r, cfg, "inverse")
+            # floor: engine vs verify's resolvent oracle vs LU oracle
+            f_direct = secrecy_floor_sample(r, cfg)
+            f_inverse = floor_resolvent(r, cfg)
             ge = r.g_a.conj().T @ r.g_a
             hb = r.h_ba.conj().T @ r.h_ba
             f_oracle = (
@@ -127,9 +129,9 @@ def test_acceptance_2_determinant_identities():
                 - _lu_logdet2(gam.gamma_ea * ge + np.eye(cfg.n_a)))
             worst_floor = max(worst_floor, abs(f_direct - f_inverse),
                               abs(f_direct - f_oracle))
-            # Bob-side bound: square vs rectangular
-            cb_square = lower_bound_bob_sample(r, cfg, "square")
-            cb_rect = lower_bound_bob_sample(r, cfg, "rectangular")
+            # Bob-side bound: engine (square) vs verify's rectangular oracle
+            cb_square = lower_bound_bob_sample(r, cfg)
+            cb_rect = lower_bob_rectangular(r, cfg)
             worst_cb = max(worst_cb, abs(cb_square - cb_rect))
     elapsed = time.perf_counter() - start
     ok = (max(worst_gap, worst_floor, worst_cb) <= 1e-9
@@ -154,8 +156,8 @@ def test_acceptance_3_one_way_coincidence():
     exact = True
     for trial in range(300):
         r = sample_channels(cfg, RngStream(99, trial))
-        lhs = lower_bound_bob_sample(r, cfg, "square")
-        rhs = pilot_mi(cfg) + cfg.v_a * secrecy_floor_sample(r, cfg, "direct")
+        lhs = lower_bound_bob_sample(r, cfg)
+        rhs = pilot_mi(cfg) + cfg.v_a * secrecy_floor_sample(r, cfg)
         if lhs != rhs:
             exact = False
             break

@@ -30,11 +30,9 @@ from skcprobe import (
     dof_formula,
     dof_slope,
     dof_window_split,
-    entropy_given_channel,
     evaluate,
     evaluate_many,
     lower_bound_bob_sample,
-    mi_given_channel,
     pilot_mi,
     reciprocity_gain,
     sample_cgaussian,
@@ -46,8 +44,6 @@ from skcprobe.capacity import (
     SAMPLED,
     Grams,
     _alice_bound_diverges,
-    _floor_form,
-    trial_values,
     trial_values_many,
 )
 from skcprobe.channel import derive_gammas
@@ -62,8 +58,9 @@ from skcprobe.errors import (
 )
 from skcprobe.experiments import load_spec
 from skcprobe.montecarlo import BLOCK, collect, summarize, trial_blocks
-from skcprobe.verify import IDENTITY_ATOL
-from conftest import make_config, make_realization
+from skcprobe.verify import (IDENTITY_ATOL, floor_resolvent, gap_resolvent,
+                             lower_bob_rectangular)
+from conftest import capacity_logdet, make_config, make_realization
 
 LOG2_4_3 = 0.41503749927884382
 LOG2_3_2 = 0.58496250072115618
@@ -157,11 +154,10 @@ class TestPilotMiAtExtremePower:
 
 
 class TestMiGivenChannel:
-    def test_zero_slots(self):
-        assert mi_given_channel(np.eye(2), 1.0, 0) == 0.0
+    """MI of a Gaussian probe through a known channel (conftest.capacity_logdet)."""
 
     def test_scalar_one_bit(self):
-        assert mi_given_channel(np.array([[1.0]]), 1.0, 1) == pytest.approx(1.0, abs=1e-12)
+        assert capacity_logdet(np.array([[1.0]]), 1.0) == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -171,19 +167,13 @@ class TestMiGivenChannel:
     def test_push_through_equivalence(self, rows, cols, gamma, seed):
         # det(g H H^H + I_N) == det(g H^H H + I_K)
         h = sample_cgaussian(rows, cols, RngStream(seed, 0))
-        assert abs(mi_given_channel(h, gamma, 1)
-                   - mi_given_channel(h.conj().T, gamma, 1)) <= 1e-9
-
-    def test_entropy_adds_gaussian_term(self):
-        h = np.array([[1.0]])
-        expected = math.log2(math.pi * math.e) + 1.0
-        assert entropy_given_channel(h, 1.0, 1) == pytest.approx(expected, abs=1e-12)
+        assert abs(capacity_logdet(h, gamma) - capacity_logdet(h.conj().T, gamma)) <= 1e-9
 
     def test_mc_mean_matches_quadrature(self):
         # E{log2(1+|h|^2)} = 0.86034738227088595 (mpmath quadrature)
         cfg = make_config(n_a=1, n_b=1, n_e=1)
         block = sample_channels(cfg, RngStream(31, 0), trials=10_000)
-        vals = [mi_given_channel(h, 1.0, 1) for h in block.h_ba]
+        vals = capacity_logdet(block.h_ba, 1.0)
         stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
         assert abs(float(np.mean(vals)) - 0.86034738227088595) <= 3 * stderr
 
@@ -192,28 +182,29 @@ class TestSecrecyFloorSample:
     def test_scalar_hand_value(self):
         cfg = make_config(n_a=1, n_b=1, n_e=1, power_a=1.0, noise_b=1.0, noise_ea=1.0)
         r = make_realization(h_ba=[[1.0]], g_a=[[1.0]], g_b=[[1.0]])
-        for form in ("direct", "inverse"):
-            assert secrecy_floor_sample(r, cfg, form) == pytest.approx(LOG2_3_2, abs=1e-12)
+        for form in (secrecy_floor_sample, floor_resolvent):
+            assert form(r, cfg) == pytest.approx(LOG2_3_2, abs=1e-12)
 
     def test_zero_probe_power(self):
         cfg = make_config(power_a=0.0)
         r = sample_channels(cfg, RngStream(1, 0))
-        assert secrecy_floor_sample(r, cfg, "direct") == 0.0
-        assert secrecy_floor_sample(r, cfg, "inverse") == 0.0
+        assert secrecy_floor_sample(r, cfg) == 0.0
+        assert floor_resolvent(r, cfg) == 0.0
 
     def test_noiseless_eve_limit(self):
         cfg = make_config(noise_ea=0.0)
         r = sample_channels(cfg, RngStream(1, 0))
-        assert secrecy_floor_sample(r, cfg, "inverse") == 0.0
-        with pytest.raises(InvalidNoise):
-            secrecy_floor_sample(r, cfg, "direct")
+        block = sample_channels(cfg, RngStream(1, 0), trials=5)
+        for form in (secrecy_floor_sample, floor_resolvent):
+            assert form(r, cfg) == 0.0 and type(form(r, cfg)) is float
+            assert np.array_equal(form(block, cfg), np.zeros(5))
 
     def test_forms_agree_and_nonnegative(self, rng):
         cfg = make_config(n_a=3, n_b=2, n_e=4)
         for trial in range(50):
             r = sample_channels(cfg, RngStream(77, trial))
-            d = secrecy_floor_sample(r, cfg, "direct")
-            i = secrecy_floor_sample(r, cfg, "inverse")
+            d = secrecy_floor_sample(r, cfg)
+            i = floor_resolvent(r, cfg)
             assert d >= 0.0 and i >= 0.0
             assert abs(d - i) <= 1e-9
 
@@ -224,41 +215,43 @@ class TestBoundGapSample:
                           noise_a=1.0, noise_eb=1.0)
         r = make_realization(h_ba=[[1.0]], g_a=[[1.0]], g_b=[[1.0]])
         expected = math.log2(3.0) - math.log2(2.0)
-        for form in ("stacked", "inverse"):
-            assert bound_gap_sample(r, cfg, form) == pytest.approx(expected, abs=1e-12)
+        for form in (bound_gap_sample, gap_resolvent):
+            assert form(r, cfg) == pytest.approx(expected, abs=1e-12)
 
     def test_exactly_zero_without_bob_probes(self):
         cfg = make_config(v_b=0)
         r = sample_channels(cfg, RngStream(1, 0))
-        assert bound_gap_sample(r, cfg, "stacked") == 0.0
-        assert bound_gap_sample(r, cfg, "inverse") == 0.0
+        assert bound_gap_sample(r, cfg) == 0.0
+        assert gap_resolvent(r, cfg) == 0.0
 
     def test_vanishes_when_eve_hears_bob_badly(self):
         # noise_a/noise_eb -> 0 removes Eve's contribution
         cfg = make_config(v_b=2, noise_a=1.0, noise_eb=1e12)
         r = sample_channels(cfg, RngStream(2, 0))
         assert bound_gap_sample(r, cfg) == pytest.approx(0.0, abs=1e-9)
+        assert gap_resolvent(r, cfg) == pytest.approx(0.0, abs=1e-9)
 
     def test_noiseless_eve_diverges(self):
         cfg = make_config(v_b=1, noise_eb=0.0)
         r = sample_channels(cfg, RngStream(1, 0))
-        with pytest.raises(InvalidNoise):
-            bound_gap_sample(r, cfg)
+        for form in (bound_gap_sample, gap_resolvent):
+            with pytest.raises(InvalidNoise):
+                form(r, cfg)
 
 
 class TestLowerBoundBob:
     def test_pilot_only_configuration(self):
         cfg = make_config(v_a=0, v_b=0)
         r = sample_channels(cfg, RngStream(3, 0))
-        for form in ("square", "rectangular"):
-            assert lower_bound_bob_sample(r, cfg, form) == pilot_mi(cfg)
+        for form in (lower_bound_bob_sample, lower_bob_rectangular):
+            assert form(r, cfg) == pilot_mi(cfg)
 
     def test_one_way_identity_is_bitwise(self):
         cfg = make_config(v_a=1, v_b=0)
         for trial in range(100):
             r = sample_channels(cfg, RngStream(41, trial))
-            expected = pilot_mi(cfg) + cfg.v_a * secrecy_floor_sample(r, cfg, "direct")
-            assert lower_bound_bob_sample(r, cfg, "square") == expected
+            expected = pilot_mi(cfg) + cfg.v_a * secrecy_floor_sample(r, cfg)
+            assert lower_bound_bob_sample(r, cfg) == expected
 
     def test_bob_probe_contribution_sign(self):
         cfg = make_config(n_a=1, n_b=1, n_e=1, v_a=0, v_b=1, rho=0.0,
@@ -272,8 +265,8 @@ class TestLowerBoundBob:
         cfg = make_config(n_a=3, n_b=2, n_e=4, v_a=2, v_b=3)
         for trial in range(50):
             r = sample_channels(cfg, RngStream(53, trial))
-            square = lower_bound_bob_sample(r, cfg, "square")
-            rect = lower_bound_bob_sample(r, cfg, "rectangular")
+            square = lower_bound_bob_sample(r, cfg)
+            rect = lower_bob_rectangular(r, cfg)
             assert abs(square - rect) <= 1e-9
 
 
@@ -290,13 +283,13 @@ class TestBatchedIntegrands:
         # the Alice-side bound is sampled unless it is the exact -inf
         alice_sampled = not (cfg.noise_ea == 0 and cfg.v_a > 0)
         names = ("floor", "gap", "lower_bob") + (("lower_alice",) if alice_sampled else ())
-        engine = trial_values(cfg, mc, names)
+        engine = trial_values_many([(cfg, names)], mc)[0]
         for start, block in trial_blocks(cfg, mc):
             for j in range(block.trials_shape[0]):
                 r = block[j]
                 i = start + j
                 assert abs(engine["floor"][i]
-                           - secrecy_floor_sample(r, cfg, _floor_form(cfg))) <= IDENTITY_ATOL
+                           - secrecy_floor_sample(r, cfg)) <= IDENTITY_ATOL
                 assert abs(engine["gap"][i] - bound_gap_sample(r, cfg)) <= IDENTITY_ATOL
                 assert abs(engine["lower_bob"][i] - lower_bound_bob_sample(r, cfg)) <= IDENTITY_ATOL
                 if alice_sampled:
@@ -308,13 +301,12 @@ class TestBatchedIntegrands:
     def test_stacked_forms_match_per_sample_forms(self):
         cfg = make_config(n_a=3, n_b=2, n_e=4, v_a=2, v_b=3)
         block = sample_channels(cfg, RngStream(61, 0), trials=40)
-        pairs = [(secrecy_floor_sample, "direct"), (secrecy_floor_sample, "inverse"),
-                 (bound_gap_sample, "stacked"), (bound_gap_sample, "inverse"),
-                 (lower_bound_bob_sample, "square"), (lower_bound_bob_sample, "rectangular")]
-        for fn, form in pairs:
-            stacked = fn(block, cfg, form)
+        forms = [secrecy_floor_sample, floor_resolvent, bound_gap_sample, gap_resolvent,
+                 lower_bound_bob_sample, lower_bob_rectangular]
+        for form in forms:
+            stacked = form(block, cfg)
             assert stacked.shape == (40,)
-            singles = [fn(block[j], cfg, form) for j in range(40)]
+            singles = [form(block[j], cfg) for j in range(40)]
             assert np.max(np.abs(stacked - singles)) <= IDENTITY_ATOL
 
     def test_floor_alone_equals_floor_in_report(self):
@@ -327,7 +319,7 @@ class TestBatchedIntegrands:
     def test_upper_is_lower_bob_plus_gap_per_sample(self):
         cfg = make_config(v_b=2)
         mc = McSettings(trials=BLOCK + 30, master_seed=53)
-        values = trial_values(cfg, mc, ("gap", "lower_bob"))
+        values = trial_values_many([(cfg, ("gap", "lower_bob"))], mc)[0]
         assert evaluate(cfg, mc, ("upper",))["upper"] == \
             summarize(values["lower_bob"] + values["gap"])
 
@@ -481,7 +473,7 @@ class TestEvaluateMany:
                        and not (n == "lower_alice" and _alice_bound_diverges(c))])
                   for c in configs]
         for (config, names), values in zip(points, trial_values_many(points, mc)):
-            single = trial_values(config, mc, names)
+            single = trial_values_many([(config, names)], mc)[0]
             assert values.keys() == single.keys()
             for name in values:
                 assert np.array_equal(values[name], single[name]), (config, name)
@@ -693,7 +685,7 @@ class TestRoleSymmetry:
         mc = McSettings(trials=300, master_seed=11)
         for cfg in (make_config(v_a=0, v_b=2),
                     make_config(n_a=3, n_b=2, n_e=2, v_a=0, v_b=2, rho=0.3)):
-            values = trial_values(cfg, mc, ("lower_alice", "lower_bob", "gap"))
+            values = trial_values_many([(cfg, ("lower_alice", "lower_bob", "gap"))], mc)[0]
             upper = values["lower_bob"] + values["gap"]
             assert np.max(np.abs(values["lower_alice"] - upper)) <= IDENTITY_ATOL
             est = evaluate(cfg, mc, ("lower_alice", "upper"))
@@ -767,7 +759,7 @@ class TestRandomValidConfigs:
         alice_sampled = not _alice_bound_diverges(config)
         names = ("floor", "gap", "lower_bob") + (("lower_alice",) if alice_sampled else ())
         try:
-            values = trial_values(config, mc, names)
+            values = trial_values_many([(config, names)], mc)[0]
             est = evaluate(config, mc, ("upper", "lower_alice"))
         except SkcError as exc:
             assert type(exc) is not SkcError

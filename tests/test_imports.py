@@ -1,4 +1,4 @@
-"""Import budget and attribute names the benchmark relies on.
+"""Import budget and the attribute names the benchmark and the README rely on.
 
 Only the quadrature oracle of `verify` loads scipy, and only `verify` (or a
 verify name taken from the package) loads the verification suite.  Each
@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,3 +109,19 @@ def test_benchmark_trace_targets_resolve():
         obj = functools.reduce(getattr, attribute.split("."),
                                importlib.import_module(module))
         assert callable(obj), f"{module}.{attribute}"
+
+
+def test_readme_names_resolve():
+    # every `sk.<name>` the README shows (it imports skcprobe as sk) exists;
+    # the names are resolved, not called, since some README lines are slow
+    import skcprobe
+    names = sorted(set(re.findall(r"\bsk\.(\w+(?:\.\w+)*)",
+                                  (ROOT / "README.md").read_text())))
+    assert "evaluate" in names and "capacity.QUANTITIES" in names
+    missing = []
+    for name in names:
+        try:
+            functools.reduce(getattr, name.split("."), skcprobe)
+        except AttributeError:
+            missing.append(name)
+    assert missing == []

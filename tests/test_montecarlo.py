@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from skcprobe import Estimate, McSettings, convergence_report, estimate, evaluate
+from skcprobe import Estimate, McSettings, estimate, evaluate
 from skcprobe.capacity import secrecy_floor_sample
 from skcprobe.errors import IntegrandFailure, ValidationError
 from skcprobe.montecarlo import BLOCK, collect, pairwise_sum, summarize, trial_blocks
@@ -152,47 +152,6 @@ class TestCollect:
 
         with pytest.raises(IntegrandFailure, match=f"trials {BLOCK}-{BLOCK + 19}: boom"):
             collect(integrand, cfg, McSettings(trials=BLOCK + 20, master_seed=1))
-
-
-class TestConvergenceReport:
-    def test_prefix_equals_fresh_run(self):
-        cfg = make_config(n_a=1, n_b=1, n_e=1)
-        settings = McSettings(trials=500, master_seed=9)
-        table = convergence_report(abs2_integrand, cfg, settings, [100, 500])
-        fresh = estimate(abs2_integrand, cfg, McSettings(trials=100, master_seed=9))
-        assert table[0] == fresh
-        assert table[0].trials == 100 and table[1].trials == 500
-
-    def test_prefix_across_block_boundary(self):
-        cfg = make_config(n_a=1, n_b=1, n_e=1)
-        settings = McSettings(trials=3 * BLOCK, master_seed=9)
-        table = convergence_report(abs2_integrand, cfg, settings, [BLOCK + 1, 2 * BLOCK + 7])
-        for k, est in zip((BLOCK + 1, 2 * BLOCK + 7), table):
-            assert est == estimate(abs2_integrand, cfg, McSettings(trials=k, master_seed=9))
-
-    def test_constant_integrand_checkpoints_agree(self):
-        cfg = make_config(n_a=1, n_b=1, n_e=1)
-        table = convergence_report(constant(2.5), cfg,
-                                   McSettings(trials=100, master_seed=1), [10, 100])
-        assert table[0].mean == table[1].mean == 2.5
-
-    def test_stderr_scales_as_inverse_sqrt(self):
-        cfg = make_config(n_a=1, n_b=1, n_e=1)
-        table = convergence_report(abs2_integrand, cfg,
-                                   McSettings(trials=10_000, master_seed=21),
-                                   [100, 10_000])
-        ratio = table[0].stderr / table[1].stderr
-        assert 10.0 / 1.3 <= ratio <= 10.0 * 1.3
-
-    def test_checkpoint_validation(self):
-        cfg = make_config(n_a=1, n_b=1, n_e=1)
-        settings = McSettings(trials=100, master_seed=1)
-        with pytest.raises(ValidationError):
-            convergence_report(abs2_integrand, cfg, settings, [50, 50])
-        with pytest.raises(ValidationError):
-            convergence_report(abs2_integrand, cfg, settings, [50, 200])
-        with pytest.raises(ValidationError):
-            convergence_report(abs2_integrand, cfg, settings, [])
 
 
 class TestSummarize:

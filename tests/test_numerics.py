@@ -14,11 +14,11 @@ from skcprobe import (
     RngStream,
     logdet_hermitian_pd,
     logdet_lu,
-    mi_given_channel,
     sample_cgaussian,
 )
 from skcprobe.errors import DimensionMismatch, NotHermitian, NotPositiveDefinite
 from skcprobe.numerics import _max_asymmetry, hermitize
+from conftest import capacity_logdet
 
 
 class TestSampleCGaussian:
@@ -258,11 +258,11 @@ class TestHermitize:
 
 
 class TestCapacityLogdet:
-    # log2 det(I + gamma H H^H), the capacity log-det; mi_given_channel
-    # computes it per slot (the push-through case is in test_capacity)
+    # log2 det(I + gamma H H^H), the capacity log-det (the push-through case
+    # is in test_capacity)
     def test_zero_snr(self, rng):
         h = rng.standard_normal((3, 2))
-        assert mi_given_channel(h, 0.0, 1) == 0.0
+        assert capacity_logdet(h, 0.0) == 0.0
 
     def test_identity_channel(self):
-        assert mi_given_channel(np.eye(2), 3.0, 1) == pytest.approx(4.0, abs=1e-12)
+        assert capacity_logdet(np.eye(2), 3.0) == pytest.approx(4.0, abs=1e-12)

@@ -1,5 +1,7 @@
 """Verification layer: exact covariance oracle, estimation checks, suite."""
 
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -13,9 +15,11 @@ from skcprobe import (
     run_suite,
     siso_ergodic_capacity,
 )
-from skcprobe.errors import DimensionGuard, ValidationError
-from skcprobe.montecarlo import BLOCK, trial_blocks
-from skcprobe.verify import scalar_capacity_check
+from skcprobe.capacity import trial_values_many
+from skcprobe.errors import DimensionGuard, InvalidNoise, ValidationError
+from skcprobe.montecarlo import BLOCK, collect, trial_blocks
+from skcprobe.verify import (IDENTITY_ATOL, floor_resolvent, gap_resolvent,
+                             lower_bob_rectangular, scalar_capacity_check)
 from conftest import make_config
 
 # e * E1(1) / ln 2 to double precision (30-digit mpmath, frozen)
@@ -123,12 +127,12 @@ class TestIdentitySuite:
     def test_engine_agreement_outcome_is_plain_json(self, monkeypatch):
         import json
         import skcprobe.verify as verify
-        real = verify.trial_values
+        real = verify.trial_values_many
 
-        def shifted(config, mc, names):
-            return {k: v + 1e-12 for k, v in real(config, mc, names).items()}
+        def shifted(points, mc):
+            return [{k: v + 1e-12 for k, v in values.items()} for values in real(points, mc)]
 
-        monkeypatch.setattr(verify, "trial_values", shifted)
+        monkeypatch.setattr(verify, "trial_values_many", shifted)
         check = verify.engine_agreement_check(make_config(), realizations=120)
         assert check.passed is True and type(check.computed_value) is float
         assert 0.0 < check.computed_value <= 1e-9
@@ -136,17 +140,17 @@ class TestIdentitySuite:
 
     def test_failing_form_names_the_worst_trial_in_block_layout(self, monkeypatch):
         import skcprobe.verify as verify
-        real = verify.bound_gap_sample
+        real = verify.gap_resolvent
 
-        def skewed(block, config, form="stacked"):
+        def skewed(block, config):
             # the resolvent form is off by 1e-6 |h_ba[0, 0]|^2 on the
             # second, partial block only
-            value = real(block, config, form=form)
-            if form == "inverse" and block.trials_shape[0] < BLOCK:
+            value = real(block, config)
+            if block.trials_shape[0] < BLOCK:
                 value = value + 1e-6 * np.abs(block.h_ba[:, 0, 0]) ** 2
             return value
 
-        monkeypatch.setattr(verify, "bound_gap_sample", skewed)
+        monkeypatch.setattr(verify, "gap_resolvent", skewed)
         cfg = make_config()
         (_, _), (start, last) = trial_blocks(cfg, McSettings(trials=300, master_seed=4))
         gains = np.abs(last.h_ba[:, 0, 0]) ** 2
@@ -162,6 +166,37 @@ class TestIdentitySuite:
     def test_requires_enough_realizations(self):
         with pytest.raises(ValidationError):
             determinant_identity_suite(make_config(), realizations=50)
+
+
+class TestOracleIndependence:
+    """The oracle forms run and agree with the engine with every engine
+    integrand and Gram helper of capacity made to raise."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(n_a=3, n_b=2, n_e=4, v_a=2, v_b=3), dict(rho=1.0), dict(noise_ea=0.0)])
+    def test_oracles_share_no_engine_code(self, monkeypatch, overrides):
+        import skcprobe.capacity as capacity
+        cfg = make_config(**overrides)
+        mc = McSettings(trials=BLOCK + 44, master_seed=9)
+        engine = trial_values_many([(cfg, ("floor", "gap", "lower_bob"))], mc)[0]
+
+        def engine_code(*args, **kwargs):
+            raise AssertionError("an oracle called engine code")
+
+        for name in ("secrecy_floor_sample", "bound_gap_sample", "lower_bound_bob_sample",
+                     "Grams", "_gram", "_outer"):
+            monkeypatch.setattr(capacity, name, engine_code)
+        oracles = collect(lambda block: {"floor": floor_resolvent(block, cfg),
+                                         "gap": gap_resolvent(block, cfg),
+                                         "lower_bob": lower_bob_rectangular(block, cfg)},
+                          cfg, mc)
+        for name, values in engine.items():
+            assert oracles[name].shape == (BLOCK + 44,)
+            assert np.max(np.abs(oracles[name] - values)) <= IDENTITY_ATOL, name
+        block = next(trial_blocks(cfg, mc))[1]
+        assert not gap_resolvent(block, replace(cfg, v_b=0, noise_eb=0.0)).any()
+        with pytest.raises(InvalidNoise):
+            gap_resolvent(block, replace(cfg, v_b=1, noise_eb=0.0))
 
 
 class TestRunSuite:
