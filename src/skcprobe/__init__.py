@@ -22,6 +22,7 @@ from .capacity import (
     pilot_mi,
     reciprocity_gain,
     secrecy_floor_sample,
+    wishart_logdet_mean,
 )
 from .channel import (
     ChannelRealization,

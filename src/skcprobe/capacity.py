@@ -23,11 +23,14 @@ with stacked Gram products and factorizations.  ``evaluate_many`` is the
 single Monte Carlo path that every estimate here goes through: points whose
 draws are identical share one pass, and each block's Gram matrices are
 formed once for all of them, which also build what they factor in the
-block's work matrices (see Grams; ``evaluate`` is its one-point call).
+block's work matrices (see Grams; ``evaluate`` is its one-point call).  It
+estimates the floor, and the bounds built on it, with two control variates
+whose exact means ``wishart_logdet_mean`` evaluates in closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -39,6 +42,8 @@ from .errors import (GridTooSmall, IntegrandFailure, InvalidNoise, OrderingViola
                      SkcError, ValidationError)
 from .montecarlo import Estimate, McSettings, collect, summarize
 from .numerics import conj_t, hermitize, logdet_hermitian_pd
+
+_LN2 = math.log(2.0)
 
 
 def reciprocity_gain(config: ProbingConfig) -> float:
@@ -73,6 +78,79 @@ def pilot_mi(config: ProbingConfig) -> float:
     return config.n_a * config.n_b * math.log2(reciprocity_gain(config))
 
 
+# wishart_logdet_mean's domain: rows and cols in [1, WISHART_MAX_DIM] and
+# gamma in WISHART_GAMMAS, where the rule below matches an exact mpmath
+# evaluation to 1e-10 relative (tests/test_control_variates.py)
+WISHART_MAX_DIM = 16
+WISHART_GAMMAS = (1e-6, 1e10)
+# the rule must integrate the eigenvalue density to its mass m this closely
+WISHART_MASS_RTOL = 1e-12
+# exp-sinh rule: lambda = exp(pi/2 sinh t) on a uniform t grid of this step,
+# from lambda = 1e-14 to about 250 (365 nodes)
+_EXP_SINH_STEP = 1.0 / 64
+_EXP_SINH_SPAN = (1e-14, 250.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _exp_sinh_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes lambda_i and weights w_i, sum_i w_i f(lambda_i) ~ the integral
+    of f over (0, inf), built on first use."""
+    lo, hi = (math.asinh(math.log(x) / (math.pi / 2)) for x in _EXP_SINH_SPAN)
+    t = lo + _EXP_SINH_STEP * np.arange(math.ceil((hi - lo) / _EXP_SINH_STEP) + 1)
+    nodes = np.exp(math.pi / 2 * np.sinh(t))
+    return nodes, _EXP_SINH_STEP * (math.pi / 2) * np.cosh(t) * nodes
+
+
+@functools.lru_cache(maxsize=None)
+def _eigenvalue_weights(m: int, d: int) -> np.ndarray | None:
+    """The rule's weights times the density of the m eigenvalues of a
+    complex Wishart matrix with m + d degrees of freedom summed over the
+    eigenvalues, sum_{k<m} k!/(k+d)! L_k^d(x)^2 x^d e^-x, whose integral is
+    m; None when the weights miss that mass by more than WISHART_MASS_RTOL.
+    The Laguerre polynomials L_k^d come from their three-term recurrence."""
+    nodes, weights = _exp_sinh_rule()
+    prev, cur = np.zeros_like(nodes), np.ones_like(nodes)
+    density = np.zeros_like(nodes)
+    for k in range(m):
+        density += math.exp(math.lgamma(k + 1) - math.lgamma(k + d + 1)) * cur * cur
+        prev, cur = cur, ((2 * k + 1 + d - nodes) * cur - (k + d) * prev) / (k + 1)
+    out = weights * density * np.exp(d * np.log(nodes) - nodes)
+    if not abs(math.fsum(out) - m) <= WISHART_MASS_RTOL * m:
+        return None
+    out.flags.writeable = False
+    return out
+
+
+def wishart_logdet_mean(rows: int, cols: int, gamma):
+    """E log2det(I + gamma h^H h) over rows x cols matrices h of iid CN(0, 1)
+    entries, for a gamma or an array of them (Telatar, "Capacity of
+    multi-antenna Gaussian channels", Eur. Trans. Telecom. 10(6), 1999,
+    Thm 2): the integral of ln(1 + gamma x) against the eigenvalue density
+    (see _eigenvalue_weights) with m = min(rows, cols), d = |rows - cols|,
+    over ln 2, on a fixed exp-sinh rule.  numpy core only.
+
+    ValueError outside the domain: rows and cols in [1, WISHART_MAX_DIM],
+    every gamma in WISHART_GAMMAS, and a rule that integrates the density to
+    its mass (WISHART_MASS_RTOL).
+    """
+    if not (1 <= rows <= WISHART_MAX_DIM and 1 <= cols <= WISHART_MAX_DIM):
+        raise ValueError(f"wishart_logdet_mean: shape {rows}x{cols} outside "
+                         f"[1, {WISHART_MAX_DIM}]")
+    g = np.asarray(gamma, dtype=float)
+    lo, hi = WISHART_GAMMAS
+    # a plain comparison for one gamma: evaluate_many asks for one at a time
+    if not (lo <= float(g) <= hi if g.ndim == 0 else ((g >= lo) & (g <= hi)).all()):
+        raise ValueError(f"wishart_logdet_mean: gamma {gamma} outside [{lo:g}, {hi:g}]")
+    weights = _eigenvalue_weights(min(rows, cols), abs(rows - cols))
+    if weights is None:
+        raise ValueError(f"wishart_logdet_mean: the rule misses the eigenvalue "
+                         f"density's mass at shape {rows}x{cols}")
+    nodes, _ = _exp_sinh_rule()
+    if g.ndim == 0:
+        return float(np.log1p(float(g) * nodes) @ weights) / _LN2
+    return np.log1p(np.multiply.outer(g, nodes)) @ weights / _LN2
+
+
 def _gram(m: np.ndarray) -> np.ndarray:
     return hermitize(conj_t(m) @ m)
 
@@ -100,17 +178,38 @@ class Grams:
     """
 
     def __init__(self, realization: ChannelRealization,
-                 shared: tuple[dict, dict] | None = None, swapped: bool = False):
+                 shared: tuple[dict, dict, dict] | None = None, swapped: bool = False):
         self._realization = realization
-        self._grams, self._work = ({}, {}) if shared is None else shared
+        self._grams, self._work, self._logdets = ({}, {}, {}) if shared is None else shared
         self._swapped = swapped
 
-    def __getitem__(self, channel: str) -> np.ndarray:
-        if self._swapped:
-            channel = _SWAPPED[channel]
+    def _channel(self, channel: str) -> str:
+        return _SWAPPED[channel] if self._swapped else channel
+
+    def _gram(self, channel: str) -> np.ndarray:
         if channel not in self._grams:
             self._grams[channel] = _gram(getattr(self._realization, channel))
         return self._grams[channel]
+
+    def __getitem__(self, channel: str) -> np.ndarray:
+        return self._gram(self._channel(channel))
+
+    def identity_logdet(self, channel: str, gamma: float):
+        """log2det(I + gamma m^H m) of channel m, per trial: factored in the
+        work matrix on first use for each (channel, gamma) and then shared,
+        read-only, by every integrand and point that asks again, the
+        role-swapped view included."""
+        key = (self._channel(channel), gamma)
+        if key not in self._logdets:
+            gram = self._gram(key[0])
+            work = self.work(gram.shape[-2:])
+            np.multiply(gram, gamma, out=work)
+            work += np.eye(gram.shape[-1])
+            value = logdet_hermitian_pd(work)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._logdets[key] = value
+        return self._logdets[key]
 
     def work(self, shape: tuple[int, int]) -> np.ndarray:
         """The work stack of matrix shape `shape`."""
@@ -120,7 +219,8 @@ class Grams:
         return self._work[shape]
 
     def swap_roles(self) -> "Grams":
-        return Grams(self._realization, (self._grams, self._work), not self._swapped)
+        return Grams(self._realization, (self._grams, self._work, self._logdets),
+                     not self._swapped)
 
 
 def secrecy_floor_sample(realization: ChannelRealization, config: ProbingConfig,
@@ -132,24 +232,23 @@ def secrecy_floor_sample(realization: ChannelRealization, config: ProbingConfig,
     exactly 0 at noise_ea = 0, the floor's limit there only when n_e >= n_a.
     `grams` is the realization's Gram store when the caller shares it (see
     Grams); both matrices it factors are built, one after the other, in the
-    store's n_a x n_a work matrix rather than in fresh arrays.
+    store's n_a x n_a work matrix rather than in fresh arrays, and the
+    second log-det, log2det(I + gamma_ea G), is the store's shared one (see
+    Grams.identity_logdet), which evaluate_many also reads as a control
+    variate.
     """
     if config.noise_ea == 0:
         return realization.per_trial(0.0)
     gam = derive_gammas(config)
-    eye = np.eye(config.n_a)
     grams = Grams(realization) if grams is None else grams
-    gram_e = grams["g_a"]
-    # gamma_ea (G + (noise_ea/noise_b) H) + I, then gamma_ea G + I
+    # gamma_ea (G + (noise_ea/noise_b) H) + I
     work = grams.work((config.n_a, config.n_a))
     np.multiply(grams["h_ba"], config.noise_ea / config.noise_b, out=work)
-    work += gram_e
+    work += grams["g_a"]
     work *= gam.gamma_ea
-    work += eye
+    work += np.eye(config.n_a)
     folded = logdet_hermitian_pd(work)
-    np.multiply(gram_e, gam.gamma_ea, out=work)
-    work += eye
-    val = folded - logdet_hermitian_pd(work)
+    val = folded - grams.identity_logdet("g_a", gam.gamma_ea)
     # mathematically >= 0 (det of M + PSD over det of M); clamp round-off
     return realization.per_trial(np.maximum(val, 0.0))
 
@@ -205,14 +304,8 @@ def lower_bound_bob_sample(realization: ChannelRealization, config: ProbingConfi
     if config.v_b:
         if config.noise_eb == 0:
             raise InvalidNoise("lower bound diverges at noise_eb = 0 with v_b > 0")
-        eye_b = np.eye(config.n_b)
-        work = grams.work((config.n_b, config.n_b))
-        np.multiply(grams["h_ab"], gam.gamma_ab, out=work)
-        work += eye_b
-        at_alice = logdet_hermitian_pd(work)
-        np.multiply(grams["g_b"], gam.gamma_eb, out=work)
-        work += eye_b
-        val += config.v_b * (at_alice - logdet_hermitian_pd(work))
+        val += config.v_b * (grams.identity_logdet("h_ab", gam.gamma_ab)
+                             - grams.identity_logdet("g_b", gam.gamma_eb))
     return realization.per_trial(val)
 
 
@@ -221,6 +314,16 @@ QUANTITIES = ("pilot_mi", "floor", "gap", "lower_bob", "lower_alice", "upper", "
 # the Monte Carlo integrands, in the order a point evaluates them (the
 # Bob-side bound reuses the point's floor values)
 SAMPLED = ("floor", "lower_bob", "gap", "lower_alice")
+# the floor's control variates, the per-trial log-dets t2 = log2det(I +
+# gamma_ea G) (the floor's own second term) and t3 = log2det(I + gamma_ba H),
+# G and H the Grams of g_a and h_ba; their means are wishart_logdet_mean's
+CONTROLS = ("t2", "t3")
+# evaluate_many's regression on CONTROLS needs this many trials; below it the
+# n - 1 divisor of the adjusted samples' stderr reads more than 1% low
+CV_MIN_TRIALS = 100
+# a 2 x 2 regression system whose determinant is at most this fraction of
+# the product of its diagonal counts as singular
+CV_SINGULAR_RTOL = 1e-12
 
 
 def _alice_bound_diverges(config: ProbingConfig) -> bool:
@@ -234,13 +337,59 @@ def _draws_key(config: ProbingConfig) -> tuple:
     return (config.n_a, config.n_b, config.n_e, config.rho)
 
 
+def _control_terms(config: ProbingConfig) -> dict[str, tuple[str, float, int, int]]:
+    """(channel, gamma, rows, cols) of each of the floor's CONTROLS, the
+    channel rows x cols; both are log-dets of Grams that the floor forms
+    anyway (see Grams.identity_logdet)."""
+    gam = derive_gammas(config)
+    return {"t2": ("g_a", gam.gamma_ea, config.n_e, config.n_a),
+            "t3": ("h_ba", gam.gamma_ba, config.n_b, config.n_a)}
+
+
+def _control_means(config: ProbingConfig) -> list[float] | None:
+    """Exact means of the floor's CONTROLS, in order, or None outside
+    wishart_logdet_mean's domain (power_a = 0 is outside it)."""
+    try:
+        return [wishart_logdet_mean(rows, cols, gamma)
+                for _, gamma, rows, cols in _control_terms(config).values()]
+    except ValueError:
+        return None
+
+
+def _control_corrections(rows: np.ndarray, means: np.ndarray) -> list[np.ndarray | None]:
+    """For each point p, with rows[p] = (t2, t3, floor) over its trials and
+    means[p] the exact means of t2 and t3: beta . (t - mean) per trial, beta
+    the least-squares coefficients of the floor on the two control
+    variates (intercept included), from a 2 x 2 solve; None where that
+    system is singular.  Vectorized over the points, with each point's sums
+    reduced pairwise over its own trials, so a point's correction does not
+    depend on the others.  rows is overwritten."""
+    centre = np.add.reduce(rows[:, :2], axis=-1) / rows.shape[-1]
+    rows[:, :2] -= centre[..., None]
+    # per point [[x.x, x.y, x.f], [y.x, y.y, y.f]] for the centred controls
+    # x, y (the floor f needs no centring: x and y sum to 0)
+    sums = np.add.reduce(rows[:, :2, None] * rows[:, None], axis=-1)
+    (sxx, sxy, fx), (syy, fy) = sums[:, 0].T, sums[:, 1, 1:].T
+    det = sxx * syy - sxy * sxy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta_x, beta_y = (syy * fx - sxy * fy) / det, (sxx * fy - sxy * fx) / det
+    offset = beta_x * (centre[:, 0] - means[:, 0]) + beta_y * (centre[:, 1] - means[:, 1])
+    corrections = (beta_x[:, None] * rows[:, 0] + beta_y[:, None] * rows[:, 1]
+                   + offset[:, None])
+    return [c if solvable else None
+            for c, solvable in zip(corrections, det > CV_SINGULAR_RTOL * sxx * syy)]
+
+
 class _Key(NamedTuple):
     """One point's quantity in a batched pass, printed in error messages as
-    the point's label and the quantity."""
+    the point's label and the quantity.  A control variate of the floor is
+    the floor's key with the control's name as `part`, so it prints as the
+    floor."""
 
     point: int
     quantity: str
     label: str
+    part: str = ""
 
     def __str__(self) -> str:
         return f"{self.label}: {self.quantity}" if self.label else self.quantity
@@ -252,6 +401,8 @@ def _group_integrand(plan: Sequence[tuple[_Key, ProbingConfig]]):
     log-dets are per point.  A lower_alice key carries the role-swapped
     config."""
 
+    controls = {key: _control_terms(config)[key.part][:2] for key, config in plan if key.part}
+
     def block_values(block: ChannelRealization) -> dict[_Key, np.ndarray]:
         grams = Grams(block)
         swapped, swapped_grams = block.swap_roles(), grams.swap_roles()
@@ -259,7 +410,9 @@ def _group_integrand(plan: Sequence[tuple[_Key, ProbingConfig]]):
         out = {}
         for key, config in plan:
             try:
-                if key.quantity == "floor":
+                if key.part:
+                    out[key] = grams.identity_logdet(*controls[key])
+                elif key.quantity == "floor":
                     out[key] = floors[key.point] = secrecy_floor_sample(
                         block, config, grams)
                 elif key.quantity == "lower_bob":
@@ -282,7 +435,8 @@ def trial_values_many(points: Sequence[tuple[ProbingConfig, Iterable[str]]],
     """Per-trial integrands of the SAMPLED quantities each (config, names)
     point asks for, on the engine's shared draws: the floor, the gap, the
     Bob-side bound built on the same floor values, and that bound of the
-    role-swapped scenario on the swapped draws.
+    role-swapped scenario on the swapped draws; and the floor's CONTROLS
+    that it names (noise_ea > 0), which a failure reports as the floor.
 
     Points whose configs agree on what sample_channels reads get identical
     draws, so each such group takes one collect pass.  A failure names the
@@ -292,16 +446,17 @@ def trial_values_many(points: Sequence[tuple[ProbingConfig, Iterable[str]]],
     groups: dict[tuple, list[tuple[_Key, ProbingConfig]]] = {}
     for i, (config, names) in enumerate(points):
         names = frozenset(names)
-        for q in SAMPLED:
+        for q in SAMPLED + CONTROLS:
             if q in names:
+                key = _Key(i, "floor", labels[i], q) if q in CONTROLS \
+                    else _Key(i, q, labels[i])
                 groups.setdefault(_draws_key(config), []).append(
-                    (_Key(i, q, labels[i]),
-                     config.swap_roles() if q == "lower_alice" else config))
+                    (key, config.swap_roles() if q == "lower_alice" else config))
     values: list[dict[str, np.ndarray]] = [{} for _ in points]
     for plan in groups.values():
         sampling = points[plan[0][0].point][0]
         for key, v in collect(_group_integrand(plan), sampling, mc).items():
-            values[key.point][key.quantity] = v
+            values[key.point][key.part or key.quantity] = v
     return values
 
 
@@ -316,6 +471,16 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
     trial_values_many, which also says how `labels` name a failing point).
     pilot_mi is exact, as are the floor at noise_ea = 0 (0), the gap at
     v_b = 0 (0) and lower_alice at noise_ea = 0 with v_a > 0 (-inf).
+
+    A sampled floor is estimated with control variates: the floor's samples
+    are regressed on its CONTROLS (see _control_corrections), and the
+    correction beta . (t - mean), with the exact means of wishart_logdet_mean,
+    is subtracted from the floor's samples and v_a times it from
+    lower_bob's, so upper and lower are built from adjusted samples and
+    upper == lower_bob + gap still holds per sample; lower_alice stays raw.
+    A point with fewer than CV_MIN_TRIALS trials, a singular regression or
+    a config outside wishart_logdet_mean's domain gets the raw samples.
+    Standard errors are those of the adjusted samples.
 
     'lower' is the larger side bound, Bob's side winning ties.  At v_b = 0
     it is lower_bob (which is then also upper), and lower_alice is sampled
@@ -334,7 +499,7 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
         wanted.add("lower_bob")
     if "upper" in wanted:
         wanted |= {"lower_bob", "gap"}
-    exacts, sampled = [], []
+    exacts, sampled, control_means = [], [], []
     for config in configs:
         exact = {}
         if "pilot_mi" in wanted:
@@ -347,12 +512,33 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
             exact["lower_alice"] = -math.inf
         exacts.append(exact)
         names = wanted | {"lower_alice"} if "lower" in wanted and config.v_b else wanted
-        sampled.append((config, names.difference(exact)))
+        names = names.difference(exact)
+        means = None
+        if mc.trials >= CV_MIN_TRIALS and "floor" not in exact and (
+                "floor" in names or ("lower_bob" in names and config.v_a)):
+            means = _control_means(config)
+            if means is not None:
+                names = names | {"floor"} | set(CONTROLS)
+        control_means.append(means)
+        sampled.append((config, names))
+    points = trial_values_many(sampled, mc, labels)
+    adjusted = [i for i, means in enumerate(control_means) if means is not None]
+    if adjusted:
+        rows = np.array([[points[i].pop(q) for q in CONTROLS] + [points[i]["floor"]]
+                         for i in adjusted])
+        means = np.array([control_means[i] for i in adjusted])
+        for i, correction in zip(adjusted, _control_corrections(rows, means)):
+            values = points[i]
+            if correction is not None:
+                values["floor"] = values["floor"] - correction
+                if configs[i].v_a and "lower_bob" in values:
+                    values["lower_bob"] = values["lower_bob"] - configs[i].v_a * correction
     results = []
-    for (config, _), exact, values in zip(sampled, exacts,
-                                         trial_values_many(sampled, mc, labels)):
+    for config, exact, values in zip(configs, exacts, points):
         est = {name: Estimate.exact(value) for name, value in exact.items()}
-        est.update((name, summarize(v)) for name, v in values.items())
+        # a floor sampled only for lower_bob's correction is not reported
+        est.update((name, summarize(v)) for name, v in values.items()
+                   if name != "floor" or "floor" in wanted)
         if "upper" in wanted:
             est["upper"] = summarize(values["lower_bob"] + values["gap"]) \
                 if "gap" in values else est["lower_bob"]

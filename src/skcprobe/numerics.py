@@ -7,6 +7,7 @@ on top of this module come out in bits.  No function modifies its inputs
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +143,16 @@ def _non_finite_logdets(m: np.ndarray):
     return _per_matrix(np.where(finite, out, np.nan))
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the upper triangle and the diagonal of an
+    n x n matrix, row by row; built once per size and read-only."""
+    r = np.arange(n)
+    rows, cols = np.nonzero(r[:, None] <= r)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _max_asymmetry(m: np.ndarray) -> float:
     """max |m - m^H| over a stack, read from the upper triangle and the
     diagonal only: d = m[i, j] - conj(m[j, i]) for i <= j.  The entry at
@@ -149,13 +160,17 @@ def _max_asymmetry(m: np.ndarray) -> float:
     a - b == -(b - a)) and imaginary part d.imag (a sum of the same two
     terms), so its modulus equals |d| bit for bit, and the maximum, NaN
     included, is that of the whole difference at about half the work and
-    memory.  m is not modified."""
-    r = np.arange(m.shape[-1])
-    i, j = np.nonzero(r[:, None] <= r)
+    memory.  A difference that is all zeros skips the moduli, its maximum
+    being 0.0 (a NaN is not zero); the engine's matrices, sums of real
+    multiples of hermitize's output and I, are all exactly Hermitian.  m is
+    not modified."""
+    i, j = _upper_triangle(m.shape[-1])
     d = m[..., i, j]
     mirrored = m[..., j, i]
     np.conjugate(mirrored, out=mirrored)
     d -= mirrored
+    if not d.any():
+        return 0.0
     return float(np.max(np.abs(d)))
 
 

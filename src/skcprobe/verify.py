@@ -1,12 +1,16 @@
 """Independent cross-verification of the closed forms.
 
-Three kinds of checks live here:
+Four kinds of checks live here:
 
 * an exact, sample-free recomputation of the pilot-window MI from the joint
   Gaussian covariance of the two vectorized pilot observations, compared
   against the closed form;
 * Monte Carlo validation of the pilot-estimation error model and of the
   scalar ergodic capacity against adaptive quadrature;
+* the closed-form Wishart log-det means behind the floor's control
+  variates against adaptive quadrature of the same integral, with the
+  Laguerre polynomials from scipy.special, and against the scalar ergodic
+  capacity;
 * per-trial determinant-identity checks on the engine's blocks of draws:
   the engine's floor, gap and Bob-side integrands against oracle forms that
   reach each value through a different factorization and are built from
@@ -20,6 +24,7 @@ pass its own suite.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -32,6 +37,7 @@ from .capacity import (
     pilot_mi,
     secrecy_floor_sample,
     trial_values_many,
+    wishart_logdet_mean,
 )
 from .channel import (DRAWN, ChannelRealization, ProbingConfig, derive_gammas,
                       generate_pilot, sample_channels)
@@ -54,6 +60,9 @@ MAX_COVARIANCE_DIM = 4096
 PILOT_MI_RTOL = 1e-6
 IDENTITY_ATOL = 1e-9
 MMSE_RTOL = 0.05
+# the quadrature oracles accept an error estimate up to 1e-10 relative, and
+# siso_ergodic_capacity agrees with its E1 closed form to 1e-8
+WISHART_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -213,6 +222,79 @@ def scalar_capacity_check(snr: float, mc: McSettings) -> VerificationOutcome:
         passed=passed,
         detail=f"stderr {est.stderr:.3e} over {mc.trials} trials",
     )
+
+
+def wishart_logdet_quadrature(rows: int, cols: int, gamma: float) -> float:
+    """E log2det(I + gamma h^H h), h rows x cols with iid CN(0, 1) entries,
+    by adaptive quadrature of Telatar's integral of ln(1 + gamma x) against
+    sum_{k<m} k!/(k+d)! L_k^d(x)^2 x^d e^-x (m = min(rows, cols), d =
+    |rows - cols|), the Laguerre polynomials from scipy.special: a path
+    independent of the engine's fixed rule and recurrence.  The range is
+    split at 1/gamma, where ln(1 + gamma x) bends, and at 1; an error
+    estimate above 1e-10 relative raises QuadratureFailure.  scipy is
+    imported on first use, as in siso_ergodic_capacity."""
+    from scipy import integrate, special
+
+    m, d = min(rows, cols), abs(rows - cols)
+    scale = [math.exp(math.lgamma(k + 1) - math.lgamma(k + d + 1)) for k in range(m)]
+
+    def integrand(x):
+        density = sum(c * special.eval_genlaguerre(k, d, x) ** 2 for k, c in enumerate(scale))
+        return math.log1p(gamma * x) * density * x ** d * math.exp(-x)
+
+    breaks = sorted({0.0, min(1.0 / gamma, 1.0), 1.0})
+    total = err = 0.0
+    # quad warns when it cannot reach epsrel; its error estimate, checked
+    # below, says whether the value is still good enough
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        for lo, hi in zip(breaks, breaks[1:] + [np.inf]):
+            value, e = integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-11,
+                                      limit=200)
+            total, err = total + value, err + e
+    if err > 1e-10 * abs(total):
+        raise QuadratureFailure(f"quadrature error estimate {err:.3e} too large")
+    return total / math.log(2.0)
+
+
+def wishart_mean_check(config: ProbingConfig) -> VerificationOutcome:
+    """wishart_logdet_mean of the floor's two control variates, log2det(I +
+    gamma_ea G) with g_a n_e x n_a (when noise_ea > 0) and log2det(I +
+    gamma_ba H) with h_ba n_b x n_a, against wishart_logdet_quadrature,
+    WISHART_RTOL relative.  A term outside the closed form's domain is
+    named in the detail and not compared: the engine gives such a floor its
+    raw estimate."""
+    gam = derive_gammas(config)
+    terms = {"h_ba": (config.n_b, config.n_a, gam.gamma_ba)}
+    if config.noise_ea > 0:
+        terms["g_a"] = (config.n_e, config.n_a, gam.gamma_ea)
+    worst, notes = 0.0, []
+    for channel, (rows, cols, gamma) in terms.items():
+        try:
+            closed = wishart_logdet_mean(rows, cols, gamma)
+        except ValueError:
+            notes.append(f"{channel} ({rows}x{cols}, gamma {gamma:g}) outside the domain")
+            continue
+        reference = wishart_logdet_quadrature(rows, cols, gamma)
+        worst = max(worst, abs(closed - reference) / abs(reference))
+        notes.append(f"{channel} ({rows}x{cols}, gamma {gamma:g})")
+    return VerificationOutcome(
+        check_name="wishart-mean", reference_value=0.0, computed_value=worst,
+        tolerance=WISHART_RTOL, passed=worst <= WISHART_RTOL,
+        detail="largest relative deviation over " + "; ".join(notes))
+
+
+def wishart_siso_check(snrs: Sequence[float]) -> VerificationOutcome:
+    """wishart_logdet_mean(1, 1, snr) against siso_ergodic_capacity(snr),
+    WISHART_RTOL relative, at every snr."""
+    worst = 0.0
+    for snr in snrs:
+        reference = siso_ergodic_capacity(snr)
+        worst = max(worst, abs(wishart_logdet_mean(1, 1, snr) - reference) / reference)
+    return VerificationOutcome(
+        check_name="wishart-mean-siso", reference_value=0.0, computed_value=worst,
+        tolerance=WISHART_RTOL, passed=worst <= WISHART_RTOL,
+        detail="largest relative deviation at snr " + ", ".join(f"{s:g}" for s in snrs))
 
 
 def floor_resolvent(realization: ChannelRealization, config: ProbingConfig):
@@ -380,20 +462,23 @@ def run_suite(configs: Sequence[ProbingConfig], mc: McSettings,
               corrupt_pilot_mi: bool = False) -> VerificationSummary:
     """Run every check across a set of configurations.
 
-    The scalar-capacity cross-oracle is configuration independent and runs
-    once.  Overall pass requires every outcome to pass.
+    The scalar-capacity cross-oracle and the scalar check of the Wishart
+    log-det means are configuration independent and run once.  Overall
+    pass requires every outcome to pass.
     """
     if not configs:
         raise ValidationError("empty config set")
     outcomes: list[VerificationOutcome] = []
     for snr in SCALAR_CHECK_SNRS:
         outcomes.append(scalar_capacity_check(snr, mc))
+    outcomes.append(wishart_siso_check(SCALAR_CHECK_SNRS))
     for idx, config in enumerate(configs):
         prefix = f"cfg{idx}:"
         tagged = [pilot_mi_check(config, corrupt=corrupt_pilot_mi),
                   pilot_estimation_check(config, mc)]
         tagged.extend(determinant_identity_suite(
             config, realizations=identity_realizations, master_seed=mc.master_seed))
+        tagged.append(wishart_mean_check(config))
         for o in tagged:
             outcomes.append(replace(o, check_name=prefix + o.check_name))
     return VerificationSummary(outcomes=tuple(outcomes))

@@ -37,6 +37,22 @@ def capacity_logdet(h, gamma):
     return logdet_hermitian_pd(gamma * hermitize(h @ conj_t(h)) + np.eye(h.shape[-2]))
 
 
+def engine_correction(floor, t2, t3, mean2, mean3):
+    """The engine's control-variate correction of one point's floor."""
+    from skcprobe.capacity import _control_corrections
+    return _control_corrections(np.array([[t2, t3, floor]]), np.array([[mean2, mean3]]))[0]
+
+
+def control_correction(floor, t2, t3, mean2, mean3):
+    """Per-trial control-variate correction of the floor, beta . (t - mean),
+    with beta the coefficients of t2 and t3 in the least-squares fit of the
+    floor on (1, t2, t3) by np.linalg.lstsq: an arithmetic path independent
+    of the engine's 2 x 2 solve."""
+    design = np.column_stack([np.ones_like(floor), t2, t3])
+    (_, beta2, beta3), *_ = np.linalg.lstsq(design, floor, rcond=None)
+    return beta2 * (t2 - mean2) + beta3 * (t3 - mean3)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -40,11 +40,13 @@ from skcprobe import (
     secrecy_floor_sample,
 )
 from skcprobe.capacity import (
+    CONTROLS,
     QUANTITIES,
     SAMPLED,
     Grams,
     _alice_bound_diverges,
     trial_values_many,
+    wishart_logdet_mean,
 )
 from skcprobe.channel import derive_gammas
 from skcprobe.errors import (
@@ -60,7 +62,7 @@ from skcprobe.experiments import load_spec
 from skcprobe.montecarlo import BLOCK, collect, summarize, trial_blocks
 from skcprobe.verify import (IDENTITY_ATOL, floor_resolvent, gap_resolvent,
                              lower_bob_rectangular)
-from conftest import capacity_logdet, make_config, make_realization
+from conftest import capacity_logdet, engine_correction, make_config, make_realization
 
 LOG2_4_3 = 0.41503749927884382
 LOG2_3_2 = 0.58496250072115618
@@ -317,11 +319,16 @@ class TestBatchedIntegrands:
             {"floor": evaluate(cfg, mc, ("floor", "gap", "lower", "upper"))["floor"]}
 
     def test_upper_is_lower_bob_plus_gap_per_sample(self):
+        # on the adjusted samples: lower_bob less v_a times the floor's
+        # control-variate correction (see TestControlVariates)
         cfg = make_config(v_b=2)
         mc = McSettings(trials=BLOCK + 30, master_seed=53)
-        values = trial_values_many([(cfg, ("gap", "lower_bob"))], mc)[0]
+        values = trial_values_many([(cfg, ("gap", "lower_bob", "floor") + CONTROLS)], mc)[0]
+        means = [wishart_logdet_mean(cfg.n_e, cfg.n_a, derive_gammas(cfg).gamma_ea),
+                 wishart_logdet_mean(cfg.n_b, cfg.n_a, derive_gammas(cfg).gamma_ba)]
+        correction = engine_correction(values["floor"], values["t2"], values["t3"], *means)
         assert evaluate(cfg, mc, ("upper",))["upper"] == \
-            summarize(values["lower_bob"] + values["gap"])
+            summarize((values["lower_bob"] - cfg.v_a * correction) + values["gap"])
 
     def test_one_collect_pass_for_any_request(self, monkeypatch):
         import skcprobe.capacity as capacity
@@ -486,11 +493,18 @@ class TestEvaluateMany:
         mc = McSettings(trials=BLOCK + 30, master_seed=3)
         batched = self.assert_equals_one_config_evaluate(configs, mc, QUANTITIES)
         assert batched[-1]["floor"] == Estimate.exact(0.0)
-        # and the floor equals the per-sample direct form summarized over the blocks
+        # and the floor is the per-sample direct form over the blocks, less
+        # its control-variate correction, summarized
         for config, point in zip(configs[:-1], batched):
+            gam = derive_gammas(config)
             direct = np.concatenate([secrecy_floor_sample(block, config)
                                      for _, block in trial_blocks(config, mc)])
-            assert point["floor"] == summarize(direct)
+            controls = trial_values_many([(config, CONTROLS)], mc)[0]
+            correction = engine_correction(
+                direct, controls["t2"], controls["t3"],
+                wishart_logdet_mean(config.n_e, config.n_a, gam.gamma_ea),
+                wishart_logdet_mean(config.n_b, config.n_a, gam.gamma_ba))
+            assert point["floor"] == summarize(direct - correction)
 
     def test_fig2_power_grid(self):
         spec = load_spec("fig2")
@@ -641,7 +655,9 @@ class TestOneWayLower:
         blocks = math.ceil(mc.trials / BLOCK)
         assert len(collects) == 1
         assert bob_configs == [cfg] * blocks         # never the role-swapped config
-        assert len(logdets) == 2 * blocks            # the floor's two; Bob's bound reuses it
+        # the floor's two and its control variate log2det(I + gamma_ba H);
+        # Bob's bound reuses the floor
+        assert len(logdets) == 3 * blocks
         assert est["lower"] == est["upper"]
 
     @pytest.mark.parametrize("overrides", list(ONE_WAY.values()), ids=list(ONE_WAY))

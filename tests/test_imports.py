@@ -1,9 +1,11 @@
 """Import budget and the attribute names the benchmark and the README rely on.
 
-Only the quadrature oracle of `verify` loads scipy, and only `verify` (or a
-verify name taken from the package) loads the verification suite.  Each
-case runs in a fresh interpreter, so modules imported by earlier tests in
-the same pytest process cannot hide or fake an import.
+Only the quadrature oracles of `verify` load scipy, and only `verify` (or a
+verify name taken from the package) loads the verification suite.  Nothing
+loads numpy.polynomial: the closed-form Wishart means of `capacity` use
+numpy's core only.  Each case runs in a fresh interpreter, so modules
+imported by earlier tests in the same pytest process cannot hide or fake an
+import.
 """
 
 import functools
@@ -22,13 +24,15 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 VERIFY = "skcprobe.verify"
 
-# runs the given statement, then prints the loaded scipy modules and the
-# verification suite, if loaded, as JSON on the last line of stdout
+# runs the given statement, then prints the loaded scipy and numpy.polynomial
+# modules and the verification suite, if loaded, as JSON on the last line of
+# stdout
 PROBE = """
 import json, sys
 {statement}
 print(json.dumps(sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy.") or m == "%s")))
+                        if m.split(".")[0] == "scipy" or m == "%s"
+                        or m.split(".")[:2] == ["numpy", "polynomial"])))
 """ % VERIFY
 
 
@@ -54,13 +58,16 @@ def cli_probes(tmp_path_factory):
     """(output directory, {case: modules loaded}) of a fresh interpreter
     that imports the package or runs one of eval, sweep and dof."""
     out = tmp_path_factory.mktemp("cli")
+    # CV_MIN_TRIALS trials, so that every run evaluates the closed-form
+    # means of the floor's control variates
+    trials = "100"
     cases = {
         "import": "import skcprobe, skcprobe.cli",
-        "eval": cli_statement(["eval", "--config", "oneway", "--trials", "50",
+        "eval": cli_statement(["eval", "--config", "oneway", "--trials", trials,
                                "--out", str(out)]),
-        "sweep": cli_statement(["sweep", "--config", "fig1", "--trials", "20",
+        "sweep": cli_statement(["sweep", "--config", "fig1", "--trials", trials,
                                 "--out", str(out)]),
-        "dof": cli_statement(["dof", "--config", "fig2", "--trials", "20",
+        "dof": cli_statement(["dof", "--config", "fig2", "--trials", trials,
                               "--out", str(out)]),
     }
     return out, {name: loaded_modules(statement) for name, statement in cases.items()}
@@ -69,7 +76,8 @@ def cli_probes(tmp_path_factory):
 def test_only_the_quadrature_oracle_loads_scipy(cli_probes):
     out, loaded = cli_probes
     for name, modules in loaded.items():
-        assert [m for m in modules if m != VERIFY] == [], f"{name} loaded scipy"
+        assert [m for m in modules if m != VERIFY] == [], \
+            f"{name} loaded scipy or numpy.polynomial"
     for name in ("oneway.csv", "fig1.csv", "fig2-dof.csv"):
         assert (out / name).exists()
 

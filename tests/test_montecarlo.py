@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from skcprobe import Estimate, McSettings, estimate, evaluate
-from skcprobe.capacity import secrecy_floor_sample
+from skcprobe.capacity import (CONTROLS, secrecy_floor_sample, trial_values_many,
+                               wishart_logdet_mean)
+from skcprobe.channel import derive_gammas
 from skcprobe.errors import IntegrandFailure, ValidationError
 from skcprobe.montecarlo import BLOCK, collect, pairwise_sum, summarize, trial_blocks
-from conftest import make_config
+from conftest import engine_correction, make_config
 
 
 def abs2_integrand(block):
@@ -56,7 +58,16 @@ class TestEstimate:
         est = estimate(lambda b: secrecy_floor_sample(b, cfg), cfg, settings)
         values = collect(lambda b: {"floor": secrecy_floor_sample(b, cfg)}, cfg, settings)
         assert est == summarize(values["floor"])
-        assert est == evaluate(cfg, settings, ("floor",))["floor"]
+        # evaluate summarizes the same values less their control-variate
+        # correction (see test_control_variates.py)
+        values = trial_values_many([(cfg, ("floor",) + CONTROLS)], settings)[0]
+        gam = derive_gammas(cfg)
+        correction = engine_correction(
+            values["floor"], values["t2"], values["t3"],
+            wishart_logdet_mean(cfg.n_e, cfg.n_a, gam.gamma_ea),
+            wishart_logdet_mean(cfg.n_b, cfg.n_a, gam.gamma_ba))
+        assert evaluate(cfg, settings, ("floor",))["floor"] == \
+            summarize(values["floor"] - correction)
 
     def test_non_finite_value_names_lowest_trial(self):
         cfg = make_config(n_a=1, n_b=1, n_e=1)

@@ -19,7 +19,8 @@ from skcprobe.capacity import trial_values_many
 from skcprobe.errors import DimensionGuard, InvalidNoise, ValidationError
 from skcprobe.montecarlo import BLOCK, collect, trial_blocks
 from skcprobe.verify import (IDENTITY_ATOL, floor_resolvent, gap_resolvent,
-                             lower_bob_rectangular, scalar_capacity_check)
+                             lower_bob_rectangular, scalar_capacity_check,
+                             wishart_logdet_quadrature, wishart_mean_check)
 from conftest import make_config
 
 # e * E1(1) / ln 2 to double precision (30-digit mpmath, frozen)
@@ -229,3 +230,35 @@ class TestRunSuite:
         assert summary.passed
         assert report_path.exists()
         assert elapsed < 120.0
+
+
+class TestWishartMeanCheck:
+    """The closed-form Wishart log-det means against verify's quadrature."""
+
+    def test_quadrature_oracle_is_the_scalar_capacity_at_one(self):
+        assert wishart_logdet_quadrature(1, 1, 1.0) == pytest.approx(
+            SCALAR_CAPACITY_AT_ONE, rel=1e-10)
+
+    def test_suite_checks_both_floor_terms_per_config_and_the_scalar_case(self):
+        configs = [make_config(), make_config(n_a=3, n_b=2, n_e=4, noise_ea=0.0)]
+        summary = run_suite(configs, McSettings(trials=400, master_seed=1),
+                            identity_realizations=100)
+        by_name = {o.check_name: o for o in summary.outcomes}
+        assert by_name["wishart-mean-siso"].passed
+        assert "h_ba (2x2, gamma 2); g_a (2x2, gamma 4)" in by_name["cfg0:wishart-mean"].detail
+        # with a noiseless Eve the floor is exact and only h_ba is a control
+        assert "g_a" not in by_name["cfg1:wishart-mean"].detail
+        assert all(by_name[f"cfg{i}:wishart-mean"].passed for i in range(2))
+
+    def test_a_skewed_closed_form_fails(self, monkeypatch):
+        import skcprobe.verify as verify
+        real = verify.wishart_logdet_mean
+        monkeypatch.setattr(verify, "wishart_logdet_mean",
+                            lambda *args: real(*args) * (1.0 + 1e-7))
+        assert not wishart_mean_check(make_config()).passed
+        assert not verify.wishart_siso_check(verify.SCALAR_CHECK_SNRS).passed
+
+    def test_terms_outside_the_domain_are_named_and_skipped(self):
+        outcome = wishart_mean_check(make_config(power_a=0.0))
+        assert outcome.passed and outcome.computed_value == 0.0
+        assert outcome.detail.count("outside the domain") == 2
