@@ -6,11 +6,12 @@ Quantities (all in bits, log base 2; QUANTITIES names them):
   observations; n_a*n_b*log2 of the reciprocity gain.
 * ``floor``       -- expected secret bits per probing slot that Bob gains
   over Eve from Alice's random probes; positive whenever Eve's receive noise
-  is nonzero.
+  is nonzero.  Its per-draw form depends on the regime (n_e < n_a or not;
+  see secrecy_floor_sample).
 * ``lower_bob`` / ``lower_alice`` -- the two secret-key-rate lower bounds
   per coherence period (the Alice-side bound is the Bob-side bound of the
-  role-swapped scenario); ``lower`` is the larger of the two, which is
-  always the Bob-side bound when v_b = 0.
+  role-swapped scenario, exact when v_b = 0); ``lower`` is the larger of
+  the two, which is always the Bob-side bound when v_b = 0.
 * ``gap`` / ``upper`` -- the upper bound exceeds the Bob-side lower bound
   by a gap that is exactly zero when v_b = 0 (one-way probing).
 
@@ -24,8 +25,11 @@ single Monte Carlo path that every estimate here goes through: points whose
 draws are identical share one pass, and each block's Gram matrices are
 formed once for all of them, which also build what they factor in the
 block's work matrices (see Grams; ``evaluate`` is its one-point call).  It
-estimates the floor, and the bounds built on it, with two control variates
-whose exact means ``wishart_logdet_mean`` evaluates in closed form.
+estimates the floor, and the bounds built on it, with control variates
+whose exact means ``wishart_logdet_mean`` evaluates in closed form: t2 and
+t3, the log-dets of what Eve and Bob see of Alice's probes, and, where
+n_e < n_a, t4, what Bob sees through the dimensions Eve cannot observe
+(see _controls).
 """
 
 from __future__ import annotations
@@ -160,12 +164,17 @@ def _outer(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 class Grams:
-    """Gram matrices m^H m of the four channels of a draw or a block of
-    draws, each formed on first use, and the block's work matrices.  A
-    caller that evaluates several configs on the same draws passes one
-    store to every integrand, so each Gram is formed once; swap_roles()
-    reads the role-swapped draws' Grams, and the same work matrices, from
-    the same store.
+    """Gram matrices of the channels of a draw or a block of draws, each
+    formed on first use, the log-dets factored from them, and the block's
+    work matrices.  A caller that evaluates several configs on the same
+    draws passes one store to every integrand, so each Gram is formed once;
+    swap_roles() reads the role-swapped draws' Grams, and the same work
+    matrices, from the same store.
+
+    The Grams are m^H m of each channel m and, for the floor where n_e <
+    n_a, K = [g_a; h_ba][g_a; h_ba]^H, (n_e + n_b)-square (see
+    floor_logdets).  A log-det is factored once per (role, gammas) and then
+    shared, read-only, by every integrand and point that asks again.
 
     work(shape) is a (trials, rows, cols) complex stack, allocated on first
     use and then overwritten by every integrand that asks for that shape:
@@ -194,22 +203,105 @@ class Grams:
     def __getitem__(self, channel: str) -> np.ndarray:
         return self._gram(self._channel(channel))
 
-    def identity_logdet(self, channel: str, gamma: float):
-        """log2det(I + gamma m^H m) of channel m, per trial: factored in the
-        work matrix on first use for each (channel, gamma) and then shared,
-        read-only, by every integrand and point that asks again, the
-        role-swapped view included."""
-        key = (self._channel(channel), gamma)
+    def _logdet(self, key: tuple, factor: Callable[[], object]):
+        """The log-det (or pair of them) stored under `key`, factored by
+        `factor` on first use and then read-only."""
         if key not in self._logdets:
-            gram = self._gram(key[0])
+            value = factor()
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+            self._logdets[key] = value
+        return self._logdets[key]
+
+    def identity_logdet(self, channel: str, gamma: float):
+        """log2det(I + gamma m^H m) of channel m, per trial, factored in the
+        work matrix."""
+        channel = self._channel(channel)
+
+        def factor():
+            gram = self._gram(channel)
             work = self.work(gram.shape[-2:])
             np.multiply(gram, gamma, out=work)
             work += np.eye(gram.shape[-1])
-            value = logdet_hermitian_pd(work)
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            self._logdets[key] = value
-        return self._logdets[key]
+            return logdet_hermitian_pd(work)
+
+        return self._logdet((channel, gamma), factor)
+
+    def _n_e(self) -> int:
+        return getattr(self._realization, self._channel("g_a")).shape[-2]
+
+    def _stacked(self) -> np.ndarray:
+        """K = [g_a; h_ba][g_a; h_ba]^H of this role's draws, the stacked
+        channel built in a work matrix."""
+        key = (self._channel("g_a"), self._channel("h_ba"))
+        if key not in self._grams:
+            g, h = (getattr(self._realization, c) for c in key)
+            n_e = self._n_e()
+            stacked = self.work((n_e + h.shape[-2], g.shape[-1]))
+            stacked[..., :n_e, :] = g
+            stacked[..., n_e:, :] = h
+            self._grams[key] = _outer(stacked)
+        return self._grams[key]
+
+    def _scaled_stacked(self, lead: float, cross: float, trail: float) -> np.ndarray:
+        """K in the work matrix, its leading n_e-square block times `lead`,
+        the off-diagonal blocks times `cross` and the trailing block times
+        `trail`; exactly Hermitian, as K is."""
+        k = self._stacked()
+        n_e = self._n_e()
+        scale = np.full(k.shape[-2:], cross)
+        scale[:n_e, :n_e] = lead
+        scale[n_e:, n_e:] = trail
+        return np.multiply(k, scale, out=self.work(k.shape[-2:]))
+
+    def floor_logdets(self, gamma_ea: float, gamma_ba: float):
+        """(t2, floor) per trial where n_e < n_a, from one Cholesky
+        factorization of B = I + S S^H, S = [sqrt(gamma_ea) g_a;
+        sqrt(gamma_ba) h_ba]: the factor's leading n_e diagonal entries give
+        t2 = log2det(I + gamma_ea g_a g_a^H) = log2det(I + gamma_ea G)
+        (Sylvester), and its trailing n_b entries the log-det of the Schur
+        complement I + gamma_ba h_ba (I + gamma_ea G)^-1 h_ba^H, which is
+        the floor."""
+        n_e = self._n_e()
+
+        def factor():
+            work = self._scaled_stacked(
+                gamma_ea, math.sqrt(gamma_ea) * math.sqrt(gamma_ba), gamma_ba)
+            work += np.eye(work.shape[-1])
+            return logdet_hermitian_pd(work, split=n_e)
+
+        return self._logdet(("floor", self._channel("g_a"), gamma_ea, gamma_ba), factor)
+
+    def null_logdet(self, gamma_ba: float):
+        """t4 = log2det(I + gamma_ba h_ba P h_ba^H) per trial, P the projector
+        onto null(g_a), where n_e < n_a: the trailing log-det of B's
+        noiseless limit, K with its trailing block times gamma_ba, the
+        off-diagonal ones times sqrt(gamma_ba) and I added to the trailing
+        block only, whose Schur complement is I + gamma_ba h_ba (I - g_a^H
+        (g_a g_a^H)^-1 g_a) h_ba^H."""
+        n_e = self._n_e()
+
+        def factor():
+            work = self._scaled_stacked(1.0, math.sqrt(gamma_ba), gamma_ba)
+            trailing = work[..., n_e:, n_e:]
+            trailing += np.eye(trailing.shape[-1])
+            return logdet_hermitian_pd(work, split=n_e)[1]
+
+        return self._logdet(("null", self._channel("g_a"), gamma_ba), factor)
+
+    def bob_logdet(self, gamma_ba: float):
+        """t3 = log2det(I + gamma_ba h_ba h_ba^H) per trial, from K's
+        trailing n_b-square block."""
+        n_e = self._n_e()
+
+        def factor():
+            gram = self._stacked()[..., n_e:, n_e:]
+            work = np.multiply(gram, gamma_ba, out=self.work(gram.shape[-2:]))
+            work += np.eye(gram.shape[-1])
+            return logdet_hermitian_pd(work)
+
+        return self._logdet(("bob", self._channel("h_ba"), gamma_ba), factor)
 
     def work(self, shape: tuple[int, int]) -> np.ndarray:
         """The work stack of matrix shape `shape`."""
@@ -225,31 +317,43 @@ class Grams:
 
 def secrecy_floor_sample(realization: ChannelRealization, config: ProbingConfig,
                          grams: Grams | None = None):
-    """Per-realization integrand of the secrecy floor (bits per probe slot).
+    """Per-realization integrand of the secrecy floor (bits per probe slot),
+    log2det(I + gamma_ea G + gamma_ba H) - log2det(I + gamma_ea G) with G, H
+    the Grams of g_a, h_ba.  It is exactly 0 at noise_ea = 0, the floor's
+    limit there only when n_e >= n_a.  `grams` is the realization's Gram
+    store when the caller shares it (see Grams).  One form per regime:
 
-    The difference of two n_a x n_a log-determinants, with Bob's channel
-    folded into Eve's Gram matrix at weight noise_ea/noise_b.  It is
-    exactly 0 at noise_ea = 0, the floor's limit there only when n_e >= n_a.
-    `grams` is the realization's Gram store when the caller shares it (see
-    Grams); both matrices it factors are built, one after the other, in the
-    store's n_a x n_a work matrix rather than in fresh arrays, and the
-    second log-det, log2det(I + gamma_ea G), is the store's shared one (see
-    Grams.identity_logdet), which evaluate_many also reads as a control
-    variate.
+    * n_e < n_a: the trailing log-det of one (n_e + n_b)-square Cholesky
+      factorization (Grams.floor_logdets), no difference of log-dets.  It
+      stays accurate as noise_ea -> 0, where it tends to t4, Bob's channel
+      seen through the n_a - n_e dimensions that Eve cannot observe
+      (Grams.null_logdet).
+    * n_e >= n_a: the difference of two n_a x n_a log-determinants, with
+      Bob's channel folded into Eve's Gram at weight noise_ea/noise_b, both
+      built in the store's n_a x n_a work matrix; the second,
+      log2det(I + gamma_ea G), is the store's shared one (see
+      Grams.identity_logdet).
+
+    In both, log2det(I + gamma_ea G) is the control variate t2 that
+    evaluate_many reads from the same factorization.
     """
     if config.noise_ea == 0:
         return realization.per_trial(0.0)
     gam = derive_gammas(config)
     grams = Grams(realization) if grams is None else grams
-    # gamma_ea (G + (noise_ea/noise_b) H) + I
-    work = grams.work((config.n_a, config.n_a))
-    np.multiply(grams["h_ba"], config.noise_ea / config.noise_b, out=work)
-    work += grams["g_a"]
-    work *= gam.gamma_ea
-    work += np.eye(config.n_a)
-    folded = logdet_hermitian_pd(work)
-    val = folded - grams.identity_logdet("g_a", gam.gamma_ea)
-    # mathematically >= 0 (det of M + PSD over det of M); clamp round-off
+    if config.n_e < config.n_a:
+        val = grams.floor_logdets(gam.gamma_ea, gam.gamma_ba)[1]
+    else:
+        # gamma_ea (G + (noise_ea/noise_b) H) + I
+        work = grams.work((config.n_a, config.n_a))
+        np.multiply(grams["h_ba"], config.noise_ea / config.noise_b, out=work)
+        work += grams["g_a"]
+        work *= gam.gamma_ea
+        work += np.eye(config.n_a)
+        folded = logdet_hermitian_pd(work)
+        val = folded - grams.identity_logdet("g_a", gam.gamma_ea)
+    # mathematically >= 0 (each trailing factor entry, or det of M + PSD
+    # over det of M, is >= 1); clamp round-off
     return realization.per_trial(np.maximum(val, 0.0))
 
 
@@ -314,16 +418,24 @@ QUANTITIES = ("pilot_mi", "floor", "gap", "lower_bob", "lower_alice", "upper", "
 # the Monte Carlo integrands, in the order a point evaluates them (the
 # Bob-side bound reuses the point's floor values)
 SAMPLED = ("floor", "lower_bob", "gap", "lower_alice")
-# the floor's control variates, the per-trial log-dets t2 = log2det(I +
-# gamma_ea G) (the floor's own second term) and t3 = log2det(I + gamma_ba H),
-# G and H the Grams of g_a and h_ba; their means are wishart_logdet_mean's
-CONTROLS = ("t2", "t3")
-# evaluate_many's regression on CONTROLS needs this many trials; below it the
-# n - 1 divisor of the adjusted samples' stderr reads more than 1% low
-CV_MIN_TRIALS = 100
-# a 2 x 2 regression system whose determinant is at most this fraction of
-# the product of its diagonal counts as singular
+# the floor's control variates (see _controls): t2 = log2det(I + gamma_ea G)
+# and t3 = log2det(I + gamma_ba H), G and H the Grams of g_a and h_ba, and,
+# where n_e < n_a, t4 = log2det(I + gamma_ba h_ba P h_ba^H), P the projector
+# onto null(g_a); their means are wishart_logdet_mean's
+CONTROLS = ("t2", "t3", "t4")
+# with k controls the n - 1 divisor of the adjusted samples' stderr reads
+# low by sqrt((n - k - 1) / (n - 1)); evaluate_many regresses a point on its
+# controls only from the trial count at which that is within this fraction
+CV_STDERR_RTOL = 0.01
+# a regression system whose determinant is at most this fraction of the
+# product of its diagonal counts as singular
 CV_SINGULAR_RTOL = 1e-12
+
+
+def cv_min_trials(controls: int) -> int:
+    """Smallest trial count n at which sqrt((n - k - 1) / (n - 1)) >= 1 -
+    CV_STDERR_RTOL for k = `controls`: 102 at k = 2, 152 at k = 3."""
+    return math.ceil(1 + controls / (1.0 - (1.0 - CV_STDERR_RTOL) ** 2))
 
 
 def _alice_bound_diverges(config: ProbingConfig) -> bool:
@@ -337,47 +449,71 @@ def _draws_key(config: ProbingConfig) -> tuple:
     return (config.n_a, config.n_b, config.n_e, config.rho)
 
 
-def _control_terms(config: ProbingConfig) -> dict[str, tuple[str, float, int, int]]:
-    """(channel, gamma, rows, cols) of each of the floor's CONTROLS, the
-    channel rows x cols; both are log-dets of Grams that the floor forms
-    anyway (see Grams.identity_logdet)."""
+def _controls(config: ProbingConfig) -> dict[str, tuple[int, int, float, Callable]]:
+    """Name -> (rows, cols, gamma, read) of each of the floor's CONTROLS at
+    `config`: a log2det(I + gamma w^H w) with w rows x cols of iid CN(0, 1)
+    entries, whose mean is wishart_logdet_mean(rows, cols, gamma), and
+    read(grams), its per-trial values from the block's Gram store, which
+    factors it from the Grams that the floor forms anyway.  Where n_e <
+    n_a, t2 is the leading part of the floor's own factorization, t3 comes
+    from the stacked Gram's trailing block and t4 (h_ba in an orthonormal
+    basis of null(g_a) is n_b x (n_a - n_e), iid and independent of g_a)
+    from its noiseless limit; otherwise t2 and t3 are identity log-dets of
+    the n_a x n_a Grams."""
     gam = derive_gammas(config)
-    return {"t2": ("g_a", gam.gamma_ea, config.n_e, config.n_a),
-            "t3": ("h_ba", gam.gamma_ba, config.n_b, config.n_a)}
+    g_ea, g_ba = gam.gamma_ea, gam.gamma_ba
+    n_a, n_b, n_e = config.n_a, config.n_b, config.n_e
+    if n_e >= n_a:
+        return {"t2": (n_e, n_a, g_ea, lambda grams: grams.identity_logdet("g_a", g_ea)),
+                "t3": (n_b, n_a, g_ba, lambda grams: grams.identity_logdet("h_ba", g_ba))}
+    return {"t2": (n_e, n_a, g_ea, lambda grams: grams.floor_logdets(g_ea, g_ba)[0]),
+            "t3": (n_b, n_a, g_ba, lambda grams: grams.bob_logdet(g_ba)),
+            "t4": (n_b, n_a - n_e, g_ba, lambda grams: grams.null_logdet(g_ba))}
 
 
-def _control_means(config: ProbingConfig) -> list[float] | None:
-    """Exact means of the floor's CONTROLS, in order, or None outside
-    wishart_logdet_mean's domain (power_a = 0 is outside it)."""
+def _control_means(config: ProbingConfig) -> dict[str, float] | None:
+    """Exact means of the floor's controls at `config`, in order, or None
+    outside wishart_logdet_mean's domain (power_a = 0 is outside it)."""
     try:
-        return [wishart_logdet_mean(rows, cols, gamma)
-                for _, gamma, rows, cols in _control_terms(config).values()]
+        return {name: wishart_logdet_mean(rows, cols, gamma)
+                for name, (rows, cols, gamma, _) in _controls(config).items()}
     except ValueError:
         return None
 
 
+def _det(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of small square matrices, by cofactor
+    expansion along the first row."""
+    if m.shape[-1] == 1:
+        return m[..., 0, 0]
+    return sum((-1) ** j * m[..., 0, j] * _det(np.delete(m[..., 1:, :], j, axis=-1))
+               for j in range(m.shape[-1]))
+
+
 def _control_corrections(rows: np.ndarray, means: np.ndarray) -> list[np.ndarray | None]:
-    """For each point p, with rows[p] = (t2, t3, floor) over its trials and
-    means[p] the exact means of t2 and t3: beta . (t - mean) per trial, beta
-    the least-squares coefficients of the floor on the two control
-    variates (intercept included), from a 2 x 2 solve; None where that
-    system is singular.  Vectorized over the points, with each point's sums
-    reduced pairwise over its own trials, so a point's correction does not
-    depend on the others.  rows is overwritten."""
-    centre = np.add.reduce(rows[:, :2], axis=-1) / rows.shape[-1]
-    rows[:, :2] -= centre[..., None]
-    # per point [[x.x, x.y, x.f], [y.x, y.y, y.f]] for the centred controls
-    # x, y (the floor f needs no centring: x and y sum to 0)
-    sums = np.add.reduce(rows[:, :2, None] * rows[:, None], axis=-1)
-    (sxx, sxy, fx), (syy, fy) = sums[:, 0].T, sums[:, 1, 1:].T
-    det = sxx * syy - sxy * sxy
+    """For each point p, with rows[p] = (t_1 .. t_k, floor) over its trials
+    and means[p] the exact means of the k controls: beta . (t - mean) per
+    trial, beta the least-squares coefficients of the floor on the controls
+    (intercept included), from the k x k normal equations by Cramer's rule;
+    None where that system is singular.  Vectorized over the points, with
+    each point's sums reduced pairwise over its own trials, so a point's
+    correction does not depend on the others.  rows is overwritten."""
+    k = means.shape[-1]
+    centre = np.add.reduce(rows[:, :k], axis=-1) / rows.shape[-1]
+    rows[:, :k] -= centre[..., None]
+    # per point the centred controls' sums of products with each other and
+    # with the floor (which needs no centring: the controls sum to 0)
+    sums = np.add.reduce(rows[:, :k, None] * rows[:, None], axis=-1)
+    system, cross = sums[..., :k], sums[..., k:]
+    det = _det(system)
     with np.errstate(divide="ignore", invalid="ignore"):
-        beta_x, beta_y = (syy * fx - sxy * fy) / det, (sxx * fy - sxy * fx) / det
-    offset = beta_x * (centre[:, 0] - means[:, 0]) + beta_y * (centre[:, 1] - means[:, 1])
-    corrections = (beta_x[:, None] * rows[:, 0] + beta_y[:, None] * rows[:, 1]
-                   + offset[:, None])
-    return [c if solvable else None
-            for c, solvable in zip(corrections, det > CV_SINGULAR_RTOL * sxx * syy)]
+        beta = [_det(np.concatenate([system[..., :i], cross, system[..., i + 1:]], axis=-1))
+                / det for i in range(k)]
+    offset = sum(b * (centre[:, i] - means[:, i]) for i, b in enumerate(beta))
+    corrections = sum(b[:, None] * rows[:, i] for i, b in enumerate(beta)) + offset[:, None]
+    solvable = det > CV_SINGULAR_RTOL * np.prod(np.diagonal(system, axis1=-2, axis2=-1),
+                                                axis=-1)
+    return [c if ok else None for c, ok in zip(corrections, solvable)]
 
 
 class _Key(NamedTuple):
@@ -401,7 +537,7 @@ def _group_integrand(plan: Sequence[tuple[_Key, ProbingConfig]]):
     log-dets are per point.  A lower_alice key carries the role-swapped
     config."""
 
-    controls = {key: _control_terms(config)[key.part][:2] for key, config in plan if key.part}
+    controls = {key: _controls(config)[key.part][3] for key, config in plan if key.part}
 
     def block_values(block: ChannelRealization) -> dict[_Key, np.ndarray]:
         grams = Grams(block)
@@ -411,7 +547,7 @@ def _group_integrand(plan: Sequence[tuple[_Key, ProbingConfig]]):
         for key, config in plan:
             try:
                 if key.part:
-                    out[key] = grams.identity_logdet(*controls[key])
+                    out[key] = controls[key](grams)
                 elif key.quantity == "floor":
                     out[key] = floors[key.point] = secrecy_floor_sample(
                         block, config, grams)
@@ -436,7 +572,8 @@ def trial_values_many(points: Sequence[tuple[ProbingConfig, Iterable[str]]],
     point asks for, on the engine's shared draws: the floor, the gap, the
     Bob-side bound built on the same floor values, and that bound of the
     role-swapped scenario on the swapped draws; and the floor's CONTROLS
-    that it names (noise_ea > 0), which a failure reports as the floor.
+    that it names (noise_ea > 0; t4 only where n_e < n_a, otherwise a
+    ValueError), which a failure reports as the floor.
 
     Points whose configs agree on what sample_channels reads get identical
     draws, so each such group takes one collect pass.  A failure names the
@@ -446,6 +583,8 @@ def trial_values_many(points: Sequence[tuple[ProbingConfig, Iterable[str]]],
     groups: dict[tuple, list[tuple[_Key, ProbingConfig]]] = {}
     for i, (config, names) in enumerate(points):
         names = frozenset(names)
+        if "t4" in names and config.n_e >= config.n_a:
+            raise ValueError("the control t4 needs n_e < n_a")
         for q in SAMPLED + CONTROLS:
             if q in names:
                 key = _Key(i, "floor", labels[i], q) if q in CONTROLS \
@@ -470,26 +609,31 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
     sample; configs with identical draws share one pass (see
     trial_values_many, which also says how `labels` name a failing point).
     pilot_mi is exact, as are the floor at noise_ea = 0 (0), the gap at
-    v_b = 0 (0) and lower_alice at noise_ea = 0 with v_a > 0 (-inf).
+    v_b = 0 (0) and lower_alice at noise_ea = 0 with v_a > 0 (-inf).  At
+    v_b = 0 lower_alice is exact otherwise too: per sample it is the
+    role-swapped pilot_mi plus v_a (t3 - t2), two of the floor's controls,
+    so its mean is that pilot_mi plus v_a (E t3 - E t2), unless a mean is
+    outside wishart_logdet_mean's domain; at v_b > 0 it is sampled raw.
 
     A sampled floor is estimated with control variates: the floor's samples
-    are regressed on its CONTROLS (see _control_corrections), and the
-    correction beta . (t - mean), with the exact means of wishart_logdet_mean,
-    is subtracted from the floor's samples and v_a times it from
-    lower_bob's, so upper and lower are built from adjusted samples and
-    upper == lower_bob + gap still holds per sample; lower_alice stays raw.
-    A point with fewer than CV_MIN_TRIALS trials, a singular regression or
-    a config outside wishart_logdet_mean's domain gets the raw samples.
-    Standard errors are those of the adjusted samples.
+    are regressed on the point's controls (t2, t3, and t4 where n_e < n_a;
+    see _controls and _control_corrections), and the correction beta . (t -
+    mean), with the exact means of wishart_logdet_mean, is subtracted from
+    the floor's samples and v_a times it from lower_bob's, so upper and
+    lower are built from adjusted samples and upper == lower_bob + gap still
+    holds per sample.  A point with fewer than cv_min_trials(k) trials for
+    its k controls, a singular regression or a config outside
+    wishart_logdet_mean's domain gets the raw samples.  Standard errors are
+    those of the adjusted samples.
 
     'lower' is the larger side bound, Bob's side winning ties.  At v_b = 0
-    it is lower_bob (which is then also upper), and lower_alice is sampled
-    only when named: per sample, lower_bob - lower_alice = (pilot_mi - the
-    role-swapped pilot_mi) + v_a * [log2det(I + gamma_ea G + gamma_ba H) -
-    log2det(I + gamma_ba H)] >= 0, with G, H the Grams of g_a, h_ba.  (At
-    v_a = v_b = 0 the difference is the round-off between the two pilot_mi
-    values, which is the one case where comparing the means could pick the
-    Alice side.)
+    it is lower_bob (which is then also upper), and lower_alice is
+    evaluated only when named: per sample, lower_bob - lower_alice =
+    (pilot_mi - the role-swapped pilot_mi) + v_a * [log2det(I + gamma_ea G +
+    gamma_ba H) - log2det(I + gamma_ba H)] >= 0, with G, H the Grams of
+    g_a, h_ba.  (At v_a = v_b = 0 the difference is the round-off between
+    the two pilot_mi values, which is the one case where comparing the
+    means could pick the Alice side.)
     """
     unknown = set(quantities) - set(QUANTITIES)
     if unknown:
@@ -508,25 +652,34 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
             exact["floor"] = 0.0
         if config.v_b == 0:
             exact["gap"] = 0.0
+        floor_sampled = config.noise_ea > 0 and (
+            "floor" in wanted or ("lower_bob" in wanted and config.v_a))
+        means = _control_means(config) if floor_sampled or (
+            config.noise_ea > 0 and "lower_alice" in wanted) else None
         if _alice_bound_diverges(config):
             exact["lower_alice"] = -math.inf
+        elif config.v_b == 0 and "lower_alice" in wanted and means is not None:
+            exact["lower_alice"] = pilot_mi(config.swap_roles()) + config.v_a * (
+                means["t3"] - means["t2"])
         exacts.append(exact)
         names = wanted | {"lower_alice"} if "lower" in wanted and config.v_b else wanted
         names = names.difference(exact)
-        means = None
-        if mc.trials >= CV_MIN_TRIALS and "floor" not in exact and (
-                "floor" in names or ("lower_bob" in names and config.v_a)):
-            means = _control_means(config)
-            if means is not None:
-                names = names | {"floor"} | set(CONTROLS)
+        if floor_sampled and means is not None and mc.trials >= cv_min_trials(len(means)):
+            names = names | {"floor"} | set(means)
+        else:
+            means = None
         control_means.append(means)
         sampled.append((config, names))
     points = trial_values_many(sampled, mc, labels)
-    adjusted = [i for i, means in enumerate(control_means) if means is not None]
-    if adjusted:
-        rows = np.array([[points[i].pop(q) for q in CONTROLS] + [points[i]["floor"]]
+    # one regression per number of controls, over the points that have it
+    by_count: dict[int, list[int]] = {}
+    for i, means in enumerate(control_means):
+        if means is not None:
+            by_count.setdefault(len(means), []).append(i)
+    for adjusted in by_count.values():
+        rows = np.array([[points[i].pop(q) for q in control_means[i]] + [points[i]["floor"]]
                          for i in adjusted])
-        means = np.array([control_means[i] for i in adjusted])
+        means = np.array([list(control_means[i].values()) for i in adjusted])
         for i, correction in zip(adjusted, _control_corrections(rows, means)):
             values = points[i]
             if correction is not None:

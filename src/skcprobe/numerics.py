@@ -134,15 +134,6 @@ def _cholesky_jittered(m: np.ndarray, index: int) -> np.ndarray:
                 f"matrix {index}: Cholesky failed even with jitter {jitter:.3e}") from exc
 
 
-def _non_finite_logdets(m: np.ndarray):
-    """logdet_hermitian_pd of a stack in which some matrix holds a NaN or an
-    infinite entry: NaN for each such matrix, which is not factored (the
-    identity stands in for it, so every other matrix keeps its index)."""
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    out = logdet_hermitian_pd(np.where(finite[..., None, None], m, np.eye(m.shape[-1])))
-    return _per_matrix(np.where(finite, out, np.nan))
-
-
 @functools.lru_cache(maxsize=None)
 def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the upper triangle and the diagonal of an
@@ -174,41 +165,61 @@ def _max_asymmetry(m: np.ndarray) -> float:
     return float(np.max(np.abs(d)))
 
 
-def logdet_hermitian_pd(m: np.ndarray):
-    """log2 det of a Hermitian positive-definite matrix via Cholesky.
-
-    Accepts one matrix (returns a float) or a stack with shape (..., n, n)
-    (returns an array of shape (...)).  The input must be Hermitian to
-    HERMITIAN_ATOL, which callers ensure by passing Gram products through
-    hermitize; it is checked, on one triangle and the diagonal (see
-    _max_asymmetry), and then factored as given, and it is never modified,
-    so a caller may pass a work array and overwrite it afterwards.  If the
-    factorization fails, each matrix is factored on its own and a failing
-    one is retried once with a tiny trace-scaled diagonal jitter; a second
-    failure raises NotPositiveDefinite naming the matrix's index in the
-    flattened stack (these matrices are PD by construction, so failure
-    indicates a caller bug rather than bad data).
-
-    Two matrices are out of double range and get a NaN log-det, which the
-    Monte Carlo engine's finiteness check then reports for its trial: one
-    holding a NaN or an infinite entry (its asymmetry reads NaN), which is
-    not factored, and one whose factorization fails and whose trace, and
-    so its jitter, overflows.
-    """
-    m = _square_stack(m)
+def _log2_cholesky_diagonal(m: np.ndarray) -> np.ndarray:
+    """log2 of the diagonal of each matrix's Cholesky factor, shape (..., n);
+    see logdet_hermitian_pd for the checks, the jitter retry and the NaN
+    rows.  A stack in which some matrix holds a NaN or an infinite entry
+    (its asymmetry reads NaN) is factored with the identity standing in for
+    each such matrix, so every other matrix keeps its index, and that
+    matrix's row is then NaN."""
     asym = _max_asymmetry(m)
     if not asym <= HERMITIAN_ATOL:
         if not np.isnan(asym):
             raise NotHermitian(f"max asymmetry {asym:.3e} exceeds {HERMITIAN_ATOL:.0e}")
-        return _non_finite_logdets(m)
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        out = _log2_cholesky_diagonal(
+            np.where(finite[..., None, None], m, np.eye(m.shape[-1])))
+        out[~finite] = np.nan
+        return out
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         flat = m.reshape((-1,) + m.shape[-2:])
         chol = np.stack([_cholesky_jittered(x, k) for k, x in enumerate(flat)])
         chol = chol.reshape(m.shape)
-    diag = np.real(np.diagonal(chol, axis1=-2, axis2=-1))
-    return _per_matrix(2.0 * np.sum(np.log2(diag), axis=-1))
+    return np.log2(np.real(np.diagonal(chol, axis1=-2, axis2=-1)))
+
+
+def logdet_hermitian_pd(m: np.ndarray, split: int | None = None):
+    """log2 det of a Hermitian positive-definite matrix via Cholesky.
+
+    Accepts one matrix (returns a float) or a stack with shape (..., n, n)
+    (returns an array of shape (...)).  With `split` = k it returns the
+    pair (leading, trailing) instead: the log-det of the leading k x k
+    block, and that of the trailing block's Schur complement, which add up
+    to the whole (the factor's first k and last n - k diagonal entries).
+
+    The input must be Hermitian to HERMITIAN_ATOL, which callers ensure by
+    passing Gram products through hermitize; it is checked, on one triangle
+    and the diagonal (see _max_asymmetry), and then factored as given, and
+    it is never modified, so a caller may pass a work array and overwrite
+    it afterwards.  If the factorization fails, each matrix is factored on
+    its own and a failing one is retried once with a tiny trace-scaled
+    diagonal jitter; a second failure raises NotPositiveDefinite naming the
+    matrix's index in the flattened stack (these matrices are PD by
+    construction, so failure indicates a caller bug rather than bad data).
+
+    Two matrices are out of double range and get a NaN log-det (both parts
+    of a split), which the Monte Carlo engine's finiteness check then
+    reports for its trial: one holding a NaN or an infinite entry, which is
+    not factored, and one whose factorization fails and whose trace, and
+    so its jitter, overflows.
+    """
+    log_diag = _log2_cholesky_diagonal(_square_stack(m))
+    if split is None:
+        return _per_matrix(2.0 * np.sum(log_diag, axis=-1))
+    return (_per_matrix(2.0 * np.sum(log_diag[..., :split], axis=-1)),
+            _per_matrix(2.0 * np.sum(log_diag[..., split:], axis=-1)))
 
 
 def logdet_lu(m: np.ndarray):

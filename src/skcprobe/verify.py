@@ -12,10 +12,11 @@ Four kinds of checks live here:
   Laguerre polynomials from scipy.special, and against the scalar ergodic
   capacity;
 * per-trial determinant-identity checks on the engine's blocks of draws:
-  the engine's floor, gap and Bob-side integrands against oracle forms that
-  reach each value through a different factorization and are built from
-  skcprobe.numerics alone, sharing no engine code; and the batched engine
-  against its per-sample integrands on every trial.
+  the engine's floor, gap and Bob-side integrands, and where n_e < n_a its
+  floor and control t4 again against a null-space form, against oracle
+  forms that reach each value through a different factorization and are
+  built from skcprobe.numerics alone, sharing no engine code; and the
+  batched engine against its per-sample integrands on every trial.
 
 A deliberate mutation hook is included so a silently broken oracle cannot
 pass its own suite.
@@ -258,16 +259,20 @@ def wishart_logdet_quadrature(rows: int, cols: int, gamma: float) -> float:
 
 
 def wishart_mean_check(config: ProbingConfig) -> VerificationOutcome:
-    """wishart_logdet_mean of the floor's two control variates, log2det(I +
-    gamma_ea G) with g_a n_e x n_a (when noise_ea > 0) and log2det(I +
-    gamma_ba H) with h_ba n_b x n_a, against wishart_logdet_quadrature,
-    WISHART_RTOL relative.  A term outside the closed form's domain is
-    named in the detail and not compared: the engine gives such a floor its
-    raw estimate."""
+    """wishart_logdet_mean of the floor's control variates, log2det(I +
+    gamma_ea G) with g_a n_e x n_a (when noise_ea > 0), log2det(I +
+    gamma_ba H) with h_ba n_b x n_a and, when n_e < n_a, t4 = log2det(I +
+    gamma_ba h_ba P h_ba^H), P the projector onto null(g_a), whose h_ba
+    in a basis of that null space is n_b x (n_a - n_e), against
+    wishart_logdet_quadrature, WISHART_RTOL relative.  A term outside the
+    closed form's domain is named in the detail and not compared: the
+    engine gives such a floor its raw estimate."""
     gam = derive_gammas(config)
     terms = {"h_ba": (config.n_b, config.n_a, gam.gamma_ba)}
     if config.noise_ea > 0:
         terms["g_a"] = (config.n_e, config.n_a, gam.gamma_ea)
+    if config.n_e < config.n_a:
+        terms["h_ba on null(g_a)"] = (config.n_b, config.n_a - config.n_e, gam.gamma_ba)
     worst, notes = 0.0, []
     for channel, (rows, cols, gamma) in terms.items():
         try:
@@ -310,6 +315,34 @@ def floor_resolvent(realization: ChannelRealization, config: ProbingConfig):
     denom = gam.gamma_ba * (config.noise_b / config.noise_ea) * gram_e + eye
     val = logdet_lu(eye + gam.gamma_ba * np.linalg.solve(denom, gram_h))
     return realization.per_trial(np.maximum(val, 0.0))
+
+
+def floor_null_space(realization: ChannelRealization, config: ProbingConfig):
+    """Oracle of the n_e < n_a floor and of t4, {"floor": ..., "t4": ...}
+    per trial, in an orthonormal basis [Q1, N] of C^n_a from a complete QR
+    factorization of g_a^H: Q1 spans g_a's row space and N its null space.
+    With h1 = h_ba Q1, h2 = h_ba N and A = (g_a Q1)^H (g_a Q1),
+
+        t4    = log2|I + gamma_ba h2 h2^H|,
+        floor = log2|I + gamma_ba (h1 (I + gamma_ea A)^-1 h1^H + h2 h2^H)|,
+
+    by LU; the floor is exactly zero at noise_ea = 0."""
+    gam = derive_gammas(config)
+    q, _ = np.linalg.qr(conj_t(realization.g_a), mode="complete")
+    seen, unseen = q[..., :config.n_e], q[..., config.n_e:]
+    h_unseen = realization.h_ba @ unseen
+    eye = np.eye(config.n_b)
+    hidden = h_unseen @ conj_t(h_unseen)
+    values = {"t4": logdet_lu(eye + gam.gamma_ba * hidden)}
+    if config.noise_ea == 0:
+        values["floor"] = realization.per_trial(0.0)
+        return values
+    g_seen = realization.g_a @ seen
+    h_seen = realization.h_ba @ seen
+    a = np.eye(config.n_e) + gam.gamma_ea * (conj_t(g_seen) @ g_seen)
+    leak = h_seen @ np.linalg.solve(a, conj_t(h_seen))
+    values["floor"] = logdet_lu(eye + gam.gamma_ba * (leak + hidden))
+    return values
 
 
 def gap_resolvent(realization: ChannelRealization, config: ProbingConfig):
@@ -368,7 +401,9 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
       (f) the batched engine's floor, gap, Bob- and Alice-side integrands
           equal the per-sample integrands within IDENTITY_ATOL on every trial of
           the engine's own draws (more than one block once realizations
-          exceeds the block size).
+          exceeds the block size);
+      (g) where n_e < n_a, the engine's floor and t4 equal floor_null_space
+          within IDENTITY_ATOL (see null_space_check).
     A failing check names the trial with the largest deviation.
     """
     if realizations < 100:
@@ -402,6 +437,8 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
             detail=(f"max deviation at trial {worst}" if dev[worst] > tol else extra))
 
     over = f"over {realizations} realizations"
+    null_space = [null_space_check(config, realizations, master_seed)] \
+        if config.n_e < config.n_a else []
     return [
         outcome("gap-form-equivalence", v["gap_stacked"], v["gap_inverse"],
                 IDENTITY_ATOL, over),
@@ -420,7 +457,26 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
         outcome("one-way-identity", v["oneway_actual"], v["oneway_expected"], 0.0,
                 "bitwise identity with v_b = 0"),
         engine_agreement_check(config, realizations, master_seed),
-    ]
+    ] + null_space
+
+
+def null_space_check(config: ProbingConfig, realizations: int = 300,
+                     master_seed: int = 1) -> VerificationOutcome:
+    """Largest per-trial deviation of the engine's floor and its control
+    t4 from floor_null_space, for n_e < n_a, on the engine's draws: the
+    engine reaches both through Cholesky factorizations of the stacked
+    Gram of [g_a; h_ba], the oracle through a QR null-space basis and LU."""
+    mc = McSettings(trials=realizations, master_seed=master_seed)
+    engine = trial_values_many([(config, ("floor", "t4"))], mc)[0]
+    oracle = collect(lambda block: floor_null_space(block, config), config, mc)
+    dev = np.max([np.abs(engine[name] - oracle[name]) for name in engine], axis=0)
+    worst = int(np.argmax(dev))
+    passed = bool(dev[worst] <= IDENTITY_ATOL)
+    return VerificationOutcome(
+        check_name="floor-null-space-form", reference_value=0.0,
+        computed_value=float(dev[worst]), tolerance=IDENTITY_ATOL, passed=passed,
+        detail=(f"floor, t4 over {realizations} trials" if passed
+                else f"max deviation at trial {worst}"))
 
 
 def engine_agreement_check(config: ProbingConfig, realizations: int = 300,

@@ -37,20 +37,38 @@ def capacity_logdet(h, gamma):
     return logdet_hermitian_pd(gamma * hermitize(h @ conj_t(h)) + np.eye(h.shape[-2]))
 
 
-def engine_correction(floor, t2, t3, mean2, mean3):
-    """The engine's control-variate correction of one point's floor."""
+def control_means(config) -> dict:
+    """Exact means of the floor's control variates at `config`, by name, in
+    the engine's order: t2 (g_a at gamma_ea), t3 (h_ba at gamma_ba) and,
+    where n_e < n_a, t4 (h_ba on the n_a - n_e dimensions of null(g_a))."""
+    from skcprobe.capacity import wishart_logdet_mean
+    from skcprobe.channel import derive_gammas
+    gam = derive_gammas(config)
+    means = {"t2": wishart_logdet_mean(config.n_e, config.n_a, gam.gamma_ea),
+             "t3": wishart_logdet_mean(config.n_b, config.n_a, gam.gamma_ba)}
+    if config.n_e < config.n_a:
+        means["t4"] = wishart_logdet_mean(config.n_b, config.n_a - config.n_e,
+                                          gam.gamma_ba)
+    return means
+
+
+def engine_correction(floor, controls, means):
+    """The engine's control-variate correction of one point's floor, on the
+    controls' per-trial values and their means (dicts keyed by name, in the
+    order of `means`)."""
     from skcprobe.capacity import _control_corrections
-    return _control_corrections(np.array([[t2, t3, floor]]), np.array([[mean2, mean3]]))[0]
+    return _control_corrections(np.array([[controls[n] for n in means] + [floor]]),
+                                np.array([list(means.values())]))[0]
 
 
-def control_correction(floor, t2, t3, mean2, mean3):
+def control_correction(floor, controls, means):
     """Per-trial control-variate correction of the floor, beta . (t - mean),
-    with beta the coefficients of t2 and t3 in the least-squares fit of the
-    floor on (1, t2, t3) by np.linalg.lstsq: an arithmetic path independent
-    of the engine's 2 x 2 solve."""
-    design = np.column_stack([np.ones_like(floor), t2, t3])
-    (_, beta2, beta3), *_ = np.linalg.lstsq(design, floor, rcond=None)
-    return beta2 * (t2 - mean2) + beta3 * (t3 - mean3)
+    with beta the coefficients of the controls in the least-squares fit of
+    the floor on (1, controls) by np.linalg.lstsq: an arithmetic path
+    independent of the engine's Cramer solve."""
+    design = np.column_stack([np.ones_like(floor)] + [controls[n] for n in means])
+    beta, *_ = np.linalg.lstsq(design, floor, rcond=None)
+    return sum(b * (controls[n] - means[n]) for b, n in zip(beta[1:], means))
 
 
 @pytest.fixture

@@ -40,13 +40,11 @@ from skcprobe import (
     secrecy_floor_sample,
 )
 from skcprobe.capacity import (
-    CONTROLS,
     QUANTITIES,
     SAMPLED,
     Grams,
     _alice_bound_diverges,
     trial_values_many,
-    wishart_logdet_mean,
 )
 from skcprobe.channel import derive_gammas
 from skcprobe.errors import (
@@ -62,7 +60,8 @@ from skcprobe.experiments import load_spec
 from skcprobe.montecarlo import BLOCK, collect, summarize, trial_blocks
 from skcprobe.verify import (IDENTITY_ATOL, floor_resolvent, gap_resolvent,
                              lower_bob_rectangular)
-from conftest import capacity_logdet, engine_correction, make_config, make_realization
+from conftest import (capacity_logdet, control_means, engine_correction, make_config,
+                      make_realization)
 
 LOG2_4_3 = 0.41503749927884382
 LOG2_3_2 = 0.58496250072115618
@@ -323,10 +322,10 @@ class TestBatchedIntegrands:
         # control-variate correction (see TestControlVariates)
         cfg = make_config(v_b=2)
         mc = McSettings(trials=BLOCK + 30, master_seed=53)
-        values = trial_values_many([(cfg, ("gap", "lower_bob", "floor") + CONTROLS)], mc)[0]
-        means = [wishart_logdet_mean(cfg.n_e, cfg.n_a, derive_gammas(cfg).gamma_ea),
-                 wishart_logdet_mean(cfg.n_b, cfg.n_a, derive_gammas(cfg).gamma_ba)]
-        correction = engine_correction(values["floor"], values["t2"], values["t3"], *means)
+        means = control_means(cfg)
+        values = trial_values_many([(cfg, ("gap", "lower_bob", "floor") + tuple(means))],
+                                   mc)[0]
+        correction = engine_correction(values["floor"], values, means)
         assert evaluate(cfg, mc, ("upper",))["upper"] == \
             summarize((values["lower_bob"] - cfg.v_a * correction) + values["gap"])
 
@@ -359,14 +358,29 @@ def _hermitize(m):
     return (m + _conj_t(m)) / 2.0
 
 
-def _cholesky_logdet(m):
+def _cholesky_logdet(m, start=0):
+    """log2 det of m, or from `start` on the trailing block's Schur
+    complement, from the Cholesky factor's diagonal."""
     diag = np.real(np.diagonal(np.linalg.cholesky(m), axis1=-2, axis2=-1))
-    return 2.0 * np.sum(np.log2(diag), axis=-1)
+    return 2.0 * np.sum(np.log2(diag)[..., start:], axis=-1)
 
 
 def textbook_floor(r, cfg):
-    """The direct floor as a plain expression, one fresh array per step."""
+    """The floor as a plain expression, one fresh array per step, in the
+    engine's form for its regime.  Where n_e < n_a: B = I + S S^H with S =
+    [sqrt(gamma_ea) g_a; sqrt(gamma_ba) h_ba], built as the Gram K of
+    [g_a; h_ba] times the exact block factors gamma_ea, sqrt(gamma_ea)
+    sqrt(gamma_ba) and gamma_ba, and the floor is the log-det of the Schur
+    complement of its leading n_e block; otherwise the difference of two
+    n_a x n_a log-dets."""
     gam = derive_gammas(cfg)
+    if cfg.n_e < cfg.n_a:
+        stacked = np.concatenate([r.g_a, r.h_ba], axis=-2)
+        gram = _hermitize(stacked @ _conj_t(stacked))
+        scale = np.full(gram.shape[-2:], np.sqrt(gam.gamma_ea) * np.sqrt(gam.gamma_ba))
+        scale[:cfg.n_e, :cfg.n_e] = gam.gamma_ea
+        scale[cfg.n_e:, cfg.n_e:] = gam.gamma_ba
+        return np.maximum(_cholesky_logdet(scale * gram + np.eye(len(scale)), cfg.n_e), 0.0)
     eye = np.eye(cfg.n_a)
     gram_e = _hermitize(_conj_t(r.g_a) @ r.g_a)
     folded = gram_e + (cfg.noise_ea / cfg.noise_b) * _hermitize(_conj_t(r.h_ba) @ r.h_ba)
@@ -496,14 +510,11 @@ class TestEvaluateMany:
         # and the floor is the per-sample direct form over the blocks, less
         # its control-variate correction, summarized
         for config, point in zip(configs[:-1], batched):
-            gam = derive_gammas(config)
             direct = np.concatenate([secrecy_floor_sample(block, config)
                                      for _, block in trial_blocks(config, mc)])
-            controls = trial_values_many([(config, CONTROLS)], mc)[0]
-            correction = engine_correction(
-                direct, controls["t2"], controls["t3"],
-                wishart_logdet_mean(config.n_e, config.n_a, gam.gamma_ea),
-                wishart_logdet_mean(config.n_b, config.n_a, gam.gamma_ba))
+            means = control_means(config)
+            controls = trial_values_many([(config, tuple(means))], mc)[0]
+            correction = engine_correction(direct, controls, means)
             assert point["floor"] == summarize(direct - correction)
 
     def test_fig2_power_grid(self):
@@ -569,18 +580,24 @@ class TestEvaluateMany:
     def test_each_gram_formed_once_per_block(self, monkeypatch):
         import skcprobe.capacity as capacity
         formed = []
-        real = capacity._gram
-        monkeypatch.setattr(capacity, "_gram", lambda m: formed.append(m.shape) or real(m))
+        real_gram, real_outer = capacity._gram, capacity._outer
+        monkeypatch.setattr(capacity, "_gram",
+                            lambda m: formed.append(("gram", m.shape)) or real_gram(m))
+        monkeypatch.setattr(capacity, "_outer", lambda m, out=None: formed.append(
+            ("outer", m.shape)) or real_outer(m, out))
         mc = McSettings(trials=BLOCK + 30, master_seed=5)
         spec = load_spec("fig2")
         evaluate_many([config_at_power(spec.base, p) for p in spec.power_grid], mc,
                       ("floor",))
-        assert len(formed) == 2 * 2          # g_a and h_ba in each of two blocks
+        # n_e < n_a: [g_a; h_ba] stacked, (6 + 4) x 8, in each of two blocks
+        assert formed == [("outer", (BLOCK, 10, 8)), ("outer", (30, 10, 8))]
         formed.clear()
         base = make_config(v_a=2, v_b=1)
         evaluate_many([base, replace(base, power_a=9.0), replace(base, noise_eb=0.5)],
                       mc, QUANTITIES)
-        assert len(formed) == 4 * 2          # all four channels, once per block
+        # n_e >= n_a: all four channels, once per block (the gap's outer
+        # products are per point)
+        assert [kind for kind, _ in formed].count("gram") == 4 * 2
 
     def test_exact_points_take_no_pass(self, monkeypatch):
         import skcprobe.capacity as capacity
@@ -647,17 +664,18 @@ class TestOneWayLower:
         real_logdet = capacity.logdet_hermitian_pd
         monkeypatch.setattr(capacity, "collect", counting_collect)
         monkeypatch.setattr(capacity, "lower_bound_bob_sample", recording_bob)
-        monkeypatch.setattr(capacity, "logdet_hermitian_pd",
-                            lambda m: logdets.append(m.shape) or real_logdet(m))
+        monkeypatch.setattr(capacity, "logdet_hermitian_pd", lambda m, split=None: (
+            logdets.append((m.shape[1:], split)) or real_logdet(m, split)))
         cfg = self.one_way({})
         mc = McSettings(trials=2 * BLOCK + 9, master_seed=71)
         est = evaluate(cfg, mc, ("lower", "upper"))
         blocks = math.ceil(mc.trials / BLOCK)
         assert len(collects) == 1
         assert bob_configs == [cfg] * blocks         # never the role-swapped config
-        # the floor's two and its control variate log2det(I + gamma_ba H);
-        # Bob's bound reuses the floor
-        assert len(logdets) == 3 * blocks
+        # n_e < n_a: the floor's stacked factorization (which also gives
+        # t2), t3 from the n_b-square block and t4 from the noiseless
+        # limit; Bob's bound reuses the floor
+        assert logdets == [((4, 4), 2), ((2, 2), None), ((4, 4), 2)] * blocks
         assert est["lower"] == est["upper"]
 
     @pytest.mark.parametrize("overrides", list(ONE_WAY.values()), ids=list(ONE_WAY))
@@ -668,8 +686,23 @@ class TestOneWayLower:
         named = evaluate(cfg, mc, ("lower", "lower_alice"))
         assert est["lower"] == est["lower_bob"] == est["upper"]
         assert named["lower"] == est["lower"]
-        assert named["lower_alice"].mean <= est["lower_bob"].mean
         assert est["lower"].method == "monte-carlo"
+
+    @pytest.mark.parametrize("seed", range(73, 84))
+    def test_lower_alice_is_exact_and_below_lower_bob(self, seed):
+        # per sample lower_alice is the swapped pilot_mi + v_a (t3 - t2);
+        # at noise_ea = 1e6 it is below lower_bob by about 2.4e-4 bits
+        mc = McSettings(trials=BLOCK + 21, master_seed=seed)
+        for name, overrides in self.ONE_WAY.items():
+            cfg = self.one_way(overrides)
+            est = evaluate(cfg, mc, ("lower_bob", "lower_alice"))
+            alice = est["lower_alice"]
+            assert alice.method == "exact", name
+            if cfg.noise_ea > 0:
+                means = control_means(cfg)
+                assert alice.mean == pilot_mi(cfg.swap_roles()) + cfg.v_a * (
+                    means["t3"] - means["t2"]), name
+            assert alice.mean <= est["lower_bob"].mean, name
 
 
 class TestRoleSymmetry:

@@ -18,18 +18,18 @@ import pytest
 import yaml
 
 import skcprobe.capacity as capacity
-from skcprobe import McSettings, ProbingConfig, evaluate, evaluate_many, wishart_logdet_mean
-from skcprobe.capacity import (CONTROLS, CV_MIN_TRIALS, WISHART_MAX_DIM,
-                               _control_corrections, _eigenvalue_weights,
-                               trial_values_many)
-from skcprobe.channel import derive_gammas
+from skcprobe import (Estimate, McSettings, ProbingConfig, evaluate, evaluate_many,
+                      secrecy_floor_sample, wishart_logdet_mean)
+from skcprobe.capacity import (WISHART_MAX_DIM, _control_corrections, _eigenvalue_weights,
+                               cv_min_trials, trial_values_many)
+from skcprobe.channel import DRAWN, derive_gammas
 from skcprobe.errors import IntegrandFailure
 from skcprobe.experiments import (apply_parameter, case_config, config_from_mapping,
                                   load_spec, read_spec_text)
 from skcprobe.montecarlo import BLOCK, summarize, trial_blocks
 from skcprobe.numerics import conj_t
 
-from conftest import capacity_logdet, control_correction, engine_correction
+from conftest import capacity_logdet, control_correction, control_means, engine_correction
 
 
 def density_coefficients(m: int, d: int) -> list[Fraction]:
@@ -61,12 +61,15 @@ def reference_mean(rows: int, cols: int, gamma: float) -> float:
 
 
 def control_terms(config: ProbingConfig) -> list[tuple[int, int, float]]:
-    """(rows, cols, gamma) of the floor's two control variates: g_a at
-    gamma_ea (when Eve is noisy) and h_ba at gamma_ba."""
+    """(rows, cols, gamma) of the floor's control variates: g_a at gamma_ea
+    (when Eve is noisy), h_ba at gamma_ba and, where n_e < n_a, h_ba on the
+    n_a - n_e dimensions of null(g_a) at gamma_ba."""
     gam = derive_gammas(config)
     terms = [(config.n_b, config.n_a, gam.gamma_ba)]
     if config.noise_ea > 0:
         terms.append((config.n_e, config.n_a, gam.gamma_ea))
+    if config.n_e < config.n_a:
+        terms.append((config.n_b, config.n_a - config.n_e, gam.gamma_ba))
     return terms
 
 
@@ -90,7 +93,7 @@ class TestWishartLogdetMean:
     def test_matches_exact_reference_on_every_bundled_term_and_the_gamma_ends(self):
         terms = bundled_terms()
         shapes = {(rows, cols) for rows, cols, _ in terms}
-        assert {(6, 8), (10, 8), (4, 8), (4, 4), (2, 4)} <= shapes
+        assert {(6, 8), (10, 8), (4, 8), (4, 4), (2, 4), (4, 2), (2, 2), (1, 1)} <= shapes
         terms |= {(rows, cols, g) for rows, cols in shapes | {(16, 16), (1, 16), (16, 3)}
                   for g in (1e-6, 1e-3, 1e5, 1e10)}
         worst = max(abs(wishart_logdet_mean(*t) - reference_mean(*t)) / reference_mean(*t)
@@ -151,10 +154,17 @@ ONEWAY = load_spec("oneway").base
 FIG1_BASE = load_spec("fig1").base
 
 
+def null_space_t4(block, config) -> np.ndarray:
+    """log2det(I + gamma_ba (h_ba N)(h_ba N)^H), N an orthonormal basis of
+    null(g_a) from a complete QR factorization of g_a^H."""
+    q, _ = np.linalg.qr(conj_t(block.g_a), mode="complete")
+    return capacity_logdet(block.h_ba @ q[..., config.n_e:], derive_gammas(config).gamma_ba)
+
+
 class TestControlVariates:
-    """evaluate_many regresses each point's floor on its two control
-    variates and subtracts beta . (t - mean) from the floor's samples and
-    v_a times it from lower_bob's."""
+    """evaluate_many regresses each point's floor on its control variates
+    (t2, t3, and t4 where n_e < n_a) and subtracts beta . (t - mean) from
+    the floor's samples and v_a times it from lower_bob's."""
 
     @pytest.mark.parametrize("config", [
         ONEWAY,
@@ -172,55 +182,75 @@ class TestControlVariates:
             assert est.stderr < ref.stderr * 4, name
             assert abs(est.mean - ref.mean) <= 3 * math.hypot(est.stderr, ref.stderr), name
 
-    def test_oneway_lower_stderr_falls_by_a_half_at_3000_trials(self):
+    def test_oneway_lower_stderr_falls_4x_at_3000_trials(self):
         mc = McSettings(trials=3000, master_seed=1)
         est = evaluate(ONEWAY, mc, ("lower", "upper"))
         raw = summarize(trial_values_many([(ONEWAY, ("lower_bob",))], mc)[0]["lower_bob"])
-        assert raw.stderr >= 1.5 * est["lower"].stderr
+        assert raw.stderr >= 4 * est["lower"].stderr
         assert est["lower"] == est["upper"]
 
-    def test_correction_is_the_least_squares_one(self):
-        cfg = replace(FIG1_BASE, noise_ea=0.3)
+    @pytest.mark.parametrize("config", [replace(FIG1_BASE, noise_ea=0.3),
+                                        replace(FIG1_BASE, n_e=10, noise_ea=0.3)],
+                             ids=["three-controls", "two-controls"])
+    def test_correction_is_the_least_squares_one(self, config):
         mc = McSettings(trials=BLOCK + 44, master_seed=9)
-        values = trial_values_many([(cfg, ("floor", "lower_bob") + CONTROLS)], mc)[0]
-        gam = derive_gammas(cfg)
-        means = [wishart_logdet_mean(cfg.n_e, cfg.n_a, gam.gamma_ea),
-                 wishart_logdet_mean(cfg.n_b, cfg.n_a, gam.gamma_ba)]
-        engine = engine_correction(values["floor"], values["t2"], values["t3"], *means)
-        reference = control_correction(values["floor"], values["t2"], values["t3"], *means)
+        means = control_means(config)
+        values = trial_values_many([(config, ("floor", "lower_bob") + tuple(means))], mc)[0]
+        engine = engine_correction(values["floor"], values, means)
+        reference = control_correction(values["floor"], values, means)
         assert np.max(np.abs(engine - reference)) <= 1e-12 * np.max(np.abs(reference))
-        est = evaluate(cfg, mc, ("floor", "lower_bob"))
+        est = evaluate(config, mc, ("floor", "lower_bob"))
         assert est["floor"] == summarize(values["floor"] - engine)
-        assert est["lower_bob"] == summarize(values["lower_bob"] - cfg.v_a * engine)
+        assert est["lower_bob"] == summarize(values["lower_bob"] - config.v_a * engine)
 
     def test_controls_are_the_floor_terms_and_leave_the_floor_as_it_was(self):
         cfg = replace(FIG1_BASE, noise_ea=0.3)
         mc = McSettings(trials=BLOCK + 44, master_seed=9)
-        values = trial_values_many([(cfg, ("floor",) + CONTROLS)], mc)[0]
+        values = trial_values_many([(cfg, ("floor", "t2", "t3", "t4"))], mc)[0]
         gam = derive_gammas(cfg)
         blocks = [block for _, block in trial_blocks(cfg, mc)]
-        t2 = np.concatenate([capacity_logdet(conj_t(b.g_a), gam.gamma_ea) for b in blocks])
-        t3 = np.concatenate([capacity_logdet(conj_t(b.h_ba), gam.gamma_ba) for b in blocks])
-        assert np.max(np.abs(values["t2"] - t2)) <= 1e-12 * np.max(t2)
-        assert np.max(np.abs(values["t3"] - t3)) <= 1e-12 * np.max(t3)
+        expected = {
+            "t2": [capacity_logdet(conj_t(b.g_a), gam.gamma_ea) for b in blocks],
+            "t3": [capacity_logdet(conj_t(b.h_ba), gam.gamma_ba) for b in blocks],
+            "t4": [null_space_t4(b, cfg) for b in blocks]}
+        for name, parts in expected.items():
+            reference = np.concatenate(parts)
+            assert np.max(np.abs(values[name] - reference)) <= 1e-12 * np.max(reference), name
         alone = trial_values_many([(cfg, ("floor",))], mc)[0]
         assert np.array_equal(values["floor"], alone["floor"])
+
+    def test_t4_is_a_control_only_where_n_e_is_below_n_a(self):
+        with pytest.raises(ValueError, match="t4 needs n_e < n_a"):
+            trial_values_many([(replace(FIG1_BASE, n_e=8), ("floor", "t4"))],
+                              McSettings(trials=10))
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (8, 4, 6), (6, 4, 5)])
+    def test_t4_sample_mean_is_its_exact_mean(self, shape):
+        n_a, n_b, n_e = shape
+        cfg = replace(FIG1_BASE, n_a=n_a, n_b=n_b, n_e=n_e, noise_ea=0.3)
+        t4 = summarize(trial_values_many([(cfg, ("t4",))],
+                                         McSettings(trials=4000, master_seed=17))[0]["t4"])
+        exact = reference_mean(n_b, n_a - n_e, derive_gammas(cfg).gamma_ba)
+        assert abs(t4.mean - exact) <= 4 * t4.stderr
 
     def test_t3_is_factored_once_per_block_for_a_noise_sweep(self, monkeypatch):
         logdets = []
         real = capacity.logdet_hermitian_pd
-        monkeypatch.setattr(capacity, "logdet_hermitian_pd",
-                            lambda m: logdets.append(m.shape) or real(m))
+        monkeypatch.setattr(capacity, "logdet_hermitian_pd", lambda m, split=None: (
+            logdets.append((m.shape[1:], split)) or real(m, split)))
         spec = load_spec("fig1")
         configs = [replace(FIG1_BASE, noise_ea=float(v)) for v in spec.sweep.values]
         evaluate_many(configs, McSettings(trials=BLOCK + 5, master_seed=3), ("floor",))
-        # per block: each point's two floor log-dets (the second is its
-        # t2), and one t3 shared by all points, whose gamma_ba is the same
-        assert len(logdets) == 2 * (2 * len(configs) + 1)
+        # per block: each point's stacked factorization (its floor and its
+        # t2), and one t3 and one t4 shared by all points, whose gamma_ba
+        # is the same
+        per_block = [((10, 10), 6)] + [((4, 4), None), ((10, 10), 6)] + \
+            [((10, 10), 6)] * (len(configs) - 1)
+        assert logdets == per_block * 2
 
     @pytest.mark.parametrize("overrides,trials", [
         (dict(power_a=0.0), 300),                      # no probe: t2 = t3 = 0
-        ({}, CV_MIN_TRIALS - 1),                       # too few trials
+        ({}, cv_min_trials(3) - 1),                    # too few trials
         (dict(n_a=WISHART_MAX_DIM + 1, phi_a=0), 300),  # shape outside the domain
         (dict(noise_ea=1e8), 300),                     # gamma_ea below the domain
     ], ids=["no-probe-power", "too-few-trials", "shape", "gamma"])
@@ -232,32 +262,110 @@ class TestControlVariates:
         assert est["floor"] == summarize(raw["floor"])
         assert est["lower"] == est["upper"] == summarize(raw["lower_bob"])
 
+    @pytest.mark.parametrize("controls,edge", [(2, 102), (3, 152)])
+    def test_min_trials_keeps_the_stderr_divisor_within_one_percent(self, controls, edge):
+        assert cv_min_trials(controls) == edge
+        low = [math.sqrt((n - controls - 1) / (n - 1)) for n in (edge - 1, edge)]
+        assert low[0] < 0.99 <= low[1]
+        # the n_e >= n_a point has two controls, the n_e < n_a one three
+        cfg = ONEWAY if controls == 3 else replace(ONEWAY, n_e=4)
+        for trials, adjusted in ((edge - 1, False), (edge, True)):
+            mc = McSettings(trials=trials, master_seed=19)
+            raw = summarize(trial_values_many([(cfg, ("floor",))], mc)[0]["floor"])
+            assert (evaluate(cfg, mc, ("floor",))["floor"] != raw) is adjusted, trials
+
     def test_singular_regression_gives_no_correction(self, rng):
-        floor = rng.standard_normal(CV_MIN_TRIALS)
-        t = rng.standard_normal(CV_MIN_TRIALS)
-        assert engine_correction(floor, t, np.zeros_like(t), 0.0, 0.0) is None
-        assert engine_correction(floor, t, 2.0 * t, 0.0, 0.0) is None
-        other = rng.standard_normal(CV_MIN_TRIALS)
-        alone = engine_correction(floor, t, other, 0.1, 0.2)
+        n = cv_min_trials(3)
+        floor, t, other = (rng.standard_normal(n) for _ in range(3))
+        zero = {"t2": 0.0, "t3": 0.0}
+        assert engine_correction(floor, {"t2": t, "t3": np.zeros_like(t)}, zero) is None
+        assert engine_correction(floor, {"t2": t, "t3": 2.0 * t}, zero) is None
+        assert engine_correction(floor, {"t2": t, "t3": other, "t4": t - 3.0 * other},
+                                 dict(zero, t4=0.0)) is None
+        alone = engine_correction(floor, {"t2": t, "t3": other}, {"t2": 0.1, "t3": 0.2})
         # next to a singular point, a point's correction is the one it gets alone
         batch = _control_corrections(np.array([[t, other, floor], [t, 2.0 * t, floor]]),
                                      np.array([[0.1, 0.2], [0.0, 0.0]]))
         assert np.array_equal(batch[0], alone) and batch[1] is None
 
     def test_non_finite_t3_fails_its_point_naming_the_floor(self, monkeypatch):
-        real = capacity.Grams.identity_logdet
+        real = capacity.Grams.bob_logdet
         skewed_gamma = derive_gammas(replace(ONEWAY, power_a=40.0)).gamma_ba
 
-        def skewed(self, channel, gamma):
-            value = real(self, channel, gamma)
-            if channel == "h_ba" and gamma == skewed_gamma:
+        def skewed(self, gamma):
+            value = real(self, gamma)
+            if gamma == skewed_gamma:
                 value = value.copy()
                 value[7] = np.inf
             return value
 
-        monkeypatch.setattr(capacity.Grams, "identity_logdet", skewed)
+        monkeypatch.setattr(capacity.Grams, "bob_logdet", skewed)
         configs = [ONEWAY, replace(ONEWAY, power_a=40.0)]
         with pytest.raises(IntegrandFailure,
                            match=r"^trial 7: at power 40: floor integrand is inf$"):
             evaluate_many(configs, McSettings(trials=300, master_seed=3), ("lower",),
                           labels=["at power 10", "at power 40"])
+
+    def test_non_finite_draw_on_the_stacked_form_names_its_trial(self, monkeypatch):
+        import skcprobe.channel as channel
+        real = channel.sample_cgaussian
+
+        def poisoned(rows, cols, stream, trials=None):
+            m = real(rows, cols, stream, trials)
+            if stream.stream_id == 1 and stream.substream == DRAWN.index("g_a"):
+                m[5, 0, 0] = np.inf       # g_a of trial BLOCK + 5
+            return m
+
+        monkeypatch.setattr(channel, "sample_cgaussian", poisoned)
+        with np.errstate(all="ignore"), pytest.raises(
+                IntegrandFailure, match=rf"^trial {BLOCK + 5}: floor integrand is nan$"):
+            evaluate(ONEWAY, McSettings(trials=BLOCK + 30, master_seed=3), ("lower",))
+
+
+def mp_floor(block, config) -> list[float]:
+    """log2det(I + gamma_ea G + gamma_ba H) - log2det(I + gamma_ea G) of each
+    trial in 60-digit mpmath, on the exact values of the draws and gammas."""
+    gam = derive_gammas(config)
+    out = []
+    with mpmath.workdps(60):
+        for j in range(block.trials_shape[0]):
+            g, h = (mpmath.matrix(m[j].tolist()) for m in (block.g_a, block.h_ba))
+            gram_e = g.transpose_conj() * g
+            eye = mpmath.eye(config.n_a)
+            folded = eye + gam.gamma_ea * gram_e + gam.gamma_ba * (h.transpose_conj() * h)
+            diff = mpmath.log(mpmath.re(mpmath.det(folded))) \
+                - mpmath.log(mpmath.re(mpmath.det(eye + gam.gamma_ea * gram_e)))
+            out.append(float(diff / mpmath.log(2)))
+    return out
+
+
+class TestStackedFloorAccuracy:
+    """The n_e < n_a floor against 60-digit mpmath where a difference of
+    log-dets loses its digits: Eve nearly noiseless and high power."""
+
+    @pytest.mark.parametrize("shape,power,noise_ea", [
+        ((8, 4, 6), 10.0, 1e-10), ((8, 4, 6), 1e5, 1e-8), ((4, 2, 2), 1e5, 1e-8),
+        ((8, 4, 6), 10.0, 1.0)])
+    def test_relative_error_against_mpmath(self, shape, power, noise_ea):
+        n_a, n_b, n_e = shape
+        cfg = replace(FIG1_BASE, n_a=n_a, n_b=n_b, n_e=n_e, power_a=power,
+                      noise_ea=noise_ea)
+        _, block = next(trial_blocks(cfg, McSettings(trials=6, master_seed=3)))
+        engine = secrecy_floor_sample(block, cfg)
+        reference = np.array(mp_floor(block, cfg))
+        assert np.max(np.abs(engine - reference) / reference) <= 1e-10
+
+    @pytest.mark.parametrize("shape", [(8, 4, 6), (4, 2, 2)])
+    def test_nearly_noiseless_eve_floor_approaches_the_mean_of_t4(self, shape):
+        n_a, n_b, n_e = shape
+        cfg = replace(FIG1_BASE, n_a=n_a, n_b=n_b, n_e=n_e, noise_ea=1e-12)
+        mc = McSettings(trials=2000, master_seed=23)
+        values = trial_values_many([(cfg, ("floor", "t4"))], mc)[0]
+        # the floor exceeds t4 by about gamma_ba / gamma_ea per trial
+        assert np.max(np.abs(values["floor"] - values["t4"])) <= 1e-9
+        floor = evaluate(cfg, mc, ("floor",))["floor"]
+        exact_t4 = wishart_logdet_mean(n_b, n_a - n_e, derive_gammas(cfg).gamma_ba)
+        assert abs(floor.mean - exact_t4) <= 4 * floor.stderr
+        # noise_ea = 0 stays an exact 0
+        assert evaluate(replace(cfg, noise_ea=0.0), mc, ("floor",))["floor"] == \
+            Estimate.exact(0.0)

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+from skcprobe.capacity import cv_min_trials
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 VERIFY = "skcprobe.verify"
@@ -58,9 +60,9 @@ def cli_probes(tmp_path_factory):
     """(output directory, {case: modules loaded}) of a fresh interpreter
     that imports the package or runs one of eval, sweep and dof."""
     out = tmp_path_factory.mktemp("cli")
-    # CV_MIN_TRIALS trials, so that every run evaluates the closed-form
-    # means of the floor's control variates
-    trials = "100"
+    # enough trials for three controls, so that every run evaluates the
+    # closed-form means of the floor's control variates
+    trials = str(cv_min_trials(3))
     cases = {
         "import": "import skcprobe, skcprobe.cli",
         "eval": cli_statement(["eval", "--config", "oneway", "--trials", trials,

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from skcprobe import Estimate, McSettings, estimate, evaluate
-from skcprobe.capacity import (CONTROLS, secrecy_floor_sample, trial_values_many,
-                               wishart_logdet_mean)
-from skcprobe.channel import derive_gammas
+from skcprobe.capacity import secrecy_floor_sample, trial_values_many
 from skcprobe.errors import IntegrandFailure, ValidationError
 from skcprobe.montecarlo import BLOCK, collect, pairwise_sum, summarize, trial_blocks
-from conftest import engine_correction, make_config
+from conftest import control_means, engine_correction, make_config
 
 
 def abs2_integrand(block):
@@ -60,12 +58,9 @@ class TestEstimate:
         assert est == summarize(values["floor"])
         # evaluate summarizes the same values less their control-variate
         # correction (see test_control_variates.py)
-        values = trial_values_many([(cfg, ("floor",) + CONTROLS)], settings)[0]
-        gam = derive_gammas(cfg)
-        correction = engine_correction(
-            values["floor"], values["t2"], values["t3"],
-            wishart_logdet_mean(cfg.n_e, cfg.n_a, gam.gamma_ea),
-            wishart_logdet_mean(cfg.n_b, cfg.n_a, gam.gamma_ba))
+        means = control_means(cfg)
+        values = trial_values_many([(cfg, ("floor",) + tuple(means))], settings)[0]
+        correction = engine_correction(values["floor"], values, means)
         assert evaluate(cfg, settings, ("floor",))["floor"] == \
             summarize(values["floor"] - correction)
 

@@ -18,8 +18,9 @@ from skcprobe import (
 from skcprobe.capacity import trial_values_many
 from skcprobe.errors import DimensionGuard, InvalidNoise, ValidationError
 from skcprobe.montecarlo import BLOCK, collect, trial_blocks
-from skcprobe.verify import (IDENTITY_ATOL, floor_resolvent, gap_resolvent,
-                             lower_bob_rectangular, scalar_capacity_check,
+import skcprobe.verify as verify
+from skcprobe.verify import (IDENTITY_ATOL, floor_null_space, floor_resolvent,
+                             gap_resolvent, lower_bob_rectangular, scalar_capacity_check,
                              wishart_logdet_quadrature, wishart_mean_check)
 from conftest import make_config
 
@@ -168,18 +169,49 @@ class TestIdentitySuite:
         with pytest.raises(ValidationError):
             determinant_identity_suite(make_config(), realizations=50)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(n_a=4, n_b=2, n_e=2), dict(n_a=3, n_b=3, n_e=1, noise_ea=0.0),
+        dict(n_a=8, n_b=4, n_e=6, power_a=10.0, noise_ea=1e-10)])
+    def test_null_space_check_runs_where_n_e_is_below_n_a(self, overrides):
+        cfg = make_config(**overrides)
+        by_name = {o.check_name: o for o in determinant_identity_suite(cfg, realizations=300)}
+        check = by_name["floor-null-space-form"]
+        assert check.passed and check.tolerance == IDENTITY_ATOL
+        assert check.detail == "floor, t4 over 300 trials"
+        assert "floor-null-space-form" not in {
+            o.check_name for o in determinant_identity_suite(make_config(), realizations=100)}
+
+    def test_null_space_check_names_the_worst_trial(self, monkeypatch):
+        real = verify.trial_values_many
+
+        def skewed(points, mc):
+            values = real(points, mc)
+            values[0]["t4"] = values[0]["t4"].copy()
+            values[0]["t4"][BLOCK + 3] += 1e-7
+            return values
+
+        monkeypatch.setattr(verify, "trial_values_many", skewed)
+        check = verify.null_space_check(make_config(n_a=4, n_b=2, n_e=2), realizations=300)
+        assert not check.passed
+        assert check.detail == f"max deviation at trial {BLOCK + 3}"
+
 
 class TestOracleIndependence:
     """The oracle forms run and agree with the engine with every engine
-    integrand and Gram helper of capacity made to raise."""
+    integrand and Gram helper of capacity made to raise, and every split
+    (stacked) Cholesky factorization too."""
 
     @pytest.mark.parametrize("overrides", [
-        dict(n_a=3, n_b=2, n_e=4, v_a=2, v_b=3), dict(rho=1.0), dict(noise_ea=0.0)])
+        dict(n_a=3, n_b=2, n_e=4, v_a=2, v_b=3), dict(rho=1.0), dict(noise_ea=0.0),
+        dict(n_a=4, n_b=2, n_e=2, v_b=2)])
     def test_oracles_share_no_engine_code(self, monkeypatch, overrides):
         import skcprobe.capacity as capacity
+        import skcprobe.numerics as numerics
         cfg = make_config(**overrides)
         mc = McSettings(trials=BLOCK + 44, master_seed=9)
-        engine = trial_values_many([(cfg, ("floor", "gap", "lower_bob"))], mc)[0]
+        null_space = cfg.n_e < cfg.n_a
+        engine = trial_values_many(
+            [(cfg, ("floor", "gap", "lower_bob") + (("t4",) if null_space else ()))], mc)[0]
 
         def engine_code(*args, **kwargs):
             raise AssertionError("an oracle called engine code")
@@ -187,13 +219,29 @@ class TestOracleIndependence:
         for name in ("secrecy_floor_sample", "bound_gap_sample", "lower_bound_bob_sample",
                      "Grams", "_gram", "_outer"):
             monkeypatch.setattr(capacity, name, engine_code)
-        oracles = collect(lambda block: {"floor": floor_resolvent(block, cfg),
-                                         "gap": gap_resolvent(block, cfg),
-                                         "lower_bob": lower_bob_rectangular(block, cfg)},
-                          cfg, mc)
-        for name, values in engine.items():
-            assert oracles[name].shape == (BLOCK + 44,)
-            assert np.max(np.abs(oracles[name] - values)) <= IDENTITY_ATOL, name
+        real_logdet = numerics.logdet_hermitian_pd
+
+        def unsplit_only(m, split=None):
+            if split is not None:
+                raise AssertionError("an oracle factored a stacked matrix")
+            return real_logdet(m)
+
+        for module in (numerics, capacity, verify):
+            monkeypatch.setattr(module, "logdet_hermitian_pd", unsplit_only)
+
+        def oracles(block):
+            values = {"floor": floor_resolvent(block, cfg), "gap": gap_resolvent(block, cfg),
+                      "lower_bob": lower_bob_rectangular(block, cfg)}
+            if null_space:
+                values.update({f"{name}-null-space": v
+                               for name, v in floor_null_space(block, cfg).items()})
+            return values
+
+        values = collect(oracles, cfg, mc)
+        for name, reference in values.items():
+            assert reference.shape == (BLOCK + 44,)
+            assert np.max(np.abs(reference - engine[name.split("-")[0]])) <= IDENTITY_ATOL, name
+        assert len(values) == (5 if null_space else 3)
         block = next(trial_blocks(cfg, mc))[1]
         assert not gap_resolvent(block, replace(cfg, v_b=0, noise_eb=0.0)).any()
         with pytest.raises(InvalidNoise):
@@ -257,6 +305,18 @@ class TestWishartMeanCheck:
                             lambda *args: real(*args) * (1.0 + 1e-7))
         assert not wishart_mean_check(make_config()).passed
         assert not verify.wishart_siso_check(verify.SCALAR_CHECK_SNRS).passed
+
+    def test_t4_term_is_checked_where_n_e_is_below_n_a(self, monkeypatch):
+        cfg = make_config(n_a=4, n_b=2, n_e=1)
+        outcome = wishart_mean_check(cfg)
+        assert outcome.passed
+        assert "h_ba on null(g_a) (2x3, gamma 2)" in outcome.detail
+        assert "null" not in wishart_mean_check(make_config()).detail
+        # a closed form skewed on t4's shape alone fails the check
+        real = verify.wishart_logdet_mean
+        monkeypatch.setattr(verify, "wishart_logdet_mean", lambda rows, cols, gamma: (
+            real(rows, cols, gamma) * (1.0 + 1e-7 * ((rows, cols) == (2, 3)))))
+        assert not wishart_mean_check(cfg).passed
 
     def test_terms_outside_the_domain_are_named_and_skipped(self):
         outcome = wishart_mean_check(make_config(power_a=0.0))
