@@ -200,18 +200,6 @@ class ChannelRealization:
     g_a = property(lambda self: self._matrix("g_a"))
     g_b = property(lambda self: self._matrix("g_b"))
 
-    @property
-    def n_a(self) -> int:
-        return self.h_ba.shape[-1]
-
-    @property
-    def n_b(self) -> int:
-        return self.h_ba.shape[-2]
-
-    @property
-    def n_e(self) -> int:
-        return self.g_a.shape[-2]
-
     def __getitem__(self, index) -> "ChannelRealization":
         shape = np.empty(self.trials_shape, dtype=bool)[index].shape
         return ChannelRealization(lambda _, name: self._matrix(name)[index], shape)

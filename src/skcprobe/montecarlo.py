@@ -81,7 +81,7 @@ def pairwise_sum(values: Sequence[float]) -> float:
     return float(np.add.reduce(np.ascontiguousarray(values, dtype=np.float64)))
 
 
-def summarize(values: Sequence[float], method: str = "monte-carlo") -> Estimate:
+def summarize(values: Sequence[float]) -> Estimate:
     """Two-pass mean/stderr, both passes pairwise for determinism."""
     x = np.ascontiguousarray(values, dtype=np.float64)
     n = len(x)
@@ -89,11 +89,10 @@ def summarize(values: Sequence[float], method: str = "monte-carlo") -> Estimate:
         raise ValidationError("cannot summarize zero trials")
     mean = pairwise_sum(x) / n
     if n == 1:
-        return Estimate(mean=float(mean), stderr=0.0, trials=1, method=method)
+        return Estimate(mean=float(mean), stderr=0.0, trials=1)
     dev = x - mean
     var = pairwise_sum(dev * dev) / (n - 1)
-    return Estimate(mean=float(mean), stderr=float(np.sqrt(var / n)),
-                    trials=n, method=method)
+    return Estimate(mean=float(mean), stderr=float(np.sqrt(var / n)), trials=n)
 
 
 def block_streams(settings: McSettings) -> Iterator[tuple[int, int, RngStream]]:

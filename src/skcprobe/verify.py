@@ -12,11 +12,11 @@ Four kinds of checks live here:
   Laguerre polynomials from scipy.special, and against the scalar ergodic
   capacity;
 * per-trial determinant-identity checks on the engine's blocks of draws:
-  the engine's floor, gap and Bob-side integrands, and where n_e < n_a its
-  floor and control t4 again against a null-space form, against oracle
-  forms that reach each value through a different factorization and are
-  built from skcprobe.numerics alone, sharing no engine code; and the
-  batched engine against its per-sample integrands on every trial.
+  the engine's floor (with its control t4 where n_e < n_a), gap and
+  Bob-side integrands against oracle forms that reach each value through a
+  different factorization and are built from skcprobe.numerics alone,
+  sharing no engine code, one floor oracle per regime; and the batched
+  engine against its per-sample integrands on every trial.
 
 A deliberate mutation hook is included so a silently broken oracle cannot
 pass its own suite.
@@ -49,7 +49,6 @@ from .montecarlo import (
     collect,
     estimate,
     summarize,
-    trial_blocks,
 )
 from .numerics import conj_t, hermitize, logdet_hermitian_pd, logdet_lu, sample_cgaussian
 
@@ -97,9 +96,13 @@ def pilot_mi_from_covariance(config: ProbingConfig) -> float:
         blk_b  = gamma_ba * (I_{n_b} (x) Pi_a^T Pi_a^*) + I      [n_b*phi_a]
         cross  = rho * sqrt(gamma_ab*gamma_ba) * (Pi_b^T (x) Pi_a^*)
 
-    and returns log2|blk_a| + log2|blk_b| - log2|[[blk_a, cross],
-    [cross^H, blk_b]]|.  The vectorization conventions matter: mixing the
-    plain and transposed stacking silently breaks the cross block.
+    and returns log2|blk_b| - log2|blk_b - cross^H blk_a^-1 cross|: the
+    joint covariance [[blk_a, cross], [cross^H, blk_b]] has the log-det of
+    blk_a plus that of this Schur complement, so its log2|blk_a| cancels
+    exactly and the joint matrix is never formed.  At rho = 0 the cross
+    block vanishes and the value is exactly 0.  The vectorization
+    conventions matter: mixing the plain and transposed stacking silently
+    breaks the cross block.
     """
     dim_a = config.n_a * config.phi_b
     dim_b = config.n_b * config.phi_a
@@ -112,9 +115,8 @@ def pilot_mi_from_covariance(config: ProbingConfig) -> float:
     blk_a = gam.gamma_ab * np.kron(hermitize(pi_b.T @ pi_b.conj()), np.eye(config.n_a)) + np.eye(dim_a)
     blk_b = gam.gamma_ba * np.kron(np.eye(config.n_b), hermitize(pi_a.T @ pi_a.conj())) + np.eye(dim_b)
     cross = complex(config.rho) * math.sqrt(gam.gamma_ba * gam.gamma_ab) * np.kron(pi_b.T, pi_a.conj())
-    joint = np.block([[blk_a, cross], [cross.conj().T, blk_b]])
-    return (logdet_hermitian_pd(blk_a) + logdet_hermitian_pd(blk_b)
-            - logdet_hermitian_pd(joint))
+    schur = hermitize(blk_b - conj_t(cross) @ np.linalg.solve(blk_a, cross))
+    return logdet_hermitian_pd(blk_b) - logdet_hermitian_pd(schur)
 
 
 def pilot_mi_check(config: ProbingConfig, corrupt: bool = False) -> VerificationOutcome:
@@ -386,66 +388,82 @@ def lower_bob_rectangular(realization: ChannelRealization, config: ProbingConfig
     return realization.per_trial(val)
 
 
+def _worst_deviation(name: str, pairs, tolerance: float, detail: str) -> VerificationOutcome:
+    """Outcome of the largest per-trial |a - b| over the (a, b) pairs of
+    arrays over the same trials; a failure names the trial where it lies."""
+    dev = np.max([np.abs(a - b) for a, b in pairs], axis=0)
+    worst = int(np.argmax(dev))
+    passed = bool(dev[worst] <= tolerance)
+    return VerificationOutcome(
+        check_name=name, reference_value=0.0, computed_value=float(dev[worst]),
+        tolerance=tolerance, passed=passed,
+        detail=detail if passed else f"max deviation at trial {worst}")
+
+
 def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
                                master_seed: int = 1) -> list[VerificationOutcome]:
-    """Per-trial certification of the paired evaluation forms.
+    """Per-trial certification of the engine against the oracle forms.
 
-    Checks, over the first `realizations` trials of the engine's blocks at
-    `master_seed`, each form evaluated once per block:
+    Two passes over the first `realizations` trials of the engine's blocks
+    at `master_seed`: one trial_values_many call for the engine's values at
+    the config and at its v_b = 0 copy, and one collect of the oracle forms
+    and the per-sample integrands.  Checks:
       (a) gap: engine vs gap_resolvent within IDENTITY_ATOL;
-      (b) floor: engine vs floor_resolvent within IDENTITY_ATOL;
+      (b) floor: engine vs one oracle per regime within IDENTITY_ATOL, where
+          n_e < n_a its floor and t4 vs floor_null_space, otherwise its
+          floor vs floor_resolvent, which loses digits where n_e < n_a as
+          noise_ea falls (1e-6 bits at (4,2,2), power 1e5, noise_ea 1e-4);
       (c) Bob-side bound: engine vs lower_bob_rectangular within IDENTITY_ATOL;
       (d) gap integrand >= 0 throughout, and exactly 0 when v_b = 0;
       (e) with v_b forced to 0, the Bob-side integrand equals
           pilot_mi + v_a * floor integrand bit for bit;
       (f) the batched engine's floor, gap, Bob- and Alice-side integrands
-          equal the per-sample integrands within IDENTITY_ATOL on every trial of
-          the engine's own draws (more than one block once realizations
-          exceeds the block size);
-      (g) where n_e < n_a, the engine's floor and t4 equal floor_null_space
-          within IDENTITY_ATOL (see null_space_check).
+          (the latter unless it is the exact -inf) equal the per-sample
+          integrands, each evaluated on one draw, within IDENTITY_ATOL on
+          every trial (more than one block once realizations exceeds the
+          block size).
     A failing check names the trial with the largest deviation.
     """
     if realizations < 100:
         raise ValidationError(f"need >= 100 realizations, got {realizations}")
+    mc = McSettings(trials=realizations, master_seed=master_seed)
     oneway = replace(config, v_b=0)
+    swapped = config.swap_roles()
+    per_sample = {
+        "floor": lambda r: secrecy_floor_sample(r, config),
+        "gap": lambda r: bound_gap_sample(r, config),
+        "lower_bob": lambda r: lower_bound_bob_sample(r, config),
+        "lower_alice": lambda r: lower_bound_bob_sample(r.swap_roles(), swapped),
+    }
+    if _alice_bound_diverges(config):
+        del per_sample["lower_alice"]
+    null_space = config.n_e < config.n_a
+    floor_terms = ("floor", "t4") if null_space else ("floor",)
+    engine, engine_oneway = trial_values_many(
+        [(config, set(per_sample) | set(floor_terms)), (oneway, ("lower_bob",))], mc)
 
-    def paired_forms(block):
-        floor_inverse = floor_resolvent(block, config)
-        return {
-            "gap_stacked": bound_gap_sample(block, config),
-            "gap_inverse": gap_resolvent(block, config),
-            "floor_direct": secrecy_floor_sample(block, config),
-            "floor_inverse": floor_inverse,
-            "cb_square": lower_bound_bob_sample(block, config),
-            "cb_rect": lower_bob_rectangular(block, config),
-            "oneway_expected": pilot_mi(oneway) + oneway.v_a * secrecy_floor_sample(
-                block, oneway),
-            "oneway_actual": lower_bound_bob_sample(block, oneway),
-        }
+    def references(block):
+        values = {"gap": gap_resolvent(block, config),
+                  "lower_bob": lower_bob_rectangular(block, config)}
+        values.update(floor_null_space(block, config) if null_space
+                      else {"floor": floor_resolvent(block, config)})
+        for name, integrand in per_sample.items():
+            values[f"{name} per sample"] = np.array(
+                [integrand(block[j]) for j in range(block.trials_shape[0])])
+        return values
 
-    v = collect(paired_forms, config, McSettings(trials=realizations,
-                                                 master_seed=master_seed))
-    gaps = np.concatenate([v["gap_stacked"], v["gap_inverse"]])
-
-    def outcome(name, a, b, tol, extra):
-        dev = np.abs(a - b)
-        worst = int(np.argmax(dev))
-        return VerificationOutcome(
-            check_name=name, reference_value=0.0, computed_value=float(dev[worst]),
-            tolerance=tol, passed=bool(dev[worst] <= tol),
-            detail=(f"max deviation at trial {worst}" if dev[worst] > tol else extra))
-
+    oracle = collect(references, config, mc)
+    gaps = np.concatenate([engine["gap"], oracle["gap"]])
     over = f"over {realizations} realizations"
-    null_space = [null_space_check(config, realizations, master_seed)] \
-        if config.n_e < config.n_a else []
+    floor_oracle = "floor_null_space" if null_space else "floor_resolvent"
     return [
-        outcome("gap-form-equivalence", v["gap_stacked"], v["gap_inverse"],
-                IDENTITY_ATOL, over),
-        outcome("floor-form-equivalence", v["floor_direct"], v["floor_inverse"],
-                IDENTITY_ATOL, over),
-        outcome("lower-bob-form-equivalence", v["cb_square"], v["cb_rect"],
-                IDENTITY_ATOL, over),
+        _worst_deviation("gap-form-equivalence", [(engine["gap"], oracle["gap"])],
+                         IDENTITY_ATOL, over),
+        _worst_deviation("floor-form-equivalence",
+                         [(engine[name], oracle[name]) for name in floor_terms],
+                         IDENTITY_ATOL, f"{', '.join(floor_terms)} against {floor_oracle} {over}"),
+        _worst_deviation("lower-bob-form-equivalence",
+                         [(engine["lower_bob"], oracle["lower_bob"])], IDENTITY_ATOL, over),
         VerificationOutcome(
             check_name="gap-nonnegative",
             reference_value=0.0,
@@ -454,60 +472,14 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
             passed=bool(gaps.min() >= 0.0) and (config.v_b > 0 or not gaps.any()),
             detail="gap must be exactly 0 when v_b = 0" if config.v_b == 0 else "",
         ),
-        outcome("one-way-identity", v["oneway_actual"], v["oneway_expected"], 0.0,
-                "bitwise identity with v_b = 0"),
-        engine_agreement_check(config, realizations, master_seed),
-    ] + null_space
-
-
-def null_space_check(config: ProbingConfig, realizations: int = 300,
-                     master_seed: int = 1) -> VerificationOutcome:
-    """Largest per-trial deviation of the engine's floor and its control
-    t4 from floor_null_space, for n_e < n_a, on the engine's draws: the
-    engine reaches both through Cholesky factorizations of the stacked
-    Gram of [g_a; h_ba], the oracle through a QR null-space basis and LU."""
-    mc = McSettings(trials=realizations, master_seed=master_seed)
-    engine = trial_values_many([(config, ("floor", "t4"))], mc)[0]
-    oracle = collect(lambda block: floor_null_space(block, config), config, mc)
-    dev = np.max([np.abs(engine[name] - oracle[name]) for name in engine], axis=0)
-    worst = int(np.argmax(dev))
-    passed = bool(dev[worst] <= IDENTITY_ATOL)
-    return VerificationOutcome(
-        check_name="floor-null-space-form", reference_value=0.0,
-        computed_value=float(dev[worst]), tolerance=IDENTITY_ATOL, passed=passed,
-        detail=(f"floor, t4 over {realizations} trials" if passed
-                else f"max deviation at trial {worst}"))
-
-
-def engine_agreement_check(config: ProbingConfig, realizations: int = 300,
-                           master_seed: int = 1) -> VerificationOutcome:
-    """Largest per-trial deviation of the batched engine's integrands from
-    the per-sample integrands (floor, gap, Bob-side bound, and that bound
-    of the role-swapped scenario on the swapped draw unless it is the exact
-    -inf), each evaluated on one draw of the same blocks."""
-    mc = McSettings(trials=realizations, master_seed=master_seed)
-    swapped = config.swap_roles()
-    references = {
-        "floor": lambda r: secrecy_floor_sample(r, config),
-        "gap": lambda r: bound_gap_sample(r, config),
-        "lower_bob": lambda r: lower_bound_bob_sample(r, config),
-        "lower_alice": lambda r: lower_bound_bob_sample(r.swap_roles(), swapped),
-    }
-    if _alice_bound_diverges(config):
-        del references["lower_alice"]
-    engine = trial_values_many([(config, references)], mc)[0]
-    dev, worst = 0.0, -1
-    for start, block in trial_blocks(config, mc):
-        for j in range(block.trials_shape[0]):
-            for name, reference in references.items():
-                d = float(abs(engine[name][start + j] - reference(block[j])))
-                if d > dev:
-                    dev, worst = d, start + j
-    return VerificationOutcome(
-        check_name="engine-reference-agreement", reference_value=0.0,
-        computed_value=dev, tolerance=IDENTITY_ATOL, passed=dev <= IDENTITY_ATOL,
-        detail=(f"max deviation at trial {worst}" if dev > IDENTITY_ATOL
-                else f"{', '.join(references)} over {realizations} trials"))
+        _worst_deviation("one-way-identity",
+                         [(engine_oneway["lower_bob"],
+                           pilot_mi(oneway) + oneway.v_a * engine["floor"])],
+                         0.0, "bitwise identity with v_b = 0"),
+        _worst_deviation("engine-reference-agreement",
+                         [(engine[name], oracle[f"{name} per sample"]) for name in per_sample],
+                         IDENTITY_ATOL, f"{', '.join(per_sample)} over {realizations} trials"),
+    ]
 
 
 SCALAR_CHECK_SNRS = (0.1, 1.0, 10.0)

@@ -126,7 +126,6 @@ class TestSampleChannelBlock:
         assert block.trials_shape == (5,)
         assert block.h_ba.shape == (5, 2, 3) and block.h_ab.shape == (5, 3, 2)
         assert block.g_a.shape == (5, 4, 3) and block.g_b.shape == (5, 4, 2)
-        assert (block.n_a, block.n_b, block.n_e) == (3, 2, 4)
         assert not block.h_ab.flags.writeable
         one = block[2]
         assert one.trials_shape == () and one.h_ba.shape == (2, 3)

@@ -16,12 +16,14 @@ from skcprobe import (
     siso_ergodic_capacity,
 )
 from skcprobe.capacity import trial_values_many
+from skcprobe.channel import sample_channels
 from skcprobe.errors import DimensionGuard, InvalidNoise, ValidationError
 from skcprobe.montecarlo import BLOCK, collect, trial_blocks
 import skcprobe.verify as verify
 from skcprobe.verify import (IDENTITY_ATOL, floor_null_space, floor_resolvent,
-                             gap_resolvent, lower_bob_rectangular, scalar_capacity_check,
-                             wishart_logdet_quadrature, wishart_mean_check)
+                             gap_resolvent, lower_bob_rectangular, pilot_mi_check,
+                             scalar_capacity_check, wishart_logdet_quadrature,
+                             wishart_mean_check)
 from conftest import make_config
 
 # e * E1(1) / ln 2 to double precision (30-digit mpmath, frozen)
@@ -32,6 +34,14 @@ class TestPilotMiFromCovariance:
     def test_zero_rho_factors_exactly(self):
         cfg = make_config(rho=0.0, phi_a=8, phi_b=8)
         assert pilot_mi_from_covariance(cfg) == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("power", [10.0, 1e3, 1e5])
+    def test_zero_rho_is_exactly_zero_with_default_pilots(self, power):
+        # no cross block, so the Schur complement is blk_b itself
+        cfg = make_config(n_a=4, n_b=2, n_e=2, phi_a=0, phi_b=0, power_a=power,
+                          power_b=power, rho=0.0)
+        assert pilot_mi_from_covariance(cfg) == 0.0
+        assert pilot_mi_check(cfg).passed
 
     def test_scalar_hand_value(self):
         # n_a=n_b=1, phi=2, |rho|=1, both SNR products 1 -> log2(4/3)
@@ -128,14 +138,15 @@ class TestIdentitySuite:
 
     def test_engine_agreement_outcome_is_plain_json(self, monkeypatch):
         import json
-        import skcprobe.verify as verify
         real = verify.trial_values_many
 
         def shifted(points, mc):
             return [{k: v + 1e-12 for k, v in values.items()} for values in real(points, mc)]
 
         monkeypatch.setattr(verify, "trial_values_many", shifted)
-        check = verify.engine_agreement_check(make_config(), realizations=120)
+        by_name = {o.check_name: o for o in determinant_identity_suite(make_config(),
+                                                                      realizations=120)}
+        check = by_name["engine-reference-agreement"]
         assert check.passed is True and type(check.computed_value) is float
         assert 0.0 < check.computed_value <= 1e-9
         json.dumps(check.__dict__)
@@ -172,16 +183,18 @@ class TestIdentitySuite:
     @pytest.mark.parametrize("overrides", [
         dict(n_a=4, n_b=2, n_e=2), dict(n_a=3, n_b=3, n_e=1, noise_ea=0.0),
         dict(n_a=8, n_b=4, n_e=6, power_a=10.0, noise_ea=1e-10)])
-    def test_null_space_check_runs_where_n_e_is_below_n_a(self, overrides):
+    def test_floor_oracle_is_the_null_space_form_where_n_e_is_below_n_a(self, overrides):
         cfg = make_config(**overrides)
         by_name = {o.check_name: o for o in determinant_identity_suite(cfg, realizations=300)}
-        check = by_name["floor-null-space-form"]
+        check = by_name["floor-form-equivalence"]
         assert check.passed and check.tolerance == IDENTITY_ATOL
-        assert check.detail == "floor, t4 over 300 trials"
-        assert "floor-null-space-form" not in {
-            o.check_name for o in determinant_identity_suite(make_config(), realizations=100)}
+        assert check.detail == "floor, t4 against floor_null_space over 300 realizations"
+        check = {o.check_name: o for o in determinant_identity_suite(
+            make_config(), realizations=100)}["floor-form-equivalence"]
+        assert check.passed
+        assert check.detail == "floor against floor_resolvent over 100 realizations"
 
-    def test_null_space_check_names_the_worst_trial(self, monkeypatch):
+    def test_skewed_t4_fails_floor_form_equivalence_at_its_trial(self, monkeypatch):
         real = verify.trial_values_many
 
         def skewed(points, mc):
@@ -191,9 +204,46 @@ class TestIdentitySuite:
             return values
 
         monkeypatch.setattr(verify, "trial_values_many", skewed)
-        check = verify.null_space_check(make_config(n_a=4, n_b=2, n_e=2), realizations=300)
+        by_name = {o.check_name: o for o in determinant_identity_suite(
+            make_config(n_a=4, n_b=2, n_e=2), realizations=300)}
+        check = by_name["floor-form-equivalence"]
         assert not check.passed
         assert check.detail == f"max deviation at trial {BLOCK + 3}"
+        assert check.computed_value == pytest.approx(1e-7, rel=1e-6)
+        assert by_name["engine-reference-agreement"].passed
+
+    def test_high_power_null_space_config_passes(self):
+        # the difference of log-dets in floor_resolvent loses about 1e-6 bits
+        # here, where the engine and floor_null_space agree to 1e-12
+        cfg = make_config(n_a=4, n_b=2, n_e=2, v_a=1, v_b=0, phi_a=0, phi_b=0,
+                          power_a=1e5, power_b=1e5, noise_ea=1e-4, noise_eb=1.0, rho=0.0)
+        outcomes = determinant_identity_suite(cfg, realizations=300)
+        assert all(o.passed for o in outcomes), [o for o in outcomes if not o.passed]
+        assert pilot_mi_check(cfg).passed
+
+    @pytest.mark.parametrize("overrides", [
+        dict(), dict(v_b=0), dict(noise_ea=0.0), dict(n_a=4, n_b=2, n_e=2),
+        dict(n_a=3, n_b=3, n_e=1, noise_ea=0.0)])
+    def test_two_collect_passes_per_config(self, monkeypatch, overrides):
+        # one engine pass and one oracle pass, each drawing the two blocks
+        # of 300 trials once
+        import skcprobe.capacity as capacity
+        import skcprobe.montecarlo as montecarlo
+        passes, draws = [], []
+
+        def counted(*args):
+            passes.append(args[1])
+            return collect(*args)
+
+        def sampled(*args):
+            draws.append(args[1])
+            return sample_channels(*args)
+
+        monkeypatch.setattr(verify, "collect", counted)
+        monkeypatch.setattr(capacity, "collect", counted)
+        monkeypatch.setattr(montecarlo, "sample_channels", sampled)
+        determinant_identity_suite(make_config(**overrides), realizations=300)
+        assert len(passes) == 2 and len(draws) == 4
 
 
 class TestOracleIndependence:
@@ -276,6 +326,13 @@ class TestRunSuite:
         summary, report_path = run_verify("verify-default", {}, tmp_path)
         elapsed = time.perf_counter() - start
         assert summary.passed
+        per_config = ["pilot-mi-exact", "pilot-mmse", "gap-form-equivalence",
+                      "floor-form-equivalence", "lower-bob-form-equivalence",
+                      "gap-nonnegative", "one-way-identity", "engine-reference-agreement",
+                      "wishart-mean"]
+        assert [o.check_name for o in summary.outcomes] == [
+            "scalar-capacity-snr-0.1", "scalar-capacity-snr-1", "scalar-capacity-snr-10",
+            "wishart-mean-siso"] + [f"cfg{i}:{name}" for i in range(3) for name in per_config]
         assert report_path.exists()
         assert elapsed < 120.0
 
