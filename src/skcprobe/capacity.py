@@ -27,9 +27,9 @@ formed once for all of them, which also build what they factor in the
 block's work matrices (see Grams; ``evaluate`` is its one-point call).  It
 estimates the floor, and the bounds built on it, with control variates
 whose exact means ``wishart_logdet_mean`` evaluates in closed form: t2 and
-t3, the log-dets of what Eve and Bob see of Alice's probes, and, where
-n_e < n_a, t4, what Bob sees through the dimensions Eve cannot observe
-(see _controls).
+t3, the log-dets of what Eve and Bob see of Alice's probes, t5, what both
+see together at Bob's SNR, and, where n_e < n_a, t4, what Bob sees through
+the dimensions Eve cannot observe (see _controls).
 """
 
 from __future__ import annotations
@@ -82,9 +82,10 @@ def pilot_mi(config: ProbingConfig) -> float:
     return config.n_a * config.n_b * math.log2(reciprocity_gain(config))
 
 
-# wishart_logdet_mean's domain: rows and cols in [1, WISHART_MAX_DIM] and
-# gamma in WISHART_GAMMAS, where the rule below matches an exact mpmath
-# evaluation to 1e-10 relative (tests/test_control_variates.py)
+# wishart_logdet_mean's domain: cols in [1, WISHART_MAX_DIM], rows in [1,
+# 2 WISHART_MAX_DIM] (the stacked [g_a; h_ba] of t5) and gamma in
+# WISHART_GAMMAS, where the rule below matches an exact mpmath evaluation
+# to 1e-10 relative (tests/test_control_variates.py)
 WISHART_MAX_DIM = 16
 WISHART_GAMMAS = (1e-6, 1e10)
 # the rule must integrate the eigenvalue density to its mass m this closely
@@ -133,13 +134,13 @@ def wishart_logdet_mean(rows: int, cols: int, gamma):
     (see _eigenvalue_weights) with m = min(rows, cols), d = |rows - cols|,
     over ln 2, on a fixed exp-sinh rule.  numpy core only.
 
-    ValueError outside the domain: rows and cols in [1, WISHART_MAX_DIM],
-    every gamma in WISHART_GAMMAS, and a rule that integrates the density to
-    its mass (WISHART_MASS_RTOL).
+    ValueError outside the domain: rows in [1, 2 WISHART_MAX_DIM], cols in
+    [1, WISHART_MAX_DIM], every gamma in WISHART_GAMMAS, and a rule that
+    integrates the density to its mass (WISHART_MASS_RTOL).
     """
-    if not (1 <= rows <= WISHART_MAX_DIM and 1 <= cols <= WISHART_MAX_DIM):
+    if not (1 <= rows <= 2 * WISHART_MAX_DIM and 1 <= cols <= WISHART_MAX_DIM):
         raise ValueError(f"wishart_logdet_mean: shape {rows}x{cols} outside "
-                         f"[1, {WISHART_MAX_DIM}]")
+                         f"[1, {2 * WISHART_MAX_DIM}] x [1, {WISHART_MAX_DIM}]")
     g = np.asarray(gamma, dtype=float)
     lo, hi = WISHART_GAMMAS
     # a plain comparison for one gamma: evaluate_many asks for one at a time
@@ -153,6 +154,16 @@ def wishart_logdet_mean(rows: int, cols: int, gamma):
     if g.ndim == 0:
         return float(np.log1p(float(g) * nodes) @ weights) / _LN2
     return np.log1p(np.multiply.outer(g, nodes)) @ weights / _LN2
+
+
+@functools.lru_cache(maxsize=None)
+def _h_ba_first(n_e: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices that reorder an n-square matrix over [g_a;
+    h_ba]'s rows, g_a's n_e first, to [h_ba; g_a]; built once per shape and
+    read-only."""
+    order = np.r_[np.arange(n_e, n), np.arange(n_e)]
+    order.flags.writeable = False
+    return order[:, None], order
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
@@ -290,18 +301,38 @@ class Grams:
 
         return self._logdet(("null", self._channel("g_a"), gamma_ba), factor)
 
-    def bob_logdet(self, gamma_ba: float):
-        """t3 = log2det(I + gamma_ba h_ba h_ba^H) per trial, from K's
-        trailing n_b-square block."""
-        n_e = self._n_e()
+    def joint_logdet(self, gamma_ba: float):
+        """t5 = log2det(I + gamma_ba (G + H)) per trial where n_e >= n_a,
+        from the n_a x n_a Grams that the floor forms."""
 
         def factor():
-            gram = self._stacked()[..., n_e:, n_e:]
-            work = np.multiply(gram, gamma_ba, out=self.work(gram.shape[-2:]))
+            gram = self["g_a"]
+            work = np.add(gram, self["h_ba"], out=self.work(gram.shape[-2:]))
+            work *= gamma_ba
             work += np.eye(gram.shape[-1])
             return logdet_hermitian_pd(work)
 
-        return self._logdet(("bob", self._channel("h_ba"), gamma_ba), factor)
+        return self._logdet(("joint", self._channel("g_a"), gamma_ba), factor)
+
+    def bob_joint_logdets(self, gamma_ba: float):
+        """(t3, t5) per trial where n_e < n_a, from one Cholesky
+        factorization of I + gamma_ba K with K's blocks reordered to [h_ba;
+        g_a], built in the work matrix: its leading n_b diagonal entries give
+        t3 = log2det(I + gamma_ba h_ba h_ba^H) = log2det(I + gamma_ba H)
+        (Sylvester) and all of them t5 = log2det(I + gamma_ba K) =
+        log2det(I + gamma_ba (G + H)).  Exactly Hermitian, as K is."""
+        n_e = self._n_e()
+
+        def factor():
+            k = self._stacked()
+            n_b = k.shape[-1] - n_e
+            rows, cols = _h_ba_first(n_e, k.shape[-1])
+            work = np.multiply(k[..., rows, cols], gamma_ba, out=self.work(k.shape[-2:]))
+            work += np.eye(k.shape[-1])
+            bob, rest = logdet_hermitian_pd(work, split=n_b)
+            return bob, bob + rest
+
+        return self._logdet(("bob-joint", self._channel("g_a"), gamma_ba), factor)
 
     def work(self, shape: tuple[int, int]) -> np.ndarray:
         """The work stack of matrix shape `shape`."""
@@ -418,13 +449,14 @@ QUANTITIES = ("pilot_mi", "floor", "gap", "lower_bob", "lower_alice", "upper", "
 # the Monte Carlo integrands, in the order a point evaluates them (the
 # Bob-side bound reuses the point's floor values)
 SAMPLED = ("floor", "lower_bob", "gap", "lower_alice")
-# the floor's control variates (see _controls): t2 = log2det(I + gamma_ea G)
-# and t3 = log2det(I + gamma_ba H), G and H the Grams of g_a and h_ba, and,
-# where n_e < n_a, t4 = log2det(I + gamma_ba h_ba P h_ba^H), P the projector
-# onto null(g_a); their means are wishart_logdet_mean's
-CONTROLS = ("t2", "t3", "t4")
+# the floor's control variates (see _controls), G and H the Grams of g_a
+# and h_ba: t2 = log2det(I + gamma_ea G), t3 = log2det(I + gamma_ba H), t5 =
+# log2det(I + gamma_ba (G + H)) and, where n_e < n_a, t4 = log2det(I +
+# gamma_ba h_ba P h_ba^H), P the projector onto null(g_a); their means are
+# wishart_logdet_mean's.  In the order a point takes them (see evaluate_many)
+CONTROLS = ("t2", "t3", "t5", "t4")
 # with k controls the n - 1 divisor of the adjusted samples' stderr reads
-# low by sqrt((n - k - 1) / (n - 1)); evaluate_many regresses a point on its
+# low by sqrt((n - k - 1) / (n - 1)); evaluate_many regresses a point on k
 # controls only from the trial count at which that is within this fraction
 CV_STDERR_RTOL = 0.01
 # a regression system whose determinant is at most this fraction of the
@@ -434,7 +466,7 @@ CV_SINGULAR_RTOL = 1e-12
 
 def cv_min_trials(controls: int) -> int:
     """Smallest trial count n at which sqrt((n - k - 1) / (n - 1)) >= 1 -
-    CV_STDERR_RTOL for k = `controls`: 102 at k = 2, 152 at k = 3."""
+    CV_STDERR_RTOL for k = `controls`: 52, 102, 152 and 203 at k = 1 to 4."""
     return math.ceil(1 + controls / (1.0 - (1.0 - CV_STDERR_RTOL) ** 2))
 
 
@@ -451,68 +483,84 @@ def _draws_key(config: ProbingConfig) -> tuple:
 
 def _controls(config: ProbingConfig) -> dict[str, tuple[int, int, float, Callable]]:
     """Name -> (rows, cols, gamma, read) of each of the floor's CONTROLS at
-    `config`: a log2det(I + gamma w^H w) with w rows x cols of iid CN(0, 1)
-    entries, whose mean is wishart_logdet_mean(rows, cols, gamma), and
-    read(grams), its per-trial values from the block's Gram store, which
-    factors it from the Grams that the floor forms anyway.  Where n_e <
-    n_a, t2 is the leading part of the floor's own factorization, t3 comes
-    from the stacked Gram's trailing block and t4 (h_ba in an orthonormal
-    basis of null(g_a) is n_b x (n_a - n_e), iid and independent of g_a)
-    from its noiseless limit; otherwise t2 and t3 are identity log-dets of
-    the n_a x n_a Grams."""
+    `config`, in the order a point takes them: (t2, t3, t5), and t4 last
+    where n_e < n_a.  Each is a log2det(I + gamma w^H w) with w rows x cols
+    of iid CN(0, 1) entries, whose mean is wishart_logdet_mean(rows, cols,
+    gamma), and read(grams) gives its per-trial values from the block's
+    Gram store, which factors it from the Grams that the floor forms anyway.
+    t5's w is [g_a; h_ba], (n_e + n_b) x n_a.  Where n_e < n_a, t2 is the
+    leading part of the floor's own factorization, t3 and t5 come from one
+    factorization of the reordered stacked Gram (Grams.bob_joint_logdets)
+    and t4 (h_ba in an orthonormal basis of null(g_a) is n_b x (n_a - n_e),
+    iid and independent of g_a) from its noiseless limit; otherwise t2, t3
+    and t5 are identity log-dets of the n_a x n_a Grams G, H and G + H.
+    t3, t5 and t4 depend on gamma_ba only, so the points of a noise_ea
+    sweep share them per block."""
     gam = derive_gammas(config)
     g_ea, g_ba = gam.gamma_ea, gam.gamma_ba
     n_a, n_b, n_e = config.n_a, config.n_b, config.n_e
     if n_e >= n_a:
         return {"t2": (n_e, n_a, g_ea, lambda grams: grams.identity_logdet("g_a", g_ea)),
-                "t3": (n_b, n_a, g_ba, lambda grams: grams.identity_logdet("h_ba", g_ba))}
+                "t3": (n_b, n_a, g_ba, lambda grams: grams.identity_logdet("h_ba", g_ba)),
+                "t5": (n_e + n_b, n_a, g_ba, lambda grams: grams.joint_logdet(g_ba))}
     return {"t2": (n_e, n_a, g_ea, lambda grams: grams.floor_logdets(g_ea, g_ba)[0]),
-            "t3": (n_b, n_a, g_ba, lambda grams: grams.bob_logdet(g_ba)),
+            "t3": (n_b, n_a, g_ba, lambda grams: grams.bob_joint_logdets(g_ba)[0]),
+            "t5": (n_e + n_b, n_a, g_ba, lambda grams: grams.bob_joint_logdets(g_ba)[1]),
             "t4": (n_b, n_a - n_e, g_ba, lambda grams: grams.null_logdet(g_ba))}
+
+
+@functools.lru_cache(maxsize=1024)
+def _control_mean(rows: int, cols: int, gamma: float) -> float:
+    """wishart_logdet_mean(rows, cols, gamma), evaluated once per argument
+    triple: the points of a sweep share most of their controls' means."""
+    return wishart_logdet_mean(rows, cols, gamma)
 
 
 def _control_means(config: ProbingConfig) -> dict[str, float] | None:
     """Exact means of the floor's controls at `config`, in order, or None
     outside wishart_logdet_mean's domain (power_a = 0 is outside it)."""
     try:
-        return {name: wishart_logdet_mean(rows, cols, gamma)
+        return {name: _control_mean(rows, cols, gamma)
                 for name, (rows, cols, gamma, _) in _controls(config).items()}
     except ValueError:
         return None
 
 
-def _det(m: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of small square matrices, by cofactor
-    expansion along the first row."""
-    if m.shape[-1] == 1:
-        return m[..., 0, 0]
-    return sum((-1) ** j * m[..., 0, j] * _det(np.delete(m[..., 1:, :], j, axis=-1))
-               for j in range(m.shape[-1]))
+def _usable_controls(available: int, trials: int) -> int:
+    """How many of a point's `available` controls, in order, it regresses
+    on at `trials` trials: the most k with cv_min_trials(k) <= trials."""
+    return max(k for k in range(available + 1) if cv_min_trials(k) <= trials)
 
 
 def _control_corrections(rows: np.ndarray, means: np.ndarray) -> list[np.ndarray | None]:
     """For each point p, with rows[p] = (t_1 .. t_k, floor) over its trials
     and means[p] the exact means of the k controls: beta . (t - mean) per
     trial, beta the least-squares coefficients of the floor on the controls
-    (intercept included), from the k x k normal equations by Cramer's rule;
-    None where that system is singular.  Vectorized over the points, with
-    each point's sums reduced pairwise over its own trials, so a point's
-    correction does not depend on the others.  rows is overwritten."""
+    (intercept included), from the k x k normal equations, all points' in
+    one stacked solve; None where that system is singular.  Vectorized over
+    the points, with each point's sums reduced pairwise over its own trials
+    and its system solved on its own, so a point's correction does not
+    depend on the others.  rows is overwritten."""
     k = means.shape[-1]
     centre = np.add.reduce(rows[:, :k], axis=-1) / rows.shape[-1]
     rows[:, :k] -= centre[..., None]
     # per point the centred controls' sums of products with each other and
-    # with the floor (which needs no centring: the controls sum to 0)
-    sums = np.add.reduce(rows[:, :k, None] * rows[:, None], axis=-1)
+    # with the floor (which needs no centring: the controls sum to 0), one
+    # pair of rows at a time, so no (points, k, k + 1, trials) stack exists
+    sums = np.empty((len(rows), k, k + 1))
+    for i in range(k):
+        for j in range(i, k + 1):
+            sums[:, i, j] = np.add.reduce(rows[:, i] * rows[:, j], axis=-1)
+            if j < k:
+                sums[:, j, i] = sums[:, i, j]
     system, cross = sums[..., :k], sums[..., k:]
-    det = _det(system)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta = [_det(np.concatenate([system[..., :i], cross, system[..., i + 1:]], axis=-1))
-                / det for i in range(k)]
-    offset = sum(b * (centre[:, i] - means[:, i]) for i, b in enumerate(beta))
-    corrections = sum(b[:, None] * rows[:, i] for i, b in enumerate(beta)) + offset[:, None]
-    solvable = det > CV_SINGULAR_RTOL * np.prod(np.diagonal(system, axis1=-2, axis2=-1),
-                                                axis=-1)
+    solvable = np.linalg.det(system) > CV_SINGULAR_RTOL * np.prod(
+        np.diagonal(system, axis1=-2, axis2=-1), axis=-1)
+    # a singular system is replaced by I, so the solve cannot fail on it
+    beta = np.linalg.solve(np.where(solvable[:, None, None], system, np.eye(k)), cross)
+    beta = beta[..., 0]
+    offset = sum(beta[:, i] * (centre[:, i] - means[:, i]) for i in range(k))
+    corrections = sum(beta[:, i, None] * rows[:, i] for i in range(k)) + offset[:, None]
     return [c if ok else None for c, ok in zip(corrections, solvable)]
 
 
@@ -572,8 +620,8 @@ def trial_values_many(points: Sequence[tuple[ProbingConfig, Iterable[str]]],
     point asks for, on the engine's shared draws: the floor, the gap, the
     Bob-side bound built on the same floor values, and that bound of the
     role-swapped scenario on the swapped draws; and the floor's CONTROLS
-    that it names (noise_ea > 0; t4 only where n_e < n_a, otherwise a
-    ValueError), which a failure reports as the floor.
+    that it names (t4 only where n_e < n_a, otherwise a ValueError), which
+    a failure reports as the floor.
 
     Points whose configs agree on what sample_channels reads get identical
     draws, so each such group takes one collect pass.  A failure names the
@@ -616,15 +664,18 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
     outside wishart_logdet_mean's domain; at v_b > 0 it is sampled raw.
 
     A sampled floor is estimated with control variates: the floor's samples
-    are regressed on the point's controls (t2, t3, and t4 where n_e < n_a;
-    see _controls and _control_corrections), and the correction beta . (t -
-    mean), with the exact means of wishart_logdet_mean, is subtracted from
-    the floor's samples and v_a times it from lower_bob's, so upper and
-    lower are built from adjusted samples and upper == lower_bob + gap still
-    holds per sample.  A point with fewer than cv_min_trials(k) trials for
-    its k controls, a singular regression or a config outside
-    wishart_logdet_mean's domain gets the raw samples.  Standard errors are
-    those of the adjusted samples.
+    are regressed on the point's controls (see _controls and
+    _control_corrections), and the correction beta . (t - mean), with the
+    exact means of wishart_logdet_mean, is subtracted from the floor's
+    samples and v_a times it from lower_bob's, so upper and lower are built
+    from adjusted samples and upper == lower_bob + gap still holds per
+    sample.  A point takes the longest prefix of its ordered controls, (t2,
+    t3, t5) and then t4 where n_e < n_a, whose count k has cv_min_trials(k)
+    <= its trials.  At noise_ea = noise_b the floor is t5 - t2 on every
+    draw, so from three controls on its estimate is E t5 - E t2 to
+    round-off.  A point with fewer than cv_min_trials(1) trials, a singular
+    regression or a config outside wishart_logdet_mean's domain gets the
+    raw samples.  Standard errors are those of the adjusted samples.
 
     'lower' is the larger side bound, Bob's side winning ties.  At v_b = 0
     it is lower_bob (which is then also upper), and lower_alice is
@@ -664,7 +715,10 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
         exacts.append(exact)
         names = wanted | {"lower_alice"} if "lower" in wanted and config.v_b else wanted
         names = names.difference(exact)
-        if floor_sampled and means is not None and mc.trials >= cv_min_trials(len(means)):
+        usable = _usable_controls(len(means), mc.trials) \
+            if floor_sampled and means is not None else 0
+        if usable:
+            means = dict(list(means.items())[:usable])
             names = names | {"floor"} | set(means)
         else:
             means = None

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -149,9 +150,20 @@ def read_spec_text(path_or_name: str) -> tuple[str, str]:
     raise ParseError(f"config file not found: {path_or_name}")
 
 
-# libyaml's parser where PyYAML has it; it feeds the same safe constructor
-# as the pure-Python loader, so a spec parses to the same objects
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _SpecLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """PyYAML's safe loader, on libyaml's parser where PyYAML has it (it
+    feeds the same safe constructor as the pure-Python loader, so a spec
+    parses to the same objects), plus YAML 1.2's floats in exponent
+    notation: YAML 1.1 reads 1e5, 1.0e5 and 1e-4 as strings, as it needs a
+    dot and a signed exponent (1.0e+5)."""
+
+
+# tried after YAML 1.1's own int and float rules, so it only adds numbers
+_SpecLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+_YAML_LOADER = _SpecLoader
 
 
 def _parse_yaml(text: str, path_or_name: str):

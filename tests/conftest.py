@@ -37,19 +37,21 @@ def capacity_logdet(h, gamma):
     return logdet_hermitian_pd(gamma * hermitize(h @ conj_t(h)) + np.eye(h.shape[-2]))
 
 
-def control_means(config) -> dict:
+def control_means(config, count=None) -> dict:
     """Exact means of the floor's control variates at `config`, by name, in
-    the engine's order: t2 (g_a at gamma_ea), t3 (h_ba at gamma_ba) and,
-    where n_e < n_a, t4 (h_ba on the n_a - n_e dimensions of null(g_a))."""
+    the engine's order: t2 (g_a at gamma_ea), t3 (h_ba at gamma_ba), t5
+    ([g_a; h_ba] at gamma_ba) and, where n_e < n_a, t4 (h_ba on the n_a -
+    n_e dimensions of null(g_a)); the first `count` of them when given."""
     from skcprobe.capacity import wishart_logdet_mean
     from skcprobe.channel import derive_gammas
     gam = derive_gammas(config)
     means = {"t2": wishart_logdet_mean(config.n_e, config.n_a, gam.gamma_ea),
-             "t3": wishart_logdet_mean(config.n_b, config.n_a, gam.gamma_ba)}
+             "t3": wishart_logdet_mean(config.n_b, config.n_a, gam.gamma_ba),
+             "t5": wishart_logdet_mean(config.n_e + config.n_b, config.n_a, gam.gamma_ba)}
     if config.n_e < config.n_a:
         means["t4"] = wishart_logdet_mean(config.n_b, config.n_a - config.n_e,
                                           gam.gamma_ba)
-    return means
+    return dict(list(means.items())[:count])
 
 
 def engine_correction(floor, controls, means):
@@ -65,7 +67,7 @@ def control_correction(floor, controls, means):
     """Per-trial control-variate correction of the floor, beta . (t - mean),
     with beta the coefficients of the controls in the least-squares fit of
     the floor on (1, controls) by np.linalg.lstsq: an arithmetic path
-    independent of the engine's Cramer solve."""
+    independent of the engine's solve of the normal equations."""
     design = np.column_stack([np.ones_like(floor)] + [controls[n] for n in means])
     beta, *_ = np.linalg.lstsq(design, floor, rcond=None)
     return sum(b * (controls[n] - means[n]) for b, n in zip(beta[1:], means))

@@ -56,7 +56,7 @@ from skcprobe.errors import (
     SkcError,
     ValidationError,
 )
-from skcprobe.experiments import load_spec
+from skcprobe.experiments import apply_parameter, case_config, load_spec
 from skcprobe.montecarlo import BLOCK, collect, summarize, trial_blocks
 from skcprobe.verify import (IDENTITY_ATOL, floor_resolvent, gap_resolvent,
                              lower_bob_rectangular)
@@ -517,6 +517,17 @@ class TestEvaluateMany:
             correction = engine_correction(direct, controls, means)
             assert point["floor"] == summarize(direct - correction)
 
+    @pytest.mark.parametrize("trials", [200, BLOCK + 30])
+    def test_fig1_cases_share_the_stacked_solve(self, trials):
+        # at 200 trials every case regresses on three controls, so all 12
+        # points' systems are solved in one stack; at 286 the n_e < n_a
+        # case takes four and the others three
+        spec = load_spec("fig1")
+        configs = [apply_parameter(case_config(spec, case), "noise_ea", v)
+                   for case in spec.cases for v in spec.sweep.values[::3]]
+        mc = McSettings(trials=trials, master_seed=37)
+        self.assert_equals_one_config_evaluate(configs, mc, ("floor", "lower"))
+
     def test_fig2_power_grid(self):
         spec = load_spec("fig2")
         configs = [config_at_power(spec.base, p) for p in spec.power_grid]
@@ -673,9 +684,9 @@ class TestOneWayLower:
         assert len(collects) == 1
         assert bob_configs == [cfg] * blocks         # never the role-swapped config
         # n_e < n_a: the floor's stacked factorization (which also gives
-        # t2), t3 from the n_b-square block and t4 from the noiseless
-        # limit; Bob's bound reuses the floor
-        assert logdets == [((4, 4), 2), ((2, 2), None), ((4, 4), 2)] * blocks
+        # t2), t3 and t5 from the reordered stacked Gram and t4 from its
+        # noiseless limit; Bob's bound reuses the floor
+        assert logdets == [((4, 4), 2), ((4, 4), 2), ((4, 4), 2)] * blocks
         assert est["lower"] == est["upper"]
 
     @pytest.mark.parametrize("overrides", list(ONE_WAY.values()), ids=list(ONE_WAY))

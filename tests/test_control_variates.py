@@ -62,12 +62,14 @@ def reference_mean(rows: int, cols: int, gamma: float) -> float:
 
 def control_terms(config: ProbingConfig) -> list[tuple[int, int, float]]:
     """(rows, cols, gamma) of the floor's control variates: g_a at gamma_ea
-    (when Eve is noisy), h_ba at gamma_ba and, where n_e < n_a, h_ba on the
-    n_a - n_e dimensions of null(g_a) at gamma_ba."""
+    and [g_a; h_ba] at gamma_ba (when Eve is noisy), h_ba at gamma_ba and,
+    where n_e < n_a, h_ba on the n_a - n_e dimensions of null(g_a) at
+    gamma_ba."""
     gam = derive_gammas(config)
     terms = [(config.n_b, config.n_a, gam.gamma_ba)]
     if config.noise_ea > 0:
         terms.append((config.n_e, config.n_a, gam.gamma_ea))
+        terms.append((config.n_e + config.n_b, config.n_a, gam.gamma_ba))
     if config.n_e < config.n_a:
         terms.append((config.n_b, config.n_a - config.n_e, gam.gamma_ba))
     return terms
@@ -104,9 +106,20 @@ class TestWishartLogdetMean:
         # e * E1(1) / ln 2, as frozen in test_acceptance.py
         assert wishart_logdet_mean(1, 1, 1.0) == pytest.approx(0.86034738227088595, rel=1e-12)
 
+    def test_matches_exact_reference_for_the_stacked_rows(self):
+        # t5's [g_a; h_ba] has n_e + n_b rows, up to 2 WISHART_MAX_DIM
+        terms = [(rows, cols, g) for rows in range(WISHART_MAX_DIM + 1, 2 * WISHART_MAX_DIM + 1)
+                 for cols in (1, 4, 8, WISHART_MAX_DIM) for g in (1e-6, 1.0, 1e10)]
+        terms += [(rows, 8, g) for rows in (17, 24, 32) for g in (1e-3, 31.6, 1e5)]
+        worst = max(abs(wishart_logdet_mean(*t) - reference_mean(*t)) / reference_mean(*t)
+                    for t in terms)
+        assert worst <= 1e-10
+
     def test_rule_integrates_the_density_to_its_mass(self):
+        # every shape of the domain: m = cols <= rows up to 2 WISHART_MAX_DIM
+        # rows, or m = rows < cols
         for m in range(1, WISHART_MAX_DIM + 1):
-            for d in range(WISHART_MAX_DIM - m + 1):
+            for d in range(2 * WISHART_MAX_DIM - m + 1):
                 weights = _eigenvalue_weights(m, d)
                 assert weights is not None, (m, d)
                 assert abs(math.fsum(weights) - m) <= 1e-12 * m, (m, d)
@@ -122,7 +135,7 @@ class TestWishartLogdetMean:
         assert wishart_logdet_mean(4, 8, 10.0) == wishart_logdet_mean(8, 4, 10.0)
 
     @pytest.mark.parametrize("rows,cols,gamma", [
-        (17, 4, 1.0), (4, 17, 1.0), (0, 4, 1.0), (4, 4, 0.0), (4, 4, 9e-7),
+        (33, 4, 1.0), (4, 17, 1.0), (0, 4, 1.0), (4, 4, 0.0), (4, 4, 9e-7),
         (4, 4, 2e10), (4, 4, math.nan), (4, 4, math.inf)])
     def test_outside_the_domain_is_a_value_error(self, rows, cols, gamma):
         with pytest.raises(ValueError, match="wishart_logdet_mean"):
@@ -134,6 +147,7 @@ class TestWishartLogdetMean:
         def clear():
             capacity._exp_sinh_rule.cache_clear()
             capacity._eigenvalue_weights.cache_clear()
+            capacity._control_mean.cache_clear()
 
         clear()
         monkeypatch.setattr(capacity, "_EXP_SINH_STEP", 1.0 / 2)
@@ -210,12 +224,14 @@ class TestControlVariates:
     def test_controls_are_the_floor_terms_and_leave_the_floor_as_it_was(self):
         cfg = replace(FIG1_BASE, noise_ea=0.3)
         mc = McSettings(trials=BLOCK + 44, master_seed=9)
-        values = trial_values_many([(cfg, ("floor", "t2", "t3", "t4"))], mc)[0]
+        values = trial_values_many([(cfg, ("floor", "t2", "t3", "t5", "t4"))], mc)[0]
         gam = derive_gammas(cfg)
         blocks = [block for _, block in trial_blocks(cfg, mc)]
         expected = {
             "t2": [capacity_logdet(conj_t(b.g_a), gam.gamma_ea) for b in blocks],
             "t3": [capacity_logdet(conj_t(b.h_ba), gam.gamma_ba) for b in blocks],
+            "t5": [capacity_logdet(conj_t(np.concatenate([b.g_a, b.h_ba], axis=-2)),
+                                   gam.gamma_ba) for b in blocks],
             "t4": [null_space_t4(b, cfg) for b in blocks]}
         for name, parts in expected.items():
             reference = np.concatenate(parts)
@@ -246,15 +262,15 @@ class TestControlVariates:
         configs = [replace(FIG1_BASE, noise_ea=float(v)) for v in spec.sweep.values]
         evaluate_many(configs, McSettings(trials=BLOCK + 5, master_seed=3), ("floor",))
         # per block: each point's stacked factorization (its floor and its
-        # t2), and one t3 and one t4 shared by all points, whose gamma_ba
-        # is the same
-        per_block = [((10, 10), 6)] + [((4, 4), None), ((10, 10), 6)] + \
+        # t2), and one of the reordered stacked Gram (t3 and t5) and one t4
+        # shared by all points, whose gamma_ba is the same
+        per_block = [((10, 10), 6)] + [((10, 10), 4), ((10, 10), 6)] + \
             [((10, 10), 6)] * (len(configs) - 1)
         assert logdets == per_block * 2
 
     @pytest.mark.parametrize("overrides,trials", [
         (dict(power_a=0.0), 300),                      # no probe: t2 = t3 = 0
-        ({}, cv_min_trials(3) - 1),                    # too few trials
+        ({}, cv_min_trials(1) - 1),                    # too few trials
         (dict(n_a=WISHART_MAX_DIM + 1, phi_a=0), 300),  # shape outside the domain
         (dict(noise_ea=1e8), 300),                     # gamma_ea below the domain
     ], ids=["no-probe-power", "too-few-trials", "shape", "gamma"])
@@ -266,17 +282,50 @@ class TestControlVariates:
         assert est["floor"] == summarize(raw["floor"])
         assert est["lower"] == est["upper"] == summarize(raw["lower_bob"])
 
-    @pytest.mark.parametrize("controls,edge", [(2, 102), (3, 152)])
+    @pytest.mark.parametrize("controls,edge", [(1, 52), (2, 102), (3, 152), (4, 203)])
     def test_min_trials_keeps_the_stderr_divisor_within_one_percent(self, controls, edge):
         assert cv_min_trials(controls) == edge
         low = [math.sqrt((n - controls - 1) / (n - 1)) for n in (edge - 1, edge)]
         assert low[0] < 0.99 <= low[1]
-        # the n_e >= n_a point has two controls, the n_e < n_a one three
-        cfg = ONEWAY if controls == 3 else replace(ONEWAY, n_e=4)
-        for trials, adjusted in ((edge - 1, False), (edge, True)):
+        # the n_e < n_a point regresses on the longest prefix of (t2, t3,
+        # t5, t4) that its trial count allows, and with none on raw samples
+        for trials, count in ((edge - 1, controls - 1), (edge, controls)):
             mc = McSettings(trials=trials, master_seed=19)
-            raw = summarize(trial_values_many([(cfg, ("floor",))], mc)[0]["floor"])
-            assert (evaluate(cfg, mc, ("floor",))["floor"] != raw) is adjusted, trials
+            assert evaluate(ONEWAY, mc, ("floor",))["floor"] == \
+                self.adjusted_floor(ONEWAY, mc, count), trials
+
+    @staticmethod
+    def adjusted_floor(config, mc, count):
+        """The floor at `config` regressed on the first `count` controls of
+        its ordered list, or raw when `count` is 0."""
+        means = control_means(config, count)
+        values = trial_values_many([(config, ("floor",) + tuple(means))], mc)[0]
+        if not means:
+            return summarize(values["floor"])
+        return summarize(values["floor"] - engine_correction(values["floor"], values, means))
+
+    @pytest.mark.parametrize("case,trials,count", [
+        ("na8-nb4-ne6", 200, 3), ("na8-nb4-ne10", 200, 3), ("na4-nb4-ne4", 3000, 3)])
+    def test_a_fig1_point_takes_every_control_its_trials_allow(self, case, trials, count):
+        # at 200 trials the n_e < n_a case takes (t2, t3, t5), not raw
+        # samples; an n_e >= n_a point has three controls at any count
+        spec = load_spec("fig1")
+        cfg = apply_parameter(case_config(spec, next(c for c in spec.cases if c.name == case)),
+                              "noise_ea", 0.3)
+        mc = McSettings(trials=trials, master_seed=29)
+        est = evaluate(cfg, mc, ("floor",))["floor"]
+        assert est == self.adjusted_floor(cfg, mc, count)
+        assert est != self.adjusted_floor(cfg, mc, 0)
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (8, 4, 6), (4, 4, 4), (3, 2, 4)])
+    def test_floor_at_equal_noise_is_the_difference_of_exact_means(self, shape):
+        # at noise_ea = noise_b the floor is t5 - t2 on every draw
+        n_a, n_b, n_e = shape
+        cfg = replace(FIG1_BASE, n_a=n_a, n_b=n_b, n_e=n_e, noise_ea=1.0, noise_b=1.0)
+        means = control_means(cfg)
+        floor = evaluate(cfg, McSettings(trials=cv_min_trials(3), master_seed=31),
+                         ("floor",))["floor"]
+        assert abs(floor.mean - (means["t5"] - means["t2"])) <= 1e-12
 
     def test_singular_regression_gives_no_correction(self, rng):
         n = cv_min_trials(3)
@@ -293,17 +342,17 @@ class TestControlVariates:
         assert np.array_equal(batch[0], alone) and batch[1] is None
 
     def test_non_finite_t3_fails_its_point_naming_the_floor(self, monkeypatch):
-        real = capacity.Grams.bob_logdet
+        real = capacity.Grams.bob_joint_logdets
         skewed_gamma = derive_gammas(replace(ONEWAY, power_a=40.0)).gamma_ba
 
         def skewed(self, gamma):
-            value = real(self, gamma)
+            t3, t5 = real(self, gamma)
             if gamma == skewed_gamma:
-                value = value.copy()
-                value[7] = np.inf
-            return value
+                t3 = t3.copy()
+                t3[7] = np.inf
+            return t3, t5
 
-        monkeypatch.setattr(capacity.Grams, "bob_logdet", skewed)
+        monkeypatch.setattr(capacity.Grams, "bob_joint_logdets", skewed)
         configs = [ONEWAY, replace(ONEWAY, power_a=40.0)]
         with pytest.raises(IntegrandFailure,
                            match=r"^trial 7: at power 40: floor integrand is inf$"):

@@ -97,6 +97,37 @@ class TestLoadSpec:
         with pytest.raises(ValidationError, match="must be finite"):
             load_spec(write(tmp_path, MINIMAL + f"  {entry}\n"))
 
+    def test_exponent_notation_is_a_number_in_every_section(self, tmp_path):
+        # YAML 1.1 reads these as strings; the spec loader takes YAML 1.2's
+        # floats
+        text = """
+config: {n_a: 2, n_b: 2, n_e: 2, power_a: 1e5, power_b: 1.0e5, noise_ea: 1e-4}
+cases:
+  - {name: a, overrides: {noise_eb: 5E-1}}
+sweep: {parameter: noise_ea, values: [1e-4, .5e1, 2.e0]}
+power_grid: [1e0, 1e1, 1E2, 1e3]
+quantities: [floor]
+"""
+        spec = load_spec(write(tmp_path, text))
+        assert (spec.base.power_a, spec.base.power_b, spec.base.noise_ea) == (1e5, 1e5, 1e-4)
+        assert case_config(spec, spec.cases[0]).noise_eb == 0.5
+        assert spec.sweep.values == (1e-4, 5.0, 2.0)
+        assert all(type(v) is float for v in spec.sweep.values)
+        assert spec.power_grid == (1.0, 10.0, 100.0, 1000.0)
+        # integers stay integers, so mc counts in exponent notation are refused
+        assert type(spec.base.n_a) is int
+        with pytest.raises(ValidationError, match="mc.trials must be an integer"):
+            load_spec(write(tmp_path, MINIMAL + "mc: {trials: 1e3}\n"))
+
+    @pytest.mark.parametrize("entry,rule", [
+        ("power_a: 1e5x", "must be a number"), ("power_a: e5", "must be a number"),
+        ("noise_ea: 1e", "must be a number"), ("noise_ea: '1e-4'", "must be a number"),
+        ("power_a: 1e400", "must be finite"), ("power_a: -.inf", "must be finite"),
+        ("noise_ea: .NaN", "must be finite")])
+    def test_non_numbers_and_non_finite_values_keep_their_rules(self, tmp_path, entry, rule):
+        with pytest.raises(ValidationError, match=rule):
+            load_spec(write(tmp_path, MINIMAL + f"  {entry}\n"))
+
     def test_overrides_beat_file(self, tmp_path):
         spec = load_spec(write(tmp_path, SMALL_SWEEP), seed_override=9,
                          trials_override=50)

@@ -21,7 +21,8 @@ from skcprobe.errors import DimensionGuard, InvalidNoise, ValidationError
 from skcprobe.montecarlo import BLOCK, collect, trial_blocks
 import skcprobe.verify as verify
 from skcprobe.verify import (IDENTITY_ATOL, floor_null_space, floor_resolvent,
-                             gap_resolvent, lower_bob_rectangular, pilot_mi_check,
+                             gap_resolvent, joint_sylvester, lower_bob_rectangular,
+                             pilot_mi_check,
                              scalar_capacity_check, wishart_logdet_quadrature,
                              wishart_mean_check)
 from conftest import make_config
@@ -212,6 +213,31 @@ class TestIdentitySuite:
         assert check.computed_value == pytest.approx(1e-7, rel=1e-6)
         assert by_name["engine-reference-agreement"].passed
 
+    @pytest.mark.parametrize("overrides", [
+        dict(), dict(n_a=3, n_b=2, n_e=4), dict(n_a=4, n_b=2, n_e=2),
+        dict(n_a=8, n_b=4, n_e=6, noise_ea=0.0)])
+    def test_skewed_t5_fails_t5_form_equivalence_at_its_trial(self, monkeypatch, overrides):
+        cfg = make_config(**overrides)
+        check = {o.check_name: o for o in determinant_identity_suite(
+            cfg, realizations=300)}["t5-form-equivalence"]
+        assert check.passed and check.tolerance == IDENTITY_ATOL
+        assert check.detail == "t5 against joint_sylvester over 300 realizations"
+        real = verify.trial_values_many
+
+        def skewed(points, mc):
+            values = real(points, mc)
+            values[0]["t5"] = values[0]["t5"].copy()
+            values[0]["t5"][BLOCK + 5] -= 1e-7
+            return values
+
+        monkeypatch.setattr(verify, "trial_values_many", skewed)
+        by_name = {o.check_name: o for o in determinant_identity_suite(cfg, realizations=300)}
+        check = by_name["t5-form-equivalence"]
+        assert not check.passed
+        assert check.detail == f"max deviation at trial {BLOCK + 5}"
+        assert check.computed_value == pytest.approx(1e-7, rel=1e-6)
+        assert by_name["floor-form-equivalence"].passed
+
     def test_high_power_null_space_config_passes(self):
         # the difference of log-dets in floor_resolvent loses about 1e-6 bits
         # here, where the engine and floor_null_space agree to 1e-12
@@ -261,7 +287,8 @@ class TestOracleIndependence:
         mc = McSettings(trials=BLOCK + 44, master_seed=9)
         null_space = cfg.n_e < cfg.n_a
         engine = trial_values_many(
-            [(cfg, ("floor", "gap", "lower_bob") + (("t4",) if null_space else ()))], mc)[0]
+            [(cfg, ("floor", "gap", "lower_bob", "t5") + (("t4",) if null_space else ()))],
+            mc)[0]
 
         def engine_code(*args, **kwargs):
             raise AssertionError("an oracle called engine code")
@@ -281,7 +308,8 @@ class TestOracleIndependence:
 
         def oracles(block):
             values = {"floor": floor_resolvent(block, cfg), "gap": gap_resolvent(block, cfg),
-                      "lower_bob": lower_bob_rectangular(block, cfg)}
+                      "lower_bob": lower_bob_rectangular(block, cfg),
+                      "t5": joint_sylvester(block, cfg)}
             if null_space:
                 values.update({f"{name}-null-space": v
                                for name, v in floor_null_space(block, cfg).items()})
@@ -291,7 +319,7 @@ class TestOracleIndependence:
         for name, reference in values.items():
             assert reference.shape == (BLOCK + 44,)
             assert np.max(np.abs(reference - engine[name.split("-")[0]])) <= IDENTITY_ATOL, name
-        assert len(values) == (5 if null_space else 3)
+        assert len(values) == (6 if null_space else 4)
         block = next(trial_blocks(cfg, mc))[1]
         assert not gap_resolvent(block, replace(cfg, v_b=0, noise_eb=0.0)).any()
         with pytest.raises(InvalidNoise):
@@ -327,7 +355,8 @@ class TestRunSuite:
         elapsed = time.perf_counter() - start
         assert summary.passed
         per_config = ["pilot-mi-exact", "pilot-mmse", "gap-form-equivalence",
-                      "floor-form-equivalence", "lower-bob-form-equivalence",
+                      "floor-form-equivalence", "t5-form-equivalence",
+                      "lower-bob-form-equivalence",
                       "gap-nonnegative", "one-way-identity", "engine-reference-agreement",
                       "wishart-mean"]
         assert [o.check_name for o in summary.outcomes] == [
@@ -375,7 +404,19 @@ class TestWishartMeanCheck:
             real(rows, cols, gamma) * (1.0 + 1e-7 * ((rows, cols) == (2, 3)))))
         assert not wishart_mean_check(cfg).passed
 
+    def test_t5_term_is_checked_where_eve_is_noisy(self, monkeypatch):
+        cfg = make_config(n_a=4, n_b=2, n_e=3)
+        outcome = wishart_mean_check(cfg)
+        assert outcome.passed
+        assert "[g_a; h_ba] (5x4, gamma 2)" in outcome.detail
+        assert "[g_a; h_ba]" not in wishart_mean_check(make_config(noise_ea=0.0)).detail
+        # a closed form skewed on t5's shape alone fails the check
+        real = verify.wishart_logdet_mean
+        monkeypatch.setattr(verify, "wishart_logdet_mean", lambda rows, cols, gamma: (
+            real(rows, cols, gamma) * (1.0 + 1e-7 * ((rows, cols) == (5, 4)))))
+        assert not wishart_mean_check(cfg).passed
+
     def test_terms_outside_the_domain_are_named_and_skipped(self):
         outcome = wishart_mean_check(make_config(power_a=0.0))
         assert outcome.passed and outcome.computed_value == 0.0
-        assert outcome.detail.count("outside the domain") == 2
+        assert outcome.detail.count("outside the domain") == 3
