@@ -29,7 +29,8 @@ estimates the floor, and the bounds built on it, with control variates
 whose exact means ``wishart_logdet_mean`` evaluates in closed form: t2 and
 t3, the log-dets of what Eve and Bob see of Alice's probes, t5, what both
 see together at Bob's SNR, and, where n_e < n_a, t4, what Bob sees through
-the dimensions Eve cannot observe (see _controls).
+the dimensions Eve cannot observe (see _controls), all of them from
+CV_MIN_TRIALS trials on, and reports the regression's least-squares stderr.
 """
 
 from __future__ import annotations
@@ -453,21 +454,13 @@ SAMPLED = ("floor", "lower_bob", "gap", "lower_alice")
 # and h_ba: t2 = log2det(I + gamma_ea G), t3 = log2det(I + gamma_ba H), t5 =
 # log2det(I + gamma_ba (G + H)) and, where n_e < n_a, t4 = log2det(I +
 # gamma_ba h_ba P h_ba^H), P the projector onto null(g_a); their means are
-# wishart_logdet_mean's.  In the order a point takes them (see evaluate_many)
+# wishart_logdet_mean's.  From CV_MIN_TRIALS trials on (the least-squares
+# stderr needs more than k + 1) a point regresses on all of them
 CONTROLS = ("t2", "t3", "t5", "t4")
-# with k controls the n - 1 divisor of the adjusted samples' stderr reads
-# low by sqrt((n - k - 1) / (n - 1)); evaluate_many regresses a point on k
-# controls only from the trial count at which that is within this fraction
-CV_STDERR_RTOL = 0.01
+CV_MIN_TRIALS = 52
 # a regression system whose determinant is at most this fraction of the
 # product of its diagonal counts as singular
 CV_SINGULAR_RTOL = 1e-12
-
-
-def cv_min_trials(controls: int) -> int:
-    """Smallest trial count n at which sqrt((n - k - 1) / (n - 1)) >= 1 -
-    CV_STDERR_RTOL for k = `controls`: 52, 102, 152 and 203 at k = 1 to 4."""
-    return math.ceil(1 + controls / (1.0 - (1.0 - CV_STDERR_RTOL) ** 2))
 
 
 def _alice_bound_diverges(config: ProbingConfig) -> bool:
@@ -526,23 +519,22 @@ def _control_means(config: ProbingConfig) -> dict[str, float] | None:
         return None
 
 
-def _usable_controls(available: int, trials: int) -> int:
-    """How many of a point's `available` controls, in order, it regresses
-    on at `trials` trials: the most k with cv_min_trials(k) <= trials."""
-    return max(k for k in range(available + 1) if cv_min_trials(k) <= trials)
-
-
-def _control_corrections(rows: np.ndarray, means: np.ndarray) -> list[np.ndarray | None]:
-    """For each point p, with rows[p] = (t_1 .. t_k, floor) over its trials
-    and means[p] the exact means of the k controls: beta . (t - mean) per
-    trial, beta the least-squares coefficients of the floor on the controls
-    (intercept included), from the k x k normal equations, all points' in
-    one stacked solve; None where that system is singular.  Vectorized over
-    the points, with each point's sums reduced pairwise over its own trials
-    and its system solved on its own, so a point's correction does not
-    depend on the others.  rows is overwritten."""
-    k = means.shape[-1]
-    centre = np.add.reduce(rows[:, :k], axis=-1) / rows.shape[-1]
+def _control_corrections(rows: np.ndarray, means: np.ndarray
+                         ) -> list[tuple[np.ndarray, float] | None]:
+    """For each point p, with rows[p] = (t_1 .. t_k, floor) over its n
+    trials and means[p] the exact means of the k controls: beta . (t -
+    mean) per trial, beta the least-squares coefficients of the floor on
+    the controls (intercept included), and the factor sqrt((n - 1)/(n - k -
+    1) (1 + n d^T S^-1 d)) that takes the adjusted samples' stderr to the
+    estimate's least-squares one, s^2 (1/n + d^T S^-1 d) with s^2 = RSS/(n -
+    k - 1), S the centred controls' sums of products and d their means less
+    the exact ones; None where S is singular.  One stacked solve gives beta
+    and S^-1 d, each as a system of its own, so beta is bit for bit a solve
+    of it alone.  Each point's sums are reduced pairwise over its own trials
+    and its system solved on its own, so its result does not depend on the
+    others.  rows is overwritten."""
+    n, k = rows.shape[-1], means.shape[-1]
+    centre = np.add.reduce(rows[:, :k], axis=-1) / n
     rows[:, :k] -= centre[..., None]
     # per point the centred controls' sums of products with each other and
     # with the floor (which needs no centring: the controls sum to 0), one
@@ -554,14 +546,19 @@ def _control_corrections(rows: np.ndarray, means: np.ndarray) -> list[np.ndarray
             if j < k:
                 sums[:, j, i] = sums[:, i, j]
     system, cross = sums[..., :k], sums[..., k:]
+    offset = centre - means
     solvable = np.linalg.det(system) > CV_SINGULAR_RTOL * np.prod(
         np.diagonal(system, axis1=-2, axis2=-1), axis=-1)
     # a singular system is replaced by I, so the solve cannot fail on it
-    beta = np.linalg.solve(np.where(solvable[:, None, None], system, np.eye(k)), cross)
-    beta = beta[..., 0]
-    offset = sum(beta[:, i] * (centre[:, i] - means[:, i]) for i in range(k))
-    corrections = sum(beta[:, i, None] * rows[:, i] for i in range(k)) + offset[:, None]
-    return [c if ok else None for c, ok in zip(corrections, solvable)]
+    system = np.where(solvable[:, None, None], system, np.eye(k))
+    beta, s_inv_offset = np.split(np.linalg.solve(
+        np.concatenate([system, system]),
+        np.concatenate([cross, offset[..., None]]))[..., 0], 2)
+    shift = sum(beta[:, i] * offset[:, i] for i in range(k))
+    corrections = sum(beta[:, i, None] * rows[:, i] for i in range(k)) + shift[:, None]
+    factors = np.sqrt((n - 1) / (n - k - 1) * (
+        1.0 + n * np.sum(offset * s_inv_offset, axis=-1)))
+    return [(c, float(f)) if ok else None for c, f, ok in zip(corrections, factors, solvable)]
 
 
 class _Key(NamedTuple):
@@ -664,18 +661,18 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
     outside wishart_logdet_mean's domain; at v_b > 0 it is sampled raw.
 
     A sampled floor is estimated with control variates: the floor's samples
-    are regressed on the point's controls (see _controls and
-    _control_corrections), and the correction beta . (t - mean), with the
-    exact means of wishart_logdet_mean, is subtracted from the floor's
-    samples and v_a times it from lower_bob's, so upper and lower are built
-    from adjusted samples and upper == lower_bob + gap still holds per
-    sample.  A point takes the longest prefix of its ordered controls, (t2,
-    t3, t5) and then t4 where n_e < n_a, whose count k has cv_min_trials(k)
-    <= its trials.  At noise_ea = noise_b the floor is t5 - t2 on every
-    draw, so from three controls on its estimate is E t5 - E t2 to
-    round-off.  A point with fewer than cv_min_trials(1) trials, a singular
+    are regressed on all of the point's controls, (t2, t3, t5) and t4 where
+    n_e < n_a (see _controls and _control_corrections), and the correction
+    beta . (t - mean), with the exact means of wishart_logdet_mean, is
+    subtracted from the floor's samples and v_a times it from lower_bob's,
+    so upper and lower are built from adjusted samples and upper ==
+    lower_bob + gap still holds per sample.  At noise_ea = noise_b the
+    floor is t5 - t2 on every draw, so its estimate is E t5 - E t2 to
+    round-off.  A point with fewer than CV_MIN_TRIALS trials, a singular
     regression or a config outside wishart_logdet_mean's domain gets the
-    raw samples.  Standard errors are those of the adjusted samples.
+    raw samples.  An estimate built from adjusted samples takes their stderr
+    times _control_corrections' factor: the floor's least-squares stderr,
+    v_a times it for lower_bob at v_b = 0, an approximation at v_b > 0.
 
     'lower' is the larger side bound, Bob's side winning ties.  At v_b = 0
     it is lower_bob (which is then also upper), and lower_alice is
@@ -715,10 +712,7 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
         exacts.append(exact)
         names = wanted | {"lower_alice"} if "lower" in wanted and config.v_b else wanted
         names = names.difference(exact)
-        usable = _usable_controls(len(means), mc.trials) \
-            if floor_sampled and means is not None else 0
-        if usable:
-            means = dict(list(means.items())[:usable])
+        if floor_sampled and means is not None and mc.trials >= CV_MIN_TRIALS:
             names = names | {"floor"} | set(means)
         else:
             means = None
@@ -730,18 +724,22 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
     for i, means in enumerate(control_means):
         if means is not None:
             by_count.setdefault(len(means), []).append(i)
+    factors: list[dict[str, float]] = [{} for _ in configs]
     for adjusted in by_count.values():
         rows = np.array([[points[i].pop(q) for q in control_means[i]] + [points[i]["floor"]]
                          for i in adjusted])
         means = np.array([list(control_means[i].values()) for i in adjusted])
-        for i, correction in zip(adjusted, _control_corrections(rows, means)):
-            values = points[i]
-            if correction is not None:
+        for i, fit in zip(adjusted, _control_corrections(rows, means)):
+            if fit is not None:
+                correction, factor = fit
+                values = points[i]
                 values["floor"] = values["floor"] - correction
+                factors[i]["floor"] = factor
                 if configs[i].v_a and "lower_bob" in values:
                     values["lower_bob"] = values["lower_bob"] - configs[i].v_a * correction
+                    factors[i]["lower_bob"] = factors[i]["upper"] = factor
     results = []
-    for config, exact, values in zip(configs, exacts, points):
+    for config, exact, values, factor in zip(configs, exacts, points, factors):
         est = {name: Estimate.exact(value) for name, value in exact.items()}
         # a floor sampled only for lower_bob's correction is not reported
         est.update((name, summarize(v)) for name, v in values.items()
@@ -749,6 +747,8 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
         if "upper" in wanted:
             est["upper"] = summarize(values["lower_bob"] + values["gap"]) \
                 if "gap" in values else est["lower_bob"]
+        for name in factor.keys() & est.keys():
+            est[name] = replace(est[name], stderr=est[name].stderr * factor[name])
         if "lower" in wanted:
             bob = est["lower_bob"]
             alice = est["lower_alice"] if config.v_b else bob

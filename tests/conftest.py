@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -55,22 +57,35 @@ def control_means(config, count=None) -> dict:
 
 
 def engine_correction(floor, controls, means):
-    """The engine's control-variate correction of one point's floor, on the
+    """The engine's control-variate fit of one point's floor, on the
     controls' per-trial values and their means (dicts keyed by name, in the
-    order of `means`)."""
+    order of `means`): (correction, stderr factor), or None where the
+    regression is singular."""
     from skcprobe.capacity import _control_corrections
     return _control_corrections(np.array([[controls[n] for n in means] + [floor]]),
                                 np.array([list(means.values())]))[0]
 
 
+def scaled(est, factor):
+    """`est` with its stderr times `factor`, as evaluate reports an estimate
+    built from adjusted samples."""
+    return replace(est, stderr=est.stderr * factor)
+
+
 def control_correction(floor, controls, means):
-    """Per-trial control-variate correction of the floor, beta . (t - mean),
-    with beta the coefficients of the controls in the least-squares fit of
-    the floor on (1, controls) by np.linalg.lstsq: an arithmetic path
-    independent of the engine's solve of the normal equations."""
-    design = np.column_stack([np.ones_like(floor)] + [controls[n] for n in means])
+    """(per-trial control-variate correction of the floor, beta . (t -
+    mean), and the standard error of the regression estimate), from the
+    least-squares fit of the floor on D = [1, t - mean] by np.linalg.lstsq:
+    an arithmetic path independent of the engine's solve of the normal
+    equations.  The estimate is the fit's intercept, and its standard error
+    sqrt(s^2 [(D^T D)^-1]_00), s^2 the residual sum of squares over n - k -
+    1, with (D^T D)^-1 = D^+ D^+^H from the pseudo-inverse's SVD."""
+    design = np.column_stack([np.ones_like(floor)] + [controls[n] - means[n] for n in means])
     beta, *_ = np.linalg.lstsq(design, floor, rcond=None)
-    return sum(b * (controls[n] - means[n]) for b, n in zip(beta[1:], means))
+    residual = floor - design @ beta
+    s2 = residual @ residual / (len(floor) - len(means) - 1)
+    row = np.linalg.pinv(design)[0]
+    return design[:, 1:] @ beta[1:], float(np.sqrt(s2 * (row @ row)))
 
 
 @pytest.fixture

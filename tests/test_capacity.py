@@ -61,7 +61,7 @@ from skcprobe.montecarlo import BLOCK, collect, summarize, trial_blocks
 from skcprobe.verify import (IDENTITY_ATOL, floor_resolvent, gap_resolvent,
                              lower_bob_rectangular)
 from conftest import (capacity_logdet, control_means, engine_correction, make_config,
-                      make_realization)
+                      make_realization, scaled)
 
 LOG2_4_3 = 0.41503749927884382
 LOG2_3_2 = 0.58496250072115618
@@ -325,9 +325,9 @@ class TestBatchedIntegrands:
         means = control_means(cfg)
         values = trial_values_many([(cfg, ("gap", "lower_bob", "floor") + tuple(means))],
                                    mc)[0]
-        correction = engine_correction(values["floor"], values, means)
-        assert evaluate(cfg, mc, ("upper",))["upper"] == \
-            summarize((values["lower_bob"] - cfg.v_a * correction) + values["gap"])
+        correction, factor = engine_correction(values["floor"], values, means)
+        assert evaluate(cfg, mc, ("upper",))["upper"] == scaled(
+            summarize((values["lower_bob"] - cfg.v_a * correction) + values["gap"]), factor)
 
     def test_one_collect_pass_for_any_request(self, monkeypatch):
         import skcprobe.capacity as capacity
@@ -508,20 +508,21 @@ class TestEvaluateMany:
         batched = self.assert_equals_one_config_evaluate(configs, mc, QUANTITIES)
         assert batched[-1]["floor"] == Estimate.exact(0.0)
         # and the floor is the per-sample direct form over the blocks, less
-        # its control-variate correction, summarized
+        # its control-variate correction, summarized, with the regression's
+        # stderr factor
         for config, point in zip(configs[:-1], batched):
             direct = np.concatenate([secrecy_floor_sample(block, config)
                                      for _, block in trial_blocks(config, mc)])
             means = control_means(config)
             controls = trial_values_many([(config, tuple(means))], mc)[0]
-            correction = engine_correction(direct, controls, means)
-            assert point["floor"] == summarize(direct - correction)
+            correction, factor = engine_correction(direct, controls, means)
+            assert point["floor"] == scaled(summarize(direct - correction), factor)
 
     @pytest.mark.parametrize("trials", [200, BLOCK + 30])
     def test_fig1_cases_share_the_stacked_solve(self, trials):
-        # at 200 trials every case regresses on three controls, so all 12
-        # points' systems are solved in one stack; at 286 the n_e < n_a
-        # case takes four and the others three
+        # at either count the n_e < n_a case regresses on four controls and
+        # the others on three, so the 12 points' systems are solved in two
+        # stacks, within one block and across two
         spec = load_spec("fig1")
         configs = [apply_parameter(case_config(spec, case), "noise_ea", v)
                    for case in spec.cases for v in spec.sweep.values[::3]]

@@ -421,6 +421,18 @@ quantities: [gap, bounds]
         assert fields["gap_mean"] == "0" and fields["gap_stderr"] == "0"
         assert fields["lower_mean"] == fields["upper_mean"]
 
+    def test_bundled_means_are_pinned(self, tmp_path):
+        # the twelve-digit means of the bundled spec at its own seed and
+        # trials: a change to the reported standard errors alone leaves
+        # them byte for byte
+        assert main(["eval", "--config", "oneway", "--seed", "1", "--trials", "10000",
+                     "--out", str(tmp_path)]) == 0
+        header, row = (tmp_path / "oneway.csv").read_text().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert {k: v for k, v in fields.items() if k.endswith("_mean")} == {
+            "pilot_mi_mean": "19.1306071068", "floor_mean": "7.68733467501",
+            "gap_mean": "0", "lower_mean": "49.8799458068", "upper_mean": "49.8799458068"}
+
 
 class TestDegenerateConfig:
     def test_uncorrelated_pilot_only_scenario_reports_zeros(self, tmp_path):

@@ -20,8 +20,8 @@ import yaml
 import skcprobe.capacity as capacity
 from skcprobe import (Estimate, McSettings, ProbingConfig, evaluate, evaluate_many,
                       secrecy_floor_sample, wishart_logdet_mean)
-from skcprobe.capacity import (WISHART_MAX_DIM, _control_corrections, _eigenvalue_weights,
-                               cv_min_trials, trial_values_many)
+from skcprobe.capacity import (CV_MIN_TRIALS, WISHART_MAX_DIM, _control_corrections,
+                               _eigenvalue_weights, trial_values_many)
 from skcprobe.channel import DRAWN, derive_gammas
 from skcprobe.errors import IntegrandFailure
 from skcprobe.experiments import (apply_parameter, case_config, config_from_mapping,
@@ -29,7 +29,8 @@ from skcprobe.experiments import (apply_parameter, case_config, config_from_mapp
 from skcprobe.montecarlo import BLOCK, summarize, trial_blocks
 from skcprobe.numerics import conj_t
 
-from conftest import capacity_logdet, control_correction, control_means, engine_correction
+from conftest import (capacity_logdet, control_correction, control_means, engine_correction,
+                      scaled)
 
 
 def density_coefficients(m: int, d: int) -> list[Fraction]:
@@ -176,9 +177,10 @@ def null_space_t4(block, config) -> np.ndarray:
 
 
 class TestControlVariates:
-    """evaluate_many regresses each point's floor on its control variates
-    (t2, t3, and t4 where n_e < n_a) and subtracts beta . (t - mean) from
-    the floor's samples and v_a times it from lower_bob's."""
+    """evaluate_many regresses each point's floor on all of its control
+    variates (t2, t3, t5, and t4 where n_e < n_a), subtracts beta . (t -
+    mean) from the floor's samples and v_a times it from lower_bob's, and
+    reports the regression estimate's least-squares standard error."""
 
     @pytest.mark.parametrize("config", [
         ONEWAY,
@@ -214,12 +216,42 @@ class TestControlVariates:
         mc = McSettings(trials=BLOCK + 44, master_seed=9)
         means = control_means(config)
         values = trial_values_many([(config, ("floor", "lower_bob") + tuple(means))], mc)[0]
-        engine = engine_correction(values["floor"], values, means)
-        reference = control_correction(values["floor"], values, means)
+        engine, factor = engine_correction(values["floor"], values, means)
+        reference, _ = control_correction(values["floor"], values, means)
         assert np.max(np.abs(engine - reference)) <= 1e-12 * np.max(np.abs(reference))
         est = evaluate(config, mc, ("floor", "lower_bob"))
-        assert est["floor"] == summarize(values["floor"] - engine)
-        assert est["lower_bob"] == summarize(values["lower_bob"] - config.v_a * engine)
+        assert est["floor"] == scaled(summarize(values["floor"] - engine), factor)
+        assert est["lower_bob"] == scaled(
+            summarize(values["lower_bob"] - config.v_a * engine), factor)
+
+    @pytest.mark.parametrize("trials", [CV_MIN_TRIALS, 200, 3000])
+    @pytest.mark.parametrize("config", [
+        replace(FIG1_BASE, noise_ea=0.3), replace(FIG1_BASE, n_e=10, noise_ea=0.3)],
+        ids=["four-controls", "three-controls"])
+    def test_floor_stderr_is_the_least_squares_intercept_one(self, config, trials):
+        mc = McSettings(trials=trials, master_seed=11)
+        means = control_means(config)
+        values = trial_values_many([(config, ("floor",) + tuple(means))], mc)[0]
+        _, reference = control_correction(values["floor"], values, means)
+        stderr = evaluate(config, mc, ("floor",))["floor"].stderr
+        assert abs(stderr - reference) <= 1e-12 * reference
+
+    def test_stderr_matches_the_spread_of_means_at_100_trials(self):
+        # fig1's n_e < n_a case at its smallest noise_ea, on four controls
+        # at 100 trials: the spread of 200 seeds' means against the stderr
+        # they report, and their mean against a 16x-trial estimate
+        spec = load_spec("fig1")
+        cfg = apply_parameter(case_config(spec, spec.cases[0]), "noise_ea",
+                              min(spec.sweep.values))
+        assert (cfg.n_a, cfg.n_b, cfg.n_e) == (8, 4, 6)
+        ests = [evaluate(cfg, McSettings(trials=100, master_seed=seed), ("floor",))["floor"]
+                for seed in range(1, 201)]
+        means = np.array([e.mean for e in ests])
+        spread = float(np.std(means, ddof=1))
+        assert abs(spread / float(np.median([e.stderr for e in ests])) - 1.0) <= 0.25
+        ref = evaluate(cfg, McSettings(trials=1600, master_seed=201), ("floor",))["floor"]
+        assert abs(float(np.mean(means)) - ref.mean) <= 4 * math.hypot(
+            spread / math.sqrt(len(means)), ref.stderr)
 
     def test_controls_are_the_floor_terms_and_leave_the_floor_as_it_was(self):
         cfg = replace(FIG1_BASE, noise_ea=0.3)
@@ -270,7 +302,7 @@ class TestControlVariates:
 
     @pytest.mark.parametrize("overrides,trials", [
         (dict(power_a=0.0), 300),                      # no probe: t2 = t3 = 0
-        ({}, cv_min_trials(1) - 1),                    # too few trials
+        ({}, CV_MIN_TRIALS - 1),                       # too few trials
         (dict(n_a=WISHART_MAX_DIM + 1, phi_a=0), 300),  # shape outside the domain
         (dict(noise_ea=1e8), 300),                     # gamma_ea below the domain
     ], ids=["no-probe-power", "too-few-trials", "shape", "gamma"])
@@ -282,33 +314,33 @@ class TestControlVariates:
         assert est["floor"] == summarize(raw["floor"])
         assert est["lower"] == est["upper"] == summarize(raw["lower_bob"])
 
-    @pytest.mark.parametrize("controls,edge", [(1, 52), (2, 102), (3, 152), (4, 203)])
-    def test_min_trials_keeps_the_stderr_divisor_within_one_percent(self, controls, edge):
-        assert cv_min_trials(controls) == edge
-        low = [math.sqrt((n - controls - 1) / (n - 1)) for n in (edge - 1, edge)]
-        assert low[0] < 0.99 <= low[1]
-        # the n_e < n_a point regresses on the longest prefix of (t2, t3,
-        # t5, t4) that its trial count allows, and with none on raw samples
-        for trials, count in ((edge - 1, controls - 1), (edge, controls)):
+    @pytest.mark.parametrize("config,count", [
+        (ONEWAY, 4), (replace(FIG1_BASE, n_e=10, noise_ea=0.3), 3)],
+        ids=["n_e-below-n_a", "n_e-above-n_a"])
+    def test_a_point_takes_all_of_its_controls_from_the_minimum_trials(self, config, count):
+        # below CV_MIN_TRIALS raw samples, from it every control at once
+        for trials, used in ((CV_MIN_TRIALS - 1, 0), (CV_MIN_TRIALS, count)):
             mc = McSettings(trials=trials, master_seed=19)
-            assert evaluate(ONEWAY, mc, ("floor",))["floor"] == \
-                self.adjusted_floor(ONEWAY, mc, count), trials
+            assert evaluate(config, mc, ("floor",))["floor"] == \
+                self.adjusted_floor(config, mc, used), trials
 
     @staticmethod
     def adjusted_floor(config, mc, count):
         """The floor at `config` regressed on the first `count` controls of
-        its ordered list, or raw when `count` is 0."""
+        its ordered list, with the engine's stderr factor, or raw when
+        `count` is 0."""
         means = control_means(config, count)
         values = trial_values_many([(config, ("floor",) + tuple(means))], mc)[0]
         if not means:
             return summarize(values["floor"])
-        return summarize(values["floor"] - engine_correction(values["floor"], values, means))
+        correction, factor = engine_correction(values["floor"], values, means)
+        return scaled(summarize(values["floor"] - correction), factor)
 
     @pytest.mark.parametrize("case,trials,count", [
-        ("na8-nb4-ne6", 200, 3), ("na8-nb4-ne10", 200, 3), ("na4-nb4-ne4", 3000, 3)])
+        ("na8-nb4-ne6", 200, 4), ("na8-nb4-ne10", 200, 3), ("na4-nb4-ne4", 3000, 3)])
     def test_a_fig1_point_takes_every_control_its_trials_allow(self, case, trials, count):
-        # at 200 trials the n_e < n_a case takes (t2, t3, t5), not raw
-        # samples; an n_e >= n_a point has three controls at any count
+        # at fig1's 200 trials the n_e < n_a case takes (t2, t3, t5, t4),
+        # not raw samples; an n_e >= n_a point has three controls
         spec = load_spec("fig1")
         cfg = apply_parameter(case_config(spec, next(c for c in spec.cases if c.name == case)),
                               "noise_ea", 0.3)
@@ -323,12 +355,12 @@ class TestControlVariates:
         n_a, n_b, n_e = shape
         cfg = replace(FIG1_BASE, n_a=n_a, n_b=n_b, n_e=n_e, noise_ea=1.0, noise_b=1.0)
         means = control_means(cfg)
-        floor = evaluate(cfg, McSettings(trials=cv_min_trials(3), master_seed=31),
+        floor = evaluate(cfg, McSettings(trials=CV_MIN_TRIALS, master_seed=31),
                          ("floor",))["floor"]
         assert abs(floor.mean - (means["t5"] - means["t2"])) <= 1e-12
 
     def test_singular_regression_gives_no_correction(self, rng):
-        n = cv_min_trials(3)
+        n = CV_MIN_TRIALS
         floor, t, other = (rng.standard_normal(n) for _ in range(3))
         zero = {"t2": 0.0, "t3": 0.0}
         assert engine_correction(floor, {"t2": t, "t3": np.zeros_like(t)}, zero) is None
@@ -336,10 +368,11 @@ class TestControlVariates:
         assert engine_correction(floor, {"t2": t, "t3": other, "t4": t - 3.0 * other},
                                  dict(zero, t4=0.0)) is None
         alone = engine_correction(floor, {"t2": t, "t3": other}, {"t2": 0.1, "t3": 0.2})
-        # next to a singular point, a point's correction is the one it gets alone
+        # next to a singular point, a point's fit is the one it gets alone
         batch = _control_corrections(np.array([[t, other, floor], [t, 2.0 * t, floor]]),
                                      np.array([[0.1, 0.2], [0.0, 0.0]]))
-        assert np.array_equal(batch[0], alone) and batch[1] is None
+        assert np.array_equal(batch[0][0], alone[0]) and batch[0][1] == alone[1]
+        assert batch[1] is None
 
     def test_non_finite_t3_fails_its_point_naming_the_floor(self, monkeypatch):
         real = capacity.Grams.bob_joint_logdets

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from skcprobe.capacity import cv_min_trials
+from skcprobe.capacity import CV_MIN_TRIALS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -60,9 +60,9 @@ def cli_probes(tmp_path_factory):
     """(output directory, {case: modules loaded}) of a fresh interpreter
     that imports the package or runs one of eval, sweep and dof."""
     out = tmp_path_factory.mktemp("cli")
-    # enough trials for three controls, so that every run evaluates the
-    # closed-form means of the floor's control variates
-    trials = str(cv_min_trials(3))
+    # enough trials for the control variates, so that every run evaluates
+    # the closed-form means of the floor's controls
+    trials = str(CV_MIN_TRIALS)
     cases = {
         "import": "import skcprobe, skcprobe.cli",
         "eval": cli_statement(["eval", "--config", "oneway", "--trials", trials,

@@ -7,7 +7,7 @@ from skcprobe import Estimate, McSettings, estimate, evaluate
 from skcprobe.capacity import secrecy_floor_sample, trial_values_many
 from skcprobe.errors import IntegrandFailure, ValidationError
 from skcprobe.montecarlo import BLOCK, collect, pairwise_sum, summarize, trial_blocks
-from conftest import control_means, engine_correction, make_config
+from conftest import control_means, engine_correction, make_config, scaled
 
 
 def abs2_integrand(block):
@@ -57,12 +57,13 @@ class TestEstimate:
         values = collect(lambda b: {"floor": secrecy_floor_sample(b, cfg)}, cfg, settings)
         assert est == summarize(values["floor"])
         # evaluate summarizes the same values less their control-variate
-        # correction (see test_control_variates.py)
+        # correction, its stderr times the regression's factor (see
+        # test_control_variates.py)
         means = control_means(cfg)
         values = trial_values_many([(cfg, ("floor",) + tuple(means))], settings)[0]
-        correction = engine_correction(values["floor"], values, means)
+        correction, factor = engine_correction(values["floor"], values, means)
         assert evaluate(cfg, settings, ("floor",))["floor"] == \
-            summarize(values["floor"] - correction)
+            scaled(summarize(values["floor"] - correction), factor)
 
     def test_non_finite_value_names_lowest_trial(self):
         cfg = make_config(n_a=1, n_b=1, n_e=1)
