@@ -18,19 +18,21 @@ Quantities (all in bits, log base 2; QUANTITIES names them):
 Each expectation has one per-sample form here, the one the engine runs;
 skcprobe.verify holds an algebraically equivalent form of each, computed
 through a different factorization, and certifies their agreement on the
-engine's draws.  Every per-sample integrand also accepts a block of
-draws (see ChannelRealization) and then evaluates all of its trials at once
-with stacked Gram products and factorizations.  ``evaluate_many`` is the
-single Monte Carlo path that every estimate here goes through: points whose
-draws are identical share one pass, and each block's Gram matrices are
-formed once for all of them, which also build what they factor in the
-block's work matrices (see Grams; ``evaluate`` is its one-point call).  It
-estimates the floor, and the bounds built on it, with control variates
-whose exact means ``wishart_logdet_mean`` evaluates in closed form: t2 and
-t3, the log-dets of what Eve and Bob see of Alice's probes, t5, what both
-see together at Bob's SNR, and, where n_e < n_a, t4, what Bob sees through
-the dimensions Eve cannot observe (see _controls), all of them from
-CV_MIN_TRIALS trials on, and reports the regression's least-squares stderr.
+engine's draws; the two-way forms are sums of the log-dets that the floor of
+each probing direction and its controls factor.  Every per-sample integrand
+also accepts a block of draws (see ChannelRealization) and then evaluates
+all of its trials at once with stacked Gram products and factorizations.
+``evaluate_many`` is the single Monte Carlo path that every estimate here
+goes through: points whose draws are identical share one pass, and each
+block's Gram matrices are formed once for all of them, which also build what
+they factor in the block's work matrices (see Grams; ``evaluate`` is its
+one-point call).  It estimates the floor, and the bounds built on it, with
+control variates whose exact means ``wishart_logdet_mean`` evaluates in
+closed form: t2 and t3, the log-dets of what Eve and Bob see of Alice's
+probes, t5, what both see together at Bob's SNR, and, where n_e < n_a, t4,
+what Bob sees through the dimensions Eve cannot observe (see _controls), all
+of them from CV_MIN_TRIALS trials on, and reports the regression's
+least-squares stderr.
 """
 
 from __future__ import annotations
@@ -167,12 +169,20 @@ def _h_ba_first(n_e: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return order[:, None], order
 
 
+@functools.lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    """The read-only n-square identity, built once (np.eye is a per-draw cost)."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _gram(m: np.ndarray) -> np.ndarray:
     return hermitize(conj_t(m) @ m)
 
 
-def _outer(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return hermitize(m @ conj_t(m), out)
+def _outer(m: np.ndarray) -> np.ndarray:
+    return hermitize(m @ conj_t(m))
 
 
 class Grams:
@@ -235,7 +245,7 @@ class Grams:
             gram = self._gram(channel)
             work = self.work(gram.shape[-2:])
             np.multiply(gram, gamma, out=work)
-            work += np.eye(gram.shape[-1])
+            work += _eye(gram.shape[-1])
             return logdet_hermitian_pd(work)
 
         return self._logdet((channel, gamma), factor)
@@ -280,7 +290,7 @@ class Grams:
         def factor():
             work = self._scaled_stacked(
                 gamma_ea, math.sqrt(gamma_ea) * math.sqrt(gamma_ba), gamma_ba)
-            work += np.eye(work.shape[-1])
+            work += _eye(work.shape[-1])
             return logdet_hermitian_pd(work, split=n_e)
 
         return self._logdet(("floor", self._channel("g_a"), gamma_ea, gamma_ba), factor)
@@ -297,23 +307,26 @@ class Grams:
         def factor():
             work = self._scaled_stacked(1.0, math.sqrt(gamma_ba), gamma_ba)
             trailing = work[..., n_e:, n_e:]
-            trailing += np.eye(trailing.shape[-1])
+            trailing += _eye(trailing.shape[-1])
             return logdet_hermitian_pd(work, split=n_e)[1]
 
         return self._logdet(("null", self._channel("g_a"), gamma_ba), factor)
 
-    def joint_logdet(self, gamma_ba: float):
-        """t5 = log2det(I + gamma_ba (G + H)) per trial where n_e >= n_a,
-        from the n_a x n_a Grams that the floor forms."""
+    def folded_logdet(self, gamma_ea: float, ratio: float):
+        """log2det(I + gamma_ea (G + ratio H)) per trial, from the n_a x n_a
+        Grams of g_a and h_ba: the floor's joint log-det where n_e >= n_a
+        (ratio = noise_ea/noise_b) and t5 (gamma_ba and ratio 1.0), which
+        are one factorization at noise_ea = noise_b."""
 
         def factor():
             gram = self["g_a"]
-            work = np.add(gram, self["h_ba"], out=self.work(gram.shape[-2:]))
-            work *= gamma_ba
-            work += np.eye(gram.shape[-1])
+            work = np.multiply(self["h_ba"], ratio, out=self.work(gram.shape[-2:]))
+            work += gram
+            work *= gamma_ea
+            work += _eye(work.shape[-1])
             return logdet_hermitian_pd(work)
 
-        return self._logdet(("joint", self._channel("g_a"), gamma_ba), factor)
+        return self._logdet(("folded", self._channel("g_a"), gamma_ea, ratio), factor)
 
     def bob_joint_logdets(self, gamma_ba: float):
         """(t3, t5) per trial where n_e < n_a, from one Cholesky
@@ -329,7 +342,7 @@ class Grams:
             n_b = k.shape[-1] - n_e
             rows, cols = _h_ba_first(n_e, k.shape[-1])
             work = np.multiply(k[..., rows, cols], gamma_ba, out=self.work(k.shape[-2:]))
-            work += np.eye(k.shape[-1])
+            work += _eye(k.shape[-1])
             bob, rest = logdet_hermitian_pd(work, split=n_b)
             return bob, bob + rest
 
@@ -353,18 +366,18 @@ def secrecy_floor_sample(realization: ChannelRealization, config: ProbingConfig,
     log2det(I + gamma_ea G + gamma_ba H) - log2det(I + gamma_ea G) with G, H
     the Grams of g_a, h_ba.  It is exactly 0 at noise_ea = 0, the floor's
     limit there only when n_e >= n_a.  `grams` is the realization's Gram
-    store when the caller shares it (see Grams).  One form per regime:
+    store when the caller shares it (see Grams), which factors each log-det
+    once.  One form per regime:
 
     * n_e < n_a: the trailing log-det of one (n_e + n_b)-square Cholesky
       factorization (Grams.floor_logdets), no difference of log-dets.  It
       stays accurate as noise_ea -> 0, where it tends to t4, Bob's channel
       seen through the n_a - n_e dimensions that Eve cannot observe
       (Grams.null_logdet).
-    * n_e >= n_a: the difference of two n_a x n_a log-determinants, with
-      Bob's channel folded into Eve's Gram at weight noise_ea/noise_b, both
-      built in the store's n_a x n_a work matrix; the second,
-      log2det(I + gamma_ea G), is the store's shared one (see
-      Grams.identity_logdet).
+    * n_e >= n_a: the difference of two n_a x n_a log-determinants, the
+      joint one with Bob's channel folded into Eve's Gram at weight
+      noise_ea/noise_b (Grams.folded_logdet) and log2det(I + gamma_ea G)
+      (Grams.identity_logdet).
 
     In both, log2det(I + gamma_ea G) is the control variate t2 that
     evaluate_many reads from the same factorization.
@@ -376,79 +389,65 @@ def secrecy_floor_sample(realization: ChannelRealization, config: ProbingConfig,
     if config.n_e < config.n_a:
         val = grams.floor_logdets(gam.gamma_ea, gam.gamma_ba)[1]
     else:
-        # gamma_ea (G + (noise_ea/noise_b) H) + I
-        work = grams.work((config.n_a, config.n_a))
-        np.multiply(grams["h_ba"], config.noise_ea / config.noise_b, out=work)
-        work += grams["g_a"]
-        work *= gam.gamma_ea
-        work += np.eye(config.n_a)
-        folded = logdet_hermitian_pd(work)
-        val = folded - grams.identity_logdet("g_a", gam.gamma_ea)
+        val = (grams.folded_logdet(gam.gamma_ea, config.noise_ea / config.noise_b)
+               - grams.identity_logdet("g_a", gam.gamma_ea))
     # mathematically >= 0 (each trailing factor entry, or det of M + PSD
     # over det of M, is >= 1); clamp round-off
     return realization.per_trial(np.maximum(val, 0.0))
 
 
+# config.swap_roles(), built once per config for the per-draw calls
+_swapped_config = functools.lru_cache(maxsize=1024)(ProbingConfig.swap_roles)
+
+
 def bound_gap_sample(realization: ChannelRealization, config: ProbingConfig,
                      grams: Grams | None = None):
-    """Per-realization gap between the upper and Bob-side lower bound.
-
-    Rectangular determinants of Bob's channel stacked over Eve's weighted
-    channel, built in the work matrices of `grams` (see Grams) when the
-    caller shares a store.  Exactly zero when v_b = 0.
+    """Per-realization gap between the upper and Bob-side lower bound,
+    v_b (S' - t3') with ' the role-swapped scenario: S' = log2det(I +
+    gamma_eb G_b + gamma_ab H_ab), G_b and H_ab the Grams of g_b and h_ab,
+    is its floor's joint log-det, the unclamped t2' + floor' of
+    Grams.floor_logdets where n_e < n_b and Grams.folded_logdet otherwise,
+    and t3' its control t3.  Exactly zero when v_b = 0.
     """
     if config.v_b == 0:
         return realization.per_trial(0.0)
     if config.noise_eb == 0:
         raise InvalidNoise("the bound gap diverges at noise_eb = 0 with v_b > 0")
-    gam = derive_gammas(config)
-    weight = config.noise_a / config.noise_eb
-    grams = Grams(realization) if grams is None else grams
-    n_a, n = config.n_a, config.n_a + config.n_e
-    stacked = grams.work((n, config.n_b))
-    stacked[..., :n_a, :] = realization.h_ab
-    np.multiply(realization.g_b, np.sqrt(weight), out=stacked[..., n_a:, :])
-    # at n_b = n this is stacked's own work matrix, written only after the
-    # product is formed
-    work = _outer(stacked, grams.work((n, n)))
-    work *= gam.gamma_ab
-    work += np.eye(n)
-    big = logdet_hermitian_pd(work)
-    work = _outer(realization.h_ab, grams.work((n_a, n_a)))
-    work *= gam.gamma_ab
-    work += np.eye(n_a)
-    val = config.v_b * (big - logdet_hermitian_pd(work))
+    swapped = _swapped_config(config)
+    gam = derive_gammas(swapped)
+    grams = (Grams(realization) if grams is None else grams).swap_roles()
+    if swapped.n_e < swapped.n_a:
+        t2, floor = grams.floor_logdets(gam.gamma_ea, gam.gamma_ba)
+        joint = t2 + floor
+    else:
+        joint = grams.folded_logdet(gam.gamma_ea, swapped.noise_ea / swapped.noise_b)
+    val = config.v_b * (joint - _controls(swapped)["t3"][3](grams))
     return realization.per_trial(np.maximum(val, 0.0))
 
 
 def lower_bound_bob_sample(realization: ChannelRealization, config: ProbingConfig,
-                           floor=None, grams: Grams | None = None):
-    """Per-realization integrand of the Bob-side lower bound.
-
-    n_a/n_b-sized Gram determinants; equal to pilot_mi + v_a * floor bit for
-    bit when v_b = 0.  A caller that already holds the floor integrand on
-    the same draws passes it as ``floor``, and a caller that shares the
-    draws' Gram store passes it as ``grams``, so neither is computed again.
+                           grams: Grams | None = None):
+    """Per-realization integrand of the Bob-side lower bound, pilot_mi + v_a
+    floor + v_b (t3' - t2') with t3', t2' the controls of the role-swapped
+    scenario; pilot_mi + v_a * floor bit for bit when v_b = 0.  The floor
+    and the controls are read from `grams` when the caller shares it.
     """
-    gam = derive_gammas(config)
     val = pilot_mi(config)
     grams = Grams(realization) if grams is None else grams
     if config.v_a:
-        if floor is None:
-            floor = secrecy_floor_sample(realization, config, grams)
-        val += config.v_a * floor
+        val += config.v_a * secrecy_floor_sample(realization, config, grams)
     if config.v_b:
         if config.noise_eb == 0:
             raise InvalidNoise("lower bound diverges at noise_eb = 0 with v_b > 0")
-        val += config.v_b * (grams.identity_logdet("h_ab", gam.gamma_ab)
-                             - grams.identity_logdet("g_b", gam.gamma_eb))
+        controls, swapped = _controls(_swapped_config(config)), grams.swap_roles()
+        val += config.v_b * (controls["t3"][3](swapped) - controls["t2"][3](swapped))
     return realization.per_trial(val)
 
 
 # every quantity `evaluate` estimates; 'lower' is the larger side bound
 QUANTITIES = ("pilot_mi", "floor", "gap", "lower_bob", "lower_alice", "upper", "lower")
 # the Monte Carlo integrands, in the order a point evaluates them (the
-# Bob-side bound reuses the point's floor values)
+# bounds and the gap read the log-dets that the floors factor)
 SAMPLED = ("floor", "lower_bob", "gap", "lower_alice")
 # the floor's control variates (see _controls), G and H the Grams of g_a
 # and h_ba: t2 = log2det(I + gamma_ea G), t3 = log2det(I + gamma_ba H), t5 =
@@ -474,6 +473,7 @@ def _draws_key(config: ProbingConfig) -> tuple:
     return (config.n_a, config.n_b, config.n_e, config.rho)
 
 
+@functools.lru_cache(maxsize=1024)
 def _controls(config: ProbingConfig) -> dict[str, tuple[int, int, float, Callable]]:
     """Name -> (rows, cols, gamma, read) of each of the floor's CONTROLS at
     `config`, in the order a point takes them: (t2, t3, t5), and t4 last
@@ -485,17 +485,19 @@ def _controls(config: ProbingConfig) -> dict[str, tuple[int, int, float, Callabl
     leading part of the floor's own factorization, t3 and t5 come from one
     factorization of the reordered stacked Gram (Grams.bob_joint_logdets)
     and t4 (h_ba in an orthonormal basis of null(g_a) is n_b x (n_a - n_e),
-    iid and independent of g_a) from its noiseless limit; otherwise t2, t3
-    and t5 are identity log-dets of the n_a x n_a Grams G, H and G + H.
-    t3, t5 and t4 depend on gamma_ba only, so the points of a noise_ea
-    sweep share them per block."""
+    iid and independent of g_a) from its noiseless limit; otherwise t2 and
+    t3 are identity log-dets of the n_a x n_a Grams G and H, and t5 is
+    Grams.folded_logdet at ratio 1.0.  t3, t5 and t4 depend on gamma_ba
+    only, so the points of a noise_ea sweep share them per block.  The
+    two-way integrands read the role-swapped config's t3 and t2 on every
+    draw, so the dict is built once per config, shared and read only."""
     gam = derive_gammas(config)
     g_ea, g_ba = gam.gamma_ea, gam.gamma_ba
     n_a, n_b, n_e = config.n_a, config.n_b, config.n_e
     if n_e >= n_a:
         return {"t2": (n_e, n_a, g_ea, lambda grams: grams.identity_logdet("g_a", g_ea)),
                 "t3": (n_b, n_a, g_ba, lambda grams: grams.identity_logdet("h_ba", g_ba)),
-                "t5": (n_e + n_b, n_a, g_ba, lambda grams: grams.joint_logdet(g_ba))}
+                "t5": (n_e + n_b, n_a, g_ba, lambda grams: grams.folded_logdet(g_ba, 1.0))}
     return {"t2": (n_e, n_a, g_ea, lambda grams: grams.floor_logdets(g_ea, g_ba)[0]),
             "t3": (n_b, n_a, g_ba, lambda grams: grams.bob_joint_logdets(g_ba)[0]),
             "t5": (n_e + n_b, n_a, g_ba, lambda grams: grams.bob_joint_logdets(g_ba)[1]),
@@ -587,18 +589,15 @@ def _group_integrand(plan: Sequence[tuple[_Key, ProbingConfig]]):
     def block_values(block: ChannelRealization) -> dict[_Key, np.ndarray]:
         grams = Grams(block)
         swapped, swapped_grams = block.swap_roles(), grams.swap_roles()
-        floors = {}
         out = {}
         for key, config in plan:
             try:
                 if key.part:
                     out[key] = controls[key](grams)
                 elif key.quantity == "floor":
-                    out[key] = floors[key.point] = secrecy_floor_sample(
-                        block, config, grams)
+                    out[key] = secrecy_floor_sample(block, config, grams)
                 elif key.quantity == "lower_bob":
-                    out[key] = lower_bound_bob_sample(
-                        block, config, floor=floors.get(key.point), grams=grams)
+                    out[key] = lower_bound_bob_sample(block, config, grams=grams)
                 elif key.quantity == "gap":
                     out[key] = bound_gap_sample(block, config, grams=grams)
                 else:

@@ -84,10 +84,9 @@ def conj_t(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2).conj()
 
 
-def hermitize(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Hermitian part (m + m^H)/2, per matrix of a stack, as one C-contiguous
-    array: a new one, or `out` when a caller passes a work array of m's
-    shape (it must not overlap m).
+def hermitize(m: np.ndarray) -> np.ndarray:
+    """Hermitian part (m + m^H)/2, per matrix of a stack, as one new
+    C-contiguous array.
 
     Gram and outer products from BLAS are Hermitian only to round-off at
     the matrix scale, which can exceed HERMITIAN_ATOL at high SNR; callers
@@ -95,8 +94,7 @@ def hermitize(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     Hermitian check stays a genuine contract on the inputs.
     """
     m = np.asarray(m, dtype=complex)
-    if out is None:
-        out = np.empty(m.shape, dtype=complex)
+    out = np.empty(m.shape, dtype=complex)
     np.conjugate(np.swapaxes(m, -1, -2), out=out)
     out += m
     out /= 2.0

@@ -15,6 +15,7 @@ Frozen expected values and how they were obtained:
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,6 +272,59 @@ class TestLowerBoundBob:
             assert abs(square - rect) <= 1e-9
 
 
+def mp_probe_terms(r, cfg) -> np.ndarray:
+    """v_b (log2det(I + gamma_ab H_ab) - log2det(I + gamma_eb G_b)), H_ab and
+    G_b the Grams of h_ab and g_b, of each trial of a block in 50-digit
+    mpmath, from n_b-square determinants of the exact draws and gammas."""
+    gam = derive_gammas(cfg)
+    out = []
+    with mpmath.workdps(50):
+        for j in range(r.trials_shape[0]):
+            terms = []
+            for gamma, name in ((gam.gamma_ab, "h_ab"), (gam.gamma_eb, "g_b")):
+                m = mpmath.matrix(getattr(r, name)[j].tolist())
+                det = mpmath.det(mpmath.eye(cfg.n_b) + gamma * (m.transpose_conj() * m))
+                terms.append(mpmath.log(mpmath.re(det), 2))
+            out.append(float(cfg.v_b * (terms[0] - terms[1])))
+    return np.array(out)
+
+
+# n_e < n_b and a high SNR at Eve for Bob's probes: an n_b-square log-det of
+# g_b's rank-n_e Gram loses digits there, the leading n_e block of the
+# role-swapped floor's stacked factorization does not.  v_a = 0 keeps the
+# stacked floor's own error at high gamma_ba out of the comparison
+PROBE_ACCURACY = {
+    "(4,4,2)": ProbingConfig(n_a=4, n_b=4, n_e=2, v_a=0, v_b=1, power_a=1e5, power_b=1e5,
+                             noise_ea=1e-6, noise_eb=1e-6, rho=0.5),
+    "(3,5,2)": ProbingConfig(n_a=3, n_b=5, n_e=2, v_a=0, v_b=1, power_a=1e4, power_b=1e4,
+                             noise_eb=0.01, rho=0.5),
+}
+
+
+class TestProbeTermsAccuracy:
+    """The Bob-side bound's v_b terms, t3' - t2' of the role-swapped
+    scenario, and the Alice side's v_a terms against 50-digit mpmath."""
+
+    @pytest.mark.parametrize("name", PROBE_ACCURACY)
+    def test_bob_side_against_mpmath(self, name):
+        cfg = PROBE_ACCURACY[name]
+        _, block = next(trial_blocks(cfg, McSettings(trials=16, master_seed=3)))
+        engine = lower_bound_bob_sample(block, cfg) - pilot_mi(cfg)
+        assert np.max(np.abs(engine - mp_probe_terms(block, cfg))) <= 1e-10
+
+    @pytest.mark.parametrize("name", PROBE_ACCURACY)
+    def test_alice_side_of_the_mirror_against_mpmath(self, name):
+        # the mirror's Alice side is the config's Bob-side bound on the
+        # swapped draws: its v_a terms are the config's v_b terms
+        cfg = PROBE_ACCURACY[name]
+        mirror = cfg.swap_roles()
+        mc = McSettings(trials=16, master_seed=3)
+        alice = trial_values_many([(mirror, ("lower_alice",))], mc)[0]["lower_alice"]
+        _, block = next(trial_blocks(mirror, mc))
+        reference = mp_probe_terms(block.swap_roles(), cfg)
+        assert np.max(np.abs(alice - pilot_mi(cfg) - reference)) <= 1e-10
+
+
 class TestBatchedIntegrands:
     @pytest.mark.parametrize("overrides", [
         dict(v_a=2, v_b=3, n_e=3),            # Bob probes too
@@ -358,61 +412,74 @@ def _hermitize(m):
     return (m + _conj_t(m)) / 2.0
 
 
-def _cholesky_logdet(m, start=0):
-    """log2 det of m, or from `start` on the trailing block's Schur
-    complement, from the Cholesky factor's diagonal."""
+def _cholesky_logdet(m, start=0, stop=None):
+    """log2 det of m, or the part of it from the Cholesky factor's diagonal
+    entries start .. stop: from `start` on, the trailing block's Schur
+    complement; up to `stop`, the leading block."""
     diag = np.real(np.diagonal(np.linalg.cholesky(m), axis1=-2, axis2=-1))
-    return 2.0 * np.sum(np.log2(diag)[..., start:], axis=-1)
+    return 2.0 * np.sum(np.log2(diag)[..., start:stop], axis=-1)
 
 
-def textbook_floor(r, cfg):
-    """The floor as a plain expression, one fresh array per step, in the
-    engine's form for its regime.  Where n_e < n_a: B = I + S S^H with S =
-    [sqrt(gamma_ea) g_a; sqrt(gamma_ba) h_ba], built as the Gram K of
-    [g_a; h_ba] times the exact block factors gamma_ea, sqrt(gamma_ea)
-    sqrt(gamma_ba) and gamma_ba, and the floor is the log-det of the Schur
-    complement of its leading n_e block; otherwise the difference of two
-    n_a x n_a log-dets."""
+def textbook_role_logdets(r, cfg):
+    """The log-dets of cfg's role as plain expressions, one fresh array per
+    step, in the engine's form for its regime: t2, t3, the unclamped floor
+    and the joint log-det S = log2det(I + gamma_ea G + gamma_ba H).  Where
+    n_e < n_a: t2 and the floor are the leading and trailing log-dets of B =
+    I + S S^H with S = [sqrt(gamma_ea) g_a; sqrt(gamma_ba) h_ba], built as
+    the Gram K of [g_a; h_ba] times the exact block factors gamma_ea,
+    sqrt(gamma_ea) sqrt(gamma_ba) and gamma_ba, S is their sum, and t3 is
+    the leading log-det of I + gamma_ba K with K's blocks reordered to
+    [h_ba; g_a]; otherwise n_a x n_a log-dets, S with h_ba's Gram folded
+    into g_a's at weight noise_ea/noise_b and the floor S - t2."""
     gam = derive_gammas(cfg)
     if cfg.n_e < cfg.n_a:
         stacked = np.concatenate([r.g_a, r.h_ba], axis=-2)
         gram = _hermitize(stacked @ _conj_t(stacked))
+        eye = np.eye(cfg.n_e + cfg.n_b)
         scale = np.full(gram.shape[-2:], np.sqrt(gam.gamma_ea) * np.sqrt(gam.gamma_ba))
         scale[:cfg.n_e, :cfg.n_e] = gam.gamma_ea
         scale[cfg.n_e:, cfg.n_e:] = gam.gamma_ba
-        return np.maximum(_cholesky_logdet(scale * gram + np.eye(len(scale)), cfg.n_e), 0.0)
+        t2 = _cholesky_logdet(scale * gram + eye, 0, cfg.n_e)
+        floor = _cholesky_logdet(scale * gram + eye, cfg.n_e)
+        order = np.r_[np.arange(cfg.n_e, cfg.n_e + cfg.n_b), np.arange(cfg.n_e)]
+        t3 = _cholesky_logdet(gam.gamma_ba * gram[..., order[:, None], order] + eye,
+                              0, cfg.n_b)
+        return {"t2": t2, "t3": t3, "floor": floor, "joint": t2 + floor}
     eye = np.eye(cfg.n_a)
     gram_e = _hermitize(_conj_t(r.g_a) @ r.g_a)
-    folded = gram_e + (cfg.noise_ea / cfg.noise_b) * _hermitize(_conj_t(r.h_ba) @ r.h_ba)
-    return np.maximum(_cholesky_logdet(gam.gamma_ea * folded + eye)
-                      - _cholesky_logdet(gam.gamma_ea * gram_e + eye), 0.0)
+    gram_h = _hermitize(_conj_t(r.h_ba) @ r.h_ba)
+    joint = _cholesky_logdet(gam.gamma_ea * (gram_e + (cfg.noise_ea / cfg.noise_b) * gram_h)
+                             + eye)
+    t2 = _cholesky_logdet(gam.gamma_ea * gram_e + eye)
+    return {"t2": t2, "t3": _cholesky_logdet(gam.gamma_ba * gram_h + eye),
+            "floor": joint - t2, "joint": joint}
+
+
+def textbook_floor(r, cfg):
+    """The floor as a plain expression."""
+    return np.maximum(textbook_role_logdets(r, cfg)["floor"], 0.0)
 
 
 def textbook_lower_bob(r, cfg):
-    """The square Bob-side bound on the direct floor, as a plain expression."""
-    gam = derive_gammas(cfg)
-    eye_b = np.eye(cfg.n_b)
-    probe_b = (_cholesky_logdet(gam.gamma_ab * _hermitize(_conj_t(r.h_ab) @ r.h_ab) + eye_b)
-               - _cholesky_logdet(gam.gamma_eb * _hermitize(_conj_t(r.g_b) @ r.g_b) + eye_b))
-    return pilot_mi(cfg) + cfg.v_a * textbook_floor(r, cfg) + cfg.v_b * probe_b
+    """The Bob-side bound on the direct floor, its v_b terms t3 - t2 of the
+    role-swapped scenario, as a plain expression."""
+    swapped = textbook_role_logdets(r.swap_roles(), cfg.swap_roles())
+    return (pilot_mi(cfg) + cfg.v_a * textbook_floor(r, cfg)
+            + cfg.v_b * (swapped["t3"] - swapped["t2"]))
 
 
 def textbook_gap(r, cfg):
-    """The stacked gap as a plain expression."""
-    gam = derive_gammas(cfg)
-    weight = cfg.noise_a / cfg.noise_eb
-    stacked = np.concatenate([r.h_ab, np.sqrt(weight) * r.g_b], axis=-2)
-    big = _cholesky_logdet(gam.gamma_ab * _hermitize(stacked @ _conj_t(stacked))
-                           + np.eye(cfg.n_a + cfg.n_e))
-    small = _cholesky_logdet(gam.gamma_ab * _hermitize(r.h_ab @ _conj_t(r.h_ab))
-                             + np.eye(cfg.n_a))
-    return np.maximum(cfg.v_b * (big - small), 0.0)
+    """The gap v_b (S - t3) of the role-swapped scenario as a plain
+    expression."""
+    swapped = textbook_role_logdets(r.swap_roles(), cfg.swap_roles())
+    return np.maximum(cfg.v_b * (swapped["joint"] - swapped["t3"]), 0.0)
 
 
 # (8, 4, 6) is fig1's first case, whose 256-trial 8 x 8 stacks are 256 KiB;
-# (6, 4, 5) with both probes is the benchmark's two-way scenario (11 x 11
-# stacked gap); (2, 8, 6) puts the 8 x 8 stacks on Bob's side, where the
-# gap's stacked channel is as square as the outer product formed from it
+# (6, 4, 5) with both probes is the benchmark's two-way scenario (9 x 9
+# stacks for the floor, 4 x 4 for the role-swapped one); (2, 8, 6) puts the
+# 8 x 8 stacks on Bob's side, where n_e < n_b gives the role-swapped floor,
+# and with it the gap and the v_b terms, the stacked form
 WORK_CONFIGS = {
     "fig1": dict(n_a=8, n_b=4, n_e=6, v_a=1, v_b=0, power_a=10.0, power_b=10.0,
                  noise_ea=0.3, rho=0.0),
@@ -593,10 +660,11 @@ class TestEvaluateMany:
         import skcprobe.capacity as capacity
         formed = []
         real_gram, real_outer = capacity._gram, capacity._outer
+        real_logdet = capacity.logdet_hermitian_pd
         monkeypatch.setattr(capacity, "_gram",
                             lambda m: formed.append(("gram", m.shape)) or real_gram(m))
-        monkeypatch.setattr(capacity, "_outer", lambda m, out=None: formed.append(
-            ("outer", m.shape)) or real_outer(m, out))
+        monkeypatch.setattr(capacity, "_outer",
+                            lambda m: formed.append(("outer", m.shape)) or real_outer(m))
         mc = McSettings(trials=BLOCK + 30, master_seed=5)
         spec = load_spec("fig2")
         evaluate_many([config_at_power(spec.base, p) for p in spec.power_grid], mc,
@@ -607,9 +675,18 @@ class TestEvaluateMany:
         base = make_config(v_a=2, v_b=1)
         evaluate_many([base, replace(base, power_a=9.0), replace(base, noise_eb=0.5)],
                       mc, QUANTITIES)
-        # n_e >= n_a: all four channels, once per block (the gap's outer
-        # products are per point)
+        # n_e >= n_a: all four channels, once per block
         assert [kind for kind, _ in formed].count("gram") == 4 * 2
+        # a (6, 4, 5) block of every quantity factors the floor's three
+        # (n_e + n_b)-square matrices (floor_logdets, bob_joint_logdets,
+        # null_logdet) and three n_b-square ones of the role-swapped floor
+        # (folded_logdet, t2', t3'), which the bounds and the gap read too
+        factored = []
+        monkeypatch.setattr(capacity, "logdet_hermitian_pd", lambda m, split=None: (
+            factored.append(m.shape[1:]) or real_logdet(m, split)))
+        twoway = make_config(**WORK_CONFIGS["twoway"])
+        evaluate(twoway, McSettings(trials=BLOCK, master_seed=5), QUANTITIES)
+        assert sorted(factored) == [(4, 4)] * 3 + [(9, 9)] * 3
 
     def test_exact_points_take_no_pass(self, monkeypatch):
         import skcprobe.capacity as capacity

@@ -106,19 +106,59 @@ def test_eval_sweep_dof_do_not_load_the_verify_suite(cli_probes):
     assert modules == [VERIFY]
 
 
-def test_benchmark_trace_targets_resolve():
+def _perfbench_module(name, monkeypatch):
+    """perfbench/<name>.py loaded as a module, registered for the test only
+    (its dataclasses look their module up)."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
     # the benchmark tracer wraps each (module, attribute) at install and
     # fails there if one is gone; loading launch.py only defines names
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_launch", ROOT / "perfbench" / "launch.py")
-    launch = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(launch)
+    launch = _perfbench_module("launch", monkeypatch)
     targets = [t for places in launch.TRACE_TARGETS.values() for t in places]
     assert ("skcprobe.numerics", "RngStream.generator") in targets
     for module, attribute in targets:
         obj = functools.reduce(getattr, attribute.split("."),
                                importlib.import_module(module))
         assert callable(obj), f"{module}.{attribute}"
+
+
+@pytest.mark.parametrize("workload", ["oneway-bounds", "twoway-bounds"])
+def test_benchmark_traced_integrands_are_called(workload, monkeypatch, tmp_path):
+    # a span that a traced run never enters has no per-call time, and
+    # `perfbench/run.py --trace 1` then reports correct: false; so each
+    # capacity integrand that BENCHMARK.json times per call on a workload
+    # is called when that workload's command runs, here at a few trials,
+    # counted at the places the tracer wraps
+    from skcprobe.cli import main
+    run = _perfbench_module("run", monkeypatch)
+    launch = _perfbench_module("launch", monkeypatch)
+    layers = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    spans = {m.group(1) for layer in layers if (m := re.fullmatch(
+        rf"{re.escape(workload)}\.(capacity\.\w+)\.self_us_per_call", layer["name"]))}
+    assert "capacity.secrecy_floor_sample" in spans
+    calls = dict.fromkeys(spans, 0)
+
+    def counting(span, real):
+        def wrapper(*args, **kwargs):
+            calls[span] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for span in spans:
+        for module, attribute in launch.TRACE_TARGETS[span]:
+            target = importlib.import_module(module)
+            monkeypatch.setattr(target, attribute, counting(span, getattr(target, attribute)))
+    monkeypatch.chdir(ROOT)
+    command = [*run.WORKLOADS[workload].command, "--trials", "60", "--out", str(tmp_path)]
+    assert main(command) == 0
+    assert all(calls.values()), calls
 
 
 def test_readme_names_resolve():

@@ -250,12 +250,6 @@ class TestHermitize:
         assert out.flags.c_contiguous
         assert np.array_equal(m, before)
 
-    def test_writes_into_a_given_array(self, rng):
-        m = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
-        work = np.full((3, 2, 2), np.nan, dtype=complex)
-        assert hermitize(m, work) is work
-        assert np.array_equal(work, (m + np.swapaxes(m, -1, -2).conj()) / 2.0)
-
 
 class TestCapacityLogdet:
     # log2 det(I + gamma H H^H), the capacity log-det (the push-through case
