@@ -129,34 +129,31 @@ def _eigenvalue_weights(m: int, d: int) -> np.ndarray | None:
     return out
 
 
-def wishart_logdet_mean(rows: int, cols: int, gamma):
+def wishart_logdet_mean(rows: int, cols: int, gamma: float) -> float:
     """E log2det(I + gamma h^H h) over rows x cols matrices h of iid CN(0, 1)
-    entries, for a gamma or an array of them (Telatar, "Capacity of
-    multi-antenna Gaussian channels", Eur. Trans. Telecom. 10(6), 1999,
-    Thm 2): the integral of ln(1 + gamma x) against the eigenvalue density
-    (see _eigenvalue_weights) with m = min(rows, cols), d = |rows - cols|,
-    over ln 2, on a fixed exp-sinh rule.  numpy core only.
+    entries (Telatar, "Capacity of multi-antenna Gaussian channels", Eur.
+    Trans. Telecom. 10(6), 1999, Thm 2): the integral of ln(1 + gamma x)
+    against the eigenvalue density (see _eigenvalue_weights) with m =
+    min(rows, cols), d = |rows - cols|, over ln 2, on a fixed exp-sinh rule.
+    numpy core only.
 
     ValueError outside the domain: rows in [1, 2 WISHART_MAX_DIM], cols in
-    [1, WISHART_MAX_DIM], every gamma in WISHART_GAMMAS, and a rule that
+    [1, WISHART_MAX_DIM], gamma in WISHART_GAMMAS, and a rule that
     integrates the density to its mass (WISHART_MASS_RTOL).
     """
     if not (1 <= rows <= 2 * WISHART_MAX_DIM and 1 <= cols <= WISHART_MAX_DIM):
         raise ValueError(f"wishart_logdet_mean: shape {rows}x{cols} outside "
                          f"[1, {2 * WISHART_MAX_DIM}] x [1, {WISHART_MAX_DIM}]")
-    g = np.asarray(gamma, dtype=float)
+    g = float(gamma)
     lo, hi = WISHART_GAMMAS
-    # a plain comparison for one gamma: evaluate_many asks for one at a time
-    if not (lo <= float(g) <= hi if g.ndim == 0 else ((g >= lo) & (g <= hi)).all()):
+    if not lo <= g <= hi:
         raise ValueError(f"wishart_logdet_mean: gamma {gamma} outside [{lo:g}, {hi:g}]")
     weights = _eigenvalue_weights(min(rows, cols), abs(rows - cols))
     if weights is None:
         raise ValueError(f"wishart_logdet_mean: the rule misses the eigenvalue "
                          f"density's mass at shape {rows}x{cols}")
     nodes, _ = _exp_sinh_rule()
-    if g.ndim == 0:
-        return float(np.log1p(float(g) * nodes) @ weights) / _LN2
-    return np.log1p(np.multiply.outer(g, nodes)) @ weights / _LN2
+    return float(np.log1p(g * nodes) @ weights) / _LN2
 
 
 @functools.lru_cache(maxsize=None)

@@ -211,8 +211,9 @@ class ChannelRealization:
     def per_trial(self, value):
         """`value` as one number per trial: a float for a single draw, an
         array over the trials of a block."""
-        out = np.broadcast_to(value, self.trials_shape)
-        return float(out) if out.ndim == 0 else out
+        if not self.trials_shape:
+            return float(value)
+        return np.broadcast_to(value, self.trials_shape)
 
 
 # the matrices sample_channels draws; each comes from the substream of the

@@ -40,7 +40,6 @@ from .errors import (
     ValidationError,
 )
 from .experiments import (
-    case_config,
     expand_quantities,
     load_spec,
     run_dof,
@@ -120,6 +119,17 @@ def _check_threads(args) -> None:
         raise ValidationError(f"--threads and {THREADS_ENV} must be >= 1, got {threads}")
 
 
+def _check_out(out: Path) -> None:
+    """--out must be a directory or a path that can become one: neither an
+    existing file nor a path under one.  Checked before any Monte Carlo pass."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ValidationError(f"--out must be a directory, but {str(path)!r} "
+                                      f"is an existing file (--out {str(out)!r})")
+            return
+
+
 def _print_estimate_table(values, expanded) -> None:
     width = max(len(q) for q in expanded)
     for q in expanded:
@@ -159,7 +169,7 @@ def _cmd_dof(args) -> int:
     results, csv_path = run_dof(spec, Path(args.out))
     for case in spec.cases:
         result = results[case.name]
-        config = case_config(spec, case)
+        config = case.config
         formula = result.formula_value
         formula_txt = str(formula) if formula is not None else \
             f"{dof_formula(config, auto_swap=True)} (roles swapped: n_a < n_b)"
@@ -176,8 +186,9 @@ def _cmd_dof(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    overrides = {"trials": args.trials, "seed": _resolve_seed(args)}
-    summary, report_path = run_verify(args.config, overrides, Path(args.out),
+    summary, report_path = run_verify(args.config, Path(args.out),
+                                      seed_override=_resolve_seed(args),
+                                      trials_override=args.trials,
                                       mutation_control=args.mutation_control)
     name_w = max(len(o.check_name) for o in summary.outcomes)
     for o in summary.outcomes:
@@ -220,6 +231,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_threads(args)
+        _check_out(Path(args.out))
         # an overflow or NaN ends the run as the program's own named error
         # (exit 4), so numpy's floating-point warnings would only print
         # ahead of that line

@@ -6,7 +6,8 @@ settings, and the list of quantities to report.  All numeric CSV fields are
 written with 12 significant digits and '.' as the decimal separator, so a
 given spec and seed always produce byte-identical output.  Every mapping
 in a spec is checked for unknown keys, so a misspelt key is an error
-rather than a silent default.
+rather than a silent default.  A spec is resolved once, at load: each case
+holds its validated ProbingConfig.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ if TYPE_CHECKING:
 
 SWEEP_PARAMETERS = ("noise_ea", "noise_eb", "power_a", "power_b",
                     "rho", "v_a", "v_b", "n_e")
-INT_PARAMETERS = ("v_a", "v_b", "n_e")
 LOG_AXIS_PARAMETERS = ("noise_ea", "noise_eb", "power_a", "power_b")
 
 # 'bounds' is shorthand for the reported lower bound (the larger side bound)
@@ -45,6 +45,7 @@ QUANTITIES = tuple(q for q in capacity.QUANTITIES if q != "lower") + ("bounds",)
 CONFIG_KEYS = ("n_a", "n_b", "n_e", "v_a", "v_b", "phi_a", "phi_b",
                "power_a", "power_b", "noise_a", "noise_b",
                "noise_ea", "noise_eb", "rho")
+INT_CONFIG_KEYS = ("n_a", "n_b", "n_e", "v_a", "v_b", "phi_a", "phi_b")
 REQUIRED_CONFIG_KEYS = ("n_a", "n_b", "n_e")
 
 
@@ -57,7 +58,7 @@ class SweepSpec:
 @dataclass(frozen=True)
 class CaseSpec:
     name: str
-    overrides: Mapping
+    config: ProbingConfig
 
 
 @dataclass(frozen=True)
@@ -66,23 +67,48 @@ class ExperimentSpec:
     base: ProbingConfig
     mc: McSettings
     quantities: tuple[str, ...]
+    cases: tuple[CaseSpec, ...]
     sweep: SweepSpec | None = None
-    cases: tuple[CaseSpec, ...] = (CaseSpec("base", {}),)
     svg: bool = False
     power_grid: tuple[float, ...] = ()
 
 
+def _integer(value, what: str) -> int:
+    """The integer rule of every spec value: an int, and a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """The number rule of every spec value: an int or a float, not a bool."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_rho(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
+    """rho as a number, an 'a+bj' string or [re, im]; a complex is taken as
+    parsed."""
+    if isinstance(value, complex):
+        return value
     if isinstance(value, str):
         try:
             return complex(value.replace(" ", ""))
         except ValueError as exc:
             raise ValidationError(f"rho not parseable as complex: {value!r}") from exc
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ValidationError(f"rho must be a number, 'a+bj' string, or [re, im]: {value!r}")
+        return complex(_number(value[0], "rho[0]"), _number(value[1], "rho[1]"))
+    return complex(_number(value, "rho"))
+
+
+def _config_value(key: str, value):
+    """One config value under its key's rule."""
+    if key == "rho":
+        return _parse_rho(value)
+    if key in INT_CONFIG_KEYS:
+        return _integer(value, key)
+    return _number(value, key)
 
 
 def config_from_mapping(mapping: Mapping) -> ProbingConfig:
@@ -95,19 +121,7 @@ def config_from_mapping(mapping: Mapping) -> ProbingConfig:
     missing = [k for k in REQUIRED_CONFIG_KEYS if k not in mapping]
     if missing:
         raise ValidationError(f"missing required config keys: {missing}")
-    kwargs = {}
-    for key, value in mapping.items():
-        if key == "rho":
-            kwargs[key] = _parse_rho(value)
-        elif key in ("n_a", "n_b", "n_e", "v_a", "v_b", "phi_a", "phi_b"):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{key} must be an integer, got {value!r}")
-            kwargs[key] = value
-        else:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValidationError(f"{key} must be a number, got {value!r}")
-            kwargs[key] = float(value)
-    return ProbingConfig(**kwargs)
+    return ProbingConfig(**{key: _config_value(key, value) for key, value in mapping.items()})
 
 
 def apply_parameter(config: ProbingConfig, parameter: str, value) -> ProbingConfig:
@@ -115,15 +129,7 @@ def apply_parameter(config: ProbingConfig, parameter: str, value) -> ProbingConf
     if parameter not in SWEEP_PARAMETERS:
         raise ValidationError(
             f"unsupported sweep parameter {parameter!r}; supported: {SWEEP_PARAMETERS}")
-    if parameter == "rho":
-        return dataclasses.replace(config, rho=_parse_rho(value))
-    if parameter in INT_PARAMETERS:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValidationError(f"{parameter} sweep values must be integers, got {value!r}")
-        return dataclasses.replace(config, **{parameter: value})
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"{parameter} sweep values must be numbers, got {value!r}")
-    return dataclasses.replace(config, **{parameter: float(value)})
+    return dataclasses.replace(config, **{parameter: _config_value(parameter, value)})
 
 
 def bundled_config_text(name: str) -> str | None:
@@ -173,16 +179,6 @@ def _parse_yaml(text: str, path_or_name: str):
         raise ParseError(f"invalid YAML in {path_or_name}: {exc}") from exc
 
 
-def _strict_int(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _mc_int(mc_raw: Mapping, key: str, default: int) -> int:
-    return _strict_int(mc_raw.get(key, default), f"mc.{key}")
-
-
 _SPEC_KEYS = {"name", "config", "cases", "sweep", "mc", "quantities", "svg",
               "power_grid"}
 _MC_KEYS = {"trials", "seed"}
@@ -206,12 +202,73 @@ def _list_section(raw: Mapping, key: str, default: list) -> list:
     return value
 
 
-def _mc_section(raw: Mapping) -> Mapping:
+def _mc_settings(raw: Mapping, seed_override: int | None, trials_override: int | None,
+                 default_trials: int) -> McSettings:
+    """The 'mc' section of a spec or verify set, under the --seed and
+    --trials overrides where given."""
     mc_raw = raw.get("mc", {}) or {}
     if not isinstance(mc_raw, Mapping):
         raise ParseError("'mc' section must be a mapping")
     _reject_unknown(mc_raw, _MC_KEYS, "'mc'")
-    return mc_raw
+    trials = trials_override if trials_override is not None else \
+        _integer(mc_raw.get("trials", default_trials), "mc.trials")
+    seed = seed_override if seed_override is not None else \
+        _integer(mc_raw.get("seed", 1), "mc.seed")
+    return McSettings(trials=trials, master_seed=seed)
+
+
+def _file_stem(name: str) -> str:
+    """A spec name names its output files, so it must be a plain file stem."""
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ValidationError(
+            f"'name' must be a plain file stem (not '', '.' or '..', and without "
+            f"'/', '\\' or NUL), got {name!r}")
+    return name
+
+
+def _sweep_section(raw: Mapping, base: ProbingConfig) -> SweepSpec | None:
+    sweep_raw = raw.get("sweep")
+    if sweep_raw is None:
+        return None
+    if not isinstance(sweep_raw, Mapping) or \
+            "parameter" not in sweep_raw or "values" not in sweep_raw:
+        raise ParseError("'sweep' needs 'parameter' and 'values'")
+    _reject_unknown(sweep_raw, _SWEEP_KEYS, "'sweep'")
+    parameter, values = sweep_raw["parameter"], sweep_raw["values"]
+    if not isinstance(values, list):
+        raise ValidationError(f"'sweep.values' must be a list, got {values!r}")
+    if not values:
+        raise ValidationError("sweep values must be nonempty")
+    for v in values:
+        apply_parameter(base, parameter, v)  # type/validity check
+    if parameter == "rho":
+        # an [re, im] pair is written out as the complex it parses to
+        values = [_parse_rho(v) if isinstance(v, list) else v for v in values]
+    return SweepSpec(parameter=str(parameter), values=tuple(values))
+
+
+def _cases_section(raw: Mapping, base: ProbingConfig) -> tuple[CaseSpec, ...]:
+    """Each case's config: the spec's 'config' mapping as written, updated by
+    the case's overrides, so that a pilot length left unset follows the
+    case's own antenna counts."""
+    entries = _list_section(raw, "cases", [])
+    if not entries:
+        return (CaseSpec("base", base),)
+    cases: list[CaseSpec] = []
+    for entry in entries:
+        if not isinstance(entry, Mapping) or "name" not in entry:
+            raise ParseError("each case needs a 'name'")
+        _reject_unknown(entry, _CASE_KEYS, f"case {entry['name']!r}")
+        overrides = entry.get("overrides", {}) or {}
+        if not isinstance(overrides, Mapping):
+            raise ValidationError(
+                f"overrides of case {entry['name']!r} must be a mapping, got {overrides!r}")
+        name = str(entry["name"])
+        if any(case.name == name for case in cases):
+            raise ValidationError(f"duplicate case name {name!r}: case names "
+                                  "key the output rows and curves")
+        cases.append(CaseSpec(name, config_from_mapping({**raw["config"], **overrides})))
+    return tuple(cases)
 
 
 def load_spec(path_or_name: str, seed_override: int | None = None,
@@ -231,13 +288,8 @@ def load_spec(path_or_name: str, seed_override: int | None = None,
         raise ParseError(f"{path_or_name} has no 'config' section")
 
     base = config_from_mapping(raw["config"])
-    name = str(raw.get("name", default_name))
-
-    mc_raw = _mc_section(raw)
-    trials = trials_override if trials_override is not None else \
-        _mc_int(mc_raw, "trials", 10_000)
-    seed = seed_override if seed_override is not None else _mc_int(mc_raw, "seed", 1)
-    mc = McSettings(trials=trials, master_seed=seed)
+    name = _file_stem(str(raw.get("name", default_name)))
+    mc = _mc_settings(raw, seed_override, trials_override, 10_000)
 
     quantities = tuple(_list_section(raw, "quantities", ["bounds"]))
     if not quantities:
@@ -246,50 +298,10 @@ def load_spec(path_or_name: str, seed_override: int | None = None,
         if q not in QUANTITIES:
             raise ValidationError(f"unknown quantity {q!r}; supported: {QUANTITIES}")
 
-    sweep = None
-    if raw.get("sweep") is not None:
-        sweep_raw = raw["sweep"]
-        if not isinstance(sweep_raw, Mapping) or \
-                "parameter" not in sweep_raw or "values" not in sweep_raw:
-            raise ParseError("'sweep' needs 'parameter' and 'values'")
-        _reject_unknown(sweep_raw, _SWEEP_KEYS, "'sweep'")
-        values = sweep_raw["values"]
-        if not isinstance(values, list):
-            raise ValidationError(f"'sweep.values' must be a list, got {values!r}")
-        if not values:
-            raise ValidationError("sweep values must be nonempty")
-        for v in values:
-            apply_parameter(base, sweep_raw["parameter"], v)  # type/validity check
-        sweep = SweepSpec(parameter=str(sweep_raw["parameter"]), values=tuple(values))
+    sweep = _sweep_section(raw, base)
+    cases = _cases_section(raw, base)
 
-    cases: tuple[CaseSpec, ...]
-    case_entries = _list_section(raw, "cases", [])
-    if case_entries:
-        parsed = []
-        for entry in case_entries:
-            if not isinstance(entry, Mapping) or "name" not in entry:
-                raise ParseError("each case needs a 'name'")
-            _reject_unknown(entry, _CASE_KEYS, f"case {entry['name']!r}")
-            overrides = entry.get("overrides", {}) or {}
-            if not isinstance(overrides, Mapping):
-                raise ValidationError(
-                    f"overrides of case {entry['name']!r} must be a mapping, got {overrides!r}")
-            merged = dict_config(base)
-            merged.update(overrides)
-            config_from_mapping(merged)  # validate the merge now, not mid-run
-            case_name = str(entry["name"])
-            if any(case.name == case_name for case in parsed):
-                raise ValidationError(f"duplicate case name {case_name!r}: case names "
-                                      "key the output rows and curves")
-            parsed.append(CaseSpec(name=case_name, overrides=dict(overrides)))
-        cases = tuple(parsed)
-    else:
-        cases = (CaseSpec("base", {}),)
-
-    grid = _list_section(raw, "power_grid", [])
-    for p in grid:
-        if not isinstance(p, (int, float)) or isinstance(p, bool):
-            raise ValidationError(f"'power_grid' entries must be numbers, got {p!r}")
+    grid = [_number(p, "'power_grid' entries") for p in _list_section(raw, "power_grid", [])]
     try:
         power_grid = checked_power_grid(grid) if grid else ()
     except GridTooSmall as exc:
@@ -306,27 +318,7 @@ def load_spec(path_or_name: str, seed_override: int | None = None,
                     f"which needs positive values, got {v!r}")
 
     return ExperimentSpec(name=name, base=base, mc=mc, quantities=quantities,
-                          sweep=sweep, cases=cases, svg=svg,
-                          power_grid=power_grid)
-
-
-def dict_config(config: ProbingConfig) -> dict:
-    """Round-trippable mapping form of a config (rho as 'a+bj' string when
-    complex)."""
-    out = {}
-    for key in CONFIG_KEYS:
-        value = getattr(config, key)
-        if key == "rho":
-            out[key] = value.real if value.imag == 0 else f"{value.real}{value.imag:+}j"
-        else:
-            out[key] = value
-    return out
-
-
-def case_config(spec: ExperimentSpec, case: CaseSpec) -> ProbingConfig:
-    merged = dict_config(spec.base)
-    merged.update(case.overrides)
-    return config_from_mapping(merged)
+                          cases=cases, sweep=sweep, svg=svg, power_grid=power_grid)
 
 
 def format_number(x) -> str:
@@ -337,8 +329,6 @@ def format_number(x) -> str:
         if x.imag == 0:
             return f"{x.real:.12g}"
         return f"{x.real:.12g}{x.imag:+.12g}j"
-    if isinstance(x, bool):
-        return str(int(x))
     if isinstance(x, int):
         return str(x)
     return f"{float(x):.12g}"
@@ -418,10 +408,10 @@ def run_sweep(spec: ExperimentSpec, out_dir: Path) -> tuple[Path, Path | None]:
     curves: dict[str, tuple[list[float], list[float]]] = {}
     parameter = spec.sweep.parameter
     for case in spec.cases:
-        base = case_config(spec, case)
         xs: list[float] = []
         ys: list[float] = []
-        configs = [apply_parameter(base, parameter, value) for value in spec.sweep.values]
+        configs = [apply_parameter(case.config, parameter, value)
+                   for value in spec.sweep.values]
         labels = [f"case {case.name!r}, {parameter} = {format_number(value)}"
                   for value in spec.sweep.values]
         points = evaluate_quantities(configs, spec.mc, spec.quantities, labels)
@@ -429,8 +419,7 @@ def run_sweep(spec: ExperimentSpec, out_dir: Path) -> tuple[Path, Path | None]:
             rows.append([case.name, parameter, format_number(value)]
                         + _quantity_fields(values, expanded, spec.mc))
             y = values[expanded[0]].mean
-            if isinstance(value, (int, float)) and not isinstance(value, bool) \
-                    and math.isfinite(y):
+            if isinstance(value, (int, float)) and math.isfinite(y):
                 xs.append(float(value))
                 ys.append(y)
         curves[case.name] = (xs, ys)
@@ -480,7 +469,7 @@ def run_dof(spec: ExperimentSpec, out_dir: Path) -> tuple[dict[str, DofResult], 
     results: dict[str, DofResult] = {}
     rows = []
     for case in spec.cases:
-        result = dof_slope(evaluator(case), case_config(spec, case), spec.power_grid)
+        result = dof_slope(evaluator(case), case.config, spec.power_grid)
         results[case.name] = result
         for p, mean, stderr in zip(result.p_grid, result.means, result.stderrs):
             rows.append([case.name, quantity_name, format_number(p),
@@ -501,28 +490,25 @@ def run_suite(*args, **kwargs) -> VerificationSummary:
     return suite(*args, **kwargs)
 
 
-def run_verify(path_or_name: str, mc_overrides: Mapping,
-               out_dir: Path, mutation_control: bool = False
+def run_verify(path_or_name: str, out_dir: Path, seed_override: int | None = None,
+               trials_override: int | None = None, mutation_control: bool = False
                ) -> tuple[VerificationSummary, Path]:
     """Run the verification suite from a config-set file.
 
     The file holds 'configs' (list of scenario mappings) plus optional 'mc'
-    and 'identity_realizations'.  A JSON report is always written; the
-    mutation-control flag corrupts the closed-form pilot MI so the suite
-    must fail (negative control for the oracle itself).
+    and 'identity_realizations'; the overrides work as in load_spec.  A
+    JSON report is always written; the mutation-control flag corrupts the
+    closed-form pilot MI so the suite must fail (negative control for the
+    oracle itself).
     """
     text, name = read_spec_text(path_or_name)
     raw = _parse_yaml(text, path_or_name)
     if not isinstance(raw, Mapping) or "configs" not in raw:
         raise ParseError(f"{path_or_name} must be a mapping with a 'configs' list")
     _reject_unknown(raw, _VERIFY_KEYS, f"the top level of {path_or_name}")
-    configs = [config_from_mapping(entry) for entry in raw["configs"]]
-    mc_raw = dict(_mc_section(raw))
-    mc_raw.update({k: v for k, v in mc_overrides.items() if v is not None})
-    mc = McSettings(trials=_mc_int(mc_raw, "trials", 2000),
-                    master_seed=_mc_int(mc_raw, "seed", 1))
-    realizations = _strict_int(raw.get("identity_realizations", 300),
-                               "identity_realizations")
+    configs = [config_from_mapping(entry) for entry in _list_section(raw, "configs", [])]
+    mc = _mc_settings(raw, seed_override, trials_override, 2000)
+    realizations = _integer(raw.get("identity_realizations", 300), "identity_realizations")
     summary = run_suite(configs, mc, identity_realizations=realizations,
                         corrupt_pilot_mi=mutation_control)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -57,7 +57,7 @@ from skcprobe.errors import (
     SkcError,
     ValidationError,
 )
-from skcprobe.experiments import apply_parameter, case_config, load_spec
+from skcprobe.experiments import apply_parameter, load_spec
 from skcprobe.montecarlo import BLOCK, collect, summarize, trial_blocks
 from skcprobe.verify import (IDENTITY_ATOL, floor_resolvent, gap_resolvent,
                              lower_bob_rectangular)
@@ -591,7 +591,7 @@ class TestEvaluateMany:
         # the others on three, so the 12 points' systems are solved in two
         # stacks, within one block and across two
         spec = load_spec("fig1")
-        configs = [apply_parameter(case_config(spec, case), "noise_ea", v)
+        configs = [apply_parameter(case.config, "noise_ea", v)
                    for case in spec.cases for v in spec.sweep.values[::3]]
         mc = McSettings(trials=trials, master_seed=37)
         self.assert_equals_one_config_evaluate(configs, mc, ("floor", "lower"))

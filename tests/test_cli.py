@@ -3,6 +3,7 @@
 import atexit
 import functools
 import gc
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,9 +11,9 @@ import sys
 import numpy as np
 import pytest
 
-from skcprobe import cli, config_at_power, secrecy_floor_sample
+from skcprobe import cli, config_at_power, experiments, secrecy_floor_sample
 from skcprobe.cli import main
-from skcprobe.experiments import apply_parameter, case_config, load_spec
+from skcprobe.experiments import apply_parameter, load_spec
 from skcprobe.montecarlo import trial_blocks
 
 SMALL_EVAL = """
@@ -205,10 +206,12 @@ quantities: [gap]
         ("sweep", SMALL_SWEEP, "svg: true", 'svg: "no"', "'svg'"),
         ("sweep", SMALL_SWEEP, "values: [0.5, 2.0, 8.0]}", "values: [0.0, 2.0, 8.0]}",
          "'sweep.values'"),
+        ("verify", VERIFY_SET, VERIFY_SET[VERIFY_SET.index("configs:"):], "configs: 5\n",
+         "'configs'"),
     ], ids=["grid-scalar", "grid-mapping", "grid-entry", "grid-quoted", "grid-bool",
             "grid-points", "grid-order", "grid-positive", "grid-decades", "grid-infinite",
             "cases-scalar", "cases-mapping", "sweep-values", "case-overrides",
-            "quantities-string", "svg-string", "svg-log-axis-zero"])
+            "quantities-string", "svg-string", "svg-log-axis-zero", "verify-configs"])
     def test_malformed_spec_section_is_validation_error(self, tmp_path, capsys, command,
                                                         text, old, new, named):
         assert old in text
@@ -270,7 +273,7 @@ quantities: [gap]
         assert code == 4
         # the failing point is the first case at 1e+308
         loaded = load_spec(spec)
-        base = case_config(loaded, loaded.cases[0])
+        base = loaded.cases[0].config
         failing = apply_parameter(base, "power_a", 1e308) if command == "sweep" \
             else config_at_power(base, 1e308)
         trial = first_non_finite_floor(failing, loaded.mc)
@@ -287,7 +290,7 @@ quantities: [gap]
             capture_output=True, text=True)
         assert proc.returncode == 4
         loaded = load_spec(spec)
-        failing = apply_parameter(case_config(loaded, loaded.cases[0]), "power_a", 1e308)
+        failing = apply_parameter(loaded.cases[0].config, "power_a", 1e308)
         trial = first_non_finite_floor(failing, loaded.mc)
         assert trial is not None
         assert proc.stderr.splitlines() == [
@@ -332,6 +335,25 @@ class TestDeterminism:
         main(["eval", "--config", spec, "--seed", "3", "--out", str(tmp_path / "s3")])
         assert (tmp_path / "s2" / "point.csv").read_bytes() != \
             (tmp_path / "s3" / "point.csv").read_bytes()
+
+
+    # sha256 of what the bundled specs write at --trials 60 --seed 1
+    BUNDLED_SHA256 = {
+        "oneway.csv": "6468eedfb36f7a5f116c39f27517aa7a8a803efc80dcde343139c7172893f833",
+        "fig1.csv": "b0d26842766cfbb82054f3750d59ed948a043a9014935b1fd2186eb04894fedb",
+        "fig1.svg": "43d85d85f7d734d62b3c404b78aa46761a6ce87dfc4d33effd159f0fc3ce6e37",
+        "fig2.csv": "38f3f37fc3142e5dd2754864b6af610b75c440e02928656c244d2db5204e2851",
+        "fig2.svg": "5a25089b2f0c9a476db3f27409eeeb201874b6184b350d14f6f8dd8cec9e8b9c",
+        "fig2-dof.csv": "4780e63a0bf81c5d87fca715f123b644aa4f251b9ee37f2e6927c48775799b78",
+    }
+
+    def test_bundled_spec_outputs_are_pinned(self, tmp_path, capsys):
+        for command, name in (("eval", "oneway"), ("sweep", "fig1"), ("sweep", "fig2"),
+                              ("dof", "fig2")):
+            assert main([command, "--config", name, "--trials", "60", "--seed", "1",
+                         "--out", str(tmp_path)]) == 0
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in tmp_path.iterdir()} == self.BUNDLED_SHA256
 
 
 class TestEnvironmentOverrides:
@@ -499,3 +521,75 @@ class TestHeapFrozenAtExit:
             assert main(["eval", "--config", spec, "--out", str(tmp_path)]) == 0
             assert gc.get_freeze_count() == frozen
         assert registered == [gc.freeze]
+
+
+class TestOutputPlacement:
+    """The spec name and --out decide where the files go, so both are
+    checked before anything runs: a refused run writes nothing."""
+
+    @pytest.mark.parametrize("name", ['"sub/dir"', '"../escaped"', '""', '"."', '".."',
+                                      r'"a\\b"', r'"a\0b"'])
+    def test_name_must_be_a_plain_file_stem(self, tmp_path, capsys, name):
+        spec = write(tmp_path, SMALL_EVAL.replace("name: point", f"name: {name}"),
+                     "spec.yaml")
+        assert main(["eval", "--config", spec, "--out", str(tmp_path / "out")]) == 3
+        assert "'name' must be a plain file stem" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["spec.yaml"]
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("command,text", [
+        ("eval", SMALL_EVAL), ("sweep", SMALL_SWEEP), ("dof", SMALL_DOF),
+        ("verify", VERIFY_SET)], ids=["eval", "sweep", "dof", "verify"])
+    def test_out_must_not_be_a_file(self, tmp_path, capsys, monkeypatch, command, text,
+                                    under):
+        def no_monte_carlo(*args, **kwargs):
+            raise AssertionError("a refused --out ran the computation")
+
+        monkeypatch.setattr(experiments, "evaluate_many", no_monte_carlo)
+        monkeypatch.setattr(experiments, "run_suite", no_monte_carlo)
+        spec = write(tmp_path, text, "spec.yaml")
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n", encoding="utf-8")
+        out = taken / "sub" if under else taken
+        assert main([command, "--config", spec, "--out", str(out)]) == 3
+        assert f"--out must be a directory, but {str(taken)!r} is an existing file" \
+            in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.yaml", "taken"]
+        assert taken.read_text(encoding="utf-8") == "kept\n"
+
+
+class TestRhoPairs:
+    def test_pair_sweep_value_is_written_as_its_complex(self, tmp_path, monkeypatch):
+        labels = []
+        evaluate_many = experiments.evaluate_many
+
+        def recording(configs, mc, quantities, point_labels):
+            labels.extend(point_labels)
+            return evaluate_many(configs, mc, quantities, point_labels)
+
+        monkeypatch.setattr(experiments, "evaluate_many", recording)
+        old = "parameter: power_a, values: [0.5, 2.0, 8.0]"
+        assert old in SMALL_SWEEP
+        spec = write(tmp_path, SMALL_SWEEP.replace(
+            old, 'parameter: rho, values: [[0.3, 0.4], 0.5, "0.1 + 0.2j", [0.6, 0]]'),
+            "rho.yaml")
+        assert main(["sweep", "--config", spec, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "curve.csv").read_text().splitlines()[1:]
+        written = ["0.3+0.4j", "0.5", "0.1 + 0.2j", "0.6"]
+        assert [row.split(",")[2] for row in rows] == written * 2
+        assert labels == [f"case {case!r}, rho = {value}"
+                          for case in ("narrow", "wide") for value in written]
+
+    @pytest.mark.parametrize("old,new,named", [
+        ("noise_ea: 0.5}", 'noise_ea: 0.5, rho: [0.3, "x"]}', "rho[1] must be a number"),
+        ("noise_ea: 0.5}", "noise_ea: 0.5, rho: [true, 0]}", "rho[0] must be a number"),
+        ("noise_ea: 0.5}", "noise_ea: 0.5, rho: true}", "rho must be a number"),
+        ("parameter: power_a, values: [0.5, 2.0, 8.0]",
+         "parameter: rho, values: [[0.3, .nan]]", "rho must be finite"),
+    ], ids=["pair-string", "pair-bool", "bool", "pair-nan"])
+    def test_malformed_rho_is_validation_error(self, tmp_path, capsys, old, new, named):
+        assert old in SMALL_SWEEP
+        spec = write(tmp_path, SMALL_SWEEP.replace(old, new), "rho.yaml")
+        assert main(["sweep", "--config", spec, "--out", str(tmp_path)]) == 3
+        assert named in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["rho.yaml"]

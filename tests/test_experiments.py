@@ -7,7 +7,6 @@ import pytest
 from skcprobe.errors import ParseError, ValidationError
 from skcprobe.experiments import (
     apply_parameter,
-    case_config,
     expand_quantities,
     format_number,
     load_spec,
@@ -110,7 +109,7 @@ quantities: [floor]
 """
         spec = load_spec(write(tmp_path, text))
         assert (spec.base.power_a, spec.base.power_b, spec.base.noise_ea) == (1e5, 1e5, 1e-4)
-        assert case_config(spec, spec.cases[0]).noise_eb == 0.5
+        assert spec.cases[0].config.noise_eb == 0.5
         assert spec.sweep.values == (1e-4, 5.0, 2.0)
         assert all(type(v) is float for v in spec.sweep.values)
         assert spec.power_grid == (1.0, 10.0, 100.0, 1000.0)
@@ -266,8 +265,29 @@ cases:
   - {name: base}
 """
         spec = load_spec(write(tmp_path, text))
-        assert case_config(spec, spec.cases[0]).n_e == 6
-        assert case_config(spec, spec.cases[1]).n_e == 2
+        assert spec.cases[0].config.n_e == 6
+        assert spec.cases[1].config.n_e == 2
+
+    def test_unset_pilot_length_follows_the_case_antenna_count(self, tmp_path):
+        # a case is the spec's config as written, updated by its overrides:
+        # the same scenario as the one written as the base
+        as_case = """
+config: {n_a: 2, n_b: 2, n_e: 1, rho: 0.9}
+cases:
+  - {name: big, overrides: {n_a: 8}}
+sweep: {parameter: rho, values: [0.9]}
+quantities: [pilot_mi]
+"""
+        as_base = "config: {n_a: 8, n_b: 2, n_e: 1, rho: 0.9}\nquantities: [pilot_mi]\n"
+        case_spec = load_spec(write(tmp_path, as_case, "case.yaml"))
+        base_spec = load_spec(write(tmp_path, as_base, "base.yaml"))
+        sweep_csv, _ = run_sweep(case_spec, tmp_path / "s")
+        _, eval_csv = run_eval(base_spec, tmp_path / "e")
+        case_row = sweep_csv.read_text().splitlines()[1].split(",")
+        assert case_row[3] == eval_csv.read_text().splitlines()[1].split(",")[0] \
+            == "37.7309958392"
+        assert case_spec.cases[0].config == base_spec.base
+        assert base_spec.base.phi_a == 800
 
     def test_invalid_case_override_caught_at_load(self, tmp_path):
         text = """

@@ -351,7 +351,7 @@ class TestRunSuite:
         from skcprobe.experiments import run_verify
 
         start = time.perf_counter()
-        summary, report_path = run_verify("verify-default", {}, tmp_path)
+        summary, report_path = run_verify("verify-default", tmp_path)
         elapsed = time.perf_counter() - start
         assert summary.passed
         per_config = ["pilot-mi-exact", "pilot-mmse", "gap-form-equivalence",
