@@ -29,10 +29,10 @@ they factor in the block's work matrices (see Grams; ``evaluate`` is its
 one-point call).  It estimates the floor, and the bounds built on it, with
 control variates whose exact means ``wishart_logdet_mean`` evaluates in
 closed form: t2 and t3, the log-dets of what Eve and Bob see of Alice's
-probes, t5, what both see together at Bob's SNR, and, where n_e < n_a, t4,
-what Bob sees through the dimensions Eve cannot observe (see _controls), all
-of them from CV_MIN_TRIALS trials on, and reports the regression's
-least-squares stderr.
+probes, t5, what both see together at Bob's SNR, where n_e < n_a t4, what
+Bob sees through the dimensions Eve cannot observe, and, where Eve's SNR is
+not Bob's, t1, what Eve sees at Bob's SNR (see _controls), all of them from
+CV_MIN_TRIALS trials on, and reports the regression's least-squares stderr.
 """
 
 from __future__ import annotations
@@ -309,6 +309,20 @@ class Grams:
 
         return self._logdet(("null", self._channel("g_a"), gamma_ba), factor)
 
+    def leading_logdet(self, gamma: float):
+        """t1 = log2det(I + gamma g_a g_a^H) = log2det(I + gamma G) per
+        trial (Sylvester), where n_e < n_a: an n_e-square factorization of
+        K's leading block, so no n_a-square Gram of g_a is formed."""
+        n_e = self._n_e()
+
+        def factor():
+            work = np.multiply(self._stacked()[..., :n_e, :n_e], gamma,
+                               out=self.work((n_e, n_e)))
+            work += _eye(n_e)
+            return logdet_hermitian_pd(work)
+
+        return self._logdet(("leading", self._channel("g_a"), gamma), factor)
+
     def folded_logdet(self, gamma_ea: float, ratio: float):
         """log2det(I + gamma_ea (G + ratio H)) per trial, from the n_a x n_a
         Grams of g_a and h_ba: the floor's joint log-det where n_e >= n_a
@@ -448,11 +462,14 @@ QUANTITIES = ("pilot_mi", "floor", "gap", "lower_bob", "lower_alice", "upper", "
 SAMPLED = ("floor", "lower_bob", "gap", "lower_alice")
 # the floor's control variates (see _controls), G and H the Grams of g_a
 # and h_ba: t2 = log2det(I + gamma_ea G), t3 = log2det(I + gamma_ba H), t5 =
-# log2det(I + gamma_ba (G + H)) and, where n_e < n_a, t4 = log2det(I +
-# gamma_ba h_ba P h_ba^H), P the projector onto null(g_a); their means are
+# log2det(I + gamma_ba (G + H)), where n_e < n_a t4 = log2det(I + gamma_ba
+# h_ba P h_ba^H), P the projector onto null(g_a), and, where gamma_ea !=
+# gamma_ba, t1 = log2det(I + gamma_ba G); their means are
 # wishart_logdet_mean's.  From CV_MIN_TRIALS trials on (the least-squares
 # stderr needs more than k + 1) a point regresses on all of them
-CONTROLS = ("t2", "t3", "t5", "t4")
+CONTROLS = ("t2", "t3", "t5", "t4", "t1")
+# where a control is not one of a config's (see _controls)
+_CONTROL_RULES = {"t4": "n_e < n_a", "t1": "gamma_ea != gamma_ba"}
 CV_MIN_TRIALS = 52
 # a regression system whose determinant is at most this fraction of the
 # product of its diagonal counts as singular
@@ -473,18 +490,20 @@ def _draws_key(config: ProbingConfig) -> tuple:
 @functools.lru_cache(maxsize=1024)
 def _controls(config: ProbingConfig) -> dict[str, tuple[int, int, float, Callable]]:
     """Name -> (rows, cols, gamma, read) of each of the floor's CONTROLS at
-    `config`, in the order a point takes them: (t2, t3, t5), and t4 last
-    where n_e < n_a.  Each is a log2det(I + gamma w^H w) with w rows x cols
-    of iid CN(0, 1) entries, whose mean is wishart_logdet_mean(rows, cols,
-    gamma), and read(grams) gives its per-trial values from the block's
-    Gram store, which factors it from the Grams that the floor forms anyway.
-    t5's w is [g_a; h_ba], (n_e + n_b) x n_a.  Where n_e < n_a, t2 is the
-    leading part of the floor's own factorization, t3 and t5 come from one
-    factorization of the reordered stacked Gram (Grams.bob_joint_logdets)
-    and t4 (h_ba in an orthonormal basis of null(g_a) is n_b x (n_a - n_e),
-    iid and independent of g_a) from its noiseless limit; otherwise t2 and
-    t3 are identity log-dets of the n_a x n_a Grams G and H, and t5 is
-    Grams.folded_logdet at ratio 1.0.  t3, t5 and t4 depend on gamma_ba
+    `config`, in the order a point takes them: (t2, t3, t5), then t4 where
+    n_e < n_a and t1 last where gamma_ea != gamma_ba (at equal gammas t1 is
+    t2).  Each is a log2det(I + gamma w^H w) with w rows x cols of iid CN(0,
+    1) entries, whose mean is wishart_logdet_mean(rows, cols, gamma), and
+    read(grams) gives its per-trial values from the block's Gram store,
+    which factors it from the Grams that the floor forms anyway.  t5's w is
+    [g_a; h_ba], (n_e + n_b) x n_a.  Where n_e < n_a, t2 is the leading
+    part of the floor's own factorization, t3 and t5 come from one
+    factorization of the reordered stacked Gram (Grams.bob_joint_logdets),
+    t4 (h_ba in an orthonormal basis of null(g_a) is n_b x (n_a - n_e), iid
+    and independent of g_a) from its noiseless limit and t1 from the
+    stacked Gram's leading block (Grams.leading_logdet); otherwise t2, t3
+    and t1 are identity log-dets of the n_a x n_a Grams G and H, and t5 is
+    Grams.folded_logdet at ratio 1.0.  t3, t5, t4 and t1 depend on gamma_ba
     only, so the points of a noise_ea sweep share them per block.  The
     two-way integrands read the role-swapped config's t3 and t2 on every
     draw, so the dict is built once per config, shared and read only."""
@@ -492,13 +511,21 @@ def _controls(config: ProbingConfig) -> dict[str, tuple[int, int, float, Callabl
     g_ea, g_ba = gam.gamma_ea, gam.gamma_ba
     n_a, n_b, n_e = config.n_a, config.n_b, config.n_e
     if n_e >= n_a:
-        return {"t2": (n_e, n_a, g_ea, lambda grams: grams.identity_logdet("g_a", g_ea)),
-                "t3": (n_b, n_a, g_ba, lambda grams: grams.identity_logdet("h_ba", g_ba)),
-                "t5": (n_e + n_b, n_a, g_ba, lambda grams: grams.folded_logdet(g_ba, 1.0))}
-    return {"t2": (n_e, n_a, g_ea, lambda grams: grams.floor_logdets(g_ea, g_ba)[0]),
+        controls = {
+            "t2": (n_e, n_a, g_ea, lambda grams: grams.identity_logdet("g_a", g_ea)),
+            "t3": (n_b, n_a, g_ba, lambda grams: grams.identity_logdet("h_ba", g_ba)),
+            "t5": (n_e + n_b, n_a, g_ba, lambda grams: grams.folded_logdet(g_ba, 1.0)),
+            "t1": (n_e, n_a, g_ba, lambda grams: grams.identity_logdet("g_a", g_ba))}
+    else:
+        controls = {
+            "t2": (n_e, n_a, g_ea, lambda grams: grams.floor_logdets(g_ea, g_ba)[0]),
             "t3": (n_b, n_a, g_ba, lambda grams: grams.bob_joint_logdets(g_ba)[0]),
             "t5": (n_e + n_b, n_a, g_ba, lambda grams: grams.bob_joint_logdets(g_ba)[1]),
-            "t4": (n_b, n_a - n_e, g_ba, lambda grams: grams.null_logdet(g_ba))}
+            "t4": (n_b, n_a - n_e, g_ba, lambda grams: grams.null_logdet(g_ba)),
+            "t1": (n_e, n_a, g_ba, lambda grams: grams.leading_logdet(g_ba))}
+    if g_ea == g_ba:
+        del controls["t1"]
+    return controls
 
 
 @functools.lru_cache(maxsize=1024)
@@ -560,6 +587,38 @@ def _control_corrections(rows: np.ndarray, means: np.ndarray
     return [(c, float(f)) if ok else None for c, f, ok in zip(corrections, factors, solvable)]
 
 
+def _fit_controls(points: list[dict[str, np.ndarray]],
+                  control_means: list[dict[str, float] | None]
+                  ) -> dict[int, tuple[np.ndarray, float]]:
+    """_control_corrections of each point whose control_means are not None,
+    by index, with one regression per number of controls over the points
+    that have it.  A point whose system is singular with t1 is fitted again
+    without it (near noise_ea = noise_b, t1 and t2 are nearly collinear),
+    and gets no fit if it is singular without t1 too.  Pops the controls'
+    values from `points`."""
+    fits, control_means = {}, list(control_means)
+    pending = [i for i, means in enumerate(control_means) if means is not None]
+    while pending:
+        by_count: dict[int, list[int]] = {}
+        for i in pending:
+            by_count.setdefault(len(control_means[i]), []).append(i)
+        pending = []
+        for adjusted in by_count.values():
+            rows = np.array([[points[i][q] for q in control_means[i]] + [points[i]["floor"]]
+                             for i in adjusted])
+            means = np.array([list(control_means[i].values()) for i in adjusted])
+            for i, fit in zip(adjusted, _control_corrections(rows, means)):
+                if fit is not None:
+                    fits[i] = fit
+                elif "t1" in control_means[i]:
+                    control_means[i] = {q: m for q, m in control_means[i].items() if q != "t1"}
+                    pending.append(i)
+    for values in points:
+        for q in CONTROLS:
+            values.pop(q, None)
+    return fits
+
+
 class _Key(NamedTuple):
     """One point's quantity in a batched pass, printed in error messages as
     the point's label and the quantity.  A control variate of the floor is
@@ -613,8 +672,9 @@ def trial_values_many(points: Sequence[tuple[ProbingConfig, Iterable[str]]],
     point asks for, on the engine's shared draws: the floor, the gap, the
     Bob-side bound built on the same floor values, and that bound of the
     role-swapped scenario on the swapped draws; and the floor's CONTROLS
-    that it names (t4 only where n_e < n_a, otherwise a ValueError), which
-    a failure reports as the floor.
+    that it names (t4 only where n_e < n_a and t1 only where gamma_ea !=
+    gamma_ba, otherwise a ValueError), which a failure reports as the
+    floor.
 
     Points whose configs agree on what sample_channels reads get identical
     draws, so each such group takes one collect pass.  A failure names the
@@ -624,8 +684,9 @@ def trial_values_many(points: Sequence[tuple[ProbingConfig, Iterable[str]]],
     groups: dict[tuple, list[tuple[_Key, ProbingConfig]]] = {}
     for i, (config, names) in enumerate(points):
         names = frozenset(names)
-        if "t4" in names and config.n_e >= config.n_a:
-            raise ValueError("the control t4 needs n_e < n_a")
+        for name in sorted(names & _CONTROL_RULES.keys()):
+            if name not in _controls(config):
+                raise ValueError(f"the control {name} needs {_CONTROL_RULES[name]}")
         for q in SAMPLED + CONTROLS:
             if q in names:
                 key = _Key(i, "floor", labels[i], q) if q in CONTROLS \
@@ -657,10 +718,12 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
     outside wishart_logdet_mean's domain; at v_b > 0 it is sampled raw.
 
     A sampled floor is estimated with control variates: the floor's samples
-    are regressed on all of the point's controls, (t2, t3, t5) and t4 where
-    n_e < n_a (see _controls and _control_corrections), and the correction
-    beta . (t - mean), with the exact means of wishart_logdet_mean, is
-    subtracted from the floor's samples and v_a times it from lower_bob's,
+    are regressed on all of the point's controls, (t2, t3, t5), t4 where n_e
+    < n_a and t1 where gamma_ea != gamma_ba (see _controls,
+    _control_corrections and _fit_controls, which solves a system singular
+    with t1 again without it), and the correction beta . (t - mean), with
+    the exact means of wishart_logdet_mean, is subtracted from the floor's
+    samples and v_a times it from lower_bob's,
     so upper and lower are built from adjusted samples and upper ==
     lower_bob + gap still holds per sample.  At noise_ea = noise_b the
     floor is t5 - t2 on every draw, so its estimate is E t5 - E t2 to
@@ -715,25 +778,15 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
         control_means.append(means)
         sampled.append((config, names))
     points = trial_values_many(sampled, mc, labels)
-    # one regression per number of controls, over the points that have it
-    by_count: dict[int, list[int]] = {}
-    for i, means in enumerate(control_means):
-        if means is not None:
-            by_count.setdefault(len(means), []).append(i)
+    fits = _fit_controls(points, control_means)
     factors: list[dict[str, float]] = [{} for _ in configs]
-    for adjusted in by_count.values():
-        rows = np.array([[points[i].pop(q) for q in control_means[i]] + [points[i]["floor"]]
-                         for i in adjusted])
-        means = np.array([list(control_means[i].values()) for i in adjusted])
-        for i, fit in zip(adjusted, _control_corrections(rows, means)):
-            if fit is not None:
-                correction, factor = fit
-                values = points[i]
-                values["floor"] = values["floor"] - correction
-                factors[i]["floor"] = factor
-                if configs[i].v_a and "lower_bob" in values:
-                    values["lower_bob"] = values["lower_bob"] - configs[i].v_a * correction
-                    factors[i]["lower_bob"] = factors[i]["upper"] = factor
+    for i, (correction, factor) in fits.items():
+        values = points[i]
+        values["floor"] = values["floor"] - correction
+        factors[i]["floor"] = factor
+        if configs[i].v_a and "lower_bob" in values:
+            values["lower_bob"] = values["lower_bob"] - configs[i].v_a * correction
+            factors[i]["lower_bob"] = factors[i]["upper"] = factor
     results = []
     for config, exact, values, factor in zip(configs, exacts, points, factors):
         est = {name: Estimate.exact(value) for name, value in exact.items()}

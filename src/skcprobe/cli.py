@@ -119,17 +119,6 @@ def _check_threads(args) -> None:
         raise ValidationError(f"--threads and {THREADS_ENV} must be >= 1, got {threads}")
 
 
-def _check_out(out: Path) -> None:
-    """--out must be a directory or a path that can become one: neither an
-    existing file nor a path under one.  Checked before any Monte Carlo pass."""
-    for path in (out, *out.parents):
-        if path.exists():
-            if not path.is_dir():
-                raise ValidationError(f"--out must be a directory, but {str(path)!r} "
-                                      f"is an existing file (--out {str(out)!r})")
-            return
-
-
 def _print_estimate_table(values, expanded) -> None:
     width = max(len(q) for q in expanded)
     for q in expanded:
@@ -231,7 +220,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_threads(args)
-        _check_out(Path(args.out))
         # an overflow or NaN ends the run as the program's own named error
         # (exit 4), so numpy's floating-point warnings would only print
         # ahead of that line

@@ -226,6 +226,26 @@ def _file_stem(name: str) -> str:
     return name
 
 
+def _case_name(name) -> str:
+    """A case name is written unquoted into the CSV's 'case' column."""
+    if not isinstance(name, str) or any(c in name for c in ',"\r\n'):
+        raise ValidationError(
+            f"a case 'name' must be a string without ',', '\"', CR or LF, got {name!r}")
+    return name
+
+
+def _check_out_dir(out_dir: Path) -> None:
+    """The output directory (--out) must be a directory or a path that can
+    become one: neither an existing file nor a path under one.  Every run_*
+    function checks it before any Monte Carlo pass."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ValidationError(f"--out must be a directory, but {str(path)!r} "
+                                      f"is an existing file (--out {str(out_dir)!r})")
+            return
+
+
 def _sweep_section(raw: Mapping, base: ProbingConfig) -> SweepSpec | None:
     sweep_raw = raw.get("sweep")
     if sweep_raw is None:
@@ -258,12 +278,12 @@ def _cases_section(raw: Mapping, base: ProbingConfig) -> tuple[CaseSpec, ...]:
     for entry in entries:
         if not isinstance(entry, Mapping) or "name" not in entry:
             raise ParseError("each case needs a 'name'")
-        _reject_unknown(entry, _CASE_KEYS, f"case {entry['name']!r}")
+        name = _case_name(entry["name"])
+        _reject_unknown(entry, _CASE_KEYS, f"case {name!r}")
         overrides = entry.get("overrides", {}) or {}
         if not isinstance(overrides, Mapping):
             raise ValidationError(
-                f"overrides of case {entry['name']!r} must be a mapping, got {overrides!r}")
-        name = str(entry["name"])
+                f"overrides of case {name!r} must be a mapping, got {overrides!r}")
         if any(case.name == name for case in cases):
             raise ValidationError(f"duplicate case name {name!r}: case names "
                                   "key the output rows and curves")
@@ -381,6 +401,7 @@ def run_eval(spec: ExperimentSpec, out_dir: Path) -> tuple[dict[str, Estimate], 
     values for printing."""
     if spec.sweep is not None:
         raise ValidationError("eval does not accept a sweep; use the sweep command")
+    _check_out_dir(out_dir)
     expanded = expand_quantities(spec.quantities)
     (values,) = evaluate_quantities([spec.base], spec.mc, spec.quantities)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -402,6 +423,7 @@ def run_sweep(spec: ExperimentSpec, out_dir: Path) -> tuple[Path, Path | None]:
     """
     if spec.sweep is None:
         raise ValidationError("sweep command requires a 'sweep' section")
+    _check_out_dir(out_dir)
     expanded = expand_quantities(spec.quantities)
     header = ["case", "sweep_param", "sweep_value"] + _quantity_header(expanded)
     rows = []
@@ -459,6 +481,7 @@ def run_dof(spec: ExperimentSpec, out_dir: Path) -> tuple[dict[str, DofResult], 
     if quantity_name is None:
         raise ValidationError(
             f"dof needs one quantity from {DOF_QUANTITIES}, got {spec.quantities}")
+    _check_out_dir(out_dir)
 
     def evaluator(case: CaseSpec):
         labels = [f"case {case.name!r}, power {format_number(p)}" for p in spec.power_grid]
@@ -495,17 +518,20 @@ def run_verify(path_or_name: str, out_dir: Path, seed_override: int | None = Non
                ) -> tuple[VerificationSummary, Path]:
     """Run the verification suite from a config-set file.
 
-    The file holds 'configs' (list of scenario mappings) plus optional 'mc'
-    and 'identity_realizations'; the overrides work as in load_spec.  A
-    JSON report is always written; the mutation-control flag corrupts the
-    closed-form pilot MI so the suite must fail (negative control for the
-    oracle itself).
+    The file holds 'configs' (list of scenario mappings) plus optional
+    'name' (the report's 'suite', by default the file stem, under a spec
+    name's rule), 'mc' and 'identity_realizations'; the overrides work as in
+    load_spec.  A JSON report is always written; the mutation-control flag
+    corrupts the closed-form pilot MI so the suite must fail (negative
+    control for the oracle itself).
     """
-    text, name = read_spec_text(path_or_name)
+    _check_out_dir(out_dir)
+    text, default_name = read_spec_text(path_or_name)
     raw = _parse_yaml(text, path_or_name)
     if not isinstance(raw, Mapping) or "configs" not in raw:
         raise ParseError(f"{path_or_name} must be a mapping with a 'configs' list")
     _reject_unknown(raw, _VERIFY_KEYS, f"the top level of {path_or_name}")
+    name = _file_stem(str(raw.get("name", default_name)))
     configs = [config_from_mapping(entry) for entry in _list_section(raw, "configs", [])]
     mc = _mc_settings(raw, seed_override, trials_override, 2000)
     realizations = _integer(raw.get("identity_realizations", 300), "identity_realizations")

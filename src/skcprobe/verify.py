@@ -12,8 +12,8 @@ Four kinds of checks live here:
   Laguerre polynomials from scipy.special, and against the scalar ergodic
   capacity;
 * per-trial determinant-identity checks on the engine's blocks of draws:
-  the engine's floor (with its control t4 where n_e < n_a), its control
-  t5, gap and Bob-side integrands against oracle forms that reach each
+  the engine's floor (with its control t4 where n_e < n_a), its controls
+  t5 and t1, gap and Bob-side integrands against oracle forms that reach each
   value through a different factorization and are built from
   skcprobe.numerics alone, sharing no engine code, one floor oracle per
   regime; and the batched engine against its per-sample integrands on
@@ -264,22 +264,25 @@ def wishart_logdet_quadrature(rows: int, cols: int, gamma: float) -> float:
 def wishart_mean_check(config: ProbingConfig) -> VerificationOutcome:
     """wishart_logdet_mean of the floor's control variates, log2det(I +
     gamma_ea G) with g_a n_e x n_a and t5 = log2det(I + gamma_ba (G + H))
-    with [g_a; h_ba] (n_e + n_b) x n_a (both when noise_ea > 0), log2det(I
-    + gamma_ba H) with h_ba n_b x n_a and, when n_e < n_a, t4 = log2det(I +
-    gamma_ba h_ba P h_ba^H), P the projector onto null(g_a), whose h_ba in
-    a basis of that null space is n_b x (n_a - n_e), against
+    with [g_a; h_ba] (n_e + n_b) x n_a (both when noise_ea > 0), t1 =
+    log2det(I + gamma_ba G) (when noise_ea > 0 and gamma_ea != gamma_ba),
+    log2det(I + gamma_ba H) with h_ba n_b x n_a and, when n_e < n_a, t4 =
+    log2det(I + gamma_ba h_ba P h_ba^H), P the projector onto null(g_a),
+    whose h_ba in a basis of that null space is n_b x (n_a - n_e), against
     wishart_logdet_quadrature, WISHART_RTOL relative.  A term outside the
     closed form's domain is named in the detail and not compared: the
     engine gives such a floor its raw estimate."""
     gam = derive_gammas(config)
-    terms = {"h_ba": (config.n_b, config.n_a, gam.gamma_ba)}
+    terms = [("h_ba", config.n_b, config.n_a, gam.gamma_ba)]
     if config.noise_ea > 0:
-        terms["g_a"] = (config.n_e, config.n_a, gam.gamma_ea)
-        terms["[g_a; h_ba]"] = (config.n_e + config.n_b, config.n_a, gam.gamma_ba)
+        terms.append(("g_a", config.n_e, config.n_a, gam.gamma_ea))
+        terms.append(("[g_a; h_ba]", config.n_e + config.n_b, config.n_a, gam.gamma_ba))
+        if gam.gamma_ea != gam.gamma_ba:
+            terms.append(("g_a", config.n_e, config.n_a, gam.gamma_ba))
     if config.n_e < config.n_a:
-        terms["h_ba on null(g_a)"] = (config.n_b, config.n_a - config.n_e, gam.gamma_ba)
+        terms.append(("h_ba on null(g_a)", config.n_b, config.n_a - config.n_e, gam.gamma_ba))
     worst, notes = 0.0, []
-    for channel, (rows, cols, gamma) in terms.items():
+    for channel, rows, cols, gamma in terms:
         try:
             closed = wishart_logdet_mean(rows, cols, gamma)
         except ValueError:
@@ -350,17 +353,29 @@ def floor_null_space(realization: ChannelRealization, config: ProbingConfig):
     return values
 
 
+def _sylvester_logdet(s: np.ndarray, config: ProbingConfig):
+    """log2det(I + gamma_ba S^H S) per trial, by LU from the raw channels
+    S on the other side of Sylvester's identity from the engine's:
+    log2|I + gamma_ba S S^H| where n_e >= n_a (the engine factors S^H S)
+    and log2|I + gamma_ba S^H S| where n_e < n_a (the engine factors S
+    S^H)."""
+    product = s @ conj_t(s) if config.n_e >= config.n_a else conj_t(s) @ s
+    return logdet_lu(np.eye(product.shape[-1]) + derive_gammas(config).gamma_ba * product)
+
+
 def joint_sylvester(realization: ChannelRealization, config: ProbingConfig):
     """Oracle of the floor's control t5 = log2det(I + gamma_ba (G + H)) per
-    trial, by LU from the raw channels on the other side of Sylvester's
-    identity from the engine's: with S = [g_a; h_ba], log2|I + gamma_ba S
-    S^H|, (n_e + n_b)-square, where n_e >= n_a (the engine factors G + H =
-    S^H S), and log2|I + gamma_ba S^H S|, n_a-square, where n_e < n_a (the
-    engine factors S S^H)."""
-    gamma = derive_gammas(config).gamma_ba
-    s = np.concatenate([realization.g_a, realization.h_ba], axis=-2)
-    product = s @ conj_t(s) if config.n_e >= config.n_a else conj_t(s) @ s
-    return logdet_lu(np.eye(product.shape[-1]) + gamma * product)
+    trial, with S = [g_a; h_ba]: (n_e + n_b)-square where n_e >= n_a,
+    n_a-square where n_e < n_a (see _sylvester_logdet)."""
+    return _sylvester_logdet(np.concatenate([realization.g_a, realization.h_ba], axis=-2),
+                             config)
+
+
+def eve_sylvester(realization: ChannelRealization, config: ProbingConfig):
+    """Oracle of the floor's control t1 = log2det(I + gamma_ba G) per trial,
+    with S = g_a: n_e-square where n_e >= n_a, n_a-square where n_e < n_a
+    (see _sylvester_logdet)."""
+    return _sylvester_logdet(realization.g_a, config)
 
 
 def gap_resolvent(realization: ChannelRealization, config: ProbingConfig):
@@ -429,7 +444,9 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
           n_e < n_a its floor and t4 vs floor_null_space, otherwise its
           floor vs floor_resolvent, which loses digits where n_e < n_a as
           noise_ea falls (1e-6 bits at (4,2,2), power 1e5, noise_ea 1e-4);
-          and its control t5 vs joint_sylvester within IDENTITY_ATOL;
+          its control t5 vs joint_sylvester and, where gamma_ea !=
+          gamma_ba (elsewhere t1 is t2 and no control), its control t1 vs
+          eve_sylvester, each within IDENTITY_ATOL;
       (c) Bob-side bound: engine vs lower_bob_rectangular within IDENTITY_ATOL;
       (d) gap integrand >= 0 throughout, and exactly 0 when v_b = 0;
       (e) with v_b forced to 0, the Bob-side integrand equals
@@ -456,13 +473,18 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
         del per_sample["lower_alice"]
     null_space = config.n_e < config.n_a
     floor_terms = ("floor", "t4") if null_space else ("floor",)
+    gam = derive_gammas(config)
+    controls = {"t5": joint_sylvester}
+    if gam.gamma_ea != gam.gamma_ba:
+        controls["t1"] = eve_sylvester
     engine, engine_oneway = trial_values_many(
-        [(config, set(per_sample) | set(floor_terms) | {"t5"}), (oneway, ("lower_bob",))], mc)
+        [(config, set(per_sample) | set(floor_terms) | set(controls)),
+         (oneway, ("lower_bob",))], mc)
 
     def references(block):
         values = {"gap": gap_resolvent(block, config),
-                  "lower_bob": lower_bob_rectangular(block, config),
-                  "t5": joint_sylvester(block, config)}
+                  "lower_bob": lower_bob_rectangular(block, config)}
+        values.update((name, oracle(block, config)) for name, oracle in controls.items())
         values.update(floor_null_space(block, config) if null_space
                       else {"floor": floor_resolvent(block, config)})
         for name, integrand in per_sample.items():
@@ -480,8 +502,9 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
         _worst_deviation("floor-form-equivalence",
                          [(engine[name], oracle[name]) for name in floor_terms],
                          IDENTITY_ATOL, f"{', '.join(floor_terms)} against {floor_oracle} {over}"),
-        _worst_deviation("t5-form-equivalence", [(engine["t5"], oracle["t5"])],
-                         IDENTITY_ATOL, f"t5 against joint_sylvester {over}"),
+        *(_worst_deviation(f"{name}-form-equivalence", [(engine[name], oracle[name])],
+                           IDENTITY_ATOL, f"{name} against {form.__name__} {over}")
+          for name, form in controls.items()),
         _worst_deviation("lower-bob-form-equivalence",
                          [(engine["lower_bob"], oracle["lower_bob"])], IDENTITY_ATOL, over),
         VerificationOutcome(

@@ -1,12 +1,22 @@
 """Shared helpers for the test suite."""
 
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from skcprobe import ChannelRealization, ProbingConfig, logdet_hermitian_pd
 from skcprobe.numerics import conj_t, hermitize
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter: it imports skcprobe from this
+    checkout's src/, as pytest's own pythonpath setting does in process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def make_config(**overrides) -> ProbingConfig:
@@ -42,8 +52,9 @@ def capacity_logdet(h, gamma):
 def control_means(config, count=None) -> dict:
     """Exact means of the floor's control variates at `config`, by name, in
     the engine's order: t2 (g_a at gamma_ea), t3 (h_ba at gamma_ba), t5
-    ([g_a; h_ba] at gamma_ba) and, where n_e < n_a, t4 (h_ba on the n_a -
-    n_e dimensions of null(g_a)); the first `count` of them when given."""
+    ([g_a; h_ba] at gamma_ba), where n_e < n_a t4 (h_ba on the n_a - n_e
+    dimensions of null(g_a)) and, where gamma_ea != gamma_ba, t1 (g_a at
+    gamma_ba); the first `count` of them when given."""
     from skcprobe.capacity import wishart_logdet_mean
     from skcprobe.channel import derive_gammas
     gam = derive_gammas(config)
@@ -53,6 +64,8 @@ def control_means(config, count=None) -> dict:
     if config.n_e < config.n_a:
         means["t4"] = wishart_logdet_mean(config.n_b, config.n_a - config.n_e,
                                           gam.gamma_ba)
+    if gam.gamma_ea != gam.gamma_ba:
+        means["t1"] = wishart_logdet_mean(config.n_e, config.n_a, gam.gamma_ba)
     return dict(list(means.items())[:count])
 
 

@@ -679,14 +679,15 @@ class TestEvaluateMany:
         assert [kind for kind, _ in formed].count("gram") == 4 * 2
         # a (6, 4, 5) block of every quantity factors the floor's three
         # (n_e + n_b)-square matrices (floor_logdets, bob_joint_logdets,
-        # null_logdet) and three n_b-square ones of the role-swapped floor
+        # null_logdet), its control t1 from their leading n_e-square block
+        # and three n_b-square ones of the role-swapped floor
         # (folded_logdet, t2', t3'), which the bounds and the gap read too
         factored = []
         monkeypatch.setattr(capacity, "logdet_hermitian_pd", lambda m, split=None: (
             factored.append(m.shape[1:]) or real_logdet(m, split)))
         twoway = make_config(**WORK_CONFIGS["twoway"])
         evaluate(twoway, McSettings(trials=BLOCK, master_seed=5), QUANTITIES)
-        assert sorted(factored) == [(4, 4)] * 3 + [(9, 9)] * 3
+        assert sorted(factored) == [(4, 4)] * 3 + [(5, 5)] + [(9, 9)] * 3
 
     def test_exact_points_take_no_pass(self, monkeypatch):
         import skcprobe.capacity as capacity
@@ -762,9 +763,10 @@ class TestOneWayLower:
         assert len(collects) == 1
         assert bob_configs == [cfg] * blocks         # never the role-swapped config
         # n_e < n_a: the floor's stacked factorization (which also gives
-        # t2), t3 and t5 from the reordered stacked Gram and t4 from its
-        # noiseless limit; Bob's bound reuses the floor
-        assert logdets == [((4, 4), 2), ((4, 4), 2), ((4, 4), 2)] * blocks
+        # t2), t3 and t5 from the reordered stacked Gram, t4 from its
+        # noiseless limit and t1 from its leading 2 x 2 block; Bob's bound
+        # reuses the floor
+        assert logdets == [((4, 4), 2), ((4, 4), 2), ((4, 4), 2), ((2, 2), None)] * blocks
         assert est["lower"] == est["upper"]
 
     @pytest.mark.parametrize("overrides", list(ONE_WAY.values()), ids=list(ONE_WAY))

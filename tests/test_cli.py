@@ -13,8 +13,12 @@ import pytest
 
 from skcprobe import cli, config_at_power, experiments, secrecy_floor_sample
 from skcprobe.cli import main
+from skcprobe.errors import ValidationError
 from skcprobe.experiments import apply_parameter, load_spec
 from skcprobe.montecarlo import trial_blocks
+from skcprobe.verify import VerificationSummary
+
+from conftest import child_env
 
 SMALL_EVAL = """
 name: point
@@ -287,7 +291,7 @@ quantities: [gap]
         proc = subprocess.run(
             [sys.executable, "-m", "skcprobe.cli", "sweep", "--config", spec,
              "--out", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 4
         loaded = load_spec(spec)
         failing = apply_parameter(loaded.cases[0].config, "power_a", 1e308)
@@ -339,9 +343,9 @@ class TestDeterminism:
 
     # sha256 of what the bundled specs write at --trials 60 --seed 1
     BUNDLED_SHA256 = {
-        "oneway.csv": "6468eedfb36f7a5f116c39f27517aa7a8a803efc80dcde343139c7172893f833",
-        "fig1.csv": "b0d26842766cfbb82054f3750d59ed948a043a9014935b1fd2186eb04894fedb",
-        "fig1.svg": "43d85d85f7d734d62b3c404b78aa46761a6ce87dfc4d33effd159f0fc3ce6e37",
+        "oneway.csv": "741afacb4cf21e727d49f5faa75a0956d4690139194447712cc58a7a1d47554c",
+        "fig1.csv": "4286011cbb7f80553bcd13c4caa7bf195411ee3aaa0cbf9bcd2d09742a4b22e6",
+        "fig1.svg": "dc7adc76badce3665e6db955162ab66184e81a318487a231612c7daa92e519d5",
         "fig2.csv": "38f3f37fc3142e5dd2754864b6af610b75c440e02928656c244d2db5204e2851",
         "fig2.svg": "5a25089b2f0c9a476db3f27409eeeb201874b6184b350d14f6f8dd8cec9e8b9c",
         "fig2-dof.csv": "4780e63a0bf81c5d87fca715f123b644aa4f251b9ee37f2e6927c48775799b78",
@@ -354,6 +358,22 @@ class TestDeterminism:
                          "--out", str(tmp_path)]) == 0
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in tmp_path.iterdir()} == self.BUNDLED_SHA256
+
+
+    # sha256 of fig2's outputs at its own trials and seed: fig2 runs at
+    # noise_ea = noise_b, where t1 is t2 and no control, so they are those
+    # of the engine before t1
+    FIG2_SHA256 = {
+        "fig2.csv": "11001ef531e88cce76e5481d963f000bed48ad8979aa1142120e7715e2248aa0",
+        "fig2.svg": "5a25089b2f0c9a476db3f27409eeeb201874b6184b350d14f6f8dd8cec9e8b9c",
+        "fig2-dof.csv": "594ad4341ecf86a157618d12340e4b5594f74ecbb3a7f9cec3913a7b058ab66c",
+    }
+
+    def test_fig2_outputs_at_the_spec_trials_are_pinned(self, tmp_path):
+        for command in ("sweep", "dof"):
+            assert main([command, "--config", "fig2", "--seed", "1", "--out", str(tmp_path)]) == 0
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in tmp_path.iterdir()} == self.FIG2_SHA256
 
 
 class TestEnvironmentOverrides:
@@ -452,8 +472,8 @@ quantities: [gap, bounds]
         header, row = (tmp_path / "oneway.csv").read_text().splitlines()
         fields = dict(zip(header.split(","), row.split(",")))
         assert {k: v for k, v in fields.items() if k.endswith("_mean")} == {
-            "pilot_mi_mean": "19.1306071068", "floor_mean": "7.68733467501",
-            "gap_mean": "0", "lower_mean": "49.8799458068", "upper_mean": "49.8799458068"}
+            "pilot_mi_mean": "19.1306071068", "floor_mean": "7.68740276178",
+            "gap_mean": "0", "lower_mean": "49.8802181539", "upper_mean": "49.8802181539"}
 
 
 class TestDegenerateConfig:
@@ -478,7 +498,7 @@ class TestConsoleEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "skcprobe.cli", "eval", "--config", spec,
              "--out", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert "wrote" in proc.stdout
 
@@ -500,7 +520,7 @@ class TestHeapFrozenAtExit:
         proc = subprocess.run(
             [sys.executable, "-c", FREEZE_PROBE, "eval", "--config", spec,
              "--out", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[-2:] == ["frozen on return: False", "frozen at exit: True"]
@@ -556,6 +576,57 @@ class TestOutputPlacement:
             in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.yaml", "taken"]
         assert taken.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("command,text", [
+        ("eval", SMALL_EVAL), ("sweep", SMALL_SWEEP), ("dof", SMALL_DOF),
+        ("verify", VERIFY_SET)], ids=["eval", "sweep", "dof", "verify"])
+    def test_run_functions_check_the_output_directory_first(self, tmp_path, monkeypatch,
+                                                            command, text):
+        # a library caller gets the rule before the computation runs
+        def no_monte_carlo(*args, **kwargs):
+            raise AssertionError("a refused output directory ran the computation")
+
+        monkeypatch.setattr(experiments, "evaluate_many", no_monte_carlo)
+        monkeypatch.setattr(experiments, "run_suite", no_monte_carlo)
+        spec = write(tmp_path, text, "spec.yaml")
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="--out must be a directory"):
+            if command == "verify":
+                experiments.run_verify(spec, taken / "sub")
+            else:
+                getattr(experiments, f"run_{command}")(load_spec(spec), taken)
+        assert taken.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("name", [r'"a,b"', r"'a\"b'", r'"a\rb"', r'"a\nb"', "[1, 2]", "7"],
+                             ids=["comma", "quote", "cr", "lf", "list", "number"])
+    def test_case_name_must_be_a_csv_field(self, tmp_path, capsys, name):
+        old = "{name: narrow,"
+        assert old in SMALL_SWEEP
+        spec = write(tmp_path, SMALL_SWEEP.replace(old, f"{{name: {name},"), "spec.yaml")
+        assert main(["sweep", "--config", spec, "--out", str(tmp_path / "out")]) == 3
+        assert "a case 'name' must be a string without ',', '\"', CR or LF" in \
+            capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["spec.yaml"]
+
+    def test_verify_set_name_is_the_report_suite(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "run_suite",
+                            lambda *args, **kwargs: VerificationSummary(outcomes=()))
+        spec = write(tmp_path, VERIFY_SET, "spec.yaml")
+        _, report = experiments.run_verify(spec, tmp_path / "named")
+        assert json.loads(report.read_text(encoding="utf-8"))["suite"] == "tiny-verify"
+        # without a name, the file stem
+        spec = write(tmp_path, VERIFY_SET.replace("name: tiny-verify\n", ""), "plain.yaml")
+        _, report = experiments.run_verify(spec, tmp_path / "plain")
+        assert json.loads(report.read_text(encoding="utf-8"))["suite"] == "plain"
+
+    @pytest.mark.parametrize("name", ['"sub/dir"', '"../escaped"', '""', '".."'])
+    def test_verify_set_name_must_be_a_plain_file_stem(self, tmp_path, capsys, name):
+        spec = write(tmp_path, VERIFY_SET.replace("name: tiny-verify", f"name: {name}"),
+                     "spec.yaml")
+        assert main(["verify", "--config", spec, "--out", str(tmp_path / "out")]) == 3
+        assert "'name' must be a plain file stem" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["spec.yaml"]
 
 
 class TestRhoPairs:

@@ -63,13 +63,14 @@ def reference_mean(rows: int, cols: int, gamma: float) -> float:
 
 def control_terms(config: ProbingConfig) -> list[tuple[int, int, float]]:
     """(rows, cols, gamma) of the floor's control variates: g_a at gamma_ea
-    and [g_a; h_ba] at gamma_ba (when Eve is noisy), h_ba at gamma_ba and,
-    where n_e < n_a, h_ba on the n_a - n_e dimensions of null(g_a) at
-    gamma_ba."""
+    and at gamma_ba and [g_a; h_ba] at gamma_ba (when Eve is noisy), h_ba
+    at gamma_ba and, where n_e < n_a, h_ba on the n_a - n_e dimensions of
+    null(g_a) at gamma_ba."""
     gam = derive_gammas(config)
     terms = [(config.n_b, config.n_a, gam.gamma_ba)]
     if config.noise_ea > 0:
         terms.append((config.n_e, config.n_a, gam.gamma_ea))
+        terms.append((config.n_e, config.n_a, gam.gamma_ba))
         terms.append((config.n_e + config.n_b, config.n_a, gam.gamma_ba))
     if config.n_e < config.n_a:
         terms.append((config.n_b, config.n_a - config.n_e, gam.gamma_ba))
@@ -220,7 +221,7 @@ class TestControlVariates:
     @pytest.mark.parametrize("trials", [CV_MIN_TRIALS, 200, 3000])
     @pytest.mark.parametrize("config", [
         replace(FIG1_BASE, noise_ea=0.3), replace(FIG1_BASE, n_e=10, noise_ea=0.3)],
-        ids=["four-controls", "three-controls"])
+        ids=["five-controls", "four-controls"])
     def test_floor_stderr_is_the_least_squares_intercept_one(self, config, trials):
         mc = McSettings(trials=trials, master_seed=11)
         means = control_means(config)
@@ -249,11 +250,12 @@ class TestControlVariates:
     def test_controls_are_the_floor_terms_and_leave_the_floor_as_it_was(self):
         cfg = replace(FIG1_BASE, noise_ea=0.3)
         mc = McSettings(trials=BLOCK + 44, master_seed=9)
-        values = trial_values_many([(cfg, ("floor", "t2", "t3", "t5", "t4"))], mc)[0]
+        values = trial_values_many([(cfg, ("floor", "t2", "t3", "t5", "t4", "t1"))], mc)[0]
         gam = derive_gammas(cfg)
         blocks = [block for _, block in trial_blocks(cfg, mc)]
         expected = {
             "t2": [capacity_logdet(conj_t(b.g_a), gam.gamma_ea) for b in blocks],
+            "t1": [capacity_logdet(conj_t(b.g_a), gam.gamma_ba) for b in blocks],
             "t3": [capacity_logdet(conj_t(b.h_ba), gam.gamma_ba) for b in blocks],
             "t5": [capacity_logdet(conj_t(np.concatenate([b.g_a, b.h_ba], axis=-2)),
                                    gam.gamma_ba) for b in blocks],
@@ -269,6 +271,23 @@ class TestControlVariates:
             trial_values_many([(replace(FIG1_BASE, n_e=8), ("floor", "t4"))],
                               McSettings(trials=10))
 
+    @pytest.mark.parametrize("n_e", [6, 10])
+    def test_t1_is_a_control_only_where_gamma_ea_and_gamma_ba_differ(self, n_e):
+        cfg = replace(FIG1_BASE, n_e=n_e, noise_ea=1.0)
+        assert "t1" not in control_means(cfg)
+        with pytest.raises(ValueError, match=r"t1 needs gamma_ea != gamma_ba"):
+            trial_values_many([(cfg, ("floor", "t1"))], McSettings(trials=10))
+
+    def test_t1_is_eves_gram_at_bobs_snr_where_n_e_is_not_below_n_a(self):
+        # from G itself (where n_e < n_a, see the test above)
+        cfg = replace(FIG1_BASE, n_e=10, noise_ea=0.3)
+        mc = McSettings(trials=BLOCK + 44, master_seed=9)
+        t1 = trial_values_many([(cfg, ("floor", "t1"))], mc)[0]["t1"]
+        gamma = derive_gammas(cfg).gamma_ba
+        reference = np.concatenate([capacity_logdet(conj_t(b.g_a), gamma)
+                                    for _, b in trial_blocks(cfg, mc)])
+        assert np.max(np.abs(t1 - reference)) <= 1e-12 * np.max(reference)
+
     @pytest.mark.parametrize("shape", [(4, 2, 2), (8, 4, 6), (6, 4, 5)])
     def test_t4_sample_mean_is_its_exact_mean(self, shape):
         n_a, n_b, n_e = shape
@@ -277,6 +296,43 @@ class TestControlVariates:
                                          McSettings(trials=4000, master_seed=17))[0]["t4"])
         exact = reference_mean(n_b, n_a - n_e, derive_gammas(cfg).gamma_ba)
         assert abs(t4.mean - exact) <= 4 * t4.stderr
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (8, 4, 6), (8, 4, 10), (4, 4, 4)])
+    def test_t1_sample_mean_is_its_exact_mean(self, shape):
+        n_a, n_b, n_e = shape
+        cfg = replace(FIG1_BASE, n_a=n_a, n_b=n_b, n_e=n_e, noise_ea=0.3)
+        t1 = summarize(trial_values_many([(cfg, ("t1",))],
+                                         McSettings(trials=4000, master_seed=17))[0]["t1"])
+        exact = reference_mean(n_e, n_a, derive_gammas(cfg).gamma_ba)
+        assert abs(t1.mean - exact) <= 4 * t1.stderr
+
+    @pytest.mark.parametrize("noise_ea", [1 - 1e-5, 1 + 1e-5, 1 - 1e-7, 1 + 1e-7])
+    @pytest.mark.parametrize("case", ["na8-nb4-ne6", "na8-nb4-ne10", "na4-nb4-ne4"])
+    def test_near_equal_noise_keeps_the_stderr_without_t1(self, case, noise_ea):
+        # there t1 and t2 are nearly collinear: a system singular with t1
+        # is solved again without it, so the stderr stays that of the fit
+        # on the other controls, about 7e-3 |noise_ea - 1| bits at 200 trials
+        spec = load_spec("fig1")
+        cfg = apply_parameter(next(c for c in spec.cases if c.name == case).config,
+                              "noise_ea", noise_ea)
+        mc = McSettings(trials=200, master_seed=1)
+        est = evaluate(cfg, mc, ("floor",))["floor"]
+        without_t1 = self.adjusted_floor(cfg, mc, len(control_means(cfg)) - 1)
+        assert est.stderr <= without_t1.stderr
+        assert est.stderr <= 0.01 * abs(noise_ea - 1.0)
+
+    def test_singular_system_with_t1_is_solved_again_without_it(self, rng):
+        n = CV_MIN_TRIALS
+        floor, t, other = (rng.standard_normal(n) for _ in range(3))
+        means = {"t2": 0.1, "t3": 0.2, "t1": 0.1}
+        points = [{"floor": floor, "t2": t, "t3": other, "t1": t},
+                  {"floor": floor, "t2": t, "t3": t, "t1": other}]
+        fits = capacity._fit_controls(points, [dict(means), dict(means)])
+        alone = engine_correction(floor, {"t2": t, "t3": other}, {"t2": 0.1, "t3": 0.2})
+        assert np.array_equal(fits[0][0], alone[0]) and fits[0][1] == alone[1]
+        # singular without t1 too: no fit; and the controls are popped
+        assert 1 not in fits
+        assert [set(p) for p in points] == [{"floor"}] * 2
 
     def test_t3_is_factored_once_per_block_for_a_noise_sweep(self, monkeypatch):
         logdets = []
@@ -287,9 +343,10 @@ class TestControlVariates:
         configs = [replace(FIG1_BASE, noise_ea=float(v)) for v in spec.sweep.values]
         evaluate_many(configs, McSettings(trials=BLOCK + 5, master_seed=3), ("floor",))
         # per block: each point's stacked factorization (its floor and its
-        # t2), and one of the reordered stacked Gram (t3 and t5) and one t4
-        # shared by all points, whose gamma_ba is the same
-        per_block = [((10, 10), 6)] + [((10, 10), 4), ((10, 10), 6)] + \
+        # t2), and one of the reordered stacked Gram (t3 and t5), one t4 and
+        # one t1 (from the stacked Gram's leading 6 x 6 block) shared by all
+        # points, whose gamma_ba is the same
+        per_block = [((10, 10), 6)] + [((10, 10), 4), ((10, 10), 6), ((6, 6), None)] + \
             [((10, 10), 6)] * (len(configs) - 1)
         assert logdets == per_block * 2
 
@@ -308,7 +365,7 @@ class TestControlVariates:
         assert est["lower"] == est["upper"] == summarize(raw["lower_bob"])
 
     @pytest.mark.parametrize("config,count", [
-        (ONEWAY, 4), (replace(FIG1_BASE, n_e=10, noise_ea=0.3), 3)],
+        (ONEWAY, 5), (replace(FIG1_BASE, n_e=10, noise_ea=0.3), 4)],
         ids=["n_e-below-n_a", "n_e-above-n_a"])
     def test_a_point_takes_all_of_its_controls_from_the_minimum_trials(self, config, count):
         # below CV_MIN_TRIALS raw samples, from it every control at once
@@ -329,16 +386,21 @@ class TestControlVariates:
         correction, factor = engine_correction(values["floor"], values, means)
         return scaled(summarize(values["floor"] - correction), factor)
 
-    @pytest.mark.parametrize("case,trials,count", [
-        ("na8-nb4-ne6", 200, 4), ("na8-nb4-ne10", 200, 3), ("na4-nb4-ne4", 3000, 3)])
-    def test_a_fig1_point_takes_every_control_its_trials_allow(self, case, trials, count):
-        # at fig1's 200 trials the n_e < n_a case takes (t2, t3, t5, t4),
-        # not raw samples; an n_e >= n_a point has three controls
+    @pytest.mark.parametrize("case,noise_ea,trials,count", [
+        ("na8-nb4-ne6", 0.3, 200, 5), ("na8-nb4-ne10", 0.3, 200, 4),
+        ("na4-nb4-ne4", 0.3, 3000, 4), ("na8-nb4-ne6", 1.0, 200, 4),
+        ("na4-nb4-ne4", 1.0, 200, 3)])
+    def test_a_fig1_point_takes_every_control_its_trials_allow(self, case, noise_ea, trials,
+                                                               count):
+        # at fig1's 200 trials the n_e < n_a case takes (t2, t3, t5, t4, t1),
+        # not raw samples; an n_e >= n_a point has no t4, and the point at
+        # noise_ea = noise_b, where t1 is t2, no t1
         spec = load_spec("fig1")
         cfg = apply_parameter(next(c for c in spec.cases if c.name == case).config,
-                              "noise_ea", 0.3)
+                              "noise_ea", noise_ea)
         mc = McSettings(trials=trials, master_seed=29)
         est = evaluate(cfg, mc, ("floor",))["floor"]
+        assert len(control_means(cfg)) == count
         assert est == self.adjusted_floor(cfg, mc, count)
         assert est != self.adjusted_floor(cfg, mc, 0)
 

@@ -20,7 +20,7 @@ from skcprobe.channel import sample_channels
 from skcprobe.errors import DimensionGuard, InvalidNoise, ValidationError
 from skcprobe.montecarlo import BLOCK, collect, trial_blocks
 import skcprobe.verify as verify
-from skcprobe.verify import (IDENTITY_ATOL, floor_null_space, floor_resolvent,
+from skcprobe.verify import (IDENTITY_ATOL, eve_sylvester, floor_null_space, floor_resolvent,
                              gap_resolvent, joint_sylvester, lower_bob_rectangular,
                              pilot_mi_check,
                              scalar_capacity_check, wishart_logdet_quadrature,
@@ -238,6 +238,39 @@ class TestIdentitySuite:
         assert check.computed_value == pytest.approx(1e-7, rel=1e-6)
         assert by_name["floor-form-equivalence"].passed
 
+    @pytest.mark.parametrize("overrides", [dict(), dict(n_a=4, n_b=2, n_e=2)],
+                             ids=["n_e-at-n_a", "n_e-below-n_a"])
+    def test_skewed_t1_fails_t1_form_equivalence_at_its_trial(self, monkeypatch, overrides):
+        cfg = make_config(**overrides)
+        check = {o.check_name: o for o in determinant_identity_suite(
+            cfg, realizations=300)}["t1-form-equivalence"]
+        assert check.passed and check.tolerance == IDENTITY_ATOL
+        assert check.detail == "t1 against eve_sylvester over 300 realizations"
+        real = verify.trial_values_many
+
+        def skewed(points, mc):
+            values = real(points, mc)
+            values[0]["t1"] = values[0]["t1"].copy()
+            values[0]["t1"][BLOCK + 9] += 1e-7
+            return values
+
+        monkeypatch.setattr(verify, "trial_values_many", skewed)
+        by_name = {o.check_name: o for o in determinant_identity_suite(cfg, realizations=300)}
+        check = by_name["t1-form-equivalence"]
+        assert not check.passed
+        assert check.detail == f"max deviation at trial {BLOCK + 9}"
+        assert check.computed_value == pytest.approx(1e-7, rel=1e-6)
+        assert by_name["t5-form-equivalence"].passed
+
+    @pytest.mark.parametrize("overrides", [dict(), dict(n_a=4, n_b=2, n_e=2)])
+    def test_no_t1_check_where_eve_and_bob_hear_alice_at_one_snr(self, overrides):
+        # at noise_ea = noise_b, t1 is t2 and not a control
+        outcomes = determinant_identity_suite(make_config(noise_ea=1.0, **overrides),
+                                              realizations=100)
+        names = [o.check_name for o in outcomes]
+        assert "t5-form-equivalence" in names and "t1-form-equivalence" not in names
+        assert all(o.passed for o in outcomes)
+
     def test_high_power_null_space_config_passes(self):
         # the difference of log-dets in floor_resolvent loses about 1e-6 bits
         # here, where the engine and floor_null_space agree to 1e-12
@@ -287,7 +320,7 @@ class TestOracleIndependence:
         mc = McSettings(trials=BLOCK + 44, master_seed=9)
         null_space = cfg.n_e < cfg.n_a
         engine = trial_values_many(
-            [(cfg, ("floor", "gap", "lower_bob", "t5") + (("t4",) if null_space else ()))],
+            [(cfg, ("floor", "gap", "lower_bob", "t5", "t1") + (("t4",) if null_space else ()))],
             mc)[0]
 
         def engine_code(*args, **kwargs):
@@ -309,7 +342,7 @@ class TestOracleIndependence:
         def oracles(block):
             values = {"floor": floor_resolvent(block, cfg), "gap": gap_resolvent(block, cfg),
                       "lower_bob": lower_bob_rectangular(block, cfg),
-                      "t5": joint_sylvester(block, cfg)}
+                      "t5": joint_sylvester(block, cfg), "t1": eve_sylvester(block, cfg)}
             if null_space:
                 values.update({f"{name}-null-space": v
                                for name, v in floor_null_space(block, cfg).items()})
@@ -319,7 +352,7 @@ class TestOracleIndependence:
         for name, reference in values.items():
             assert reference.shape == (BLOCK + 44,)
             assert np.max(np.abs(reference - engine[name.split("-")[0]])) <= IDENTITY_ATOL, name
-        assert len(values) == (6 if null_space else 4)
+        assert len(values) == (7 if null_space else 5)
         block = next(trial_blocks(cfg, mc))[1]
         assert not gap_resolvent(block, replace(cfg, v_b=0, noise_eb=0.0)).any()
         with pytest.raises(InvalidNoise):
@@ -355,7 +388,7 @@ class TestRunSuite:
         elapsed = time.perf_counter() - start
         assert summary.passed
         per_config = ["pilot-mi-exact", "pilot-mmse", "gap-form-equivalence",
-                      "floor-form-equivalence", "t5-form-equivalence",
+                      "floor-form-equivalence", "t5-form-equivalence", "t1-form-equivalence",
                       "lower-bob-form-equivalence",
                       "gap-nonnegative", "one-way-identity", "engine-reference-agreement",
                       "wishart-mean"]
@@ -414,6 +447,21 @@ class TestWishartMeanCheck:
         real = verify.wishart_logdet_mean
         monkeypatch.setattr(verify, "wishart_logdet_mean", lambda rows, cols, gamma: (
             real(rows, cols, gamma) * (1.0 + 1e-7 * ((rows, cols) == (5, 4)))))
+        assert not wishart_mean_check(cfg).passed
+
+    def test_t1_term_is_checked_where_eve_and_bob_hear_alice_at_two_snrs(self, monkeypatch):
+        cfg = make_config(n_a=4, n_b=2, n_e=3)
+        outcome = wishart_mean_check(cfg)
+        assert outcome.passed
+        # t2 at gamma_ea = 4 and t1 at gamma_ba = 2, both on g_a's shape
+        assert "g_a (3x4, gamma 4)" in outcome.detail
+        assert "g_a (3x4, gamma 2)" in outcome.detail
+        # at noise_ea = noise_b t1 is t2, checked once
+        assert wishart_mean_check(replace(cfg, noise_ea=1.0)).detail.count("g_a (3x4") == 1
+        # a closed form skewed on t1's term alone fails the check
+        real = verify.wishart_logdet_mean
+        monkeypatch.setattr(verify, "wishart_logdet_mean", lambda rows, cols, gamma: (
+            real(rows, cols, gamma) * (1.0 + 1e-7 * ((rows, cols, gamma) == (3, 4, 2.0)))))
         assert not wishart_mean_check(cfg).passed
 
     def test_terms_outside_the_domain_are_named_and_skipped(self):
