@@ -23,6 +23,7 @@ from .capacity import (
     reciprocity_gain,
     secrecy_floor_sample,
     wishart_logdet_mean,
+    wishart_trace_mean,
 )
 from .channel import (
     ChannelRealization,

@@ -6,8 +6,8 @@ Quantities (all in bits, log base 2; QUANTITIES names them):
   observations; n_a*n_b*log2 of the reciprocity gain.
 * ``floor``       -- expected secret bits per probing slot that Bob gains
   over Eve from Alice's random probes; positive whenever Eve's receive noise
-  is nonzero.  Its per-draw form depends on the regime (n_e < n_a or not;
-  see secrecy_floor_sample).
+  is nonzero, and where n_e < n_a also when it is zero.  Its per-draw form
+  depends on the regime (n_e < n_a or not; see secrecy_floor_sample).
 * ``lower_bob`` / ``lower_alice`` -- the two secret-key-rate lower bounds
   per coherence period (the Alice-side bound is the Bob-side bound of the
   role-swapped scenario, exact when v_b = 0); ``lower`` is the larger of
@@ -27,12 +27,14 @@ goes through: points whose draws are identical share one pass, and each
 block's Gram matrices are formed once for all of them, which also build what
 they factor in the block's work matrices (see Grams; ``evaluate`` is its
 one-point call).  It estimates the floor, and the bounds built on it, with
-control variates whose exact means ``wishart_logdet_mean`` evaluates in
-closed form: t2 and t3, the log-dets of what Eve and Bob see of Alice's
-probes, t5, what both see together at Bob's SNR, where n_e < n_a t4, what
-Bob sees through the dimensions Eve cannot observe, and, where Eve's SNR is
-not Bob's, t1, what Eve sees at Bob's SNR (see _controls), all of them from
-CV_MIN_TRIALS trials on, and reports the regression's least-squares stderr.
+control variates whose exact means ``wishart_logdet_mean`` and
+``wishart_trace_mean`` evaluate in closed form: t2 and t3, the log-dets of
+what Eve and Bob see of Alice's probes, t5, what both see together at Bob's
+SNR, where n_e < n_a t4, what Bob sees through the dimensions Eve cannot
+observe, and, where Eve's SNR is not Bob's, t1, what Eve sees at Bob's SNR,
+and u3 and u1, the first-order interactions of Eve's and Bob's Grams (see
+_controls), all of them from CV_MIN_TRIALS trials on, and reports the
+regression's least-squares stderr.
 """
 
 from __future__ import annotations
@@ -129,6 +131,25 @@ def _eigenvalue_weights(m: int, d: int) -> np.ndarray | None:
     return out
 
 
+def _wishart_rule(name: str, rows: int, cols: int, gamma: float
+                  ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(nodes, weights, gamma) of the rule for a rows x cols Wishart mean
+    (see _eigenvalue_weights); ValueError, naming `name`, outside the
+    domain."""
+    if not (1 <= rows <= 2 * WISHART_MAX_DIM and 1 <= cols <= WISHART_MAX_DIM):
+        raise ValueError(f"{name}: shape {rows}x{cols} outside "
+                         f"[1, {2 * WISHART_MAX_DIM}] x [1, {WISHART_MAX_DIM}]")
+    g = float(gamma)
+    lo, hi = WISHART_GAMMAS
+    if not lo <= g <= hi:
+        raise ValueError(f"{name}: gamma {gamma} outside [{lo:g}, {hi:g}]")
+    weights = _eigenvalue_weights(min(rows, cols), abs(rows - cols))
+    if weights is None:
+        raise ValueError(f"{name}: the rule misses the eigenvalue "
+                         f"density's mass at shape {rows}x{cols}")
+    return _exp_sinh_rule()[0], weights, g
+
+
 def wishart_logdet_mean(rows: int, cols: int, gamma: float) -> float:
     """E log2det(I + gamma h^H h) over rows x cols matrices h of iid CN(0, 1)
     entries (Telatar, "Capacity of multi-antenna Gaussian channels", Eur.
@@ -141,19 +162,18 @@ def wishart_logdet_mean(rows: int, cols: int, gamma: float) -> float:
     [1, WISHART_MAX_DIM], gamma in WISHART_GAMMAS, and a rule that
     integrates the density to its mass (WISHART_MASS_RTOL).
     """
-    if not (1 <= rows <= 2 * WISHART_MAX_DIM and 1 <= cols <= WISHART_MAX_DIM):
-        raise ValueError(f"wishart_logdet_mean: shape {rows}x{cols} outside "
-                         f"[1, {2 * WISHART_MAX_DIM}] x [1, {WISHART_MAX_DIM}]")
-    g = float(gamma)
-    lo, hi = WISHART_GAMMAS
-    if not lo <= g <= hi:
-        raise ValueError(f"wishart_logdet_mean: gamma {gamma} outside [{lo:g}, {hi:g}]")
-    weights = _eigenvalue_weights(min(rows, cols), abs(rows - cols))
-    if weights is None:
-        raise ValueError(f"wishart_logdet_mean: the rule misses the eigenvalue "
-                         f"density's mass at shape {rows}x{cols}")
-    nodes, _ = _exp_sinh_rule()
+    nodes, weights, g = _wishart_rule("wishart_logdet_mean", rows, cols, gamma)
     return float(np.log1p(g * nodes) @ weights) / _LN2
+
+
+def wishart_trace_mean(rows: int, cols: int, gamma: float) -> float:
+    """E tr(gamma W (I + gamma W)^-1), W = h^H h over rows x cols matrices h
+    of iid CN(0, 1) entries: the integral of gamma x / (1 + gamma x) against
+    the eigenvalue density, gamma ln 2 d/dgamma of wishart_logdet_mean, on
+    the same rule, with the same domain and ValueError."""
+    nodes, weights, g = _wishart_rule("wishart_trace_mean", rows, cols, gamma)
+    x = g * nodes
+    return float((x / (1.0 + x)) @ weights)
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,8 +243,8 @@ class Grams:
         return self._gram(self._channel(channel))
 
     def _logdet(self, key: tuple, factor: Callable[[], object]):
-        """The log-det (or pair of them) stored under `key`, factored by
-        `factor` on first use and then read-only."""
+        """The per-trial values (one array or a tuple of them) stored under
+        `key`, factored by `factor` on first use and then read-only."""
         if key not in self._logdets:
             value = factor()
             for part in value if isinstance(value, tuple) else (value,):
@@ -309,19 +329,57 @@ class Grams:
 
         return self._logdet(("null", self._channel("g_a"), gamma_ba), factor)
 
-    def leading_logdet(self, gamma: float):
-        """t1 = log2det(I + gamma g_a g_a^H) = log2det(I + gamma G) per
-        trial (Sylvester), where n_e < n_a: an n_e-square factorization of
-        K's leading block, so no n_a-square Gram of g_a is formed."""
+    def eve_joint_logdets(self, gamma_ba: float):
+        """(t1, u1) per trial where n_e < n_a, from one Cholesky
+        factorization of I + gamma_ba K in K's own [g_a; h_ba] order, built
+        in the work matrix: its leading n_e diagonal entries give t1 =
+        log2det(I + gamma_ba g_a g_a^H) = log2det(I + gamma_ba G)
+        (Sylvester), and the factor's off-diagonal block L21, with |L21|^2 =
+        gamma_ba^2 tr(h_ba g_a^H (I + gamma_ba g_a g_a^H)^-1 g_a h_ba^H),
+        gives u1 = tr(gamma_ba G (I + gamma_ba G)^-1 H) = |L21|^2 /
+        gamma_ba (push-through).  Exactly Hermitian, as K is."""
         n_e = self._n_e()
 
         def factor():
-            work = np.multiply(self._stacked()[..., :n_e, :n_e], gamma,
-                               out=self.work((n_e, n_e)))
-            work += _eye(n_e)
-            return logdet_hermitian_pd(work)
+            k = self._stacked()
+            work = np.multiply(k, gamma_ba, out=self.work(k.shape[-2:]))
+            work += _eye(k.shape[-1])
+            eve, _, cross = logdet_hermitian_pd(work, split=n_e, cross=True)
+            return eve, cross / gamma_ba
 
-        return self._logdet(("leading", self._channel("g_a"), gamma), factor)
+        return self._logdet(("eve-joint", self._channel("g_a"), gamma_ba), factor)
+
+    def interaction_trace(self, channel: str, gamma: float):
+        """tr(gamma M (I + gamma M)^-1 O) per trial where n_e >= n_a, M and
+        O the n_a x n_a Grams of g_a and h_ba, `channel` naming M's: u3 for
+        h_ba, u1 for g_a.  M commutes with its resolvent and H = h_ba^H h_ba,
+        so each is gamma tr(Y (I + gamma M)^-1 h_ba^H), Y = h_ba G formed
+        once per block: one batched solve of I + gamma M, built in the work
+        matrix, against h_ba^H's n_b columns.  Where M = H has rank n_b <
+        n_a, u3 is gamma tr((I + gamma h_ba h_ba^H)^-1 Y h_ba^H) instead
+        (push-through), an n_b-square solve: (I + gamma H)^-1 would carry
+        the round-off of its null space, gamma times over, into u3."""
+        channel, h_ba = self._channel(channel), self._channel("h_ba")
+
+        def factor():
+            h = getattr(self._realization, h_ba)
+            key = (h_ba, "times", self._channel("g_a"))
+            if key not in self._grams:
+                self._grams[key] = h @ self["g_a"]
+            y = self._grams[key]
+            n_b, n_a = h.shape[-2:]
+            if channel == h_ba and n_b < n_a:
+                work = np.multiply(h @ conj_t(h), gamma, out=self.work((n_b, n_b)))
+                work += _eye(n_b)
+                solved = np.linalg.solve(work, y @ conj_t(h))
+                return gamma * np.trace(solved, axis1=-2, axis2=-1).real
+            m = self._gram(channel)
+            work = np.multiply(m, gamma, out=self.work(m.shape[-2:]))
+            work += _eye(n_a)
+            solved = np.linalg.solve(work, conj_t(h))
+            return gamma * np.einsum("...ij,...ji->...", y, solved).real
+
+        return self._logdet(("interaction", channel, gamma), factor)
 
     def folded_logdet(self, gamma_ea: float, ratio: float):
         """log2det(I + gamma_ea (G + ratio H)) per trial, from the n_a x n_a
@@ -340,12 +398,14 @@ class Grams:
         return self._logdet(("folded", self._channel("g_a"), gamma_ea, ratio), factor)
 
     def bob_joint_logdets(self, gamma_ba: float):
-        """(t3, t5) per trial where n_e < n_a, from one Cholesky
+        """(t3, t5, u3) per trial where n_e < n_a, from one Cholesky
         factorization of I + gamma_ba K with K's blocks reordered to [h_ba;
         g_a], built in the work matrix: its leading n_b diagonal entries give
         t3 = log2det(I + gamma_ba h_ba h_ba^H) = log2det(I + gamma_ba H)
-        (Sylvester) and all of them t5 = log2det(I + gamma_ba K) =
-        log2det(I + gamma_ba (G + H)).  Exactly Hermitian, as K is."""
+        (Sylvester), all of them t5 = log2det(I + gamma_ba K) =
+        log2det(I + gamma_ba (G + H)), and the factor's off-diagonal block
+        u3 = tr(gamma_ba H (I + gamma_ba H)^-1 G) = |L21|^2 / gamma_ba (as
+        in eve_joint_logdets).  Exactly Hermitian, as K is."""
         n_e = self._n_e()
 
         def factor():
@@ -354,8 +414,8 @@ class Grams:
             rows, cols = _h_ba_first(n_e, k.shape[-1])
             work = np.multiply(k[..., rows, cols], gamma_ba, out=self.work(k.shape[-2:]))
             work += _eye(k.shape[-1])
-            bob, rest = logdet_hermitian_pd(work, split=n_b)
-            return bob, bob + rest
+            bob, rest, cross = logdet_hermitian_pd(work, split=n_b, cross=True)
+            return bob, bob + rest, cross / gamma_ba
 
         return self._logdet(("bob-joint", self._channel("g_a"), gamma_ba), factor)
 
@@ -375,10 +435,10 @@ def secrecy_floor_sample(realization: ChannelRealization, config: ProbingConfig,
                          grams: Grams | None = None):
     """Per-realization integrand of the secrecy floor (bits per probe slot),
     log2det(I + gamma_ea G + gamma_ba H) - log2det(I + gamma_ea G) with G, H
-    the Grams of g_a, h_ba.  It is exactly 0 at noise_ea = 0, the floor's
-    limit there only when n_e >= n_a.  `grams` is the realization's Gram
-    store when the caller shares it (see Grams), which factors each log-det
-    once.  One form per regime:
+    the Grams of g_a, h_ba.  At noise_ea = 0 it is its limit there: t4 where
+    n_e < n_a (Grams.null_logdet), otherwise exactly 0.  `grams` is the
+    realization's Gram store when the caller shares it (see Grams), which
+    factors each log-det once.  One form per regime:
 
     * n_e < n_a: the trailing log-det of one (n_e + n_b)-square Cholesky
       factorization (Grams.floor_logdets), no difference of log-dets.  It
@@ -393,11 +453,13 @@ def secrecy_floor_sample(realization: ChannelRealization, config: ProbingConfig,
     In both, log2det(I + gamma_ea G) is the control variate t2 that
     evaluate_many reads from the same factorization.
     """
-    if config.noise_ea == 0:
+    if config.noise_ea == 0 and config.n_e >= config.n_a:
         return realization.per_trial(0.0)
     gam = derive_gammas(config)
     grams = Grams(realization) if grams is None else grams
-    if config.n_e < config.n_a:
+    if config.noise_ea == 0:
+        val = grams.null_logdet(gam.gamma_ba)
+    elif config.n_e < config.n_a:
         val = grams.floor_logdets(gam.gamma_ea, gam.gamma_ba)[1]
     else:
         val = (grams.folded_logdet(gam.gamma_ea, config.noise_ea / config.noise_b)
@@ -432,7 +494,7 @@ def bound_gap_sample(realization: ChannelRealization, config: ProbingConfig,
         joint = t2 + floor
     else:
         joint = grams.folded_logdet(gam.gamma_ea, swapped.noise_ea / swapped.noise_b)
-    val = config.v_b * (joint - _controls(swapped)["t3"][3](grams))
+    val = config.v_b * (joint - _controls(swapped)["t3"].read(grams))
     return realization.per_trial(np.maximum(val, 0.0))
 
 
@@ -451,7 +513,7 @@ def lower_bound_bob_sample(realization: ChannelRealization, config: ProbingConfi
         if config.noise_eb == 0:
             raise InvalidNoise("lower bound diverges at noise_eb = 0 with v_b > 0")
         controls, swapped = _controls(_swapped_config(config)), grams.swap_roles()
-        val += config.v_b * (controls["t3"][3](swapped) - controls["t2"][3](swapped))
+        val += config.v_b * (controls["t3"].read(swapped) - controls["t2"].read(swapped))
     return realization.per_trial(val)
 
 
@@ -464,12 +526,16 @@ SAMPLED = ("floor", "lower_bob", "gap", "lower_alice")
 # and h_ba: t2 = log2det(I + gamma_ea G), t3 = log2det(I + gamma_ba H), t5 =
 # log2det(I + gamma_ba (G + H)), where n_e < n_a t4 = log2det(I + gamma_ba
 # h_ba P h_ba^H), P the projector onto null(g_a), and, where gamma_ea !=
-# gamma_ba, t1 = log2det(I + gamma_ba G); their means are
-# wishart_logdet_mean's.  From CV_MIN_TRIALS trials on (the least-squares
-# stderr needs more than k + 1) a point regresses on all of them
-CONTROLS = ("t2", "t3", "t5", "t4", "t1")
+# gamma_ba, t1 = log2det(I + gamma_ba G) and the interaction traces u3 =
+# tr(gamma_ba H (I + gamma_ba H)^-1 G) and u1 = tr(gamma_ba G (I + gamma_ba
+# G)^-1 H); their means are wishart_logdet_mean's and, for u3 and u1,
+# n_e and n_b times wishart_trace_mean's.  From CV_MIN_TRIALS trials on (the
+# least-squares stderr needs more than k + 1) a point regresses on all of
+# them
+CONTROLS = ("t2", "t3", "t5", "t4", "t1", "u3", "u1")
 # where a control is not one of a config's (see _controls)
-_CONTROL_RULES = {"t4": "n_e < n_a", "t1": "gamma_ea != gamma_ba"}
+_CONTROL_RULES = {"t4": "n_e < n_a", "t1": "gamma_ea != gamma_ba",
+                  "u3": "gamma_ea != gamma_ba", "u1": "gamma_ea != gamma_ba"}
 CV_MIN_TRIALS = 52
 # a regression system whose determinant is at most this fraction of the
 # product of its diagonal counts as singular
@@ -487,60 +553,101 @@ def _draws_key(config: ProbingConfig) -> tuple:
     return (config.n_a, config.n_b, config.n_e, config.rho)
 
 
+class _Control(NamedTuple):
+    """One of the floor's controls at a config: its exact mean is `times`
+    wishart_logdet_mean(rows, cols, gamma) or, for a `trace` control,
+    wishart_trace_mean's, and read(grams) gives its per-trial values from
+    a block's Gram store."""
+
+    mean: tuple[bool, int, int, float, int]   # (trace, rows, cols, gamma, times)
+    read: Callable
+
+
 @functools.lru_cache(maxsize=1024)
-def _controls(config: ProbingConfig) -> dict[str, tuple[int, int, float, Callable]]:
-    """Name -> (rows, cols, gamma, read) of each of the floor's CONTROLS at
-    `config`, in the order a point takes them: (t2, t3, t5), then t4 where
-    n_e < n_a and t1 last where gamma_ea != gamma_ba (at equal gammas t1 is
-    t2).  Each is a log2det(I + gamma w^H w) with w rows x cols of iid CN(0,
-    1) entries, whose mean is wishart_logdet_mean(rows, cols, gamma), and
-    read(grams) gives its per-trial values from the block's Gram store,
-    which factors it from the Grams that the floor forms anyway.  t5's w is
-    [g_a; h_ba], (n_e + n_b) x n_a.  Where n_e < n_a, t2 is the leading
-    part of the floor's own factorization, t3 and t5 come from one
-    factorization of the reordered stacked Gram (Grams.bob_joint_logdets),
+def _controls(config: ProbingConfig) -> dict[str, _Control]:
+    """Name -> _Control of each of the floor's CONTROLS at `config`, in the
+    order a point takes them: (t2, t3, t5), then t4 where n_e < n_a and (t1,
+    u3, u1) last where gamma_ea != gamma_ba (at equal gammas t1 is t2, and
+    the floor is exactly t5 - t2, so nothing more can help).  Each t is a
+    log2det(I + gamma w^H w) with w rows x cols of iid CN(0, 1) entries,
+    whose mean is wishart_logdet_mean(rows, cols, gamma); t5's w is [g_a;
+    h_ba], (n_e + n_b) x n_a.  u3 = tr(P_H G), P_H = gamma_ba H (I +
+    gamma_ba H)^-1, has mean n_e wishart_trace_mean(n_b, n_a, gamma_ba), G
+    being independent of H with mean n_e I, and u1 = tr(P_G H) likewise n_b
+    wishart_trace_mean(n_e, n_a, gamma_ba): to first order in gamma_ea the
+    floor is t3 - gamma_ea u3 / ln 2.  Each is read from the Grams that the
+    floor forms anyway.  Where n_e < n_a, t2 is the leading part of the
+    floor's own factorization, t3, t5 and u3 come from one factorization of
+    the reordered stacked Gram (Grams.bob_joint_logdets), t1 and u1 from
+    one of the stacked Gram in its own order (Grams.eve_joint_logdets), and
     t4 (h_ba in an orthonormal basis of null(g_a) is n_b x (n_a - n_e), iid
-    and independent of g_a) from its noiseless limit and t1 from the
-    stacked Gram's leading block (Grams.leading_logdet); otherwise t2, t3
-    and t1 are identity log-dets of the n_a x n_a Grams G and H, and t5 is
-    Grams.folded_logdet at ratio 1.0.  t3, t5, t4 and t1 depend on gamma_ba
-    only, so the points of a noise_ea sweep share them per block.  The
-    two-way integrands read the role-swapped config's t3 and t2 on every
-    draw, so the dict is built once per config, shared and read only."""
+    and independent of g_a) from its noiseless limit; otherwise t2, t3 and
+    t1 are identity log-dets of the n_a x n_a Grams G and H, t5 is
+    Grams.folded_logdet at ratio 1.0, and u3 and u1 are
+    Grams.interaction_trace.  All but t2 depend on gamma_ba only, so the
+    points of a noise_ea sweep share them per block.  The two-way
+    integrands read the role-swapped config's t3 and t2 on every draw, so
+    the dict is built once per config, shared and read only."""
     gam = derive_gammas(config)
     g_ea, g_ba = gam.gamma_ea, gam.gamma_ba
     n_a, n_b, n_e = config.n_a, config.n_b, config.n_e
+
+    def logdet(rows, cols, gamma, read):
+        return _Control((False, rows, cols, gamma, 1), read)
+
+    def trace(times, rows, read):
+        return _Control((True, rows, n_a, g_ba, times), read)
+
     if n_e >= n_a:
         controls = {
-            "t2": (n_e, n_a, g_ea, lambda grams: grams.identity_logdet("g_a", g_ea)),
-            "t3": (n_b, n_a, g_ba, lambda grams: grams.identity_logdet("h_ba", g_ba)),
-            "t5": (n_e + n_b, n_a, g_ba, lambda grams: grams.folded_logdet(g_ba, 1.0)),
-            "t1": (n_e, n_a, g_ba, lambda grams: grams.identity_logdet("g_a", g_ba))}
+            "t2": logdet(n_e, n_a, g_ea, lambda grams: grams.identity_logdet("g_a", g_ea)),
+            "t3": logdet(n_b, n_a, g_ba, lambda grams: grams.identity_logdet("h_ba", g_ba)),
+            "t5": logdet(n_e + n_b, n_a, g_ba, lambda grams: grams.folded_logdet(g_ba, 1.0)),
+            "t1": logdet(n_e, n_a, g_ba, lambda grams: grams.identity_logdet("g_a", g_ba)),
+            "u3": trace(n_e, n_b, lambda grams: grams.interaction_trace("h_ba", g_ba)),
+            "u1": trace(n_b, n_e, lambda grams: grams.interaction_trace("g_a", g_ba))}
     else:
         controls = {
-            "t2": (n_e, n_a, g_ea, lambda grams: grams.floor_logdets(g_ea, g_ba)[0]),
-            "t3": (n_b, n_a, g_ba, lambda grams: grams.bob_joint_logdets(g_ba)[0]),
-            "t5": (n_e + n_b, n_a, g_ba, lambda grams: grams.bob_joint_logdets(g_ba)[1]),
-            "t4": (n_b, n_a - n_e, g_ba, lambda grams: grams.null_logdet(g_ba)),
-            "t1": (n_e, n_a, g_ba, lambda grams: grams.leading_logdet(g_ba))}
+            "t2": logdet(n_e, n_a, g_ea, lambda grams: grams.floor_logdets(g_ea, g_ba)[0]),
+            "t3": logdet(n_b, n_a, g_ba, lambda grams: grams.bob_joint_logdets(g_ba)[0]),
+            "t5": logdet(n_e + n_b, n_a, g_ba, lambda grams: grams.bob_joint_logdets(g_ba)[1]),
+            "t4": logdet(n_b, n_a - n_e, g_ba, lambda grams: grams.null_logdet(g_ba)),
+            "t1": logdet(n_e, n_a, g_ba, lambda grams: grams.eve_joint_logdets(g_ba)[0]),
+            "u3": trace(n_e, n_b, lambda grams: grams.bob_joint_logdets(g_ba)[2]),
+            "u1": trace(n_b, n_e, lambda grams: grams.eve_joint_logdets(g_ba)[1])}
     if g_ea == g_ba:
-        del controls["t1"]
+        for name in ("t1", "u3", "u1"):
+            del controls[name]
     return controls
 
 
 @functools.lru_cache(maxsize=1024)
-def _control_mean(rows: int, cols: int, gamma: float) -> float:
-    """wishart_logdet_mean(rows, cols, gamma), evaluated once per argument
-    triple: the points of a sweep share most of their controls' means."""
-    return wishart_logdet_mean(rows, cols, gamma)
+def _control_mean(mean: tuple[bool, int, int, float, int]) -> float:
+    """A _Control's exact mean, evaluated once per term: the points of a
+    sweep share most of their controls' means."""
+    is_trace, rows, cols, gamma, times = mean
+    if is_trace:
+        return times * wishart_trace_mean(rows, cols, gamma)
+    return times * wishart_logdet_mean(rows, cols, gamma)
 
 
 def _control_means(config: ProbingConfig) -> dict[str, float] | None:
     """Exact means of the floor's controls at `config`, in order, or None
-    outside wishart_logdet_mean's domain (power_a = 0 is outside it)."""
+    outside the Wishart means' domain (power_a = 0 is outside it)."""
     try:
-        return {name: _control_mean(rows, cols, gamma)
-                for name, (rows, cols, gamma, _) in _controls(config).items()}
+        return {name: _control_mean(control.mean)
+                for name, control in _controls(config).items()}
+    except ValueError:
+        return None
+
+
+def _noiseless_floor(config: ProbingConfig) -> float | None:
+    """The floor at noise_ea = 0: exactly 0 where n_e >= n_a, else E t4, or
+    None where that mean is outside wishart_logdet_mean's domain."""
+    if config.n_e >= config.n_a:
+        return 0.0
+    try:
+        return _control_mean(_controls(config)["t4"].mean)
     except ValueError:
         return None
 
@@ -640,7 +747,7 @@ def _group_integrand(plan: Sequence[tuple[_Key, ProbingConfig]]):
     log-dets are per point.  A lower_alice key carries the role-swapped
     config."""
 
-    controls = {key: _controls(config)[key.part][3] for key, config in plan if key.part}
+    controls = {key: _controls(config)[key.part].read for key, config in plan if key.part}
 
     def block_values(block: ChannelRealization) -> dict[_Key, np.ndarray]:
         grams = Grams(block)
@@ -672,8 +779,8 @@ def trial_values_many(points: Sequence[tuple[ProbingConfig, Iterable[str]]],
     point asks for, on the engine's shared draws: the floor, the gap, the
     Bob-side bound built on the same floor values, and that bound of the
     role-swapped scenario on the swapped draws; and the floor's CONTROLS
-    that it names (t4 only where n_e < n_a and t1 only where gamma_ea !=
-    gamma_ba, otherwise a ValueError), which a failure reports as the
+    that it names (t4 only where n_e < n_a and t1, u3, u1 only where gamma_ea
+    != gamma_ba, otherwise a ValueError), which a failure reports as the
     floor.
 
     Points whose configs agree on what sample_channels reads get identical
@@ -710,8 +817,11 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
     lower_bob + gap per sample and, at v_a = 0, lower_alice == upper per
     sample; configs with identical draws share one pass (see
     trial_values_many, which also says how `labels` name a failing point).
-    pilot_mi is exact, as are the floor at noise_ea = 0 (0), the gap at
-    v_b = 0 (0) and lower_alice at noise_ea = 0 with v_a > 0 (-inf).  At
+    pilot_mi is exact, as are the floor at noise_ea = 0 (0 where n_e >=
+    n_a, E t4 where n_e < n_a, unless that mean is outside
+    wishart_logdet_mean's domain; from CV_MIN_TRIALS trials on lower_bob's
+    samples then carry v_a E t4 in place of their v_a t4), the gap at v_b = 0 (0) and lower_alice at
+    noise_ea = 0 with v_a > 0 (-inf).  At
     v_b = 0 lower_alice is exact otherwise too: per sample it is the
     role-swapped pilot_mi plus v_a (t3 - t2), two of the floor's controls,
     so its mean is that pilot_mi plus v_a (E t3 - E t2), unless a mean is
@@ -719,7 +829,7 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
 
     A sampled floor is estimated with control variates: the floor's samples
     are regressed on all of the point's controls, (t2, t3, t5), t4 where n_e
-    < n_a and t1 where gamma_ea != gamma_ba (see _controls,
+    < n_a and (t1, u3, u1) where gamma_ea != gamma_ba (see _controls,
     _control_corrections and _fit_controls, which solves a system singular
     with t1 again without it), and the correction beta . (t - mean), with
     the exact means of wishart_logdet_mean, is subtracted from the floor's
@@ -750,13 +860,14 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
         wanted.add("lower_bob")
     if "upper" in wanted:
         wanted |= {"lower_bob", "gap"}
-    exacts, sampled, control_means = [], [], []
-    for config in configs:
+    exacts, sampled, control_means, noiseless = [], [], [], {}
+    for i, config in enumerate(configs):
         exact = {}
         if "pilot_mi" in wanted:
             exact["pilot_mi"] = pilot_mi(config)
-        if config.noise_ea == 0:
-            exact["floor"] = 0.0
+        limit = _noiseless_floor(config) if config.noise_ea == 0 else None
+        if limit is not None:
+            exact["floor"] = limit
         if config.v_b == 0:
             exact["gap"] = 0.0
         floor_sampled = config.noise_ea > 0 and (
@@ -775,15 +886,22 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
             names = names | {"floor"} | set(means)
         else:
             means = None
+        if limit is not None and config.n_e < config.n_a and config.v_a \
+                and "lower_bob" in names and mc.trials >= CV_MIN_TRIALS:
+            noiseless[i] = limit
+            names = names | {"t4"}
         control_means.append(means)
         sampled.append((config, names))
     points = trial_values_many(sampled, mc, labels)
-    fits = _fit_controls(points, control_means)
+    # at noise_ea = 0, lower_bob's v_a t4 is replaced by v_a E t4 on every draw
+    fits = {i: (points[i].pop("t4") - mean, 1.0) for i, mean in noiseless.items()}
+    fits.update(_fit_controls(points, control_means))
     factors: list[dict[str, float]] = [{} for _ in configs]
     for i, (correction, factor) in fits.items():
         values = points[i]
-        values["floor"] = values["floor"] - correction
-        factors[i]["floor"] = factor
+        if "floor" in values:
+            values["floor"] = values["floor"] - correction
+            factors[i]["floor"] = factor
         if configs[i].v_a and "lower_bob" in values:
             values["lower_bob"] = values["lower_bob"] - configs[i].v_a * correction
             factors[i]["lower_bob"] = factors[i]["upper"] = factor

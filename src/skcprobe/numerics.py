@@ -163,32 +163,30 @@ def _max_asymmetry(m: np.ndarray) -> float:
     return float(np.max(np.abs(d)))
 
 
-def _log2_cholesky_diagonal(m: np.ndarray) -> np.ndarray:
-    """log2 of the diagonal of each matrix's Cholesky factor, shape (..., n);
-    see logdet_hermitian_pd for the checks, the jitter retry and the NaN
-    rows.  A stack in which some matrix holds a NaN or an infinite entry
-    (its asymmetry reads NaN) is factored with the identity standing in for
-    each such matrix, so every other matrix keeps its index, and that
-    matrix's row is then NaN."""
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """Cholesky factor of each matrix of a stack; see logdet_hermitian_pd
+    for the checks, the jitter retry and the NaN factors.  A stack in which
+    some matrix holds a NaN or an infinite entry (its asymmetry reads NaN)
+    is factored with the identity standing in for each such matrix, so
+    every other matrix keeps its index, and that matrix's factor is then
+    NaN."""
     asym = _max_asymmetry(m)
     if not asym <= HERMITIAN_ATOL:
         if not np.isnan(asym):
             raise NotHermitian(f"max asymmetry {asym:.3e} exceeds {HERMITIAN_ATOL:.0e}")
         finite = np.isfinite(m).all(axis=(-2, -1))
-        out = _log2_cholesky_diagonal(
-            np.where(finite[..., None, None], m, np.eye(m.shape[-1])))
-        out[~finite] = np.nan
-        return out
+        chol = _cholesky(np.where(finite[..., None, None], m, np.eye(m.shape[-1])))
+        chol[~finite] = np.nan
+        return chol
     try:
-        chol = np.linalg.cholesky(m)
+        return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         flat = m.reshape((-1,) + m.shape[-2:])
         chol = np.stack([_cholesky_jittered(x, k) for k, x in enumerate(flat)])
-        chol = chol.reshape(m.shape)
-    return np.log2(np.real(np.diagonal(chol, axis1=-2, axis2=-1)))
+        return chol.reshape(m.shape)
 
 
-def logdet_hermitian_pd(m: np.ndarray, split: int | None = None):
+def logdet_hermitian_pd(m: np.ndarray, split: int | None = None, cross: bool = False):
     """log2 det of a Hermitian positive-definite matrix via Cholesky.
 
     Accepts one matrix (returns a float) or a stack with shape (..., n, n)
@@ -196,6 +194,10 @@ def logdet_hermitian_pd(m: np.ndarray, split: int | None = None):
     pair (leading, trailing) instead: the log-det of the leading k x k
     block, and that of the trailing block's Schur complement, which add up
     to the whole (the factor's first k and last n - k diagonal entries).
+    With `cross` as well it returns a third value, the squared Frobenius
+    norm of the factor's off-diagonal block L21: for m = [[A, B^H], [B,
+    C]] that is tr(B A^-1 B^H), not a log-det.  The factor itself is not
+    kept.
 
     The input must be Hermitian to HERMITIAN_ATOL, which callers ensure by
     passing Gram products through hermitize; it is checked, on one triangle
@@ -207,17 +209,25 @@ def logdet_hermitian_pd(m: np.ndarray, split: int | None = None):
     matrix's index in the flattened stack (these matrices are PD by
     construction, so failure indicates a caller bug rather than bad data).
 
-    Two matrices are out of double range and get a NaN log-det (both parts
+    Two matrices are out of double range and get a NaN log-det (every part
     of a split), which the Monte Carlo engine's finiteness check then
     reports for its trial: one holding a NaN or an infinite entry, which is
     not factored, and one whose factorization fails and whose trace, and
     so its jitter, overflows.
     """
-    log_diag = _log2_cholesky_diagonal(_square_stack(m))
+    if cross and split is None:
+        raise ValueError("cross needs split")
+    chol = _cholesky(_square_stack(m))
+    log_diag = np.log2(np.real(np.diagonal(chol, axis1=-2, axis2=-1)))
     if split is None:
         return _per_matrix(2.0 * np.sum(log_diag, axis=-1))
-    return (_per_matrix(2.0 * np.sum(log_diag[..., :split], axis=-1)),
-            _per_matrix(2.0 * np.sum(log_diag[..., split:], axis=-1)))
+    parts = (_per_matrix(2.0 * np.sum(log_diag[..., :split], axis=-1)),
+             _per_matrix(2.0 * np.sum(log_diag[..., split:], axis=-1)))
+    if not cross:
+        return parts
+    # the block's real and imaginary parts side by side, each row contiguous
+    off = chol[..., split:, :split].view(float)
+    return parts + (_per_matrix(np.einsum("...ij,...ij->...", off, off)),)
 
 
 def logdet_lu(m: np.ndarray):

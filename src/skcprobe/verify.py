@@ -7,17 +7,17 @@ Four kinds of checks live here:
   against the closed form;
 * Monte Carlo validation of the pilot-estimation error model and of the
   scalar ergodic capacity against adaptive quadrature;
-* the closed-form Wishart log-det means behind the floor's control
-  variates against adaptive quadrature of the same integral, with the
-  Laguerre polynomials from scipy.special, and against the scalar ergodic
-  capacity;
+* the closed-form Wishart log-det and trace means behind the floor's
+  control variates against adaptive quadrature of the same integrals, with
+  the Laguerre polynomials from scipy.special, and the log-det mean against
+  the scalar ergodic capacity;
 * per-trial determinant-identity checks on the engine's blocks of draws:
   the engine's floor (with its control t4 where n_e < n_a), its controls
-  t5 and t1, gap and Bob-side integrands against oracle forms that reach each
-  value through a different factorization and are built from
-  skcprobe.numerics alone, sharing no engine code, one floor oracle per
-  regime; and the batched engine against its per-sample integrands on
-  every trial.
+  t5, t1, u3 and u1, gap and Bob-side integrands against oracle forms that
+  reach each value through a different factorization (or an eigenvalue
+  decomposition) and are built from skcprobe.numerics and numpy alone,
+  sharing no engine code, one floor oracle per regime; and the batched
+  engine against its per-sample integrands on every trial.
 
 A deliberate mutation hook is included so a silently broken oracle cannot
 pass its own suite.
@@ -40,6 +40,7 @@ from .capacity import (
     secrecy_floor_sample,
     trial_values_many,
     wishart_logdet_mean,
+    wishart_trace_mean,
 )
 from .channel import (DRAWN, ChannelRealization, ProbingConfig, derive_gammas,
                       generate_pilot, sample_channels)
@@ -228,15 +229,14 @@ def scalar_capacity_check(snr: float, mc: McSettings) -> VerificationOutcome:
     )
 
 
-def wishart_logdet_quadrature(rows: int, cols: int, gamma: float) -> float:
-    """E log2det(I + gamma h^H h), h rows x cols with iid CN(0, 1) entries,
-    by adaptive quadrature of Telatar's integral of ln(1 + gamma x) against
-    sum_{k<m} k!/(k+d)! L_k^d(x)^2 x^d e^-x (m = min(rows, cols), d =
-    |rows - cols|), the Laguerre polynomials from scipy.special: a path
-    independent of the engine's fixed rule and recurrence.  The range is
-    split at 1/gamma, where ln(1 + gamma x) bends, and at 1; an error
-    estimate above 1e-10 relative raises QuadratureFailure.  scipy is
-    imported on first use, as in siso_ergodic_capacity."""
+def _telatar_quadrature(rows: int, cols: int, gamma: float, f) -> float:
+    """The integral of f(x) against sum_{k<m} k!/(k+d)! L_k^d(x)^2 x^d e^-x
+    (m = min(rows, cols), d = |rows - cols|) by adaptive quadrature, the
+    Laguerre polynomials from scipy.special: a path independent of the
+    engine's fixed rule and recurrence.  The range is split at 1/gamma, where
+    the Wishart integrands bend, and at 1; an error estimate above 1e-10
+    relative raises QuadratureFailure.  scipy is imported on first use, as
+    in siso_ergodic_capacity."""
     from scipy import integrate, special
 
     m, d = min(rows, cols), abs(rows - cols)
@@ -244,7 +244,7 @@ def wishart_logdet_quadrature(rows: int, cols: int, gamma: float) -> float:
 
     def integrand(x):
         density = sum(c * special.eval_genlaguerre(k, d, x) ** 2 for k, c in enumerate(scale))
-        return math.log1p(gamma * x) * density * x ** d * math.exp(-x)
+        return f(x) * density * x ** d * math.exp(-x)
 
     breaks = sorted({0.0, min(1.0 / gamma, 1.0), 1.0})
     total = err = 0.0
@@ -258,7 +258,20 @@ def wishart_logdet_quadrature(rows: int, cols: int, gamma: float) -> float:
             total, err = total + value, err + e
     if err > 1e-10 * abs(total):
         raise QuadratureFailure(f"quadrature error estimate {err:.3e} too large")
-    return total / math.log(2.0)
+    return total
+
+
+def wishart_logdet_quadrature(rows: int, cols: int, gamma: float) -> float:
+    """E log2det(I + gamma h^H h), h rows x cols with iid CN(0, 1) entries:
+    Telatar's integral of ln(1 + gamma x) over ln 2, by _telatar_quadrature."""
+    return _telatar_quadrature(rows, cols, gamma, lambda x: math.log1p(gamma * x)) \
+        / math.log(2.0)
+
+
+def wishart_trace_quadrature(rows: int, cols: int, gamma: float) -> float:
+    """E tr(gamma W (I + gamma W)^-1), W = h^H h as above: the integral of
+    gamma x / (1 + gamma x), by _telatar_quadrature."""
+    return _telatar_quadrature(rows, cols, gamma, lambda x: gamma * x / (1.0 + gamma * x))
 
 
 def wishart_mean_check(config: ProbingConfig) -> VerificationOutcome:
@@ -295,6 +308,35 @@ def wishart_mean_check(config: ProbingConfig) -> VerificationOutcome:
         check_name="wishart-mean", reference_value=0.0, computed_value=worst,
         tolerance=WISHART_RTOL, passed=worst <= WISHART_RTOL,
         detail="largest relative deviation over " + "; ".join(notes))
+
+
+def wishart_trace_check(config: ProbingConfig) -> VerificationOutcome:
+    """The exact means of the floor's interaction controls, u3 = tr(P_H G)
+    with mean n_e wishart_trace_mean(n_b, n_a, gamma_ba) and u1 = tr(P_G H)
+    with mean n_b wishart_trace_mean(n_e, n_a, gamma_ba), P_M = gamma_ba M
+    (I + gamma_ba M)^-1, against wishart_trace_quadrature, WISHART_RTOL
+    relative, where Eve is noisy and gamma_ea != gamma_ba (elsewhere they
+    are no controls, and the detail says so); a term outside the closed
+    form's domain is named and not compared."""
+    gam = derive_gammas(config)
+    terms = [("u3", config.n_e, config.n_b, config.n_a, gam.gamma_ba),
+             ("u1", config.n_b, config.n_e, config.n_a, gam.gamma_ba)] \
+        if config.noise_ea > 0 and gam.gamma_ea != gam.gamma_ba else []
+    worst, notes = 0.0, []
+    for name, times, rows, cols, gamma in terms:
+        try:
+            closed = times * wishart_trace_mean(rows, cols, gamma)
+        except ValueError:
+            notes.append(f"{name} ({rows}x{cols}, gamma {gamma:g}) outside the domain")
+            continue
+        reference = times * wishart_trace_quadrature(rows, cols, gamma)
+        worst = max(worst, abs(closed - reference) / abs(reference))
+        notes.append(f"{name} ({rows}x{cols}, gamma {gamma:g})")
+    return VerificationOutcome(
+        check_name="wishart-trace-mean", reference_value=0.0, computed_value=worst,
+        tolerance=WISHART_RTOL, passed=worst <= WISHART_RTOL,
+        detail=("largest relative deviation over " + "; ".join(notes)) if notes
+        else "no interaction controls (noiseless Eve or gamma_ea = gamma_ba)")
 
 
 def wishart_siso_check(snrs: Sequence[float]) -> VerificationOutcome:
@@ -334,7 +376,7 @@ def floor_null_space(realization: ChannelRealization, config: ProbingConfig):
         t4    = log2|I + gamma_ba h2 h2^H|,
         floor = log2|I + gamma_ba (h1 (I + gamma_ea A)^-1 h1^H + h2 h2^H)|,
 
-    by LU; the floor is exactly zero at noise_ea = 0."""
+    by LU; at noise_ea = 0 the floor is its limit there, t4."""
     gam = derive_gammas(config)
     q, _ = np.linalg.qr(conj_t(realization.g_a), mode="complete")
     seen, unseen = q[..., :config.n_e], q[..., config.n_e:]
@@ -343,7 +385,7 @@ def floor_null_space(realization: ChannelRealization, config: ProbingConfig):
     hidden = h_unseen @ conj_t(h_unseen)
     values = {"t4": logdet_lu(eye + gam.gamma_ba * hidden)}
     if config.noise_ea == 0:
-        values["floor"] = realization.per_trial(0.0)
+        values["floor"] = values["t4"]
         return values
     g_seen = realization.g_a @ seen
     h_seen = realization.h_ba @ seen
@@ -378,6 +420,31 @@ def eve_sylvester(realization: ChannelRealization, config: ProbingConfig):
     return _sylvester_logdet(realization.g_a, config)
 
 
+def interaction_traces(realization: ChannelRealization, config: ProbingConfig):
+    """Oracle of the floor's controls u3 = tr(P_H G) and u1 = tr(P_G H),
+    {"u3": ..., "u1": ...} per trial, P_M = gamma_ba M (I + gamma_ba M)^-1
+    for M = m^H m: sum_k gamma_ba l_k / (1 + gamma_ba l_k) |w v_k|^2 over the
+    eigenpairs (l_k, v_k) of M (numpy's eigh), w the other channel.  Where
+    m has fewer rows than columns only its nonzero eigenvalues count, from
+    m m^H = U diag(l) U^H with m^H u_k = sqrt(l_k) v_k, so no eigenvalue
+    that is zero up to round-off is weighted by gamma_ba."""
+    gamma = derive_gammas(config).gamma_ba
+
+    def trace(m, w):
+        if m.shape[-2] < m.shape[-1]:
+            eigenvalues, vectors = np.linalg.eigh(hermitize(m @ conj_t(m)))
+            weights = gamma / (1.0 + gamma * eigenvalues)
+            seen = w @ (conj_t(m) @ vectors)
+        else:
+            eigenvalues, vectors = np.linalg.eigh(hermitize(conj_t(m) @ m))
+            weights = gamma * eigenvalues / (1.0 + gamma * eigenvalues)
+            seen = w @ vectors
+        return np.sum(weights * np.sum(np.abs(seen) ** 2, axis=-2), axis=-1)
+
+    return {"u3": trace(realization.h_ba, realization.g_a),
+            "u1": trace(realization.g_a, realization.h_ba)}
+
+
 def gap_resolvent(realization: ChannelRealization, config: ProbingConfig):
     """Oracle of the gap integrand: v_b times the n_b x n_b resolvent
     determinant; exactly zero at v_b = 0."""
@@ -405,7 +472,14 @@ def lower_bob_rectangular(realization: ChannelRealization, config: ProbingConfig
     def logdet_outer(gamma, m):
         return logdet_hermitian_pd(gamma * hermitize(m @ conj_t(m)) + np.eye(m.shape[-2]))
 
-    if config.v_a and config.noise_ea > 0:
+    if config.v_a and config.noise_ea == 0 and config.n_e < config.n_a:
+        # the floor's noiseless limit t4: h_ba through the projector P onto
+        # null(g_a), h_ba P h_ba^H = (h_ba P)(h_ba P)^H
+        g = realization.g_a
+        projector = np.eye(config.n_a) - conj_t(g) @ np.linalg.solve(
+            hermitize(g @ conj_t(g)), g)
+        val += config.v_a * logdet_outer(gam.gamma_ba, realization.h_ba @ projector)
+    elif config.v_a and config.noise_ea > 0:
         stacked = np.concatenate(
             [np.sqrt(config.noise_ea / config.noise_b) * realization.h_ba,
              realization.g_a], axis=-2)
@@ -445,8 +519,9 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
           floor vs floor_resolvent, which loses digits where n_e < n_a as
           noise_ea falls (1e-6 bits at (4,2,2), power 1e5, noise_ea 1e-4);
           its control t5 vs joint_sylvester and, where gamma_ea !=
-          gamma_ba (elsewhere t1 is t2 and no control), its control t1 vs
-          eve_sylvester, each within IDENTITY_ATOL;
+          gamma_ba (elsewhere t1 is t2, and none of t1, u3, u1 is a
+          control), its control t1 vs eve_sylvester and its controls u3 and
+          u1 vs interaction_traces, each within IDENTITY_ATOL;
       (c) Bob-side bound: engine vs lower_bob_rectangular within IDENTITY_ATOL;
       (d) gap integrand >= 0 throughout, and exactly 0 when v_b = 0;
       (e) with v_b forced to 0, the Bob-side integrand equals
@@ -475,16 +550,20 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
     floor_terms = ("floor", "t4") if null_space else ("floor",)
     gam = derive_gammas(config)
     controls = {"t5": joint_sylvester}
+    traces = ()
     if gam.gamma_ea != gam.gamma_ba:
         controls["t1"] = eve_sylvester
+        traces = ("u3", "u1")
     engine, engine_oneway = trial_values_many(
-        [(config, set(per_sample) | set(floor_terms) | set(controls)),
+        [(config, set(per_sample) | set(floor_terms) | set(controls) | set(traces)),
          (oneway, ("lower_bob",))], mc)
 
     def references(block):
         values = {"gap": gap_resolvent(block, config),
                   "lower_bob": lower_bob_rectangular(block, config)}
         values.update((name, oracle(block, config)) for name, oracle in controls.items())
+        if traces:
+            values.update(interaction_traces(block, config))
         values.update(floor_null_space(block, config) if null_space
                       else {"floor": floor_resolvent(block, config)})
         for name, integrand in per_sample.items():
@@ -505,6 +584,10 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
         *(_worst_deviation(f"{name}-form-equivalence", [(engine[name], oracle[name])],
                            IDENTITY_ATOL, f"{name} against {form.__name__} {over}")
           for name, form in controls.items()),
+        *([_worst_deviation("u-form-equivalence",
+                            [(engine[name], oracle[name]) for name in traces], IDENTITY_ATOL,
+                            f"{', '.join(traces)} against interaction_traces {over}")]
+          if traces else []),
         _worst_deviation("lower-bob-form-equivalence",
                          [(engine["lower_bob"], oracle["lower_bob"])], IDENTITY_ATOL, over),
         VerificationOutcome(
@@ -534,7 +617,8 @@ def run_suite(configs: Sequence[ProbingConfig], mc: McSettings,
     """Run every check across a set of configurations.
 
     The scalar-capacity cross-oracle and the scalar check of the Wishart
-    log-det means are configuration independent and run once.  Overall
+    log-det means are configuration independent and run once; the Wishart
+    log-det and trace means are checked per config.  Overall
     pass requires every outcome to pass.
     """
     if not configs:
@@ -550,6 +634,7 @@ def run_suite(configs: Sequence[ProbingConfig], mc: McSettings,
         tagged.extend(determinant_identity_suite(
             config, realizations=identity_realizations, master_seed=mc.master_seed))
         tagged.append(wishart_mean_check(config))
+        tagged.append(wishart_trace_check(config))
         for o in tagged:
             outcomes.append(replace(o, check_name=prefix + o.check_name))
     return VerificationSummary(outcomes=tuple(outcomes))

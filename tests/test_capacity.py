@@ -39,6 +39,7 @@ from skcprobe import (
     sample_cgaussian,
     sample_channels,
     secrecy_floor_sample,
+    wishart_logdet_mean,
 )
 from skcprobe.capacity import (
     QUANTITIES,
@@ -573,7 +574,9 @@ class TestEvaluateMany:
         configs = [replace(base, noise_ea=float(v)) for v in spec.sweep.values + (0.0,)]
         mc = McSettings(trials=BLOCK + 30, master_seed=3)
         batched = self.assert_equals_one_config_evaluate(configs, mc, QUANTITIES)
-        assert batched[-1]["floor"] == Estimate.exact(0.0)
+        # where n_e < n_a the noiseless-Eve floor is E t4, not 0
+        assert batched[-1]["floor"] == Estimate.exact(
+            wishart_logdet_mean(4, 2, derive_gammas(base).gamma_ba))
         # and the floor is the per-sample direct form over the blocks, less
         # its control-variate correction, summarized, with the regression's
         # stderr factor
@@ -587,9 +590,10 @@ class TestEvaluateMany:
 
     @pytest.mark.parametrize("trials", [200, BLOCK + 30])
     def test_fig1_cases_share_the_stacked_solve(self, trials):
-        # at either count the n_e < n_a case regresses on four controls and
-        # the others on three, so the 12 points' systems are solved in two
-        # stacks, within one block and across two
+        # at either count the n_e < n_a case regresses on seven controls and
+        # the others on six (four and three at noise_ea = noise_b), so the
+        # 15 points' systems are solved in four stacks, within one block and
+        # across two
         spec = load_spec("fig1")
         configs = [apply_parameter(case.config, "noise_ea", v)
                    for case in spec.cases for v in spec.sweep.values[::3]]
@@ -677,17 +681,17 @@ class TestEvaluateMany:
                       mc, QUANTITIES)
         # n_e >= n_a: all four channels, once per block
         assert [kind for kind, _ in formed].count("gram") == 4 * 2
-        # a (6, 4, 5) block of every quantity factors the floor's three
-        # (n_e + n_b)-square matrices (floor_logdets, bob_joint_logdets,
-        # null_logdet), its control t1 from their leading n_e-square block
-        # and three n_b-square ones of the role-swapped floor
-        # (folded_logdet, t2', t3'), which the bounds and the gap read too
+        # a (6, 4, 5) block of every quantity factors the floor's four
+        # (n_e + n_b)-square matrices (floor_logdets, bob_joint_logdets with
+        # u3, null_logdet, eve_joint_logdets with t1 and u1) and three
+        # n_b-square ones of the role-swapped floor (folded_logdet, t2',
+        # t3'), which the bounds and the gap read too
         factored = []
-        monkeypatch.setattr(capacity, "logdet_hermitian_pd", lambda m, split=None: (
-            factored.append(m.shape[1:]) or real_logdet(m, split)))
+        monkeypatch.setattr(capacity, "logdet_hermitian_pd", lambda m, *args, **kwargs: (
+            factored.append(m.shape[1:]) or real_logdet(m, *args, **kwargs)))
         twoway = make_config(**WORK_CONFIGS["twoway"])
         evaluate(twoway, McSettings(trials=BLOCK, master_seed=5), QUANTITIES)
-        assert sorted(factored) == [(4, 4)] * 3 + [(5, 5)] + [(9, 9)] * 3
+        assert sorted(factored) == [(4, 4)] * 3 + [(9, 9)] * 4
 
     def test_exact_points_take_no_pass(self, monkeypatch):
         import skcprobe.capacity as capacity
@@ -754,8 +758,8 @@ class TestOneWayLower:
         real_logdet = capacity.logdet_hermitian_pd
         monkeypatch.setattr(capacity, "collect", counting_collect)
         monkeypatch.setattr(capacity, "lower_bound_bob_sample", recording_bob)
-        monkeypatch.setattr(capacity, "logdet_hermitian_pd", lambda m, split=None: (
-            logdets.append((m.shape[1:], split)) or real_logdet(m, split)))
+        monkeypatch.setattr(capacity, "logdet_hermitian_pd", lambda m, split=None, **kwargs: (
+            logdets.append((m.shape[1:], split)) or real_logdet(m, split, **kwargs)))
         cfg = self.one_way({})
         mc = McSettings(trials=2 * BLOCK + 9, master_seed=71)
         est = evaluate(cfg, mc, ("lower", "upper"))
@@ -763,10 +767,10 @@ class TestOneWayLower:
         assert len(collects) == 1
         assert bob_configs == [cfg] * blocks         # never the role-swapped config
         # n_e < n_a: the floor's stacked factorization (which also gives
-        # t2), t3 and t5 from the reordered stacked Gram, t4 from its
-        # noiseless limit and t1 from its leading 2 x 2 block; Bob's bound
-        # reuses the floor
-        assert logdets == [((4, 4), 2), ((4, 4), 2), ((4, 4), 2), ((2, 2), None)] * blocks
+        # t2), t3, t5 and u3 from the reordered stacked Gram, t4 from its
+        # noiseless limit and t1 and u1 from the stacked Gram in its own
+        # order; Bob's bound reuses the floor
+        assert logdets == [((4, 4), 2)] * 4 * blocks
         assert est["lower"] == est["upper"]
 
     @pytest.mark.parametrize("overrides", list(ONE_WAY.values()), ids=list(ONE_WAY))

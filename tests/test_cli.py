@@ -343,9 +343,9 @@ class TestDeterminism:
 
     # sha256 of what the bundled specs write at --trials 60 --seed 1
     BUNDLED_SHA256 = {
-        "oneway.csv": "741afacb4cf21e727d49f5faa75a0956d4690139194447712cc58a7a1d47554c",
-        "fig1.csv": "4286011cbb7f80553bcd13c4caa7bf195411ee3aaa0cbf9bcd2d09742a4b22e6",
-        "fig1.svg": "dc7adc76badce3665e6db955162ab66184e81a318487a231612c7daa92e519d5",
+        "oneway.csv": "1a23cde4695a13bcf28aa9613fa2a1f1274c2ce9885030ea8dfb946342877f02",
+        "fig1.csv": "5ed35374c0e1381c1aa433c0f0a02bb8ca4154747d5309c467ec1e4916fc07f7",
+        "fig1.svg": "3e882a2392f92a3473c9c250982633124f675b63c72772ab46fd4de20bdf253c",
         "fig2.csv": "38f3f37fc3142e5dd2754864b6af610b75c440e02928656c244d2db5204e2851",
         "fig2.svg": "5a25089b2f0c9a476db3f27409eeeb201874b6184b350d14f6f8dd8cec9e8b9c",
         "fig2-dof.csv": "4780e63a0bf81c5d87fca715f123b644aa4f251b9ee37f2e6927c48775799b78",
@@ -361,8 +361,8 @@ class TestDeterminism:
 
 
     # sha256 of fig2's outputs at its own trials and seed: fig2 runs at
-    # noise_ea = noise_b, where t1 is t2 and no control, so they are those
-    # of the engine before t1
+    # noise_ea = noise_b, where t1 is t2 and, like u3 and u1, no control,
+    # so they are those of the engine before t1
     FIG2_SHA256 = {
         "fig2.csv": "11001ef531e88cce76e5481d963f000bed48ad8979aa1142120e7715e2248aa0",
         "fig2.svg": "5a25089b2f0c9a476db3f27409eeeb201874b6184b350d14f6f8dd8cec9e8b9c",
@@ -472,8 +472,8 @@ quantities: [gap, bounds]
         header, row = (tmp_path / "oneway.csv").read_text().splitlines()
         fields = dict(zip(header.split(","), row.split(",")))
         assert {k: v for k, v in fields.items() if k.endswith("_mean")} == {
-            "pilot_mi_mean": "19.1306071068", "floor_mean": "7.68740276178",
-            "gap_mean": "0", "lower_mean": "49.8802181539", "upper_mean": "49.8802181539"}
+            "pilot_mi_mean": "19.1306071068", "floor_mean": "7.68724633322",
+            "gap_mean": "0", "lower_mean": "49.8795924396", "upper_mean": "49.8795924396"}
 
 
 class TestDegenerateConfig:

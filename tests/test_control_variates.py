@@ -1,11 +1,14 @@
-"""Closed-form Wishart log-det means and the floor's control variates.
+"""Closed-form Wishart log-det and trace means and the floor's control
+variates.
 
 The reference means are Telatar's integral evaluated exactly: the
 eigenvalue density sum_{k<m} k!/(k+d)! L_k^d(x)^2 x^d is expanded into
 exact rational coefficients, and each moment int x^j ln(1 + g x) e^-x dx
 follows from I_j = j I_{j-1} + J_j, J_j = (j-1)! - J_{j-1}/g, I_0 = J_0 =
 e^(1/g) E1(1/g), in mpmath at a precision that covers the recurrence's
-cancellation.  That path shares nothing with the engine's quadrature rule.
+cancellation; J_j = int x^j e^-x / (x + 1/g) dx, so the trace integrand's
+moment int x^j (g x / (1 + g x)) e^-x dx is J_{j+1}.  That path shares
+nothing with the engine's quadrature rule.
 """
 
 import math
@@ -18,8 +21,8 @@ import pytest
 import yaml
 
 import skcprobe.capacity as capacity
-from skcprobe import (Estimate, McSettings, ProbingConfig, evaluate, evaluate_many,
-                      secrecy_floor_sample, wishart_logdet_mean)
+from skcprobe import (Estimate, McSettings, ProbingConfig, evaluate, evaluate_many, pilot_mi,
+                      secrecy_floor_sample, wishart_logdet_mean, wishart_trace_mean)
 from skcprobe.capacity import (CV_MIN_TRIALS, WISHART_MAX_DIM, _control_corrections,
                                _eigenvalue_weights, trial_values_many)
 from skcprobe.channel import DRAWN, derive_gammas
@@ -49,8 +52,7 @@ def density_coefficients(m: int, d: int) -> list[Fraction]:
 def reference_mean(rows: int, cols: int, gamma: float) -> float:
     coef = density_coefficients(min(rows, cols), abs(rows - cols))
     deg = len(coef) - 1
-    # each step of the J recurrence can cancel log10(1/gamma) digits
-    with mpmath.workdps(30 + deg + int(deg * max(0.0, -math.log10(gamma)))):
+    with mpmath.workdps(j_recurrence_digits(deg, gamma)):
         g = mpmath.mpf(gamma)
         j_prev = i_prev = mpmath.exp(1 / g) * mpmath.e1(1 / g)
         total = coef[0] * i_prev
@@ -59,6 +61,24 @@ def reference_mean(rows: int, cols: int, gamma: float) -> float:
             i_prev = j * i_prev + j_prev
             total += mpmath.mpf(coef[j].numerator) / coef[j].denominator * i_prev
         return float(total / mpmath.log(2))
+
+
+def j_recurrence_digits(steps: int, gamma: float) -> int:
+    # each step of the J recurrence can cancel log10(1/gamma) digits
+    return 30 + steps + int(steps * max(0.0, -math.log10(gamma)))
+
+
+def reference_trace_mean(rows: int, cols: int, gamma: float) -> float:
+    """E tr(gamma W (I + gamma W)^-1): sum_j coef_j J_{j+1}."""
+    coef = density_coefficients(min(rows, cols), abs(rows - cols))
+    with mpmath.workdps(j_recurrence_digits(len(coef), gamma)):
+        g = mpmath.mpf(gamma)
+        j_prev = mpmath.exp(1 / g) * mpmath.e1(1 / g)
+        total = mpmath.mpf(0)
+        for j, c in enumerate(coef, start=1):
+            j_prev = mpmath.factorial(j - 1) - j_prev / g
+            total += mpmath.mpf(c.numerator) / c.denominator * j_prev
+        return float(total)
 
 
 def control_terms(config: ProbingConfig) -> list[tuple[int, int, float]]:
@@ -104,6 +124,27 @@ class TestWishartLogdetMean:
                     for t in sorted(terms))
         assert worst <= 1e-10
 
+    def test_trace_mean_matches_exact_reference_on_every_bundled_term_and_the_gamma_ends(self):
+        # the interaction controls' shapes (n_b x n_a and n_e x n_a at
+        # gamma_ba) are among the log-det terms' shapes
+        terms = bundled_terms()
+        shapes = {(rows, cols) for rows, cols, _ in terms}
+        terms |= {(rows, cols, g) for rows, cols in shapes | {(16, 16), (1, 16), (16, 3), (32, 8)}
+                  for g in (1e-6, 1e-3, 1e5, 1e10)}
+        worst = max(abs(wishart_trace_mean(*t) - reference_trace_mean(*t))
+                    / reference_trace_mean(*t) for t in sorted(terms))
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("rows,cols,gamma", [(4, 8, 10.0), (10, 8, 0.3), (1, 1, 1e4),
+                                                 (6, 8, 31.6)])
+    def test_trace_mean_is_the_gamma_derivative_of_the_log_det_mean(self, rows, cols, gamma):
+        # gamma ln 2 d/dgamma of wishart_logdet_mean, by a central difference
+        h = 1e-4
+        slope = (wishart_logdet_mean(rows, cols, gamma * (1 + h))
+                 - wishart_logdet_mean(rows, cols, gamma * (1 - h))) / (2 * h)
+        assert wishart_trace_mean(rows, cols, gamma) == pytest.approx(slope * math.log(2),
+                                                                      rel=1e-7)
+
     def test_scalar_channel_is_the_siso_ergodic_capacity(self):
         # e * E1(1) / ln 2, as frozen in test_acceptance.py
         assert wishart_logdet_mean(1, 1, 1.0) == pytest.approx(0.86034738227088595, rel=1e-12)
@@ -135,6 +176,8 @@ class TestWishartLogdetMean:
     def test_outside_the_domain_is_a_value_error(self, rows, cols, gamma):
         with pytest.raises(ValueError, match="wishart_logdet_mean"):
             wishart_logdet_mean(rows, cols, gamma)
+        with pytest.raises(ValueError, match="wishart_trace_mean"):
+            wishart_trace_mean(rows, cols, gamma)
 
     def test_a_rule_that_misses_the_mass_is_outside_the_domain(self, monkeypatch):
         # the mass check is the runtime guard: with a coarse rule it fails,
@@ -148,8 +191,9 @@ class TestWishartLogdetMean:
         monkeypatch.setattr(capacity, "_EXP_SINH_STEP", 1.0 / 2)
         try:
             assert _eigenvalue_weights(8, 2) is None
-            with pytest.raises(ValueError, match="mass"):
-                wishart_logdet_mean(8, 10, 1.0)
+            for mean in (wishart_logdet_mean, wishart_trace_mean):
+                with pytest.raises(ValueError, match="mass"):
+                    mean(8, 10, 1.0)
             cfg = load_spec("fig1").base
             mc = McSettings(trials=300, master_seed=5)
             raw = trial_values_many([(cfg, ("floor",))], mc)[0]["floor"]
@@ -172,15 +216,17 @@ def null_space_t4(block, config) -> np.ndarray:
 
 class TestControlVariates:
     """evaluate_many regresses each point's floor on all of its control
-    variates (t2, t3, t5, and t4 where n_e < n_a), subtracts beta . (t -
-    mean) from the floor's samples and v_a times it from lower_bob's, and
-    reports the regression estimate's least-squares standard error."""
+    variates (t2, t3, t5, t4 where n_e < n_a, and t1, u3, u1 where gamma_ea
+    != gamma_ba), subtracts beta . (t - mean) from the floor's samples and
+    v_a times it from lower_bob's, and reports the regression estimate's
+    least-squares standard error."""
 
     @pytest.mark.parametrize("config", [
         ONEWAY,
         replace(FIG1_BASE, n_e=10, noise_ea=0.0316227766017),
         replace(FIG1_BASE, n_a=4, n_b=4, n_e=4, noise_ea=31.6227766017),
-    ], ids=["oneway", "fig1-8-4-10-noisy-bob", "fig1-4-4-4-noisy-eve"])
+        replace(FIG1_BASE, n_e=10, noise_ea=17.7827941004),
+    ], ids=["oneway", "fig1-8-4-10-noisy-bob", "fig1-4-4-4-noisy-eve", "fig1-8-4-10-worst"])
     def test_adjusted_mean_agrees_with_a_raw_estimate_at_16x_the_trials(self, config):
         adjusted = evaluate(config, McSettings(trials=1000, master_seed=101),
                             ("floor", "lower"))
@@ -221,7 +267,7 @@ class TestControlVariates:
     @pytest.mark.parametrize("trials", [CV_MIN_TRIALS, 200, 3000])
     @pytest.mark.parametrize("config", [
         replace(FIG1_BASE, noise_ea=0.3), replace(FIG1_BASE, n_e=10, noise_ea=0.3)],
-        ids=["five-controls", "four-controls"])
+        ids=["seven-controls", "six-controls"])
     def test_floor_stderr_is_the_least_squares_intercept_one(self, config, trials):
         mc = McSettings(trials=trials, master_seed=11)
         means = control_means(config)
@@ -230,14 +276,18 @@ class TestControlVariates:
         stderr = evaluate(config, mc, ("floor",))["floor"].stderr
         assert abs(stderr - reference) <= 1e-12 * reference
 
-    def test_stderr_matches_the_spread_of_means_at_100_trials(self):
-        # fig1's n_e < n_a case at its smallest noise_ea, on four controls
-        # at 100 trials: the spread of 200 seeds' means against the stderr
-        # they report, and their mean against a 16x-trial estimate
+    @pytest.mark.parametrize("case,noise_ea", [
+        ("na8-nb4-ne6", 0.0316227766017), ("na8-nb4-ne10", 17.7827941004),
+        ("na4-nb4-ne4", 0.0562341325190)])
+    def test_stderr_matches_the_spread_of_means_at_100_trials(self, case, noise_ea):
+        # fig1 points on all of their controls at 100 trials (the n_e < n_a
+        # case at its smallest noise_ea, and the worst points of the other
+        # two at 200 trials): the spread of 200 seeds' means against the
+        # stderr they report, and their mean against a 16x-trial estimate
         spec = load_spec("fig1")
-        cfg = apply_parameter(spec.cases[0].config, "noise_ea",
-                              min(spec.sweep.values))
-        assert (cfg.n_a, cfg.n_b, cfg.n_e) == (8, 4, 6)
+        cfg = apply_parameter(next(c for c in spec.cases if c.name == case).config,
+                              "noise_ea", noise_ea)
+        assert noise_ea in spec.sweep.values
         ests = [evaluate(cfg, McSettings(trials=100, master_seed=seed), ("floor",))["floor"]
                 for seed in range(1, 201)]
         means = np.array([e.mean for e in ests])
@@ -250,7 +300,8 @@ class TestControlVariates:
     def test_controls_are_the_floor_terms_and_leave_the_floor_as_it_was(self):
         cfg = replace(FIG1_BASE, noise_ea=0.3)
         mc = McSettings(trials=BLOCK + 44, master_seed=9)
-        values = trial_values_many([(cfg, ("floor", "t2", "t3", "t5", "t4", "t1"))], mc)[0]
+        values = trial_values_many(
+            [(cfg, ("floor", "t2", "t3", "t5", "t4", "t1", "u3", "u1"))], mc)[0]
         gam = derive_gammas(cfg)
         blocks = [block for _, block in trial_blocks(cfg, mc)]
         expected = {
@@ -271,12 +322,15 @@ class TestControlVariates:
             trial_values_many([(replace(FIG1_BASE, n_e=8), ("floor", "t4"))],
                               McSettings(trials=10))
 
+    @pytest.mark.parametrize("name", ["t1", "u3", "u1"])
     @pytest.mark.parametrize("n_e", [6, 10])
-    def test_t1_is_a_control_only_where_gamma_ea_and_gamma_ba_differ(self, n_e):
+    def test_t1_and_the_traces_are_controls_only_where_gamma_ea_and_gamma_ba_differ(
+            self, n_e, name):
         cfg = replace(FIG1_BASE, n_e=n_e, noise_ea=1.0)
-        assert "t1" not in control_means(cfg)
-        with pytest.raises(ValueError, match=r"t1 needs gamma_ea != gamma_ba"):
-            trial_values_many([(cfg, ("floor", "t1"))], McSettings(trials=10))
+        assert name not in control_means(cfg)
+        assert name in control_means(replace(cfg, noise_ea=0.3))
+        with pytest.raises(ValueError, match=rf"{name} needs gamma_ea != gamma_ba"):
+            trial_values_many([(cfg, ("floor", name))], McSettings(trials=10))
 
     def test_t1_is_eves_gram_at_bobs_snr_where_n_e_is_not_below_n_a(self):
         # from G itself (where n_e < n_a, see the test above)
@@ -306,6 +360,36 @@ class TestControlVariates:
         exact = reference_mean(n_e, n_a, derive_gammas(cfg).gamma_ba)
         assert abs(t1.mean - exact) <= 4 * t1.stderr
 
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (8, 4, 6), (8, 4, 10), (4, 4, 4)])
+    def test_trace_sample_means_are_their_exact_means(self, shape):
+        n_a, n_b, n_e = shape
+        cfg = replace(FIG1_BASE, n_a=n_a, n_b=n_b, n_e=n_e, noise_ea=0.3)
+        values = trial_values_many([(cfg, ("u3", "u1"))],
+                                   McSettings(trials=4000, master_seed=17))[0]
+        gamma = derive_gammas(cfg).gamma_ba
+        for name, exact in (("u3", n_e * reference_trace_mean(n_b, n_a, gamma)),
+                            ("u1", n_b * reference_trace_mean(n_e, n_a, gamma))):
+            est = summarize(values[name])
+            assert abs(est.mean - exact) <= 4 * est.stderr, name
+
+    @pytest.mark.parametrize("n_e", [6, 10])
+    def test_traces_are_the_interaction_terms_on_every_trial(self, n_e):
+        # u3 = tr(P_H G), u1 = tr(P_G H), P_M = gamma_ba M (I + gamma_ba
+        # M)^-1, against explicit inverses of the n_a-square Grams
+        cfg = replace(FIG1_BASE, n_e=n_e, noise_ea=0.3)
+        mc = McSettings(trials=BLOCK + 44, master_seed=9)
+        values = trial_values_many([(cfg, ("floor", "u3", "u1"))], mc)[0]
+        gamma = derive_gammas(cfg).gamma_ba
+        expected = {"u3": [], "u1": []}
+        for _, b in trial_blocks(cfg, mc):
+            g, h = (conj_t(m) @ m for m in (b.g_a, b.h_ba))
+            for name, m, o in (("u3", h, g), ("u1", g, h)):
+                p = gamma * m @ np.linalg.inv(np.eye(cfg.n_a) + gamma * m)
+                expected[name].append(np.trace(p @ o, axis1=-2, axis2=-1).real)
+        for name, parts in expected.items():
+            reference = np.concatenate(parts)
+            assert np.max(np.abs(values[name] - reference)) <= 1e-12 * np.max(reference), name
+
     @pytest.mark.parametrize("noise_ea", [1 - 1e-5, 1 + 1e-5, 1 - 1e-7, 1 + 1e-7])
     @pytest.mark.parametrize("case", ["na8-nb4-ne6", "na8-nb4-ne10", "na4-nb4-ne4"])
     def test_near_equal_noise_keeps_the_stderr_without_t1(self, case, noise_ea):
@@ -317,7 +401,7 @@ class TestControlVariates:
                               "noise_ea", noise_ea)
         mc = McSettings(trials=200, master_seed=1)
         est = evaluate(cfg, mc, ("floor",))["floor"]
-        without_t1 = self.adjusted_floor(cfg, mc, len(control_means(cfg)) - 1)
+        without_t1 = self.adjusted_floor(cfg, mc, without=("t1",))
         assert est.stderr <= without_t1.stderr
         assert est.stderr <= 0.01 * abs(noise_ea - 1.0)
 
@@ -337,16 +421,16 @@ class TestControlVariates:
     def test_t3_is_factored_once_per_block_for_a_noise_sweep(self, monkeypatch):
         logdets = []
         real = capacity.logdet_hermitian_pd
-        monkeypatch.setattr(capacity, "logdet_hermitian_pd", lambda m, split=None: (
-            logdets.append((m.shape[1:], split)) or real(m, split)))
+        monkeypatch.setattr(capacity, "logdet_hermitian_pd", lambda m, split=None, **kwargs: (
+            logdets.append((m.shape[1:], split)) or real(m, split, **kwargs)))
         spec = load_spec("fig1")
         configs = [replace(FIG1_BASE, noise_ea=float(v)) for v in spec.sweep.values]
         evaluate_many(configs, McSettings(trials=BLOCK + 5, master_seed=3), ("floor",))
         # per block: each point's stacked factorization (its floor and its
-        # t2), and one of the reordered stacked Gram (t3 and t5), one t4 and
-        # one t1 (from the stacked Gram's leading 6 x 6 block) shared by all
-        # points, whose gamma_ba is the same
-        per_block = [((10, 10), 6)] + [((10, 10), 4), ((10, 10), 6), ((6, 6), None)] + \
+        # t2), and one of the reordered stacked Gram (t3, t5 and u3), one t4
+        # and one of the stacked Gram in its own order (t1 and u1) shared by
+        # all points, whose gamma_ba is the same
+        per_block = [((10, 10), 6)] + [((10, 10), 4), ((10, 10), 6), ((10, 10), 6)] + \
             [((10, 10), 6)] * (len(configs) - 1)
         assert logdets == per_block * 2
 
@@ -365,7 +449,7 @@ class TestControlVariates:
         assert est["lower"] == est["upper"] == summarize(raw["lower_bob"])
 
     @pytest.mark.parametrize("config,count", [
-        (ONEWAY, 5), (replace(FIG1_BASE, n_e=10, noise_ea=0.3), 4)],
+        (ONEWAY, 7), (replace(FIG1_BASE, n_e=10, noise_ea=0.3), 6)],
         ids=["n_e-below-n_a", "n_e-above-n_a"])
     def test_a_point_takes_all_of_its_controls_from_the_minimum_trials(self, config, count):
         # below CV_MIN_TRIALS raw samples, from it every control at once
@@ -375,11 +459,12 @@ class TestControlVariates:
                 self.adjusted_floor(config, mc, used), trials
 
     @staticmethod
-    def adjusted_floor(config, mc, count):
+    def adjusted_floor(config, mc, count=None, without=()):
         """The floor at `config` regressed on the first `count` controls of
-        its ordered list, with the engine's stderr factor, or raw when
-        `count` is 0."""
-        means = control_means(config, count)
+        its ordered list (all by default) less those named in `without`,
+        with the engine's stderr factor, or raw when there are none."""
+        means = {name: mean for name, mean in control_means(config, count).items()
+                 if name not in without}
         values = trial_values_many([(config, ("floor",) + tuple(means))], mc)[0]
         if not means:
             return summarize(values["floor"])
@@ -387,14 +472,14 @@ class TestControlVariates:
         return scaled(summarize(values["floor"] - correction), factor)
 
     @pytest.mark.parametrize("case,noise_ea,trials,count", [
-        ("na8-nb4-ne6", 0.3, 200, 5), ("na8-nb4-ne10", 0.3, 200, 4),
-        ("na4-nb4-ne4", 0.3, 3000, 4), ("na8-nb4-ne6", 1.0, 200, 4),
+        ("na8-nb4-ne6", 0.3, 200, 7), ("na8-nb4-ne10", 0.3, 200, 6),
+        ("na4-nb4-ne4", 0.3, 3000, 6), ("na8-nb4-ne6", 1.0, 200, 4),
         ("na4-nb4-ne4", 1.0, 200, 3)])
     def test_a_fig1_point_takes_every_control_its_trials_allow(self, case, noise_ea, trials,
                                                                count):
-        # at fig1's 200 trials the n_e < n_a case takes (t2, t3, t5, t4, t1),
-        # not raw samples; an n_e >= n_a point has no t4, and the point at
-        # noise_ea = noise_b, where t1 is t2, no t1
+        # at fig1's 200 trials the n_e < n_a case takes (t2, t3, t5, t4, t1,
+        # u3, u1), not raw samples; an n_e >= n_a point has no t4, and the
+        # point at noise_ea = noise_b, where t1 is t2, none of t1, u3, u1
         spec = load_spec("fig1")
         cfg = apply_parameter(next(c for c in spec.cases if c.name == case).config,
                               "noise_ea", noise_ea)
@@ -434,11 +519,11 @@ class TestControlVariates:
         skewed_gamma = derive_gammas(replace(ONEWAY, power_a=40.0)).gamma_ba
 
         def skewed(self, gamma):
-            t3, t5 = real(self, gamma)
+            t3, t5, u3 = real(self, gamma)
             if gamma == skewed_gamma:
                 t3 = t3.copy()
                 t3[7] = np.inf
-            return t3, t5
+            return t3, t5, u3
 
         monkeypatch.setattr(capacity.Grams, "bob_joint_logdets", skewed)
         configs = [ONEWAY, replace(ONEWAY, power_a=40.0)]
@@ -507,6 +592,34 @@ class TestStackedFloorAccuracy:
         floor = evaluate(cfg, mc, ("floor",))["floor"]
         exact_t4 = wishart_logdet_mean(n_b, n_a - n_e, derive_gammas(cfg).gamma_ba)
         assert abs(floor.mean - exact_t4) <= 4 * floor.stderr
-        # noise_ea = 0 stays an exact 0
+        # at noise_ea = 0 the floor is that mean, exactly
         assert evaluate(replace(cfg, noise_ea=0.0), mc, ("floor",))["floor"] == \
-            Estimate.exact(0.0)
+            Estimate.exact(exact_t4)
+
+    @pytest.mark.parametrize("shape", [(8, 4, 6), (4, 2, 2)])
+    def test_noiseless_eve_floor_is_the_exact_mean_of_t4(self, shape):
+        # per draw the floor is t4, Bob's channel through the dimensions Eve
+        # cannot observe; the floor is reported as E t4 and lower_bob
+        # carries v_a E t4 in place of v_a t4
+        n_a, n_b, n_e = shape
+        cfg = replace(FIG1_BASE, n_a=n_a, n_b=n_b, n_e=n_e, v_a=3, noise_ea=0.0)
+        mc = McSettings(trials=2000, master_seed=23)
+        exact_t4 = wishart_logdet_mean(n_b, n_a - n_e, derive_gammas(cfg).gamma_ba)
+        values = trial_values_many([(cfg, ("floor", "lower_bob", "t4"))], mc)[0]
+        assert np.array_equal(values["floor"], np.maximum(values["t4"], 0.0))
+        raw = summarize(values["floor"])
+        assert abs(raw.mean - exact_t4) <= 4 * raw.stderr
+        est = evaluate(cfg, mc, ("floor", "lower", "upper", "lower_alice"))
+        assert est["floor"] == Estimate.exact(exact_t4)
+        assert est["lower"] == est["upper"]
+        assert abs(est["lower"].mean - (pilot_mi(cfg) + cfg.v_a * exact_t4)) <= 1e-9
+        assert est["lower"].stderr <= 1e-9 < raw.stderr
+        assert est["lower_alice"] == Estimate.exact(-math.inf)
+        # below CV_MIN_TRIALS lower_bob is its raw mean
+        few = McSettings(trials=CV_MIN_TRIALS - 1, master_seed=23)
+        raw_bob = trial_values_many([(cfg, ("lower_bob",))], few)[0]["lower_bob"]
+        assert evaluate(cfg, few, ("lower",))["lower"] == summarize(raw_bob)
+        # where n_e >= n_a the limit is an exact 0
+        full = replace(cfg, n_e=n_a)
+        assert evaluate(full, mc, ("floor",))["floor"] == Estimate.exact(0.0)
+        assert not trial_values_many([(full, ("floor",))], mc)[0]["floor"].any()

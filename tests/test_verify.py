@@ -21,10 +21,11 @@ from skcprobe.errors import DimensionGuard, InvalidNoise, ValidationError
 from skcprobe.montecarlo import BLOCK, collect, trial_blocks
 import skcprobe.verify as verify
 from skcprobe.verify import (IDENTITY_ATOL, eve_sylvester, floor_null_space, floor_resolvent,
-                             gap_resolvent, joint_sylvester, lower_bob_rectangular,
-                             pilot_mi_check,
+                             gap_resolvent, interaction_traces, joint_sylvester,
+                             lower_bob_rectangular, pilot_mi_check,
                              scalar_capacity_check, wishart_logdet_quadrature,
-                             wishart_mean_check)
+                             wishart_mean_check, wishart_trace_check,
+                             wishart_trace_quadrature)
 from conftest import make_config
 
 # e * E1(1) / ln 2 to double precision (30-digit mpmath, frozen)
@@ -195,6 +196,16 @@ class TestIdentitySuite:
         assert check.passed
         assert check.detail == "floor against floor_resolvent over 100 realizations"
 
+    @pytest.mark.parametrize("overrides", [
+        dict(n_a=3, n_b=3, n_e=1, noise_ea=0.0), dict(n_a=4, n_b=2, n_e=2, v_b=0, noise_ea=0.0)])
+    def test_noiseless_eve_suite_passes_where_n_e_is_below_n_a(self, overrides):
+        # the engine's floor and lower_bob carry t4 there, as do the oracles
+        outcomes = determinant_identity_suite(make_config(**overrides), realizations=300)
+        assert all(o.passed for o in outcomes), [o for o in outcomes if not o.passed]
+        engine = trial_values_many([(make_config(**overrides), ("floor", "t4"))],
+                                   McSettings(trials=300, master_seed=1))[0]
+        assert engine["floor"].min() > 0.0
+
     def test_skewed_t4_fails_floor_form_equivalence_at_its_trial(self, monkeypatch):
         real = verify.trial_values_many
 
@@ -264,12 +275,40 @@ class TestIdentitySuite:
 
     @pytest.mark.parametrize("overrides", [dict(), dict(n_a=4, n_b=2, n_e=2)])
     def test_no_t1_check_where_eve_and_bob_hear_alice_at_one_snr(self, overrides):
-        # at noise_ea = noise_b, t1 is t2 and not a control
+        # at noise_ea = noise_b, t1 is t2 and, like u3 and u1, not a control
         outcomes = determinant_identity_suite(make_config(noise_ea=1.0, **overrides),
                                               realizations=100)
         names = [o.check_name for o in outcomes]
         assert "t5-form-equivalence" in names and "t1-form-equivalence" not in names
+        assert "u-form-equivalence" not in names
         assert all(o.passed for o in outcomes)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(), dict(n_a=3, n_b=2, n_e=4), dict(n_a=4, n_b=2, n_e=2),
+        dict(n_a=4, n_b=2, n_e=2, power_a=1e5, noise_ea=1e-4)],
+        ids=["n_e-at-n_a", "n_e-above-n_a", "n_e-below-n_a", "n_e-below-n_a-high-snr"])
+    def test_skewed_trace_fails_u_form_equivalence_at_its_trial(self, monkeypatch, overrides):
+        cfg = make_config(**overrides)
+        check = {o.check_name: o for o in determinant_identity_suite(
+            cfg, realizations=300)}["u-form-equivalence"]
+        assert check.passed and check.tolerance == IDENTITY_ATOL
+        assert check.detail == "u3, u1 against interaction_traces over 300 realizations"
+        real = verify.trial_values_many
+
+        for name in ("u3", "u1"):
+            def skewed(points, mc):
+                values = real(points, mc)
+                values[0][name] = values[0][name].copy()
+                values[0][name][BLOCK + 7] += 1e-7
+                return values
+
+            monkeypatch.setattr(verify, "trial_values_many", skewed)
+            by_name = {o.check_name: o for o in determinant_identity_suite(cfg, realizations=300)}
+            check = by_name["u-form-equivalence"]
+            assert not check.passed, name
+            assert check.detail == f"max deviation at trial {BLOCK + 7}"
+            assert check.computed_value == pytest.approx(1e-7, rel=1e-6)
+            assert by_name["t1-form-equivalence"].passed
 
     def test_high_power_null_space_config_passes(self):
         # the difference of log-dets in floor_resolvent loses about 1e-6 bits
@@ -320,8 +359,8 @@ class TestOracleIndependence:
         mc = McSettings(trials=BLOCK + 44, master_seed=9)
         null_space = cfg.n_e < cfg.n_a
         engine = trial_values_many(
-            [(cfg, ("floor", "gap", "lower_bob", "t5", "t1") + (("t4",) if null_space else ()))],
-            mc)[0]
+            [(cfg, ("floor", "gap", "lower_bob", "t5", "t1", "u3", "u1")
+              + (("t4",) if null_space else ()))], mc)[0]
 
         def engine_code(*args, **kwargs):
             raise AssertionError("an oracle called engine code")
@@ -342,7 +381,8 @@ class TestOracleIndependence:
         def oracles(block):
             values = {"floor": floor_resolvent(block, cfg), "gap": gap_resolvent(block, cfg),
                       "lower_bob": lower_bob_rectangular(block, cfg),
-                      "t5": joint_sylvester(block, cfg), "t1": eve_sylvester(block, cfg)}
+                      "t5": joint_sylvester(block, cfg), "t1": eve_sylvester(block, cfg),
+                      **interaction_traces(block, cfg)}
             if null_space:
                 values.update({f"{name}-null-space": v
                                for name, v in floor_null_space(block, cfg).items()})
@@ -352,7 +392,7 @@ class TestOracleIndependence:
         for name, reference in values.items():
             assert reference.shape == (BLOCK + 44,)
             assert np.max(np.abs(reference - engine[name.split("-")[0]])) <= IDENTITY_ATOL, name
-        assert len(values) == (7 if null_space else 5)
+        assert len(values) == (9 if null_space else 7)
         block = next(trial_blocks(cfg, mc))[1]
         assert not gap_resolvent(block, replace(cfg, v_b=0, noise_eb=0.0)).any()
         with pytest.raises(InvalidNoise):
@@ -389,9 +429,9 @@ class TestRunSuite:
         assert summary.passed
         per_config = ["pilot-mi-exact", "pilot-mmse", "gap-form-equivalence",
                       "floor-form-equivalence", "t5-form-equivalence", "t1-form-equivalence",
-                      "lower-bob-form-equivalence",
+                      "u-form-equivalence", "lower-bob-form-equivalence",
                       "gap-nonnegative", "one-way-identity", "engine-reference-agreement",
-                      "wishart-mean"]
+                      "wishart-mean", "wishart-trace-mean"]
         assert [o.check_name for o in summary.outcomes] == [
             "scalar-capacity-snr-0.1", "scalar-capacity-snr-1", "scalar-capacity-snr-10",
             "wishart-mean-siso"] + [f"cfg{i}:{name}" for i in range(3) for name in per_config]
@@ -463,6 +503,29 @@ class TestWishartMeanCheck:
         monkeypatch.setattr(verify, "wishart_logdet_mean", lambda rows, cols, gamma: (
             real(rows, cols, gamma) * (1.0 + 1e-7 * ((rows, cols, gamma) == (3, 4, 2.0)))))
         assert not wishart_mean_check(cfg).passed
+
+    def test_trace_means_are_checked_where_they_are_controls(self, monkeypatch):
+        cfg = make_config(n_a=4, n_b=2, n_e=3)
+        outcome = wishart_trace_check(cfg)
+        assert outcome.passed and outcome.tolerance == 1e-8
+        assert outcome.detail == ("largest relative deviation over u3 (2x4, gamma 2); "
+                                  "u1 (3x4, gamma 2)")
+        # no interaction controls at noise_ea = noise_b or noise_ea = 0
+        for other in (replace(cfg, noise_ea=1.0), replace(cfg, noise_ea=0.0)):
+            outcome = wishart_trace_check(other)
+            assert outcome.passed and outcome.computed_value == 0.0
+            assert outcome.detail.startswith("no interaction controls")
+        # a closed form skewed on one shape fails the check
+        real = verify.wishart_trace_mean
+        monkeypatch.setattr(verify, "wishart_trace_mean", lambda rows, cols, gamma: (
+            real(rows, cols, gamma) * (1.0 + 1e-7 * ((rows, cols) == (3, 4)))))
+        assert not wishart_trace_check(cfg).passed
+
+    def test_trace_quadrature_is_exact_at_one_antenna(self):
+        # E[g x / (1 + g x)], x ~ Exp(1), is 1 - e^(1/g) E1(1/g) / g
+        for gamma in (0.1, 1.0, 10.0):
+            expected = 1.0 - float(mpmath.exp(1 / gamma) * mpmath.e1(1 / gamma)) / gamma
+            assert wishart_trace_quadrature(1, 1, gamma) == pytest.approx(expected, rel=1e-10)
 
     def test_terms_outside_the_domain_are_named_and_skipped(self):
         outcome = wishart_mean_check(make_config(power_a=0.0))
