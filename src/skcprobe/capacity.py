@@ -534,7 +534,7 @@ SAMPLED = ("floor", "lower_bob", "gap", "lower_alice")
 # them
 CONTROLS = ("t2", "t3", "t5", "t4", "t1", "u3", "u1")
 # where a control is not one of a config's (see _controls)
-_CONTROL_RULES = {"t4": "n_e < n_a", "t1": "gamma_ea != gamma_ba",
+_CONTROL_RULES = {"t2": "noise_ea > 0", "t4": "n_e < n_a", "t1": "gamma_ea != gamma_ba",
                   "u3": "gamma_ea != gamma_ba", "u1": "gamma_ea != gamma_ba"}
 CV_MIN_TRIALS = 52
 # a regression system whose determinant is at most this fraction of the
@@ -568,7 +568,11 @@ def _controls(config: ProbingConfig) -> dict[str, _Control]:
     """Name -> _Control of each of the floor's CONTROLS at `config`, in the
     order a point takes them: (t2, t3, t5), then t4 where n_e < n_a and (t1,
     u3, u1) last where gamma_ea != gamma_ba (at equal gammas t1 is t2, and
-    the floor is exactly t5 - t2, so nothing more can help).  Each t is a
+    the floor is exactly t5 - t2, so nothing more can help); t2 only where
+    noise_ea > 0 (at noise_ea = 0 its gamma is inf and the floor is exact,
+    see _noiseless_floor).  This table is the one statement of which
+    controls a point has: verify checks each entry's mean and values
+    against its own oracles.  Each t is a
     log2det(I + gamma w^H w) with w rows x cols of iid CN(0, 1) entries,
     whose mean is wishart_logdet_mean(rows, cols, gamma); t5's w is [g_a;
     h_ba], (n_e + n_b) x n_a.  u3 = tr(P_H G), P_H = gamma_ba H (I +
@@ -618,6 +622,8 @@ def _controls(config: ProbingConfig) -> dict[str, _Control]:
     if g_ea == g_ba:
         for name in ("t1", "u3", "u1"):
             del controls[name]
+    if config.noise_ea == 0:
+        del controls["t2"]
     return controls
 
 
@@ -779,9 +785,8 @@ def trial_values_many(points: Sequence[tuple[ProbingConfig, Iterable[str]]],
     point asks for, on the engine's shared draws: the floor, the gap, the
     Bob-side bound built on the same floor values, and that bound of the
     role-swapped scenario on the swapped draws; and the floor's CONTROLS
-    that it names (t4 only where n_e < n_a and t1, u3, u1 only where gamma_ea
-    != gamma_ba, otherwise a ValueError), which a failure reports as the
-    floor.
+    that it names (only those _controls declares at its config, otherwise a
+    ValueError naming the rule), which a failure reports as the floor.
 
     Points whose configs agree on what sample_channels reads get identical
     draws, so each such group takes one collect pass.  A failure names the
@@ -1030,11 +1035,15 @@ def dof_slope(quantity: Callable[[Sequence[ProbingConfig]], Sequence[Estimate]],
 
     The fit uses only the top half of the grid to approximate the infinite-
     power limit while keeping runtime bounded.  The grid must pass
-    checked_power_grid.
+    checked_power_grid, and every estimate must be finite (a ValueError
+    names the first power where it is not): no slope fits an infinite mean.
     """
     grid = checked_power_grid(p_grid)
     ests = quantity([config_at_power(config, p) for p in grid])
     means = np.array([e.mean for e in ests])
+    for p, mean in zip(grid, means):
+        if not math.isfinite(mean):
+            raise ValueError(f"the estimate at power {p:g} is {mean}: no slope to fit")
     top = slice(len(grid) // 2, None)
     x = np.log2(np.array(grid[top]))
     design = np.vstack([x, np.ones_like(x)]).T

@@ -7,9 +7,9 @@ failure, 5 verification failure.
 
 The default seed can be overridden with the SKCPROBE_SEED environment
 variable; an explicit flag beats the environment, which beats the spec
-file, which beats built-ins.  --threads and SKCPROBE_THREADS are accepted
-for compatibility only: each must be an integer >= 1, and neither reaches
-the computation, which runs on one thread.
+file, which beats built-ins.  --threads is accepted for compatibility
+only: it must be an integer >= 1, and it does not reach the computation,
+which runs on one thread.
 """
 
 from __future__ import annotations
@@ -26,19 +26,7 @@ import numpy as np
 
 from . import __version__
 from .capacity import dof_formula, dof_window_split
-from .errors import (
-    DimensionGuard,
-    DimensionMismatch,
-    IntegrandFailure,
-    InvalidNoise,
-    NotHermitian,
-    NotPositiveDefinite,
-    OrderingViolation,
-    ParseError,
-    PilotTooShort,
-    QuadratureFailure,
-    ValidationError,
-)
+from .errors import ParseError, SkcError, ValidationError
 from .experiments import (
     expand_quantities,
     load_spec,
@@ -55,13 +43,6 @@ EXIT_NUMERIC = 4
 EXIT_VERIFY_FAILED = 5
 
 SEED_ENV = "SKCPROBE_SEED"
-THREADS_ENV = "SKCPROBE_THREADS"
-
-_NUMERIC_ERRORS = (
-    NotHermitian, NotPositiveDefinite, DimensionMismatch,
-    InvalidNoise, PilotTooShort, OrderingViolation,
-    IntegrandFailure, DimensionGuard, QuadratureFailure,
-)
 
 
 def _env_int(name: str) -> int | None:
@@ -90,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=None,
                        help="Monte Carlo trials per point (default: spec file or 10000)")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"accepted for compatibility only: must be >= 1 "
-                            f"(as must {THREADS_ENV}) and has no effect")
+                       help="accepted for compatibility only: must be >= 1 "
+                            "and has no effect")
         p.add_argument("--out", default=".", help="output directory (default: .)")
 
     add_common(sub.add_parser("eval", help="evaluate one configuration"))
@@ -112,11 +93,9 @@ def _resolve_seed(args) -> int | None:
 
 
 def _check_threads(args) -> None:
-    """--threads, else SKCPROBE_THREADS, must be an integer >= 1; the value
-    is not used."""
-    threads = args.threads if args.threads is not None else _env_int(THREADS_ENV)
-    if threads is not None and threads < 1:
-        raise ValidationError(f"--threads and {THREADS_ENV} must be >= 1, got {threads}")
+    """--threads, when given, must be >= 1; the value is not used."""
+    if args.threads is not None and args.threads < 1:
+        raise ValidationError(f"--threads must be >= 1, got {args.threads}")
 
 
 def _print_estimate_table(values, expanded) -> None:
@@ -231,7 +210,8 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error (validation): {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except _NUMERIC_ERRORS as exc:
+    # every other error of the program's own is numeric
+    except SkcError as exc:
         print(f"error (numeric): {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

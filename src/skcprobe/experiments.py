@@ -473,7 +473,8 @@ def run_dof(spec: ExperimentSpec, out_dir: Path) -> tuple[dict[str, DofResult], 
     transmit powers are scaled together by each grid value.  Prints the
     closed-form pre-log next to the fit, plus the window-split table for
     the config's total probing budget.  Each case's grid takes one Monte
-    Carlo pass.
+    Carlo pass.  lower_alice is refused, before any pass, for a case where
+    it is -inf.
     """
     if not spec.power_grid:
         raise ValidationError("dof command requires a 'power_grid' list in the spec")
@@ -481,6 +482,13 @@ def run_dof(spec: ExperimentSpec, out_dir: Path) -> tuple[dict[str, DofResult], 
     if quantity_name is None:
         raise ValidationError(
             f"dof needs one quantity from {DOF_QUANTITIES}, got {spec.quantities}")
+    for case in spec.cases:
+        # the power grid scales neither noise_ea nor v_a, so such a case is
+        # -inf at every grid point
+        if quantity_name == "lower_alice" and capacity._alice_bound_diverges(case.config):
+            raise ValidationError(
+                f"case {case.name!r}: dof of lower_alice needs noise_ea > 0 or v_a = 0 "
+                "(the Alice-side bound is -inf where Eve hears Alice noiselessly)")
     _check_out_dir(out_dir)
 
     def evaluator(case: CaseSpec):

@@ -7,17 +7,17 @@ Four kinds of checks live here:
   against the closed form;
 * Monte Carlo validation of the pilot-estimation error model and of the
   scalar ergodic capacity against adaptive quadrature;
-* the closed-form Wishart log-det and trace means behind the floor's
-  control variates against adaptive quadrature of the same integrals, with
-  the Laguerre polynomials from scipy.special, and the log-det mean against
-  the scalar ergodic capacity;
+* the exact mean of each control variate that capacity._controls
+  declares for the floor against adaptive quadrature of the same integral,
+  with the Laguerre polynomials from scipy.special, and the log-det mean
+  against the scalar ergodic capacity;
 * per-trial determinant-identity checks on the engine's blocks of draws:
-  the engine's floor (with its control t4 where n_e < n_a), its controls
-  t5, t1, u3 and u1, gap and Bob-side integrands against oracle forms that
-  reach each value through a different factorization (or an eigenvalue
-  decomposition) and are built from skcprobe.numerics and numpy alone,
-  sharing no engine code, one floor oracle per regime; and the batched
-  engine against its per-sample integrands on every trial.
+  the engine's floor, each of its declared controls (CONTROL_ORACLES), gap
+  and Bob-side integrands against oracle forms that reach each value
+  through a different factorization (or an eigenvalue decomposition) and
+  are built from skcprobe.numerics and numpy alone, sharing no engine
+  code, one floor oracle per regime; and the batched engine against its
+  per-sample integrands on every trial.
 
 A deliberate mutation hook is included so a silently broken oracle cannot
 pass its own suite.
@@ -34,6 +34,7 @@ import numpy as np
 
 from .capacity import (
     _alice_bound_diverges,
+    _controls,
     bound_gap_sample,
     lower_bound_bob_sample,
     pilot_mi,
@@ -275,68 +276,31 @@ def wishart_trace_quadrature(rows: int, cols: int, gamma: float) -> float:
 
 
 def wishart_mean_check(config: ProbingConfig) -> VerificationOutcome:
-    """wishart_logdet_mean of the floor's control variates, log2det(I +
-    gamma_ea G) with g_a n_e x n_a and t5 = log2det(I + gamma_ba (G + H))
-    with [g_a; h_ba] (n_e + n_b) x n_a (both when noise_ea > 0), t1 =
-    log2det(I + gamma_ba G) (when noise_ea > 0 and gamma_ea != gamma_ba),
-    log2det(I + gamma_ba H) with h_ba n_b x n_a and, when n_e < n_a, t4 =
-    log2det(I + gamma_ba h_ba P h_ba^H), P the projector onto null(g_a),
-    whose h_ba in a basis of that null space is n_b x (n_a - n_e), against
-    wishart_logdet_quadrature, WISHART_RTOL relative.  A term outside the
-    closed form's domain is named in the detail and not compared: the
-    engine gives such a floor its raw estimate."""
-    gam = derive_gammas(config)
-    terms = [("h_ba", config.n_b, config.n_a, gam.gamma_ba)]
-    if config.noise_ea > 0:
-        terms.append(("g_a", config.n_e, config.n_a, gam.gamma_ea))
-        terms.append(("[g_a; h_ba]", config.n_e + config.n_b, config.n_a, gam.gamma_ba))
-        if gam.gamma_ea != gam.gamma_ba:
-            terms.append(("g_a", config.n_e, config.n_a, gam.gamma_ba))
-    if config.n_e < config.n_a:
-        terms.append(("h_ba on null(g_a)", config.n_b, config.n_a - config.n_e, gam.gamma_ba))
+    """The exact mean of each of the floor's controls that
+    capacity._controls declares at `config`, `times` wishart_logdet_mean(rows,
+    cols, gamma) or, for a trace control, wishart_trace_mean's, against
+    `times` wishart_logdet_quadrature or wishart_trace_quadrature of the same
+    term, WISHART_RTOL relative, each term named by its control in the
+    detail.  A term outside the closed form's domain is named and not
+    compared: the engine gives such a floor its raw estimate."""
     worst, notes = 0.0, []
-    for channel, rows, cols, gamma in terms:
+    for name, control in _controls(config).items():
+        is_trace, rows, cols, gamma, times = control.mean
+        closed_form, quadrature = (wishart_trace_mean, wishart_trace_quadrature) if is_trace \
+            else (wishart_logdet_mean, wishart_logdet_quadrature)
+        term = f"{name} ({rows}x{cols}, gamma {gamma:g})"
         try:
-            closed = wishart_logdet_mean(rows, cols, gamma)
+            closed = times * closed_form(rows, cols, gamma)
         except ValueError:
-            notes.append(f"{channel} ({rows}x{cols}, gamma {gamma:g}) outside the domain")
+            notes.append(f"{term} outside the domain")
             continue
-        reference = wishart_logdet_quadrature(rows, cols, gamma)
+        reference = times * quadrature(rows, cols, gamma)
         worst = max(worst, abs(closed - reference) / abs(reference))
-        notes.append(f"{channel} ({rows}x{cols}, gamma {gamma:g})")
+        notes.append(term)
     return VerificationOutcome(
         check_name="wishart-mean", reference_value=0.0, computed_value=worst,
         tolerance=WISHART_RTOL, passed=worst <= WISHART_RTOL,
         detail="largest relative deviation over " + "; ".join(notes))
-
-
-def wishart_trace_check(config: ProbingConfig) -> VerificationOutcome:
-    """The exact means of the floor's interaction controls, u3 = tr(P_H G)
-    with mean n_e wishart_trace_mean(n_b, n_a, gamma_ba) and u1 = tr(P_G H)
-    with mean n_b wishart_trace_mean(n_e, n_a, gamma_ba), P_M = gamma_ba M
-    (I + gamma_ba M)^-1, against wishart_trace_quadrature, WISHART_RTOL
-    relative, where Eve is noisy and gamma_ea != gamma_ba (elsewhere they
-    are no controls, and the detail says so); a term outside the closed
-    form's domain is named and not compared."""
-    gam = derive_gammas(config)
-    terms = [("u3", config.n_e, config.n_b, config.n_a, gam.gamma_ba),
-             ("u1", config.n_b, config.n_e, config.n_a, gam.gamma_ba)] \
-        if config.noise_ea > 0 and gam.gamma_ea != gam.gamma_ba else []
-    worst, notes = 0.0, []
-    for name, times, rows, cols, gamma in terms:
-        try:
-            closed = times * wishart_trace_mean(rows, cols, gamma)
-        except ValueError:
-            notes.append(f"{name} ({rows}x{cols}, gamma {gamma:g}) outside the domain")
-            continue
-        reference = times * wishart_trace_quadrature(rows, cols, gamma)
-        worst = max(worst, abs(closed - reference) / abs(reference))
-        notes.append(f"{name} ({rows}x{cols}, gamma {gamma:g})")
-    return VerificationOutcome(
-        check_name="wishart-trace-mean", reference_value=0.0, computed_value=worst,
-        tolerance=WISHART_RTOL, passed=worst <= WISHART_RTOL,
-        detail=("largest relative deviation over " + "; ".join(notes)) if notes
-        else "no interaction controls (noiseless Eve or gamma_ea = gamma_ba)")
 
 
 def wishart_siso_check(snrs: Sequence[float]) -> VerificationOutcome:
@@ -395,29 +359,44 @@ def floor_null_space(realization: ChannelRealization, config: ProbingConfig):
     return values
 
 
-def _sylvester_logdet(s: np.ndarray, config: ProbingConfig):
-    """log2det(I + gamma_ba S^H S) per trial, by LU from the raw channels
-    S on the other side of Sylvester's identity from the engine's:
-    log2|I + gamma_ba S S^H| where n_e >= n_a (the engine factors S^H S)
-    and log2|I + gamma_ba S^H S| where n_e < n_a (the engine factors S
-    S^H)."""
-    product = s @ conj_t(s) if config.n_e >= config.n_a else conj_t(s) @ s
-    return logdet_lu(np.eye(product.shape[-1]) + derive_gammas(config).gamma_ba * product)
+def _gram_logdet(s: np.ndarray, gamma: float, outer: bool):
+    """log2det(I + gamma S^H S) per trial, by LU from the raw channels S:
+    of I + gamma S S^H where `outer` (Sylvester's identity), else of I +
+    gamma S^H S."""
+    product = s @ conj_t(s) if outer else conj_t(s) @ s
+    return logdet_lu(np.eye(product.shape[-1]) + gamma * product)
+
+
+def eve_smaller_side(realization: ChannelRealization, config: ProbingConfig):
+    """Oracle of the floor's control t2 = log2det(I + gamma_ea G) per trial,
+    on the smaller side of Sylvester's identity: min(n_e, n_a)-square (the
+    larger side loses digits at high gamma_ea)."""
+    return _gram_logdet(realization.g_a, derive_gammas(config).gamma_ea,
+                        outer=config.n_e <= config.n_a)
+
+
+def bob_smaller_side(realization: ChannelRealization, config: ProbingConfig):
+    """Oracle of the floor's control t3 = log2det(I + gamma_ba H) per trial,
+    on the smaller side of Sylvester's identity: min(n_b, n_a)-square."""
+    return _gram_logdet(realization.h_ba, derive_gammas(config).gamma_ba,
+                        outer=config.n_b <= config.n_a)
 
 
 def joint_sylvester(realization: ChannelRealization, config: ProbingConfig):
     """Oracle of the floor's control t5 = log2det(I + gamma_ba (G + H)) per
-    trial, with S = [g_a; h_ba]: (n_e + n_b)-square where n_e >= n_a,
-    n_a-square where n_e < n_a (see _sylvester_logdet)."""
-    return _sylvester_logdet(np.concatenate([realization.g_a, realization.h_ba], axis=-2),
-                             config)
+    trial, with S = [g_a; h_ba], on the other side of Sylvester's identity
+    from the engine's: (n_e + n_b)-square where n_e >= n_a (the engine
+    factors S^H S), n_a-square where n_e < n_a (the engine factors S S^H)."""
+    return _gram_logdet(np.concatenate([realization.g_a, realization.h_ba], axis=-2),
+                        derive_gammas(config).gamma_ba, outer=config.n_e >= config.n_a)
 
 
 def eve_sylvester(realization: ChannelRealization, config: ProbingConfig):
     """Oracle of the floor's control t1 = log2det(I + gamma_ba G) per trial,
-    with S = g_a: n_e-square where n_e >= n_a, n_a-square where n_e < n_a
-    (see _sylvester_logdet)."""
-    return _sylvester_logdet(realization.g_a, config)
+    with S = g_a on the other side from the engine's, as joint_sylvester:
+    n_e-square where n_e >= n_a, n_a-square where n_e < n_a."""
+    return _gram_logdet(realization.g_a, derive_gammas(config).gamma_ba,
+                        outer=config.n_e >= config.n_a)
 
 
 def interaction_traces(realization: ChannelRealization, config: ProbingConfig):
@@ -493,6 +472,14 @@ def lower_bob_rectangular(realization: ChannelRealization, config: ProbingConfig
     return realization.per_trial(val)
 
 
+# the per-sample oracle of each of the floor's CONTROLS (capacity._controls
+# says which of them a config has); an oracle of several values gives a dict
+# of them by name
+CONTROL_ORACLES = {"t2": eve_smaller_side, "t3": bob_smaller_side, "t5": joint_sylvester,
+                   "t4": floor_null_space, "t1": eve_sylvester,
+                   "u3": interaction_traces, "u1": interaction_traces}
+
+
 def _worst_deviation(name: str, pairs, tolerance: float, detail: str) -> VerificationOutcome:
     """Outcome of the largest per-trial |a - b| over the (a, b) pairs of
     arrays over the same trials; a failure names the trial where it lies."""
@@ -512,21 +499,20 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
     Two passes over the first `realizations` trials of the engine's blocks
     at `master_seed`: one trial_values_many call for the engine's values at
     the config and at its v_b = 0 copy, and one collect of the oracle forms
-    and the per-sample integrands.  Checks:
+    (each once per block) and the per-sample integrands.  Checks:
       (a) gap: engine vs gap_resolvent within IDENTITY_ATOL;
-      (b) floor: engine vs one oracle per regime within IDENTITY_ATOL, where
-          n_e < n_a its floor and t4 vs floor_null_space, otherwise its
-          floor vs floor_resolvent, which loses digits where n_e < n_a as
-          noise_ea falls (1e-6 bits at (4,2,2), power 1e5, noise_ea 1e-4);
-          its control t5 vs joint_sylvester and, where gamma_ea !=
-          gamma_ba (elsewhere t1 is t2, and none of t1, u3, u1 is a
-          control), its control t1 vs eve_sylvester and its controls u3 and
-          u1 vs interaction_traces, each within IDENTITY_ATOL;
-      (c) Bob-side bound: engine vs lower_bob_rectangular within IDENTITY_ATOL;
-      (d) gap integrand >= 0 throughout, and exactly 0 when v_b = 0;
-      (e) with v_b forced to 0, the Bob-side integrand equals
+      (b) floor: engine vs one oracle per regime within IDENTITY_ATOL,
+          floor_null_space where n_e < n_a and otherwise floor_resolvent,
+          which loses digits where n_e < n_a as noise_ea falls (1e-6 bits at
+          (4,2,2), power 1e5, noise_ea 1e-4);
+      (c) each control that capacity._controls declares at the config:
+          engine vs its CONTROL_ORACLES entry within IDENTITY_ATOL, as
+          <name>-form-equivalence;
+      (d) Bob-side bound: engine vs lower_bob_rectangular within IDENTITY_ATOL;
+      (e) gap integrand >= 0 throughout, and exactly 0 when v_b = 0;
+      (f) with v_b forced to 0, the Bob-side integrand equals
           pilot_mi + v_a * floor integrand bit for bit;
-      (f) the batched engine's floor, gap, Bob- and Alice-side integrands
+      (g) the batched engine's floor, gap, Bob- and Alice-side integrands
           (the latter unless it is the exact -inf) equal the per-sample
           integrands, each evaluated on one draw, within IDENTITY_ATOL on
           every trial (more than one block once realizations exceeds the
@@ -546,26 +532,17 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
     }
     if _alice_bound_diverges(config):
         del per_sample["lower_alice"]
-    null_space = config.n_e < config.n_a
-    floor_terms = ("floor", "t4") if null_space else ("floor",)
-    gam = derive_gammas(config)
-    controls = {"t5": joint_sylvester}
-    traces = ()
-    if gam.gamma_ea != gam.gamma_ba:
-        controls["t1"] = eve_sylvester
-        traces = ("u3", "u1")
+    oracles = {"floor": floor_null_space if config.n_e < config.n_a else floor_resolvent}
+    oracles.update((name, CONTROL_ORACLES[name]) for name in _controls(config))
     engine, engine_oneway = trial_values_many(
-        [(config, set(per_sample) | set(floor_terms) | set(controls) | set(traces)),
-         (oneway, ("lower_bob",))], mc)
+        [(config, set(per_sample) | set(oracles)), (oneway, ("lower_bob",))], mc)
 
     def references(block):
         values = {"gap": gap_resolvent(block, config),
                   "lower_bob": lower_bob_rectangular(block, config)}
-        values.update((name, oracle(block, config)) for name, oracle in controls.items())
-        if traces:
-            values.update(interaction_traces(block, config))
-        values.update(floor_null_space(block, config) if null_space
-                      else {"floor": floor_resolvent(block, config)})
+        forms = {form: form(block, config) for form in dict.fromkeys(oracles.values())}
+        for name, form in oracles.items():
+            values[name] = forms[form][name] if isinstance(forms[form], dict) else forms[form]
         for name, integrand in per_sample.items():
             values[f"{name} per sample"] = np.array(
                 [integrand(block[j]) for j in range(block.trials_shape[0])])
@@ -574,20 +551,12 @@ def determinant_identity_suite(config: ProbingConfig, realizations: int = 300,
     oracle = collect(references, config, mc)
     gaps = np.concatenate([engine["gap"], oracle["gap"]])
     over = f"over {realizations} realizations"
-    floor_oracle = "floor_null_space" if null_space else "floor_resolvent"
     return [
         _worst_deviation("gap-form-equivalence", [(engine["gap"], oracle["gap"])],
                          IDENTITY_ATOL, over),
-        _worst_deviation("floor-form-equivalence",
-                         [(engine[name], oracle[name]) for name in floor_terms],
-                         IDENTITY_ATOL, f"{', '.join(floor_terms)} against {floor_oracle} {over}"),
         *(_worst_deviation(f"{name}-form-equivalence", [(engine[name], oracle[name])],
                            IDENTITY_ATOL, f"{name} against {form.__name__} {over}")
-          for name, form in controls.items()),
-        *([_worst_deviation("u-form-equivalence",
-                            [(engine[name], oracle[name]) for name in traces], IDENTITY_ATOL,
-                            f"{', '.join(traces)} against interaction_traces {over}")]
-          if traces else []),
+          for name, form in oracles.items()),
         _worst_deviation("lower-bob-form-equivalence",
                          [(engine["lower_bob"], oracle["lower_bob"])], IDENTITY_ATOL, over),
         VerificationOutcome(
@@ -617,9 +586,9 @@ def run_suite(configs: Sequence[ProbingConfig], mc: McSettings,
     """Run every check across a set of configurations.
 
     The scalar-capacity cross-oracle and the scalar check of the Wishart
-    log-det means are configuration independent and run once; the Wishart
-    log-det and trace means are checked per config.  Overall
-    pass requires every outcome to pass.
+    log-det means are configuration independent and run once; the exact
+    means of the floor's controls are checked per config.  Overall pass
+    requires every outcome to pass.
     """
     if not configs:
         raise ValidationError("empty config set")
@@ -634,7 +603,6 @@ def run_suite(configs: Sequence[ProbingConfig], mc: McSettings,
         tagged.extend(determinant_identity_suite(
             config, realizations=identity_realizations, master_seed=mc.master_seed))
         tagged.append(wishart_mean_check(config))
-        tagged.append(wishart_trace_check(config))
         for o in tagged:
             outcomes.append(replace(o, check_name=prefix + o.check_name))
     return VerificationSummary(outcomes=tuple(outcomes))

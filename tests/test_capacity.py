@@ -997,6 +997,14 @@ class TestDofSlope:
         with pytest.raises(GridTooSmall):
             dof_slope(q, cfg, [1, 2, 4, 8])           # under three decades
 
+    @pytest.mark.parametrize("value", [-math.inf, math.nan])
+    def test_non_finite_mean_has_no_slope(self, value):
+        # a least-squares fit through it would give slope nan
+        cfg = make_config(power_a=1.0, power_b=1.0)
+        q = self.exact_quantity(lambda c: value if c.power_a == 100.0 else 1.0)
+        with pytest.raises(ValueError, match=f"the estimate at power 100 is {value}"):
+            dof_slope(q, cfg, [1, 10, 100, 1000])
+
     def test_power_scaling_applies_to_both_sides(self):
         cfg = make_config(power_a=2.0, power_b=0.5)
         scaled = config_at_power(cfg, 8.0)

@@ -13,7 +13,7 @@ import pytest
 
 from skcprobe import cli, config_at_power, experiments, secrecy_floor_sample
 from skcprobe.cli import main
-from skcprobe.errors import ValidationError
+from skcprobe.errors import GridTooSmall, SkcError, ValidationError
 from skcprobe.experiments import apply_parameter, load_spec
 from skcprobe.montecarlo import trial_blocks
 from skcprobe.verify import VerificationSummary
@@ -111,6 +111,30 @@ quantities: [gap]
         spec = write(tmp_path, text, "diverges.yaml")
         assert main(["eval", "--config", spec, "--out", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("error", [GridTooSmall("too few points"), SkcError("base")],
+                             ids=["grid-too-small", "base-class"])
+    def test_every_other_program_error_is_numeric(self, tmp_path, monkeypatch, capsys,
+                                                  error):
+        def fails(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "run_eval", fails)
+        spec = write(tmp_path, SMALL_EVAL, "spec.yaml")
+        assert main(["eval", "--config", spec, "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == f"error (numeric): {error}\n"
+
+    def test_dof_of_a_diverging_alice_bound_is_validation_error(self, tmp_path,
+                                                                monkeypatch, capsys):
+        # lower_alice is -inf at every power where Eve hears Alice noiselessly
+        monkeypatch.setattr(experiments, "evaluate_quantities", None)
+        text = SMALL_DOF.replace("v_b: 0}", "v_b: 0, noise_ea: 0.0}").replace(
+            "quantities: [floor]", "quantities: [lower_alice]")
+        spec = write(tmp_path, text, "alice.yaml")
+        assert main(["dof", "--config", spec, "--out", str(tmp_path)]) == 3
+        assert "case 'base': dof of lower_alice needs noise_ea > 0 or v_a = 0" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "slope-dof.csv").exists()
+
     def test_non_finite_power_is_validation_error(self, tmp_path):
         spec = write(tmp_path, "config: {n_a: 2, n_b: 2, n_e: 2, phi_a: 8, phi_b: 8, "
                                "power_a: .nan}", "nan.yaml")
@@ -146,7 +170,7 @@ quantities: [gap]
             spec = write(tmp_path, VERIFY_SET.replace(old, new), "verify.yaml")
             assert main(["verify", "--config", spec, "--out", str(tmp_path)]) == 3
 
-    def test_zero_threads_is_validation_error(self, tmp_path, monkeypatch, capsys):
+    def test_zero_threads_is_validation_error(self, tmp_path, capsys):
         specs = {"eval": SMALL_EVAL, "sweep": SMALL_SWEEP, "dof": SMALL_DOF,
                  "verify": VERIFY_SET}
         for command, text in specs.items():
@@ -154,10 +178,6 @@ quantities: [gap]
                     "--out", str(tmp_path / command)]
             assert main(argv + ["--threads", "0"]) == 3, command
             assert "--threads" in capsys.readouterr().err
-            monkeypatch.setenv("SKCPROBE_THREADS", "0")
-            assert main(argv) == 3, command
-            assert "SKCPROBE_THREADS" in capsys.readouterr().err
-            monkeypatch.delenv("SKCPROBE_THREADS")
             assert main(argv + ["--threads", "1"]) == 0, command
 
     @pytest.mark.parametrize("command,text,old,new,key", [
@@ -397,12 +417,6 @@ class TestEnvironmentOverrides:
         main(["eval", "--config", spec, "--out", str(tmp_path / "plain")])
         row = (tmp_path / "plain" / "point.csv").read_text().splitlines()[1]
         assert row.endswith(",2")
-
-    def test_threads_env_accepted(self, tmp_path, monkeypatch):
-        spec = write(tmp_path, SMALL_EVAL, "spec.yaml")
-        monkeypatch.setenv("SKCPROBE_THREADS", "3")
-        main(["eval", "--config", spec, "--out", str(tmp_path / "thr")])
-        assert (tmp_path / "thr" / "point.csv").exists()
 
     def test_bad_env_value_is_validation_error(self, tmp_path, monkeypatch):
         spec = write(tmp_path, SMALL_EVAL, "spec.yaml")

@@ -23,7 +23,7 @@ import yaml
 import skcprobe.capacity as capacity
 from skcprobe import (Estimate, McSettings, ProbingConfig, evaluate, evaluate_many, pilot_mi,
                       secrecy_floor_sample, wishart_logdet_mean, wishart_trace_mean)
-from skcprobe.capacity import (CV_MIN_TRIALS, WISHART_MAX_DIM, _control_corrections,
+from skcprobe.capacity import (CV_MIN_TRIALS, WISHART_MAX_DIM, _control_corrections, _controls,
                                _eigenvalue_weights, trial_values_many)
 from skcprobe.channel import DRAWN, derive_gammas
 from skcprobe.errors import IntegrandFailure
@@ -82,19 +82,9 @@ def reference_trace_mean(rows: int, cols: int, gamma: float) -> float:
 
 
 def control_terms(config: ProbingConfig) -> list[tuple[int, int, float]]:
-    """(rows, cols, gamma) of the floor's control variates: g_a at gamma_ea
-    and at gamma_ba and [g_a; h_ba] at gamma_ba (when Eve is noisy), h_ba
-    at gamma_ba and, where n_e < n_a, h_ba on the n_a - n_e dimensions of
-    null(g_a) at gamma_ba."""
-    gam = derive_gammas(config)
-    terms = [(config.n_b, config.n_a, gam.gamma_ba)]
-    if config.noise_ea > 0:
-        terms.append((config.n_e, config.n_a, gam.gamma_ea))
-        terms.append((config.n_e, config.n_a, gam.gamma_ba))
-        terms.append((config.n_e + config.n_b, config.n_a, gam.gamma_ba))
-    if config.n_e < config.n_a:
-        terms.append((config.n_b, config.n_a - config.n_e, gam.gamma_ba))
-    return terms
+    """(rows, cols, gamma) of the exact-mean term of each of the floor's
+    controls at `config`, as capacity._controls declares them."""
+    return [control.mean[1:4] for control in _controls(config).values()]
 
 
 def bundled_terms() -> set[tuple[int, int, float]]:
@@ -125,8 +115,6 @@ class TestWishartLogdetMean:
         assert worst <= 1e-10
 
     def test_trace_mean_matches_exact_reference_on_every_bundled_term_and_the_gamma_ends(self):
-        # the interaction controls' shapes (n_b x n_a and n_e x n_a at
-        # gamma_ba) are among the log-det terms' shapes
         terms = bundled_terms()
         shapes = {(rows, cols) for rows, cols, _ in terms}
         terms |= {(rows, cols, g) for rows, cols in shapes | {(16, 16), (1, 16), (16, 3), (32, 8)}
@@ -321,6 +309,14 @@ class TestControlVariates:
         with pytest.raises(ValueError, match="t4 needs n_e < n_a"):
             trial_values_many([(replace(FIG1_BASE, n_e=8), ("floor", "t4"))],
                               McSettings(trials=10))
+
+    @pytest.mark.parametrize("n_e", [6, 10])
+    def test_t2_is_a_control_only_where_eve_is_noisy(self, n_e):
+        # at noise_ea = 0 its gamma is inf, and the floor is exact
+        cfg = replace(FIG1_BASE, n_e=n_e, noise_ea=0.0)
+        assert "t2" not in _controls(cfg) and "t2" in _controls(replace(cfg, noise_ea=0.3))
+        with pytest.raises(ValueError, match="t2 needs noise_ea > 0"):
+            trial_values_many([(cfg, ("floor", "t2"))], McSettings(trials=10))
 
     @pytest.mark.parametrize("name", ["t1", "u3", "u1"])
     @pytest.mark.parametrize("n_e", [6, 10])

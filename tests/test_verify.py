@@ -15,16 +15,15 @@ from skcprobe import (
     run_suite,
     siso_ergodic_capacity,
 )
-from skcprobe.capacity import trial_values_many
+from skcprobe.capacity import CONTROLS, _controls, trial_values_many
 from skcprobe.channel import sample_channels
 from skcprobe.errors import DimensionGuard, InvalidNoise, ValidationError
 from skcprobe.montecarlo import BLOCK, collect, trial_blocks
 import skcprobe.verify as verify
-from skcprobe.verify import (IDENTITY_ATOL, eve_sylvester, floor_null_space, floor_resolvent,
-                             gap_resolvent, interaction_traces, joint_sylvester,
-                             lower_bob_rectangular, pilot_mi_check,
-                             scalar_capacity_check, wishart_logdet_quadrature,
-                             wishart_mean_check, wishart_trace_check,
+from skcprobe.verify import (CONTROL_ORACLES, IDENTITY_ATOL, floor_null_space,
+                             floor_resolvent, gap_resolvent, lower_bob_rectangular,
+                             pilot_mi_check, scalar_capacity_check,
+                             wishart_logdet_quadrature, wishart_mean_check,
                              wishart_trace_quadrature)
 from conftest import make_config
 
@@ -190,7 +189,9 @@ class TestIdentitySuite:
         by_name = {o.check_name: o for o in determinant_identity_suite(cfg, realizations=300)}
         check = by_name["floor-form-equivalence"]
         assert check.passed and check.tolerance == IDENTITY_ATOL
-        assert check.detail == "floor, t4 against floor_null_space over 300 realizations"
+        assert check.detail == "floor against floor_null_space over 300 realizations"
+        check = by_name["t4-form-equivalence"]
+        assert check.passed and check.detail == "t4 against floor_null_space over 300 realizations"
         check = {o.check_name: o for o in determinant_identity_suite(
             make_config(), realizations=100)}["floor-form-equivalence"]
         assert check.passed
@@ -205,110 +206,6 @@ class TestIdentitySuite:
         engine = trial_values_many([(make_config(**overrides), ("floor", "t4"))],
                                    McSettings(trials=300, master_seed=1))[0]
         assert engine["floor"].min() > 0.0
-
-    def test_skewed_t4_fails_floor_form_equivalence_at_its_trial(self, monkeypatch):
-        real = verify.trial_values_many
-
-        def skewed(points, mc):
-            values = real(points, mc)
-            values[0]["t4"] = values[0]["t4"].copy()
-            values[0]["t4"][BLOCK + 3] += 1e-7
-            return values
-
-        monkeypatch.setattr(verify, "trial_values_many", skewed)
-        by_name = {o.check_name: o for o in determinant_identity_suite(
-            make_config(n_a=4, n_b=2, n_e=2), realizations=300)}
-        check = by_name["floor-form-equivalence"]
-        assert not check.passed
-        assert check.detail == f"max deviation at trial {BLOCK + 3}"
-        assert check.computed_value == pytest.approx(1e-7, rel=1e-6)
-        assert by_name["engine-reference-agreement"].passed
-
-    @pytest.mark.parametrize("overrides", [
-        dict(), dict(n_a=3, n_b=2, n_e=4), dict(n_a=4, n_b=2, n_e=2),
-        dict(n_a=8, n_b=4, n_e=6, noise_ea=0.0)])
-    def test_skewed_t5_fails_t5_form_equivalence_at_its_trial(self, monkeypatch, overrides):
-        cfg = make_config(**overrides)
-        check = {o.check_name: o for o in determinant_identity_suite(
-            cfg, realizations=300)}["t5-form-equivalence"]
-        assert check.passed and check.tolerance == IDENTITY_ATOL
-        assert check.detail == "t5 against joint_sylvester over 300 realizations"
-        real = verify.trial_values_many
-
-        def skewed(points, mc):
-            values = real(points, mc)
-            values[0]["t5"] = values[0]["t5"].copy()
-            values[0]["t5"][BLOCK + 5] -= 1e-7
-            return values
-
-        monkeypatch.setattr(verify, "trial_values_many", skewed)
-        by_name = {o.check_name: o for o in determinant_identity_suite(cfg, realizations=300)}
-        check = by_name["t5-form-equivalence"]
-        assert not check.passed
-        assert check.detail == f"max deviation at trial {BLOCK + 5}"
-        assert check.computed_value == pytest.approx(1e-7, rel=1e-6)
-        assert by_name["floor-form-equivalence"].passed
-
-    @pytest.mark.parametrize("overrides", [dict(), dict(n_a=4, n_b=2, n_e=2)],
-                             ids=["n_e-at-n_a", "n_e-below-n_a"])
-    def test_skewed_t1_fails_t1_form_equivalence_at_its_trial(self, monkeypatch, overrides):
-        cfg = make_config(**overrides)
-        check = {o.check_name: o for o in determinant_identity_suite(
-            cfg, realizations=300)}["t1-form-equivalence"]
-        assert check.passed and check.tolerance == IDENTITY_ATOL
-        assert check.detail == "t1 against eve_sylvester over 300 realizations"
-        real = verify.trial_values_many
-
-        def skewed(points, mc):
-            values = real(points, mc)
-            values[0]["t1"] = values[0]["t1"].copy()
-            values[0]["t1"][BLOCK + 9] += 1e-7
-            return values
-
-        monkeypatch.setattr(verify, "trial_values_many", skewed)
-        by_name = {o.check_name: o for o in determinant_identity_suite(cfg, realizations=300)}
-        check = by_name["t1-form-equivalence"]
-        assert not check.passed
-        assert check.detail == f"max deviation at trial {BLOCK + 9}"
-        assert check.computed_value == pytest.approx(1e-7, rel=1e-6)
-        assert by_name["t5-form-equivalence"].passed
-
-    @pytest.mark.parametrize("overrides", [dict(), dict(n_a=4, n_b=2, n_e=2)])
-    def test_no_t1_check_where_eve_and_bob_hear_alice_at_one_snr(self, overrides):
-        # at noise_ea = noise_b, t1 is t2 and, like u3 and u1, not a control
-        outcomes = determinant_identity_suite(make_config(noise_ea=1.0, **overrides),
-                                              realizations=100)
-        names = [o.check_name for o in outcomes]
-        assert "t5-form-equivalence" in names and "t1-form-equivalence" not in names
-        assert "u-form-equivalence" not in names
-        assert all(o.passed for o in outcomes)
-
-    @pytest.mark.parametrize("overrides", [
-        dict(), dict(n_a=3, n_b=2, n_e=4), dict(n_a=4, n_b=2, n_e=2),
-        dict(n_a=4, n_b=2, n_e=2, power_a=1e5, noise_ea=1e-4)],
-        ids=["n_e-at-n_a", "n_e-above-n_a", "n_e-below-n_a", "n_e-below-n_a-high-snr"])
-    def test_skewed_trace_fails_u_form_equivalence_at_its_trial(self, monkeypatch, overrides):
-        cfg = make_config(**overrides)
-        check = {o.check_name: o for o in determinant_identity_suite(
-            cfg, realizations=300)}["u-form-equivalence"]
-        assert check.passed and check.tolerance == IDENTITY_ATOL
-        assert check.detail == "u3, u1 against interaction_traces over 300 realizations"
-        real = verify.trial_values_many
-
-        for name in ("u3", "u1"):
-            def skewed(points, mc):
-                values = real(points, mc)
-                values[0][name] = values[0][name].copy()
-                values[0][name][BLOCK + 7] += 1e-7
-                return values
-
-            monkeypatch.setattr(verify, "trial_values_many", skewed)
-            by_name = {o.check_name: o for o in determinant_identity_suite(cfg, realizations=300)}
-            check = by_name["u-form-equivalence"]
-            assert not check.passed, name
-            assert check.detail == f"max deviation at trial {BLOCK + 7}"
-            assert check.computed_value == pytest.approx(1e-7, rel=1e-6)
-            assert by_name["t1-form-equivalence"].passed
 
     def test_high_power_null_space_config_passes(self):
         # the difference of log-dets in floor_resolvent loses about 1e-6 bits
@@ -344,6 +241,77 @@ class TestIdentitySuite:
         assert len(passes) == 2 and len(draws) == 4
 
 
+def control_term(config, name) -> str:
+    """How wishart-mean's detail names the control's exact-mean term."""
+    _, rows, cols, gamma, _ = _controls(config)[name].mean
+    return f"{name} ({rows}x{cols}, gamma {gamma:g})"
+
+
+class TestControlTable:
+    """verify checks the controls that capacity._controls declares, each
+    against its CONTROL_ORACLES entry and its exact-mean term."""
+
+    def test_every_control_has_an_oracle(self):
+        assert set(CONTROL_ORACLES) == set(CONTROLS)
+
+    @pytest.mark.parametrize("overrides,declared", [
+        (dict(), "t2 t3 t5 t1 u3 u1"),
+        (dict(n_a=3, n_b=2, n_e=4), "t2 t3 t5 t1 u3 u1"),
+        (dict(n_a=4, n_b=2, n_e=2), "t2 t3 t5 t4 t1 u3 u1"),
+        (dict(noise_ea=1.0), "t2 t3 t5"),
+        (dict(n_a=4, n_b=2, n_e=2, noise_ea=1.0), "t2 t3 t5 t4"),
+        (dict(noise_ea=0.0), "t3 t5 t1 u3 u1"),
+        (dict(n_a=3, n_b=3, n_e=1, noise_ea=0.0), "t3 t5 t4 t1 u3 u1"),
+    ], ids=["n_e-at-n_a", "n_e-above-n_a", "n_e-below-n_a", "equal-gammas",
+            "equal-gammas-n_e-below-n_a", "noiseless-eve", "noiseless-eve-n_e-below-n_a"])
+    def test_every_declared_control_is_checked(self, overrides, declared):
+        cfg = make_config(**overrides)
+        assert list(_controls(cfg)) == declared.split()
+        outcomes = determinant_identity_suite(cfg, realizations=100)
+        assert all(o.passed for o in outcomes), [o for o in outcomes if not o.passed]
+        forms = [o for o in outcomes if o.check_name.endswith("-form-equivalence")]
+        assert [o.check_name for o in forms] == [
+            "gap-form-equivalence", "floor-form-equivalence",
+            *(f"{name}-form-equivalence" for name in declared.split()),
+            "lower-bob-form-equivalence"]
+        for name, check in zip(declared.split(), forms[2:]):
+            assert check.detail == (f"{name} against {CONTROL_ORACLES[name].__name__} "
+                                    "over 100 realizations")
+        means = wishart_mean_check(cfg)
+        assert means.passed
+        assert means.detail == "largest relative deviation over " + "; ".join(
+            control_term(cfg, name) for name in declared.split())
+
+    @pytest.mark.parametrize("name,overrides", [
+        ("t2", dict()), ("t2", dict(n_a=3, n_b=2, n_e=4)), ("t2", dict(n_a=4, n_b=2, n_e=2)),
+        ("t3", dict()), ("t3", dict(n_a=4, n_b=2, n_e=2)), ("t3", dict(n_a=2, n_b=3, n_e=1)),
+        ("t5", dict()), ("t5", dict(n_a=3, n_b=2, n_e=4)), ("t5", dict(n_a=4, n_b=2, n_e=2)),
+        ("t5", dict(n_a=8, n_b=4, n_e=6, noise_ea=0.0)),
+        ("t4", dict(n_a=4, n_b=2, n_e=2)),
+        ("t1", dict()), ("t1", dict(n_a=4, n_b=2, n_e=2)),
+        ("u3", dict()), ("u3", dict(n_a=3, n_b=2, n_e=4)), ("u3", dict(n_a=4, n_b=2, n_e=2)),
+        ("u3", dict(n_a=4, n_b=2, n_e=2, power_a=1e5, noise_ea=1e-4)),
+        ("u1", dict()), ("u1", dict(n_a=3, n_b=2, n_e=4)), ("u1", dict(n_a=4, n_b=2, n_e=2)),
+        ("u1", dict(n_a=4, n_b=2, n_e=2, power_a=1e5, noise_ea=1e-4)),
+    ])
+    def test_a_skewed_control_fails_its_own_check_at_its_trial(self, monkeypatch, name,
+                                                               overrides):
+        real = verify.trial_values_many
+
+        def skewed(points, mc):
+            values = real(points, mc)
+            values[0][name] = values[0][name].copy()
+            values[0][name][BLOCK + 5] += 1e-7
+            return values
+
+        monkeypatch.setattr(verify, "trial_values_many", skewed)
+        outcomes = determinant_identity_suite(make_config(**overrides), realizations=300)
+        failing = [o for o in outcomes if not o.passed]
+        assert [o.check_name for o in failing] == [f"{name}-form-equivalence"]
+        assert failing[0].detail == f"max deviation at trial {BLOCK + 5}"
+        assert failing[0].computed_value == pytest.approx(1e-7, rel=1e-6)
+
+
 class TestOracleIndependence:
     """The oracle forms run and agree with the engine with every engine
     integrand and Gram helper of capacity made to raise, and every split
@@ -358,9 +326,8 @@ class TestOracleIndependence:
         cfg = make_config(**overrides)
         mc = McSettings(trials=BLOCK + 44, master_seed=9)
         null_space = cfg.n_e < cfg.n_a
-        engine = trial_values_many(
-            [(cfg, ("floor", "gap", "lower_bob", "t5", "t1", "u3", "u1")
-              + (("t4",) if null_space else ()))], mc)[0]
+        declared = list(_controls(cfg))
+        engine = trial_values_many([(cfg, ["floor", "gap", "lower_bob"] + declared)], mc)[0]
 
         def engine_code(*args, **kwargs):
             raise AssertionError("an oracle called engine code")
@@ -380,19 +347,19 @@ class TestOracleIndependence:
 
         def oracles(block):
             values = {"floor": floor_resolvent(block, cfg), "gap": gap_resolvent(block, cfg),
-                      "lower_bob": lower_bob_rectangular(block, cfg),
-                      "t5": joint_sylvester(block, cfg), "t1": eve_sylvester(block, cfg),
-                      **interaction_traces(block, cfg)}
+                      "lower_bob": lower_bob_rectangular(block, cfg)}
+            for name in declared:
+                value = CONTROL_ORACLES[name](block, cfg)
+                values[name] = value[name] if isinstance(value, dict) else value
             if null_space:
-                values.update({f"{name}-null-space": v
-                               for name, v in floor_null_space(block, cfg).items()})
+                values["floor-null-space"] = floor_null_space(block, cfg)["floor"]
             return values
 
         values = collect(oracles, cfg, mc)
         for name, reference in values.items():
             assert reference.shape == (BLOCK + 44,)
             assert np.max(np.abs(reference - engine[name.split("-")[0]])) <= IDENTITY_ATOL, name
-        assert len(values) == (9 if null_space else 7)
+        assert len(values) == 3 + len(declared) + null_space
         block = next(trial_blocks(cfg, mc))[1]
         assert not gap_resolvent(block, replace(cfg, v_b=0, noise_eb=0.0)).any()
         with pytest.raises(InvalidNoise):
@@ -419,24 +386,46 @@ class TestRunSuite:
         with pytest.raises(ValidationError):
             run_suite([], McSettings(trials=100, master_seed=1))
 
-    def test_bundled_default_set_passes_quickly(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def bundled_run(self, tmp_path_factory):
+        """run_verify("verify-default", ...) once: (summary, report path,
+        wall time in seconds)."""
         import time
         from skcprobe.experiments import run_verify
 
         start = time.perf_counter()
-        summary, report_path = run_verify("verify-default", tmp_path)
-        elapsed = time.perf_counter() - start
+        summary, report_path = run_verify("verify-default", tmp_path_factory.mktemp("verify"))
+        return summary, report_path, time.perf_counter() - start
+
+    def test_bundled_default_set_passes_quickly(self, bundled_run):
+        summary, report_path, elapsed = bundled_run
         assert summary.passed
-        per_config = ["pilot-mi-exact", "pilot-mmse", "gap-form-equivalence",
-                      "floor-form-equivalence", "t5-form-equivalence", "t1-form-equivalence",
-                      "u-form-equivalence", "lower-bob-form-equivalence",
-                      "gap-nonnegative", "one-way-identity", "engine-reference-agreement",
-                      "wishart-mean", "wishart-trace-mean"]
+
+        def per_config(controls):
+            return ["pilot-mi-exact", "pilot-mmse", "gap-form-equivalence",
+                    "floor-form-equivalence",
+                    *(f"{name}-form-equivalence" for name in controls.split()),
+                    "lower-bob-form-equivalence", "gap-nonnegative", "one-way-identity",
+                    "engine-reference-agreement", "wishart-mean"]
+
+        controls = ["t2 t3 t5 t1 u3 u1", "t2 t3 t5 t1 u3 u1", "t2 t3 t5 t4 t1 u3 u1"]
         assert [o.check_name for o in summary.outcomes] == [
             "scalar-capacity-snr-0.1", "scalar-capacity-snr-1", "scalar-capacity-snr-10",
-            "wishart-mean-siso"] + [f"cfg{i}:{name}" for i in range(3) for name in per_config]
+            "wishart-mean-siso"] + [f"cfg{i}:{name}" for i, names in enumerate(controls)
+                                    for name in per_config(names)]
         assert report_path.exists()
         assert elapsed < 120.0
+
+    def test_every_check_the_readme_names_is_reported(self, bundled_run):
+        import re
+        from pathlib import Path
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        named = {name for name in re.findall(r"`([a-z0-9]+(?:-[a-z0-9.]+)+)`", readme)
+                 if name.endswith("-equivalence") or name.startswith(("wishart-", "pilot-"))}
+        reported = {o.check_name.split(":", 1)[-1] for o in bundled_run[0].outcomes}
+        assert {"floor-form-equivalence", "wishart-mean", "pilot-mi-exact"} <= named
+        assert named - reported == set()
 
 
 class TestWishartMeanCheck:
@@ -452,9 +441,9 @@ class TestWishartMeanCheck:
                             identity_realizations=100)
         by_name = {o.check_name: o for o in summary.outcomes}
         assert by_name["wishart-mean-siso"].passed
-        assert "h_ba (2x2, gamma 2); g_a (2x2, gamma 4)" in by_name["cfg0:wishart-mean"].detail
-        # with a noiseless Eve the floor is exact and only h_ba is a control
-        assert "g_a" not in by_name["cfg1:wishart-mean"].detail
+        assert "t2 (2x2, gamma 4); t3 (2x2, gamma 2)" in by_name["cfg0:wishart-mean"].detail
+        # with a noiseless Eve t2 (gamma_ea = inf) is no control
+        assert "t2 " not in by_name["cfg1:wishart-mean"].detail
         assert all(by_name[f"cfg{i}:wishart-mean"].passed for i in range(2))
 
     def test_a_skewed_closed_form_fails(self, monkeypatch):
@@ -469,8 +458,8 @@ class TestWishartMeanCheck:
         cfg = make_config(n_a=4, n_b=2, n_e=1)
         outcome = wishart_mean_check(cfg)
         assert outcome.passed
-        assert "h_ba on null(g_a) (2x3, gamma 2)" in outcome.detail
-        assert "null" not in wishart_mean_check(make_config()).detail
+        assert "t4 (2x3, gamma 2)" in outcome.detail
+        assert "t4 " not in wishart_mean_check(make_config()).detail
         # a closed form skewed on t4's shape alone fails the check
         real = verify.wishart_logdet_mean
         monkeypatch.setattr(verify, "wishart_logdet_mean", lambda rows, cols, gamma: (
@@ -481,8 +470,9 @@ class TestWishartMeanCheck:
         cfg = make_config(n_a=4, n_b=2, n_e=3)
         outcome = wishart_mean_check(cfg)
         assert outcome.passed
-        assert "[g_a; h_ba] (5x4, gamma 2)" in outcome.detail
-        assert "[g_a; h_ba]" not in wishart_mean_check(make_config(noise_ea=0.0)).detail
+        assert "t5 (5x4, gamma 2)" in outcome.detail
+        # t5 is a control at noise_ea = 0 too
+        assert "t5 (4x2, gamma 2)" in wishart_mean_check(make_config(noise_ea=0.0)).detail
         # a closed form skewed on t5's shape alone fails the check
         real = verify.wishart_logdet_mean
         monkeypatch.setattr(verify, "wishart_logdet_mean", lambda rows, cols, gamma: (
@@ -494,10 +484,10 @@ class TestWishartMeanCheck:
         outcome = wishart_mean_check(cfg)
         assert outcome.passed
         # t2 at gamma_ea = 4 and t1 at gamma_ba = 2, both on g_a's shape
-        assert "g_a (3x4, gamma 4)" in outcome.detail
-        assert "g_a (3x4, gamma 2)" in outcome.detail
+        assert "t2 (3x4, gamma 4)" in outcome.detail
+        assert "t1 (3x4, gamma 2)" in outcome.detail
         # at noise_ea = noise_b t1 is t2, checked once
-        assert wishart_mean_check(replace(cfg, noise_ea=1.0)).detail.count("g_a (3x4") == 1
+        assert "t1 " not in wishart_mean_check(replace(cfg, noise_ea=1.0)).detail
         # a closed form skewed on t1's term alone fails the check
         real = verify.wishart_logdet_mean
         monkeypatch.setattr(verify, "wishart_logdet_mean", lambda rows, cols, gamma: (
@@ -506,20 +496,19 @@ class TestWishartMeanCheck:
 
     def test_trace_means_are_checked_where_they_are_controls(self, monkeypatch):
         cfg = make_config(n_a=4, n_b=2, n_e=3)
-        outcome = wishart_trace_check(cfg)
+        outcome = wishart_mean_check(cfg)
         assert outcome.passed and outcome.tolerance == 1e-8
-        assert outcome.detail == ("largest relative deviation over u3 (2x4, gamma 2); "
-                                  "u1 (3x4, gamma 2)")
-        # no interaction controls at noise_ea = noise_b or noise_ea = 0
-        for other in (replace(cfg, noise_ea=1.0), replace(cfg, noise_ea=0.0)):
-            outcome = wishart_trace_check(other)
-            assert outcome.passed and outcome.computed_value == 0.0
-            assert outcome.detail.startswith("no interaction controls")
+        assert outcome.detail.endswith("; u3 (2x4, gamma 2); u1 (3x4, gamma 2)")
+        # no interaction controls at noise_ea = noise_b; at noise_ea = 0 they
+        # are controls, as the engine declares them
+        assert "u3" not in wishart_mean_check(replace(cfg, noise_ea=1.0)).detail
+        assert wishart_mean_check(replace(cfg, noise_ea=0.0)).detail.endswith(
+            "; u3 (2x4, gamma 2); u1 (3x4, gamma 2)")
         # a closed form skewed on one shape fails the check
         real = verify.wishart_trace_mean
         monkeypatch.setattr(verify, "wishart_trace_mean", lambda rows, cols, gamma: (
             real(rows, cols, gamma) * (1.0 + 1e-7 * ((rows, cols) == (3, 4)))))
-        assert not wishart_trace_check(cfg).passed
+        assert not wishart_mean_check(cfg).passed
 
     def test_trace_quadrature_is_exact_at_one_antenna(self):
         # E[g x / (1 + g x)], x ~ Exp(1), is 1 - e^(1/g) E1(1/g) / g
