@@ -26,13 +26,14 @@ all of its trials at once with stacked Gram products and factorizations.
 goes through: points whose draws are identical share one pass, and each
 block's Gram matrices are formed once for all of them, which also build what
 they factor in the block's work matrices (see Grams; ``evaluate`` is its
-one-point call).  It estimates the floor, and the bounds built on it, with
-control variates whose exact means ``wishart_logdet_mean`` and
-``wishart_trace_mean`` evaluate in closed form: t2 and t3, the log-dets of
-what Eve and Bob see of Alice's probes, t5, what both see together at Bob's
-SNR, where n_e < n_a t4, what Bob sees through the dimensions Eve cannot
-observe, and, where Eve's SNR is not Bob's, t1, what Eve sees at Bob's SNR,
-and u3 and u1, the first-order interactions of Eve's and Bob's Grams (see
+one-point call).  The floor is exact where Eve hears Alice noiselessly or
+at Bob's SNR (see _exact_floor); elsewhere it estimates the floor, and the
+bounds built on it, with control variates whose exact means
+``wishart_logdet_mean`` and ``wishart_trace_mean`` evaluate in closed form:
+t2 and t3, the log-dets of what Eve and Bob see of Alice's probes, t5, what
+both see together at Bob's SNR, where n_e < n_a t4, what Bob sees through
+the dimensions Eve cannot observe, t1, what Eve sees at Bob's SNR, and u3
+and u1, the first-order interactions of Eve's and Bob's Grams (see
 _controls), all of them from CV_MIN_TRIALS trials on, and reports the
 regression's least-squares stderr.
 """
@@ -234,10 +235,13 @@ class Grams:
     def _channel(self, channel: str) -> str:
         return _SWAPPED[channel] if self._swapped else channel
 
-    def _gram(self, channel: str) -> np.ndarray:
-        if channel not in self._grams:
-            self._grams[channel] = _gram(getattr(self._realization, channel))
-        return self._grams[channel]
+    def _gram(self, channel: str, outer: bool = False) -> np.ndarray:
+        """m^H m of channel m (named as the draws store it), m m^H if `outer`."""
+        key = (channel, outer)
+        if key not in self._grams:
+            m = getattr(self._realization, channel)
+            self._grams[key] = _outer(m) if outer else _gram(m)
+        return self._grams[key]
 
     def __getitem__(self, channel: str) -> np.ndarray:
         return self._gram(self._channel(channel))
@@ -255,11 +259,13 @@ class Grams:
 
     def identity_logdet(self, channel: str, gamma: float):
         """log2det(I + gamma m^H m) of channel m, per trial, factored in the
-        work matrix."""
+        work matrix on the smaller side of Sylvester's identity, as log2det(I
+        + gamma m m^H) where m has fewer rows than columns."""
         channel = self._channel(channel)
 
         def factor():
-            gram = self._gram(channel)
+            rows, cols = getattr(self._realization, channel).shape[-2:]
+            gram = self._gram(channel, outer=rows < cols)
             work = self.work(gram.shape[-2:])
             np.multiply(gram, gamma, out=work)
             work += _eye(gram.shape[-1])
@@ -357,8 +363,9 @@ class Grams:
         once per block: one batched solve of I + gamma M, built in the work
         matrix, against h_ba^H's n_b columns.  Where M = H has rank n_b <
         n_a, u3 is gamma tr((I + gamma h_ba h_ba^H)^-1 Y h_ba^H) instead
-        (push-through), an n_b-square solve: (I + gamma H)^-1 would carry
-        the round-off of its null space, gamma times over, into u3."""
+        (push-through), an n_b-square solve on the outer Gram that t3 factors
+        (see identity_logdet): (I + gamma H)^-1 would carry the round-off of
+        its null space, gamma times over, into u3."""
         channel, h_ba = self._channel(channel), self._channel("h_ba")
 
         def factor():
@@ -369,7 +376,7 @@ class Grams:
             y = self._grams[key]
             n_b, n_a = h.shape[-2:]
             if channel == h_ba and n_b < n_a:
-                work = np.multiply(h @ conj_t(h), gamma, out=self.work((n_b, n_b)))
+                work = np.multiply(self._gram(h_ba, outer=True), gamma, out=self.work((n_b, n_b)))
                 work += _eye(n_b)
                 solved = np.linalg.solve(work, y @ conj_t(h))
                 return gamma * np.trace(solved, axis1=-2, axis2=-1).real
@@ -525,17 +532,16 @@ SAMPLED = ("floor", "lower_bob", "gap", "lower_alice")
 # the floor's control variates (see _controls), G and H the Grams of g_a
 # and h_ba: t2 = log2det(I + gamma_ea G), t3 = log2det(I + gamma_ba H), t5 =
 # log2det(I + gamma_ba (G + H)), where n_e < n_a t4 = log2det(I + gamma_ba
-# h_ba P h_ba^H), P the projector onto null(g_a), and, where gamma_ea !=
-# gamma_ba, t1 = log2det(I + gamma_ba G) and the interaction traces u3 =
-# tr(gamma_ba H (I + gamma_ba H)^-1 G) and u1 = tr(gamma_ba G (I + gamma_ba
-# G)^-1 H); their means are wishart_logdet_mean's and, for u3 and u1,
-# n_e and n_b times wishart_trace_mean's.  From CV_MIN_TRIALS trials on (the
-# least-squares stderr needs more than k + 1) a point regresses on all of
-# them
+# h_ba P h_ba^H), P the projector onto null(g_a), t1 = log2det(I + gamma_ba
+# G) and the interaction traces u3 = tr(gamma_ba H (I + gamma_ba H)^-1 G)
+# and u1 = tr(gamma_ba G (I + gamma_ba G)^-1 H); their means are
+# wishart_logdet_mean's and, for u3 and u1, n_e and n_b times
+# wishart_trace_mean's.  From CV_MIN_TRIALS trials on (the least-squares
+# stderr needs more than k + 1) a point whose floor is sampled (see
+# _exact_floor) regresses on all of them
 CONTROLS = ("t2", "t3", "t5", "t4", "t1", "u3", "u1")
 # where a control is not one of a config's (see _controls)
-_CONTROL_RULES = {"t2": "noise_ea > 0", "t4": "n_e < n_a", "t1": "gamma_ea != gamma_ba",
-                  "u3": "gamma_ea != gamma_ba", "u1": "gamma_ea != gamma_ba"}
+_CONTROL_RULES = {"t2": "noise_ea > 0", "t4": "n_e < n_a"}
 CV_MIN_TRIALS = 52
 # a regression system whose determinant is at most this fraction of the
 # product of its diagonal counts as singular
@@ -567,16 +573,14 @@ class _Control(NamedTuple):
 def _controls(config: ProbingConfig) -> dict[str, _Control]:
     """Name -> _Control of each of the floor's CONTROLS at `config`, in the
     order a point takes them: (t2, t3, t5), then t4 where n_e < n_a and (t1,
-    u3, u1) last where gamma_ea != gamma_ba (at equal gammas t1 is t2, and
-    the floor is exactly t5 - t2, so nothing more can help); t2 only where
-    noise_ea > 0 (at noise_ea = 0 its gamma is inf and the floor is exact,
-    see _noiseless_floor).  This table is the one statement of which
-    controls a point has: verify checks each entry's mean and values
-    against its own oracles.  Each t is a
-    log2det(I + gamma w^H w) with w rows x cols of iid CN(0, 1) entries,
-    whose mean is wishart_logdet_mean(rows, cols, gamma); t5's w is [g_a;
-    h_ba], (n_e + n_b) x n_a.  u3 = tr(P_H G), P_H = gamma_ba H (I +
-    gamma_ba H)^-1, has mean n_e wishart_trace_mean(n_b, n_a, gamma_ba), G
+    u3, u1) last; t2 only where noise_ea > 0 (at noise_ea = 0 its gamma is
+    inf).  Where the floor is exact (see _exact_floor) no point regresses on
+    them.  This table is the one statement of which controls a point has:
+    verify checks each entry's mean and values against its own oracles.
+    Each t is a log2det(I + gamma w^H w) with w rows x cols of iid CN(0, 1)
+    entries, whose mean is wishart_logdet_mean(rows, cols, gamma); t5's w
+    is [g_a; h_ba], (n_e + n_b) x n_a.  u3 = tr(P_H G), P_H = gamma_ba H (I
+    + gamma_ba H)^-1, has mean n_e wishart_trace_mean(n_b, n_a, gamma_ba), G
     being independent of H with mean n_e I, and u1 = tr(P_G H) likewise n_b
     wishart_trace_mean(n_e, n_a, gamma_ba): to first order in gamma_ea the
     floor is t3 - gamma_ea u3 / ln 2.  Each is read from the Grams that the
@@ -586,7 +590,7 @@ def _controls(config: ProbingConfig) -> dict[str, _Control]:
     one of the stacked Gram in its own order (Grams.eve_joint_logdets), and
     t4 (h_ba in an orthonormal basis of null(g_a) is n_b x (n_a - n_e), iid
     and independent of g_a) from its noiseless limit; otherwise t2, t3 and
-    t1 are identity log-dets of the n_a x n_a Grams G and H, t5 is
+    t1 are identity log-dets (t3 on Bob's smaller side), t5 is
     Grams.folded_logdet at ratio 1.0, and u3 and u1 are
     Grams.interaction_trace.  All but t2 depend on gamma_ba only, so the
     points of a noise_ea sweep share them per block.  The two-way
@@ -619,9 +623,6 @@ def _controls(config: ProbingConfig) -> dict[str, _Control]:
             "t1": logdet(n_e, n_a, g_ba, lambda grams: grams.eve_joint_logdets(g_ba)[0]),
             "u3": trace(n_e, n_b, lambda grams: grams.bob_joint_logdets(g_ba)[2]),
             "u1": trace(n_b, n_e, lambda grams: grams.eve_joint_logdets(g_ba)[1])}
-    if g_ea == g_ba:
-        for name in ("t1", "u3", "u1"):
-            del controls[name]
     if config.noise_ea == 0:
         del controls["t2"]
     return controls
@@ -647,13 +648,20 @@ def _control_means(config: ProbingConfig) -> dict[str, float] | None:
         return None
 
 
-def _noiseless_floor(config: ProbingConfig) -> float | None:
-    """The floor at noise_ea = 0: exactly 0 where n_e >= n_a, else E t4, or
-    None where that mean is outside wishart_logdet_mean's domain."""
-    if config.n_e >= config.n_a:
+def _exact_floor(config: ProbingConfig) -> float | None:
+    """The floor's exact mean, or None where it has none here or a mean is
+    outside wishart_logdet_mean's domain: per draw it is, at noise_ea = 0,
+    0 where n_e >= n_a and t4 where n_e < n_a, and at noise_ea = noise_b
+    (gamma_ea = gamma_ba) t5 - t2, so its mean is 0, E t4 or E t5 - E t2."""
+    if config.noise_ea not in (0.0, config.noise_b):
+        return None
+    if config.noise_ea == 0 and config.n_e >= config.n_a:
         return 0.0
+    controls = _controls(config)
     try:
-        return _control_mean(_controls(config)["t4"].mean)
+        if config.noise_ea == 0:
+            return _control_mean(controls["t4"].mean)
+        return _control_mean(controls["t5"].mean) - _control_mean(controls["t2"].mean)
     except ValueError:
         return None
 
@@ -669,21 +677,15 @@ def _control_corrections(rows: np.ndarray, means: np.ndarray
     k - 1), S the centred controls' sums of products and d their means less
     the exact ones; None where S is singular.  One stacked solve gives beta
     and S^-1 d, each as a system of its own, so beta is bit for bit a solve
-    of it alone.  Each point's sums are reduced pairwise over its own trials
-    and its system solved on its own, so its result does not depend on the
-    others.  rows is overwritten."""
+    of it alone.  Each point's sums are one matrix product of its own rows
+    and its system is solved on its own, so its result does not depend on
+    the others.  rows is overwritten."""
     n, k = rows.shape[-1], means.shape[-1]
     centre = np.add.reduce(rows[:, :k], axis=-1) / n
     rows[:, :k] -= centre[..., None]
     # per point the centred controls' sums of products with each other and
-    # with the floor (which needs no centring: the controls sum to 0), one
-    # pair of rows at a time, so no (points, k, k + 1, trials) stack exists
-    sums = np.empty((len(rows), k, k + 1))
-    for i in range(k):
-        for j in range(i, k + 1):
-            sums[:, i, j] = np.add.reduce(rows[:, i] * rows[:, j], axis=-1)
-            if j < k:
-                sums[:, j, i] = sums[:, i, j]
+    # with the floor (which needs no centring: the controls sum to 0)
+    sums = rows[:, :k] @ rows.swapaxes(-1, -2)
     system, cross = sums[..., :k], sums[..., k:]
     offset = centre - means
     solvable = np.linalg.det(system) > CV_SINGULAR_RTOL * np.prod(
@@ -822,31 +824,29 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
     lower_bob + gap per sample and, at v_a = 0, lower_alice == upper per
     sample; configs with identical draws share one pass (see
     trial_values_many, which also says how `labels` name a failing point).
-    pilot_mi is exact, as are the floor at noise_ea = 0 (0 where n_e >=
-    n_a, E t4 where n_e < n_a, unless that mean is outside
-    wishart_logdet_mean's domain; from CV_MIN_TRIALS trials on lower_bob's
-    samples then carry v_a E t4 in place of their v_a t4), the gap at v_b = 0 (0) and lower_alice at
-    noise_ea = 0 with v_a > 0 (-inf).  At
-    v_b = 0 lower_alice is exact otherwise too: per sample it is the
-    role-swapped pilot_mi plus v_a (t3 - t2), two of the floor's controls,
-    so its mean is that pilot_mi plus v_a (E t3 - E t2), unless a mean is
-    outside wishart_logdet_mean's domain; at v_b > 0 it is sampled raw.
+    pilot_mi is exact, as are the floor where _exact_floor gives it (at
+    noise_ea = 0 and at noise_ea = noise_b; from CV_MIN_TRIALS trials on
+    lower_bob's samples then carry v_a times that value in place of v_a
+    times the floor's samples), the gap at v_b = 0 (0) and lower_alice at
+    noise_ea = 0 with v_a > 0 (-inf).  At v_b = 0 lower_alice is exact
+    otherwise too: per sample it is the role-swapped pilot_mi plus v_a (t3 -
+    t2), two of the floor's controls, so its mean is that pilot_mi plus v_a
+    (E t3 - E t2), unless a mean is outside wishart_logdet_mean's domain; at
+    v_b > 0 it is sampled raw.
 
     A sampled floor is estimated with control variates: the floor's samples
     are regressed on all of the point's controls, (t2, t3, t5), t4 where n_e
-    < n_a and (t1, u3, u1) where gamma_ea != gamma_ba (see _controls,
-    _control_corrections and _fit_controls, which solves a system singular
-    with t1 again without it), and the correction beta . (t - mean), with
-    the exact means of wishart_logdet_mean, is subtracted from the floor's
-    samples and v_a times it from lower_bob's,
-    so upper and lower are built from adjusted samples and upper ==
-    lower_bob + gap still holds per sample.  At noise_ea = noise_b the
-    floor is t5 - t2 on every draw, so its estimate is E t5 - E t2 to
-    round-off.  A point with fewer than CV_MIN_TRIALS trials, a singular
-    regression or a config outside wishart_logdet_mean's domain gets the
-    raw samples.  An estimate built from adjusted samples takes their stderr
-    times _control_corrections' factor: the floor's least-squares stderr,
-    v_a times it for lower_bob at v_b = 0, an approximation at v_b > 0.
+    < n_a and (t1, u3, u1) (see _controls, _control_corrections and
+    _fit_controls, which solves a system singular with t1 again without it),
+    and the correction beta . (t - mean), with the exact means of
+    wishart_logdet_mean, is subtracted from the floor's samples and v_a
+    times it from lower_bob's, so upper and lower are built from adjusted
+    samples and upper == lower_bob + gap still holds per sample.  A point
+    with fewer than CV_MIN_TRIALS trials, a singular regression or a config
+    outside wishart_logdet_mean's domain gets the raw samples.  An estimate
+    built from adjusted samples takes their stderr times
+    _control_corrections' factor: the floor's least-squares stderr, v_a
+    times it for lower_bob at v_b = 0, an approximation at v_b > 0.
 
     'lower' is the larger side bound, Bob's side winning ties.  At v_b = 0
     it is lower_bob (which is then also upper), and lower_alice is
@@ -865,17 +865,17 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
         wanted.add("lower_bob")
     if "upper" in wanted:
         wanted |= {"lower_bob", "gap"}
-    exacts, sampled, control_means, noiseless = [], [], [], {}
+    exacts, sampled, control_means, exact_floors = [], [], [], {}
     for i, config in enumerate(configs):
         exact = {}
         if "pilot_mi" in wanted:
             exact["pilot_mi"] = pilot_mi(config)
-        limit = _noiseless_floor(config) if config.noise_ea == 0 else None
-        if limit is not None:
-            exact["floor"] = limit
+        floor = _exact_floor(config)
+        if floor is not None:
+            exact["floor"] = floor
         if config.v_b == 0:
             exact["gap"] = 0.0
-        floor_sampled = config.noise_ea > 0 and (
+        floor_sampled = floor is None and (
             "floor" in wanted or ("lower_bob" in wanted and config.v_a))
         means = _control_means(config) if floor_sampled or (
             config.noise_ea > 0 and "lower_alice" in wanted) else None
@@ -891,15 +891,15 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
             names = names | {"floor"} | set(means)
         else:
             means = None
-        if limit is not None and config.n_e < config.n_a and config.v_a \
-                and "lower_bob" in names and mc.trials >= CV_MIN_TRIALS:
-            noiseless[i] = limit
-            names = names | {"t4"}
+        if floor is not None and config.v_a and "lower_bob" in names \
+                and mc.trials >= CV_MIN_TRIALS:
+            exact_floors[i] = floor
+            names = names | {"floor"}
         control_means.append(means)
         sampled.append((config, names))
     points = trial_values_many(sampled, mc, labels)
-    # at noise_ea = 0, lower_bob's v_a t4 is replaced by v_a E t4 on every draw
-    fits = {i: (points[i].pop("t4") - mean, 1.0) for i, mean in noiseless.items()}
+    # an exact floor replaces the floor's samples in lower_bob's
+    fits = {i: (points[i].pop("floor") - floor, 1.0) for i, floor in exact_floors.items()}
     fits.update(_fit_controls(points, control_means))
     factors: list[dict[str, float]] = [{} for _ in configs]
     for i, (correction, factor) in fits.items():

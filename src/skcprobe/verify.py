@@ -359,44 +359,38 @@ def floor_null_space(realization: ChannelRealization, config: ProbingConfig):
     return values
 
 
-def _gram_logdet(s: np.ndarray, gamma: float, outer: bool):
-    """log2det(I + gamma S^H S) per trial, by LU from the raw channels S:
-    of I + gamma S S^H where `outer` (Sylvester's identity), else of I +
-    gamma S^H S."""
-    product = s @ conj_t(s) if outer else conj_t(s) @ s
+def _gram_logdet(s: np.ndarray, gamma: float):
+    """log2det(I + gamma S^H S) per trial, by LU from the raw channels S, on
+    the smaller side of Sylvester's identity: of I + gamma S S^H where S has
+    no more rows than columns, else of I + gamma S^H S, min(rows,
+    cols)-square (the larger side loses digits at high gamma)."""
+    product = s @ conj_t(s) if s.shape[-2] <= s.shape[-1] else conj_t(s) @ s
     return logdet_lu(np.eye(product.shape[-1]) + gamma * product)
 
 
 def eve_smaller_side(realization: ChannelRealization, config: ProbingConfig):
     """Oracle of the floor's control t2 = log2det(I + gamma_ea G) per trial,
-    on the smaller side of Sylvester's identity: min(n_e, n_a)-square (the
-    larger side loses digits at high gamma_ea)."""
-    return _gram_logdet(realization.g_a, derive_gammas(config).gamma_ea,
-                        outer=config.n_e <= config.n_a)
+    by _gram_logdet of g_a: min(n_e, n_a)-square."""
+    return _gram_logdet(realization.g_a, derive_gammas(config).gamma_ea)
 
 
 def bob_smaller_side(realization: ChannelRealization, config: ProbingConfig):
     """Oracle of the floor's control t3 = log2det(I + gamma_ba H) per trial,
-    on the smaller side of Sylvester's identity: min(n_b, n_a)-square."""
-    return _gram_logdet(realization.h_ba, derive_gammas(config).gamma_ba,
-                        outer=config.n_b <= config.n_a)
+    by _gram_logdet of h_ba: min(n_b, n_a)-square."""
+    return _gram_logdet(realization.h_ba, derive_gammas(config).gamma_ba)
 
 
 def joint_sylvester(realization: ChannelRealization, config: ProbingConfig):
     """Oracle of the floor's control t5 = log2det(I + gamma_ba (G + H)) per
-    trial, with S = [g_a; h_ba], on the other side of Sylvester's identity
-    from the engine's: (n_e + n_b)-square where n_e >= n_a (the engine
-    factors S^H S), n_a-square where n_e < n_a (the engine factors S S^H)."""
+    trial, by _gram_logdet of S = [g_a; h_ba]: min(n_e + n_b, n_a)-square."""
     return _gram_logdet(np.concatenate([realization.g_a, realization.h_ba], axis=-2),
-                        derive_gammas(config).gamma_ba, outer=config.n_e >= config.n_a)
+                        derive_gammas(config).gamma_ba)
 
 
 def eve_sylvester(realization: ChannelRealization, config: ProbingConfig):
     """Oracle of the floor's control t1 = log2det(I + gamma_ba G) per trial,
-    with S = g_a on the other side from the engine's, as joint_sylvester:
-    n_e-square where n_e >= n_a, n_a-square where n_e < n_a."""
-    return _gram_logdet(realization.g_a, derive_gammas(config).gamma_ba,
-                        outer=config.n_e >= config.n_a)
+    by _gram_logdet of g_a: min(n_e, n_a)-square."""
+    return _gram_logdet(realization.g_a, derive_gammas(config).gamma_ba)
 
 
 def interaction_traces(realization: ChannelRealization, config: ProbingConfig):
@@ -425,18 +419,24 @@ def interaction_traces(realization: ChannelRealization, config: ProbingConfig):
 
 
 def gap_resolvent(realization: ChannelRealization, config: ProbingConfig):
-    """Oracle of the gap integrand: v_b times the n_b x n_b resolvent
-    determinant; exactly zero at v_b = 0."""
+    """Oracle of the gap integrand: v_b times the resolvent determinant
+    log2det(I + c A^-1 g_b^H g_b), A = I + gamma_ab h_ab^H h_ab and c =
+    gamma_ab noise_a/noise_eb, n_b-square; where n_e < n_b, as log2det(I + c
+    g_b A^-1 g_b^H) on its n_e-square side (the n_b-square one loses digits
+    at high SNR there).  Exactly zero at v_b = 0."""
     if config.v_b == 0:
         return realization.per_trial(0.0)
     if config.noise_eb == 0:
         raise InvalidNoise("the bound gap diverges at noise_eb = 0 with v_b > 0")
     gam = derive_gammas(config)
-    weight = config.noise_a / config.noise_eb
+    weight = gam.gamma_ab * (config.noise_a / config.noise_eb)
     h, g = realization.h_ab, realization.g_b
-    eye = np.eye(config.n_b)
-    denom = gam.gamma_ab * hermitize(conj_t(h) @ h) + eye
-    resolvent = eye + gam.gamma_ab * weight * np.linalg.solve(denom, hermitize(conj_t(g) @ g))
+    denom = gam.gamma_ab * hermitize(conj_t(h) @ h) + np.eye(config.n_b)
+    if config.n_e < config.n_b:
+        resolvent = np.eye(config.n_e) + weight * (g @ np.linalg.solve(denom, conj_t(g)))
+    else:
+        resolvent = np.eye(config.n_b) + weight * np.linalg.solve(
+            denom, hermitize(conj_t(g) @ g))
     val = config.v_b * logdet_lu(resolvent)
     return realization.per_trial(np.maximum(val, 0.0))
 

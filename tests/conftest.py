@@ -53,10 +53,10 @@ def control_means(config, count=None) -> dict:
     """Exact means of the floor's control variates at `config`, by name, in
     the engine's order: t2 (g_a at gamma_ea), t3 (h_ba at gamma_ba), t5
     ([g_a; h_ba] at gamma_ba), where n_e < n_a t4 (h_ba on the n_a - n_e
-    dimensions of null(g_a)) and, where gamma_ea != gamma_ba, t1 (g_a at
-    gamma_ba) and the interaction traces u3 = tr(P_H G) and u1 = tr(P_G H)
-    (n_e and n_b times the trace mean of h_ba and g_a at gamma_ba); the
-    first `count` of them when given."""
+    dimensions of null(g_a)), t1 (g_a at gamma_ba) and the interaction
+    traces u3 = tr(P_H G) and u1 = tr(P_G H) (n_e and n_b times the trace
+    mean of h_ba and g_a at gamma_ba); the first `count` of them when
+    given."""
     from skcprobe.capacity import wishart_logdet_mean, wishart_trace_mean
     from skcprobe.channel import derive_gammas
     gam = derive_gammas(config)
@@ -66,10 +66,9 @@ def control_means(config, count=None) -> dict:
     if config.n_e < config.n_a:
         means["t4"] = wishart_logdet_mean(config.n_b, config.n_a - config.n_e,
                                           gam.gamma_ba)
-    if gam.gamma_ea != gam.gamma_ba:
-        means["t1"] = wishart_logdet_mean(config.n_e, config.n_a, gam.gamma_ba)
-        means["u3"] = config.n_e * wishart_trace_mean(config.n_b, config.n_a, gam.gamma_ba)
-        means["u1"] = config.n_b * wishart_trace_mean(config.n_e, config.n_a, gam.gamma_ba)
+    means["t1"] = wishart_logdet_mean(config.n_e, config.n_a, gam.gamma_ba)
+    means["u3"] = config.n_e * wishart_trace_mean(config.n_b, config.n_a, gam.gamma_ba)
+    means["u1"] = config.n_b * wishart_trace_mean(config.n_e, config.n_a, gam.gamma_ba)
     return dict(list(means.items())[:count])
 
 

@@ -574,13 +574,19 @@ class TestEvaluateMany:
         configs = [replace(base, noise_ea=float(v)) for v in spec.sweep.values + (0.0,)]
         mc = McSettings(trials=BLOCK + 30, master_seed=3)
         batched = self.assert_equals_one_config_evaluate(configs, mc, QUANTITIES)
-        # where n_e < n_a the noiseless-Eve floor is E t4, not 0
-        assert batched[-1]["floor"] == Estimate.exact(
-            wishart_logdet_mean(4, 2, derive_gammas(base).gamma_ba))
-        # and the floor is the per-sample direct form over the blocks, less
-        # its control-variate correction, summarized, with the regression's
-        # stderr factor
+        # where n_e < n_a the noiseless-Eve floor is E t4, not 0, and at
+        # noise_ea = noise_b it is E t5 - E t2
+        gamma = derive_gammas(base).gamma_ba
+        assert batched[-1]["floor"] == Estimate.exact(wishart_logdet_mean(4, 2, gamma))
+        equal = spec.sweep.values.index(1.0)
+        assert batched[equal]["floor"] == Estimate.exact(
+            wishart_logdet_mean(10, 8, gamma) - wishart_logdet_mean(6, 8, gamma))
+        # and elsewhere the floor is the per-sample direct form over the
+        # blocks, less its control-variate correction, summarized, with the
+        # regression's stderr factor
         for config, point in zip(configs[:-1], batched):
+            if config.noise_ea == config.noise_b:
+                continue
             direct = np.concatenate([secrecy_floor_sample(block, config)
                                      for _, block in trial_blocks(config, mc)])
             means = control_means(config)
@@ -591,9 +597,9 @@ class TestEvaluateMany:
     @pytest.mark.parametrize("trials", [200, BLOCK + 30])
     def test_fig1_cases_share_the_stacked_solve(self, trials):
         # at either count the n_e < n_a case regresses on seven controls and
-        # the others on six (four and three at noise_ea = noise_b), so the
-        # 15 points' systems are solved in four stacks, within one block and
-        # across two
+        # the others on six, so of the 15 points the 12 whose floor is not
+        # exact (at noise_ea = noise_b it is) are solved in two stacks,
+        # within one block and across two
         spec = load_spec("fig1")
         configs = [apply_parameter(case.config, "noise_ea", v)
                    for case in spec.cases for v in spec.sweep.values[::3]]
@@ -671,8 +677,11 @@ class TestEvaluateMany:
                             lambda m: formed.append(("outer", m.shape)) or real_outer(m))
         mc = McSettings(trials=BLOCK + 30, master_seed=5)
         spec = load_spec("fig2")
-        evaluate_many([config_at_power(spec.base, p) for p in spec.power_grid], mc,
-                      ("floor",))
+        grid = [config_at_power(spec.base, p) for p in spec.power_grid]
+        # fig2's floor is exact (noise_ea = noise_b): no draws, no Grams
+        evaluate_many(grid, mc, ("floor",))
+        assert formed == []
+        evaluate_many([replace(c, noise_ea=0.5) for c in grid], mc, ("floor",))
         # n_e < n_a: [g_a; h_ba] stacked, (6 + 4) x 8, in each of two blocks
         assert formed == [("outer", (BLOCK, 10, 8)), ("outer", (30, 10, 8))]
         formed.clear()

@@ -364,11 +364,11 @@ class TestDeterminism:
     # sha256 of what the bundled specs write at --trials 60 --seed 1
     BUNDLED_SHA256 = {
         "oneway.csv": "1a23cde4695a13bcf28aa9613fa2a1f1274c2ce9885030ea8dfb946342877f02",
-        "fig1.csv": "5ed35374c0e1381c1aa433c0f0a02bb8ca4154747d5309c467ec1e4916fc07f7",
+        "fig1.csv": "cc6bb60f5b7cb89d98dfe359cf7beceaf13f35e85afb44b8ec2803e808c754ee",
         "fig1.svg": "3e882a2392f92a3473c9c250982633124f675b63c72772ab46fd4de20bdf253c",
-        "fig2.csv": "38f3f37fc3142e5dd2754864b6af610b75c440e02928656c244d2db5204e2851",
+        "fig2.csv": "e7c51abb43831579da7317e0582e3e9e665e4494e2ccc266761bc4a914260cfc",
         "fig2.svg": "5a25089b2f0c9a476db3f27409eeeb201874b6184b350d14f6f8dd8cec9e8b9c",
-        "fig2-dof.csv": "4780e63a0bf81c5d87fca715f123b644aa4f251b9ee37f2e6927c48775799b78",
+        "fig2-dof.csv": "46898ba1c6d5f1de30b2962805fc71d3e9e1c76371c6ee482e0876461a490fdd",
     }
 
     def test_bundled_spec_outputs_are_pinned(self, tmp_path, capsys):
@@ -381,12 +381,11 @@ class TestDeterminism:
 
 
     # sha256 of fig2's outputs at its own trials and seed: fig2 runs at
-    # noise_ea = noise_b, where t1 is t2 and, like u3 and u1, no control,
-    # so they are those of the engine before t1
+    # noise_ea = noise_b, where the floor is exact and nothing is drawn
     FIG2_SHA256 = {
-        "fig2.csv": "11001ef531e88cce76e5481d963f000bed48ad8979aa1142120e7715e2248aa0",
+        "fig2.csv": "27074e273a07fd037914b4810fc4b66892fc86ab5f53dd4b0504442c921ae74d",
         "fig2.svg": "5a25089b2f0c9a476db3f27409eeeb201874b6184b350d14f6f8dd8cec9e8b9c",
-        "fig2-dof.csv": "594ad4341ecf86a157618d12340e4b5594f74ecbb3a7f9cec3913a7b058ab66c",
+        "fig2-dof.csv": "ea0730a7a487879e0e0520fa363d1e9212bf891de002b04d089be7ab92d0310f",
     }
 
     def test_fig2_outputs_at_the_spec_trials_are_pinned(self, tmp_path):
@@ -394,6 +393,34 @@ class TestDeterminism:
             assert main([command, "--config", "fig2", "--seed", "1", "--out", str(tmp_path)]) == 0
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in tmp_path.iterdir()} == self.FIG2_SHA256
+
+
+class TestEngineTraffic:
+    """What the bundled figures ask of the engine: fig2's exact floors take
+    no Monte Carlo pass, and fig1's sampled points of a case are fitted in
+    one regression (its noise_ea = noise_b point, being exact, forms no
+    group of its own)."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    @pytest.mark.parametrize("command", ["sweep", "dof"])
+    def test_fig2_makes_no_monte_carlo_pass(self, tmp_path, monkeypatch, command):
+        import skcprobe.capacity as capacity
+        calls = self.count_calls(monkeypatch, capacity, "collect")
+        assert main([command, "--config", "fig2", "--out", str(tmp_path)]) == 0
+        assert calls == []
+
+    def test_fig1_fits_each_case_in_one_regression(self, tmp_path, monkeypatch):
+        import skcprobe.capacity as capacity
+        calls = self.count_calls(monkeypatch, capacity, "_control_corrections")
+        assert main(["sweep", "--config", "fig1", "--trials", "60", "--out",
+                     str(tmp_path)]) == 0
+        assert len(calls) == len(load_spec("fig1").cases)
 
 
 class TestEnvironmentOverrides:

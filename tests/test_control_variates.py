@@ -203,11 +203,11 @@ def null_space_t4(block, config) -> np.ndarray:
 
 
 class TestControlVariates:
-    """evaluate_many regresses each point's floor on all of its control
-    variates (t2, t3, t5, t4 where n_e < n_a, and t1, u3, u1 where gamma_ea
-    != gamma_ba), subtracts beta . (t - mean) from the floor's samples and
-    v_a times it from lower_bob's, and reports the regression estimate's
-    least-squares standard error."""
+    """evaluate_many regresses each sampled point's floor on all of its
+    control variates (t2, t3, t5, t4 where n_e < n_a, and t1, u3, u1),
+    subtracts beta . (t - mean) from the floor's samples and v_a times it
+    from lower_bob's, and reports the regression estimate's least-squares
+    standard error."""
 
     @pytest.mark.parametrize("config", [
         ONEWAY,
@@ -320,13 +320,17 @@ class TestControlVariates:
 
     @pytest.mark.parametrize("name", ["t1", "u3", "u1"])
     @pytest.mark.parametrize("n_e", [6, 10])
-    def test_t1_and_the_traces_are_controls_only_where_gamma_ea_and_gamma_ba_differ(
-            self, n_e, name):
+    def test_t1_and_the_traces_are_controls_at_every_noise_ea(self, n_e, name):
+        # they depend on gamma_ba alone, so at noise_ea = noise_b, where the
+        # floor is exact and nothing regresses on them, they are the same
+        # values as at any other noise_ea > 0 on the same draws
         cfg = replace(FIG1_BASE, n_e=n_e, noise_ea=1.0)
-        assert name not in control_means(cfg)
-        assert name in control_means(replace(cfg, noise_ea=0.3))
-        with pytest.raises(ValueError, match=rf"{name} needs gamma_ea != gamma_ba"):
-            trial_values_many([(cfg, ("floor", name))], McSettings(trials=10))
+        other = replace(cfg, noise_ea=0.3)
+        assert name in _controls(cfg) and _controls(cfg)[name].mean == \
+            _controls(other)[name].mean
+        mc = McSettings(trials=BLOCK + 44, master_seed=9)
+        equal, unequal = trial_values_many([(cfg, (name,)), (other, (name,))], mc)
+        assert np.array_equal(equal[name], unequal[name])
 
     def test_t1_is_eves_gram_at_bobs_snr_where_n_e_is_not_below_n_a(self):
         # from G itself (where n_e < n_a, see the test above)
@@ -425,9 +429,10 @@ class TestControlVariates:
         # per block: each point's stacked factorization (its floor and its
         # t2), and one of the reordered stacked Gram (t3, t5 and u3), one t4
         # and one of the stacked Gram in its own order (t1 and u1) shared by
-        # all points, whose gamma_ba is the same
+        # all points, whose gamma_ba is the same; the point at noise_ea =
+        # noise_b takes none, its floor being exact
         per_block = [((10, 10), 6)] + [((10, 10), 4), ((10, 10), 6), ((10, 10), 6)] + \
-            [((10, 10), 6)] * (len(configs) - 1)
+            [((10, 10), 6)] * (len(configs) - 2)
         assert logdets == per_block * 2
 
     @pytest.mark.parametrize("overrides,trials", [
@@ -469,13 +474,13 @@ class TestControlVariates:
 
     @pytest.mark.parametrize("case,noise_ea,trials,count", [
         ("na8-nb4-ne6", 0.3, 200, 7), ("na8-nb4-ne10", 0.3, 200, 6),
-        ("na4-nb4-ne4", 0.3, 3000, 6), ("na8-nb4-ne6", 1.0, 200, 4),
-        ("na4-nb4-ne4", 1.0, 200, 3)])
+        ("na4-nb4-ne4", 0.3, 3000, 6), ("na8-nb4-ne6", 1.77827941004, 200, 7),
+        ("na4-nb4-ne4", 0.562341325190, 200, 6)])
     def test_a_fig1_point_takes_every_control_its_trials_allow(self, case, noise_ea, trials,
                                                                count):
         # at fig1's 200 trials the n_e < n_a case takes (t2, t3, t5, t4, t1,
-        # u3, u1), not raw samples; an n_e >= n_a point has no t4, and the
-        # point at noise_ea = noise_b, where t1 is t2, none of t1, u3, u1
+        # u3, u1), not raw samples, and an n_e >= n_a point all but t4, also
+        # next to noise_ea = noise_b (where the floor is exact)
         spec = load_spec("fig1")
         cfg = apply_parameter(next(c for c in spec.cases if c.name == case).config,
                               "noise_ea", noise_ea)
@@ -485,15 +490,28 @@ class TestControlVariates:
         assert est == self.adjusted_floor(cfg, mc, count)
         assert est != self.adjusted_floor(cfg, mc, 0)
 
-    @pytest.mark.parametrize("shape", [(4, 2, 2), (8, 4, 6), (4, 4, 4), (3, 2, 4)])
-    def test_floor_at_equal_noise_is_the_difference_of_exact_means(self, shape):
-        # at noise_ea = noise_b the floor is t5 - t2 on every draw
-        n_a, n_b, n_e = shape
-        cfg = replace(FIG1_BASE, n_a=n_a, n_b=n_b, n_e=n_e, noise_ea=1.0, noise_b=1.0)
-        means = control_means(cfg)
-        floor = evaluate(cfg, McSettings(trials=CV_MIN_TRIALS, master_seed=31),
-                         ("floor",))["floor"]
-        assert abs(floor.mean - (means["t5"] - means["t2"])) <= 1e-12
+    @pytest.mark.parametrize("config", [
+        replace(FIG1_BASE, noise_ea=1.0), replace(FIG1_BASE, n_e=10, noise_ea=1.0),
+        replace(FIG1_BASE, n_a=4, n_b=4, n_e=4, noise_ea=1.0),
+        replace(FIG1_BASE, n_a=6, n_b=4, n_e=5, v_a=2, v_b=1, power_a=4.0, power_b=2.0,
+                noise_ea=1.0, noise_eb=0.8, rho=0.7)],
+        ids=["8-4-6", "8-4-10", "4-4-4", "two-way-6-4-5"])
+    def test_floor_at_equal_noise_is_the_difference_of_exact_means(self, config):
+        # at noise_ea = noise_b the floor is t5 - t2 on every draw: exact at
+        # any trial count, and within 4 stderr of the raw samples' mean
+        means = control_means(config)
+        exact = Estimate.exact(means["t5"] - means["t2"])
+        for trials in (10, 4000):
+            mc = McSettings(trials=trials, master_seed=31)
+            assert evaluate(config, mc, ("floor",))["floor"] == exact
+        raw = summarize(trial_values_many([(config, ("floor",))], mc)[0]["floor"])
+        assert abs(raw.mean - exact.mean) <= 4 * raw.stderr
+        # at v_b = 0 lower_bob is pilot_mi + v_a times it, to round-off
+        oneway = replace(config, v_b=0)
+        lower = evaluate(oneway, mc, ("lower_bob",))["lower_bob"]
+        assert lower.mean == pytest.approx(pilot_mi(oneway) + oneway.v_a * exact.mean,
+                                           rel=1e-14, abs=0.0)
+        assert lower.stderr <= 1e-13
 
     def test_singular_regression_gives_no_correction(self, rng):
         n = CV_MIN_TRIALS

@@ -16,7 +16,7 @@ from skcprobe import (
     siso_ergodic_capacity,
 )
 from skcprobe.capacity import CONTROLS, _controls, trial_values_many
-from skcprobe.channel import sample_channels
+from skcprobe.channel import derive_gammas, sample_channels
 from skcprobe.errors import DimensionGuard, InvalidNoise, ValidationError
 from skcprobe.montecarlo import BLOCK, collect, trial_blocks
 import skcprobe.verify as verify
@@ -258,8 +258,8 @@ class TestControlTable:
         (dict(), "t2 t3 t5 t1 u3 u1"),
         (dict(n_a=3, n_b=2, n_e=4), "t2 t3 t5 t1 u3 u1"),
         (dict(n_a=4, n_b=2, n_e=2), "t2 t3 t5 t4 t1 u3 u1"),
-        (dict(noise_ea=1.0), "t2 t3 t5"),
-        (dict(n_a=4, n_b=2, n_e=2, noise_ea=1.0), "t2 t3 t5 t4"),
+        (dict(noise_ea=1.0), "t2 t3 t5 t1 u3 u1"),
+        (dict(n_a=4, n_b=2, n_e=2, noise_ea=1.0), "t2 t3 t5 t4 t1 u3 u1"),
         (dict(noise_ea=0.0), "t3 t5 t1 u3 u1"),
         (dict(n_a=3, n_b=3, n_e=1, noise_ea=0.0), "t3 t5 t4 t1 u3 u1"),
     ], ids=["n_e-at-n_a", "n_e-above-n_a", "n_e-below-n_a", "equal-gammas",
@@ -310,6 +310,50 @@ class TestControlTable:
         assert [o.check_name for o in failing] == [f"{name}-form-equivalence"]
         assert failing[0].detail == f"max deviation at trial {BLOCK + 5}"
         assert failing[0].computed_value == pytest.approx(1e-7, rel=1e-6)
+
+
+def mp_gap(block, config) -> np.ndarray:
+    """v_b (log2det(A + gamma_eb G_b) - log2det(A)), A = I + gamma_ab H_ab,
+    H_ab and G_b the Grams of h_ab and g_b, of each trial of a block in
+    50-digit mpmath, from n_b-square determinants of the exact draws and
+    gammas."""
+    gam = derive_gammas(config)
+    out = []
+    with mpmath.workdps(50):
+        for j in range(block.trials_shape[0]):
+            h, g = (mpmath.matrix(m[j].tolist()) for m in (block.h_ab, block.g_b))
+            a = mpmath.eye(config.n_b) + gam.gamma_ab * (h.transpose_conj() * h)
+            joint = a + gam.gamma_eb * (g.transpose_conj() * g)
+            out.append(float(config.v_b * (mpmath.log(mpmath.re(mpmath.det(joint)), 2)
+                                           - mpmath.log(mpmath.re(mpmath.det(a)), 2))))
+    return np.array(out)
+
+
+class TestSmallerSideOracles:
+    """Oracles that factor the smaller side of Sylvester's identity stay
+    accurate at high power, where the larger side loses digits."""
+
+    @pytest.mark.parametrize("overrides", [
+        # n_e < n_b at high SNR, where the n_b-square resolvent was 1.4e-9
+        # bits off
+        dict(n_a=3, n_b=5, n_e=2, v_a=1, v_b=1, power_a=1e4, power_b=1e4, noise_ea=1.0,
+             noise_eb=0.01, rho=0.0),
+        dict(n_a=3, n_b=2, n_e=4, v_b=3, rho=1.0)], ids=["n_e-below-n_b", "n_e-above-n_b"])
+    def test_gap_oracle_against_mpmath(self, overrides):
+        cfg = make_config(**overrides)
+        _, block = next(trial_blocks(cfg, McSettings(trials=16, master_seed=3)))
+        assert np.max(np.abs(gap_resolvent(block, cfg) - mp_gap(block, cfg))) <= 1e-10
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_sylvester_forms_agree_at_high_power_where_n_b_is_below_n_a(self, seed):
+        # fig2's (8,4,10) at its top power: the engine's t3 and the t5 and
+        # t1 oracles were 1.1e-9 to 1.9e-9 bits apart on their larger sides
+        cfg = make_config(n_a=8, n_b=4, n_e=10, v_a=1, v_b=0, power_a=262144.0,
+                          power_b=1.0, noise_ea=1.0, rho=0.0)
+        outcomes = {o.check_name: o for o in determinant_identity_suite(
+            cfg, realizations=300, master_seed=seed)}
+        for name in ("t2", "t3", "t5", "t1"):
+            assert outcomes[f"{name}-form-equivalence"].passed, name
 
 
 class TestOracleIndependence:
@@ -486,8 +530,9 @@ class TestWishartMeanCheck:
         # t2 at gamma_ea = 4 and t1 at gamma_ba = 2, both on g_a's shape
         assert "t2 (3x4, gamma 4)" in outcome.detail
         assert "t1 (3x4, gamma 2)" in outcome.detail
-        # at noise_ea = noise_b t1 is t2, checked once
-        assert "t1 " not in wishart_mean_check(replace(cfg, noise_ea=1.0)).detail
+        # at noise_ea = noise_b t1 is declared too, on t2's term
+        detail = wishart_mean_check(replace(cfg, noise_ea=1.0)).detail
+        assert "t2 (3x4, gamma 2)" in detail and "t1 (3x4, gamma 2)" in detail
         # a closed form skewed on t1's term alone fails the check
         real = verify.wishart_logdet_mean
         monkeypatch.setattr(verify, "wishart_logdet_mean", lambda rows, cols, gamma: (
@@ -499,11 +544,11 @@ class TestWishartMeanCheck:
         outcome = wishart_mean_check(cfg)
         assert outcome.passed and outcome.tolerance == 1e-8
         assert outcome.detail.endswith("; u3 (2x4, gamma 2); u1 (3x4, gamma 2)")
-        # no interaction controls at noise_ea = noise_b; at noise_ea = 0 they
-        # are controls, as the engine declares them
-        assert "u3" not in wishart_mean_check(replace(cfg, noise_ea=1.0)).detail
-        assert wishart_mean_check(replace(cfg, noise_ea=0.0)).detail.endswith(
-            "; u3 (2x4, gamma 2); u1 (3x4, gamma 2)")
+        # at noise_ea = noise_b and at noise_ea = 0 they are controls too, as
+        # the engine declares them
+        for noise_ea in (1.0, 0.0):
+            assert wishart_mean_check(replace(cfg, noise_ea=noise_ea)).detail.endswith(
+                "; u3 (2x4, gamma 2); u1 (3x4, gamma 2)")
         # a closed form skewed on one shape fails the check
         real = verify.wishart_trace_mean
         monkeypatch.setattr(verify, "wishart_trace_mean", lambda rows, cols, gamma: (
@@ -517,6 +562,9 @@ class TestWishartMeanCheck:
             assert wishart_trace_quadrature(1, 1, gamma) == pytest.approx(expected, rel=1e-10)
 
     def test_terms_outside_the_domain_are_named_and_skipped(self):
-        outcome = wishart_mean_check(make_config(power_a=0.0))
+        cfg = make_config(power_a=0.0)
+        outcome = wishart_mean_check(cfg)
         assert outcome.passed and outcome.computed_value == 0.0
-        assert outcome.detail.count("outside the domain") == 3
+        # every term's gamma is 0
+        assert list(_controls(cfg)) == ["t2", "t3", "t5", "t1", "u3", "u1"]
+        assert outcome.detail.count("outside the domain") == 6
