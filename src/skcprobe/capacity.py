@@ -32,15 +32,17 @@ bounds built on it, with control variates whose exact means
 ``wishart_logdet_mean`` and ``wishart_trace_mean`` evaluate in closed form:
 t2 and t3, the log-dets of what Eve and Bob see of Alice's probes, t5, what
 both see together at Bob's SNR, where n_e < n_a t4, what Bob sees through
-the dimensions Eve cannot observe, t1, what Eve sees at Bob's SNR, and u3
-and u1, the first-order interactions of Eve's and Bob's Grams (see
-_controls), all of them from CV_MIN_TRIALS trials on, and reports the
-regression's least-squares stderr.
+the dimensions Eve cannot observe, t1, what Eve sees at Bob's SNR, u3
+and u1, the first-order interactions of Eve's and Bob's Grams, and p2 and
+p3, the power Eve and Bob receive (see _controls), all of them from
+CV_MIN_TRIALS trials on, and reports the regression intercept's HC3
+stderr.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -272,6 +274,17 @@ class Grams:
             return logdet_hermitian_pd(work)
 
         return self._logdet((channel, gamma), factor)
+
+    def power(self, channel: str):
+        """tr(m^H m) = ||m||_F^2 of channel m per trial, the sum of squares
+        of the raw draw's real and imaginary parts."""
+        channel = self._channel(channel)
+
+        def factor():
+            parts = np.ascontiguousarray(getattr(self._realization, channel)).view(np.float64)
+            return np.einsum("...ij,...ij->...", parts, parts)
+
+        return self._logdet(("power", channel), factor)
 
     def _n_e(self) -> int:
         return getattr(self._realization, self._channel("g_a")).shape[-2]
@@ -534,18 +547,24 @@ SAMPLED = ("floor", "lower_bob", "gap", "lower_alice")
 # log2det(I + gamma_ba (G + H)), where n_e < n_a t4 = log2det(I + gamma_ba
 # h_ba P h_ba^H), P the projector onto null(g_a), t1 = log2det(I + gamma_ba
 # G) and the interaction traces u3 = tr(gamma_ba H (I + gamma_ba H)^-1 G)
-# and u1 = tr(gamma_ba G (I + gamma_ba G)^-1 H); their means are
-# wishart_logdet_mean's and, for u3 and u1, n_e and n_b times
-# wishart_trace_mean's.  From CV_MIN_TRIALS trials on (the least-squares
-# stderr needs more than k + 1) a point whose floor is sampled (see
-# _exact_floor) regresses on all of them
-CONTROLS = ("t2", "t3", "t5", "t4", "t1", "u3", "u1")
+# and u1 = tr(gamma_ba G (I + gamma_ba G)^-1 H), and the received powers p2
+# = tr G and p3 = tr H; their means are wishart_logdet_mean's, for u3 and u1
+# n_e and n_b times wishart_trace_mean's, and for p2 and p3 n_e n_a and n_b
+# n_a.  From CV_MIN_TRIALS trials on (the regression needs more than k + 1)
+# a point whose floor is sampled (see _exact_floor) regresses on all of them
+CONTROLS = ("t2", "t3", "t5", "t4", "t1", "u3", "u1", "p2", "p3")
 # where a control is not one of a config's (see _controls)
 _CONTROL_RULES = {"t2": "noise_ea > 0", "t4": "n_e < n_a"}
 CV_MIN_TRIALS = 52
 # a regression system whose determinant is at most this fraction of the
 # product of its diagonal counts as singular
 CV_SINGULAR_RTOL = 1e-12
+# the controls that a point whose regression is singular is fitted again
+# without (see _refits): at a small gamma a log-det is nearly linear in its
+# Gram's trace (t2 ~ gamma_ea p2 / ln 2 where noise_ea is large, t3 ~
+# gamma_ba p3 / ln 2 and t1 ~ gamma_ba p2 / ln 2 at low power), and near
+# noise_ea = noise_b t1 and t2 are nearly collinear
+CV_DROP_ORDER = ("p2", "p3", "t1")
 
 
 def _alice_bound_diverges(config: ProbingConfig) -> bool:
@@ -559,23 +578,35 @@ def _draws_key(config: ProbingConfig) -> tuple:
     return (config.n_a, config.n_b, config.n_e, config.rho)
 
 
-class _Control(NamedTuple):
-    """One of the floor's controls at a config: its exact mean is `times`
-    wishart_logdet_mean(rows, cols, gamma) or, for a `trace` control,
-    wishart_trace_mean's, and read(grams) gives its per-trial values from
-    a block's Gram store."""
+class _Mean(NamedTuple):
+    """A control's exact mean: `times` the mean of its `kind` of term in W
+    = w^H w, w rows x cols with iid CN(0, 1) entries: "logdet" log2det(I +
+    gamma W) (wishart_logdet_mean), "trace" tr(gamma W (I + gamma W)^-1)
+    (wishart_trace_mean) or "power" tr W, whose mean is rows cols (gamma is
+    None)."""
 
-    mean: tuple[bool, int, int, float, int]   # (trace, rows, cols, gamma, times)
+    kind: str
+    rows: int
+    cols: int
+    gamma: float | None
+    times: int = 1
+
+
+class _Control(NamedTuple):
+    """One of the floor's controls at a config: its exact mean, and
+    read(grams), its per-trial values from a block's Gram store."""
+
+    mean: _Mean
     read: Callable
 
 
 @functools.lru_cache(maxsize=1024)
 def _controls(config: ProbingConfig) -> dict[str, _Control]:
     """Name -> _Control of each of the floor's CONTROLS at `config`, in the
-    order a point takes them: (t2, t3, t5), then t4 where n_e < n_a and (t1,
-    u3, u1) last; t2 only where noise_ea > 0 (at noise_ea = 0 its gamma is
-    inf).  Where the floor is exact (see _exact_floor) no point regresses on
-    them.  This table is the one statement of which controls a point has:
+    order a point takes them: (t2, t3, t5), then t4 where n_e < n_a, (t1,
+    u3, u1) and (p2, p3) last; t2 only where noise_ea > 0 (at noise_ea = 0
+    its gamma is inf).  Where the floor is exact (see _exact_floor) no point
+    regresses on them.  This table is the one statement of which controls a point has:
     verify checks each entry's mean and values against its own oracles.
     Each t is a log2det(I + gamma w^H w) with w rows x cols of iid CN(0, 1)
     entries, whose mean is wishart_logdet_mean(rows, cols, gamma); t5's w
@@ -583,8 +614,11 @@ def _controls(config: ProbingConfig) -> dict[str, _Control]:
     + gamma_ba H)^-1, has mean n_e wishart_trace_mean(n_b, n_a, gamma_ba), G
     being independent of H with mean n_e I, and u1 = tr(P_G H) likewise n_b
     wishart_trace_mean(n_e, n_a, gamma_ba): to first order in gamma_ea the
-    floor is t3 - gamma_ea u3 / ln 2.  Each is read from the Grams that the
-    floor forms anyway.  Where n_e < n_a, t2 is the leading part of the
+    floor is t3 - gamma_ea u3 / ln 2.  p2 = tr G and p3 = tr H, sums of
+    n_e n_a and n_b n_a squared unit-variance entries, have means n_e n_a
+    and n_b n_a; they are read once per block from the raw draws
+    (Grams.power), and the others from the Grams that the floor forms
+    anyway.  Where n_e < n_a, t2 is the leading part of the
     floor's own factorization, t3, t5 and u3 come from one factorization of
     the reordered stacked Gram (Grams.bob_joint_logdets), t1 and u1 from
     one of the stacked Gram in its own order (Grams.eve_joint_logdets), and
@@ -592,8 +626,8 @@ def _controls(config: ProbingConfig) -> dict[str, _Control]:
     and independent of g_a) from its noiseless limit; otherwise t2, t3 and
     t1 are identity log-dets (t3 on Bob's smaller side), t5 is
     Grams.folded_logdet at ratio 1.0, and u3 and u1 are
-    Grams.interaction_trace.  All but t2 depend on gamma_ba only, so the
-    points of a noise_ea sweep share them per block.  The two-way
+    Grams.interaction_trace.  All but t2 depend on gamma_ba only (p2 and p3
+    on no gamma), so the points of a noise_ea sweep share them per block.  The two-way
     integrands read the role-swapped config's t3 and t2 on every draw, so
     the dict is built once per config, shared and read only."""
     gam = derive_gammas(config)
@@ -601,10 +635,10 @@ def _controls(config: ProbingConfig) -> dict[str, _Control]:
     n_a, n_b, n_e = config.n_a, config.n_b, config.n_e
 
     def logdet(rows, cols, gamma, read):
-        return _Control((False, rows, cols, gamma, 1), read)
+        return _Control(_Mean("logdet", rows, cols, gamma), read)
 
     def trace(times, rows, read):
-        return _Control((True, rows, n_a, g_ba, times), read)
+        return _Control(_Mean("trace", rows, n_a, g_ba, times), read)
 
     if n_e >= n_a:
         controls = {
@@ -623,19 +657,21 @@ def _controls(config: ProbingConfig) -> dict[str, _Control]:
             "t1": logdet(n_e, n_a, g_ba, lambda grams: grams.eve_joint_logdets(g_ba)[0]),
             "u3": trace(n_e, n_b, lambda grams: grams.bob_joint_logdets(g_ba)[2]),
             "u1": trace(n_b, n_e, lambda grams: grams.eve_joint_logdets(g_ba)[1])}
+    controls["p2"] = _Control(_Mean("power", n_e, n_a, None), lambda grams: grams.power("g_a"))
+    controls["p3"] = _Control(_Mean("power", n_b, n_a, None), lambda grams: grams.power("h_ba"))
     if config.noise_ea == 0:
         del controls["t2"]
     return controls
 
 
 @functools.lru_cache(maxsize=1024)
-def _control_mean(mean: tuple[bool, int, int, float, int]) -> float:
+def _control_mean(mean: _Mean) -> float:
     """A _Control's exact mean, evaluated once per term: the points of a
     sweep share most of their controls' means."""
-    is_trace, rows, cols, gamma, times = mean
-    if is_trace:
-        return times * wishart_trace_mean(rows, cols, gamma)
-    return times * wishart_logdet_mean(rows, cols, gamma)
+    if mean.kind == "power":
+        return float(mean.times * mean.rows * mean.cols)
+    form = wishart_trace_mean if mean.kind == "trace" else wishart_logdet_mean
+    return mean.times * form(mean.rows, mean.cols, mean.gamma)
 
 
 def _control_means(config: ProbingConfig) -> dict[str, float] | None:
@@ -671,35 +707,61 @@ def _control_corrections(rows: np.ndarray, means: np.ndarray
     """For each point p, with rows[p] = (t_1 .. t_k, floor) over its n
     trials and means[p] the exact means of the k controls: beta . (t -
     mean) per trial, beta the least-squares coefficients of the floor on
-    the controls (intercept included), and the factor sqrt((n - 1)/(n - k -
-    1) (1 + n d^T S^-1 d)) that takes the adjusted samples' stderr to the
-    estimate's least-squares one, s^2 (1/n + d^T S^-1 d) with s^2 = RSS/(n -
-    k - 1), S the centred controls' sums of products and d their means less
-    the exact ones; None where S is singular.  One stacked solve gives beta
-    and S^-1 d, each as a system of its own, so beta is bit for bit a solve
-    of it alone.  Each point's sums are one matrix product of its own rows
-    and its system is solved on its own, so its result does not depend on
-    the others.  rows is overwritten."""
+    the controls (intercept included), and the factor that takes the
+    adjusted samples' stderr to the intercept's HC3 stderr (MacKinnon and
+    White, J. Econometrics 29(3), 1985), sqrt(sum_i w_i^2 r_i^2 / (1 -
+    h_i)^2): with D_i trial i's centred controls, S their sums of products
+    and d their means less the exact ones, w_i = 1/n - d^T S^-1 D_i is the
+    trial's weight in the intercept, h_i = 1/n + D_i^T S^-1 D_i its leverage
+    and r_i its adjusted sample less their mean; None where S is singular.
+    One solve of each point's system gives beta, S^-1 d and S^-1; each
+    point's sums are matrix products of its own rows and its system is
+    solved on its own, so its result does not depend on the others.  rows
+    is overwritten."""
     n, k = rows.shape[-1], means.shape[-1]
     centre = np.add.reduce(rows[:, :k], axis=-1) / n
     rows[:, :k] -= centre[..., None]
+    centred, floor = rows[:, :k], rows[:, k:]
     # per point the centred controls' sums of products with each other and
     # with the floor (which needs no centring: the controls sum to 0)
-    sums = rows[:, :k] @ rows.swapaxes(-1, -2)
+    sums = centred @ rows.swapaxes(-1, -2)
     system, cross = sums[..., :k], sums[..., k:]
-    offset = centre - means
+    offset = (centre - means)[..., None]
     solvable = np.linalg.det(system) > CV_SINGULAR_RTOL * np.prod(
         np.diagonal(system, axis1=-2, axis2=-1), axis=-1)
     # a singular system is replaced by I, so the solve cannot fail on it
     system = np.where(solvable[:, None, None], system, np.eye(k))
-    beta, s_inv_offset = np.split(np.linalg.solve(
-        np.concatenate([system, system]),
-        np.concatenate([cross, offset[..., None]]))[..., 0], 2)
-    shift = sum(beta[:, i] * offset[:, i] for i in range(k))
-    corrections = sum(beta[:, i, None] * rows[:, i] for i in range(k)) + shift[:, None]
-    factors = np.sqrt((n - 1) / (n - k - 1) * (
-        1.0 + n * np.sum(offset * s_inv_offset, axis=-1)))
+    solved = np.linalg.solve(system, np.concatenate(
+        [cross, offset, np.broadcast_to(np.eye(k), system.shape)], axis=-1))
+    beta, s_inv = solved[..., :1], solved[..., 2:]
+    # one step of iterative refinement: the controls explain most of the
+    # floor's spread, so the residuals are a small difference, which would
+    # lose to beta's round-off (about cond(S) eps) the digits HC3 weighs
+    residuals = floor - beta.swapaxes(-1, -2) @ centred
+    residuals -= np.add.reduce(residuals, axis=-1)[..., None] / n
+    beta = beta + s_inv @ (centred @ residuals.swapaxes(-1, -2))
+    # per trial beta . D_i and d^T S^-1 D_i
+    fitted, offset_spans = (np.concatenate(
+        [beta, solved[..., 1:2]], axis=-1).swapaxes(-1, -2) @ centred).swapaxes(0, 1)
+    corrections = fitted + np.add.reduce(beta[..., 0] * offset[..., 0], axis=-1)[:, None]
+    leverages = 1.0 / n + np.add.reduce((s_inv @ centred) * centred, axis=1)
+    residuals = floor[:, 0] - corrections
+    residuals -= (np.add.reduce(residuals, axis=-1) / n)[:, None]
+    hc3 = np.add.reduce(np.square((1.0 / n - offset_spans) * residuals / (1.0 - leverages)),
+                        axis=-1)
+    factors = np.sqrt(hc3 * (n * (n - 1)) / np.add.reduce(residuals * residuals, axis=-1))
     return [(c, float(f)) if ok else None for c, f, ok in zip(corrections, factors, solvable)]
+
+
+def _refits(means: dict[str, float]) -> Iterable[dict[str, float]]:
+    """The control sets that a point whose regression on `means` is
+    singular is fitted on again, in turn: `means` less one of its
+    CV_DROP_ORDER controls, then less two of them, and so on, earlier ones
+    in that order dropped first among as many."""
+    droppable = [q for q in CV_DROP_ORDER if q in means]
+    for count in range(1, len(droppable) + 1):
+        for dropped in itertools.combinations(droppable, count):
+            yield {q: m for q, m in means.items() if q not in dropped}
 
 
 def _fit_controls(points: list[dict[str, np.ndarray]],
@@ -707,27 +769,27 @@ def _fit_controls(points: list[dict[str, np.ndarray]],
                   ) -> dict[int, tuple[np.ndarray, float]]:
     """_control_corrections of each point whose control_means are not None,
     by index, with one regression per number of controls over the points
-    that have it.  A point whose system is singular with t1 is fitted again
-    without it (near noise_ea = noise_b, t1 and t2 are nearly collinear),
-    and gets no fit if it is singular without t1 too.  Pops the controls'
-    values from `points`."""
-    fits, control_means = {}, list(control_means)
-    pending = [i for i, means in enumerate(control_means) if means is not None]
-    while pending:
+    that have it.  A point whose system is singular is fitted again on each
+    of its _refits in turn until one is not, and gets no fit if none is.
+    Pops the controls' values from `points`."""
+    fits: dict[int, tuple[np.ndarray, float]] = {}
+    fitting = {i: means for i, means in enumerate(control_means) if means is not None}
+    refits = {i: _refits(means) for i, means in fitting.items()}
+    while fitting:
         by_count: dict[int, list[int]] = {}
-        for i in pending:
-            by_count.setdefault(len(control_means[i]), []).append(i)
-        pending = []
+        for i, means in fitting.items():
+            by_count.setdefault(len(means), []).append(i)
+        retry = {}
         for adjusted in by_count.values():
-            rows = np.array([[points[i][q] for q in control_means[i]] + [points[i]["floor"]]
+            rows = np.array([[points[i][q] for q in fitting[i]] + [points[i]["floor"]]
                              for i in adjusted])
-            means = np.array([list(control_means[i].values()) for i in adjusted])
+            means = np.array([list(fitting[i].values()) for i in adjusted])
             for i, fit in zip(adjusted, _control_corrections(rows, means)):
                 if fit is not None:
                     fits[i] = fit
-                elif "t1" in control_means[i]:
-                    control_means[i] = {q: m for q, m in control_means[i].items() if q != "t1"}
-                    pending.append(i)
+                elif (again := next(refits[i], None)) is not None:
+                    retry[i] = again
+        fitting = retry
     for values in points:
         for q in CONTROLS:
             values.pop(q, None)
@@ -836,17 +898,17 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
 
     A sampled floor is estimated with control variates: the floor's samples
     are regressed on all of the point's controls, (t2, t3, t5), t4 where n_e
-    < n_a and (t1, u3, u1) (see _controls, _control_corrections and
-    _fit_controls, which solves a system singular with t1 again without it),
-    and the correction beta . (t - mean), with the exact means of
-    wishart_logdet_mean, is subtracted from the floor's samples and v_a
+    < n_a, (t1, u3, u1) and (p2, p3) (see _controls, _control_corrections
+    and _fit_controls, which solves a singular system again without some
+    of CV_DROP_ORDER), and the correction beta . (t - mean), with the
+    controls' exact means, is subtracted from the floor's samples and v_a
     times it from lower_bob's, so upper and lower are built from adjusted
     samples and upper == lower_bob + gap still holds per sample.  A point
     with fewer than CV_MIN_TRIALS trials, a singular regression or a config
     outside wishart_logdet_mean's domain gets the raw samples.  An estimate
     built from adjusted samples takes their stderr times
-    _control_corrections' factor: the floor's least-squares stderr, v_a
-    times it for lower_bob at v_b = 0, an approximation at v_b > 0.
+    _control_corrections' factor: the floor's HC3 stderr, v_a times it for
+    lower_bob at v_b = 0, an approximation at v_b > 0.
 
     'lower' is the larger side bound, Bob's side winning ties.  At v_b = 0
     it is lower_bob (which is then also upper), and lower_alice is

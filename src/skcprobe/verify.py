@@ -34,6 +34,7 @@ import numpy as np
 
 from .capacity import (
     _alice_bound_diverges,
+    _control_mean,
     _controls,
     bound_gap_sample,
     lower_bound_bob_sample,
@@ -275,26 +276,38 @@ def wishart_trace_quadrature(rows: int, cols: int, gamma: float) -> float:
     return _telatar_quadrature(rows, cols, gamma, lambda x: gamma * x / (1.0 + gamma * x))
 
 
+def wishart_power_quadrature(rows: int, cols: int) -> float:
+    """E tr W, W = h^H h as above: the integral of x, by _telatar_quadrature
+    (rows cols exactly)."""
+    return _telatar_quadrature(rows, cols, 1.0, lambda x: x)
+
+
 def wishart_mean_check(config: ProbingConfig) -> VerificationOutcome:
     """The exact mean of each of the floor's controls that
     capacity._controls declares at `config`, `times` wishart_logdet_mean(rows,
-    cols, gamma) or, for a trace control, wishart_trace_mean's, against
-    `times` wishart_logdet_quadrature or wishart_trace_quadrature of the same
-    term, WISHART_RTOL relative, each term named by its control in the
-    detail.  A term outside the closed form's domain is named and not
-    compared: the engine gives such a floor its raw estimate."""
+    cols, gamma), wishart_trace_mean's or, for a power control, the
+    engine's rows cols, against `times` wishart_logdet_quadrature,
+    wishart_trace_quadrature or wishart_power_quadrature of the same term,
+    WISHART_RTOL relative, each term named by its control in the detail.  A
+    term outside the closed form's domain is named and not compared: the
+    engine gives such a floor its raw estimate."""
     worst, notes = 0.0, []
     for name, control in _controls(config).items():
-        is_trace, rows, cols, gamma, times = control.mean
-        closed_form, quadrature = (wishart_trace_mean, wishart_trace_quadrature) if is_trace \
-            else (wishart_logdet_mean, wishart_logdet_quadrature)
-        term = f"{name} ({rows}x{cols}, gamma {gamma:g})"
-        try:
-            closed = times * closed_form(rows, cols, gamma)
-        except ValueError:
-            notes.append(f"{term} outside the domain")
-            continue
-        reference = times * quadrature(rows, cols, gamma)
+        kind, rows, cols, gamma, times = control.mean
+        if kind == "power":
+            term = f"{name} ({rows}x{cols})"
+            closed = _control_mean(control.mean)
+            reference = times * wishart_power_quadrature(rows, cols)
+        else:
+            closed_form, quadrature = (wishart_trace_mean, wishart_trace_quadrature) \
+                if kind == "trace" else (wishart_logdet_mean, wishart_logdet_quadrature)
+            term = f"{name} ({rows}x{cols}, gamma {gamma:g})"
+            try:
+                closed = times * closed_form(rows, cols, gamma)
+            except ValueError:
+                notes.append(f"{term} outside the domain")
+                continue
+            reference = times * quadrature(rows, cols, gamma)
         worst = max(worst, abs(closed - reference) / abs(reference))
         notes.append(term)
     return VerificationOutcome(
@@ -418,6 +431,14 @@ def interaction_traces(realization: ChannelRealization, config: ProbingConfig):
             "u1": trace(realization.g_a, realization.h_ba)}
 
 
+def received_powers(realization: ChannelRealization, config: ProbingConfig):
+    """Oracle of the floor's controls p2 = tr G and p3 = tr H, {"p2": ...,
+    "p3": ...} per trial: the real traces of the outer Grams g_a g_a^H and
+    h_ba h_ba^H."""
+    return {name: np.trace(m @ conj_t(m), axis1=-2, axis2=-1).real
+            for name, m in (("p2", realization.g_a), ("p3", realization.h_ba))}
+
+
 def gap_resolvent(realization: ChannelRealization, config: ProbingConfig):
     """Oracle of the gap integrand: v_b times the resolvent determinant
     log2det(I + c A^-1 g_b^H g_b), A = I + gamma_ab h_ab^H h_ab and c =
@@ -477,7 +498,8 @@ def lower_bob_rectangular(realization: ChannelRealization, config: ProbingConfig
 # of them by name
 CONTROL_ORACLES = {"t2": eve_smaller_side, "t3": bob_smaller_side, "t5": joint_sylvester,
                    "t4": floor_null_space, "t1": eve_sylvester,
-                   "u3": interaction_traces, "u1": interaction_traces}
+                   "u3": interaction_traces, "u1": interaction_traces,
+                   "p2": received_powers, "p3": received_powers}
 
 
 def _worst_deviation(name: str, pairs, tolerance: float, detail: str) -> VerificationOutcome:

@@ -53,10 +53,10 @@ def control_means(config, count=None) -> dict:
     """Exact means of the floor's control variates at `config`, by name, in
     the engine's order: t2 (g_a at gamma_ea), t3 (h_ba at gamma_ba), t5
     ([g_a; h_ba] at gamma_ba), where n_e < n_a t4 (h_ba on the n_a - n_e
-    dimensions of null(g_a)), t1 (g_a at gamma_ba) and the interaction
-    traces u3 = tr(P_H G) and u1 = tr(P_G H) (n_e and n_b times the trace
-    mean of h_ba and g_a at gamma_ba); the first `count` of them when
-    given."""
+    dimensions of null(g_a)), t1 (g_a at gamma_ba), the interaction traces
+    u3 = tr(P_H G) and u1 = tr(P_G H) (n_e and n_b times the trace mean of
+    h_ba and g_a at gamma_ba) and the received powers p2 = tr G and p3 = tr
+    H (n_e n_a and n_b n_a); the first `count` of them when given."""
     from skcprobe.capacity import wishart_logdet_mean, wishart_trace_mean
     from skcprobe.channel import derive_gammas
     gam = derive_gammas(config)
@@ -69,6 +69,8 @@ def control_means(config, count=None) -> dict:
     means["t1"] = wishart_logdet_mean(config.n_e, config.n_a, gam.gamma_ba)
     means["u3"] = config.n_e * wishart_trace_mean(config.n_b, config.n_a, gam.gamma_ba)
     means["u1"] = config.n_b * wishart_trace_mean(config.n_e, config.n_a, gam.gamma_ba)
+    means["p2"] = float(config.n_e * config.n_a)
+    means["p3"] = float(config.n_b * config.n_a)
     return dict(list(means.items())[:count])
 
 
@@ -90,18 +92,21 @@ def scaled(est, factor):
 
 def control_correction(floor, controls, means):
     """(per-trial control-variate correction of the floor, beta . (t -
-    mean), and the standard error of the regression estimate), from the
+    mean), and the HC3 standard error of the regression estimate), from the
     least-squares fit of the floor on D = [1, t - mean] by np.linalg.lstsq:
     an arithmetic path independent of the engine's solve of the normal
-    equations.  The estimate is the fit's intercept, and its standard error
-    sqrt(s^2 [(D^T D)^-1]_00), s^2 the residual sum of squares over n - k -
-    1, with (D^T D)^-1 = D^+ D^+^H from the pseudo-inverse's SVD."""
+    equations.  The estimate is the fit's intercept, sum_i w_i floor_i with
+    w the first row of the pseudo-inverse D^+ = (D^T D)^-1 D^T (from its
+    SVD), and its HC3 variance sum_i w_i^2 e_i^2 / (1 - h_i)^2 (MacKinnon
+    and White, 1985), e the residuals and h the diagonal of the hat matrix
+    D D^+."""
     design = np.column_stack([np.ones_like(floor)] + [controls[n] - means[n] for n in means])
     beta, *_ = np.linalg.lstsq(design, floor, rcond=None)
     residual = floor - design @ beta
-    s2 = residual @ residual / (len(floor) - len(means) - 1)
-    row = np.linalg.pinv(design)[0]
-    return design[:, 1:] @ beta[1:], float(np.sqrt(s2 * (row @ row)))
+    pinv = np.linalg.pinv(design)
+    leverage = np.sum(design * pinv.T, axis=1)
+    return design[:, 1:] @ beta[1:], float(np.sqrt(np.sum(
+        (pinv[0] * residual / (1.0 - leverage)) ** 2)))
 
 
 @pytest.fixture

@@ -363,9 +363,9 @@ class TestDeterminism:
 
     # sha256 of what the bundled specs write at --trials 60 --seed 1
     BUNDLED_SHA256 = {
-        "oneway.csv": "1a23cde4695a13bcf28aa9613fa2a1f1274c2ce9885030ea8dfb946342877f02",
-        "fig1.csv": "cc6bb60f5b7cb89d98dfe359cf7beceaf13f35e85afb44b8ec2803e808c754ee",
-        "fig1.svg": "3e882a2392f92a3473c9c250982633124f675b63c72772ab46fd4de20bdf253c",
+        "oneway.csv": "798e5a86479fbb62ea09c6794be6d94a589ecae2b4bd77dba4b15ec588424f0f",
+        "fig1.csv": "7cbc34a770f805cd255d8a10f4fa23cc6cddd588dd3741d16dc22b37775fccc2",
+        "fig1.svg": "951bb6ed1e880e097ad8d7cca1f4260459c4030751ee142cadd0afc8d9830c3e",
         "fig2.csv": "e7c51abb43831579da7317e0582e3e9e665e4494e2ccc266761bc4a914260cfc",
         "fig2.svg": "5a25089b2f0c9a476db3f27409eeeb201874b6184b350d14f6f8dd8cec9e8b9c",
         "fig2-dof.csv": "46898ba1c6d5f1de30b2962805fc71d3e9e1c76371c6ee482e0876461a490fdd",
@@ -513,8 +513,8 @@ quantities: [gap, bounds]
         header, row = (tmp_path / "oneway.csv").read_text().splitlines()
         fields = dict(zip(header.split(","), row.split(",")))
         assert {k: v for k, v in fields.items() if k.endswith("_mean")} == {
-            "pilot_mi_mean": "19.1306071068", "floor_mean": "7.68724633322",
-            "gap_mean": "0", "lower_mean": "49.8795924396", "upper_mean": "49.8795924396"}
+            "pilot_mi_mean": "19.1306071068", "floor_mean": "7.68746766155",
+            "gap_mean": "0", "lower_mean": "49.8804777529", "upper_mean": "49.8804777529"}
 
 
 class TestDegenerateConfig:

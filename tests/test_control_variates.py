@@ -83,8 +83,10 @@ def reference_trace_mean(rows: int, cols: int, gamma: float) -> float:
 
 def control_terms(config: ProbingConfig) -> list[tuple[int, int, float]]:
     """(rows, cols, gamma) of the exact-mean term of each of the floor's
-    controls at `config`, as capacity._controls declares them."""
-    return [control.mean[1:4] for control in _controls(config).values()]
+    log-det and trace controls at `config`, as capacity._controls declares
+    them (p2 and p3 have no gamma: their means are rows cols)."""
+    return [(mean.rows, mean.cols, mean.gamma) for mean in
+            (control.mean for control in _controls(config).values()) if mean.kind != "power"]
 
 
 def bundled_terms() -> set[tuple[int, int, float]]:
@@ -204,10 +206,10 @@ def null_space_t4(block, config) -> np.ndarray:
 
 class TestControlVariates:
     """evaluate_many regresses each sampled point's floor on all of its
-    control variates (t2, t3, t5, t4 where n_e < n_a, and t1, u3, u1),
-    subtracts beta . (t - mean) from the floor's samples and v_a times it
-    from lower_bob's, and reports the regression estimate's least-squares
-    standard error."""
+    control variates (t2, t3, t5, t4 where n_e < n_a, t1, u3, u1, p2 and
+    p3), subtracts beta . (t - mean) from the floor's samples and v_a times
+    it from lower_bob's, and reports the regression estimate's HC3 standard
+    error."""
 
     @pytest.mark.parametrize("config", [
         ONEWAY,
@@ -255,8 +257,8 @@ class TestControlVariates:
     @pytest.mark.parametrize("trials", [CV_MIN_TRIALS, 200, 3000])
     @pytest.mark.parametrize("config", [
         replace(FIG1_BASE, noise_ea=0.3), replace(FIG1_BASE, n_e=10, noise_ea=0.3)],
-        ids=["seven-controls", "six-controls"])
-    def test_floor_stderr_is_the_least_squares_intercept_one(self, config, trials):
+        ids=["nine-controls", "eight-controls"])
+    def test_floor_stderr_is_the_hc3_intercept_one(self, config, trials):
         mc = McSettings(trials=trials, master_seed=11)
         means = control_means(config)
         values = trial_values_many([(config, ("floor",) + tuple(means))], mc)[0]
@@ -264,24 +266,36 @@ class TestControlVariates:
         stderr = evaluate(config, mc, ("floor",))["floor"].stderr
         assert abs(stderr - reference) <= 1e-12 * reference
 
-    @pytest.mark.parametrize("case,noise_ea", [
-        ("na8-nb4-ne6", 0.0316227766017), ("na8-nb4-ne10", 17.7827941004),
-        ("na4-nb4-ne4", 0.0562341325190)])
+    # fig1 points on all of their controls: the n_e < n_a case at its
+    # smallest noise_ea, and the worst points of the other two at 200 trials
+    SPREAD_POINTS = [("na8-nb4-ne6", 0.0316227766017), ("na8-nb4-ne10", 17.7827941004),
+                     ("na4-nb4-ne4", 0.0562341325190)]
+
+    @pytest.mark.parametrize("case,noise_ea", SPREAD_POINTS)
     def test_stderr_matches_the_spread_of_means_at_100_trials(self, case, noise_ea):
-        # fig1 points on all of their controls at 100 trials (the n_e < n_a
-        # case at its smallest noise_ea, and the worst points of the other
-        # two at 200 trials): the spread of 200 seeds' means against the
-        # stderr they report, and their mean against a 16x-trial estimate
+        self.check_stderr_against_spread(case, noise_ea, 100)
+
+    @pytest.mark.parametrize("case,noise_ea", SPREAD_POINTS)
+    def test_stderr_matches_the_spread_of_means_at_the_minimum_trials(self, case, noise_ea):
+        # where a point first regresses on all nine or eight controls: the
+        # spread over the median HC3 stderr is 0.87-1.11 here, and over the
+        # median least-squares stderr it was 1.06-1.35
+        self.check_stderr_against_spread(case, noise_ea, CV_MIN_TRIALS)
+
+    @staticmethod
+    def check_stderr_against_spread(case, noise_ea, trials):
+        """The spread of 200 seeds' means at `trials` against the median
+        stderr they report, and their mean against a 16x-trial estimate."""
         spec = load_spec("fig1")
         cfg = apply_parameter(next(c for c in spec.cases if c.name == case).config,
                               "noise_ea", noise_ea)
         assert noise_ea in spec.sweep.values
-        ests = [evaluate(cfg, McSettings(trials=100, master_seed=seed), ("floor",))["floor"]
+        ests = [evaluate(cfg, McSettings(trials=trials, master_seed=seed), ("floor",))["floor"]
                 for seed in range(1, 201)]
         means = np.array([e.mean for e in ests])
         spread = float(np.std(means, ddof=1))
         assert abs(spread / float(np.median([e.stderr for e in ests])) - 1.0) <= 0.25
-        ref = evaluate(cfg, McSettings(trials=1600, master_seed=201), ("floor",))["floor"]
+        ref = evaluate(cfg, McSettings(trials=16 * trials, master_seed=201), ("floor",))["floor"]
         assert abs(float(np.mean(means)) - ref.mean) <= 4 * math.hypot(
             spread / math.sqrt(len(means)), ref.stderr)
 
@@ -289,7 +303,7 @@ class TestControlVariates:
         cfg = replace(FIG1_BASE, noise_ea=0.3)
         mc = McSettings(trials=BLOCK + 44, master_seed=9)
         values = trial_values_many(
-            [(cfg, ("floor", "t2", "t3", "t5", "t4", "t1", "u3", "u1"))], mc)[0]
+            [(cfg, ("floor", "t2", "t3", "t5", "t4", "t1", "u3", "u1", "p2", "p3"))], mc)[0]
         gam = derive_gammas(cfg)
         blocks = [block for _, block in trial_blocks(cfg, mc)]
         expected = {
@@ -298,7 +312,9 @@ class TestControlVariates:
             "t3": [capacity_logdet(conj_t(b.h_ba), gam.gamma_ba) for b in blocks],
             "t5": [capacity_logdet(conj_t(np.concatenate([b.g_a, b.h_ba], axis=-2)),
                                    gam.gamma_ba) for b in blocks],
-            "t4": [null_space_t4(b, cfg) for b in blocks]}
+            "t4": [null_space_t4(b, cfg) for b in blocks],
+            "p2": [np.linalg.norm(b.g_a, axis=(-2, -1)) ** 2 for b in blocks],
+            "p3": [np.linalg.norm(b.h_ba, axis=(-2, -1)) ** 2 for b in blocks]}
         for name, parts in expected.items():
             reference = np.concatenate(parts)
             assert np.max(np.abs(values[name] - reference)) <= 1e-12 * np.max(reference), name
@@ -418,6 +434,57 @@ class TestControlVariates:
         assert 1 not in fits
         assert [set(p) for p in points] == [{"floor"}] * 2
 
+    def test_a_singular_system_drops_the_fewest_controls_in_the_drop_order(self, rng):
+        n = CV_MIN_TRIALS
+        floor, a, b, c, e, f = (rng.standard_normal(n) for _ in range(6))
+        means = {"t2": 0.1, "t3": 0.2, "t1": 0.3, "p2": 0.4, "p3": 0.5}
+        cases = [
+            # p2 collinear with t2: fitted without p2
+            ({"t2": a, "t3": b, "t1": c, "p2": 2.0 * a, "p3": e}, ("p2",)),
+            # t1 collinear with t2: without t1 alone, keeping p2 and p3
+            ({"t2": a, "t3": b, "t1": a, "p2": c, "p3": e}, ("t1",)),
+            # p2 and p3 collinear with t2 and t3: without both, keeping t1
+            ({"t2": a, "t3": b, "t1": c, "p2": 2.0 * a, "p3": 3.0 * b}, ("p2", "p3")),
+            # t3 collinear with t2 too: no fit
+            ({"t2": a, "t3": a, "t1": c, "p2": e, "p3": f}, None)]
+        points = [dict(controls, floor=floor) for controls, _ in cases]
+        fits = capacity._fit_controls(points, [dict(means) for _ in cases])
+        assert capacity.CV_DROP_ORDER == ("p2", "p3", "t1")
+        for i, (controls, dropped) in enumerate(cases):
+            if dropped is None:
+                assert i not in fits
+                continue
+            kept = {q: m for q, m in means.items() if q not in dropped}
+            alone = engine_correction(floor, controls, kept)
+            assert np.array_equal(fits[i][0], alone[0]) and fits[i][1] == alone[1], dropped
+        assert [set(p) for p in points] == [{"floor"}] * len(cases)
+
+    @pytest.mark.parametrize("config,dropped,parent_dropped", [
+        (replace(ONEWAY, noise_ea=1e6), ("p2",), ()),
+        (replace(FIG1_BASE, n_e=10, noise_ea=0.3, power_a=1e-3), ("p2", "p3", "t1"), ("t1",))],
+        ids=["oneway-noisy-eve", "fig1-8-4-10-low-power"])
+    def test_degenerate_controls_are_dropped_not_the_fit(self, config, dropped, parent_dropped):
+        # at noise_ea = 1e6 t2 ~ gamma_ea p2 / ln 2, and at power_a = 1e-3 t3
+        # ~ gamma_ba p3 / ln 2 and t1 ~ gamma_ba p2 / ln 2: the system on
+        # every control is singular, and the point is fitted on the fewest
+        # controls dropped in CV_DROP_ORDER, not on raw samples
+        mc = McSettings(trials=277, master_seed=1)
+        est = evaluate(config, mc, ("floor", "lower_bob"))
+        means = control_means(config)
+        values = trial_values_many([(config, ("floor",) + tuple(means))], mc)[0]
+        assert engine_correction(values["floor"], values, means) is None
+        assert est["floor"] == self.adjusted_floor(config, mc, without=dropped)
+        raw = trial_values_many([(config, ("floor", "lower_bob"))], mc)[0]
+        assert est["floor"].stderr < 1e-3 * summarize(raw["floor"]).stderr
+        assert est["lower_bob"].stderr < 1e-3 * summarize(raw["lower_bob"]).stderr
+        # no worse than the fit on the controls without p2 and p3, which
+        # at low power is singular with t1 and is fitted without it
+        without_powers = {q: m for q, m in means.items() if q not in ("p2", "p3")}
+        if parent_dropped:
+            assert engine_correction(values["floor"], values, without_powers) is None
+        parent = self.adjusted_floor(config, mc, without=("p2", "p3") + parent_dropped)
+        assert est["floor"].stderr <= 1.1 * parent.stderr
+
     def test_t3_is_factored_once_per_block_for_a_noise_sweep(self, monkeypatch):
         logdets = []
         real = capacity.logdet_hermitian_pd
@@ -450,7 +517,7 @@ class TestControlVariates:
         assert est["lower"] == est["upper"] == summarize(raw["lower_bob"])
 
     @pytest.mark.parametrize("config,count", [
-        (ONEWAY, 7), (replace(FIG1_BASE, n_e=10, noise_ea=0.3), 6)],
+        (ONEWAY, 9), (replace(FIG1_BASE, n_e=10, noise_ea=0.3), 8)],
         ids=["n_e-below-n_a", "n_e-above-n_a"])
     def test_a_point_takes_all_of_its_controls_from_the_minimum_trials(self, config, count):
         # below CV_MIN_TRIALS raw samples, from it every control at once
@@ -473,14 +540,14 @@ class TestControlVariates:
         return scaled(summarize(values["floor"] - correction), factor)
 
     @pytest.mark.parametrize("case,noise_ea,trials,count", [
-        ("na8-nb4-ne6", 0.3, 200, 7), ("na8-nb4-ne10", 0.3, 200, 6),
-        ("na4-nb4-ne4", 0.3, 3000, 6), ("na8-nb4-ne6", 1.77827941004, 200, 7),
-        ("na4-nb4-ne4", 0.562341325190, 200, 6)])
+        ("na8-nb4-ne6", 0.3, 200, 9), ("na8-nb4-ne10", 0.3, 200, 8),
+        ("na4-nb4-ne4", 0.3, 3000, 8), ("na8-nb4-ne6", 1.77827941004, 200, 9),
+        ("na4-nb4-ne4", 0.562341325190, 200, 8)])
     def test_a_fig1_point_takes_every_control_its_trials_allow(self, case, noise_ea, trials,
                                                                count):
         # at fig1's 200 trials the n_e < n_a case takes (t2, t3, t5, t4, t1,
-        # u3, u1), not raw samples, and an n_e >= n_a point all but t4, also
-        # next to noise_ea = noise_b (where the floor is exact)
+        # u3, u1, p2, p3), not raw samples, and an n_e >= n_a point all but
+        # t4, also next to noise_ea = noise_b (where the floor is exact)
         spec = load_spec("fig1")
         cfg = apply_parameter(next(c for c in spec.cases if c.name == case).config,
                               "noise_ea", noise_ea)

@@ -129,19 +129,26 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
         assert callable(obj), f"{module}.{attribute}"
 
 
-@pytest.mark.parametrize("workload", ["oneway-bounds", "twoway-bounds"])
+# the workloads perfbench/run.py runs (test_benchmark_traced_integrands_are_called
+# checks that this is all of them)
+BENCHMARK_WORKLOADS = ("oneway-bounds", "twoway-bounds", "fig1-floor-sweep", "verify-default")
+
+
+@pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
 def test_benchmark_traced_integrands_are_called(workload, monkeypatch, tmp_path):
     # a span that a traced run never enters has no per-call time, and
     # `perfbench/run.py --trace 1` then reports correct: false; so each
-    # capacity integrand that BENCHMARK.json times per call on a workload
-    # is called when that workload's command runs, here at a few trials,
-    # counted at the places the tracer wraps
+    # span that a workload's layers divide by its call count is called
+    # when that workload's command runs, here at a few trials (verify at its
+    # own, whatever the suite's verdict), counted at the places the tracer
+    # wraps
     from skcprobe.cli import main
     run = _perfbench_module("run", monkeypatch)
     launch = _perfbench_module("launch", monkeypatch)
-    layers = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
-    spans = {m.group(1) for layer in layers if (m := re.fullmatch(
-        rf"{re.escape(workload)}\.(capacity\.\w+)\.self_us_per_call", layer["name"]))}
+    assert set(run.WORKLOADS) == set(BENCHMARK_WORKLOADS)
+    wl = run.WORKLOADS[workload]
+    spans = {m.group(1) for layer in wl.layers
+             if (m := re.fullmatch(r"(\w+\.\w+)\.(?:self_)?us_per_call", layer))}
     assert "capacity.secrecy_floor_sample" in spans
     calls = dict.fromkeys(spans, 0)
 
@@ -153,11 +160,14 @@ def test_benchmark_traced_integrands_are_called(workload, monkeypatch, tmp_path)
 
     for span in spans:
         for module, attribute in launch.TRACE_TARGETS[span]:
-            target = importlib.import_module(module)
-            monkeypatch.setattr(target, attribute, counting(span, getattr(target, attribute)))
+            *path, leaf = attribute.split(".")
+            owner = functools.reduce(getattr, path, importlib.import_module(module))
+            monkeypatch.setattr(owner, leaf, counting(span, getattr(owner, leaf)))
     monkeypatch.chdir(ROOT)
-    command = [*run.WORKLOADS[workload].command, "--trials", "60", "--out", str(tmp_path)]
-    assert main(command) == 0
+    trials = () if workload == "verify-default" else ("--trials", "60")
+    status = main([*wl.command, *trials, "--out", str(tmp_path)])
+    if workload != "verify-default":
+        assert status == 0
     assert all(calls.values()), calls
 
 

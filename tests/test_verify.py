@@ -243,7 +243,9 @@ class TestIdentitySuite:
 
 def control_term(config, name) -> str:
     """How wishart-mean's detail names the control's exact-mean term."""
-    _, rows, cols, gamma, _ = _controls(config)[name].mean
+    kind, rows, cols, gamma, _ = _controls(config)[name].mean
+    if kind == "power":
+        return f"{name} ({rows}x{cols})"
     return f"{name} ({rows}x{cols}, gamma {gamma:g})"
 
 
@@ -255,13 +257,13 @@ class TestControlTable:
         assert set(CONTROL_ORACLES) == set(CONTROLS)
 
     @pytest.mark.parametrize("overrides,declared", [
-        (dict(), "t2 t3 t5 t1 u3 u1"),
-        (dict(n_a=3, n_b=2, n_e=4), "t2 t3 t5 t1 u3 u1"),
-        (dict(n_a=4, n_b=2, n_e=2), "t2 t3 t5 t4 t1 u3 u1"),
-        (dict(noise_ea=1.0), "t2 t3 t5 t1 u3 u1"),
-        (dict(n_a=4, n_b=2, n_e=2, noise_ea=1.0), "t2 t3 t5 t4 t1 u3 u1"),
-        (dict(noise_ea=0.0), "t3 t5 t1 u3 u1"),
-        (dict(n_a=3, n_b=3, n_e=1, noise_ea=0.0), "t3 t5 t4 t1 u3 u1"),
+        (dict(), "t2 t3 t5 t1 u3 u1 p2 p3"),
+        (dict(n_a=3, n_b=2, n_e=4), "t2 t3 t5 t1 u3 u1 p2 p3"),
+        (dict(n_a=4, n_b=2, n_e=2), "t2 t3 t5 t4 t1 u3 u1 p2 p3"),
+        (dict(noise_ea=1.0), "t2 t3 t5 t1 u3 u1 p2 p3"),
+        (dict(n_a=4, n_b=2, n_e=2, noise_ea=1.0), "t2 t3 t5 t4 t1 u3 u1 p2 p3"),
+        (dict(noise_ea=0.0), "t3 t5 t1 u3 u1 p2 p3"),
+        (dict(n_a=3, n_b=3, n_e=1, noise_ea=0.0), "t3 t5 t4 t1 u3 u1 p2 p3"),
     ], ids=["n_e-at-n_a", "n_e-above-n_a", "n_e-below-n_a", "equal-gammas",
             "equal-gammas-n_e-below-n_a", "noiseless-eve", "noiseless-eve-n_e-below-n_a"])
     def test_every_declared_control_is_checked(self, overrides, declared):
@@ -293,6 +295,8 @@ class TestControlTable:
         ("u3", dict(n_a=4, n_b=2, n_e=2, power_a=1e5, noise_ea=1e-4)),
         ("u1", dict()), ("u1", dict(n_a=3, n_b=2, n_e=4)), ("u1", dict(n_a=4, n_b=2, n_e=2)),
         ("u1", dict(n_a=4, n_b=2, n_e=2, power_a=1e5, noise_ea=1e-4)),
+        ("p2", dict()), ("p2", dict(n_a=3, n_b=2, n_e=4)), ("p2", dict(n_a=4, n_b=2, n_e=2)),
+        ("p3", dict()), ("p3", dict(n_a=2, n_b=3, n_e=1)), ("p3", dict(n_a=4, n_b=2, n_e=2)),
     ])
     def test_a_skewed_control_fails_its_own_check_at_its_trial(self, monkeypatch, name,
                                                                overrides):
@@ -452,7 +456,8 @@ class TestRunSuite:
                     "lower-bob-form-equivalence", "gap-nonnegative", "one-way-identity",
                     "engine-reference-agreement", "wishart-mean"]
 
-        controls = ["t2 t3 t5 t1 u3 u1", "t2 t3 t5 t1 u3 u1", "t2 t3 t5 t4 t1 u3 u1"]
+        controls = ["t2 t3 t5 t1 u3 u1 p2 p3", "t2 t3 t5 t1 u3 u1 p2 p3",
+                    "t2 t3 t5 t4 t1 u3 u1 p2 p3"]
         assert [o.check_name for o in summary.outcomes] == [
             "scalar-capacity-snr-0.1", "scalar-capacity-snr-1", "scalar-capacity-snr-10",
             "wishart-mean-siso"] + [f"cfg{i}:{name}" for i, names in enumerate(controls)
@@ -543,16 +548,31 @@ class TestWishartMeanCheck:
         cfg = make_config(n_a=4, n_b=2, n_e=3)
         outcome = wishart_mean_check(cfg)
         assert outcome.passed and outcome.tolerance == 1e-8
-        assert outcome.detail.endswith("; u3 (2x4, gamma 2); u1 (3x4, gamma 2)")
+        assert "; u3 (2x4, gamma 2); u1 (3x4, gamma 2);" in outcome.detail
         # at noise_ea = noise_b and at noise_ea = 0 they are controls too, as
         # the engine declares them
         for noise_ea in (1.0, 0.0):
-            assert wishart_mean_check(replace(cfg, noise_ea=noise_ea)).detail.endswith(
-                "; u3 (2x4, gamma 2); u1 (3x4, gamma 2)")
+            assert "; u3 (2x4, gamma 2); u1 (3x4, gamma 2);" in wishart_mean_check(
+                replace(cfg, noise_ea=noise_ea)).detail
         # a closed form skewed on one shape fails the check
         real = verify.wishart_trace_mean
         monkeypatch.setattr(verify, "wishart_trace_mean", lambda rows, cols, gamma: (
             real(rows, cols, gamma) * (1.0 + 1e-7 * ((rows, cols) == (3, 4)))))
+        assert not wishart_mean_check(cfg).passed
+
+    def test_power_means_are_checked_at_every_config(self, monkeypatch):
+        # E tr G = n_e n_a and E tr H = n_b n_a against the integral of x
+        # under the eigenvalue density, at every noise_ea and power
+        cfg = make_config(n_a=4, n_b=2, n_e=3)
+        for config in (cfg, replace(cfg, noise_ea=0.0), replace(cfg, power_a=0.0)):
+            outcome = wishart_mean_check(config)
+            assert outcome.passed
+            assert outcome.detail.endswith("; p2 (3x4); p3 (2x4)")
+        assert verify.wishart_power_quadrature(3, 4) == pytest.approx(12.0, rel=1e-12)
+        # the engine's mean, skewed on one term, fails the check
+        real = verify._control_mean
+        monkeypatch.setattr(verify, "_control_mean", lambda mean: (
+            real(mean) * (1.0 + 1e-7 * (mean.rows == 2 and mean.kind == "power"))))
         assert not wishart_mean_check(cfg).passed
 
     def test_trace_quadrature_is_exact_at_one_antenna(self):
@@ -564,7 +584,8 @@ class TestWishartMeanCheck:
     def test_terms_outside_the_domain_are_named_and_skipped(self):
         cfg = make_config(power_a=0.0)
         outcome = wishart_mean_check(cfg)
-        assert outcome.passed and outcome.computed_value == 0.0
-        # every term's gamma is 0
-        assert list(_controls(cfg)) == ["t2", "t3", "t5", "t1", "u3", "u1"]
+        assert outcome.passed
+        # every log-det and trace term's gamma is 0; p2 and p3 have none
+        assert list(_controls(cfg)) == ["t2", "t3", "t5", "t1", "u3", "u1", "p2", "p3"]
         assert outcome.detail.count("outside the domain") == 6
+        assert outcome.detail.endswith("outside the domain; p2 (2x2); p3 (2x2)")
