@@ -52,7 +52,7 @@ import numpy as np
 from .channel import _SWAPPED, ChannelRealization, ProbingConfig, derive_gammas
 from .errors import (GridTooSmall, IntegrandFailure, InvalidNoise, OrderingViolation,
                      SkcError, ValidationError)
-from .montecarlo import Estimate, McSettings, collect, summarize
+from .montecarlo import BLOCK, Estimate, McSettings, collect, summarize
 from .numerics import conj_t, hermitize, logdet_hermitian_pd
 
 _LN2 = math.log(2.0)
@@ -716,8 +716,12 @@ def _control_corrections(rows: np.ndarray, means: np.ndarray
     and r_i its adjusted sample less their mean; None where S is singular.
     One solve of each point's system gives beta, S^-1 d and S^-1; each
     point's sums are matrix products of its own rows and its system is
-    solved on its own, so its result does not depend on the others.  rows
-    is overwritten."""
+    solved on its own, so its result does not depend on the others.
+    Beside rows the fit holds three (points, trials) buffers: the per-trial
+    products with S^-1 and beta are formed over slices of at most BLOCK
+    trials, whose columns are those of the whole products, and every sum
+    over trials is one pairwise reduction over all n.  rows is
+    overwritten."""
     n, k = rows.shape[-1], means.shape[-1]
     centre = np.add.reduce(rows[:, :k], axis=-1) / n
     rows[:, :k] -= centre[..., None]
@@ -737,19 +741,34 @@ def _control_corrections(rows: np.ndarray, means: np.ndarray
     # one step of iterative refinement: the controls explain most of the
     # floor's spread, so the residuals are a small difference, which would
     # lose to beta's round-off (about cond(S) eps) the digits HC3 weighs
-    residuals = floor - beta.swapaxes(-1, -2) @ centred
+    residuals = beta.swapaxes(-1, -2) @ centred
+    np.subtract(floor, residuals, out=residuals)
     residuals -= np.add.reduce(residuals, axis=-1)[..., None] / n
     beta = beta + s_inv @ (centred @ residuals.swapaxes(-1, -2))
-    # per trial beta . D_i and d^T S^-1 D_i
-    fitted, offset_spans = (np.concatenate(
-        [beta, solved[..., 1:2]], axis=-1).swapaxes(-1, -2) @ centred).swapaxes(0, 1)
-    corrections = fitted + np.add.reduce(beta[..., 0] * offset[..., 0], axis=-1)[:, None]
-    leverages = 1.0 / n + np.add.reduce((s_inv @ centred) * centred, axis=1)
-    residuals = floor[:, 0] - corrections
+    # per trial beta . D_i, w_i and 1 - h_i, formed a slice of trials at a
+    # time so that no (points, k, trials) product is held whole; the slices
+    # start at multiples of BLOCK, like the blocks.  The refined residuals'
+    # buffer takes the weights, and the floor's row, read no more once the
+    # corrections are formed, the adjusted samples' residuals
+    lead = np.concatenate([beta, solved[..., 1:2]], axis=-1).swapaxes(-1, -2)
+    shift = np.add.reduce(beta[..., 0] * offset[..., 0], axis=-1)[:, None]
+    weights = residuals[:, 0]
+    corrections, denominators = np.empty_like(weights), np.empty_like(weights)
+    for start in range(0, n, BLOCK):
+        trials = slice(start, start + BLOCK)
+        part = centred[..., trials]
+        leverages = 1.0 / n + np.add.reduce((s_inv @ part) * part, axis=1)
+        np.subtract(1.0, leverages, out=denominators[:, trials])
+        fitted, offset_spans = (lead @ part).swapaxes(0, 1)
+        np.add(fitted, shift, out=corrections[:, trials])
+        np.subtract(1.0 / n, offset_spans, out=weights[:, trials])
+    residuals = np.subtract(floor[:, 0], corrections, out=floor[:, 0])
     residuals -= (np.add.reduce(residuals, axis=-1) / n)[:, None]
-    hc3 = np.add.reduce(np.square((1.0 / n - offset_spans) * residuals / (1.0 - leverages)),
-                        axis=-1)
-    factors = np.sqrt(hc3 * (n * (n - 1)) / np.add.reduce(residuals * residuals, axis=-1))
+    weights *= residuals
+    weights /= denominators
+    hc3 = np.add.reduce(np.square(weights, out=weights), axis=-1)
+    spread = np.add.reduce(np.multiply(residuals, residuals, out=denominators), axis=-1)
+    factors = np.sqrt(hc3 * (n * (n - 1)) / spread)
     return [(c, float(f)) if ok else None for c, f, ok in zip(corrections, factors, solvable)]
 
 
@@ -781,6 +800,9 @@ def _fit_controls(points: list[dict[str, np.ndarray]],
             by_count.setdefault(len(means), []).append(i)
         retry = {}
         for adjusted in by_count.values():
+            # the group's one stacked copy of its samples, which the fit
+            # centres in place and which goes before the next group's is
+            # stacked; a refit restacks the uncentred values
             rows = np.array([[points[i][q] for q in fitting[i]] + [points[i]["floor"]]
                              for i in adjusted])
             means = np.array([list(fitting[i].values()) for i in adjusted])
@@ -789,6 +811,7 @@ def _fit_controls(points: list[dict[str, np.ndarray]],
                     fits[i] = fit
                 elif (again := next(refits[i], None)) is not None:
                     retry[i] = again
+            del rows
         fitting = retry
     for values in points:
         for q in CONTROLS:

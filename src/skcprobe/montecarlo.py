@@ -9,8 +9,10 @@ Draws are trial-major, and the last block draws only the trials the run
 keeps; its first k trials are still those of the whole block, so the
 first k trials of a run are those of any longer run at the same seed and
 prefix estimates are exactly reproducible.  `collect` is the one trial
-loop: it evaluates a block integrand once per block on the whole stack,
-and `estimate` reduces what it returns to a mean and standard error.
+loop: it evaluates a block integrand once per block on the whole stack and
+writes each named value into one preallocated array over all trials, so a
+run holds its samples once, and `estimate` reduces what it returns to a
+mean and standard error.
 Aggregation is a numpy reduction whose shape depends only on the number
 of values, so every result is bit-identical from run to run.  The engine
 is single-threaded.
@@ -131,20 +133,35 @@ def collect(integrand: BlockIntegrand, config: ProbingConfig,
 
     Every named value comes from the same draws, which is what turns
     expectation-level identities (for example upper = lower + gap) into
-    exact per-sample identities.  An error in a block aborts the run,
-    reported for that block's trial range; a non-finite value aborts it
-    for the lowest failing trial index.
+    exact per-sample identities.  Each name's values go straight into one
+    (trials, *rest) array, allocated at the first block with the shape and
+    dtype of that block's values, so the run keeps one copy of its samples
+    and the result is bit for bit the blocks' concatenation.  An error in a
+    block aborts the run, reported for that block's trial range, as does a
+    block whose names, per-trial shapes or dtypes differ from the first
+    block's; a non-finite value aborts it for the lowest failing trial
+    index.
     """
-    parts: dict[Hashable, list[np.ndarray]] = {}
+    arrays: dict[Hashable, np.ndarray] = {}
     for start, block in trial_blocks(config, settings):
+        kept = block.trials_shape[0]
+        where = f"trials {start}-{start + kept - 1}"
         try:
-            values = integrand(block)
+            values = {name: np.asarray(v) for name, v in integrand(block).items()}
         except Exception as exc:
-            stop = start + block.trials_shape[0] - 1
-            raise IntegrandFailure(f"trials {start}-{stop}: {exc}") from exc
+            raise IntegrandFailure(f"{where}: {exc}") from exc
+        if not arrays:
+            arrays = {name: np.empty((settings.trials, *v.shape[1:]), v.dtype)
+                      for name, v in values.items()}
+        if values.keys() != arrays.keys():
+            raise IntegrandFailure(f"{where}: the integrand returned {sorted(map(str, values))}, "
+                                   f"the first block {sorted(map(str, arrays))}")
         for name, v in values.items():
-            parts.setdefault(name, []).append(v)
-    arrays = {name: np.concatenate(v) for name, v in parts.items()}
+            out = arrays[name][start:start + kept]
+            if v.shape != out.shape or v.dtype != out.dtype:
+                raise IntegrandFailure(f"{where}: {name} values are {v.dtype} of shape {v.shape}, "
+                                       f"not {out.dtype} of shape {out.shape}")
+            out[...] = v
     require_finite(arrays)
     return arrays
 

@@ -395,6 +395,22 @@ class TestDeterminism:
                 for p in tmp_path.iterdir()} == self.FIG2_SHA256
 
 
+    # sha256 of outputs fitted over several blocks, at seed 1: oneway at
+    # 3000 trials (12 blocks) and fig1 at 600 (3 blocks, the last partial)
+    MULTI_BLOCK_SHA256 = {
+        "oneway.csv": "a81dc9160b2f9900d9d0f896a6f3052d32ea1f58780124f2f7782499a14f4cb0",
+        "fig1.csv": "275487240a1cd14a6fa3c48aada125992a35024437cc222b90ee995da834ba93",
+        "fig1.svg": "ee0589c6c2cb6e11ad4ccf916234e16d3b8f0dbbf1f972f330ac3e6f82a0f26f",
+    }
+
+    def test_multi_block_outputs_are_pinned(self, tmp_path):
+        for command, name, trials in (("eval", "oneway", "3000"), ("sweep", "fig1", "600")):
+            assert main([command, "--config", name, "--trials", trials, "--seed", "1",
+                         "--out", str(tmp_path)]) == 0
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in tmp_path.iterdir()} == self.MULTI_BLOCK_SHA256
+
+
 class TestEngineTraffic:
     """What the bundled figures ask of the engine: fig2's exact floors take
     no Monte Carlo pass, and fig1's sampled points of a case are fitted in

@@ -12,6 +12,7 @@ nothing with the engine's quadrature rule.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -627,6 +628,28 @@ class TestControlVariates:
         with np.errstate(all="ignore"), pytest.raises(
                 IntegrandFailure, match=rf"^trial {BLOCK + 5}: floor integrand is nan$"):
             evaluate(ONEWAY, McSettings(trials=BLOCK + 30, master_seed=3), ("lower",))
+
+    def test_a_fig1_case_holds_its_samples_at_most_three_times(self):
+        # a case keeps each sampled point's floor and controls over all its
+        # trials, 8 B each, and the fit stacks one more copy of them; the
+        # rest is per-block work and a few (points, trials) buffers of the
+        # fit's tail.  Measured: 2.64x here (2.37x at 10,000 trials); per-
+        # block lists kept beside their concatenation and whole (points, k,
+        # trials) leverage products read 3.44x
+        spec = load_spec("fig1")
+        configs = [apply_parameter(spec.cases[0].config, "noise_ea", v)
+                   for v in spec.sweep.values]
+        mc = McSettings(trials=2000, master_seed=1)
+        kept = 8 * mc.trials * sum(1 + len(control_means(c)) for c in configs
+                                   if c.noise_ea != c.noise_b)
+        evaluate_many(configs[:2], McSettings(trials=300, master_seed=2), ("floor",))
+        tracemalloc.start()
+        try:
+            evaluate_many(configs, mc, ("floor",))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * kept, f"peak {peak} B is {peak / kept:.2f}x the {kept} B kept"
 
 
 def mp_floor(block, config) -> list[float]:

@@ -135,6 +135,46 @@ class TestCollect:
             assert values.shape[0] == BLOCK + 44
             np.testing.assert_array_equal(values, long[name][:BLOCK + 44])
 
+    def test_values_are_the_blocks_concatenated_bit_for_bit(self):
+        # complex values with a trailing shape, broadcast per_trial values
+        # and a short last block come out as np.concatenate of the blocks'
+        # values gives them
+        cfg = make_config(n_a=3, n_b=2, n_e=2, rho=0.6)
+        settings = McSettings(trials=2 * BLOCK + 9, master_seed=3)
+
+        def integrand(block):
+            return {"h_ab": block.h_ab.reshape(block.trials_shape[0], -1), "g_a": block.g_a,
+                    "zero": block.per_trial(0.0), "floor": secrecy_floor_sample(block, cfg)}
+
+        arrays = collect(integrand, cfg, settings)
+        assert list(arrays) == ["h_ab", "g_a", "zero", "floor"]
+        for name, values in arrays.items():
+            expected = np.concatenate([integrand(block)[name]
+                                       for _, block in trial_blocks(cfg, settings)])
+            assert (values.dtype, values.shape) == (expected.dtype, expected.shape)
+            assert values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("last,message", [
+        (lambda n: {"a": np.zeros(n), "b": np.zeros(n)},
+         r"the integrand returned \['a', 'b'\], the first block \['a'\]"),
+        (lambda n: {"b": np.zeros(n)}, r"the integrand returned \['b'\], the first block \['a'\]"),
+        (lambda n: {"a": np.zeros(n, dtype=np.float32)},
+         r"a values are float32 of shape \(20,\), not float64 of shape \(20,\)"),
+        (lambda n: {"a": np.zeros((n, 2))},
+         r"a values are float64 of shape \(20, 2\), not float64 of shape \(20,\)"),
+        (lambda n: {"a": np.zeros(1)},
+         r"a values are float64 of shape \(1,\), not float64 of shape \(20,\)"),
+    ], ids=["extra-name", "other-name", "dtype", "trailing-shape", "trial-count"])
+    def test_a_block_unlike_the_first_names_its_trials(self, last, message):
+        cfg = make_config(n_a=1, n_b=1, n_e=1)
+
+        def integrand(block):
+            n = block.trials_shape[0]
+            return last(n) if n < BLOCK else {"a": np.zeros(n)}
+
+        with pytest.raises(IntegrandFailure, match=rf"^trials {BLOCK}-{BLOCK + 19}: {message}$"):
+            collect(integrand, cfg, McSettings(trials=BLOCK + 20, master_seed=1))
+
     def test_lowest_non_finite_trial_across_names(self):
         cfg = make_config(n_a=1, n_b=1, n_e=1)
 
