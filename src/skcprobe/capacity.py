@@ -33,10 +33,11 @@ bounds built on it, with control variates whose exact means
 t2 and t3, the log-dets of what Eve and Bob see of Alice's probes, t5, what
 both see together at Bob's SNR, where n_e < n_a t4, what Bob sees through
 the dimensions Eve cannot observe, t1, what Eve sees at Bob's SNR, u3
-and u1, the first-order interactions of Eve's and Bob's Grams, and p2 and
-p3, the power Eve and Bob receive (see _controls), all of them from
-CV_MIN_TRIALS trials on, and reports the regression intercept's HC3
-stderr.
+and u1, the first-order interactions of Eve's and Bob's Grams, w3, the
+floor's second-order term in gamma_ea, centred so that its mean is exactly
+0, and p2 and p3, the power Eve and Bob receive (see _controls), all of
+them from CV_MIN_TRIALS trials on, and reports the regression intercept's
+HC3 stderr.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .channel import _SWAPPED, ChannelRealization, ProbingConfig, derive_gammas
 from .errors import (GridTooSmall, IntegrandFailure, InvalidNoise, OrderingViolation,
                      SkcError, ValidationError)
 from .montecarlo import BLOCK, Estimate, McSettings, collect, summarize
-from .numerics import conj_t, hermitize, logdet_hermitian_pd
+from .numerics import _cholesky, conj_t, hermitize, logdet_hermitian_pd
 
 _LN2 = math.log(2.0)
 
@@ -205,6 +206,55 @@ def _outer(m: np.ndarray) -> np.ndarray:
     return hermitize(m @ conj_t(m))
 
 
+def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re sum_ij a_ij conj(b_ij) per matrix of two stacks whose rows are
+    contiguous, from the real and imaginary parts side by side."""
+    return np.einsum("...ij,...ij->...", a.view(np.float64), b.view(np.float64))
+
+
+def _squared_norm(m: np.ndarray) -> np.ndarray:
+    """||m||_F^2 per matrix of a stack whose rows are contiguous."""
+    return _real_inner(m, m)
+
+
+def _small_outer(m: np.ndarray) -> np.ndarray:
+    """m m^H per matrix of a stack.  Up to 4 rows, as the sum of the outer
+    products of m's columns: numpy's matmul costs about half a microsecond
+    per matrix of a stack, three times this arithmetic on a 2 x 2 result
+    and as much on a 4 x 4 one; on more rows the elementwise temporaries
+    cost more than matmul."""
+    if m.shape[-2] > 4:
+        return m @ conj_t(m)
+    conj = m.conj()
+    out = m[..., :, None, 0] * conj[..., None, :, 0]
+    for k in range(1, m.shape[-1]):
+        out += m[..., :, None, k] * conj[..., None, :, k]
+    return out
+
+
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """The inverse of each lower-triangular matrix of a stack, by forward
+    substitution a row at a time: numpy has no batched triangular solve,
+    and np.linalg.inv is several times slower on a stack of small
+    matrices."""
+    n = lower.shape[-1]
+    inverse = np.zeros_like(lower)
+    diagonal = 1.0 / np.diagonal(lower, axis1=-2, axis2=-1)
+    for i in range(n):
+        inverse[..., i, i] = diagonal[..., i]
+        if i:
+            inverse[..., i, :i] = -diagonal[..., i, None] * np.einsum(
+                "...k,...kj->...j", lower[..., i, :i], inverse[..., :i, :i])
+    return inverse
+
+
+def _second_order(square, trace, trace_square, n_e: int):
+    """w3 = tr((A^-1 G)^2) - n_e^2 tr(A^-2) - n_e (tr A^-1)^2 per trial from
+    its three traces: E[G C G] = n_e^2 C + n_e tr(C) I for G = g_a^H g_a,
+    independent of H, so given H its mean is 0 (see _controls)."""
+    return square - n_e * n_e * trace_square - n_e * trace * trace
+
+
 class Grams:
     """Gram matrices of the channels of a draw or a block of draws, each
     formed on first use, the log-dets factored from them, and the block's
@@ -281,8 +331,7 @@ class Grams:
         channel = self._channel(channel)
 
         def factor():
-            parts = np.ascontiguousarray(getattr(self._realization, channel)).view(np.float64)
-            return np.einsum("...ij,...ij->...", parts, parts)
+            return _squared_norm(np.ascontiguousarray(getattr(self._realization, channel)))
 
         return self._logdet(("power", channel), factor)
 
@@ -363,43 +412,83 @@ class Grams:
             k = self._stacked()
             work = np.multiply(k, gamma_ba, out=self.work(k.shape[-2:]))
             work += _eye(k.shape[-1])
-            eve, _, cross = logdet_hermitian_pd(work, split=n_e, cross=True)
-            return eve, cross / gamma_ba
+            eve, _, chol = logdet_hermitian_pd(work, split=n_e, factor=True)
+            return eve, _squared_norm(chol[..., n_e:, :n_e]) / gamma_ba
 
         return self._logdet(("eve-joint", self._channel("g_a"), gamma_ba), factor)
 
-    def interaction_trace(self, channel: str, gamma: float):
-        """tr(gamma M (I + gamma M)^-1 O) per trial where n_e >= n_a, M and
-        O the n_a x n_a Grams of g_a and h_ba, `channel` naming M's: u3 for
-        h_ba, u1 for g_a.  M commutes with its resolvent and H = h_ba^H h_ba,
-        so each is gamma tr(Y (I + gamma M)^-1 h_ba^H), Y = h_ba G formed
-        once per block: one batched solve of I + gamma M, built in the work
-        matrix, against h_ba^H's n_b columns.  Where M = H has rank n_b <
-        n_a, u3 is gamma tr((I + gamma h_ba h_ba^H)^-1 Y h_ba^H) instead
-        (push-through), an n_b-square solve on the outer Gram that t3 factors
-        (see identity_logdet): (I + gamma H)^-1 would carry the round-off of
-        its null space, gamma times over, into u3."""
-        channel, h_ba = self._channel(channel), self._channel("h_ba")
+    def _times(self) -> np.ndarray:
+        """Y = h_ba G of this role's draws, formed once per block."""
+        key = (self._channel("h_ba"), "times", self._channel("g_a"))
+        if key not in self._grams:
+            self._grams[key] = getattr(self._realization, key[0]) @ self["g_a"]
+        return self._grams[key]
+
+    def interaction_trace(self, gamma_ba: float):
+        """u1 = tr(gamma_ba G (I + gamma_ba G)^-1 H) per trial where n_e >=
+        n_a, from the n_a x n_a Grams of g_a and h_ba: G commutes with its
+        resolvent and H = h_ba^H h_ba, so u1 is gamma_ba tr(Y (I + gamma_ba
+        G)^-1 h_ba^H), Y = h_ba G (see _times): one batched solve of I +
+        gamma_ba G, built in the work matrix, against h_ba^H's n_b
+        columns."""
+
+        def factor():
+            h = getattr(self._realization, self._channel("h_ba"))
+            n_a = h.shape[-1]
+            work = np.multiply(self["g_a"], gamma_ba, out=self.work((n_a, n_a)))
+            work += _eye(n_a)
+            solved = np.linalg.solve(work, conj_t(h))
+            return gamma_ba * np.einsum("...ij,...ji->...", self._times(), solved).real
+
+        return self._logdet(("interaction", self._channel("g_a"), gamma_ba), factor)
+
+    def bob_interactions(self, gamma_ba: float):
+        """(u3, w3) per trial where n_e >= n_a, with A = I + gamma_ba H, u3 =
+        tr(gamma_ba H A^-1 G) and w3 = tr((A^-1 G)^2) - n_e^2 tr(A^-2) - n_e
+        (tr A^-1)^2, from one batched solve, built in the work matrix:
+        * where n_b < n_a, on the n_b-square outer Gram that t3 factors (see
+          identity_logdet), (I + gamma_ba h_ba h_ba^H)^-1 [Y, I] = [Z, M], Y
+          = h_ba G (see _times) and Z = M Y (push-through: (I + gamma_ba
+          H)^-1, H of rank n_b < n_a, would carry the round-off of its null
+          space, gamma_ba times over, into u3).  With W = Z h_ba^H,
+          n_b-square, u3 = gamma_ba tr W, and A^-1 G = G - gamma_ba h_ba^H Z
+          gives tr((A^-1 G)^2) = ||G||_F^2 - 2 gamma_ba Re tr(Z Y^H) +
+          gamma_ba^2 tr(W^2), each term within a few times of the sum (A^-1
+          keeps the n_a - n_b dimensions of null(h_ba)); tr A^-1 = n_a - n_b
+          + tr M and tr A^-2 = n_a - n_b + ||M||_F^2 (M Hermitian);
+        * otherwise A^-1 [G, I] = [A^-1 G, A^-1], n_a-square, from which u3
+          and the traces are read directly (n_a - n_b + tr M would cancel
+          where n_b > n_a)."""
+        h_ba = self._channel("h_ba")
 
         def factor():
             h = getattr(self._realization, h_ba)
-            key = (h_ba, "times", self._channel("g_a"))
-            if key not in self._grams:
-                self._grams[key] = h @ self["g_a"]
-            y = self._grams[key]
             n_b, n_a = h.shape[-2:]
-            if channel == h_ba and n_b < n_a:
-                work = np.multiply(self._gram(h_ba, outer=True), gamma, out=self.work((n_b, n_b)))
-                work += _eye(n_b)
-                solved = np.linalg.solve(work, y @ conj_t(h))
-                return gamma * np.trace(solved, axis1=-2, axis2=-1).real
-            m = self._gram(channel)
-            work = np.multiply(m, gamma, out=self.work(m.shape[-2:]))
-            work += _eye(n_a)
-            solved = np.linalg.solve(work, conj_t(h))
-            return gamma * np.einsum("...ij,...ji->...", y, solved).real
+            if n_b < n_a:
+                gram, rhs = self._gram(h_ba, outer=True), self._times()
+            else:
+                gram, rhs = self._gram(h_ba), self["g_a"]
+            n = gram.shape[-1]
+            work = np.multiply(gram, gamma_ba, out=self.work((n, n)))
+            work += _eye(n)
+            eye = np.broadcast_to(_eye(n), rhs.shape[:-1] + (n,))
+            solved = np.linalg.solve(work, np.concatenate([rhs, eye], axis=-1))
+            resolved, inverse = solved[..., :n_a], solved[..., n_a:]
+            if n_b < n_a:
+                w = resolved @ conj_t(h)
+                u3 = np.trace(w, axis1=-2, axis2=-1).real
+                square = (_squared_norm(self["g_a"]) - 2.0 * gamma_ba * _real_inner(resolved, rhs)
+                          + gamma_ba * gamma_ba * np.einsum("...ij,...ji->...", w, w).real)
+                free = n_a - n_b
+            else:
+                u3 = np.einsum("...ij,...ji->...", gram, resolved).real
+                square = np.einsum("...ij,...ji->...", resolved, resolved).real
+                free = 0
+            w3 = _second_order(square, free + np.trace(inverse, axis1=-2, axis2=-1).real,
+                               free + _squared_norm(inverse), self._n_e())
+            return gamma_ba * u3, w3
 
-        return self._logdet(("interaction", channel, gamma), factor)
+        return self._logdet(("bob-interactions", h_ba, gamma_ba), factor)
 
     def folded_logdet(self, gamma_ea: float, ratio: float):
         """log2det(I + gamma_ea (G + ratio H)) per trial, from the n_a x n_a
@@ -418,24 +507,50 @@ class Grams:
         return self._logdet(("folded", self._channel("g_a"), gamma_ea, ratio), factor)
 
     def bob_joint_logdets(self, gamma_ba: float):
-        """(t3, t5, u3) per trial where n_e < n_a, from one Cholesky
+        """(t3, t5, u3, w3) per trial where n_e < n_a, from one Cholesky
         factorization of I + gamma_ba K with K's blocks reordered to [h_ba;
         g_a], built in the work matrix: its leading n_b diagonal entries give
         t3 = log2det(I + gamma_ba h_ba h_ba^H) = log2det(I + gamma_ba H)
         (Sylvester), all of them t5 = log2det(I + gamma_ba K) =
         log2det(I + gamma_ba (G + H)), and the factor's off-diagonal block
-        u3 = tr(gamma_ba H (I + gamma_ba H)^-1 G) = |L21|^2 / gamma_ba (as
-        in eve_joint_logdets).  Exactly Hermitian, as K is."""
+        L21 gives u3 = tr(gamma_ba H (I + gamma_ba H)^-1 G) = |L21|^2 /
+        gamma_ba (as in eve_joint_logdets).  w3 = tr((A^-1 G)^2) - n_e^2
+        tr(A^-2) - n_e (tr A^-1)^2, A = I + gamma_ba H, takes no further
+        factorization: tr((A^-1 G)^2) = ||g_a A^-1 g_a^H||_F^2 with g_a A^-1
+        g_a^H = g_a g_a^H - L21 L21^H / gamma_ba, K's leading block less the
+        push-through term (a difference that keeps its absolute accuracy,
+        about eps ||g_a||^2, as gamma_ba grows), and the factor's leading
+        block L11 gives M = (I + gamma_ba h_ba h_ba^H)^-1 = C^H C, C =
+        L11^-1, so tr A^-1 = n_a - n_b + ||C||_F^2 and tr A^-2 = n_a - n_b +
+        ||C C^H||_F^2.  Where n_b > n_a, M has n_b - n_a unit eigenvalues,
+        which the factorization perturbs by about eps gamma_ba ||H||, and n_a
+        - n_b + tr M would cancel to that error: there C is the inverse
+        Cholesky factor of A itself, n_a-square, and the traces have no n_a -
+        n_b term.  Exactly Hermitian, as K is."""
         n_e = self._n_e()
 
         def factor():
             k = self._stacked()
+            n_a = getattr(self._realization, self._channel("g_a")).shape[-1]
             n_b = k.shape[-1] - n_e
             rows, cols = _h_ba_first(n_e, k.shape[-1])
             work = np.multiply(k[..., rows, cols], gamma_ba, out=self.work(k.shape[-2:]))
             work += _eye(k.shape[-1])
-            bob, rest, cross = logdet_hermitian_pd(work, split=n_b, cross=True)
-            return bob, bob + rest, cross / gamma_ba
+            bob, rest, chol = logdet_hermitian_pd(work, split=n_b, factor=True)
+            cross = chol[..., n_b:, :n_b]
+            if n_b > n_a:
+                resolvent = np.multiply(self["h_ba"], gamma_ba, out=self.work((n_a, n_a)))
+                resolvent += _eye(n_a)
+                inverse, free = _lower_inverse(_cholesky(resolvent)), 0
+            else:
+                inverse, free = _lower_inverse(chol[..., :n_b, :n_b]), n_a - n_b
+            # g_a A^-1 g_a^H
+            seen = _small_outer(cross)
+            seen /= -gamma_ba
+            seen += k[..., :n_e, :n_e]
+            w3 = _second_order(_squared_norm(seen), free + _squared_norm(inverse),
+                               free + _squared_norm(_small_outer(inverse)), n_e)
+            return bob, bob + rest, _squared_norm(cross) / gamma_ba, w3
 
         return self._logdet(("bob-joint", self._channel("g_a"), gamma_ba), factor)
 
@@ -547,12 +662,14 @@ SAMPLED = ("floor", "lower_bob", "gap", "lower_alice")
 # log2det(I + gamma_ba (G + H)), where n_e < n_a t4 = log2det(I + gamma_ba
 # h_ba P h_ba^H), P the projector onto null(g_a), t1 = log2det(I + gamma_ba
 # G) and the interaction traces u3 = tr(gamma_ba H (I + gamma_ba H)^-1 G)
-# and u1 = tr(gamma_ba G (I + gamma_ba G)^-1 H), and the received powers p2
-# = tr G and p3 = tr H; their means are wishart_logdet_mean's, for u3 and u1
-# n_e and n_b times wishart_trace_mean's, and for p2 and p3 n_e n_a and n_b
-# n_a.  From CV_MIN_TRIALS trials on (the regression needs more than k + 1)
-# a point whose floor is sampled (see _exact_floor) regresses on all of them
-CONTROLS = ("t2", "t3", "t5", "t4", "t1", "u3", "u1", "p2", "p3")
+# and u1 = tr(gamma_ba G (I + gamma_ba G)^-1 H), the second-order trace w3 =
+# tr((A^-1 G)^2) - n_e^2 tr(A^-2) - n_e (tr A^-1)^2, A = I + gamma_ba H, and
+# the received powers p2 = tr G and p3 = tr H; their means are
+# wishart_logdet_mean's, for u3 and u1 n_e and n_b times wishart_trace_mean's,
+# for w3 exactly 0, and for p2 and p3 n_e n_a and n_b n_a.  From
+# CV_MIN_TRIALS trials on (the regression needs more than k + 1) a point
+# whose floor is sampled (see _exact_floor) regresses on all of them
+CONTROLS = ("t2", "t3", "t5", "t4", "t1", "u3", "u1", "w3", "p2", "p3")
 # where a control is not one of a config's (see _controls)
 _CONTROL_RULES = {"t2": "noise_ea > 0", "t4": "n_e < n_a"}
 CV_MIN_TRIALS = 52
@@ -583,7 +700,8 @@ class _Mean(NamedTuple):
     = w^H w, w rows x cols with iid CN(0, 1) entries: "logdet" log2det(I +
     gamma W) (wishart_logdet_mean), "trace" tr(gamma W (I + gamma W)^-1)
     (wishart_trace_mean) or "power" tr W, whose mean is rows cols (gamma is
-    None)."""
+    None); or "zero", a control centred by a moment identity of W = G
+    (n_e x n_a, see _controls), whose mean is exactly 0 (gamma is None)."""
 
     kind: str
     rows: int
@@ -604,8 +722,8 @@ class _Control(NamedTuple):
 def _controls(config: ProbingConfig) -> dict[str, _Control]:
     """Name -> _Control of each of the floor's CONTROLS at `config`, in the
     order a point takes them: (t2, t3, t5), then t4 where n_e < n_a, (t1,
-    u3, u1) and (p2, p3) last; t2 only where noise_ea > 0 (at noise_ea = 0
-    its gamma is inf).  Where the floor is exact (see _exact_floor) no point
+    u3, u1), w3 and (p2, p3) last; t2 only where noise_ea > 0 (at noise_ea
+    = 0 its gamma is inf).  Where the floor is exact (see _exact_floor) no point
     regresses on them.  This table is the one statement of which controls a point has:
     verify checks each entry's mean and values against its own oracles.
     Each t is a log2det(I + gamma w^H w) with w rows x cols of iid CN(0, 1)
@@ -614,22 +732,28 @@ def _controls(config: ProbingConfig) -> dict[str, _Control]:
     + gamma_ba H)^-1, has mean n_e wishart_trace_mean(n_b, n_a, gamma_ba), G
     being independent of H with mean n_e I, and u1 = tr(P_G H) likewise n_b
     wishart_trace_mean(n_e, n_a, gamma_ba): to first order in gamma_ea the
-    floor is t3 - gamma_ea u3 / ln 2.  p2 = tr G and p3 = tr H, sums of
-    n_e n_a and n_b n_a squared unit-variance entries, have means n_e n_a
-    and n_b n_a; they are read once per block from the raw draws
-    (Grams.power), and the others from the Grams that the floor forms
-    anyway.  Where n_e < n_a, t2 is the leading part of the
-    floor's own factorization, t3, t5 and u3 come from one factorization of
-    the reordered stacked Gram (Grams.bob_joint_logdets), t1 and u1 from
-    one of the stacked Gram in its own order (Grams.eve_joint_logdets), and
-    t4 (h_ba in an orthonormal basis of null(g_a) is n_b x (n_a - n_e), iid
-    and independent of g_a) from its noiseless limit; otherwise t2, t3 and
-    t1 are identity log-dets (t3 on Bob's smaller side), t5 is
-    Grams.folded_logdet at ratio 1.0, and u3 and u1 are
+    floor is t3 - gamma_ea u3 / ln 2.  The second-order term, -gamma_ea^2
+    tr((A^-1 G)^2) / (2 ln 2) with A = I + gamma_ba H, has no closed-form
+    mean here, but E[G C G] = n_e^2 C + n_e tr(C) I for any C independent
+    of G (a complex Wishart moment; Telatar, Eur. Trans. Telecom. 10(6),
+    1999), so w3 = tr((A^-1 G)^2) - n_e^2 tr(A^-2) - n_e (tr A^-1)^2 has
+    mean exactly 0 given H, with no quadrature.  p2 = tr G and p3 = tr H,
+    sums of n_e n_a and n_b n_a squared unit-variance entries, have means
+    n_e n_a and n_b n_a; they are read once per block from the raw draws
+    (Grams.power), and the others from the Grams and factorizations that
+    the floor forms anyway.  Where n_e < n_a, t2 is the leading part of the
+    floor's own factorization, t3, t5, u3 and w3 come from one
+    factorization of the reordered stacked Gram (Grams.bob_joint_logdets),
+    t1 and u1 from one of the stacked Gram in its own order
+    (Grams.eve_joint_logdets), and t4 (h_ba in an orthonormal basis of
+    null(g_a) is n_b x (n_a - n_e), iid and independent of g_a) from its
+    noiseless limit; otherwise t2, t3 and t1 are identity log-dets (t3 on
+    Bob's smaller side), t5 is Grams.folded_logdet at ratio 1.0, u3 and w3
+    come from one solve (Grams.bob_interactions) and u1 is
     Grams.interaction_trace.  All but t2 depend on gamma_ba only (p2 and p3
-    on no gamma), so the points of a noise_ea sweep share them per block.  The two-way
-    integrands read the role-swapped config's t3 and t2 on every draw, so
-    the dict is built once per config, shared and read only."""
+    on no gamma), so the points of a noise_ea sweep share them per block.
+    The two-way integrands read the role-swapped config's t3 and t2 on every
+    draw, so the dict is built once per config, shared and read only."""
     gam = derive_gammas(config)
     g_ea, g_ba = gam.gamma_ea, gam.gamma_ba
     n_a, n_b, n_e = config.n_a, config.n_b, config.n_e
@@ -640,14 +764,18 @@ def _controls(config: ProbingConfig) -> dict[str, _Control]:
     def trace(times, rows, read):
         return _Control(_Mean("trace", rows, n_a, g_ba, times), read)
 
+    def zero(read):
+        return _Control(_Mean("zero", n_e, n_a, None), read)
+
     if n_e >= n_a:
         controls = {
             "t2": logdet(n_e, n_a, g_ea, lambda grams: grams.identity_logdet("g_a", g_ea)),
             "t3": logdet(n_b, n_a, g_ba, lambda grams: grams.identity_logdet("h_ba", g_ba)),
             "t5": logdet(n_e + n_b, n_a, g_ba, lambda grams: grams.folded_logdet(g_ba, 1.0)),
             "t1": logdet(n_e, n_a, g_ba, lambda grams: grams.identity_logdet("g_a", g_ba)),
-            "u3": trace(n_e, n_b, lambda grams: grams.interaction_trace("h_ba", g_ba)),
-            "u1": trace(n_b, n_e, lambda grams: grams.interaction_trace("g_a", g_ba))}
+            "u3": trace(n_e, n_b, lambda grams: grams.bob_interactions(g_ba)[0]),
+            "u1": trace(n_b, n_e, lambda grams: grams.interaction_trace(g_ba)),
+            "w3": zero(lambda grams: grams.bob_interactions(g_ba)[1])}
     else:
         controls = {
             "t2": logdet(n_e, n_a, g_ea, lambda grams: grams.floor_logdets(g_ea, g_ba)[0]),
@@ -656,7 +784,8 @@ def _controls(config: ProbingConfig) -> dict[str, _Control]:
             "t4": logdet(n_b, n_a - n_e, g_ba, lambda grams: grams.null_logdet(g_ba)),
             "t1": logdet(n_e, n_a, g_ba, lambda grams: grams.eve_joint_logdets(g_ba)[0]),
             "u3": trace(n_e, n_b, lambda grams: grams.bob_joint_logdets(g_ba)[2]),
-            "u1": trace(n_b, n_e, lambda grams: grams.eve_joint_logdets(g_ba)[1])}
+            "u1": trace(n_b, n_e, lambda grams: grams.eve_joint_logdets(g_ba)[1]),
+            "w3": zero(lambda grams: grams.bob_joint_logdets(g_ba)[3])}
     controls["p2"] = _Control(_Mean("power", n_e, n_a, None), lambda grams: grams.power("g_a"))
     controls["p3"] = _Control(_Mean("power", n_b, n_a, None), lambda grams: grams.power("h_ba"))
     if config.noise_ea == 0:
@@ -668,6 +797,8 @@ def _controls(config: ProbingConfig) -> dict[str, _Control]:
 def _control_mean(mean: _Mean) -> float:
     """A _Control's exact mean, evaluated once per term: the points of a
     sweep share most of their controls' means."""
+    if mean.kind == "zero":
+        return 0.0
     if mean.kind == "power":
         return float(mean.times * mean.rows * mean.cols)
     form = wishart_trace_mean if mean.kind == "trace" else wishart_logdet_mean
@@ -921,7 +1052,7 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
 
     A sampled floor is estimated with control variates: the floor's samples
     are regressed on all of the point's controls, (t2, t3, t5), t4 where n_e
-    < n_a, (t1, u3, u1) and (p2, p3) (see _controls, _control_corrections
+    < n_a, (t1, u3, u1), w3 and (p2, p3) (see _controls, _control_corrections
     and _fit_controls, which solves a singular system again without some
     of CV_DROP_ORDER), and the correction beta . (t - mean), with the
     controls' exact means, is subtracted from the floor's samples and v_a

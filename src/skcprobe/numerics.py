@@ -186,7 +186,7 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
         return chol.reshape(m.shape)
 
 
-def logdet_hermitian_pd(m: np.ndarray, split: int | None = None, cross: bool = False):
+def logdet_hermitian_pd(m: np.ndarray, split: int | None = None, factor: bool = False):
     """log2 det of a Hermitian positive-definite matrix via Cholesky.
 
     Accepts one matrix (returns a float) or a stack with shape (..., n, n)
@@ -194,10 +194,10 @@ def logdet_hermitian_pd(m: np.ndarray, split: int | None = None, cross: bool = F
     pair (leading, trailing) instead: the log-det of the leading k x k
     block, and that of the trailing block's Schur complement, which add up
     to the whole (the factor's first k and last n - k diagonal entries).
-    With `cross` as well it returns a third value, the squared Frobenius
-    norm of the factor's off-diagonal block L21: for m = [[A, B^H], [B,
-    C]] that is tr(B A^-1 B^H), not a log-det.  The factor itself is not
-    kept.
+    With `factor` as well it returns a third value, the lower-triangular
+    Cholesky factor L itself, from which a caller reads what else it needs:
+    for m = [[A, B^H], [B, C]] the off-diagonal block L21 has L21 L21^H =
+    B A^-1 B^H, and the leading block L11 L11^H = A.
 
     The input must be Hermitian to HERMITIAN_ATOL, which callers ensure by
     passing Gram products through hermitize; it is checked, on one triangle
@@ -215,19 +215,15 @@ def logdet_hermitian_pd(m: np.ndarray, split: int | None = None, cross: bool = F
     not factored, and one whose factorization fails and whose trace, and
     so its jitter, overflows.
     """
-    if cross and split is None:
-        raise ValueError("cross needs split")
+    if factor and split is None:
+        raise ValueError("factor needs split")
     chol = _cholesky(_square_stack(m))
     log_diag = np.log2(np.real(np.diagonal(chol, axis1=-2, axis2=-1)))
     if split is None:
         return _per_matrix(2.0 * np.sum(log_diag, axis=-1))
     parts = (_per_matrix(2.0 * np.sum(log_diag[..., :split], axis=-1)),
              _per_matrix(2.0 * np.sum(log_diag[..., split:], axis=-1)))
-    if not cross:
-        return parts
-    # the block's real and imaginary parts side by side, each row contiguous
-    off = chol[..., split:, :split].view(float)
-    return parts + (_per_matrix(np.einsum("...ij,...ij->...", off, off)),)
+    return parts + (chol,) if factor else parts
 
 
 def logdet_lu(m: np.ndarray):

@@ -10,7 +10,8 @@ Four kinds of checks live here:
 * the exact mean of each control variate that capacity._controls
   declares for the floor against adaptive quadrature of the same integral,
   with the Laguerre polynomials from scipy.special, and the log-det mean
-  against the scalar ergodic capacity;
+  against the scalar ergodic capacity; a control whose mean is exactly 0
+  by a moment identity (w3) against the raw mean of its samples;
 * per-trial determinant-identity checks on the engine's blocks of draws:
   the engine's floor, each of its declared controls (CONTROL_ORACLES), gap
   and Bob-side integrands against oracle forms that reach each value
@@ -289,11 +290,16 @@ def wishart_mean_check(config: ProbingConfig) -> VerificationOutcome:
     engine's rows cols, against `times` wishart_logdet_quadrature,
     wishart_trace_quadrature or wishart_power_quadrature of the same term,
     WISHART_RTOL relative, each term named by its control in the detail.  A
-    term outside the closed form's domain is named and not compared: the
-    engine gives such a floor its raw estimate."""
+    control whose mean is exactly 0 (w3) is named as such and takes no
+    quadrature: zero_mean_check compares its samples with 0.  A term outside
+    the closed form's domain is named and not compared: the engine gives
+    such a floor its raw estimate."""
     worst, notes = 0.0, []
     for name, control in _controls(config).items():
         kind, rows, cols, gamma, times = control.mean
+        if kind == "zero":
+            notes.append(f"{name} (exactly {_control_mean(control.mean):g})")
+            continue
         if kind == "power":
             term = f"{name} ({rows}x{cols})"
             closed = _control_mean(control.mean)
@@ -314,6 +320,29 @@ def wishart_mean_check(config: ProbingConfig) -> VerificationOutcome:
         check_name="wishart-mean", reference_value=0.0, computed_value=worst,
         tolerance=WISHART_RTOL, passed=worst <= WISHART_RTOL,
         detail="largest relative deviation over " + "; ".join(notes))
+
+
+# a control whose mean is exactly 0 passes zero_mean_check if its raw mean is
+# within this many standard errors of 0
+ZERO_MEAN_SIGMAS = 4.0
+
+
+def zero_mean_check(config: ProbingConfig, mc: McSettings) -> list[VerificationOutcome]:
+    """The raw mean of each of the floor's controls whose exact mean is 0
+    (w3, see capacity._controls), on the engine's draws at `mc`, within
+    ZERO_MEAN_SIGMAS standard errors of 0, as <name>-zero-mean: the samples
+    are the independent oracle of the moment identity that sets the mean."""
+    zero = [name for name, control in _controls(config).items() if control.mean.kind == "zero"]
+    values = trial_values_many([(config, zero)], mc)[0]
+    outcomes = []
+    for name in zero:
+        est = summarize(values[name])
+        tolerance = ZERO_MEAN_SIGMAS * est.stderr
+        outcomes.append(VerificationOutcome(
+            check_name=f"{name}-zero-mean", reference_value=0.0, computed_value=est.mean,
+            tolerance=tolerance, passed=abs(est.mean) <= tolerance,
+            detail=f"stderr {est.stderr:.3e} over {mc.trials} trials"))
+    return outcomes
 
 
 def wishart_siso_check(snrs: Sequence[float]) -> VerificationOutcome:
@@ -431,6 +460,40 @@ def interaction_traces(realization: ChannelRealization, config: ProbingConfig):
             "u1": trace(realization.g_a, realization.h_ba)}
 
 
+def second_order_traces(realization: ChannelRealization, config: ProbingConfig):
+    """Oracle of the floor's control w3 = tr((A^-1 G)^2) - n_e^2 tr(A^-2) -
+    n_e (tr A^-1)^2 per trial, A = I + gamma_ba H, from the eigenpairs (l_k,
+    v_k) of H (numpy's eigh): with d_k = 1/(1 + gamma_ba l_k) the
+    eigenvalues of A^-1 and G' = (g_a V)^H (g_a V), tr A^-1 = sum_k d_k, tr
+    A^-2 = sum_k d_k^2 and tr((A^-1 G)^2) = sum_jk d_j d_k |G'_jk|^2.  Where
+    h_ba has fewer rows than columns only its nonzero eigenvalues are taken,
+    from h_ba h_ba^H = U diag(l) U^H with v_k = h_ba^H u_k / sqrt(l_k), and
+    the other n_a - n_b are exactly 1 in A^-1 (as in interaction_traces):
+    then g_a A^-1 g_a^H = g_a g_a^H - (g_a V) diag(1 - d) (g_a V)^H, and
+    tr((A^-1 G)^2) is its squared Frobenius norm."""
+    gamma = derive_gammas(config).gamma_ba
+    h, g = realization.h_ba, realization.g_a
+    if config.n_b < config.n_a:
+        eigenvalues, vectors = np.linalg.eigh(hermitize(h @ conj_t(h)))
+        vectors = conj_t(h) @ vectors / np.sqrt(eigenvalues)[..., None, :]
+        free = config.n_a - config.n_b
+    else:
+        eigenvalues, vectors = np.linalg.eigh(hermitize(conj_t(h) @ h))
+        free = 0
+    inverse = 1.0 / (1.0 + gamma * eigenvalues)
+    seen = g @ vectors
+    if free:
+        resolved = g @ conj_t(g) - (seen * (1.0 - inverse)[..., None, :]) @ conj_t(seen)
+        square = np.sum(np.abs(resolved) ** 2, axis=(-2, -1))
+    else:
+        rotated = np.abs(conj_t(seen) @ seen) ** 2
+        square = np.einsum("...j,...jk,...k->...", inverse, rotated, inverse)
+    trace = free + np.sum(inverse, axis=-1)
+    trace_square = free + np.sum(inverse ** 2, axis=-1)
+    n_e = config.n_e
+    return square - n_e ** 2 * trace_square - n_e * trace ** 2
+
+
 def received_powers(realization: ChannelRealization, config: ProbingConfig):
     """Oracle of the floor's controls p2 = tr G and p3 = tr H, {"p2": ...,
     "p3": ...} per trial: the real traces of the outer Grams g_a g_a^H and
@@ -499,7 +562,7 @@ def lower_bob_rectangular(realization: ChannelRealization, config: ProbingConfig
 CONTROL_ORACLES = {"t2": eve_smaller_side, "t3": bob_smaller_side, "t5": joint_sylvester,
                    "t4": floor_null_space, "t1": eve_sylvester,
                    "u3": interaction_traces, "u1": interaction_traces,
-                   "p2": received_powers, "p3": received_powers}
+                   "w3": second_order_traces, "p2": received_powers, "p3": received_powers}
 
 
 def _worst_deviation(name: str, pairs, tolerance: float, detail: str) -> VerificationOutcome:
@@ -609,8 +672,9 @@ def run_suite(configs: Sequence[ProbingConfig], mc: McSettings,
 
     The scalar-capacity cross-oracle and the scalar check of the Wishart
     log-det means are configuration independent and run once; the exact
-    means of the floor's controls are checked per config.  Overall pass
-    requires every outcome to pass.
+    means of the floor's controls, and the raw mean of each control whose
+    mean is exactly 0, are checked per config.  Overall pass requires every
+    outcome to pass.
     """
     if not configs:
         raise ValidationError("empty config set")
@@ -625,6 +689,7 @@ def run_suite(configs: Sequence[ProbingConfig], mc: McSettings,
         tagged.extend(determinant_identity_suite(
             config, realizations=identity_realizations, master_seed=mc.master_seed))
         tagged.append(wishart_mean_check(config))
+        tagged.extend(zero_mean_check(config, mc))
         for o in tagged:
             outcomes.append(replace(o, check_name=prefix + o.check_name))
     return VerificationSummary(outcomes=tuple(outcomes))

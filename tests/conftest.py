@@ -55,8 +55,9 @@ def control_means(config, count=None) -> dict:
     ([g_a; h_ba] at gamma_ba), where n_e < n_a t4 (h_ba on the n_a - n_e
     dimensions of null(g_a)), t1 (g_a at gamma_ba), the interaction traces
     u3 = tr(P_H G) and u1 = tr(P_G H) (n_e and n_b times the trace mean of
-    h_ba and g_a at gamma_ba) and the received powers p2 = tr G and p3 = tr
-    H (n_e n_a and n_b n_a); the first `count` of them when given."""
+    h_ba and g_a at gamma_ba), the second-order trace w3 (mean exactly 0)
+    and the received powers p2 = tr G and p3 = tr H (n_e n_a and n_b n_a);
+    the first `count` of them when given."""
     from skcprobe.capacity import wishart_logdet_mean, wishart_trace_mean
     from skcprobe.channel import derive_gammas
     gam = derive_gammas(config)
@@ -69,6 +70,7 @@ def control_means(config, count=None) -> dict:
     means["t1"] = wishart_logdet_mean(config.n_e, config.n_a, gam.gamma_ba)
     means["u3"] = config.n_e * wishart_trace_mean(config.n_b, config.n_a, gam.gamma_ba)
     means["u1"] = config.n_b * wishart_trace_mean(config.n_e, config.n_a, gam.gamma_ba)
+    means["w3"] = 0.0
     means["p2"] = float(config.n_e * config.n_a)
     means["p3"] = float(config.n_b * config.n_a)
     return dict(list(means.items())[:count])

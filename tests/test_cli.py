@@ -363,9 +363,9 @@ class TestDeterminism:
 
     # sha256 of what the bundled specs write at --trials 60 --seed 1
     BUNDLED_SHA256 = {
-        "oneway.csv": "798e5a86479fbb62ea09c6794be6d94a589ecae2b4bd77dba4b15ec588424f0f",
-        "fig1.csv": "7cbc34a770f805cd255d8a10f4fa23cc6cddd588dd3741d16dc22b37775fccc2",
-        "fig1.svg": "951bb6ed1e880e097ad8d7cca1f4260459c4030751ee142cadd0afc8d9830c3e",
+        "oneway.csv": "0bd70c57866296ab32ed9f76ff07ff205fb31e44f9d299b617043de4bdad6af7",
+        "fig1.csv": "9911d443928eddcc553979f368c93a48b1290579a2d3e2181a27d896215888bf",
+        "fig1.svg": "8a3de63b930bf0bb6bc2c8c8173a013a96f4f68b2496bc3cb3cf06f88724ccd4",
         "fig2.csv": "e7c51abb43831579da7317e0582e3e9e665e4494e2ccc266761bc4a914260cfc",
         "fig2.svg": "5a25089b2f0c9a476db3f27409eeeb201874b6184b350d14f6f8dd8cec9e8b9c",
         "fig2-dof.csv": "46898ba1c6d5f1de30b2962805fc71d3e9e1c76371c6ee482e0876461a490fdd",
@@ -398,9 +398,9 @@ class TestDeterminism:
     # sha256 of outputs fitted over several blocks, at seed 1: oneway at
     # 3000 trials (12 blocks) and fig1 at 600 (3 blocks, the last partial)
     MULTI_BLOCK_SHA256 = {
-        "oneway.csv": "a81dc9160b2f9900d9d0f896a6f3052d32ea1f58780124f2f7782499a14f4cb0",
-        "fig1.csv": "275487240a1cd14a6fa3c48aada125992a35024437cc222b90ee995da834ba93",
-        "fig1.svg": "ee0589c6c2cb6e11ad4ccf916234e16d3b8f0dbbf1f972f330ac3e6f82a0f26f",
+        "oneway.csv": "d59fa90c287b4324300b0acd50962797a07e3884e46be8fe533ab6b027797af7",
+        "fig1.csv": "173efb45272918a67b2667a606457b9d3c6f51b485c13a212fdbc7d446612fdf",
+        "fig1.svg": "6a86821aaa712ceeb30d4057d51fa776943a53adfcd44d0b64817c232ba05787",
     }
 
     def test_multi_block_outputs_are_pinned(self, tmp_path):
@@ -529,8 +529,8 @@ quantities: [gap, bounds]
         header, row = (tmp_path / "oneway.csv").read_text().splitlines()
         fields = dict(zip(header.split(","), row.split(",")))
         assert {k: v for k, v in fields.items() if k.endswith("_mean")} == {
-            "pilot_mi_mean": "19.1306071068", "floor_mean": "7.68746766155",
-            "gap_mean": "0", "lower_mean": "49.8804777529", "upper_mean": "49.8804777529"}
+            "pilot_mi_mean": "19.1306071068", "floor_mean": "7.68769184581",
+            "gap_mean": "0", "lower_mean": "49.88137449", "upper_mean": "49.88137449"}
 
 
 class TestDegenerateConfig:

@@ -85,9 +85,10 @@ def reference_trace_mean(rows: int, cols: int, gamma: float) -> float:
 def control_terms(config: ProbingConfig) -> list[tuple[int, int, float]]:
     """(rows, cols, gamma) of the exact-mean term of each of the floor's
     log-det and trace controls at `config`, as capacity._controls declares
-    them (p2 and p3 have no gamma: their means are rows cols)."""
+    them (p2 and p3 have no gamma: their means are rows cols; w3's is 0)."""
     return [(mean.rows, mean.cols, mean.gamma) for mean in
-            (control.mean for control in _controls(config).values()) if mean.kind != "power"]
+            (control.mean for control in _controls(config).values())
+            if mean.kind in ("logdet", "trace")]
 
 
 def bundled_terms() -> set[tuple[int, int, float]]:
@@ -207,8 +208,8 @@ def null_space_t4(block, config) -> np.ndarray:
 
 class TestControlVariates:
     """evaluate_many regresses each sampled point's floor on all of its
-    control variates (t2, t3, t5, t4 where n_e < n_a, t1, u3, u1, p2 and
-    p3), subtracts beta . (t - mean) from the floor's samples and v_a times
+    control variates (t2, t3, t5, t4 where n_e < n_a, t1, u3, u1, w3, p2
+    and p3), subtracts beta . (t - mean) from the floor's samples and v_a times
     it from lower_bob's, and reports the regression estimate's HC3 standard
     error."""
 
@@ -258,7 +259,7 @@ class TestControlVariates:
     @pytest.mark.parametrize("trials", [CV_MIN_TRIALS, 200, 3000])
     @pytest.mark.parametrize("config", [
         replace(FIG1_BASE, noise_ea=0.3), replace(FIG1_BASE, n_e=10, noise_ea=0.3)],
-        ids=["nine-controls", "eight-controls"])
+        ids=["ten-controls", "nine-controls"])
     def test_floor_stderr_is_the_hc3_intercept_one(self, config, trials):
         mc = McSettings(trials=trials, master_seed=11)
         means = control_means(config)
@@ -278,8 +279,8 @@ class TestControlVariates:
 
     @pytest.mark.parametrize("case,noise_ea", SPREAD_POINTS)
     def test_stderr_matches_the_spread_of_means_at_the_minimum_trials(self, case, noise_ea):
-        # where a point first regresses on all nine or eight controls: the
-        # spread over the median HC3 stderr is 0.87-1.11 here, and over the
+        # where a point first regresses on all ten or nine controls: the
+        # spread over the median HC3 stderr is 0.88-1.13 here, and over the
         # median least-squares stderr it was 1.06-1.35
         self.check_stderr_against_spread(case, noise_ea, CV_MIN_TRIALS)
 
@@ -388,6 +389,61 @@ class TestControlVariates:
                             ("u1", n_b * reference_trace_mean(n_e, n_a, gamma))):
             est = summarize(values[name])
             assert abs(est.mean - exact) <= 4 * est.stderr, name
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (8, 4, 10), (3, 5, 2), (2, 3, 4)],
+                             ids=["n_e-below-n_a", "n_e-above-n_a", "n_b-above-n_a",
+                                  "n_e-and-n_b-above-n_a"])
+    def test_w3_sample_mean_is_zero(self, shape):
+        # E[G C G] = n_e^2 C + n_e tr(C) I for G = g_a^H g_a independent of
+        # H, so w3 = tr((A^-1 G)^2) - n_e^2 tr(A^-2) - n_e (tr A^-1)^2 has
+        # mean 0 given H, A = I + gamma_ba H
+        n_a, n_b, n_e = shape
+        cfg = replace(FIG1_BASE, n_a=n_a, n_b=n_b, n_e=n_e, noise_ea=0.3)
+        assert capacity._control_mean(_controls(cfg)["w3"].mean) == 0.0
+        w3 = summarize(trial_values_many([(cfg, ("w3",))],
+                                         McSettings(trials=20_000, master_seed=17))[0]["w3"])
+        assert abs(w3.mean) <= 4 * w3.stderr
+
+    @pytest.mark.parametrize("shape,power", [
+        ((4, 2, 2), 10.0), ((8, 4, 6), 10.0), ((8, 4, 10), 10.0), ((4, 4, 4), 10.0),
+        ((3, 5, 2), 1e4), ((2, 3, 4), 10.0)])
+    def test_w3_is_the_second_order_term_on_every_trial(self, shape, power):
+        # against a dense inverse of A = I + gamma_ba H, n_a-square, relative
+        # to ||G||_F^2, the size of tr((A^-1 G)^2) before A^-1 shrinks it (at
+        # high power cond(A) eps sets the dense inverse's own error; verify's
+        # eigh oracle covers that, see test_verify.py)
+        n_a, n_b, n_e = shape
+        cfg = replace(FIG1_BASE, n_a=n_a, n_b=n_b, n_e=n_e, power_a=power, noise_ea=0.3)
+        mc = McSettings(trials=BLOCK + 44, master_seed=9)
+        w3 = trial_values_many([(cfg, ("floor", "w3"))], mc)[0]["w3"]
+        gamma = derive_gammas(cfg).gamma_ba
+        parts, scale = [], 0.0
+        for _, b in trial_blocks(cfg, mc):
+            g, h = (conj_t(m) @ m for m in (b.g_a, b.h_ba))
+            scale = max(scale, float(np.max(np.sum(np.abs(g) ** 2, axis=(-2, -1)))))
+            inverse = np.linalg.inv(np.eye(n_a) + gamma * h)
+            resolved = inverse @ g
+            parts.append(np.trace(resolved @ resolved, axis1=-2, axis2=-1).real
+                         - n_e ** 2 * np.trace(inverse @ inverse, axis1=-2, axis2=-1).real
+                         - n_e * np.trace(inverse, axis1=-2, axis2=-1).real ** 2)
+        assert np.max(np.abs(w3 - np.concatenate(parts))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("case", ["na8-nb4-ne6", "na8-nb4-ne10"])
+    def test_w3_halves_the_residual_variance_where_eve_is_noisy(self, case):
+        # at noise_ea = 10 what the first-order u3 leaves of the floor is
+        # mostly its second-order term in gamma_ea, which w3 carries:
+        # measured 0.39 at (8,4,6) and 0.41 at (8,4,10)
+        spec = load_spec("fig1")
+        cfg = apply_parameter(next(c for c in spec.cases if c.name == case).config,
+                              "noise_ea", 10.0)
+        means = control_means(cfg)
+        values = trial_values_many([(cfg, ("floor",) + tuple(means))],
+                                   McSettings(trials=20_000, master_seed=7))[0]
+        without = {q: m for q, m in means.items() if q != "w3"}
+        residual = {name: np.var(values["floor"] - engine_correction(
+            values["floor"], values, kept)[0]) for name, kept in (("with", means),
+                                                                   ("without", without))}
+        assert residual["with"] <= 0.5 * residual["without"]
 
     @pytest.mark.parametrize("n_e", [6, 10])
     def test_traces_are_the_interaction_terms_on_every_trial(self, n_e):
@@ -518,7 +574,7 @@ class TestControlVariates:
         assert est["lower"] == est["upper"] == summarize(raw["lower_bob"])
 
     @pytest.mark.parametrize("config,count", [
-        (ONEWAY, 9), (replace(FIG1_BASE, n_e=10, noise_ea=0.3), 8)],
+        (ONEWAY, 10), (replace(FIG1_BASE, n_e=10, noise_ea=0.3), 9)],
         ids=["n_e-below-n_a", "n_e-above-n_a"])
     def test_a_point_takes_all_of_its_controls_from_the_minimum_trials(self, config, count):
         # below CV_MIN_TRIALS raw samples, from it every control at once
@@ -541,13 +597,13 @@ class TestControlVariates:
         return scaled(summarize(values["floor"] - correction), factor)
 
     @pytest.mark.parametrize("case,noise_ea,trials,count", [
-        ("na8-nb4-ne6", 0.3, 200, 9), ("na8-nb4-ne10", 0.3, 200, 8),
-        ("na4-nb4-ne4", 0.3, 3000, 8), ("na8-nb4-ne6", 1.77827941004, 200, 9),
-        ("na4-nb4-ne4", 0.562341325190, 200, 8)])
+        ("na8-nb4-ne6", 0.3, 200, 10), ("na8-nb4-ne10", 0.3, 200, 9),
+        ("na4-nb4-ne4", 0.3, 3000, 9), ("na8-nb4-ne6", 1.77827941004, 200, 10),
+        ("na4-nb4-ne4", 0.562341325190, 200, 9)])
     def test_a_fig1_point_takes_every_control_its_trials_allow(self, case, noise_ea, trials,
                                                                count):
         # at fig1's 200 trials the n_e < n_a case takes (t2, t3, t5, t4, t1,
-        # u3, u1, p2, p3), not raw samples, and an n_e >= n_a point all but
+        # u3, u1, w3, p2, p3), not raw samples, and an n_e >= n_a point all but
         # t4, also next to noise_ea = noise_b (where the floor is exact)
         spec = load_spec("fig1")
         cfg = apply_parameter(next(c for c in spec.cases if c.name == case).config,
@@ -601,11 +657,11 @@ class TestControlVariates:
         skewed_gamma = derive_gammas(replace(ONEWAY, power_a=40.0)).gamma_ba
 
         def skewed(self, gamma):
-            t3, t5, u3 = real(self, gamma)
+            t3, *rest = real(self, gamma)
             if gamma == skewed_gamma:
                 t3 = t3.copy()
                 t3[7] = np.inf
-            return t3, t5, u3
+            return t3, *rest
 
         monkeypatch.setattr(capacity.Grams, "bob_joint_logdets", skewed)
         configs = [ONEWAY, replace(ONEWAY, power_a=40.0)]

@@ -8,10 +8,12 @@ imported by earlier tests in the same pytest process cannot hide or fake an
 import.
 """
 
+import dataclasses
 import functools
 import importlib
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -169,6 +171,38 @@ def test_benchmark_traced_integrands_are_called(workload, monkeypatch, tmp_path)
     if workload != "verify-default":
         assert status == 0
     assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize("workload", ["oneway-bounds", "fig1-floor-sweep"])
+def test_traced_launch_gives_every_listed_layer_a_finite_value(workload, monkeypatch, tmp_path):
+    # a per-layer metric that reads NaN makes the last line of a traced
+    # `perfbench/run.py --trace 1` run non-strict JSON (a bare NaN), and
+    # run.py drops it and reports correct: false; so a traced launch of the
+    # workload's command, here at 60 trials, turned into metrics by run.py's
+    # own layer_metrics, gives each per-layer metric that BENCHMARK.json
+    # lists for the workload a finite value.  trace_overhead_s compares the
+    # wall times of traced and untraced processes, so no one sidecar holds it
+    run = _perfbench_module("run", monkeypatch)
+    wl = dataclasses.replace(run.WORKLOADS[workload], trials=60)
+    sidecar = tmp_path / "sidecar.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "launch.py"), str(sidecar), "1",
+         *wl.command, "--trials", str(wl.trials), "--out", str(tmp_path)],
+        cwd=ROOT, env=run.child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(sidecar.read_text(encoding="utf-8"))
+    marks = payload["marks"]
+    inv = run.Invocation(wall_s=marks["end"] - marks["start"], setup_s=math.nan,
+                         import_s=marks["imported"] - marks["start"], rss_mb=math.nan,
+                         out=tmp_path, sidecar=payload, problems=[])
+    metrics, _ = run.layer_metrics(inv, run.realizations(wl, tmp_path, wl.values(tmp_path)))
+    listed = [m["name"].split(".", 1)[1]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+              if m["name"].startswith(f"{workload}.")]
+    assert "capacity.secrecy_floor_sample.calls_per_trial" in listed
+    values = {m: metrics[m] for m in listed if m != "trace_overhead_s"}
+    assert [m for m, v in values.items() if not math.isfinite(v)] == []
+    json.dumps(values, allow_nan=False)
 
 
 def test_readme_names_resolve():

@@ -130,27 +130,30 @@ class TestLogdetHermitianPd:
             expected = logdet_hermitian_pd(a) + logdet_hermitian_pd(schur)
             assert logdet_hermitian_pd(joint) == pytest.approx(expected, abs=1e-9)
 
-    def test_cross_is_the_trace_of_the_schur_term(self, rng):
+    def test_factor_gives_the_schur_term(self, rng):
         # for [[A, C], [C^H, B]] split after A, the factor's off-diagonal
-        # block has squared Frobenius norm tr(C^H A^-1 C), here from LU
+        # block L21 has L21 L21^H = C^H A^-1 C, here from LU, and its leading
+        # block is A's own Cholesky factor
         x = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
         y = rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2))
         a = x @ np.swapaxes(x, 1, 2).conj() + np.eye(3)
         b = y @ np.swapaxes(y, 1, 2).conj() + np.eye(2)
         c = 0.3 * (rng.standard_normal((6, 3, 2)) + 1j * rng.standard_normal((6, 3, 2)))
         joint = hermitize(np.block([[a, c], [np.swapaxes(c, 1, 2).conj(), b]]))
-        leading, trailing, cross = logdet_hermitian_pd(joint, split=3, cross=True)
+        leading, trailing, chol = logdet_hermitian_pd(joint, split=3, factor=True)
         pair = logdet_hermitian_pd(joint, split=3)
         assert np.array_equal(leading, pair[0]) and np.array_equal(trailing, pair[1])
-        expected = np.trace(np.swapaxes(c, 1, 2).conj() @ np.linalg.solve(a, c),
-                            axis1=1, axis2=2).real
-        assert np.max(np.abs(cross - expected)) <= 1e-12 * np.max(expected)
-        single = logdet_hermitian_pd(joint[4], split=3, cross=True)
-        assert type(single[2]) is float and single[2] == cross[4]
+        cross = chol[:, 3:, :3]
+        expected = np.swapaxes(c, 1, 2).conj() @ np.linalg.solve(a, c)
+        assert np.max(np.abs(cross @ np.swapaxes(cross, 1, 2).conj() - expected)) \
+            <= 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(chol[:, :3, :3] - np.linalg.cholesky(a))) <= 1e-12 * np.max(np.abs(a))
+        single = logdet_hermitian_pd(joint[4], split=3, factor=True)
+        assert type(single[0]) is float and np.array_equal(single[2], chol[4])
 
-    def test_cross_needs_a_split(self):
-        with pytest.raises(ValueError, match="cross needs split"):
-            logdet_hermitian_pd(np.eye(2), cross=True)
+    def test_factor_needs_a_split(self):
+        with pytest.raises(ValueError, match="factor needs split"):
+            logdet_hermitian_pd(np.eye(2), factor=True)
 
 
 class TestStackedLogdet:

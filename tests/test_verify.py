@@ -18,13 +18,13 @@ from skcprobe import (
 from skcprobe.capacity import CONTROLS, _controls, trial_values_many
 from skcprobe.channel import derive_gammas, sample_channels
 from skcprobe.errors import DimensionGuard, InvalidNoise, ValidationError
-from skcprobe.montecarlo import BLOCK, collect, trial_blocks
+from skcprobe.montecarlo import BLOCK, collect, summarize, trial_blocks
 import skcprobe.verify as verify
 from skcprobe.verify import (CONTROL_ORACLES, IDENTITY_ATOL, floor_null_space,
                              floor_resolvent, gap_resolvent, lower_bob_rectangular,
                              pilot_mi_check, scalar_capacity_check,
                              wishart_logdet_quadrature, wishart_mean_check,
-                             wishart_trace_quadrature)
+                             wishart_trace_quadrature, zero_mean_check)
 from conftest import make_config
 
 # e * E1(1) / ln 2 to double precision (30-digit mpmath, frozen)
@@ -244,6 +244,8 @@ class TestIdentitySuite:
 def control_term(config, name) -> str:
     """How wishart-mean's detail names the control's exact-mean term."""
     kind, rows, cols, gamma, _ = _controls(config)[name].mean
+    if kind == "zero":
+        return f"{name} (exactly 0)"
     if kind == "power":
         return f"{name} ({rows}x{cols})"
     return f"{name} ({rows}x{cols}, gamma {gamma:g})"
@@ -257,13 +259,13 @@ class TestControlTable:
         assert set(CONTROL_ORACLES) == set(CONTROLS)
 
     @pytest.mark.parametrize("overrides,declared", [
-        (dict(), "t2 t3 t5 t1 u3 u1 p2 p3"),
-        (dict(n_a=3, n_b=2, n_e=4), "t2 t3 t5 t1 u3 u1 p2 p3"),
-        (dict(n_a=4, n_b=2, n_e=2), "t2 t3 t5 t4 t1 u3 u1 p2 p3"),
-        (dict(noise_ea=1.0), "t2 t3 t5 t1 u3 u1 p2 p3"),
-        (dict(n_a=4, n_b=2, n_e=2, noise_ea=1.0), "t2 t3 t5 t4 t1 u3 u1 p2 p3"),
-        (dict(noise_ea=0.0), "t3 t5 t1 u3 u1 p2 p3"),
-        (dict(n_a=3, n_b=3, n_e=1, noise_ea=0.0), "t3 t5 t4 t1 u3 u1 p2 p3"),
+        (dict(), "t2 t3 t5 t1 u3 u1 w3 p2 p3"),
+        (dict(n_a=3, n_b=2, n_e=4), "t2 t3 t5 t1 u3 u1 w3 p2 p3"),
+        (dict(n_a=4, n_b=2, n_e=2), "t2 t3 t5 t4 t1 u3 u1 w3 p2 p3"),
+        (dict(noise_ea=1.0), "t2 t3 t5 t1 u3 u1 w3 p2 p3"),
+        (dict(n_a=4, n_b=2, n_e=2, noise_ea=1.0), "t2 t3 t5 t4 t1 u3 u1 w3 p2 p3"),
+        (dict(noise_ea=0.0), "t3 t5 t1 u3 u1 w3 p2 p3"),
+        (dict(n_a=3, n_b=3, n_e=1, noise_ea=0.0), "t3 t5 t4 t1 u3 u1 w3 p2 p3"),
     ], ids=["n_e-at-n_a", "n_e-above-n_a", "n_e-below-n_a", "equal-gammas",
             "equal-gammas-n_e-below-n_a", "noiseless-eve", "noiseless-eve-n_e-below-n_a"])
     def test_every_declared_control_is_checked(self, overrides, declared):
@@ -295,6 +297,8 @@ class TestControlTable:
         ("u3", dict(n_a=4, n_b=2, n_e=2, power_a=1e5, noise_ea=1e-4)),
         ("u1", dict()), ("u1", dict(n_a=3, n_b=2, n_e=4)), ("u1", dict(n_a=4, n_b=2, n_e=2)),
         ("u1", dict(n_a=4, n_b=2, n_e=2, power_a=1e5, noise_ea=1e-4)),
+        ("w3", dict()), ("w3", dict(n_a=3, n_b=2, n_e=4)), ("w3", dict(n_a=4, n_b=2, n_e=2)),
+        ("w3", dict(n_a=2, n_b=3, n_e=1)), ("w3", dict(n_a=3, n_b=5, n_e=2, power_a=1e4)),
         ("p2", dict()), ("p2", dict(n_a=3, n_b=2, n_e=4)), ("p2", dict(n_a=4, n_b=2, n_e=2)),
         ("p3", dict()), ("p3", dict(n_a=2, n_b=3, n_e=1)), ("p3", dict(n_a=4, n_b=2, n_e=2)),
     ])
@@ -351,12 +355,13 @@ class TestSmallerSideOracles:
     @pytest.mark.parametrize("seed", [1, 3])
     def test_sylvester_forms_agree_at_high_power_where_n_b_is_below_n_a(self, seed):
         # fig2's (8,4,10) at its top power: the engine's t3 and the t5 and
-        # t1 oracles were 1.1e-9 to 1.9e-9 bits apart on their larger sides
+        # t1 oracles were 1.1e-9 to 1.9e-9 bits apart on their larger sides;
+        # w3 is read on the n_b side where n_b < n_a, as its oracle is
         cfg = make_config(n_a=8, n_b=4, n_e=10, v_a=1, v_b=0, power_a=262144.0,
                           power_b=1.0, noise_ea=1.0, rho=0.0)
         outcomes = {o.check_name: o for o in determinant_identity_suite(
             cfg, realizations=300, master_seed=seed)}
-        for name in ("t2", "t3", "t5", "t1"):
+        for name in ("t2", "t3", "t5", "t1", "w3"):
             assert outcomes[f"{name}-form-equivalence"].passed, name
 
 
@@ -454,10 +459,10 @@ class TestRunSuite:
                     "floor-form-equivalence",
                     *(f"{name}-form-equivalence" for name in controls.split()),
                     "lower-bob-form-equivalence", "gap-nonnegative", "one-way-identity",
-                    "engine-reference-agreement", "wishart-mean"]
+                    "engine-reference-agreement", "wishart-mean", "w3-zero-mean"]
 
-        controls = ["t2 t3 t5 t1 u3 u1 p2 p3", "t2 t3 t5 t1 u3 u1 p2 p3",
-                    "t2 t3 t5 t4 t1 u3 u1 p2 p3"]
+        controls = ["t2 t3 t5 t1 u3 u1 w3 p2 p3", "t2 t3 t5 t1 u3 u1 w3 p2 p3",
+                    "t2 t3 t5 t4 t1 u3 u1 w3 p2 p3"]
         assert [o.check_name for o in summary.outcomes] == [
             "scalar-capacity-snr-0.1", "scalar-capacity-snr-1", "scalar-capacity-snr-10",
             "wishart-mean-siso"] + [f"cfg{i}:{name}" for i, names in enumerate(controls)
@@ -475,6 +480,51 @@ class TestRunSuite:
         reported = {o.check_name.split(":", 1)[-1] for o in bundled_run[0].outcomes}
         assert {"floor-form-equivalence", "wishart-mean", "pilot-mi-exact"} <= named
         assert named - reported == set()
+
+
+class TestZeroMeanCheck:
+    """w3's mean is exactly 0 (capacity._controls); verify compares its raw
+    mean on the engine's draws with 0 and sends it to no quadrature."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(), dict(n_a=3, n_b=2, n_e=4), dict(n_a=4, n_b=2, n_e=2), dict(n_a=2, n_b=3, n_e=1)],
+        ids=["n_e-at-n_a", "n_e-above-n_a", "n_e-below-n_a", "n_b-above-n_a"])
+    def test_w3_raw_mean_is_within_four_stderr_of_zero(self, overrides):
+        cfg = make_config(**overrides)
+        mc = McSettings(trials=4000, master_seed=1)
+        [outcome] = zero_mean_check(cfg, mc)
+        w3 = summarize(trial_values_many([(cfg, ("w3",))], mc)[0]["w3"])
+        assert outcome.check_name == "w3-zero-mean" and outcome.passed
+        assert outcome.computed_value == w3.mean and outcome.tolerance == 4 * w3.stderr
+
+    @pytest.mark.parametrize("shift,passed", [(3.0, True), (5.0, False)])
+    def test_a_shifted_mean_fails_beyond_four_stderr(self, monkeypatch, shift, passed):
+        cfg = make_config()
+        mc = McSettings(trials=4000, master_seed=1)
+        w3 = trial_values_many([(cfg, ("w3",))], mc)[0]["w3"]
+        offset = shift * summarize(w3).stderr - summarize(w3).mean
+        real = verify.trial_values_many
+
+        def shifted(points, mc):
+            values = real(points, mc)
+            values[0]["w3"] = values[0]["w3"] + offset
+            return values
+
+        monkeypatch.setattr(verify, "trial_values_many", shifted)
+        [outcome] = zero_mean_check(cfg, mc)
+        assert outcome.passed is passed
+
+    def test_wishart_mean_names_w3_and_takes_no_quadrature_for_it(self, monkeypatch):
+        cfg = make_config()
+        terms = []
+        for name in ("wishart_logdet_quadrature", "wishart_trace_quadrature",
+                     "wishart_power_quadrature"):
+            real = getattr(verify, name)
+            monkeypatch.setattr(verify, name, lambda *args, real=real: (
+                terms.append(args) or real(*args)))
+        outcome = wishart_mean_check(cfg)
+        assert outcome.passed and "; w3 (exactly 0); " in outcome.detail
+        assert len(terms) == len(_controls(cfg)) - 1
 
 
 class TestWishartMeanCheck:
@@ -586,6 +636,6 @@ class TestWishartMeanCheck:
         outcome = wishart_mean_check(cfg)
         assert outcome.passed
         # every log-det and trace term's gamma is 0; p2 and p3 have none
-        assert list(_controls(cfg)) == ["t2", "t3", "t5", "t1", "u3", "u1", "p2", "p3"]
+        assert list(_controls(cfg)) == ["t2", "t3", "t5", "t1", "u3", "u1", "w3", "p2", "p3"]
         assert outcome.detail.count("outside the domain") == 6
-        assert outcome.detail.endswith("outside the domain; p2 (2x2); p3 (2x2)")
+        assert outcome.detail.endswith("outside the domain; w3 (exactly 0); p2 (2x2); p3 (2x2)")
