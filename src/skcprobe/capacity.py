@@ -27,7 +27,8 @@ goes through: points whose draws are identical share one pass, and each
 block's Gram matrices are formed once for all of them, which also build what
 they factor in the block's work matrices (see Grams; ``evaluate`` is its
 one-point call).  The floor is exact where Eve hears Alice noiselessly or
-at Bob's SNR (see _exact_floor); elsewhere it estimates the floor, and the
+at Bob's SNR, and where Eve's and Bob's SNRs are a decade or more apart
+(see _exact_floor); elsewhere it estimates the floor, and the
 bounds built on it, with control variates whose exact means
 ``wishart_logdet_mean`` and ``wishart_trace_mean`` evaluate in closed form:
 t2 and t3, the log-dets of what Eve and Bob see of Alice's probes, t5, what
@@ -105,14 +106,17 @@ _EXP_SINH_STEP = 1.0 / 64
 _EXP_SINH_SPAN = (1e-14, 250.0)
 
 
-@functools.lru_cache(maxsize=1)
-def _exp_sinh_rule() -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=None)
+def _exp_sinh_rule(dtype: type = np.float64) -> tuple[np.ndarray, np.ndarray]:
     """Nodes lambda_i and weights w_i, sum_i w_i f(lambda_i) ~ the integral
-    of f over (0, inf), built on first use."""
+    of f over (0, inf), evaluated in `dtype` (np.longdouble for the floor's
+    closed form), built on first use."""
     lo, hi = (math.asinh(math.log(x) / (math.pi / 2)) for x in _EXP_SINH_SPAN)
-    t = lo + _EXP_SINH_STEP * np.arange(math.ceil((hi - lo) / _EXP_SINH_STEP) + 1)
-    nodes = np.exp(math.pi / 2 * np.sinh(t))
-    return nodes, _EXP_SINH_STEP * (math.pi / 2) * np.cosh(t) * nodes
+    step = dtype(_EXP_SINH_STEP)
+    t = lo + step * np.arange(math.ceil((hi - lo) / _EXP_SINH_STEP) + 1, dtype=dtype)
+    half_pi = dtype(math.pi) / 2
+    nodes = np.exp(half_pi * np.sinh(t))
+    return nodes, step * half_pi * np.cosh(t) * nodes
 
 
 @functools.lru_cache(maxsize=None)
@@ -178,6 +182,143 @@ def wishart_trace_mean(rows: int, cols: int, gamma: float) -> float:
     nodes, weights, g = _wishart_rule("wishart_trace_mean", rows, cols, gamma)
     x = g * nodes
     return float((x / (1.0 + x)) @ weights)
+
+
+# The floor's closed form (_closed_floor) holds where gamma_ea and gamma_ba
+# are between FLOOR_FORM_RATIO and FLOOR_FORM_MAX_RATIO apart, one over the
+# other, both in WISHART_GAMMAS, at the shapes _floor_form_shape admits, and
+# where np.longdouble carries at least 64 significand bits (its eps below
+# FLOOR_FORM_LONG_EPS): there it matches an exact mpmath evaluation to 1e-10
+# relative (tests/test_control_variates.py).  As the two gammas merge, its
+# two clusters of rows become one and it loses digits: at fig1's (8, 4, 10)
+# it is 1.3e-11 off at 10^0.5 apart and 5.1e-9 at 10^0.25; at 3e4 apart it
+# missed the gate (1.7e-10 at (8, 4, 6)).
+FLOOR_FORM_RATIO = 10.0
+FLOOR_FORM_MAX_RATIO = 1e3
+FLOOR_FORM_LONG_EPS = 1e-18
+
+
+def _floor_form_shape(n_a: int, n_b: int, n_e: int) -> bool:
+    """The shapes where the closed form passed its gate at every tested pair
+    of gammas: n_a <= 8, n_e <= 10 and n_a - 4 <= n_b <= 4.  Outside, the
+    float64 factorization that its solves refine stops converging at some
+    gammas where Bob's SNR is the larger (1e-4 relative at (8, 2, 6); 1e-6
+    at (1, 6, 1), both at 1e-3 and 1e-6) or the longdouble entries run out
+    of digits where Eve's is (1.0e-10 at (8, 4, 12), 1e10 and 1e9)."""
+    return n_a <= 8 and n_e <= 10 and n_a - 4 <= n_b <= 4
+
+
+@functools.lru_cache(maxsize=1)
+def _long_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The exp-sinh rule in np.longdouble: its nodes u_i, and its weights
+    w_i times e^-u_i, the weight of every moment the closed form takes."""
+    nodes, weights = _exp_sinh_rule(np.longdouble)
+    return nodes, weights * np.exp(-nodes)
+
+
+@functools.lru_cache(maxsize=None)
+def _cluster_pattern(count: int, s: int, c: int, m: int):
+    """The parts of a cluster's rows (see _cluster_rows) that depend on the
+    shape only: the exponent p = k + s + j of each integral column, the
+    integers (k+s+j)!/(k+s)! and 1/(k+s)!, and (-1)^k C(r, k) and r + 1 of
+    each polynomial column, in np.longdouble."""
+    k = np.arange(count)[:, None]
+    p = k + s + np.arange(c)
+    factorial = np.array([math.factorial(i) for i in range(count + s + c)], dtype=np.longdouble)
+    inverse = 1 / factorial[k + s]
+    r = np.arange(m - c)[::-1]
+    signed = np.array([[(-1) ** i * math.comb(int(j), i) for j in r] for i in range(count)],
+                      dtype=np.longdouble)
+    return p, factorial[p] * inverse, inverse, signed, (r + 1).astype(np.longdouble)
+
+
+@functools.lru_cache(maxsize=32)
+def _cluster_rows(gamma: float, count: int, s: int, c: int, m: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (k < count) of A and N (see _floor_form) of the cluster at
+    gamma = 1/tau, in np.longdouble, each times tau^(k+s+1)/(k+s)! (x = u /
+    tau): A = (k+s+j)!/(k+s)! gamma^j and N = gamma^j/(k+s)! times the
+    integral of u^(k+s+j) e^-u ln(1 + gamma u) on the longdouble rule in
+    the integral columns j < c, A = (-1)^k C(r, k) tau^(r+1) and N = 0 in
+    the polynomial ones (s = 0 there).  A fig1 sweep shares Bob's cluster."""
+    p, ratio, inverse, signed, exponent = _cluster_pattern(count, s, c, m)
+    g = np.longdouble(gamma)
+    nodes, weights = _long_rule()
+    # the moments int u^q e^-u ln(1 + gamma u) du, q = 0 .. max p, on a
+    # table of w_i e^-u_i u_i^q (100 KB at the largest shape) formed per
+    # call and freed before the rows are allocated: kept, or freed after
+    # them, it raised fig1's peak RSS by 0.17-0.25 MB
+    table = np.empty((p.max() + 1, nodes.size), dtype=np.longdouble)
+    table[0] = weights
+    table[1:] = nodes
+    np.multiply.accumulate(table, axis=0, out=table)
+    moments = table @ np.log1p(g * nodes)
+    del table
+    powers = g ** np.arange(c, dtype=np.longdouble)
+    polynomial = signed * g ** -exponent
+    a = np.concatenate([ratio * powers, polynomial], axis=1)
+    n = np.concatenate([moments[p] * inverse * powers, np.zeros_like(polynomial)], axis=1)
+    a.flags.writeable = n.flags.writeable = False
+    return a, n
+
+
+def _refined_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b for longdouble a and b: a float64 solve and two steps of
+    iterative refinement whose residual b - a x is formed in longdouble."""
+    a64 = a.astype(float)
+    x = np.linalg.solve(a64, b.astype(float)).astype(np.longdouble)
+    for _ in range(2):
+        x += np.linalg.solve(a64, (b - a @ x).astype(float))
+    return x
+
+
+def _floor_form(n_a: int, n_b: int, n_e: int, gamma_ea: float, gamma_ba: float) -> float:
+    """The floor's mean J - E t2, J = E log2det(I + gamma_ea G + gamma_ba H).
+    The columns of Y = [sqrt(gamma_ea) g_a; sqrt(gamma_ba) h_ba] are iid
+    CN(0, diag(gamma_ea I_{n_e}, gamma_ba I_{n_b})), so Y Y^H is a complex
+    Wishart matrix with n_a degrees of freedom and two clusters of
+    covariance eigenvalues; over the ratio of determinants that is its
+    eigenvalue density the Andreief identity gives J = tr(A^-1 N) / ln 2
+    (Chiani, Win, Zanella, IEEE Trans. IT 49(10), 2003).  A and N are m x m,
+    m = n_e + n_b, with a row (cluster, k) for each k below the cluster's
+    multiplicity (the confluent limit of its equal eigenvalues), tau =
+    1/gamma per cluster, s = max(n_a - m, 0), c = min(n_a, m):
+    * integral columns j < c: A = (k+s+j)! / tau^(k+s+j+1), the integral
+      of x^(k+s+j) e^(-tau x) over (0, inf), and N the same integral with
+      ln(1 + x) in it;
+    * polynomial columns l = c .. m-1, r = m-1-l: A = (-1)^k r!/(r-k)!
+      tau^(r-k) (0 for k > r), N = 0.
+    Rows and columns are scaled (_cluster_rows; each column to a largest
+    entry of 1), which leaves tr(A^-1 N) as it is.  Eve's cluster comes
+    first.  Where n_e >= n_a and gamma_ea > gamma_ba the floor is small
+    beside J and E t2, so it is formed without their difference: Eve's rows
+    in the integral columns and the last n_e - n_a polynomial ones (K) are
+    the same form of E t2 = tr(A_EK^-1 N_EK) / ln 2, and eliminating them
+    leaves floor ln 2 = tr(S^-1 (A_BK X - N_BK) Y), X = A_EK^-1 N_EK, Y =
+    A_EK^-1 A_EP, S = A_BP - A_BK Y, with P the other polynomial columns
+    and B Bob's rows.  Otherwise E t2 is wishart_logdet_mean's."""
+    m = n_e + n_b
+    s, c = max(n_a - m, 0), min(n_a, m)
+    eve, eve_n = _cluster_rows(gamma_ea, n_e, s, c, m)
+    bob, bob_n = _cluster_rows(gamma_ba, n_b, s, c, m)
+    a, n = np.concatenate([eve, bob]), np.concatenate([eve_n, bob_n])
+    scale = 1 / np.max(np.abs(a), axis=0)
+    a *= scale
+    n *= scale
+    ln2 = np.log(np.longdouble(2))
+    if n_e >= n_a and gamma_ea > gamma_ba:
+        # columns reordered to K, then P: here c = n_a, and K has n_e columns
+        split = m - (n_e - n_a)
+        a = np.concatenate([a[:, :c], a[:, split:], a[:, c:split]], axis=1)
+        n = np.concatenate([n[:, :c], n[:, split:]], axis=1)
+        solved = _refined_solve(a[:n_e, :n_e], np.concatenate(
+            [n[:n_e], a[:n_e, n_e:]], axis=1))
+        x, y = solved[:, :n_e], solved[:, n_e:]
+        schur = a[n_e:, n_e:] - a[n_e:, :n_e] @ y
+        z = _refined_solve(schur, (a[n_e:, :n_e] @ x - n[n_e:]) @ y)
+        return float(np.trace(z) / ln2)
+    joint = np.trace(_refined_solve(a, n)[:c, :c]) / ln2
+    return float(joint) - wishart_logdet_mean(n_e, n_a, gamma_ea)
 
 
 @functools.lru_cache(maxsize=None)
@@ -815,13 +956,32 @@ def _control_means(config: ProbingConfig) -> dict[str, float] | None:
         return None
 
 
+def _closed_floor(config: ProbingConfig) -> float | None:
+    """The floor's mean from its closed form (_floor_form), or None outside
+    the form's domain (see FLOOR_FORM_RATIO).  Every test before the form's
+    own work is a comparison of the config's numbers."""
+    gam = derive_gammas(config)
+    g_ea, g_ba = gam.gamma_ea, gam.gamma_ba
+    lo, hi = WISHART_GAMMAS
+    if not (lo <= g_ea <= hi and lo <= g_ba <= hi):
+        return None
+    if not FLOOR_FORM_RATIO <= max(g_ea / g_ba, g_ba / g_ea) <= FLOOR_FORM_MAX_RATIO:
+        return None
+    if not (_floor_form_shape(config.n_a, config.n_b, config.n_e)
+            and np.finfo(np.longdouble).eps < FLOOR_FORM_LONG_EPS):
+        return None
+    return _floor_form(config.n_a, config.n_b, config.n_e, g_ea, g_ba)
+
+
 def _exact_floor(config: ProbingConfig) -> float | None:
     """The floor's exact mean, or None where it has none here or a mean is
-    outside wishart_logdet_mean's domain: per draw it is, at noise_ea = 0,
-    0 where n_e >= n_a and t4 where n_e < n_a, and at noise_ea = noise_b
-    (gamma_ea = gamma_ba) t5 - t2, so its mean is 0, E t4 or E t5 - E t2."""
+    outside its closed form's domain: per draw it is, at noise_ea = 0, 0
+    where n_e >= n_a and t4 where n_e < n_a, and at noise_ea = noise_b
+    (gamma_ea = gamma_ba) t5 - t2, so its mean is 0, E t4 or E t5 - E t2;
+    where gamma_ea and gamma_ba are a decade or more apart its mean is
+    _closed_floor's."""
     if config.noise_ea not in (0.0, config.noise_b):
-        return None
+        return _closed_floor(config)
     if config.noise_ea == 0 and config.n_e >= config.n_a:
         return 0.0
     controls = _controls(config)
@@ -1041,7 +1201,8 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
     sample; configs with identical draws share one pass (see
     trial_values_many, which also says how `labels` name a failing point).
     pilot_mi is exact, as are the floor where _exact_floor gives it (at
-    noise_ea = 0 and at noise_ea = noise_b; from CV_MIN_TRIALS trials on
+    noise_ea = 0, at noise_ea = noise_b and where gamma_ea and gamma_ba are
+    a decade or more apart, _closed_floor; from CV_MIN_TRIALS trials on
     lower_bob's samples then carry v_a times that value in place of v_a
     times the floor's samples), the gap at v_b = 0 (0) and lower_alice at
     noise_ea = 0 with v_a > 0 (-inf).  At v_b = 0 lower_alice is exact

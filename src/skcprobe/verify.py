@@ -11,7 +11,9 @@ Four kinds of checks live here:
   declares for the floor against adaptive quadrature of the same integral,
   with the Laguerre polynomials from scipy.special, and the log-det mean
   against the scalar ergodic capacity; a control whose mean is exactly 0
-  by a moment identity (w3) against the raw mean of its samples;
+  by a moment identity (w3) against the raw mean of its samples, and the
+  floor's closed-form mean, where it has one, against the raw mean of the
+  floor's samples;
 * per-trial determinant-identity checks on the engine's blocks of draws:
   the engine's floor, each of its declared controls (CONTROL_ORACLES), gap
   and Bob-side integrands against oracle forms that reach each value
@@ -35,6 +37,7 @@ import numpy as np
 
 from .capacity import (
     _alice_bound_diverges,
+    _closed_floor,
     _control_mean,
     _controls,
     bound_gap_sample,
@@ -237,9 +240,12 @@ def _telatar_quadrature(rows: int, cols: int, gamma: float, f) -> float:
     (m = min(rows, cols), d = |rows - cols|) by adaptive quadrature, the
     Laguerre polynomials from scipy.special: a path independent of the
     engine's fixed rule and recurrence.  The range is split at 1/gamma, where
-    the Wishart integrands bend, and at 1; an error estimate above 1e-10
-    relative raises QuadratureFailure.  scipy is imported on first use, as
-    in siso_ergodic_capacity."""
+    the Wishart integrands bend, at each tenfold of it below 1 (the
+    logarithm bends over all of those decades: with the split at 1/gamma
+    alone the log-det mean was 6.5e-11 off at 16 x 16, gamma 1e10, and 5e-9
+    at gamma 1e8) and at 1; an error estimate above 1e-10 relative raises
+    QuadratureFailure.  scipy is imported on first use, as in
+    siso_ergodic_capacity."""
     from scipy import integrate, special
 
     m, d = min(rows, cols), abs(rows - cols)
@@ -249,7 +255,8 @@ def _telatar_quadrature(rows: int, cols: int, gamma: float, f) -> float:
         density = sum(c * special.eval_genlaguerre(k, d, x) ** 2 for k, c in enumerate(scale))
         return f(x) * density * x ** d * math.exp(-x)
 
-    breaks = sorted({0.0, min(1.0 / gamma, 1.0), 1.0})
+    breaks = sorted({0.0, 1.0} | {10.0 ** k / gamma for k in range(
+        max(0, math.ceil(math.log10(gamma)))) if 10.0 ** k < gamma})
     total = err = 0.0
     # quad warns when it cannot reach epsrel; its error estimate, checked
     # below, says whether the value is still good enough
@@ -343,6 +350,29 @@ def zero_mean_check(config: ProbingConfig, mc: McSettings) -> list[VerificationO
             tolerance=tolerance, passed=abs(est.mean) <= tolerance,
             detail=f"stderr {est.stderr:.3e} over {mc.trials} trials"))
     return outcomes
+
+
+# the floor's closed form passes floor_form_check if the raw mean of the
+# floor's samples is within this many standard errors of it
+FLOOR_FORM_SIGMAS = 4.0
+
+
+def floor_form_check(config: ProbingConfig, mc: McSettings) -> list[VerificationOutcome]:
+    """Where the floor's mean has its closed form (capacity._closed_floor,
+    gamma_ea and gamma_ba a decade or more apart), that form against the raw
+    mean of the floor's samples on the engine's draws at `mc`, within
+    FLOOR_FORM_SIGMAS standard errors, as floor-closed-form: the samples are
+    the independent oracle of the Andreief identity behind the form.  No
+    outcome elsewhere."""
+    closed = _closed_floor(config)
+    if closed is None:
+        return []
+    est = summarize(trial_values_many([(config, ("floor",))], mc)[0]["floor"])
+    tolerance = FLOOR_FORM_SIGMAS * est.stderr
+    return [VerificationOutcome(
+        check_name="floor-closed-form", reference_value=closed, computed_value=est.mean,
+        tolerance=tolerance, passed=abs(est.mean - closed) <= tolerance,
+        detail=f"stderr {est.stderr:.3e} over {mc.trials} trials")]
 
 
 def wishart_siso_check(snrs: Sequence[float]) -> VerificationOutcome:
@@ -672,9 +702,9 @@ def run_suite(configs: Sequence[ProbingConfig], mc: McSettings,
 
     The scalar-capacity cross-oracle and the scalar check of the Wishart
     log-det means are configuration independent and run once; the exact
-    means of the floor's controls, and the raw mean of each control whose
-    mean is exactly 0, are checked per config.  Overall pass requires every
-    outcome to pass.
+    means of the floor's controls, the raw mean of each control whose mean
+    is exactly 0 and, where the floor has its closed form, that form are
+    checked per config.  Overall pass requires every outcome to pass.
     """
     if not configs:
         raise ValidationError("empty config set")
@@ -690,6 +720,7 @@ def run_suite(configs: Sequence[ProbingConfig], mc: McSettings,
             config, realizations=identity_realizations, master_seed=mc.master_seed))
         tagged.append(wishart_mean_check(config))
         tagged.extend(zero_mean_check(config, mc))
+        tagged.extend(floor_form_check(config, mc))
         for o in tagged:
             outcomes.append(replace(o, check_name=prefix + o.check_name))
     return VerificationSummary(outcomes=tuple(outcomes))

@@ -46,6 +46,7 @@ from skcprobe.capacity import (
     SAMPLED,
     Grams,
     _alice_bound_diverges,
+    _closed_floor,
     trial_values_many,
 )
 from skcprobe.channel import derive_gammas
@@ -581,11 +582,17 @@ class TestEvaluateMany:
         equal = spec.sweep.values.index(1.0)
         assert batched[equal]["floor"] == Estimate.exact(
             wishart_logdet_mean(10, 8, gamma) - wishart_logdet_mean(6, 8, gamma))
-        # and elsewhere the floor is the per-sample direct form over the
+        # where gamma_ea and gamma_ba are a decade or more apart it is the
+        # closed form, and elsewhere the per-sample direct form over the
         # blocks, less its control-variate correction, summarized, with the
         # regression's stderr factor
+        closed = [v for v in spec.sweep.values if max(v, 1 / v) >= 10.0]
+        assert len(closed) == 6
         for config, point in zip(configs[:-1], batched):
             if config.noise_ea == config.noise_b:
+                continue
+            if config.noise_ea in closed:
+                assert point["floor"] == Estimate.exact(_closed_floor(config))
                 continue
             direct = np.concatenate([secrecy_floor_sample(block, config)
                                      for _, block in trial_blocks(config, mc)])

@@ -67,6 +67,16 @@ configs:
      noise_ea: 0.5, noise_eb: 2.0, rho: 0.8}
 """
 
+# one config whose floor has its closed form (gamma_ea = 316, gamma_ba = 10)
+CLOSED_FORM_SET = """
+name: closed-form-verify
+mc: {trials: 1000, seed: 1}
+identity_realizations: 110
+configs:
+  - {n_a: 4, n_b: 4, n_e: 4, v_a: 1, v_b: 0, phi_a: 8, phi_b: 8,
+     power_a: 10.0, power_b: 10.0, noise_ea: 0.0316227766017, rho: 0.0}
+"""
+
 
 def first_non_finite_floor(config, mc):
     """Lowest trial of the engine's draws whose per-sample floor is not
@@ -335,6 +345,21 @@ quantities: [gap]
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
         assert any("pilot-mi-exact" in name for name in failing)
 
+    def test_verify_checks_the_closed_floor_and_fails_a_shifted_one(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        import skcprobe.verify as verify
+        spec = write(tmp_path, CLOSED_FORM_SET, "closed.yaml")
+        assert main(["verify", "--config", spec, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify-report.json").read_text())
+        [check] = [c for c in report["checks"] if c["name"] == "cfg0:floor-closed-form"]
+        assert check["passed"] is True
+        # the form shifted by twice the check's tolerance fails it
+        real = verify._closed_floor
+        monkeypatch.setattr(verify, "_closed_floor",
+                            lambda config: real(config) + 2.0 * check["tolerance"])
+        assert main(["verify", "--config", spec, "--out", str(tmp_path)]) == 5
+        assert "floor-closed-form" in capsys.readouterr().out
+
 
 class TestDeterminism:
     def test_eval_byte_identical_across_runs(self, tmp_path):
@@ -364,8 +389,8 @@ class TestDeterminism:
     # sha256 of what the bundled specs write at --trials 60 --seed 1
     BUNDLED_SHA256 = {
         "oneway.csv": "0bd70c57866296ab32ed9f76ff07ff205fb31e44f9d299b617043de4bdad6af7",
-        "fig1.csv": "9911d443928eddcc553979f368c93a48b1290579a2d3e2181a27d896215888bf",
-        "fig1.svg": "8a3de63b930bf0bb6bc2c8c8173a013a96f4f68b2496bc3cb3cf06f88724ccd4",
+        "fig1.csv": "7838f5c0eb7f56be1b156afa043685b9581d6f02698aee1fd3c036e79a5f0876",
+        "fig1.svg": "3072d7886783a4bfd68f54d8f3ec55e18642945e5749b7ddd16e92e21bebca1d",
         "fig2.csv": "e7c51abb43831579da7317e0582e3e9e665e4494e2ccc266761bc4a914260cfc",
         "fig2.svg": "5a25089b2f0c9a476db3f27409eeeb201874b6184b350d14f6f8dd8cec9e8b9c",
         "fig2-dof.csv": "46898ba1c6d5f1de30b2962805fc71d3e9e1c76371c6ee482e0876461a490fdd",
@@ -399,8 +424,8 @@ class TestDeterminism:
     # 3000 trials (12 blocks) and fig1 at 600 (3 blocks, the last partial)
     MULTI_BLOCK_SHA256 = {
         "oneway.csv": "d59fa90c287b4324300b0acd50962797a07e3884e46be8fe533ab6b027797af7",
-        "fig1.csv": "173efb45272918a67b2667a606457b9d3c6f51b485c13a212fdbc7d446612fdf",
-        "fig1.svg": "6a86821aaa712ceeb30d4057d51fa776943a53adfcd44d0b64817c232ba05787",
+        "fig1.csv": "1fa4b02f363d9ce575e00c4eb7d57803ef13e00d427ad3570d5c6f9b2d46b9be",
+        "fig1.svg": "e2ea51fc856a33c44b96a0d1589bf5b166e871f47392aef9c5542e6aed40e2fb",
     }
 
     def test_multi_block_outputs_are_pinned(self, tmp_path):

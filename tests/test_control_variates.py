@@ -11,10 +11,12 @@ moment int x^j (g x / (1 + g x)) e^-x dx is J_{j+1}.  That path shares
 nothing with the engine's quadrature rule.
 """
 
+import json
 import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -80,6 +82,58 @@ def reference_trace_mean(rows: int, cols: int, gamma: float) -> float:
             j_prev = mpmath.factorial(j - 1) - j_prev / g
             total += mpmath.mpf(c.numerator) / c.denominator * j_prev
         return float(total)
+
+
+def andreief_logdet(clusters: list[tuple[float, int]], cols: int) -> mpmath.mpf:
+    """E ln det(I + w^H w) in nats, w with `cols` columns whose rows are iid
+    CN(0, gamma) with multiplicity `count` per (gamma, count) cluster, as
+    the Andreief form tr(A^-1 N) that capacity._floor_form evaluates, in
+    mpmath: the moments int u^p e^-u ln(1 + gamma u) du are the I_p of the
+    E1 recurrence above, A's entries are exact, and the solve runs at 80
+    digits beyond what the recurrence needs.  The caller sets no precision;
+    the value is returned at the working precision it was formed at."""
+    m = sum(count for _, count in clusters)
+    s, c = max(cols - m, 0), min(cols, m)
+    top = max(count for _, count in clusters) + s + c
+    digits = 80 + max(j_recurrence_digits(top, gamma) for gamma, _ in clusters)
+    with mpmath.workdps(digits):
+        a, n = mpmath.zeros(m, m), mpmath.zeros(m, m)
+        row = 0
+        for gamma, count in clusters:
+            g = mpmath.mpf(gamma)
+            j_prev = i_prev = mpmath.exp(1 / g) * mpmath.e1(1 / g)
+            moments = [i_prev]
+            for j in range(1, top + 1):
+                j_prev = mpmath.factorial(j - 1) - j_prev / g
+                i_prev = j * i_prev + j_prev
+                moments.append(i_prev)
+            for k in range(count):
+                # the row times tau^(k+s+1)/(k+s)!, tau = 1/g
+                scale = mpmath.factorial(k + s)
+                for j in range(c):
+                    a[row, j] = mpmath.factorial(k + s + j) / scale * g ** j
+                    n[row, j] = moments[k + s + j] / scale * g ** j
+                for l in range(c, m):
+                    r = m - 1 - l
+                    a[row, l] = (-1) ** k * mpmath.binomial(r, k) / g ** (r + 1)
+                row += 1
+        for l in range(m):
+            big = max(abs(a[i, l]) for i in range(m))
+            for i in range(m):
+                a[i, l] /= big
+                n[i, l] /= big
+        inverse = mpmath.inverse(a)
+        return +mpmath.fsum(inverse[j, i] * n[i, j] for j in range(c) for i in range(m))
+
+
+def reference_floor(n_a: int, n_b: int, n_e: int, gamma_ea: float, gamma_ba: float) -> float:
+    """The floor's mean J - E t2 in bits, both Andreief forms in mpmath
+    (andreief_logdet: J over Eve's and Bob's clusters, E t2 over Eve's
+    alone), their difference taken before it is rounded."""
+    with mpmath.workdps(120):
+        joint = andreief_logdet([(gamma_ea, n_e), (gamma_ba, n_b)], n_a)
+        eve = andreief_logdet([(gamma_ea, n_e)], n_a)
+        return float((joint - eve) / mpmath.log(2))
 
 
 def control_terms(config: ProbingConfig) -> list[tuple[int, int, float]]:
@@ -178,6 +232,7 @@ class TestWishartLogdetMean:
             capacity._exp_sinh_rule.cache_clear()
             capacity._eigenvalue_weights.cache_clear()
             capacity._control_mean.cache_clear()
+            capacity._cluster_rows.cache_clear()
 
         clear()
         monkeypatch.setattr(capacity, "_EXP_SINH_STEP", 1.0 / 2)
@@ -197,6 +252,7 @@ class TestWishartLogdetMean:
 
 ONEWAY = load_spec("oneway").base
 FIG1_BASE = load_spec("fig1").base
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def null_space_t4(block, config) -> np.ndarray:
@@ -268,10 +324,12 @@ class TestControlVariates:
         stderr = evaluate(config, mc, ("floor",))["floor"].stderr
         assert abs(stderr - reference) <= 1e-12 * reference
 
-    # fig1 points on all of their controls: the n_e < n_a case at its
-    # smallest noise_ea, and the worst points of the other two at 200 trials
-    SPREAD_POINTS = [("na8-nb4-ne6", 0.0316227766017), ("na8-nb4-ne10", 17.7827941004),
-                     ("na4-nb4-ne4", 0.0562341325190)]
+    # sampled fig1 points on all of their controls: the n_e < n_a case at
+    # its smallest sampled noise_ea, and the worst sampled points of the
+    # other two at 200 trials (the floor is exact a decade or more from
+    # noise_ea = noise_b)
+    SPREAD_POINTS = [("na8-nb4-ne6", 0.177827941004), ("na8-nb4-ne10", 5.6234132519),
+                     ("na4-nb4-ne4", 0.177827941004)]
 
     @pytest.mark.parametrize("case,noise_ea", SPREAD_POINTS)
     def test_stderr_matches_the_spread_of_means_at_100_trials(self, case, noise_ea):
@@ -280,8 +338,9 @@ class TestControlVariates:
     @pytest.mark.parametrize("case,noise_ea", SPREAD_POINTS)
     def test_stderr_matches_the_spread_of_means_at_the_minimum_trials(self, case, noise_ea):
         # where a point first regresses on all ten or nine controls: the
-        # spread over the median HC3 stderr is 0.88-1.13 here, and over the
-        # median least-squares stderr it was 1.06-1.35
+        # spread over the median HC3 stderr is 0.88-0.98 here (0.88-1.13 at
+        # the points the closed form now takes, where over the median
+        # least-squares stderr it was 1.06-1.35)
         self.check_stderr_against_spread(case, noise_ea, CV_MIN_TRIALS)
 
     @staticmethod
@@ -554,9 +613,10 @@ class TestControlVariates:
         # t2), and one of the reordered stacked Gram (t3, t5 and u3), one t4
         # and one of the stacked Gram in its own order (t1 and u1) shared by
         # all points, whose gamma_ba is the same; the point at noise_ea =
-        # noise_b takes none, its floor being exact
+        # noise_b and the six a decade or more from it take none, their
+        # floors being exact
         per_block = [((10, 10), 6)] + [((10, 10), 4), ((10, 10), 6), ((10, 10), 6)] + \
-            [((10, 10), 6)] * (len(configs) - 2)
+            [((10, 10), 6)] * (len(configs) - 8)
         assert logdets == per_block * 2
 
     @pytest.mark.parametrize("overrides,trials", [
@@ -689,9 +749,11 @@ class TestControlVariates:
         # a case keeps each sampled point's floor and controls over all its
         # trials, 8 B each, and the fit stacks one more copy of them; the
         # rest is per-block work and a few (points, trials) buffers of the
-        # fit's tail.  Measured: 2.64x here (2.37x at 10,000 trials); per-
-        # block lists kept beside their concatenation and whole (points, k,
-        # trials) leverage products read 3.44x
+        # fit's tail.  Measured: 2.64x here (2.37x at 10,000 trials) when all
+        # 12 points counted were sampled; per-block lists kept beside their
+        # concatenation and whole (points, k, trials) leverage products read
+        # 3.44x.  Since 6 of them take the closed form it reads 1.71x (3.39x
+        # of what the 6 sampled points keep)
         spec = load_spec("fig1")
         configs = [apply_parameter(spec.cases[0].config, "noise_ea", v)
                    for v in spec.sweep.values]
@@ -783,3 +845,144 @@ class TestStackedFloorAccuracy:
         full = replace(cfg, n_e=n_a)
         assert evaluate(full, mc, ("floor",))["floor"] == Estimate.exact(0.0)
         assert not trial_values_many([(full, ("floor",))], mc)[0]["floor"].any()
+
+
+def fig1_points() -> list[ProbingConfig]:
+    spec = load_spec("fig1")
+    return [apply_parameter(case.config, "noise_ea", v)
+            for case in spec.cases for v in spec.sweep.values]
+
+
+class TestClosedFloor:
+    """The floor's mean in closed form where gamma_ea and gamma_ba are a
+    decade or more apart (capacity._closed_floor), against the exact
+    Andreief form in mpmath (reference_floor)."""
+
+    R = capacity.FLOOR_FORM_RATIO
+
+    def test_reference_with_one_cluster_is_telatars_mean(self):
+        # with Eve's rows alone the form is E t2: its polynomial columns
+        # (n_e > n_a) and integral ones against the Laguerre expansion
+        for rows, cols, gamma in [(10, 8, 316.0), (6, 8, 1e-3), (4, 4, 1e10), (14, 8, 10.0),
+                                  (1, 8, 1e-6)]:
+            with mpmath.workdps(60):
+                form = andreief_logdet([(gamma, rows)], cols) / mpmath.log(2)
+                assert abs(float(form) - reference_mean(rows, cols, gamma)) <= \
+                    1e-13 * float(form)
+
+    def test_matches_the_reference_at_every_fig1_point_a_decade_apart(self):
+        closed = [(cfg, capacity._closed_floor(cfg)) for cfg in fig1_points()]
+        closed = [(cfg, floor) for cfg, floor in closed if floor is not None]
+        # 31.6, 17.8 and 10 and their reciprocals, at each of the 3 cases
+        assert len(closed) == 18
+        for cfg, floor in closed:
+            gam = derive_gammas(cfg)
+            reference = reference_floor(cfg.n_a, cfg.n_b, cfg.n_e, gam.gamma_ea, gam.gamma_ba)
+            assert abs(floor - reference) <= 1e-10 * reference, cfg
+
+    # the bundled fig1 shapes, the largest shape of the domain (8, 4, 10)
+    # among them, and its other corners
+    @pytest.mark.parametrize("shape", [(8, 4, 6), (8, 4, 10), (4, 4, 4), (8, 4, 1), (5, 1, 1),
+                                       (4, 1, 10), (1, 1, 10), (1, 4, 1), (1, 4, 10)],
+                             ids=lambda shape: "{}-{}-{}".format(*shape))
+    def test_matches_the_reference_at_the_ends_of_the_gamma_domain(self, shape):
+        lo, hi = capacity.WISHART_GAMMAS
+        top = capacity.FLOOR_FORM_MAX_RATIO
+        pairs = [(lo, lo * self.R), (lo, lo * top), (hi / self.R, hi), (hi / top, hi)]
+        assert capacity._floor_form_shape(*shape)
+        for low, high in pairs:
+            for gamma_ea, gamma_ba in ((low, high), (high, low)):
+                reference = reference_floor(*shape, gamma_ea, gamma_ba)
+                floor = capacity._floor_form(*shape, gamma_ea, gamma_ba)
+                assert abs(floor - reference) <= 1e-10 * reference, (gamma_ea, gamma_ba)
+
+    def test_is_exact_at_a_ratio_of_r_and_none_just_below_it(self):
+        # fig1's gamma_ba is 10: noise_ea = 10 and 0.1 put gamma_ea exactly
+        # a decade below and above it
+        for noise_ea in (10.0, 0.1):
+            cfg = replace(FIG1_BASE, noise_ea=noise_ea)
+            gam = derive_gammas(cfg)
+            assert max(gam.gamma_ea / gam.gamma_ba, gam.gamma_ba / gam.gamma_ea) == self.R
+            assert capacity._closed_floor(cfg) is not None
+        for noise_ea in (10.0 * (1 - 1e-9), 0.1 / (1 - 1e-9)):
+            assert capacity._exact_floor(replace(FIG1_BASE, noise_ea=noise_ea)) is None
+
+    def test_is_none_at_the_other_bundled_configs_and_outside_the_domain(self):
+        text, _ = read_spec_text("verify-default")
+        twoway = load_spec(str(PERFBENCH / "twoway.yaml")).base
+        configs = [ONEWAY, twoway, twoway.swap_roles()]
+        configs += [config_from_mapping(c) for c in yaml.safe_load(text)["configs"]]
+        # beyond the largest ratio, outside WISHART_GAMMAS, and at shapes
+        # outside the domain, each a decade apart
+        configs += [replace(FIG1_BASE, noise_ea=1e-3 * (1 - 1e-9)),
+                    replace(FIG1_BASE, power_a=1e-6, noise_ea=10.0),
+                    replace(FIG1_BASE, n_b=5, noise_ea=10.0),
+                    replace(FIG1_BASE, n_e=11, noise_ea=10.0),
+                    replace(FIG1_BASE, n_a=9, phi_a=0, noise_ea=10.0),
+                    replace(FIG1_BASE, n_b=3, noise_ea=10.0)]
+        for cfg in configs:
+            assert capacity._exact_floor(cfg) is None, cfg
+
+    def test_domain_is_empty_where_longdouble_has_no_extra_digits(self, monkeypatch):
+        # where np.longdouble is float64 its eps is not below
+        # FLOOR_FORM_LONG_EPS: the point is then sampled as before
+        cfg = replace(FIG1_BASE, noise_ea=0.0316227766017)
+        mc = McSettings(trials=CV_MIN_TRIALS, master_seed=3)
+        assert evaluate(cfg, mc, ("floor",))["floor"] == Estimate.exact(
+            capacity._closed_floor(cfg))
+        monkeypatch.setattr(capacity, "FLOOR_FORM_LONG_EPS",
+                            float(np.finfo(np.longdouble).eps))
+        assert capacity._closed_floor(cfg) is None
+        assert evaluate(cfg, mc, ("floor",))["floor"] == \
+            TestControlVariates.adjusted_floor(cfg, mc)
+
+    def test_points_in_the_domain_draw_nothing(self, monkeypatch):
+        configs = [cfg for cfg in fig1_points() if capacity._closed_floor(cfg) is not None]
+        calls = []
+        real = capacity.collect
+        monkeypatch.setattr(capacity, "collect", lambda *args: calls.append(args) or real(*args))
+        mc = McSettings(trials=200, master_seed=5)
+        for cfg, est in zip(configs, evaluate_many(configs, mc, ("floor", "lower"))):
+            floor = capacity._closed_floor(cfg)
+            assert est["floor"] == Estimate.exact(floor)
+            # lower_bob's samples carry v_a times the exact floor: pilot_mi
+            # (0 at rho = 0) plus the floor, to round-off
+            assert est["lower"].mean == pytest.approx(pilot_mi(cfg) + floor, rel=1e-14, abs=0.0)
+        # the floors draw nothing; lower_bob samples once per case
+        assert len(calls) == 3
+        calls.clear()
+        evaluate_many(configs, mc, ("floor",))
+        assert calls == []
+
+    def test_in_domain_fig1_means_agree_with_the_benchmark_reference(self):
+        # perfbench/run.py's correctness check holds an exact mean to its
+        # reference within REFERENCE_SIGMAS = 6 of the reference's stderr;
+        # the largest |z| here is 2.2
+        reference = json.loads((PERFBENCH / "reference.json").read_text(
+            encoding="utf-8"))["fig1-floor-sweep"]["values"]
+        spec = load_spec("fig1")
+        checked = 0
+        for case in spec.cases:
+            for v in spec.sweep.values:
+                floor = capacity._closed_floor(apply_parameter(case.config, "noise_ea", v))
+                if floor is None:
+                    continue
+                mean, stderr = reference[f"{case.name}@{v:.12g}"]
+                assert abs(floor - mean) <= 6.0 * stderr, (case.name, v)
+                checked += 1
+        assert checked == 18
+
+
+class TestQuadratureOracle:
+    """verify's adaptive quadrature of Telatar's integral against the exact
+    reference, at high gamma, where the logarithm bends over many decades."""
+
+    @pytest.mark.parametrize("rows,cols,gamma", [
+        (16, 16, 1e10), (16, 16, 1e8), (4, 4, 1e10), (1, 1, 1e10), (32, 16, 1e10),
+        (16, 16, 1e-6), (10, 8, 316.0)])
+    def test_log_det_quadrature_matches_the_exact_reference(self, rows, cols, gamma):
+        from skcprobe.verify import wishart_logdet_quadrature
+
+        reference = reference_mean(rows, cols, gamma)
+        assert abs(wishart_logdet_quadrature(rows, cols, gamma) - reference) <= \
+            1e-11 * reference

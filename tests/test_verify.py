@@ -15,14 +15,14 @@ from skcprobe import (
     run_suite,
     siso_ergodic_capacity,
 )
-from skcprobe.capacity import CONTROLS, _controls, trial_values_many
+from skcprobe.capacity import CONTROLS, _closed_floor, _controls, trial_values_many
 from skcprobe.channel import derive_gammas, sample_channels
 from skcprobe.errors import DimensionGuard, InvalidNoise, ValidationError
 from skcprobe.montecarlo import BLOCK, collect, summarize, trial_blocks
 import skcprobe.verify as verify
-from skcprobe.verify import (CONTROL_ORACLES, IDENTITY_ATOL, floor_null_space,
-                             floor_resolvent, gap_resolvent, lower_bob_rectangular,
-                             pilot_mi_check, scalar_capacity_check,
+from skcprobe.verify import (CONTROL_ORACLES, IDENTITY_ATOL, floor_form_check,
+                             floor_null_space, floor_resolvent, gap_resolvent,
+                             lower_bob_rectangular, pilot_mi_check, scalar_capacity_check,
                              wishart_logdet_quadrature, wishart_mean_check,
                              wishart_trace_quadrature, zero_mean_check)
 from conftest import make_config
@@ -525,6 +525,36 @@ class TestZeroMeanCheck:
         outcome = wishart_mean_check(cfg)
         assert outcome.passed and "; w3 (exactly 0); " in outcome.detail
         assert len(terms) == len(_controls(cfg)) - 1
+
+
+class TestFloorFormCheck:
+    """Where the floor has its closed form (capacity._closed_floor), verify
+    compares it with the raw mean of the floor's samples."""
+
+    CLOSED = make_config(n_a=4, n_b=4, n_e=4, v_a=1, v_b=0, power_a=10.0, power_b=10.0,
+                         noise_ea=0.0316227766017, rho=0.0)
+
+    def test_the_form_is_within_four_stderr_of_the_raw_mean(self):
+        mc = McSettings(trials=2000, master_seed=1)
+        [outcome] = floor_form_check(self.CLOSED, mc)
+        raw = summarize(trial_values_many([(self.CLOSED, ("floor",))], mc)[0]["floor"])
+        assert outcome.check_name == "floor-closed-form" and outcome.passed
+        assert outcome.reference_value == _closed_floor(self.CLOSED)
+        assert outcome.computed_value == raw.mean and outcome.tolerance == 4 * raw.stderr
+
+    def test_no_outcome_outside_the_domain(self):
+        mc = McSettings(trials=200, master_seed=1)
+        # gamma_ea and gamma_ba 2 and 9.99 apart
+        assert floor_form_check(make_config(), mc) == []
+        assert floor_form_check(replace(self.CLOSED, noise_ea=0.1 * 1.001), mc) == []
+
+    @pytest.mark.parametrize("shift,passed", [(3.0, True), (5.0, False)])
+    def test_a_shifted_form_fails_beyond_four_stderr(self, monkeypatch, shift, passed):
+        mc = McSettings(trials=2000, master_seed=1)
+        raw = summarize(trial_values_many([(self.CLOSED, ("floor",))], mc)[0]["floor"])
+        monkeypatch.setattr(verify, "_closed_floor", lambda config: raw.mean + shift * raw.stderr)
+        [outcome] = floor_form_check(self.CLOSED, mc)
+        assert outcome.passed is passed
 
 
 class TestWishartMeanCheck:
