@@ -27,7 +27,7 @@ goes through: points whose draws are identical share one pass, and each
 block's Gram matrices are formed once for all of them, which also build what
 they factor in the block's work matrices (see Grams; ``evaluate`` is its
 one-point call).  The floor is exact where Eve hears Alice noiselessly or
-at Bob's SNR, and where Eve's and Bob's SNRs are a decade or more apart
+at Bob's SNR, and where Eve's and Bob's SNRs are three times or more apart
 (see _exact_floor); elsewhere it estimates the floor, and the
 bounds built on it, with control variates whose exact means
 ``wishart_logdet_mean`` and ``wishart_trace_mean`` evaluate in closed form:
@@ -188,24 +188,45 @@ def wishart_trace_mean(rows: int, cols: int, gamma: float) -> float:
 # are between FLOOR_FORM_RATIO and FLOOR_FORM_MAX_RATIO apart, one over the
 # other, both in WISHART_GAMMAS, at the shapes _floor_form_shape admits, and
 # where np.longdouble carries at least 64 significand bits (its eps below
-# FLOOR_FORM_LONG_EPS): there it matches an exact mpmath evaluation to 1e-10
-# relative (tests/test_control_variates.py).  As the two gammas merge, its
-# two clusters of rows become one and it loses digits: at fig1's (8, 4, 10)
-# it is 1.3e-11 off at 10^0.5 apart and 5.1e-9 at 10^0.25; at 3e4 apart it
-# missed the gate (1.7e-10 at (8, 4, 6)).
-FLOOR_FORM_RATIO = 10.0
+# FLOOR_FORM_LONG_EPS), except below a decade apart where n_e >= n_a and
+# Eve's SNR is the larger with gamma_ea above FLOOR_FORM_SCHUR_GAMMA: there
+# the Schur complement's entries run out of digits (1.0-1.7e-10 at (8, 4,
+# 10), gamma_ea from 1e3).  In that domain it matches an exact mpmath
+# evaluation to 1e-10 relative, 5.8e-11 at worst (see the closed-floor
+# tests).  FLOOR_FORM_RATIO sits below 10^0.5, which in floats is just
+# above fig1's 0.316 point.  As the two gammas merge, its two clusters
+# of rows become one and it loses digits: at fig1's (8, 4, 10) it is 5.1e-9
+# off at 10^0.25; at 3e4 apart it missed the gate (1.7e-10 at (8, 4, 6)).
+FLOOR_FORM_RATIO = 3.0
 FLOOR_FORM_MAX_RATIO = 1e3
+FLOOR_FORM_SCHUR_GAMMA = 1e2
 FLOOR_FORM_LONG_EPS = 1e-18
 
 
 def _floor_form_shape(n_a: int, n_b: int, n_e: int) -> bool:
     """The shapes where the closed form passed its gate at every tested pair
-    of gammas: n_a <= 8, n_e <= 10 and n_a - 4 <= n_b <= 4.  Outside, the
-    float64 factorization that its solves refine stops converging at some
-    gammas where Bob's SNR is the larger (1e-4 relative at (8, 2, 6); 1e-6
-    at (1, 6, 1), both at 1e-3 and 1e-6) or the longdouble entries run out
-    of digits where Eve's is (1.0e-10 at (8, 4, 12), 1e10 and 1e9)."""
+    of gammas in its domain (see FLOOR_FORM_RATIO): n_a <= 8, n_e <= 10 and
+    n_a - 4 <= n_b <= 4.  Outside, the float64 factorization that its
+    solves refine stops converging at some gammas where Bob's SNR is the
+    larger (1e-4 relative at (8, 2, 6); 1e-6 at (1, 6, 1), both at 1e-3 and
+    1e-6) or the longdouble entries run out of digits where Eve's is
+    (1.0e-10 at (8, 4, 12), 1e10 and 1e9)."""
     return n_a <= 8 and n_e <= 10 and n_a - 4 <= n_b <= 4
+
+
+def _floor_form_domain(n_a: int, n_b: int, n_e: int, gamma_ea: float, gamma_ba: float
+                       ) -> bool:
+    """Whether the closed form holds at this shape and these gammas (see
+    FLOOR_FORM_RATIO); every test is a comparison of numbers."""
+    lo, hi = WISHART_GAMMAS
+    if not (lo <= gamma_ea <= hi and lo <= gamma_ba <= hi):
+        return False
+    ratio = max(gamma_ea / gamma_ba, gamma_ba / gamma_ea)
+    return (FLOOR_FORM_RATIO <= ratio <= FLOOR_FORM_MAX_RATIO
+            and not (ratio < 10 and n_e >= n_a
+                     and gamma_ea > max(gamma_ba, FLOOR_FORM_SCHUR_GAMMA))
+            and _floor_form_shape(n_a, n_b, n_e)
+            and np.finfo(np.longdouble).eps < FLOOR_FORM_LONG_EPS)
 
 
 @functools.lru_cache(maxsize=1)
@@ -958,19 +979,11 @@ def _control_means(config: ProbingConfig) -> dict[str, float] | None:
 
 def _closed_floor(config: ProbingConfig) -> float | None:
     """The floor's mean from its closed form (_floor_form), or None outside
-    the form's domain (see FLOOR_FORM_RATIO).  Every test before the form's
+    the form's domain (_floor_form_domain).  Every test before the form's
     own work is a comparison of the config's numbers."""
     gam = derive_gammas(config)
-    g_ea, g_ba = gam.gamma_ea, gam.gamma_ba
-    lo, hi = WISHART_GAMMAS
-    if not (lo <= g_ea <= hi and lo <= g_ba <= hi):
-        return None
-    if not FLOOR_FORM_RATIO <= max(g_ea / g_ba, g_ba / g_ea) <= FLOOR_FORM_MAX_RATIO:
-        return None
-    if not (_floor_form_shape(config.n_a, config.n_b, config.n_e)
-            and np.finfo(np.longdouble).eps < FLOOR_FORM_LONG_EPS):
-        return None
-    return _floor_form(config.n_a, config.n_b, config.n_e, g_ea, g_ba)
+    point = (config.n_a, config.n_b, config.n_e, gam.gamma_ea, gam.gamma_ba)
+    return _floor_form(*point) if _floor_form_domain(*point) else None
 
 
 def _exact_floor(config: ProbingConfig) -> float | None:
@@ -978,8 +991,8 @@ def _exact_floor(config: ProbingConfig) -> float | None:
     outside its closed form's domain: per draw it is, at noise_ea = 0, 0
     where n_e >= n_a and t4 where n_e < n_a, and at noise_ea = noise_b
     (gamma_ea = gamma_ba) t5 - t2, so its mean is 0, E t4 or E t5 - E t2;
-    where gamma_ea and gamma_ba are a decade or more apart its mean is
-    _closed_floor's."""
+    where gamma_ea and gamma_ba are FLOOR_FORM_RATIO or more apart its mean
+    is _closed_floor's, in that form's domain."""
     if config.noise_ea not in (0.0, config.noise_b):
         return _closed_floor(config)
     if config.noise_ea == 0 and config.n_e >= config.n_a:
@@ -1202,7 +1215,7 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
     trial_values_many, which also says how `labels` name a failing point).
     pilot_mi is exact, as are the floor where _exact_floor gives it (at
     noise_ea = 0, at noise_ea = noise_b and where gamma_ea and gamma_ba are
-    a decade or more apart, _closed_floor; from CV_MIN_TRIALS trials on
+    FLOOR_FORM_RATIO or more apart, _closed_floor; from CV_MIN_TRIALS trials on
     lower_bob's samples then carry v_a times that value in place of v_a
     times the floor's samples), the gap at v_b = 0 (0) and lower_alice at
     noise_ea = 0 with v_a > 0 (-inf).  At v_b = 0 lower_alice is exact

@@ -359,7 +359,7 @@ FLOOR_FORM_SIGMAS = 4.0
 
 def floor_form_check(config: ProbingConfig, mc: McSettings) -> list[VerificationOutcome]:
     """Where the floor's mean has its closed form (capacity._closed_floor,
-    gamma_ea and gamma_ba a decade or more apart), that form against the raw
+    gamma_ea and gamma_ba three times or more apart), that form against the raw
     mean of the floor's samples on the engine's draws at `mc`, within
     FLOOR_FORM_SIGMAS standard errors, as floor-closed-form: the samples are
     the independent oracle of the Andreief identity behind the form.  No

@@ -42,6 +42,7 @@ from skcprobe import (
     wishart_logdet_mean,
 )
 from skcprobe.capacity import (
+    FLOOR_FORM_RATIO,
     QUANTITIES,
     SAMPLED,
     Grams,
@@ -582,12 +583,12 @@ class TestEvaluateMany:
         equal = spec.sweep.values.index(1.0)
         assert batched[equal]["floor"] == Estimate.exact(
             wishart_logdet_mean(10, 8, gamma) - wishart_logdet_mean(6, 8, gamma))
-        # where gamma_ea and gamma_ba are a decade or more apart it is the
-        # closed form, and elsewhere the per-sample direct form over the
-        # blocks, less its control-variate correction, summarized, with the
-        # regression's stderr factor
-        closed = [v for v in spec.sweep.values if max(v, 1 / v) >= 10.0]
-        assert len(closed) == 6
+        # where gamma_ea and gamma_ba are FLOOR_FORM_RATIO or more apart it
+        # is the closed form, and elsewhere the per-sample direct form over
+        # the blocks, less its control-variate correction, summarized, with
+        # the regression's stderr factor
+        closed = [v for v in spec.sweep.values if max(v, 1 / v) >= FLOOR_FORM_RATIO]
+        assert len(closed) == 10
         for config, point in zip(configs[:-1], batched):
             if config.noise_ea == config.noise_b:
                 continue
@@ -705,7 +706,9 @@ class TestEvaluateMany:
         factored = []
         monkeypatch.setattr(capacity, "logdet_hermitian_pd", lambda m, *args, **kwargs: (
             factored.append(m.shape[1:]) or real_logdet(m, *args, **kwargs)))
-        twoway = make_config(**WORK_CONFIGS["twoway"])
+        # (at noise_ea = 0.5: at WORK_CONFIGS' 0.3 the gammas are 3.3 apart
+        # and the floor is exact)
+        twoway = make_config(**dict(WORK_CONFIGS["twoway"], noise_ea=0.5))
         evaluate(twoway, McSettings(trials=BLOCK, master_seed=5), QUANTITIES)
         assert sorted(factored) == [(4, 4)] * 3 + [(9, 9)] * 4
 

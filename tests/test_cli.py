@@ -389,8 +389,8 @@ class TestDeterminism:
     # sha256 of what the bundled specs write at --trials 60 --seed 1
     BUNDLED_SHA256 = {
         "oneway.csv": "0bd70c57866296ab32ed9f76ff07ff205fb31e44f9d299b617043de4bdad6af7",
-        "fig1.csv": "7838f5c0eb7f56be1b156afa043685b9581d6f02698aee1fd3c036e79a5f0876",
-        "fig1.svg": "3072d7886783a4bfd68f54d8f3ec55e18642945e5749b7ddd16e92e21bebca1d",
+        "fig1.csv": "5969ecb61cfe9525a3f1471335987a9cdcc878a7e8c4373163a0706479a908e3",
+        "fig1.svg": "220992bb9b02dc3d81346e40b3c874fe649237ee36ec51e867ada2c522eb19b5",
         "fig2.csv": "e7c51abb43831579da7317e0582e3e9e665e4494e2ccc266761bc4a914260cfc",
         "fig2.svg": "5a25089b2f0c9a476db3f27409eeeb201874b6184b350d14f6f8dd8cec9e8b9c",
         "fig2-dof.csv": "46898ba1c6d5f1de30b2962805fc71d3e9e1c76371c6ee482e0876461a490fdd",
@@ -424,8 +424,8 @@ class TestDeterminism:
     # 3000 trials (12 blocks) and fig1 at 600 (3 blocks, the last partial)
     MULTI_BLOCK_SHA256 = {
         "oneway.csv": "d59fa90c287b4324300b0acd50962797a07e3884e46be8fe533ab6b027797af7",
-        "fig1.csv": "1fa4b02f363d9ce575e00c4eb7d57803ef13e00d427ad3570d5c6f9b2d46b9be",
-        "fig1.svg": "e2ea51fc856a33c44b96a0d1589bf5b166e871f47392aef9c5542e6aed40e2fb",
+        "fig1.csv": "41d1067bb1334457aaba88fc48b4f7e544733251c3d172a3ae190c1f46e48d5c",
+        "fig1.svg": "8287a5e92c61de137c367dbd502c879d9d5a2c17d37a20a800773ab15fef486a",
     }
 
     def test_multi_block_outputs_are_pinned(self, tmp_path):

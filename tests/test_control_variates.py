@@ -252,6 +252,9 @@ class TestWishartLogdetMean:
 
 ONEWAY = load_spec("oneway").base
 FIG1_BASE = load_spec("fig1").base
+# noise_ea within FLOOR_FORM_RATIO of fig1's noise_b = 1, its own value
+# left out: 12 points whose floor is sampled, 10^(j/16) for 0 < |j| <= 6
+SAMPLED_NOISE_EA = [10 ** (j / 16) for j in range(-6, 7) if j]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -294,10 +297,10 @@ class TestControlVariates:
         assert est["lower"] == est["upper"]
 
     def test_correction_is_the_least_squares_one(self):
-        self.check_least_squares_correction(replace(FIG1_BASE, noise_ea=0.3))
+        self.check_least_squares_correction(replace(FIG1_BASE, noise_ea=0.5))
 
     def test_correction_is_the_least_squares_one_without_t4(self):
-        self.check_least_squares_correction(replace(FIG1_BASE, n_e=10, noise_ea=0.3))
+        self.check_least_squares_correction(replace(FIG1_BASE, n_e=10, noise_ea=0.5))
 
     @staticmethod
     def check_least_squares_correction(config):
@@ -314,7 +317,7 @@ class TestControlVariates:
 
     @pytest.mark.parametrize("trials", [CV_MIN_TRIALS, 200, 3000])
     @pytest.mark.parametrize("config", [
-        replace(FIG1_BASE, noise_ea=0.3), replace(FIG1_BASE, n_e=10, noise_ea=0.3)],
+        replace(FIG1_BASE, noise_ea=0.5), replace(FIG1_BASE, n_e=10, noise_ea=0.5)],
         ids=["ten-controls", "nine-controls"])
     def test_floor_stderr_is_the_hc3_intercept_one(self, config, trials):
         mc = McSettings(trials=trials, master_seed=11)
@@ -326,10 +329,10 @@ class TestControlVariates:
 
     # sampled fig1 points on all of their controls: the n_e < n_a case at
     # its smallest sampled noise_ea, and the worst sampled points of the
-    # other two at 200 trials (the floor is exact a decade or more from
-    # noise_ea = noise_b)
-    SPREAD_POINTS = [("na8-nb4-ne6", 0.177827941004), ("na8-nb4-ne10", 5.6234132519),
-                     ("na4-nb4-ne4", 0.177827941004)]
+    # other two at 200 trials (the floor is exact from 3 times noise_b or
+    # a third of it on)
+    SPREAD_POINTS = [("na8-nb4-ne6", 0.562341325190), ("na8-nb4-ne10", 1.77827941004),
+                     ("na4-nb4-ne4", 0.562341325190)]
 
     @pytest.mark.parametrize("case,noise_ea", SPREAD_POINTS)
     def test_stderr_matches_the_spread_of_means_at_100_trials(self, case, noise_ea):
@@ -338,7 +341,7 @@ class TestControlVariates:
     @pytest.mark.parametrize("case,noise_ea", SPREAD_POINTS)
     def test_stderr_matches_the_spread_of_means_at_the_minimum_trials(self, case, noise_ea):
         # where a point first regresses on all ten or nine controls: the
-        # spread over the median HC3 stderr is 0.88-0.98 here (0.88-1.13 at
+        # spread over the median HC3 stderr is 0.85-0.92 here (0.88-1.13 at
         # the points the closed form now takes, where over the median
         # least-squares stderr it was 1.06-1.35)
         self.check_stderr_against_spread(case, noise_ea, CV_MIN_TRIALS)
@@ -577,10 +580,10 @@ class TestControlVariates:
 
     @pytest.mark.parametrize("config,dropped,parent_dropped", [
         (replace(ONEWAY, noise_ea=1e6), ("p2",), ()),
-        (replace(FIG1_BASE, n_e=10, noise_ea=0.3, power_a=1e-3), ("p2", "p3", "t1"), ("t1",))],
+        (replace(FIG1_BASE, n_e=10, noise_ea=0.5, power_a=1.5e-3), ("p2", "p3", "t1"), ("t1",))],
         ids=["oneway-noisy-eve", "fig1-8-4-10-low-power"])
     def test_degenerate_controls_are_dropped_not_the_fit(self, config, dropped, parent_dropped):
-        # at noise_ea = 1e6 t2 ~ gamma_ea p2 / ln 2, and at power_a = 1e-3 t3
+        # at noise_ea = 1e6 t2 ~ gamma_ea p2 / ln 2, and at power_a = 1.5e-3 t3
         # ~ gamma_ba p3 / ln 2 and t1 ~ gamma_ba p2 / ln 2: the system on
         # every control is singular, and the point is fitted on the fewest
         # controls dropped in CV_DROP_ORDER, not on raw samples
@@ -606,17 +609,14 @@ class TestControlVariates:
         real = capacity.logdet_hermitian_pd
         monkeypatch.setattr(capacity, "logdet_hermitian_pd", lambda m, split=None, **kwargs: (
             logdets.append((m.shape[1:], split)) or real(m, split, **kwargs)))
-        spec = load_spec("fig1")
-        configs = [replace(FIG1_BASE, noise_ea=float(v)) for v in spec.sweep.values]
+        configs = [replace(FIG1_BASE, noise_ea=v) for v in SAMPLED_NOISE_EA]
         evaluate_many(configs, McSettings(trials=BLOCK + 5, master_seed=3), ("floor",))
         # per block: each point's stacked factorization (its floor and its
         # t2), and one of the reordered stacked Gram (t3, t5 and u3), one t4
         # and one of the stacked Gram in its own order (t1 and u1) shared by
-        # all points, whose gamma_ba is the same; the point at noise_ea =
-        # noise_b and the six a decade or more from it take none, their
-        # floors being exact
+        # all points, whose gamma_ba is the same
         per_block = [((10, 10), 6)] + [((10, 10), 4), ((10, 10), 6), ((10, 10), 6)] + \
-            [((10, 10), 6)] * (len(configs) - 8)
+            [((10, 10), 6)] * (len(configs) - 1)
         assert logdets == per_block * 2
 
     @pytest.mark.parametrize("overrides,trials", [
@@ -634,7 +634,7 @@ class TestControlVariates:
         assert est["lower"] == est["upper"] == summarize(raw["lower_bob"])
 
     @pytest.mark.parametrize("config,count", [
-        (ONEWAY, 10), (replace(FIG1_BASE, n_e=10, noise_ea=0.3), 9)],
+        (ONEWAY, 10), (replace(FIG1_BASE, n_e=10, noise_ea=0.5), 9)],
         ids=["n_e-below-n_a", "n_e-above-n_a"])
     def test_a_point_takes_all_of_its_controls_from_the_minimum_trials(self, config, count):
         # below CV_MIN_TRIALS raw samples, from it every control at once
@@ -657,8 +657,8 @@ class TestControlVariates:
         return scaled(summarize(values["floor"] - correction), factor)
 
     @pytest.mark.parametrize("case,noise_ea,trials,count", [
-        ("na8-nb4-ne6", 0.3, 200, 10), ("na8-nb4-ne10", 0.3, 200, 9),
-        ("na4-nb4-ne4", 0.3, 3000, 9), ("na8-nb4-ne6", 1.77827941004, 200, 10),
+        ("na8-nb4-ne6", 0.5, 200, 10), ("na8-nb4-ne10", 0.5, 200, 9),
+        ("na4-nb4-ne4", 0.5, 3000, 9), ("na8-nb4-ne6", 1.77827941004, 200, 10),
         ("na4-nb4-ne4", 0.562341325190, 200, 9)])
     def test_a_fig1_point_takes_every_control_its_trials_allow(self, case, noise_ea, trials,
                                                                count):
@@ -749,14 +749,14 @@ class TestControlVariates:
         # a case keeps each sampled point's floor and controls over all its
         # trials, 8 B each, and the fit stacks one more copy of them; the
         # rest is per-block work and a few (points, trials) buffers of the
-        # fit's tail.  Measured: 2.64x here (2.37x at 10,000 trials) when all
-        # 12 points counted were sampled; per-block lists kept beside their
+        # fit's tail.  Measured on these 12 sampled points: 2.63x here
+        # (2.34x at 10,000 trials), as on fig1's 12 off-equal points when
+        # all were sampled (2.64x); per-block lists kept beside their
         # concatenation and whole (points, k, trials) leverage products read
-        # 3.44x.  Since 6 of them take the closed form it reads 1.71x (3.39x
-        # of what the 6 sampled points keep)
+        # 3.44x there
         spec = load_spec("fig1")
         configs = [apply_parameter(spec.cases[0].config, "noise_ea", v)
-                   for v in spec.sweep.values]
+                   for v in SAMPLED_NOISE_EA]
         mc = McSettings(trials=2000, master_seed=1)
         kept = 8 * mc.trials * sum(1 + len(control_means(c)) for c in configs
                                    if c.noise_ea != c.noise_b)
@@ -854,9 +854,9 @@ def fig1_points() -> list[ProbingConfig]:
 
 
 class TestClosedFloor:
-    """The floor's mean in closed form where gamma_ea and gamma_ba are a
-    decade or more apart (capacity._closed_floor), against the exact
-    Andreief form in mpmath (reference_floor)."""
+    """The floor's mean in closed form where gamma_ea and gamma_ba are
+    FLOOR_FORM_RATIO or more apart (capacity._closed_floor), against the
+    exact Andreief form in mpmath (reference_floor)."""
 
     R = capacity.FLOOR_FORM_RATIO
 
@@ -870,20 +870,23 @@ class TestClosedFloor:
                 assert abs(float(form) - reference_mean(rows, cols, gamma)) <= \
                     1e-13 * float(form)
 
-    def test_matches_the_reference_at_every_fig1_point_a_decade_apart(self):
+    def test_matches_the_reference_at_every_fig1_point_in_the_domain(self):
         closed = [(cfg, capacity._closed_floor(cfg)) for cfg in fig1_points()]
         closed = [(cfg, floor) for cfg, floor in closed if floor is not None]
-        # 31.6, 17.8 and 10 and their reciprocals, at each of the 3 cases
-        assert len(closed) == 18
+        # 31.6 down to 3.16 and their reciprocals, at each of the 3 cases
+        assert len(closed) == 30
         for cfg, floor in closed:
             gam = derive_gammas(cfg)
             reference = reference_floor(cfg.n_a, cfg.n_b, cfg.n_e, gam.gamma_ea, gam.gamma_ba)
             assert abs(floor - reference) <= 1e-10 * reference, cfg
 
     # the bundled fig1 shapes, the largest shape of the domain (8, 4, 10)
-    # among them, and its other corners
+    # among them, and its other corners; (7, 4, 10), (8, 4, 9) and (7, 3,
+    # 10), next to the corner the domain leaves out, have the thinnest
+    # margins on the gate
     @pytest.mark.parametrize("shape", [(8, 4, 6), (8, 4, 10), (4, 4, 4), (8, 4, 1), (5, 1, 1),
-                                       (4, 1, 10), (1, 1, 10), (1, 4, 1), (1, 4, 10)],
+                                       (4, 1, 10), (1, 1, 10), (1, 4, 1), (1, 4, 10),
+                                       (7, 4, 10), (8, 4, 9), (7, 3, 10)],
                              ids=lambda shape: "{}-{}-{}".format(*shape))
     def test_matches_the_reference_at_the_ends_of_the_gamma_domain(self, shape):
         lo, hi = capacity.WISHART_GAMMAS
@@ -892,26 +895,65 @@ class TestClosedFloor:
         assert capacity._floor_form_shape(*shape)
         for low, high in pairs:
             for gamma_ea, gamma_ba in ((low, high), (high, low)):
+                if shape[2] >= shape[0] and gamma_ea == hi and high / low < 10:
+                    # the Eve-larger corner that the domain leaves out
+                    assert not capacity._floor_form_domain(*shape, gamma_ea, gamma_ba)
+                    continue
                 reference = reference_floor(*shape, gamma_ea, gamma_ba)
                 floor = capacity._floor_form(*shape, gamma_ea, gamma_ba)
                 assert abs(floor - reference) <= 1e-10 * reference, (gamma_ea, gamma_ba)
 
     def test_is_exact_at_a_ratio_of_r_and_none_just_below_it(self):
-        # fig1's gamma_ba is 10: noise_ea = 10 and 0.1 put gamma_ea exactly
-        # a decade below and above it
-        for noise_ea in (10.0, 0.1):
+        # fig1's gamma_ba is 10: noise_ea = 3 and 1/3 put gamma_ea exactly
+        # R below and above it
+        assert self.R == 3.0
+        for noise_ea in (3.0, 1 / 3):
             cfg = replace(FIG1_BASE, noise_ea=noise_ea)
             gam = derive_gammas(cfg)
             assert max(gam.gamma_ea / gam.gamma_ba, gam.gamma_ba / gam.gamma_ea) == self.R
             assert capacity._closed_floor(cfg) is not None
-        for noise_ea in (10.0 * (1 - 1e-9), 0.1 / (1 - 1e-9)):
+        for noise_ea in (3.0 * (1 - 1e-9), 1 / 3 / (1 - 1e-9)):
             assert capacity._exact_floor(replace(FIG1_BASE, noise_ea=noise_ea)) is None
+
+    def test_fig1_points_at_ten_to_the_half_are_in_the_domain(self):
+        # in floats fig1's noise_ea = 0.316 puts its gammas 3.162277660166759
+        # apart, just under 10 ** 0.5: a bound of 10 ** 0.5 would leave it out
+        points = [cfg for cfg in fig1_points() if cfg.noise_ea in (0.316227766017, 3.16227766017)]
+        assert len(points) == 6
+        for cfg in points:
+            assert capacity._closed_floor(cfg) is not None, cfg
+            if cfg.noise_ea < 1:
+                gam = derive_gammas(cfg)
+                assert gam.gamma_ea / gam.gamma_ba < 10 ** 0.5
+
+    @pytest.mark.parametrize("shape", [(8, 4, 10), (4, 4, 4), (8, 4, 8)],
+                             ids=lambda shape: "{}-{}-{}".format(*shape))
+    def test_eve_larger_corner_is_left_out_only_below_a_decade(self, shape):
+        # where n_e >= n_a and Eve's SNR is the larger the form is the Schur
+        # complement of Eve's rows, whose entries run out of digits at high
+        # gamma_ea below a decade apart (1.0-1.7e-10 at (8, 4, 10), gamma_ea
+        # from 1e3): there gamma_ea must be at most FLOOR_FORM_SCHUR_GAMMA
+        cap = capacity.FLOOR_FORM_SCHUR_GAMMA
+        domain = capacity._floor_form_domain
+        for gamma_ea in (cap, cap * (1 + 1e-9), cap * 1e3):
+            # just inside the ratio bound
+            gamma_ba = gamma_ea / (self.R * (1 + 1e-9))
+            assert domain(*shape, gamma_ea, gamma_ba) == (gamma_ea == cap)
+            # Bob's SNR the larger, and more than a decade apart, stay in
+            assert domain(*shape, gamma_ba, gamma_ea)
+            assert domain(*shape, gamma_ea, gamma_ea / 12)
+        # where n_e < n_a the rule does not apply
+        assert domain(8, 4, 6, cap * 1e3, cap * 1e3 / (self.R * (1 + 1e-9)))
 
     def test_is_none_at_the_other_bundled_configs_and_outside_the_domain(self):
         text, _ = read_spec_text("verify-default")
         twoway = load_spec(str(PERFBENCH / "twoway.yaml")).base
         configs = [ONEWAY, twoway, twoway.swap_roles()]
-        configs += [config_from_mapping(c) for c in yaml.safe_load(text)["configs"]]
+        # verify-default's cfg0 and cfg1 (2 and 1.3 apart); its cfg2 is 4
+        # apart, inside the domain
+        verify_configs = [config_from_mapping(c) for c in yaml.safe_load(text)["configs"]]
+        assert capacity._closed_floor(verify_configs[2]) is not None
+        configs += verify_configs[:2]
         # beyond the largest ratio, outside WISHART_GAMMAS, and at shapes
         # outside the domain, each a decade apart
         configs += [replace(FIG1_BASE, noise_ea=1e-3 * (1 - 1e-9)),
@@ -970,7 +1012,7 @@ class TestClosedFloor:
                 mean, stderr = reference[f"{case.name}@{v:.12g}"]
                 assert abs(floor - mean) <= 6.0 * stderr, (case.name, v)
                 checked += 1
-        assert checked == 18
+        assert checked == 30
 
 
 class TestQuadratureOracle:

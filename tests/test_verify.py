@@ -463,10 +463,13 @@ class TestRunSuite:
 
         controls = ["t2 t3 t5 t1 u3 u1 w3 p2 p3", "t2 t3 t5 t1 u3 u1 w3 p2 p3",
                     "t2 t3 t5 t4 t1 u3 u1 w3 p2 p3"]
+        # cfg2's gammas are 4 apart: its floor has the closed form
+        closed = [[], [], ["floor-closed-form"]]
         assert [o.check_name for o in summary.outcomes] == [
             "scalar-capacity-snr-0.1", "scalar-capacity-snr-1", "scalar-capacity-snr-10",
             "wishart-mean-siso"] + [f"cfg{i}:{name}" for i, names in enumerate(controls)
-                                    for name in per_config(names)]
+                                    for name in per_config(names) + closed[i]]
+        assert summary.outcomes[-1].passed
         assert report_path.exists()
         assert elapsed < 120.0
 
@@ -544,9 +547,9 @@ class TestFloorFormCheck:
 
     def test_no_outcome_outside_the_domain(self):
         mc = McSettings(trials=200, master_seed=1)
-        # gamma_ea and gamma_ba 2 and 9.99 apart
+        # gamma_ea and gamma_ba 2 and 2.997 apart
         assert floor_form_check(make_config(), mc) == []
-        assert floor_form_check(replace(self.CLOSED, noise_ea=0.1 * 1.001), mc) == []
+        assert floor_form_check(replace(self.CLOSED, noise_ea=1.001 / 3), mc) == []
 
     @pytest.mark.parametrize("shift,passed", [(3.0, True), (5.0, False)])
     def test_a_shifted_form_fails_beyond_four_stderr(self, monkeypatch, shift, passed):
