@@ -37,8 +37,8 @@ the dimensions Eve cannot observe, t1, what Eve sees at Bob's SNR, u3
 and u1, the first-order interactions of Eve's and Bob's Grams, w3, the
 floor's second-order term in gamma_ea, centred so that its mean is exactly
 0, and p2 and p3, the power Eve and Bob receive (see _controls), all of
-them from CV_MIN_TRIALS trials on, and reports the regression intercept's
-HC3 stderr.
+them from CV_MIN_TRIALS trials on, in one regression per point, and
+reports the regression intercept's HC3 stderr.
 """
 
 from __future__ import annotations
@@ -841,9 +841,10 @@ CV_SINGULAR_RTOL = 1e-12
 # the controls that a point whose regression is singular is fitted again
 # without (see _refits): at a small gamma a log-det is nearly linear in its
 # Gram's trace (t2 ~ gamma_ea p2 / ln 2 where noise_ea is large, t3 ~
-# gamma_ba p3 / ln 2 and t1 ~ gamma_ba p2 / ln 2 at low power), and near
-# noise_ea = noise_b t1 and t2 are nearly collinear
-CV_DROP_ORDER = ("p2", "p3", "t1")
+# gamma_ba p3 / ln 2 and t1 ~ gamma_ba p2 / ln 2 at low power, where also
+# u1 and u3 are both ~ gamma_ba tr(G H)), and near noise_ea = noise_b t1 and
+# t2 are nearly collinear
+CV_DROP_ORDER = ("p2", "p3", "t1", "u1")
 
 
 def _alice_bound_diverges(config: ProbingConfig) -> bool:
@@ -1007,73 +1008,66 @@ def _exact_floor(config: ProbingConfig) -> float | None:
 
 
 def _control_corrections(rows: np.ndarray, means: np.ndarray
-                         ) -> list[tuple[np.ndarray, float] | None]:
-    """For each point p, with rows[p] = (t_1 .. t_k, floor) over its n
-    trials and means[p] the exact means of the k controls: beta . (t -
-    mean) per trial, beta the least-squares coefficients of the floor on
-    the controls (intercept included), and the factor that takes the
-    adjusted samples' stderr to the intercept's HC3 stderr (MacKinnon and
-    White, J. Econometrics 29(3), 1985), sqrt(sum_i w_i^2 r_i^2 / (1 -
-    h_i)^2): with D_i trial i's centred controls, S their sums of products
-    and d their means less the exact ones, w_i = 1/n - d^T S^-1 D_i is the
-    trial's weight in the intercept, h_i = 1/n + D_i^T S^-1 D_i its leverage
-    and r_i its adjusted sample less their mean; None where S is singular.
-    One solve of each point's system gives beta, S^-1 d and S^-1; each
-    point's sums are matrix products of its own rows and its system is
-    solved on its own, so its result does not depend on the others.
-    Beside rows the fit holds three (points, trials) buffers: the per-trial
-    products with S^-1 and beta are formed over slices of at most BLOCK
-    trials, whose columns are those of the whole products, and every sum
-    over trials is one pairwise reduction over all n.  rows is
-    overwritten."""
-    n, k = rows.shape[-1], means.shape[-1]
-    centre = np.add.reduce(rows[:, :k], axis=-1) / n
-    rows[:, :k] -= centre[..., None]
-    centred, floor = rows[:, :k], rows[:, k:]
-    # per point the centred controls' sums of products with each other and
-    # with the floor (which needs no centring: the controls sum to 0)
-    sums = centred @ rows.swapaxes(-1, -2)
-    system, cross = sums[..., :k], sums[..., k:]
-    offset = (centre - means)[..., None]
-    solvable = np.linalg.det(system) > CV_SINGULAR_RTOL * np.prod(
-        np.diagonal(system, axis1=-2, axis2=-1), axis=-1)
-    # a singular system is replaced by I, so the solve cannot fail on it
-    system = np.where(solvable[:, None, None], system, np.eye(k))
-    solved = np.linalg.solve(system, np.concatenate(
-        [cross, offset, np.broadcast_to(np.eye(k), system.shape)], axis=-1))
-    beta, s_inv = solved[..., :1], solved[..., 2:]
+                         ) -> tuple[np.ndarray, float] | None:
+    """One point's fit, with rows = (t_1 .. t_k, floor) over its n trials
+    and means the exact means of the k controls: beta . (t - mean) per
+    trial, beta the least-squares coefficients of the floor on the controls
+    (intercept included), and the factor that takes the adjusted samples'
+    stderr to the intercept's HC3 stderr (MacKinnon and White, J.
+    Econometrics 29(3), 1985), sqrt(sum_i w_i^2 r_i^2 / (1 - h_i)^2): with
+    D_i trial i's centred controls, S their sums of products and d their
+    means less the exact ones, w_i = 1/n - d^T S^-1 D_i is the trial's
+    weight in the intercept, h_i = 1/n + D_i^T S^-1 D_i its leverage and r_i
+    its adjusted sample less their mean; None where S is singular, which is
+    tested before the one solve that gives beta, S^-1 d and S^-1.  Beside
+    rows the fit holds three buffers of n trials: the per-trial products
+    with S^-1 and beta are formed over slices of at most BLOCK trials,
+    whose columns are those of the whole products, and every sum over
+    trials is one pairwise reduction over all n.  rows is overwritten."""
+    n, k = rows.shape[1], len(means)
+    centre = np.add.reduce(rows[:k], axis=-1) / n
+    rows[:k] -= centre[:, None]
+    centred, floor = rows[:k], rows[k:]
+    # the centred controls' sums of products with each other and with the
+    # floor (which needs no centring: the controls sum to 0)
+    sums = centred @ rows.T
+    system, cross = sums[:, :k], sums[:, k:]
+    if not np.linalg.det(system) > CV_SINGULAR_RTOL * np.prod(np.diagonal(system)):
+        return None
+    offset = (centre - means)[:, None]
+    solved = np.linalg.solve(system, np.concatenate([cross, offset, np.eye(k)], axis=-1))
+    beta, s_inv = solved[:, :1], solved[:, 2:]
     # one step of iterative refinement: the controls explain most of the
     # floor's spread, so the residuals are a small difference, which would
     # lose to beta's round-off (about cond(S) eps) the digits HC3 weighs
-    residuals = beta.swapaxes(-1, -2) @ centred
+    residuals = beta.T @ centred
     np.subtract(floor, residuals, out=residuals)
-    residuals -= np.add.reduce(residuals, axis=-1)[..., None] / n
-    beta = beta + s_inv @ (centred @ residuals.swapaxes(-1, -2))
+    residuals -= np.add.reduce(residuals, axis=-1)[:, None] / n
+    beta = beta + s_inv @ (centred @ residuals.T)
     # per trial beta . D_i, w_i and 1 - h_i, formed a slice of trials at a
-    # time so that no (points, k, trials) product is held whole; the slices
-    # start at multiples of BLOCK, like the blocks.  The refined residuals'
-    # buffer takes the weights, and the floor's row, read no more once the
+    # time so that no (k, trials) product is held whole; the slices start
+    # at multiples of BLOCK, like the blocks.  The refined residuals' buffer
+    # takes the weights, and the floor's row, read no more once the
     # corrections are formed, the adjusted samples' residuals
-    lead = np.concatenate([beta, solved[..., 1:2]], axis=-1).swapaxes(-1, -2)
-    shift = np.add.reduce(beta[..., 0] * offset[..., 0], axis=-1)[:, None]
-    weights = residuals[:, 0]
+    lead = np.concatenate([beta, solved[:, 1:2]], axis=-1).T
+    shift = np.add.reduce(beta[:, 0] * offset[:, 0])
+    weights = residuals[0]
     corrections, denominators = np.empty_like(weights), np.empty_like(weights)
     for start in range(0, n, BLOCK):
         trials = slice(start, start + BLOCK)
-        part = centred[..., trials]
-        leverages = 1.0 / n + np.add.reduce((s_inv @ part) * part, axis=1)
-        np.subtract(1.0, leverages, out=denominators[:, trials])
-        fitted, offset_spans = (lead @ part).swapaxes(0, 1)
-        np.add(fitted, shift, out=corrections[:, trials])
-        np.subtract(1.0 / n, offset_spans, out=weights[:, trials])
-    residuals = np.subtract(floor[:, 0], corrections, out=floor[:, 0])
-    residuals -= (np.add.reduce(residuals, axis=-1) / n)[:, None]
+        part = centred[:, trials]
+        leverages = 1.0 / n + np.add.reduce((s_inv @ part) * part, axis=0)
+        np.subtract(1.0, leverages, out=denominators[trials])
+        fitted, offset_spans = lead @ part
+        np.add(fitted, shift, out=corrections[trials])
+        np.subtract(1.0 / n, offset_spans, out=weights[trials])
+    residuals = np.subtract(floor[0], corrections, out=floor[0])
+    residuals -= np.add.reduce(residuals) / n
     weights *= residuals
     weights /= denominators
-    hc3 = np.add.reduce(np.square(weights, out=weights), axis=-1)
-    spread = np.add.reduce(np.multiply(residuals, residuals, out=denominators), axis=-1)
-    factors = np.sqrt(hc3 * (n * (n - 1)) / spread)
-    return [(c, float(f)) if ok else None for c, f, ok in zip(corrections, factors, solvable)]
+    hc3 = np.add.reduce(np.square(weights, out=weights))
+    spread = np.add.reduce(np.multiply(residuals, residuals, out=denominators))
+    return corrections, float(np.sqrt(hc3 * (n * (n - 1)) / spread))
 
 
 def _refits(means: dict[str, float]) -> Iterable[dict[str, float]]:
@@ -1087,40 +1081,20 @@ def _refits(means: dict[str, float]) -> Iterable[dict[str, float]]:
             yield {q: m for q, m in means.items() if q not in dropped}
 
 
-def _fit_controls(points: list[dict[str, np.ndarray]],
-                  control_means: list[dict[str, float] | None]
-                  ) -> dict[int, tuple[np.ndarray, float]]:
-    """_control_corrections of each point whose control_means are not None,
-    by index, with one regression per number of controls over the points
-    that have it.  A point whose system is singular is fitted again on each
-    of its _refits in turn until one is not, and gets no fit if none is.
-    Pops the controls' values from `points`."""
-    fits: dict[int, tuple[np.ndarray, float]] = {}
-    fitting = {i: means for i, means in enumerate(control_means) if means is not None}
-    refits = {i: _refits(means) for i, means in fitting.items()}
-    while fitting:
-        by_count: dict[int, list[int]] = {}
-        for i, means in fitting.items():
-            by_count.setdefault(len(means), []).append(i)
-        retry = {}
-        for adjusted in by_count.values():
-            # the group's one stacked copy of its samples, which the fit
-            # centres in place and which goes before the next group's is
-            # stacked; a refit restacks the uncentred values
-            rows = np.array([[points[i][q] for q in fitting[i]] + [points[i]["floor"]]
-                             for i in adjusted])
-            means = np.array([list(fitting[i].values()) for i in adjusted])
-            for i, fit in zip(adjusted, _control_corrections(rows, means)):
-                if fit is not None:
-                    fits[i] = fit
-                elif (again := next(refits[i], None)) is not None:
-                    retry[i] = again
-            del rows
-        fitting = retry
-    for values in points:
-        for q in CONTROLS:
-            values.pop(q, None)
-    return fits
+def _fit_controls(values: dict[str, np.ndarray], means: dict[str, float]
+                  ) -> tuple[np.ndarray, float] | None:
+    """_control_corrections of one point on `means`, or where that system
+    is singular on the first of its _refits that is not; None if none is.
+    Pops the controls' values from `values`."""
+    for kept in itertools.chain([means], _refits(means)):
+        # one copy of the samples per try, which the fit centres in place
+        fit = _control_corrections(np.array([values[q] for q in kept] + [values["floor"]]),
+                                   np.array(list(kept.values())))
+        if fit is not None:
+            break
+    for q in means:
+        del values[q]
+    return fit
 
 
 class _Key(NamedTuple):
@@ -1224,11 +1198,12 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
     (E t3 - E t2), unless a mean is outside wishart_logdet_mean's domain; at
     v_b > 0 it is sampled raw.
 
-    A sampled floor is estimated with control variates: the floor's samples
-    are regressed on all of the point's controls, (t2, t3, t5), t4 where n_e
-    < n_a, (t1, u3, u1), w3 and (p2, p3) (see _controls, _control_corrections
-    and _fit_controls, which solves a singular system again without some
-    of CV_DROP_ORDER), and the correction beta . (t - mean), with the
+    A sampled floor is estimated with control variates, one regression
+    per point once the draws are in: the floor's samples are regressed on
+    all of the point's controls, (t2, t3, t5), t4 where n_e < n_a, (t1, u3,
+    u1), w3 and (p2, p3) (see _controls, _control_corrections and
+    _fit_controls, which solves a singular system again without some of
+    CV_DROP_ORDER), and the correction beta . (t - mean), with the
     controls' exact means, is subtracted from the floor's samples and v_a
     times it from lower_bob's, so upper and lower are built from adjusted
     samples and upper == lower_bob + gap still holds per sample.  A point
@@ -1255,8 +1230,8 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
         wanted.add("lower_bob")
     if "upper" in wanted:
         wanted |= {"lower_bob", "gap"}
-    exacts, sampled, control_means, exact_floors = [], [], [], {}
-    for i, config in enumerate(configs):
+    exacts, sampled, control_means = [], [], []
+    for config in configs:
         exact = {}
         if "pilot_mi" in wanted:
             exact["pilot_mi"] = pilot_mi(config)
@@ -1283,25 +1258,26 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
             means = None
         if floor is not None and config.v_a and "lower_bob" in names \
                 and mc.trials >= CV_MIN_TRIALS:
-            exact_floors[i] = floor
             names = names | {"floor"}
         control_means.append(means)
         sampled.append((config, names))
     points = trial_values_many(sampled, mc, labels)
-    # an exact floor replaces the floor's samples in lower_bob's
-    fits = {i: (points[i].pop("floor") - floor, 1.0) for i, floor in exact_floors.items()}
-    fits.update(_fit_controls(points, control_means))
-    factors: list[dict[str, float]] = [{} for _ in configs]
-    for i, (correction, factor) in fits.items():
-        values = points[i]
-        if "floor" in values:
-            values["floor"] = values["floor"] - correction
-            factors[i]["floor"] = factor
-        if configs[i].v_a and "lower_bob" in values:
-            values["lower_bob"] = values["lower_bob"] - configs[i].v_a * correction
-            factors[i]["lower_bob"] = factors[i]["upper"] = factor
     results = []
-    for config, exact, values, factor in zip(configs, exacts, points, factors):
+    for config, exact, values, means in zip(configs, exacts, points, control_means):
+        if "floor" in exact.keys() & values:
+            # an exact floor replaces the floor's samples in lower_bob's
+            fit = (values.pop("floor") - exact["floor"], 1.0)
+        else:
+            fit = None if means is None else _fit_controls(values, means)
+        factor = {}
+        if fit is not None:
+            correction, stderr_factor = fit
+            if "floor" in values:
+                values["floor"] = values["floor"] - correction
+                factor["floor"] = stderr_factor
+            if config.v_a and "lower_bob" in values:
+                values["lower_bob"] = values["lower_bob"] - config.v_a * correction
+                factor["lower_bob"] = factor["upper"] = stderr_factor
         est = {name: Estimate.exact(value) for name, value in exact.items()}
         # a floor sampled only for lower_bob's correction is not reported
         est.update((name, summarize(v)) for name, v in values.items()

@@ -82,8 +82,8 @@ def engine_correction(floor, controls, means):
     order of `means`): (correction, stderr factor), or None where the
     regression is singular."""
     from skcprobe.capacity import _control_corrections
-    return _control_corrections(np.array([[controls[n] for n in means] + [floor]]),
-                                np.array([list(means.values())]))[0]
+    return _control_corrections(np.array([controls[n] for n in means] + [floor]),
+                                np.array(list(means.values())))
 
 
 def scaled(est, factor):

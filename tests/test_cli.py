@@ -7,6 +7,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,12 +436,25 @@ class TestDeterminism:
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in tmp_path.iterdir()} == self.MULTI_BLOCK_SHA256
 
+    # sha256 of the benchmark's two-way spec at 2000 trials (8 blocks), seed
+    # 1: the one pinned output where the floor's correction flows into
+    # lower_bob at v_b > 0 and upper is lower_bob + gap
+    TWOWAY_SHA256 = {
+        "twoway.csv": "8fcbe171d74f462da8d22e861c43f67616c334bcdc9d15dbd1267b62fb2e3ec2",
+    }
+
+    def test_two_way_outputs_are_pinned(self, tmp_path):
+        spec = Path(__file__).resolve().parents[1] / "perfbench" / "twoway.yaml"
+        assert main(["eval", "--config", str(spec), "--trials", "2000", "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in tmp_path.iterdir()} == self.TWOWAY_SHA256
+
 
 class TestEngineTraffic:
     """What the bundled figures ask of the engine: fig2's exact floors take
-    no Monte Carlo pass, and fig1's sampled points of a case are fitted in
-    one regression (its noise_ea = noise_b point, being exact, forms no
-    group of its own)."""
+    no Monte Carlo pass, and fig1 fits each point whose floor it samples in
+    one regression of its own, and no exact point."""
 
     @staticmethod
     def count_calls(monkeypatch, module, name):
@@ -456,12 +470,21 @@ class TestEngineTraffic:
         assert main([command, "--config", "fig2", "--out", str(tmp_path)]) == 0
         assert calls == []
 
-    def test_fig1_fits_each_case_in_one_regression(self, tmp_path, monkeypatch):
+    def test_fig1_fits_each_sampled_point_once(self, tmp_path, monkeypatch):
         import skcprobe.capacity as capacity
+        spec = load_spec("fig1")
+        sampled = [config for case in spec.cases for config in (
+            apply_parameter(case.config, "noise_ea", v) for v in spec.sweep.values)
+            if capacity._exact_floor(config) is None]
         calls = self.count_calls(monkeypatch, capacity, "_control_corrections")
         assert main(["sweep", "--config", "fig1", "--trials", "60", "--out",
                      str(tmp_path)]) == 0
-        assert len(calls) == len(load_spec("fig1").cases)
+        assert len(calls) == len(sampled) == 6
+        # each call is one sampled point's (k + 1, trials) rows on its k means
+        assert sorted(tuple(means) for _, means in calls) == sorted(
+            tuple(capacity._control_means(config).values()) for config in sampled)
+        assert [rows.shape for rows, means in calls] == [
+            (len(means) + 1, 60) for _, means in calls]
 
 
 class TestEnvironmentOverrides:

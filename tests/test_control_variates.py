@@ -26,7 +26,7 @@ import yaml
 import skcprobe.capacity as capacity
 from skcprobe import (Estimate, McSettings, ProbingConfig, evaluate, evaluate_many, pilot_mi,
                       secrecy_floor_sample, wishart_logdet_mean, wishart_trace_mean)
-from skcprobe.capacity import (CV_MIN_TRIALS, WISHART_MAX_DIM, _control_corrections, _controls,
+from skcprobe.capacity import (CV_MIN_TRIALS, WISHART_MAX_DIM, _controls,
                                _eigenvalue_weights, trial_values_many)
 from skcprobe.channel import DRAWN, derive_gammas
 from skcprobe.errors import IntegrandFailure
@@ -546,32 +546,34 @@ class TestControlVariates:
         means = {"t2": 0.1, "t3": 0.2, "t1": 0.1}
         points = [{"floor": floor, "t2": t, "t3": other, "t1": t},
                   {"floor": floor, "t2": t, "t3": t, "t1": other}]
-        fits = capacity._fit_controls(points, [dict(means), dict(means)])
+        fits = [capacity._fit_controls(values, dict(means)) for values in points]
         alone = engine_correction(floor, {"t2": t, "t3": other}, {"t2": 0.1, "t3": 0.2})
         assert np.array_equal(fits[0][0], alone[0]) and fits[0][1] == alone[1]
         # singular without t1 too: no fit; and the controls are popped
-        assert 1 not in fits
+        assert fits[1] is None
         assert [set(p) for p in points] == [{"floor"}] * 2
 
     def test_a_singular_system_drops_the_fewest_controls_in_the_drop_order(self, rng):
         n = CV_MIN_TRIALS
-        floor, a, b, c, e, f = (rng.standard_normal(n) for _ in range(6))
-        means = {"t2": 0.1, "t3": 0.2, "t1": 0.3, "p2": 0.4, "p3": 0.5}
+        floor, a, b, c, d, e, f = (rng.standard_normal(n) for _ in range(7))
+        means = {"t2": 0.1, "t3": 0.2, "t1": 0.3, "u1": 0.6, "p2": 0.4, "p3": 0.5}
         cases = [
             # p2 collinear with t2: fitted without p2
-            ({"t2": a, "t3": b, "t1": c, "p2": 2.0 * a, "p3": e}, ("p2",)),
+            ({"t2": a, "t3": b, "t1": c, "u1": d, "p2": 2.0 * a, "p3": e}, ("p2",)),
             # t1 collinear with t2: without t1 alone, keeping p2 and p3
-            ({"t2": a, "t3": b, "t1": a, "p2": c, "p3": e}, ("t1",)),
+            ({"t2": a, "t3": b, "t1": a, "u1": d, "p2": c, "p3": e}, ("t1",)),
             # p2 and p3 collinear with t2 and t3: without both, keeping t1
-            ({"t2": a, "t3": b, "t1": c, "p2": 2.0 * a, "p3": 3.0 * b}, ("p2", "p3")),
+            ({"t2": a, "t3": b, "t1": c, "u1": d, "p2": 2.0 * a, "p3": 3.0 * b}, ("p2", "p3")),
+            # u1 collinear with t3 and t1 with t2: without both, u1 last in the order
+            ({"t2": a, "t3": b, "t1": a, "u1": 2.0 * b, "p2": c, "p3": e}, ("t1", "u1")),
             # t3 collinear with t2 too: no fit
-            ({"t2": a, "t3": a, "t1": c, "p2": e, "p3": f}, None)]
+            ({"t2": a, "t3": a, "t1": c, "u1": d, "p2": e, "p3": f}, None)]
         points = [dict(controls, floor=floor) for controls, _ in cases]
-        fits = capacity._fit_controls(points, [dict(means) for _ in cases])
-        assert capacity.CV_DROP_ORDER == ("p2", "p3", "t1")
+        fits = [capacity._fit_controls(values, dict(means)) for values in points]
+        assert capacity.CV_DROP_ORDER == ("p2", "p3", "t1", "u1")
         for i, (controls, dropped) in enumerate(cases):
             if dropped is None:
-                assert i not in fits
+                assert fits[i] is None
                 continue
             kept = {q: m for q, m in means.items() if q not in dropped}
             alone = engine_correction(floor, controls, kept)
@@ -603,6 +605,22 @@ class TestControlVariates:
             assert engine_correction(values["floor"], values, without_powers) is None
         parent = self.adjusted_floor(config, mc, without=("p2", "p3") + parent_dropped)
         assert est["floor"].stderr <= 1.1 * parent.stderr
+
+    def test_a_point_singular_with_u1_is_fitted_without_all_of_the_drop_order(self):
+        # at power_a = 1e-3 u1 and u3 are also nearly collinear (both ~
+        # gamma_ba tr(G H)): every system that keeps u1 is singular, down to
+        # the one without p2, p3 and t1, and the point is fitted without u1
+        # as well, not on raw samples
+        config = replace(FIG1_BASE, n_e=10, noise_ea=0.5, power_a=1e-3)
+        mc = McSettings(trials=277, master_seed=1)
+        est = evaluate(config, mc, ("floor",))["floor"]
+        means = control_means(config)
+        values = trial_values_many([(config, ("floor",) + tuple(means))], mc)[0]
+        kept = {q: m for q, m in means.items() if q not in ("p2", "p3", "t1")}
+        assert engine_correction(values["floor"], values, kept) is None
+        assert est == self.adjusted_floor(config, mc, without=("p2", "p3", "t1", "u1"))
+        raw = trial_values_many([(config, ("floor",))], mc)[0]
+        assert est.stderr < 1e-3 * summarize(raw["floor"]).stderr
 
     def test_t3_is_factored_once_per_block_for_a_noise_sweep(self, monkeypatch):
         logdets = []
@@ -705,12 +723,6 @@ class TestControlVariates:
         assert engine_correction(floor, {"t2": t, "t3": 2.0 * t}, zero) is None
         assert engine_correction(floor, {"t2": t, "t3": other, "t4": t - 3.0 * other},
                                  dict(zero, t4=0.0)) is None
-        alone = engine_correction(floor, {"t2": t, "t3": other}, {"t2": 0.1, "t3": 0.2})
-        # next to a singular point, a point's fit is the one it gets alone
-        batch = _control_corrections(np.array([[t, other, floor], [t, 2.0 * t, floor]]),
-                                     np.array([[0.1, 0.2], [0.0, 0.0]]))
-        assert np.array_equal(batch[0][0], alone[0]) and batch[0][1] == alone[1]
-        assert batch[1] is None
 
     def test_non_finite_t3_fails_its_point_naming_the_floor(self, monkeypatch):
         real = capacity.Grams.bob_joint_logdets
@@ -747,13 +759,13 @@ class TestControlVariates:
 
     def test_a_fig1_case_holds_its_samples_at_most_three_times(self):
         # a case keeps each sampled point's floor and controls over all its
-        # trials, 8 B each, and the fit stacks one more copy of them; the
-        # rest is per-block work and a few (points, trials) buffers of the
-        # fit's tail.  Measured on these 12 sampled points: 2.63x here
-        # (2.34x at 10,000 trials), as on fig1's 12 off-equal points when
-        # all were sampled (2.64x); per-block lists kept beside their
-        # concatenation and whole (points, k, trials) leverage products read
-        # 3.44x there
+        # trials, 8 B each, and the fit copies one point's of them at a time;
+        # the rest is per-block work and the three trials buffers of the
+        # fit's tail.  Measured on these 12 sampled points: 2.24x here
+        # (1.24x at 10,000 trials); a fit of all the case's points in one
+        # stacked regression read 2.63x (2.34x), and per-block lists kept
+        # beside their concatenation and whole (points, k, trials) leverage
+        # products 3.44x on fig1's 12 off-equal points
         spec = load_spec("fig1")
         configs = [apply_parameter(spec.cases[0].config, "noise_ea", v)
                    for v in SAMPLED_NOISE_EA]
