@@ -24,11 +24,12 @@ also accepts a block of draws (see ChannelRealization) and then evaluates
 all of its trials at once with stacked Gram products and factorizations.
 ``evaluate_many`` is the single Monte Carlo path that every estimate here
 goes through: points whose draws are identical share one pass, and each
-block's Gram matrices are formed once for all of them, which also build what
-they factor in the block's work matrices (see Grams; ``evaluate`` is its
-one-point call).  The floor is exact where Eve hears Alice noiselessly or
-at Bob's SNR, and where Eve's and Bob's SNRs are three times or more apart
-(see _exact_floor); elsewhere it estimates the floor, and the
+block's Gram products, log-dets and traces are computed once for all of
+them, kept in one memo keyed by the product, the probing direction and the
+arguments, and built in the block's work matrices (see Grams; ``evaluate``
+is its one-point call).  The floor is exact where Eve hears Alice
+noiselessly or at Bob's SNR, and where Eve's and Bob's SNRs are three times
+or more apart (see _exact_floor); elsewhere it estimates the floor, and the
 bounds built on it, with control variates whose exact means
 ``wishart_logdet_mean`` and ``wishart_trace_mean`` evaluate in closed form:
 t2 and t3, the log-dets of what Eve and Bob see of Alice's probes, t5, what
@@ -51,7 +52,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import _SWAPPED, ChannelRealization, ProbingConfig, derive_gammas
+from .channel import ChannelRealization, ProbingConfig, derive_gammas
 from .errors import (GridTooSmall, IntegrandFailure, InvalidNoise, OrderingViolation,
                      SkcError, ValidationError)
 from .montecarlo import BLOCK, Estimate, McSettings, collect, summarize
@@ -417,18 +418,40 @@ def _second_order(square, trace, trace_square, n_e: int):
     return square - n_e * n_e * trace_square - n_e * trace * trace
 
 
+def _per_block(method):
+    """A Grams method whose value is computed on its first call and then
+    kept, its arrays read-only, in the memo that both roles of a block
+    share, keyed by the method's name, the role and the positional
+    arguments."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (name, self._swapped, args)
+        memo = self._memo
+        if key not in memo:
+            value = method(self, *args)
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+            memo[key] = value
+        return memo[key]
+
+    return cached
+
+
 class Grams:
-    """Gram matrices of the channels of a draw or a block of draws, each
-    formed on first use, the log-dets factored from them, and the block's
-    work matrices.  A caller that evaluates several configs on the same
-    draws passes one store to every integrand, so each Gram is formed once;
-    swap_roles() reads the role-swapped draws' Grams, and the same work
-    matrices, from the same store.
+    """Gram matrices of the channels of a draw or a block of draws, the
+    log-dets factored from them, and the block's work matrices.  A caller
+    that evaluates several configs on the same draws passes one store to
+    every integrand; swap_roles() reads the role-swapped draws (see
+    ChannelRealization.swap_roles) from the same store.
 
     The Grams are m^H m of each channel m and, for the floor where n_e <
     n_a, K = [g_a; h_ba][g_a; h_ba]^H, (n_e + n_b)-square (see
-    floor_logdets).  A log-det is factored once per (role, gammas) and then
-    shared, read-only, by every integrand and point that asks again.
+    floor_logdets).  Every method marked _per_block computes its value on
+    first use and keeps it, read-only, for every integrand and point that
+    asks again with the same arguments in the same role.
 
     work(shape) is a (trials, rows, cols) complex stack, allocated on first
     use and then overwritten by every integrand that asks for that shape:
@@ -441,77 +464,53 @@ class Grams:
     """
 
     def __init__(self, realization: ChannelRealization,
-                 shared: tuple[dict, dict, dict] | None = None, swapped: bool = False):
+                 shared: tuple[dict, dict] | None = None, swapped: bool = False):
         self._realization = realization
-        self._grams, self._work, self._logdets = ({}, {}, {}) if shared is None else shared
+        # the draws as this role names them
+        self._draws = realization.swap_roles() if swapped else realization
+        self._memo, self._work = ({}, {}) if shared is None else shared
         self._swapped = swapped
 
-    def _channel(self, channel: str) -> str:
-        return _SWAPPED[channel] if self._swapped else channel
-
-    def _gram(self, channel: str, outer: bool = False) -> np.ndarray:
-        """m^H m of channel m (named as the draws store it), m m^H if `outer`."""
-        key = (channel, outer)
-        if key not in self._grams:
-            m = getattr(self._realization, channel)
-            self._grams[key] = _outer(m) if outer else _gram(m)
-        return self._grams[key]
+    @_per_block
+    def _gram(self, channel: str, outer: bool) -> np.ndarray:
+        """m^H m of channel m, m m^H if `outer`."""
+        m = getattr(self._draws, channel)
+        return _outer(m) if outer else _gram(m)
 
     def __getitem__(self, channel: str) -> np.ndarray:
-        return self._gram(self._channel(channel))
+        return self._gram(channel, False)
 
-    def _logdet(self, key: tuple, factor: Callable[[], object]):
-        """The per-trial values (one array or a tuple of them) stored under
-        `key`, factored by `factor` on first use and then read-only."""
-        if key not in self._logdets:
-            value = factor()
-            for part in value if isinstance(value, tuple) else (value,):
-                if isinstance(part, np.ndarray):
-                    part.flags.writeable = False
-            self._logdets[key] = value
-        return self._logdets[key]
-
+    @_per_block
     def identity_logdet(self, channel: str, gamma: float):
         """log2det(I + gamma m^H m) of channel m, per trial, factored in the
         work matrix on the smaller side of Sylvester's identity, as log2det(I
         + gamma m m^H) where m has fewer rows than columns."""
-        channel = self._channel(channel)
+        rows, cols = getattr(self._draws, channel).shape[-2:]
+        gram = self._gram(channel, rows < cols)
+        work = self.work(gram.shape[-2:])
+        np.multiply(gram, gamma, out=work)
+        work += _eye(gram.shape[-1])
+        return logdet_hermitian_pd(work)
 
-        def factor():
-            rows, cols = getattr(self._realization, channel).shape[-2:]
-            gram = self._gram(channel, outer=rows < cols)
-            work = self.work(gram.shape[-2:])
-            np.multiply(gram, gamma, out=work)
-            work += _eye(gram.shape[-1])
-            return logdet_hermitian_pd(work)
-
-        return self._logdet((channel, gamma), factor)
-
+    @_per_block
     def power(self, channel: str):
         """tr(m^H m) = ||m||_F^2 of channel m per trial, the sum of squares
         of the raw draw's real and imaginary parts."""
-        channel = self._channel(channel)
-
-        def factor():
-            return _squared_norm(np.ascontiguousarray(getattr(self._realization, channel)))
-
-        return self._logdet(("power", channel), factor)
+        return _squared_norm(np.ascontiguousarray(getattr(self._draws, channel)))
 
     def _n_e(self) -> int:
-        return getattr(self._realization, self._channel("g_a")).shape[-2]
+        return self._draws.g_a.shape[-2]
 
+    @_per_block
     def _stacked(self) -> np.ndarray:
-        """K = [g_a; h_ba][g_a; h_ba]^H of this role's draws, the stacked
-        channel built in a work matrix."""
-        key = (self._channel("g_a"), self._channel("h_ba"))
-        if key not in self._grams:
-            g, h = (getattr(self._realization, c) for c in key)
-            n_e = self._n_e()
-            stacked = self.work((n_e + h.shape[-2], g.shape[-1]))
-            stacked[..., :n_e, :] = g
-            stacked[..., n_e:, :] = h
-            self._grams[key] = _outer(stacked)
-        return self._grams[key]
+        """K = [g_a; h_ba][g_a; h_ba]^H, the stacked channel built in a work
+        matrix."""
+        g, h = self._draws.g_a, self._draws.h_ba
+        n_e = self._n_e()
+        stacked = self.work((n_e + h.shape[-2], g.shape[-1]))
+        stacked[..., :n_e, :] = g
+        stacked[..., n_e:, :] = h
+        return _outer(stacked)
 
     def _scaled_stacked(self, lead: float, cross: float, trail: float) -> np.ndarray:
         """K in the work matrix, its leading n_e-square block times `lead`,
@@ -524,6 +523,7 @@ class Grams:
         scale[n_e:, n_e:] = trail
         return np.multiply(k, scale, out=self.work(k.shape[-2:]))
 
+    @_per_block
     def floor_logdets(self, gamma_ea: float, gamma_ba: float):
         """(t2, floor) per trial where n_e < n_a, from one Cholesky
         factorization of B = I + S S^H, S = [sqrt(gamma_ea) g_a;
@@ -532,16 +532,12 @@ class Grams:
         (Sylvester), and its trailing n_b entries the log-det of the Schur
         complement I + gamma_ba h_ba (I + gamma_ea G)^-1 h_ba^H, which is
         the floor."""
-        n_e = self._n_e()
+        work = self._scaled_stacked(
+            gamma_ea, math.sqrt(gamma_ea) * math.sqrt(gamma_ba), gamma_ba)
+        work += _eye(work.shape[-1])
+        return logdet_hermitian_pd(work, split=self._n_e())
 
-        def factor():
-            work = self._scaled_stacked(
-                gamma_ea, math.sqrt(gamma_ea) * math.sqrt(gamma_ba), gamma_ba)
-            work += _eye(work.shape[-1])
-            return logdet_hermitian_pd(work, split=n_e)
-
-        return self._logdet(("floor", self._channel("g_a"), gamma_ea, gamma_ba), factor)
-
+    @_per_block
     def null_logdet(self, gamma_ba: float):
         """t4 = log2det(I + gamma_ba h_ba P h_ba^H) per trial, P the projector
         onto null(g_a), where n_e < n_a: the trailing log-det of B's
@@ -550,15 +546,12 @@ class Grams:
         block only, whose Schur complement is I + gamma_ba h_ba (I - g_a^H
         (g_a g_a^H)^-1 g_a) h_ba^H."""
         n_e = self._n_e()
+        work = self._scaled_stacked(1.0, math.sqrt(gamma_ba), gamma_ba)
+        trailing = work[..., n_e:, n_e:]
+        trailing += _eye(trailing.shape[-1])
+        return logdet_hermitian_pd(work, split=n_e)[1]
 
-        def factor():
-            work = self._scaled_stacked(1.0, math.sqrt(gamma_ba), gamma_ba)
-            trailing = work[..., n_e:, n_e:]
-            trailing += _eye(trailing.shape[-1])
-            return logdet_hermitian_pd(work, split=n_e)[1]
-
-        return self._logdet(("null", self._channel("g_a"), gamma_ba), factor)
-
+    @_per_block
     def eve_joint_logdets(self, gamma_ba: float):
         """(t1, u1) per trial where n_e < n_a, from one Cholesky
         factorization of I + gamma_ba K in K's own [g_a; h_ba] order, built
@@ -569,23 +562,18 @@ class Grams:
         gives u1 = tr(gamma_ba G (I + gamma_ba G)^-1 H) = |L21|^2 /
         gamma_ba (push-through).  Exactly Hermitian, as K is."""
         n_e = self._n_e()
+        k = self._stacked()
+        work = np.multiply(k, gamma_ba, out=self.work(k.shape[-2:]))
+        work += _eye(k.shape[-1])
+        eve, _, chol = logdet_hermitian_pd(work, split=n_e, factor=True)
+        return eve, _squared_norm(chol[..., n_e:, :n_e]) / gamma_ba
 
-        def factor():
-            k = self._stacked()
-            work = np.multiply(k, gamma_ba, out=self.work(k.shape[-2:]))
-            work += _eye(k.shape[-1])
-            eve, _, chol = logdet_hermitian_pd(work, split=n_e, factor=True)
-            return eve, _squared_norm(chol[..., n_e:, :n_e]) / gamma_ba
-
-        return self._logdet(("eve-joint", self._channel("g_a"), gamma_ba), factor)
-
+    @_per_block
     def _times(self) -> np.ndarray:
-        """Y = h_ba G of this role's draws, formed once per block."""
-        key = (self._channel("h_ba"), "times", self._channel("g_a"))
-        if key not in self._grams:
-            self._grams[key] = getattr(self._realization, key[0]) @ self["g_a"]
-        return self._grams[key]
+        """Y = h_ba G, formed once per block."""
+        return self._draws.h_ba @ self["g_a"]
 
+    @_per_block
     def interaction_trace(self, gamma_ba: float):
         """u1 = tr(gamma_ba G (I + gamma_ba G)^-1 H) per trial where n_e >=
         n_a, from the n_a x n_a Grams of g_a and h_ba: G commutes with its
@@ -593,17 +581,14 @@ class Grams:
         G)^-1 h_ba^H), Y = h_ba G (see _times): one batched solve of I +
         gamma_ba G, built in the work matrix, against h_ba^H's n_b
         columns."""
+        h = self._draws.h_ba
+        n_a = h.shape[-1]
+        work = np.multiply(self["g_a"], gamma_ba, out=self.work((n_a, n_a)))
+        work += _eye(n_a)
+        solved = np.linalg.solve(work, conj_t(h))
+        return gamma_ba * np.einsum("...ij,...ji->...", self._times(), solved).real
 
-        def factor():
-            h = getattr(self._realization, self._channel("h_ba"))
-            n_a = h.shape[-1]
-            work = np.multiply(self["g_a"], gamma_ba, out=self.work((n_a, n_a)))
-            work += _eye(n_a)
-            solved = np.linalg.solve(work, conj_t(h))
-            return gamma_ba * np.einsum("...ij,...ji->...", self._times(), solved).real
-
-        return self._logdet(("interaction", self._channel("g_a"), gamma_ba), factor)
-
+    @_per_block
     def bob_interactions(self, gamma_ba: float):
         """(u3, w3) per trial where n_e >= n_a, with A = I + gamma_ba H, u3 =
         tr(gamma_ba H A^-1 G) and w3 = tr((A^-1 G)^2) - n_e^2 tr(A^-2) - n_e
@@ -621,53 +606,46 @@ class Grams:
         * otherwise A^-1 [G, I] = [A^-1 G, A^-1], n_a-square, from which u3
           and the traces are read directly (n_a - n_b + tr M would cancel
           where n_b > n_a)."""
-        h_ba = self._channel("h_ba")
+        h = self._draws.h_ba
+        n_b, n_a = h.shape[-2:]
+        if n_b < n_a:
+            gram, rhs = self._gram("h_ba", True), self._times()
+        else:
+            gram, rhs = self["h_ba"], self["g_a"]
+        n = gram.shape[-1]
+        work = np.multiply(gram, gamma_ba, out=self.work((n, n)))
+        work += _eye(n)
+        eye = np.broadcast_to(_eye(n), rhs.shape[:-1] + (n,))
+        solved = np.linalg.solve(work, np.concatenate([rhs, eye], axis=-1))
+        resolved, inverse = solved[..., :n_a], solved[..., n_a:]
+        if n_b < n_a:
+            w = resolved @ conj_t(h)
+            u3 = np.trace(w, axis1=-2, axis2=-1).real
+            square = (_squared_norm(self["g_a"]) - 2.0 * gamma_ba * _real_inner(resolved, rhs)
+                      + gamma_ba * gamma_ba * np.einsum("...ij,...ji->...", w, w).real)
+            free = n_a - n_b
+        else:
+            u3 = np.einsum("...ij,...ji->...", gram, resolved).real
+            square = np.einsum("...ij,...ji->...", resolved, resolved).real
+            free = 0
+        w3 = _second_order(square, free + np.trace(inverse, axis1=-2, axis2=-1).real,
+                           free + _squared_norm(inverse), self._n_e())
+        return gamma_ba * u3, w3
 
-        def factor():
-            h = getattr(self._realization, h_ba)
-            n_b, n_a = h.shape[-2:]
-            if n_b < n_a:
-                gram, rhs = self._gram(h_ba, outer=True), self._times()
-            else:
-                gram, rhs = self._gram(h_ba), self["g_a"]
-            n = gram.shape[-1]
-            work = np.multiply(gram, gamma_ba, out=self.work((n, n)))
-            work += _eye(n)
-            eye = np.broadcast_to(_eye(n), rhs.shape[:-1] + (n,))
-            solved = np.linalg.solve(work, np.concatenate([rhs, eye], axis=-1))
-            resolved, inverse = solved[..., :n_a], solved[..., n_a:]
-            if n_b < n_a:
-                w = resolved @ conj_t(h)
-                u3 = np.trace(w, axis1=-2, axis2=-1).real
-                square = (_squared_norm(self["g_a"]) - 2.0 * gamma_ba * _real_inner(resolved, rhs)
-                          + gamma_ba * gamma_ba * np.einsum("...ij,...ji->...", w, w).real)
-                free = n_a - n_b
-            else:
-                u3 = np.einsum("...ij,...ji->...", gram, resolved).real
-                square = np.einsum("...ij,...ji->...", resolved, resolved).real
-                free = 0
-            w3 = _second_order(square, free + np.trace(inverse, axis1=-2, axis2=-1).real,
-                               free + _squared_norm(inverse), self._n_e())
-            return gamma_ba * u3, w3
-
-        return self._logdet(("bob-interactions", h_ba, gamma_ba), factor)
-
+    @_per_block
     def folded_logdet(self, gamma_ea: float, ratio: float):
         """log2det(I + gamma_ea (G + ratio H)) per trial, from the n_a x n_a
         Grams of g_a and h_ba: the floor's joint log-det where n_e >= n_a
         (ratio = noise_ea/noise_b) and t5 (gamma_ba and ratio 1.0), which
         are one factorization at noise_ea = noise_b."""
+        gram = self["g_a"]
+        work = np.multiply(self["h_ba"], ratio, out=self.work(gram.shape[-2:]))
+        work += gram
+        work *= gamma_ea
+        work += _eye(work.shape[-1])
+        return logdet_hermitian_pd(work)
 
-        def factor():
-            gram = self["g_a"]
-            work = np.multiply(self["h_ba"], ratio, out=self.work(gram.shape[-2:]))
-            work += gram
-            work *= gamma_ea
-            work += _eye(work.shape[-1])
-            return logdet_hermitian_pd(work)
-
-        return self._logdet(("folded", self._channel("g_a"), gamma_ea, ratio), factor)
-
+    @_per_block
     def bob_joint_logdets(self, gamma_ba: float):
         """(t3, t5, u3, w3) per trial where n_e < n_a, from one Cholesky
         factorization of I + gamma_ba K with K's blocks reordered to [h_ba;
@@ -690,31 +668,27 @@ class Grams:
         Cholesky factor of A itself, n_a-square, and the traces have no n_a -
         n_b term.  Exactly Hermitian, as K is."""
         n_e = self._n_e()
-
-        def factor():
-            k = self._stacked()
-            n_a = getattr(self._realization, self._channel("g_a")).shape[-1]
-            n_b = k.shape[-1] - n_e
-            rows, cols = _h_ba_first(n_e, k.shape[-1])
-            work = np.multiply(k[..., rows, cols], gamma_ba, out=self.work(k.shape[-2:]))
-            work += _eye(k.shape[-1])
-            bob, rest, chol = logdet_hermitian_pd(work, split=n_b, factor=True)
-            cross = chol[..., n_b:, :n_b]
-            if n_b > n_a:
-                resolvent = np.multiply(self["h_ba"], gamma_ba, out=self.work((n_a, n_a)))
-                resolvent += _eye(n_a)
-                inverse, free = _lower_inverse(_cholesky(resolvent)), 0
-            else:
-                inverse, free = _lower_inverse(chol[..., :n_b, :n_b]), n_a - n_b
-            # g_a A^-1 g_a^H
-            seen = _small_outer(cross)
-            seen /= -gamma_ba
-            seen += k[..., :n_e, :n_e]
-            w3 = _second_order(_squared_norm(seen), free + _squared_norm(inverse),
-                               free + _squared_norm(_small_outer(inverse)), n_e)
-            return bob, bob + rest, _squared_norm(cross) / gamma_ba, w3
-
-        return self._logdet(("bob-joint", self._channel("g_a"), gamma_ba), factor)
+        k = self._stacked()
+        n_a = self._draws.g_a.shape[-1]
+        n_b = k.shape[-1] - n_e
+        rows, cols = _h_ba_first(n_e, k.shape[-1])
+        work = np.multiply(k[..., rows, cols], gamma_ba, out=self.work(k.shape[-2:]))
+        work += _eye(k.shape[-1])
+        bob, rest, chol = logdet_hermitian_pd(work, split=n_b, factor=True)
+        cross = chol[..., n_b:, :n_b]
+        if n_b > n_a:
+            resolvent = np.multiply(self["h_ba"], gamma_ba, out=self.work((n_a, n_a)))
+            resolvent += _eye(n_a)
+            inverse, free = _lower_inverse(_cholesky(resolvent)), 0
+        else:
+            inverse, free = _lower_inverse(chol[..., :n_b, :n_b]), n_a - n_b
+        # g_a A^-1 g_a^H
+        seen = _small_outer(cross)
+        seen /= -gamma_ba
+        seen += k[..., :n_e, :n_e]
+        w3 = _second_order(_squared_norm(seen), free + _squared_norm(inverse),
+                           free + _squared_norm(_small_outer(inverse)), n_e)
+        return bob, bob + rest, _squared_norm(cross) / gamma_ba, w3
 
     def work(self, shape: tuple[int, int]) -> np.ndarray:
         """The work stack of matrix shape `shape`."""
@@ -724,8 +698,7 @@ class Grams:
         return self._work[shape]
 
     def swap_roles(self) -> "Grams":
-        return Grams(self._realization, (self._grams, self._work, self._logdets),
-                     not self._swapped)
+        return Grams(self._realization, (self._memo, self._work), not self._swapped)
 
 
 def secrecy_floor_sample(realization: ChannelRealization, config: ProbingConfig,
@@ -1189,8 +1162,9 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
     trial_values_many, which also says how `labels` name a failing point).
     pilot_mi is exact, as are the floor where _exact_floor gives it (at
     noise_ea = 0, at noise_ea = noise_b and where gamma_ea and gamma_ba are
-    FLOOR_FORM_RATIO or more apart, _closed_floor; from CV_MIN_TRIALS trials on
-    lower_bob's samples then carry v_a times that value in place of v_a
+    FLOOR_FORM_RATIO or more apart, _closed_floor; at v_b = 0 lower_bob,
+    and with it upper and lower, is then pilot_mi + v_a times that value,
+    and at v_b > 0 lower_bob's samples carry v_a times it in place of v_a
     times the floor's samples), the gap at v_b = 0 (0) and lower_alice at
     noise_ea = 0 with v_a > 0 (-inf).  At v_b = 0 lower_alice is exact
     otherwise too: per sample it is the role-swapped pilot_mi plus v_a (t3 -
@@ -1240,6 +1214,8 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
             exact["floor"] = floor
         if config.v_b == 0:
             exact["gap"] = 0.0
+            if floor is not None:
+                exact["lower_bob"] = pilot_mi(config) + config.v_a * floor
         floor_sampled = floor is None and (
             "floor" in wanted or ("lower_bob" in wanted and config.v_a))
         means = _control_means(config) if floor_sampled or (
@@ -1256,8 +1232,7 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
             names = names | {"floor"} | set(means)
         else:
             means = None
-        if floor is not None and config.v_a and "lower_bob" in names \
-                and mc.trials >= CV_MIN_TRIALS:
+        if floor is not None and config.v_a and "lower_bob" in names:
             names = names | {"floor"}
         control_means.append(means)
         sampled.append((config, names))

@@ -1,8 +1,8 @@
 """Complex dense linear algebra and reproducible random streams.
 
 Every log-determinant here is base 2, so all capacities and entropies built
-on top of this module come out in bits.  No function modifies its inputs
-(hermitize writes only into an `out` array that its caller passes).
+on top of this module come out in bits.  No function modifies its inputs;
+hermitize returns a new array.
 """
 
 from __future__ import annotations

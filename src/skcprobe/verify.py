@@ -298,7 +298,7 @@ def wishart_mean_check(config: ProbingConfig) -> VerificationOutcome:
     wishart_trace_quadrature or wishart_power_quadrature of the same term,
     WISHART_RTOL relative, each term named by its control in the detail.  A
     control whose mean is exactly 0 (w3) is named as such and takes no
-    quadrature: zero_mean_check compares its samples with 0.  A term outside
+    quadrature: raw_mean_check compares its samples with 0.  A term outside
     the closed form's domain is named and not compared: the engine gives
     such a floor its raw estimate."""
     worst, notes = 0.0, []
@@ -329,50 +329,37 @@ def wishart_mean_check(config: ProbingConfig) -> VerificationOutcome:
         detail="largest relative deviation over " + "; ".join(notes))
 
 
-# a control whose mean is exactly 0 passes zero_mean_check if its raw mean is
-# within this many standard errors of 0
-ZERO_MEAN_SIGMAS = 4.0
+# a sampled term passes raw_mean_check if its raw mean is within this many
+# standard errors of its reference
+RAW_MEAN_SIGMAS = 4.0
 
 
-def zero_mean_check(config: ProbingConfig, mc: McSettings) -> list[VerificationOutcome]:
-    """The raw mean of each of the floor's controls whose exact mean is 0
-    (w3, see capacity._controls), on the engine's draws at `mc`, within
-    ZERO_MEAN_SIGMAS standard errors of 0, as <name>-zero-mean: the samples
-    are the independent oracle of the moment identity that sets the mean."""
-    zero = [name for name, control in _controls(config).items() if control.mean.kind == "zero"]
-    values = trial_values_many([(config, zero)], mc)[0]
+def raw_mean_check(config: ProbingConfig, mc: McSettings) -> list[VerificationOutcome]:
+    """The raw mean of each sampled term whose mean is known here, on the
+    engine's draws at `mc` in one pass, within RAW_MEAN_SIGMAS standard
+    errors of that mean: each of the floor's controls whose exact mean is 0
+    (w3, see capacity._controls) against 0, as <name>-zero-mean, the samples
+    being the independent oracle of the moment identity that sets the mean;
+    then, where the floor's mean has its closed form (capacity._closed_floor,
+    gamma_ea and gamma_ba three times or more apart), the floor against that
+    form, as floor-closed-form, the samples being the independent oracle of
+    the Andreief identity behind the form."""
+    references = {name: 0.0 for name, control in _controls(config).items()
+                  if control.mean.kind == "zero"}
+    closed = _closed_floor(config)
+    if closed is not None:
+        references["floor"] = closed
+    values = trial_values_many([(config, tuple(references))], mc)[0]
     outcomes = []
-    for name in zero:
+    for name, reference in references.items():
         est = summarize(values[name])
-        tolerance = ZERO_MEAN_SIGMAS * est.stderr
+        tolerance = RAW_MEAN_SIGMAS * est.stderr
         outcomes.append(VerificationOutcome(
-            check_name=f"{name}-zero-mean", reference_value=0.0, computed_value=est.mean,
-            tolerance=tolerance, passed=abs(est.mean) <= tolerance,
+            check_name="floor-closed-form" if name == "floor" else f"{name}-zero-mean",
+            reference_value=reference, computed_value=est.mean, tolerance=tolerance,
+            passed=abs(est.mean - reference) <= tolerance,
             detail=f"stderr {est.stderr:.3e} over {mc.trials} trials"))
     return outcomes
-
-
-# the floor's closed form passes floor_form_check if the raw mean of the
-# floor's samples is within this many standard errors of it
-FLOOR_FORM_SIGMAS = 4.0
-
-
-def floor_form_check(config: ProbingConfig, mc: McSettings) -> list[VerificationOutcome]:
-    """Where the floor's mean has its closed form (capacity._closed_floor,
-    gamma_ea and gamma_ba three times or more apart), that form against the raw
-    mean of the floor's samples on the engine's draws at `mc`, within
-    FLOOR_FORM_SIGMAS standard errors, as floor-closed-form: the samples are
-    the independent oracle of the Andreief identity behind the form.  No
-    outcome elsewhere."""
-    closed = _closed_floor(config)
-    if closed is None:
-        return []
-    est = summarize(trial_values_many([(config, ("floor",))], mc)[0]["floor"])
-    tolerance = FLOOR_FORM_SIGMAS * est.stderr
-    return [VerificationOutcome(
-        check_name="floor-closed-form", reference_value=closed, computed_value=est.mean,
-        tolerance=tolerance, passed=abs(est.mean - closed) <= tolerance,
-        detail=f"stderr {est.stderr:.3e} over {mc.trials} trials")]
 
 
 def wishart_siso_check(snrs: Sequence[float]) -> VerificationOutcome:
@@ -719,8 +706,7 @@ def run_suite(configs: Sequence[ProbingConfig], mc: McSettings,
         tagged.extend(determinant_identity_suite(
             config, realizations=identity_realizations, master_seed=mc.master_seed))
         tagged.append(wishart_mean_check(config))
-        tagged.extend(zero_mean_check(config, mc))
-        tagged.extend(floor_form_check(config, mc))
+        tagged.extend(raw_mean_check(config, mc))
         for o in tagged:
             outcomes.append(replace(o, check_name=prefix + o.check_name))
     return VerificationSummary(outcomes=tuple(outcomes))

@@ -48,6 +48,7 @@ from skcprobe.capacity import (
     Grams,
     _alice_bound_diverges,
     _closed_floor,
+    _exact_floor,
     trial_values_many,
 )
 from skcprobe.channel import derive_gammas
@@ -548,6 +549,29 @@ class TestWorkMatrices:
         for value, copy in zip(first, kept):
             assert np.array_equal(value, copy)
 
+    @pytest.mark.parametrize("shape", [(4, 4, 2), (2, 3, 3)], ids=["n_e<n_a", "n_e>=n_a"])
+    def test_every_array_it_hands_out_is_read_only(self, shape):
+        # every value a Grams method keeps is shared with later callers, so
+        # none of them may be written through, Gram products included; each
+        # shape keeps both roles in one regime, and (2, 3, 3) takes both of
+        # bob_interactions' branches
+        n_a, n_b, n_e = shape
+        block = sample_channels(make_config(n_a=n_a, n_b=n_b, n_e=n_e), RngStream(5, 0),
+                                trials=6)
+        grams = Grams(block)
+        for role in (grams, grams.swap_roles()):
+            values = [role["g_a"], role["h_ba"], role._gram("h_ba", True), role.power("g_a"),
+                      role.identity_logdet("g_a", 0.5), role.identity_logdet("h_ba", 2.0)]
+            if n_e < n_a:
+                values += [role._stacked(), *role.floor_logdets(0.5, 2.0),
+                           role.null_logdet(2.0), *role.eve_joint_logdets(2.0),
+                           *role.bob_joint_logdets(2.0)]
+            else:
+                values += [role._times(), role.interaction_trace(2.0),
+                           *role.bob_interactions(2.0), role.folded_logdet(0.5, 4.0)]
+            for value in values:
+                assert isinstance(value, np.ndarray) and not value.flags.writeable
+
 
 class TestEvaluateMany:
     """The batched path equals one-config evaluate bit for bit, point by
@@ -800,7 +824,8 @@ class TestOneWayLower:
         named = evaluate(cfg, mc, ("lower", "lower_alice"))
         assert est["lower"] == est["lower_bob"] == est["upper"]
         assert named["lower"] == est["lower"]
-        assert est["lower"].method == "monte-carlo"
+        # where the floor is exact, so is the one-way bound
+        assert est["lower"].method == ("monte-carlo" if _exact_floor(cfg) is None else "exact")
 
     @pytest.mark.parametrize("seed", range(73, 84))
     def test_lower_alice_is_exact_and_below_lower_bob(self, seed):
@@ -943,7 +968,15 @@ class TestRandomValidConfigs:
             if alice_sampled:
                 bob, alice = values["lower_bob"], values["lower_alice"]
                 assert (alice - bob <= 1e-12 * (np.abs(alice) + np.abs(bob))).all()
-        assert upper == summarize(values["lower_bob"] + gap)
+        floor = _exact_floor(config)
+        if floor is None:
+            assert upper == summarize(values["lower_bob"] + gap)
+        elif config.v_b == 0:
+            assert upper == Estimate.exact(pilot_mi(config) + config.v_a * floor)
+        else:
+            # the exact floor replaces the floor's samples in lower_bob's
+            assert upper == summarize(
+                values["lower_bob"] - config.v_a * (values["floor"] - floor) + gap)
 
 
 class TestMonotonicity:

@@ -833,8 +833,8 @@ class TestStackedFloorAccuracy:
     @pytest.mark.parametrize("shape", [(8, 4, 6), (4, 2, 2)])
     def test_noiseless_eve_floor_is_the_exact_mean_of_t4(self, shape):
         # per draw the floor is t4, Bob's channel through the dimensions Eve
-        # cannot observe; the floor is reported as E t4 and lower_bob
-        # carries v_a E t4 in place of v_a t4
+        # cannot observe; the floor is reported as E t4 and, at v_b = 0,
+        # lower_bob as pilot_mi + v_a E t4
         n_a, n_b, n_e = shape
         cfg = replace(FIG1_BASE, n_a=n_a, n_b=n_b, n_e=n_e, v_a=3, noise_ea=0.0)
         mc = McSettings(trials=2000, master_seed=23)
@@ -849,10 +849,10 @@ class TestStackedFloorAccuracy:
         assert abs(est["lower"].mean - (pilot_mi(cfg) + cfg.v_a * exact_t4)) <= 1e-9
         assert est["lower"].stderr <= 1e-9 < raw.stderr
         assert est["lower_alice"] == Estimate.exact(-math.inf)
-        # below CV_MIN_TRIALS lower_bob is its raw mean
+        # below CV_MIN_TRIALS too lower is exact
         few = McSettings(trials=CV_MIN_TRIALS - 1, master_seed=23)
-        raw_bob = trial_values_many([(cfg, ("lower_bob",))], few)[0]["lower_bob"]
-        assert evaluate(cfg, few, ("lower",))["lower"] == summarize(raw_bob)
+        assert evaluate(cfg, few, ("lower",))["lower"] == \
+            Estimate.exact(pilot_mi(cfg) + cfg.v_a * exact_t4)
         # where n_e >= n_a the limit is an exact 0
         full = replace(cfg, n_e=n_a)
         assert evaluate(full, mc, ("floor",))["floor"] == Estimate.exact(0.0)
@@ -999,14 +999,25 @@ class TestClosedFloor:
         for cfg, est in zip(configs, evaluate_many(configs, mc, ("floor", "lower"))):
             floor = capacity._closed_floor(cfg)
             assert est["floor"] == Estimate.exact(floor)
-            # lower_bob's samples carry v_a times the exact floor: pilot_mi
-            # (0 at rho = 0) plus the floor, to round-off
-            assert est["lower"].mean == pytest.approx(pilot_mi(cfg) + floor, rel=1e-14, abs=0.0)
-        # the floors draw nothing; lower_bob samples once per case
-        assert len(calls) == 3
+            # at v_b = 0 lower is pilot_mi (0 at rho = 0) plus v_a times
+            # the exact floor
+            assert est["lower"] == Estimate.exact(pilot_mi(cfg) + cfg.v_a * floor)
+        # neither the floors nor the bounds draw anything
+        assert calls == []
         calls.clear()
         evaluate_many(configs, mc, ("floor",))
         assert calls == []
+
+    @pytest.mark.parametrize("trials", [CV_MIN_TRIALS - 1, CV_MIN_TRIALS])
+    def test_an_exact_floor_makes_the_one_way_bounds_exact(self, trials):
+        # 10 apart, in the closed form's domain: lower = upper = pilot_mi +
+        # v_a floor at any trial count, not a mean of samples
+        cfg = config_from_mapping(dict(n_a=8, n_b=4, n_e=6, v_a=1, v_b=0, power_a=10,
+                                       power_b=10, noise_ea=10))
+        floor = capacity._closed_floor(cfg)
+        assert floor is not None
+        est = evaluate(cfg, McSettings(trials=trials, master_seed=1), ("lower", "upper"))
+        assert est["lower"] == est["upper"] == Estimate.exact(pilot_mi(cfg) + cfg.v_a * floor)
 
     def test_in_domain_fig1_means_agree_with_the_benchmark_reference(self):
         # perfbench/run.py's correctness check holds an exact mean to its

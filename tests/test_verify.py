@@ -1,5 +1,6 @@
 """Verification layer: exact covariance oracle, estimation checks, suite."""
 
+import hashlib
 from dataclasses import replace
 
 import mpmath
@@ -20,11 +21,11 @@ from skcprobe.channel import derive_gammas, sample_channels
 from skcprobe.errors import DimensionGuard, InvalidNoise, ValidationError
 from skcprobe.montecarlo import BLOCK, collect, summarize, trial_blocks
 import skcprobe.verify as verify
-from skcprobe.verify import (CONTROL_ORACLES, IDENTITY_ATOL, floor_form_check,
-                             floor_null_space, floor_resolvent, gap_resolvent,
-                             lower_bob_rectangular, pilot_mi_check, scalar_capacity_check,
+from skcprobe.verify import (CONTROL_ORACLES, IDENTITY_ATOL, floor_null_space,
+                             floor_resolvent, gap_resolvent, lower_bob_rectangular,
+                             pilot_mi_check, raw_mean_check, scalar_capacity_check,
                              wishart_logdet_quadrature, wishart_mean_check,
-                             wishart_trace_quadrature, zero_mean_check)
+                             wishart_trace_quadrature)
 from conftest import make_config
 
 # e * E1(1) / ln 2 to double precision (30-digit mpmath, frozen)
@@ -471,6 +472,9 @@ class TestRunSuite:
                                     for name in per_config(names) + closed[i]]
         assert summary.outcomes[-1].passed
         assert report_path.exists()
+        # the report at the spec's seed and trials, byte for byte
+        assert hashlib.sha256(report_path.read_bytes()).hexdigest() == \
+            "d64629e6646d9a43e778e96a0a53c9163172312aaa35167212873f89e5208f3a"
         assert elapsed < 120.0
 
     def test_every_check_the_readme_names_is_reported(self, bundled_run):
@@ -485,6 +489,12 @@ class TestRunSuite:
         assert named - reported == set()
 
 
+def raw_mean_outcomes(config, mc, suffix):
+    """raw_mean_check's outcomes at `config` whose check names end in
+    `suffix`."""
+    return [o for o in raw_mean_check(config, mc) if o.check_name.endswith(suffix)]
+
+
 class TestZeroMeanCheck:
     """w3's mean is exactly 0 (capacity._controls); verify compares its raw
     mean on the engine's draws with 0 and sends it to no quadrature."""
@@ -495,7 +505,7 @@ class TestZeroMeanCheck:
     def test_w3_raw_mean_is_within_four_stderr_of_zero(self, overrides):
         cfg = make_config(**overrides)
         mc = McSettings(trials=4000, master_seed=1)
-        [outcome] = zero_mean_check(cfg, mc)
+        [outcome] = raw_mean_outcomes(cfg, mc, "-zero-mean")
         w3 = summarize(trial_values_many([(cfg, ("w3",))], mc)[0]["w3"])
         assert outcome.check_name == "w3-zero-mean" and outcome.passed
         assert outcome.computed_value == w3.mean and outcome.tolerance == 4 * w3.stderr
@@ -514,7 +524,7 @@ class TestZeroMeanCheck:
             return values
 
         monkeypatch.setattr(verify, "trial_values_many", shifted)
-        [outcome] = zero_mean_check(cfg, mc)
+        [outcome] = raw_mean_outcomes(cfg, mc, "-zero-mean")
         assert outcome.passed is passed
 
     def test_wishart_mean_names_w3_and_takes_no_quadrature_for_it(self, monkeypatch):
@@ -539,7 +549,7 @@ class TestFloorFormCheck:
 
     def test_the_form_is_within_four_stderr_of_the_raw_mean(self):
         mc = McSettings(trials=2000, master_seed=1)
-        [outcome] = floor_form_check(self.CLOSED, mc)
+        [outcome] = raw_mean_outcomes(self.CLOSED, mc, "floor-closed-form")
         raw = summarize(trial_values_many([(self.CLOSED, ("floor",))], mc)[0]["floor"])
         assert outcome.check_name == "floor-closed-form" and outcome.passed
         assert outcome.reference_value == _closed_floor(self.CLOSED)
@@ -548,15 +558,16 @@ class TestFloorFormCheck:
     def test_no_outcome_outside_the_domain(self):
         mc = McSettings(trials=200, master_seed=1)
         # gamma_ea and gamma_ba 2 and 2.997 apart
-        assert floor_form_check(make_config(), mc) == []
-        assert floor_form_check(replace(self.CLOSED, noise_ea=1.001 / 3), mc) == []
+        assert raw_mean_outcomes(make_config(), mc, "floor-closed-form") == []
+        assert raw_mean_outcomes(replace(self.CLOSED, noise_ea=1.001 / 3), mc,
+                                 "floor-closed-form") == []
 
     @pytest.mark.parametrize("shift,passed", [(3.0, True), (5.0, False)])
     def test_a_shifted_form_fails_beyond_four_stderr(self, monkeypatch, shift, passed):
         mc = McSettings(trials=2000, master_seed=1)
         raw = summarize(trial_values_many([(self.CLOSED, ("floor",))], mc)[0]["floor"])
         monkeypatch.setattr(verify, "_closed_floor", lambda config: raw.mean + shift * raw.stderr)
-        [outcome] = floor_form_check(self.CLOSED, mc)
+        [outcome] = raw_mean_outcomes(self.CLOSED, mc, "floor-closed-form")
         assert outcome.passed is passed
 
 
