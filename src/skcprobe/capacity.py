@@ -31,15 +31,17 @@ is its one-point call).  The floor is exact where Eve hears Alice
 noiselessly or at Bob's SNR, and where Eve's and Bob's SNRs are three times
 or more apart (see _exact_floor); elsewhere it estimates the floor, and the
 bounds built on it, with control variates whose exact means
-``wishart_logdet_mean`` and ``wishart_trace_mean`` evaluate in closed form:
-t2 and t3, the log-dets of what Eve and Bob see of Alice's probes, t5, what
-both see together at Bob's SNR, where n_e < n_a t4, what Bob sees through
-the dimensions Eve cannot observe, t1, what Eve sees at Bob's SNR, u3
-and u1, the first-order interactions of Eve's and Bob's Grams, w3, the
-floor's second-order term in gamma_ea, centred so that its mean is exactly
-0, and p2 and p3, the power Eve and Bob receive (see _controls), all of
-them from CV_MIN_TRIALS trials on, in one regression per point, and
-reports the regression intercept's HC3 stderr.
+``wishart_logdet_mean``, ``wishart_trace_mean`` and the floor's closed form
+evaluate: t2 and t3, the log-dets of what Eve and Bob see of Alice's
+probes, t5, what both see together at Bob's SNR, where n_e < n_a t4, what
+Bob sees through the dimensions Eve cannot observe, t1, what Eve sees at
+Bob's SNR, u3 and u1, the first-order interactions of Eve's and Bob's
+Grams, fl and fh, the floor itself on the same draws at Eve's SNRs a third
+and three times Bob's (the closed form's domain edges), and p2 and p3, the
+power Eve and Bob receive (see _controls), all of them from CV_MIN_TRIALS
+trials on, in one regression per point, and reports the regression
+intercept's HC3 stderr.  Every closed form a call needs is evaluated in
+stacks, one per shape, Bob's SNR and branch (_floor_forms).
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .channel import ChannelRealization, ProbingConfig, derive_gammas
 from .errors import (GridTooSmall, IntegrandFailure, InvalidNoise, OrderingViolation,
                      SkcError, ValidationError)
 from .montecarlo import BLOCK, Estimate, McSettings, collect, summarize
-from .numerics import _cholesky, conj_t, hermitize, logdet_hermitian_pd
+from .numerics import conj_t, hermitize, logdet_hermitian_pd
 
 _LN2 = math.log(2.0)
 
@@ -230,6 +232,21 @@ def _floor_form_domain(n_a: int, n_b: int, n_e: int, gamma_ea: float, gamma_ba: 
             and np.finfo(np.longdouble).eps < FLOOR_FORM_LONG_EPS)
 
 
+def _floor_edges(gamma_ba: float) -> tuple[float, float]:
+    """gamma_ba / FLOOR_FORM_RATIO and gamma_ba FLOOR_FORM_RATIO, the gammas
+    of Eve at which the floor's edge controls fl and fh are taken (see
+    _controls), each moved outwards by the fewest ulps that make the ratio
+    _floor_form_domain reads at least FLOOR_FORM_RATIO: 3 gamma_ba itself
+    reads 2.9999999999999996 apart for about 7% of gamma_ba."""
+    low, high = gamma_ba / FLOOR_FORM_RATIO, gamma_ba * FLOOR_FORM_RATIO
+    if gamma_ba > 0:
+        while low > 0 and gamma_ba / low < FLOOR_FORM_RATIO:
+            low = math.nextafter(low, 0.0)
+        while high / gamma_ba < FLOOR_FORM_RATIO:
+            high = math.nextafter(high, math.inf)
+    return low, high
+
+
 @functools.lru_cache(maxsize=1)
 def _long_rule() -> tuple[np.ndarray, np.ndarray]:
     """The exp-sinh rule in np.longdouble: its nodes u_i, and its weights
@@ -294,11 +311,14 @@ def _refined_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _floor_form(n_a: int, n_b: int, n_e: int, gamma_ea: float, gamma_ba: float) -> float:
-    """The floor's mean J - E t2, J = E log2det(I + gamma_ea G + gamma_ba H).
-    The columns of Y = [sqrt(gamma_ea) g_a; sqrt(gamma_ba) h_ba] are iid
-    CN(0, diag(gamma_ea I_{n_e}, gamma_ba I_{n_b})), so Y Y^H is a complex
-    Wishart matrix with n_a degrees of freedom and two clusters of
+def _floor_form(n_a: int, n_b: int, n_e: int, gammas_ea: Sequence[float], gamma_ba: float
+                ) -> np.ndarray:
+    """The floor's mean J - E t2, J = E log2det(I + gamma_ea G + gamma_ba H),
+    at each gamma_ea of a stack on one branch (below), all of them in one
+    pass that forms Bob's rows once and solves every system in one batched
+    call.  The columns of Y = [sqrt(gamma_ea) g_a; sqrt(gamma_ba) h_ba] are
+    iid CN(0, diag(gamma_ea I_{n_e}, gamma_ba I_{n_b})), so Y Y^H is a
+    complex Wishart matrix with n_a degrees of freedom and two clusters of
     covariance eigenvalues; over the ratio of determinants that is its
     eigenvalue density the Andreief identity gives J = tr(A^-1 N) / ln 2
     (Chiani, Win, Zanella, IEEE Trans. IT 49(10), 2003).  A and N are m x m,
@@ -312,35 +332,54 @@ def _floor_form(n_a: int, n_b: int, n_e: int, gamma_ea: float, gamma_ba: float) 
       tau^(r-k) (0 for k > r), N = 0.
     Rows and columns are scaled (_cluster_rows; each column to a largest
     entry of 1), which leaves tr(A^-1 N) as it is.  Eve's cluster comes
-    first.  Where n_e >= n_a and gamma_ea > gamma_ba the floor is small
-    beside J and E t2, so it is formed without their difference: Eve's rows
-    in the integral columns and the last n_e - n_a polynomial ones (K) are
-    the same form of E t2 = tr(A_EK^-1 N_EK) / ln 2, and eliminating them
-    leaves floor ln 2 = tr(S^-1 (A_BK X - N_BK) Y), X = A_EK^-1 N_EK, Y =
-    A_EK^-1 A_EP, S = A_BP - A_BK Y, with P the other polynomial columns
-    and B Bob's rows.  Otherwise E t2 is wishart_logdet_mean's."""
+    first.  The branch: where n_e >= n_a and gamma_ea > gamma_ba (at every
+    gamma_ea of the stack) the floor is small beside J and E t2, so it is
+    formed without their difference: Eve's rows in the integral columns and
+    the last n_e - n_a polynomial ones (K) are the same form of E t2 =
+    tr(A_EK^-1 N_EK) / ln 2, and eliminating them leaves floor ln 2 = tr(S^-1
+    (A_BK X - N_BK) Y), X = A_EK^-1 N_EK, Y = A_EK^-1 A_EP, S = A_BP - A_BK
+    Y, with P the other polynomial columns and B Bob's rows.  Otherwise E t2
+    is wishart_logdet_mean's."""
     m = n_e + n_b
     s, c = max(n_a - m, 0), min(n_a, m)
-    eve, eve_n = _cluster_rows(gamma_ea, n_e, s, c, m)
     bob, bob_n = _cluster_rows(gamma_ba, n_b, s, c, m)
-    a, n = np.concatenate([eve, bob]), np.concatenate([eve_n, bob_n])
-    scale = 1 / np.max(np.abs(a), axis=0)
+    eve = [_cluster_rows(gamma, n_e, s, c, m) for gamma in gammas_ea]
+    a = np.stack([np.concatenate([rows, bob]) for rows, _ in eve])
+    n = np.stack([np.concatenate([rows, bob_n]) for _, rows in eve])
+    scale = 1 / np.max(np.abs(a), axis=-2, keepdims=True)
     a *= scale
     n *= scale
     ln2 = np.log(np.longdouble(2))
-    if n_e >= n_a and gamma_ea > gamma_ba:
+    if n_e >= n_a and gammas_ea[0] > gamma_ba:
         # columns reordered to K, then P: here c = n_a, and K has n_e columns
         split = m - (n_e - n_a)
-        a = np.concatenate([a[:, :c], a[:, split:], a[:, c:split]], axis=1)
-        n = np.concatenate([n[:, :c], n[:, split:]], axis=1)
-        solved = _refined_solve(a[:n_e, :n_e], np.concatenate(
-            [n[:n_e], a[:n_e, n_e:]], axis=1))
-        x, y = solved[:, :n_e], solved[:, n_e:]
-        schur = a[n_e:, n_e:] - a[n_e:, :n_e] @ y
-        z = _refined_solve(schur, (a[n_e:, :n_e] @ x - n[n_e:]) @ y)
-        return float(np.trace(z) / ln2)
-    joint = np.trace(_refined_solve(a, n)[:c, :c]) / ln2
-    return float(joint) - wishart_logdet_mean(n_e, n_a, gamma_ea)
+        a = np.concatenate([a[..., :c], a[..., split:], a[..., c:split]], axis=-1)
+        n = np.concatenate([n[..., :c], n[..., split:]], axis=-1)
+        solved = _refined_solve(a[:, :n_e, :n_e], np.concatenate(
+            [n[:, :n_e], a[:, :n_e, n_e:]], axis=-1))
+        x, y = solved[..., :n_e], solved[..., n_e:]
+        schur = a[:, n_e:, n_e:] - a[:, n_e:, :n_e] @ y
+        z = _refined_solve(schur, (a[:, n_e:, :n_e] @ x - n[:, n_e:]) @ y)
+        return (np.trace(z, axis1=-2, axis2=-1) / ln2).astype(float)
+    joint = np.trace(_refined_solve(a, n)[:, :c, :c], axis1=-2, axis2=-1) / ln2
+    return joint.astype(float) - [wishart_logdet_mean(n_e, n_a, g) for g in gammas_ea]
+
+
+def _floor_forms(points: Iterable[tuple]) -> dict[tuple, float]:
+    """point -> _floor_form at each distinct (n_a, n_b, n_e, gamma_ea,
+    gamma_ba) point, every one inside _floor_form_domain, evaluated in one
+    stack per shape, gamma_ba and branch.  A single point is a stack of
+    one; evaluate_many asks for every point its configs need at once."""
+    stacks: dict[tuple, list[float]] = {}
+    for n_a, n_b, n_e, gamma_ea, gamma_ba in dict.fromkeys(points):
+        branch = n_e >= n_a and gamma_ea > gamma_ba
+        stacks.setdefault((n_a, n_b, n_e, gamma_ba, branch), []).append(gamma_ea)
+    forms = {}
+    for (n_a, n_b, n_e, gamma_ba, _), gammas in stacks.items():
+        values = _floor_form(n_a, n_b, n_e, gammas, gamma_ba)
+        forms.update(((n_a, n_b, n_e, gamma, gamma_ba), float(value))
+                     for gamma, value in zip(gammas, values))
+    return forms
 
 
 @functools.lru_cache(maxsize=None)
@@ -369,53 +408,11 @@ def _outer(m: np.ndarray) -> np.ndarray:
     return hermitize(m @ conj_t(m))
 
 
-def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re sum_ij a_ij conj(b_ij) per matrix of two stacks whose rows are
-    contiguous, from the real and imaginary parts side by side."""
-    return np.einsum("...ij,...ij->...", a.view(np.float64), b.view(np.float64))
-
-
 def _squared_norm(m: np.ndarray) -> np.ndarray:
-    """||m||_F^2 per matrix of a stack whose rows are contiguous."""
-    return _real_inner(m, m)
-
-
-def _small_outer(m: np.ndarray) -> np.ndarray:
-    """m m^H per matrix of a stack.  Up to 4 rows, as the sum of the outer
-    products of m's columns: numpy's matmul costs about half a microsecond
-    per matrix of a stack, three times this arithmetic on a 2 x 2 result
-    and as much on a 4 x 4 one; on more rows the elementwise temporaries
-    cost more than matmul."""
-    if m.shape[-2] > 4:
-        return m @ conj_t(m)
-    conj = m.conj()
-    out = m[..., :, None, 0] * conj[..., None, :, 0]
-    for k in range(1, m.shape[-1]):
-        out += m[..., :, None, k] * conj[..., None, :, k]
-    return out
-
-
-def _lower_inverse(lower: np.ndarray) -> np.ndarray:
-    """The inverse of each lower-triangular matrix of a stack, by forward
-    substitution a row at a time: numpy has no batched triangular solve,
-    and np.linalg.inv is several times slower on a stack of small
-    matrices."""
-    n = lower.shape[-1]
-    inverse = np.zeros_like(lower)
-    diagonal = 1.0 / np.diagonal(lower, axis1=-2, axis2=-1)
-    for i in range(n):
-        inverse[..., i, i] = diagonal[..., i]
-        if i:
-            inverse[..., i, :i] = -diagonal[..., i, None] * np.einsum(
-                "...k,...kj->...j", lower[..., i, :i], inverse[..., :i, :i])
-    return inverse
-
-
-def _second_order(square, trace, trace_square, n_e: int):
-    """w3 = tr((A^-1 G)^2) - n_e^2 tr(A^-2) - n_e (tr A^-1)^2 per trial from
-    its three traces: E[G C G] = n_e^2 C + n_e tr(C) I for G = g_a^H g_a,
-    independent of H, so given H its mean is 0 (see _controls)."""
-    return square - n_e * n_e * trace_square - n_e * trace * trace
+    """||m||_F^2 per matrix of a stack whose rows are contiguous, from the
+    real and imaginary parts side by side."""
+    parts = m.view(np.float64)
+    return np.einsum("...ij,...ij->...", parts, parts)
 
 
 def _per_block(method):
@@ -589,23 +586,15 @@ class Grams:
         return gamma_ba * np.einsum("...ij,...ji->...", self._times(), solved).real
 
     @_per_block
-    def bob_interactions(self, gamma_ba: float):
-        """(u3, w3) per trial where n_e >= n_a, with A = I + gamma_ba H, u3 =
-        tr(gamma_ba H A^-1 G) and w3 = tr((A^-1 G)^2) - n_e^2 tr(A^-2) - n_e
-        (tr A^-1)^2, from one batched solve, built in the work matrix:
-        * where n_b < n_a, on the n_b-square outer Gram that t3 factors (see
-          identity_logdet), (I + gamma_ba h_ba h_ba^H)^-1 [Y, I] = [Z, M], Y
-          = h_ba G (see _times) and Z = M Y (push-through: (I + gamma_ba
-          H)^-1, H of rank n_b < n_a, would carry the round-off of its null
-          space, gamma_ba times over, into u3).  With W = Z h_ba^H,
-          n_b-square, u3 = gamma_ba tr W, and A^-1 G = G - gamma_ba h_ba^H Z
-          gives tr((A^-1 G)^2) = ||G||_F^2 - 2 gamma_ba Re tr(Z Y^H) +
-          gamma_ba^2 tr(W^2), each term within a few times of the sum (A^-1
-          keeps the n_a - n_b dimensions of null(h_ba)); tr A^-1 = n_a - n_b
-          + tr M and tr A^-2 = n_a - n_b + ||M||_F^2 (M Hermitian);
-        * otherwise A^-1 [G, I] = [A^-1 G, A^-1], n_a-square, from which u3
-          and the traces are read directly (n_a - n_b + tr M would cancel
-          where n_b > n_a)."""
+    def bob_interaction_trace(self, gamma_ba: float):
+        """u3 = tr(gamma_ba H (I + gamma_ba H)^-1 G) per trial where n_e >=
+        n_a, from one batched solve, built in the work matrix: where n_b <
+        n_a on the n_b-square outer Gram that t3 factors (see
+        identity_logdet), (I + gamma_ba h_ba h_ba^H)^-1 Y = Z, Y = h_ba G (see
+        _times), and u3 = gamma_ba tr(Z h_ba^H) (push-through: (I + gamma_ba
+        H)^-1, H of rank n_b < n_a, would carry the round-off of its null
+        space, gamma_ba times over, into u3); otherwise gamma_ba tr(H (I +
+        gamma_ba H)^-1 G), n_a-square."""
         h = self._draws.h_ba
         n_b, n_a = h.shape[-2:]
         if n_b < n_a:
@@ -615,22 +604,12 @@ class Grams:
         n = gram.shape[-1]
         work = np.multiply(gram, gamma_ba, out=self.work((n, n)))
         work += _eye(n)
-        eye = np.broadcast_to(_eye(n), rhs.shape[:-1] + (n,))
-        solved = np.linalg.solve(work, np.concatenate([rhs, eye], axis=-1))
-        resolved, inverse = solved[..., :n_a], solved[..., n_a:]
+        resolved = np.linalg.solve(work, rhs)
         if n_b < n_a:
-            w = resolved @ conj_t(h)
-            u3 = np.trace(w, axis1=-2, axis2=-1).real
-            square = (_squared_norm(self["g_a"]) - 2.0 * gamma_ba * _real_inner(resolved, rhs)
-                      + gamma_ba * gamma_ba * np.einsum("...ij,...ji->...", w, w).real)
-            free = n_a - n_b
+            u3 = np.trace(resolved @ conj_t(h), axis1=-2, axis2=-1).real
         else:
             u3 = np.einsum("...ij,...ji->...", gram, resolved).real
-            square = np.einsum("...ij,...ji->...", resolved, resolved).real
-            free = 0
-        w3 = _second_order(square, free + np.trace(inverse, axis1=-2, axis2=-1).real,
-                           free + _squared_norm(inverse), self._n_e())
-        return gamma_ba * u3, w3
+        return gamma_ba * u3
 
     @_per_block
     def folded_logdet(self, gamma_ea: float, ratio: float):
@@ -645,50 +624,39 @@ class Grams:
         work += _eye(work.shape[-1])
         return logdet_hermitian_pd(work)
 
+    def floor(self, gamma_ea: float, gamma_ba: float, ratio: float) -> np.ndarray:
+        """The floor per trial, clamped at 0 (see secrecy_floor_sample): where
+        n_e < n_a floor_logdets' trailing log-det, or null_logdet's t4 at
+        gamma_ea = inf (noise_ea = 0); otherwise folded_logdet at `ratio` =
+        noise_ea/noise_b = gamma_ba/gamma_ea less identity_logdet of g_a."""
+        if self._n_e() >= self._draws.g_a.shape[-1]:
+            val = self.folded_logdet(gamma_ea, ratio) - self.identity_logdet("g_a", gamma_ea)
+        elif math.isinf(gamma_ea):
+            val = self.null_logdet(gamma_ba)
+        else:
+            val = self.floor_logdets(gamma_ea, gamma_ba)[1]
+        # mathematically >= 0 (each trailing factor entry, or det of M + PSD
+        # over det of M, is >= 1); clamp round-off
+        return np.maximum(val, 0.0)
+
     @_per_block
     def bob_joint_logdets(self, gamma_ba: float):
-        """(t3, t5, u3, w3) per trial where n_e < n_a, from one Cholesky
+        """(t3, t5, u3) per trial where n_e < n_a, from one Cholesky
         factorization of I + gamma_ba K with K's blocks reordered to [h_ba;
         g_a], built in the work matrix: its leading n_b diagonal entries give
         t3 = log2det(I + gamma_ba h_ba h_ba^H) = log2det(I + gamma_ba H)
         (Sylvester), all of them t5 = log2det(I + gamma_ba K) =
         log2det(I + gamma_ba (G + H)), and the factor's off-diagonal block
         L21 gives u3 = tr(gamma_ba H (I + gamma_ba H)^-1 G) = |L21|^2 /
-        gamma_ba (as in eve_joint_logdets).  w3 = tr((A^-1 G)^2) - n_e^2
-        tr(A^-2) - n_e (tr A^-1)^2, A = I + gamma_ba H, takes no further
-        factorization: tr((A^-1 G)^2) = ||g_a A^-1 g_a^H||_F^2 with g_a A^-1
-        g_a^H = g_a g_a^H - L21 L21^H / gamma_ba, K's leading block less the
-        push-through term (a difference that keeps its absolute accuracy,
-        about eps ||g_a||^2, as gamma_ba grows), and the factor's leading
-        block L11 gives M = (I + gamma_ba h_ba h_ba^H)^-1 = C^H C, C =
-        L11^-1, so tr A^-1 = n_a - n_b + ||C||_F^2 and tr A^-2 = n_a - n_b +
-        ||C C^H||_F^2.  Where n_b > n_a, M has n_b - n_a unit eigenvalues,
-        which the factorization perturbs by about eps gamma_ba ||H||, and n_a
-        - n_b + tr M would cancel to that error: there C is the inverse
-        Cholesky factor of A itself, n_a-square, and the traces have no n_a -
-        n_b term.  Exactly Hermitian, as K is."""
+        gamma_ba (as in eve_joint_logdets).  Exactly Hermitian, as K is."""
         n_e = self._n_e()
         k = self._stacked()
-        n_a = self._draws.g_a.shape[-1]
         n_b = k.shape[-1] - n_e
         rows, cols = _h_ba_first(n_e, k.shape[-1])
         work = np.multiply(k[..., rows, cols], gamma_ba, out=self.work(k.shape[-2:]))
         work += _eye(k.shape[-1])
         bob, rest, chol = logdet_hermitian_pd(work, split=n_b, factor=True)
-        cross = chol[..., n_b:, :n_b]
-        if n_b > n_a:
-            resolvent = np.multiply(self["h_ba"], gamma_ba, out=self.work((n_a, n_a)))
-            resolvent += _eye(n_a)
-            inverse, free = _lower_inverse(_cholesky(resolvent)), 0
-        else:
-            inverse, free = _lower_inverse(chol[..., :n_b, :n_b]), n_a - n_b
-        # g_a A^-1 g_a^H
-        seen = _small_outer(cross)
-        seen /= -gamma_ba
-        seen += k[..., :n_e, :n_e]
-        w3 = _second_order(_squared_norm(seen), free + _squared_norm(inverse),
-                           free + _squared_norm(_small_outer(inverse)), n_e)
-        return bob, bob + rest, _squared_norm(cross) / gamma_ba, w3
+        return bob, bob + rest, _squared_norm(chol[..., n_b:, :n_b]) / gamma_ba
 
     def work(self, shape: tuple[int, int]) -> np.ndarray:
         """The work stack of matrix shape `shape`."""
@@ -727,16 +695,8 @@ def secrecy_floor_sample(realization: ChannelRealization, config: ProbingConfig,
         return realization.per_trial(0.0)
     gam = derive_gammas(config)
     grams = Grams(realization) if grams is None else grams
-    if config.noise_ea == 0:
-        val = grams.null_logdet(gam.gamma_ba)
-    elif config.n_e < config.n_a:
-        val = grams.floor_logdets(gam.gamma_ea, gam.gamma_ba)[1]
-    else:
-        val = (grams.folded_logdet(gam.gamma_ea, config.noise_ea / config.noise_b)
-               - grams.identity_logdet("g_a", gam.gamma_ea))
-    # mathematically >= 0 (each trailing factor entry, or det of M + PSD
-    # over det of M, is >= 1); clamp round-off
-    return realization.per_trial(np.maximum(val, 0.0))
+    return realization.per_trial(
+        grams.floor(gam.gamma_ea, gam.gamma_ba, config.noise_ea / config.noise_b))
 
 
 # config.swap_roles(), built once per config for the per-draw calls
@@ -796,28 +756,36 @@ SAMPLED = ("floor", "lower_bob", "gap", "lower_alice")
 # and h_ba: t2 = log2det(I + gamma_ea G), t3 = log2det(I + gamma_ba H), t5 =
 # log2det(I + gamma_ba (G + H)), where n_e < n_a t4 = log2det(I + gamma_ba
 # h_ba P h_ba^H), P the projector onto null(g_a), t1 = log2det(I + gamma_ba
-# G) and the interaction traces u3 = tr(gamma_ba H (I + gamma_ba H)^-1 G)
-# and u1 = tr(gamma_ba G (I + gamma_ba G)^-1 H), the second-order trace w3 =
-# tr((A^-1 G)^2) - n_e^2 tr(A^-2) - n_e (tr A^-1)^2, A = I + gamma_ba H, and
-# the received powers p2 = tr G and p3 = tr H; their means are
-# wishart_logdet_mean's, for u3 and u1 n_e and n_b times wishart_trace_mean's,
-# for w3 exactly 0, and for p2 and p3 n_e n_a and n_b n_a.  From
-# CV_MIN_TRIALS trials on (the regression needs more than k + 1) a point
-# whose floor is sampled (see _exact_floor) regresses on all of them
-CONTROLS = ("t2", "t3", "t5", "t4", "t1", "u3", "u1", "w3", "p2", "p3")
+# G), the interaction traces u3 = tr(gamma_ba H (I + gamma_ba H)^-1 G) and
+# u1 = tr(gamma_ba G (I + gamma_ba G)^-1 H), the floor's edges fl and fh,
+# the floor itself at gamma_ea = gamma_ba / FLOOR_FORM_RATIO and gamma_ba
+# FLOOR_FORM_RATIO (see _floor_edges), and the received powers p2 = tr G and
+# p3 = tr H; their means are wishart_logdet_mean's, for u3 and u1 n_e and
+# n_b times wishart_trace_mean's, for fl and fh _floor_form's, and for p2
+# and p3 n_e n_a and n_b n_a.  From CV_MIN_TRIALS trials on (the regression
+# needs more than k + 1) a point whose floor is sampled (see _exact_floor)
+# regresses on all of them
+CONTROLS = ("t2", "t3", "t5", "t4", "t1", "u3", "u1", "fl", "fh", "p2", "p3")
 # where a control is not one of a config's (see _controls)
-_CONTROL_RULES = {"t2": "noise_ea > 0", "t4": "n_e < n_a"}
+_CONTROL_RULES = {"t2": "noise_ea > 0", "t4": "n_e < n_a",
+                  "fl": "gamma_ba / FLOOR_FORM_RATIO inside _floor_form_domain",
+                  "fh": "gamma_ba * FLOOR_FORM_RATIO inside _floor_form_domain"}
 CV_MIN_TRIALS = 52
-# a regression system whose determinant is at most this fraction of the
-# product of its diagonal counts as singular
-CV_SINGULAR_RTOL = 1e-12
+# a regression system is singular where its form scaled to a unit diagonal
+# has a squared Cholesky pivot, the share of a control's spread that the
+# controls before it leave, at or below this, or no factor.  The smallest
+# (scripts/control_study.py): at least 5.2e-8 at every bundled sampled
+# point from CV_MIN_TRIALS on; at most 2e-12 where t1 ~ t2 (noise_ea within
+# 1e-5 of noise_b), 7.5e-11 where t2 ~ gamma_ea p2 / ln 2 (oneway at
+# noise_ea = 1e6) and 1.3e-13 at (8, 4, 10), power_a = 1.5e-3
+CV_SINGULAR_PIVOT = 1e-9
 # the controls that a point whose regression is singular is fitted again
 # without (see _refits): at a small gamma a log-det is nearly linear in its
 # Gram's trace (t2 ~ gamma_ea p2 / ln 2 where noise_ea is large, t3 ~
 # gamma_ba p3 / ln 2 and t1 ~ gamma_ba p2 / ln 2 at low power, where also
-# u1 and u3 are both ~ gamma_ba tr(G H)), and near noise_ea = noise_b t1 and
-# t2 are nearly collinear
-CV_DROP_ORDER = ("p2", "p3", "t1", "u1")
+# u1 and u3 are both ~ gamma_ba tr(G H) and the edges are nearly linear in
+# the t's), and near noise_ea = noise_b t1 and t2 are nearly collinear
+CV_DROP_ORDER = ("p2", "p3", "t1", "u1", "fl", "fh")
 
 
 def _alice_bound_diverges(config: ProbingConfig) -> bool:
@@ -832,17 +800,16 @@ def _draws_key(config: ProbingConfig) -> tuple:
 
 
 class _Mean(NamedTuple):
-    """A control's exact mean: `times` the mean of its `kind` of term in W
-    = w^H w, w rows x cols with iid CN(0, 1) entries: "logdet" log2det(I +
-    gamma W) (wishart_logdet_mean), "trace" tr(gamma W (I + gamma W)^-1)
-    (wishart_trace_mean) or "power" tr W, whose mean is rows cols (gamma is
-    None); or "zero", a control centred by a moment identity of W = G
-    (n_e x n_a, see _controls), whose mean is exactly 0 (gamma is None)."""
+    """A control's exact mean: `times` the mean of its `kind` of term at
+    `args`.  With W = w^H w, w rows x cols with iid CN(0, 1) entries,
+    "logdet" is log2det(I + gamma W) at (rows, cols, gamma)
+    (wishart_logdet_mean), "trace" tr(gamma W (I + gamma W)^-1) at (rows,
+    cols, gamma) (wishart_trace_mean) and "power" tr W at (rows, cols), whose
+    mean is rows cols; "floor" is the floor at (n_a, n_b, n_e, gamma_ea,
+    gamma_ba), whose mean is _floor_form's."""
 
     kind: str
-    rows: int
-    cols: int
-    gamma: float | None
+    args: tuple
     times: int = 1
 
 
@@ -858,50 +825,48 @@ class _Control(NamedTuple):
 def _controls(config: ProbingConfig) -> dict[str, _Control]:
     """Name -> _Control of each of the floor's CONTROLS at `config`, in the
     order a point takes them: (t2, t3, t5), then t4 where n_e < n_a, (t1,
-    u3, u1), w3 and (p2, p3) last; t2 only where noise_ea > 0 (at noise_ea
-    = 0 its gamma is inf).  Where the floor is exact (see _exact_floor) no point
-    regresses on them.  This table is the one statement of which controls a point has:
-    verify checks each entry's mean and values against its own oracles.
+    u3, u1), the edges (fl, fh) and (p2, p3) last; t2 only where noise_ea >
+    0 (at noise_ea = 0 its gamma is inf), and each edge only where its
+    gammas are inside _floor_form_domain.  Where the floor is exact (see
+    _exact_floor) no point regresses on them.  This table is the one
+    statement of which controls a point has: verify checks each entry's
+    mean and values against its own oracles.
     Each t is a log2det(I + gamma w^H w) with w rows x cols of iid CN(0, 1)
     entries, whose mean is wishart_logdet_mean(rows, cols, gamma); t5's w
     is [g_a; h_ba], (n_e + n_b) x n_a.  u3 = tr(P_H G), P_H = gamma_ba H (I
     + gamma_ba H)^-1, has mean n_e wishart_trace_mean(n_b, n_a, gamma_ba), G
     being independent of H with mean n_e I, and u1 = tr(P_G H) likewise n_b
     wishart_trace_mean(n_e, n_a, gamma_ba): to first order in gamma_ea the
-    floor is t3 - gamma_ea u3 / ln 2.  The second-order term, -gamma_ea^2
-    tr((A^-1 G)^2) / (2 ln 2) with A = I + gamma_ba H, has no closed-form
-    mean here, but E[G C G] = n_e^2 C + n_e tr(C) I for any C independent
-    of G (a complex Wishart moment; Telatar, Eur. Trans. Telecom. 10(6),
-    1999), so w3 = tr((A^-1 G)^2) - n_e^2 tr(A^-2) - n_e (tr A^-1)^2 has
-    mean exactly 0 given H, with no quadrature.  p2 = tr G and p3 = tr H,
-    sums of n_e n_a and n_b n_a squared unit-variance entries, have means
-    n_e n_a and n_b n_a; they are read once per block from the raw draws
-    (Grams.power), and the others from the Grams and factorizations that
-    the floor forms anyway.  Where n_e < n_a, t2 is the leading part of the
-    floor's own factorization, t3, t5, u3 and w3 come from one
-    factorization of the reordered stacked Gram (Grams.bob_joint_logdets),
-    t1 and u1 from one of the stacked Gram in its own order
-    (Grams.eve_joint_logdets), and t4 (h_ba in an orthonormal basis of
-    null(g_a) is n_b x (n_a - n_e), iid and independent of g_a) from its
-    noiseless limit; otherwise t2, t3 and t1 are identity log-dets (t3 on
-    Bob's smaller side), t5 is Grams.folded_logdet at ratio 1.0, u3 and w3
-    come from one solve (Grams.bob_interactions) and u1 is
-    Grams.interaction_trace.  All but t2 depend on gamma_ba only (p2 and p3
-    on no gamma), so the points of a noise_ea sweep share them per block.
-    The two-way integrands read the role-swapped config's t3 and t2 on every
-    draw, so the dict is built once per config, shared and read only."""
+    floor is t3 - gamma_ea u3 / ln 2.  The edges fl and fh are the floor
+    itself (Grams.floor) on the same draws at Eve's gammas gamma_ba /
+    FLOOR_FORM_RATIO and gamma_ba FLOOR_FORM_RATIO (_floor_edges), where its
+    mean has the closed form: with t5 - t1, the floor at gamma_ea =
+    gamma_ba, they pin its dependence on gamma_ea from both sides.  p2 = tr
+    G and p3 = tr H, sums of n_e n_a and n_b n_a squared unit-variance
+    entries, have means n_e n_a and n_b n_a; they are read once per block
+    from the raw draws (Grams.power), and the others from the Grams and
+    factorizations that the floor forms anyway.  Where n_e < n_a, t2 is the
+    leading part of the floor's own factorization, t3, t5 and u3 come from
+    one factorization of the reordered stacked Gram
+    (Grams.bob_joint_logdets), t1 and u1 from one of the stacked Gram in its
+    own order (Grams.eve_joint_logdets), and t4 (h_ba in an orthonormal
+    basis of null(g_a) is n_b x (n_a - n_e), iid and independent of g_a)
+    from its noiseless limit; otherwise t2, t3 and t1 are identity log-dets
+    (t3 on Bob's smaller side), t5 is Grams.folded_logdet at ratio 1.0, u3
+    is Grams.bob_interaction_trace and u1 Grams.interaction_trace.  All but
+    t2 depend on gamma_ba only (p2 and p3 on no gamma), so the points of a
+    noise_ea sweep share them per block.  The two-way integrands read the
+    role-swapped config's t3 and t2 on every draw, so the dict is built once
+    per config, shared and read only."""
     gam = derive_gammas(config)
     g_ea, g_ba = gam.gamma_ea, gam.gamma_ba
     n_a, n_b, n_e = config.n_a, config.n_b, config.n_e
 
     def logdet(rows, cols, gamma, read):
-        return _Control(_Mean("logdet", rows, cols, gamma), read)
+        return _Control(_Mean("logdet", (rows, cols, gamma)), read)
 
     def trace(times, rows, read):
-        return _Control(_Mean("trace", rows, n_a, g_ba, times), read)
-
-    def zero(read):
-        return _Control(_Mean("zero", n_e, n_a, None), read)
+        return _Control(_Mean("trace", (rows, n_a, g_ba), times), read)
 
     if n_e >= n_a:
         controls = {
@@ -909,9 +874,8 @@ def _controls(config: ProbingConfig) -> dict[str, _Control]:
             "t3": logdet(n_b, n_a, g_ba, lambda grams: grams.identity_logdet("h_ba", g_ba)),
             "t5": logdet(n_e + n_b, n_a, g_ba, lambda grams: grams.folded_logdet(g_ba, 1.0)),
             "t1": logdet(n_e, n_a, g_ba, lambda grams: grams.identity_logdet("g_a", g_ba)),
-            "u3": trace(n_e, n_b, lambda grams: grams.bob_interactions(g_ba)[0]),
-            "u1": trace(n_b, n_e, lambda grams: grams.interaction_trace(g_ba)),
-            "w3": zero(lambda grams: grams.bob_interactions(g_ba)[1])}
+            "u3": trace(n_e, n_b, lambda grams: grams.bob_interaction_trace(g_ba)),
+            "u1": trace(n_b, n_e, lambda grams: grams.interaction_trace(g_ba))}
     else:
         controls = {
             "t2": logdet(n_e, n_a, g_ea, lambda grams: grams.floor_logdets(g_ea, g_ba)[0]),
@@ -920,10 +884,14 @@ def _controls(config: ProbingConfig) -> dict[str, _Control]:
             "t4": logdet(n_b, n_a - n_e, g_ba, lambda grams: grams.null_logdet(g_ba)),
             "t1": logdet(n_e, n_a, g_ba, lambda grams: grams.eve_joint_logdets(g_ba)[0]),
             "u3": trace(n_e, n_b, lambda grams: grams.bob_joint_logdets(g_ba)[2]),
-            "u1": trace(n_b, n_e, lambda grams: grams.eve_joint_logdets(g_ba)[1]),
-            "w3": zero(lambda grams: grams.bob_joint_logdets(g_ba)[3])}
-    controls["p2"] = _Control(_Mean("power", n_e, n_a, None), lambda grams: grams.power("g_a"))
-    controls["p3"] = _Control(_Mean("power", n_b, n_a, None), lambda grams: grams.power("h_ba"))
+            "u1": trace(n_b, n_e, lambda grams: grams.eve_joint_logdets(g_ba)[1])}
+    for name, edge in zip(("fl", "fh"), _floor_edges(g_ba)):
+        if _floor_form_domain(n_a, n_b, n_e, edge, g_ba):
+            controls[name] = _Control(
+                _Mean("floor", (n_a, n_b, n_e, edge, g_ba)),
+                lambda grams, edge=edge: grams.floor(edge, g_ba, g_ba / edge))
+    controls["p2"] = _Control(_Mean("power", (n_e, n_a)), lambda grams: grams.power("g_a"))
+    controls["p3"] = _Control(_Mean("power", (n_b, n_a)), lambda grams: grams.power("h_ba"))
     if config.noise_ea == 0:
         del controls["t2"]
     return controls
@@ -933,42 +901,68 @@ def _controls(config: ProbingConfig) -> dict[str, _Control]:
 def _control_mean(mean: _Mean) -> float:
     """A _Control's exact mean, evaluated once per term: the points of a
     sweep share most of their controls' means."""
-    if mean.kind == "zero":
-        return 0.0
     if mean.kind == "power":
-        return float(mean.times * mean.rows * mean.cols)
+        return float(mean.times * math.prod(mean.args))
+    if mean.kind == "floor":
+        return _floor_forms([mean.args])[mean.args]
     form = wishart_trace_mean if mean.kind == "trace" else wishart_logdet_mean
-    return mean.times * form(mean.rows, mean.cols, mean.gamma)
+    return mean.times * form(*mean.args)
 
 
-def _control_means(config: ProbingConfig) -> dict[str, float] | None:
+def _control_means(config: ProbingConfig, forms: dict[tuple, float] | None = None
+                   ) -> dict[str, float] | None:
     """Exact means of the floor's controls at `config`, in order, or None
-    outside the Wishart means' domain (power_a = 0 is outside it)."""
+    outside the Wishart means' domain (power_a = 0 is outside it); an
+    edge's mean is read from `forms`, closed forms keyed by point
+    (_floor_forms), where it is there."""
     try:
-        return {name: _control_mean(control.mean)
-                for name, control in _controls(config).items()}
+        return {name: forms[control.mean.args] if forms and control.mean.args in forms
+                else _control_mean(control.mean) for name, control in _controls(config).items()}
     except ValueError:
         return None
 
 
-def _closed_floor(config: ProbingConfig) -> float | None:
-    """The floor's mean from its closed form (_floor_form), or None outside
-    the form's domain (_floor_form_domain).  Every test before the form's
-    own work is a comparison of the config's numbers."""
+def _form_point(config: ProbingConfig) -> tuple | None:
+    """(n_a, n_b, n_e, gamma_ea, gamma_ba) of `config` where it is inside
+    the floor's closed form's domain (_floor_form_domain), otherwise None;
+    every test is a comparison of the config's numbers."""
     gam = derive_gammas(config)
     point = (config.n_a, config.n_b, config.n_e, gam.gamma_ea, gam.gamma_ba)
-    return _floor_form(*point) if _floor_form_domain(*point) else None
+    return point if _floor_form_domain(*point) else None
 
 
-def _exact_floor(config: ProbingConfig) -> float | None:
+def _closed_floor(config: ProbingConfig) -> float | None:
+    """The floor's mean from its closed form (_floor_forms), or None
+    outside the form's domain (_form_point)."""
+    point = _form_point(config)
+    return None if point is None else _floor_forms([point])[point]
+
+
+def _form_points(config: ProbingConfig) -> list[tuple]:
+    """The points at which the floor at `config` takes the closed form: its
+    own where it is in the form's domain, otherwise, where it is sampled
+    (noise_ea neither 0 nor noise_b), those of its edge controls."""
+    point = _form_point(config)
+    if point is not None:
+        return [point]
+    if config.noise_ea in (0.0, config.noise_b):
+        return []
+    return [control.mean.args for control in _controls(config).values()
+            if control.mean.kind == "floor"]
+
+
+def _exact_floor(config: ProbingConfig, forms: dict[tuple, float] | None = None
+                 ) -> float | None:
     """The floor's exact mean, or None where it has none here or a mean is
     outside its closed form's domain: per draw it is, at noise_ea = 0, 0
     where n_e >= n_a and t4 where n_e < n_a, and at noise_ea = noise_b
     (gamma_ea = gamma_ba) t5 - t2, so its mean is 0, E t4 or E t5 - E t2;
     where gamma_ea and gamma_ba are FLOOR_FORM_RATIO or more apart its mean
-    is _closed_floor's, in that form's domain."""
+    is _closed_floor's, in that form's domain, read from `forms`, closed
+    forms keyed by point (_floor_forms), where it is there."""
     if config.noise_ea not in (0.0, config.noise_b):
-        return _closed_floor(config)
+        point = _form_point(config)
+        return forms[point] if forms and point in forms else _closed_floor(config)
     if config.noise_ea == 0 and config.n_e >= config.n_a:
         return 0.0
     controls = _controls(config)
@@ -978,6 +972,22 @@ def _exact_floor(config: ProbingConfig) -> float | None:
         return _control_mean(controls["t5"].mean) - _control_mean(controls["t2"].mean)
     except ValueError:
         return None
+
+
+def _smallest_pivot(system: np.ndarray) -> float:
+    """The smallest squared pivot of the Cholesky factor of a regression
+    system scaled to a unit diagonal, 0 where a control does not vary or
+    there is no factor: the system is singular where it is at or below
+    CV_SINGULAR_PIVOT."""
+    diagonal = np.diagonal(system)
+    if not np.all(diagonal > 0):
+        return 0.0
+    scale = 1.0 / np.sqrt(diagonal)
+    try:
+        factor = np.linalg.cholesky(system * np.multiply.outer(scale, scale))
+    except np.linalg.LinAlgError:
+        return 0.0
+    return float(np.min(np.diagonal(factor)) ** 2)
 
 
 def _control_corrections(rows: np.ndarray, means: np.ndarray
@@ -991,12 +1001,13 @@ def _control_corrections(rows: np.ndarray, means: np.ndarray
     D_i trial i's centred controls, S their sums of products and d their
     means less the exact ones, w_i = 1/n - d^T S^-1 D_i is the trial's
     weight in the intercept, h_i = 1/n + D_i^T S^-1 D_i its leverage and r_i
-    its adjusted sample less their mean; None where S is singular, which is
-    tested before the one solve that gives beta, S^-1 d and S^-1.  Beside
-    rows the fit holds three buffers of n trials: the per-trial products
-    with S^-1 and beta are formed over slices of at most BLOCK trials,
-    whose columns are those of the whole products, and every sum over
-    trials is one pairwise reduction over all n.  rows is overwritten."""
+    its adjusted sample less their mean; None where S is singular
+    (_smallest_pivot), which is tested before the one solve that gives beta, S^-1
+    d and S^-1.  Beside rows the fit holds three buffers of n trials: the
+    per-trial products with S^-1 and beta are formed over slices of at most
+    BLOCK trials, whose columns are those of the whole products, and every
+    sum over trials is one pairwise reduction over all n.  rows is
+    overwritten."""
     n, k = rows.shape[1], len(means)
     centre = np.add.reduce(rows[:k], axis=-1) / n
     rows[:k] -= centre[:, None]
@@ -1005,7 +1016,7 @@ def _control_corrections(rows: np.ndarray, means: np.ndarray
     # floor (which needs no centring: the controls sum to 0)
     sums = centred @ rows.T
     system, cross = sums[:, :k], sums[:, k:]
-    if not np.linalg.det(system) > CV_SINGULAR_RTOL * np.prod(np.diagonal(system)):
+    if _smallest_pivot(system) <= CV_SINGULAR_PIVOT:
         return None
     offset = (centre - means)[:, None]
     solved = np.linalg.solve(system, np.concatenate([cross, offset, np.eye(k)], axis=-1))
@@ -1175,17 +1186,17 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
     A sampled floor is estimated with control variates, one regression
     per point once the draws are in: the floor's samples are regressed on
     all of the point's controls, (t2, t3, t5), t4 where n_e < n_a, (t1, u3,
-    u1), w3 and (p2, p3) (see _controls, _control_corrections and
-    _fit_controls, which solves a singular system again without some of
-    CV_DROP_ORDER), and the correction beta . (t - mean), with the
-    controls' exact means, is subtracted from the floor's samples and v_a
-    times it from lower_bob's, so upper and lower are built from adjusted
-    samples and upper == lower_bob + gap still holds per sample.  A point
-    with fewer than CV_MIN_TRIALS trials, a singular regression or a config
-    outside wishart_logdet_mean's domain gets the raw samples.  An estimate
-    built from adjusted samples takes their stderr times
-    _control_corrections' factor: the floor's HC3 stderr, v_a times it for
-    lower_bob at v_b = 0, an approximation at v_b > 0.
+    u1), the edges (fl, fh) and (p2, p3) (see _controls,
+    _control_corrections and _fit_controls, which solves a singular system
+    again without some of CV_DROP_ORDER), and the correction beta . (t -
+    mean), with the controls' exact means, is subtracted from the floor's
+    samples and v_a times it from lower_bob's, so upper and lower are built
+    from adjusted samples and upper == lower_bob + gap still holds per
+    sample.  A point with fewer than CV_MIN_TRIALS trials, a singular
+    regression or a config outside wishart_logdet_mean's domain gets the
+    raw samples.  An estimate built from adjusted samples takes their
+    stderr times _control_corrections' factor: the floor's HC3 stderr, v_a
+    times it for lower_bob at v_b = 0, an approximation at v_b > 0.
 
     'lower' is the larger side bound, Bob's side winning ties.  At v_b = 0
     it is lower_bob (which is then also upper), and lower_alice is
@@ -1204,12 +1215,15 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
         wanted.add("lower_bob")
     if "upper" in wanted:
         wanted |= {"lower_bob", "gap"}
+    # every closed form that the points' floors and edge controls take, in
+    # stacks, read by _exact_floor and _control_means
+    forms = _floor_forms(point for config in configs for point in _form_points(config))
     exacts, sampled, control_means = [], [], []
     for config in configs:
         exact = {}
         if "pilot_mi" in wanted:
             exact["pilot_mi"] = pilot_mi(config)
-        floor = _exact_floor(config)
+        floor = _exact_floor(config, forms)
         if floor is not None:
             exact["floor"] = floor
         if config.v_b == 0:
@@ -1218,7 +1232,7 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
                 exact["lower_bob"] = pilot_mi(config) + config.v_a * floor
         floor_sampled = floor is None and (
             "floor" in wanted or ("lower_bob" in wanted and config.v_a))
-        means = _control_means(config) if floor_sampled or (
+        means = _control_means(config, forms) if floor_sampled or (
             config.noise_ea > 0 and "lower_alice" in wanted) else None
         if _alice_bound_diverges(config):
             exact["lower_alice"] = -math.inf

@@ -10,10 +10,10 @@ Four kinds of checks live here:
 * the exact mean of each control variate that capacity._controls
   declares for the floor against adaptive quadrature of the same integral,
   with the Laguerre polynomials from scipy.special, and the log-det mean
-  against the scalar ergodic capacity; a control whose mean is exactly 0
-  by a moment identity (w3) against the raw mean of its samples, and the
-  floor's closed-form mean, where it has one, against the raw mean of the
-  floor's samples;
+  against the scalar ergodic capacity; the floor's closed-form mean, at
+  each edge control (the floor at Eve's gammas a third and three times
+  Bob's) and at the config itself where it has one, against the raw mean of
+  the same samples;
 * per-trial determinant-identity checks on the engine's blocks of draws:
   the engine's floor, each of its declared controls (CONTROL_ORACLES), gap
   and Bob-side integrands against oracle forms that reach each value
@@ -296,31 +296,31 @@ def wishart_mean_check(config: ProbingConfig) -> VerificationOutcome:
     cols, gamma), wishart_trace_mean's or, for a power control, the
     engine's rows cols, against `times` wishart_logdet_quadrature,
     wishart_trace_quadrature or wishart_power_quadrature of the same term,
-    WISHART_RTOL relative, each term named by its control in the detail.  A
-    control whose mean is exactly 0 (w3) is named as such and takes no
-    quadrature: raw_mean_check compares its samples with 0.  A term outside
-    the closed form's domain is named and not compared: the engine gives
-    such a floor its raw estimate."""
+    WISHART_RTOL relative, each term named by its control in the detail.  An
+    edge control, whose mean is the floor's closed form, is named with its
+    gamma_ea and takes no quadrature: raw_mean_check compares its samples
+    with the form.  A term outside the closed form's domain is named and not
+    compared: the engine gives such a floor its raw estimate."""
     worst, notes = 0.0, []
     for name, control in _controls(config).items():
-        kind, rows, cols, gamma, times = control.mean
-        if kind == "zero":
-            notes.append(f"{name} (exactly {_control_mean(control.mean):g})")
+        kind, args, times = control.mean
+        if kind == "floor":
+            notes.append(f"{name} (floor form, gamma_ea {args[3]:g})")
             continue
         if kind == "power":
-            term = f"{name} ({rows}x{cols})"
+            term = f"{name} ({args[0]}x{args[1]})"
             closed = _control_mean(control.mean)
-            reference = times * wishart_power_quadrature(rows, cols)
+            reference = times * wishart_power_quadrature(*args)
         else:
             closed_form, quadrature = (wishart_trace_mean, wishart_trace_quadrature) \
                 if kind == "trace" else (wishart_logdet_mean, wishart_logdet_quadrature)
-            term = f"{name} ({rows}x{cols}, gamma {gamma:g})"
+            term = f"{name} ({args[0]}x{args[1]}, gamma {args[2]:g})"
             try:
-                closed = times * closed_form(rows, cols, gamma)
+                closed = times * closed_form(*args)
             except ValueError:
                 notes.append(f"{term} outside the domain")
                 continue
-            reference = times * quadrature(rows, cols, gamma)
+            reference = times * quadrature(*args)
         worst = max(worst, abs(closed - reference) / abs(reference))
         notes.append(term)
     return VerificationOutcome(
@@ -335,17 +335,18 @@ RAW_MEAN_SIGMAS = 4.0
 
 
 def raw_mean_check(config: ProbingConfig, mc: McSettings) -> list[VerificationOutcome]:
-    """The raw mean of each sampled term whose mean is known here, on the
-    engine's draws at `mc` in one pass, within RAW_MEAN_SIGMAS standard
-    errors of that mean: each of the floor's controls whose exact mean is 0
-    (w3, see capacity._controls) against 0, as <name>-zero-mean, the samples
-    being the independent oracle of the moment identity that sets the mean;
-    then, where the floor's mean has its closed form (capacity._closed_floor,
-    gamma_ea and gamma_ba three times or more apart), the floor against that
-    form, as floor-closed-form, the samples being the independent oracle of
-    the Andreief identity behind the form."""
-    references = {name: 0.0 for name, control in _controls(config).items()
-                  if control.mean.kind == "zero"}
+    """The raw mean of each sampled term whose mean has the floor's closed
+    form here, on the engine's draws at `mc` in one pass, within
+    RAW_MEAN_SIGMAS standard errors of that form, the samples being the
+    independent oracle of the Andreief identity behind it: each of the
+    floor's edge controls that capacity._controls declares (the floor at
+    gamma_ea = gamma_ba / 3 and 3 gamma_ba) against its mean, as
+    <name>-closed-form; then, where the floor's own mean has the form
+    (capacity._closed_floor, gamma_ea and gamma_ba three times or more
+    apart), the floor against it, as floor-closed-form."""
+    references = {name: _control_mean(control.mean)
+                  for name, control in _controls(config).items()
+                  if control.mean.kind == "floor"}
     closed = _closed_floor(config)
     if closed is not None:
         references["floor"] = closed
@@ -355,8 +356,8 @@ def raw_mean_check(config: ProbingConfig, mc: McSettings) -> list[VerificationOu
         est = summarize(values[name])
         tolerance = RAW_MEAN_SIGMAS * est.stderr
         outcomes.append(VerificationOutcome(
-            check_name="floor-closed-form" if name == "floor" else f"{name}-zero-mean",
-            reference_value=reference, computed_value=est.mean, tolerance=tolerance,
+            check_name=f"{name}-closed-form", reference_value=reference,
+            computed_value=est.mean, tolerance=tolerance,
             passed=abs(est.mean - reference) <= tolerance,
             detail=f"stderr {est.stderr:.3e} over {mc.trials} trials"))
     return outcomes
@@ -477,46 +478,27 @@ def interaction_traces(realization: ChannelRealization, config: ProbingConfig):
             "u1": trace(realization.g_a, realization.h_ba)}
 
 
-def second_order_traces(realization: ChannelRealization, config: ProbingConfig):
-    """Oracle of the floor's control w3 = tr((A^-1 G)^2) - n_e^2 tr(A^-2) -
-    n_e (tr A^-1)^2 per trial, A = I + gamma_ba H, from the eigenpairs (l_k,
-    v_k) of H (numpy's eigh): with d_k = 1/(1 + gamma_ba l_k) the
-    eigenvalues of A^-1 and G' = (g_a V)^H (g_a V), tr A^-1 = sum_k d_k, tr
-    A^-2 = sum_k d_k^2 and tr((A^-1 G)^2) = sum_jk d_j d_k |G'_jk|^2.  Where
-    h_ba has fewer rows than columns only its nonzero eigenvalues are taken,
-    from h_ba h_ba^H = U diag(l) U^H with v_k = h_ba^H u_k / sqrt(l_k), and
-    the other n_a - n_b are exactly 1 in A^-1 (as in interaction_traces):
-    then g_a A^-1 g_a^H = g_a g_a^H - (g_a V) diag(1 - d) (g_a V)^H, and
-    tr((A^-1 G)^2) is its squared Frobenius norm."""
-    gamma = derive_gammas(config).gamma_ba
-    h, g = realization.h_ba, realization.g_a
-    if config.n_b < config.n_a:
-        eigenvalues, vectors = np.linalg.eigh(hermitize(h @ conj_t(h)))
-        vectors = conj_t(h) @ vectors / np.sqrt(eigenvalues)[..., None, :]
-        free = config.n_a - config.n_b
-    else:
-        eigenvalues, vectors = np.linalg.eigh(hermitize(conj_t(h) @ h))
-        free = 0
-    inverse = 1.0 / (1.0 + gamma * eigenvalues)
-    seen = g @ vectors
-    if free:
-        resolved = g @ conj_t(g) - (seen * (1.0 - inverse)[..., None, :]) @ conj_t(seen)
-        square = np.sum(np.abs(resolved) ** 2, axis=(-2, -1))
-    else:
-        rotated = np.abs(conj_t(seen) @ seen) ** 2
-        square = np.einsum("...j,...jk,...k->...", inverse, rotated, inverse)
-    trace = free + np.sum(inverse, axis=-1)
-    trace_square = free + np.sum(inverse ** 2, axis=-1)
-    n_e = config.n_e
-    return square - n_e ** 2 * trace_square - n_e * trace ** 2
-
-
 def received_powers(realization: ChannelRealization, config: ProbingConfig):
     """Oracle of the floor's controls p2 = tr G and p3 = tr H, {"p2": ...,
     "p3": ...} per trial: the real traces of the outer Grams g_a g_a^H and
     h_ba h_ba^H."""
     return {name: np.trace(m @ conj_t(m), axis1=-2, axis2=-1).real
             for name, m in (("p2", realization.g_a), ("p3", realization.h_ba))}
+
+
+def floor_edges(realization: ChannelRealization, config: ProbingConfig):
+    """Oracle of the floor's edge controls fl and fh that capacity._controls
+    declares at `config`, {"fl": ..., "fh": ...} per trial: the regime's
+    floor oracle (floor_null_space where n_e < n_a, otherwise
+    floor_resolvent) at the config whose noise_ea puts Eve's gamma at the
+    edge's."""
+    values = {}
+    for name, control in _controls(config).items():
+        if control.mean.kind == "floor":
+            edge = replace(config, noise_ea=config.power_a / control.mean.args[3])
+            values[name] = floor_null_space(realization, edge)["floor"] \
+                if config.n_e < config.n_a else floor_resolvent(realization, edge)
+    return values
 
 
 def gap_resolvent(realization: ChannelRealization, config: ProbingConfig):
@@ -579,7 +561,8 @@ def lower_bob_rectangular(realization: ChannelRealization, config: ProbingConfig
 CONTROL_ORACLES = {"t2": eve_smaller_side, "t3": bob_smaller_side, "t5": joint_sylvester,
                    "t4": floor_null_space, "t1": eve_sylvester,
                    "u3": interaction_traces, "u1": interaction_traces,
-                   "w3": second_order_traces, "p2": received_powers, "p3": received_powers}
+                   "fl": floor_edges, "fh": floor_edges,
+                   "p2": received_powers, "p3": received_powers}
 
 
 def _worst_deviation(name: str, pairs, tolerance: float, detail: str) -> VerificationOutcome:
@@ -689,9 +672,9 @@ def run_suite(configs: Sequence[ProbingConfig], mc: McSettings,
 
     The scalar-capacity cross-oracle and the scalar check of the Wishart
     log-det means are configuration independent and run once; the exact
-    means of the floor's controls, the raw mean of each control whose mean
-    is exactly 0 and, where the floor has its closed form, that form are
-    checked per config.  Overall pass requires every outcome to pass.
+    means of the floor's controls and the floor's closed form, at its edge
+    controls and where the floor itself has it, are checked per config.
+    Overall pass requires every outcome to pass.
     """
     if not configs:
         raise ValidationError("empty config set")

@@ -65,7 +65,7 @@ from skcprobe.experiments import apply_parameter, load_spec
 from skcprobe.montecarlo import BLOCK, collect, summarize, trial_blocks
 from skcprobe.verify import (IDENTITY_ATOL, floor_resolvent, gap_resolvent,
                              lower_bob_rectangular)
-from conftest import (capacity_logdet, control_means, engine_correction, make_config,
+from conftest import (capacity_logdet, engine_correction, engine_means, make_config,
                       make_realization, scaled)
 
 LOG2_4_3 = 0.41503749927884382
@@ -380,7 +380,7 @@ class TestBatchedIntegrands:
         # control-variate correction (see TestControlVariates)
         cfg = make_config(v_b=2)
         mc = McSettings(trials=BLOCK + 30, master_seed=53)
-        means = control_means(cfg)
+        means = engine_means(cfg)
         values = trial_values_many([(cfg, ("gap", "lower_bob", "floor") + tuple(means))],
                                    mc)[0]
         correction, factor = engine_correction(values["floor"], values, means)
@@ -554,7 +554,7 @@ class TestWorkMatrices:
         # every value a Grams method keeps is shared with later callers, so
         # none of them may be written through, Gram products included; each
         # shape keeps both roles in one regime, and (2, 3, 3) takes both of
-        # bob_interactions' branches
+        # bob_interaction_trace's branches
         n_a, n_b, n_e = shape
         block = sample_channels(make_config(n_a=n_a, n_b=n_b, n_e=n_e), RngStream(5, 0),
                                 trials=6)
@@ -568,7 +568,7 @@ class TestWorkMatrices:
                            *role.bob_joint_logdets(2.0)]
             else:
                 values += [role._times(), role.interaction_trace(2.0),
-                           *role.bob_interactions(2.0), role.folded_logdet(0.5, 4.0)]
+                           role.bob_interaction_trace(2.0), role.folded_logdet(0.5, 4.0)]
             for value in values:
                 assert isinstance(value, np.ndarray) and not value.flags.writeable
 
@@ -621,7 +621,7 @@ class TestEvaluateMany:
                 continue
             direct = np.concatenate([secrecy_floor_sample(block, config)
                                      for _, block in trial_blocks(config, mc)])
-            means = control_means(config)
+            means = engine_means(config)
             controls = trial_values_many([(config, tuple(means))], mc)[0]
             correction, factor = engine_correction(direct, controls, means)
             assert point["floor"] == scaled(summarize(direct - correction), factor)
@@ -722,9 +722,10 @@ class TestEvaluateMany:
                       mc, QUANTITIES)
         # n_e >= n_a: all four channels, once per block
         assert [kind for kind, _ in formed].count("gram") == 4 * 2
-        # a (6, 4, 5) block of every quantity factors the floor's four
-        # (n_e + n_b)-square matrices (floor_logdets, bob_joint_logdets with
-        # u3, null_logdet, eve_joint_logdets with t1 and u1) and three
+        # a (6, 4, 5) block of every quantity factors the floor's six
+        # (n_e + n_b)-square matrices (floor_logdets at the point and at each
+        # edge, bob_joint_logdets with u3, null_logdet, eve_joint_logdets
+        # with t1 and u1) and three
         # n_b-square ones of the role-swapped floor (folded_logdet, t2',
         # t3'), which the bounds and the gap read too
         factored = []
@@ -734,7 +735,7 @@ class TestEvaluateMany:
         # and the floor is exact)
         twoway = make_config(**dict(WORK_CONFIGS["twoway"], noise_ea=0.5))
         evaluate(twoway, McSettings(trials=BLOCK, master_seed=5), QUANTITIES)
-        assert sorted(factored) == [(4, 4)] * 3 + [(9, 9)] * 4
+        assert sorted(factored) == [(4, 4)] * 3 + [(9, 9)] * 6
 
     def test_exact_points_take_no_pass(self, monkeypatch):
         import skcprobe.capacity as capacity
@@ -811,9 +812,10 @@ class TestOneWayLower:
         assert bob_configs == [cfg] * blocks         # never the role-swapped config
         # n_e < n_a: the floor's stacked factorization (which also gives
         # t2), t3, t5 and u3 from the reordered stacked Gram, t4 from its
-        # noiseless limit and t1 and u1 from the stacked Gram in its own
-        # order; Bob's bound reuses the floor
-        assert logdets == [((4, 4), 2)] * 4 * blocks
+        # noiseless limit, t1 and u1 from the stacked Gram in its own order
+        # and the floor's factorization at each edge; Bob's bound reuses the
+        # floor
+        assert logdets == [((4, 4), 2)] * 6 * blocks
         assert est["lower"] == est["upper"]
 
     @pytest.mark.parametrize("overrides", list(ONE_WAY.values()), ids=list(ONE_WAY))
@@ -838,7 +840,7 @@ class TestOneWayLower:
             alice = est["lower_alice"]
             assert alice.method == "exact", name
             if cfg.noise_ea > 0:
-                means = control_means(cfg)
+                means = engine_means(cfg)
                 assert alice.mean == pilot_mi(cfg.swap_roles()) + cfg.v_a * (
                     means["t3"] - means["t2"]), name
             assert alice.mean <= est["lower_bob"].mean, name

@@ -389,9 +389,9 @@ class TestDeterminism:
 
     # sha256 of what the bundled specs write at --trials 60 --seed 1
     BUNDLED_SHA256 = {
-        "oneway.csv": "0bd70c57866296ab32ed9f76ff07ff205fb31e44f9d299b617043de4bdad6af7",
-        "fig1.csv": "5969ecb61cfe9525a3f1471335987a9cdcc878a7e8c4373163a0706479a908e3",
-        "fig1.svg": "220992bb9b02dc3d81346e40b3c874fe649237ee36ec51e867ada2c522eb19b5",
+        "oneway.csv": "332f2fcdf60fe717de61e7bbb245c002372bbf175c238a4c66d0a02edcb98126",
+        "fig1.csv": "e59a126da43f16553fbd7a29f1771693cd637f222916b45184618b977320d38f",
+        "fig1.svg": "fb2ad8f2562c5d5af609ff1c9da8403207e58b8dfc6f947c881209356bb22955",
         "fig2.csv": "e7c51abb43831579da7317e0582e3e9e665e4494e2ccc266761bc4a914260cfc",
         "fig2.svg": "5a25089b2f0c9a476db3f27409eeeb201874b6184b350d14f6f8dd8cec9e8b9c",
         "fig2-dof.csv": "46898ba1c6d5f1de30b2962805fc71d3e9e1c76371c6ee482e0876461a490fdd",
@@ -424,9 +424,9 @@ class TestDeterminism:
     # sha256 of outputs fitted over several blocks, at seed 1: oneway at
     # 3000 trials (12 blocks) and fig1 at 600 (3 blocks, the last partial)
     MULTI_BLOCK_SHA256 = {
-        "oneway.csv": "d59fa90c287b4324300b0acd50962797a07e3884e46be8fe533ab6b027797af7",
-        "fig1.csv": "41d1067bb1334457aaba88fc48b4f7e544733251c3d172a3ae190c1f46e48d5c",
-        "fig1.svg": "8287a5e92c61de137c367dbd502c879d9d5a2c17d37a20a800773ab15fef486a",
+        "oneway.csv": "74c14989da3e82abd5577ca543871e214c39c2e051f8f035c3c7e918f86bd02e",
+        "fig1.csv": "aa3ea9c337f830bb147180dcefd3e6f87b2d53beb15381f0d942a25ae92b2230",
+        "fig1.svg": "ba8f0b9a74186af007bf03f6e48587dcda73cbbb137eda5766f3f7d424799c13",
     }
 
     def test_multi_block_outputs_are_pinned(self, tmp_path):
@@ -440,7 +440,7 @@ class TestDeterminism:
     # 1: the one pinned output where the floor's correction flows into
     # lower_bob at v_b > 0 and upper is lower_bob + gap
     TWOWAY_SHA256 = {
-        "twoway.csv": "8fcbe171d74f462da8d22e861c43f67616c334bcdc9d15dbd1267b62fb2e3ec2",
+        "twoway.csv": "b15cfdad7098b1f599b565b9254d3fd228c2657922f0450caa91e8baa2e76606",
     }
 
     def test_two_way_outputs_are_pinned(self, tmp_path):
@@ -577,8 +577,8 @@ quantities: [gap, bounds]
         header, row = (tmp_path / "oneway.csv").read_text().splitlines()
         fields = dict(zip(header.split(","), row.split(",")))
         assert {k: v for k, v in fields.items() if k.endswith("_mean")} == {
-            "pilot_mi_mean": "19.1306071068", "floor_mean": "7.68769184581",
-            "gap_mean": "0", "lower_mean": "49.88137449", "upper_mean": "49.88137449"}
+            "pilot_mi_mean": "19.1306071068", "floor_mean": "7.68742800699",
+            "gap_mean": "0", "lower_mean": "49.8803191347", "upper_mean": "49.8803191347"}
 
 
 class TestDegenerateConfig:

@@ -11,6 +11,7 @@ moment int x^j (g x / (1 + g x)) e^-x dx is J_{j+1}.  That path shares
 nothing with the engine's quadrature rule.
 """
 
+import importlib.util
 import json
 import math
 import tracemalloc
@@ -35,7 +36,8 @@ from skcprobe.experiments import (apply_parameter, config_from_mapping,
 from skcprobe.montecarlo import BLOCK, summarize, trial_blocks
 from skcprobe.numerics import conj_t
 
-from conftest import (capacity_logdet, control_correction, control_means, engine_correction,
+from conftest import (andreief_logdet, capacity_logdet, control_correction, control_means,
+                      engine_correction, engine_means, j_recurrence_digits, reference_floor,
                       scaled)
 
 
@@ -66,11 +68,6 @@ def reference_mean(rows: int, cols: int, gamma: float) -> float:
         return float(total / mpmath.log(2))
 
 
-def j_recurrence_digits(steps: int, gamma: float) -> int:
-    # each step of the J recurrence can cancel log10(1/gamma) digits
-    return 30 + steps + int(steps * max(0.0, -math.log10(gamma)))
-
-
 def reference_trace_mean(rows: int, cols: int, gamma: float) -> float:
     """E tr(gamma W (I + gamma W)^-1): sum_j coef_j J_{j+1}."""
     coef = density_coefficients(min(rows, cols), abs(rows - cols))
@@ -84,64 +81,12 @@ def reference_trace_mean(rows: int, cols: int, gamma: float) -> float:
         return float(total)
 
 
-def andreief_logdet(clusters: list[tuple[float, int]], cols: int) -> mpmath.mpf:
-    """E ln det(I + w^H w) in nats, w with `cols` columns whose rows are iid
-    CN(0, gamma) with multiplicity `count` per (gamma, count) cluster, as
-    the Andreief form tr(A^-1 N) that capacity._floor_form evaluates, in
-    mpmath: the moments int u^p e^-u ln(1 + gamma u) du are the I_p of the
-    E1 recurrence above, A's entries are exact, and the solve runs at 80
-    digits beyond what the recurrence needs.  The caller sets no precision;
-    the value is returned at the working precision it was formed at."""
-    m = sum(count for _, count in clusters)
-    s, c = max(cols - m, 0), min(cols, m)
-    top = max(count for _, count in clusters) + s + c
-    digits = 80 + max(j_recurrence_digits(top, gamma) for gamma, _ in clusters)
-    with mpmath.workdps(digits):
-        a, n = mpmath.zeros(m, m), mpmath.zeros(m, m)
-        row = 0
-        for gamma, count in clusters:
-            g = mpmath.mpf(gamma)
-            j_prev = i_prev = mpmath.exp(1 / g) * mpmath.e1(1 / g)
-            moments = [i_prev]
-            for j in range(1, top + 1):
-                j_prev = mpmath.factorial(j - 1) - j_prev / g
-                i_prev = j * i_prev + j_prev
-                moments.append(i_prev)
-            for k in range(count):
-                # the row times tau^(k+s+1)/(k+s)!, tau = 1/g
-                scale = mpmath.factorial(k + s)
-                for j in range(c):
-                    a[row, j] = mpmath.factorial(k + s + j) / scale * g ** j
-                    n[row, j] = moments[k + s + j] / scale * g ** j
-                for l in range(c, m):
-                    r = m - 1 - l
-                    a[row, l] = (-1) ** k * mpmath.binomial(r, k) / g ** (r + 1)
-                row += 1
-        for l in range(m):
-            big = max(abs(a[i, l]) for i in range(m))
-            for i in range(m):
-                a[i, l] /= big
-                n[i, l] /= big
-        inverse = mpmath.inverse(a)
-        return +mpmath.fsum(inverse[j, i] * n[i, j] for j in range(c) for i in range(m))
-
-
-def reference_floor(n_a: int, n_b: int, n_e: int, gamma_ea: float, gamma_ba: float) -> float:
-    """The floor's mean J - E t2 in bits, both Andreief forms in mpmath
-    (andreief_logdet: J over Eve's and Bob's clusters, E t2 over Eve's
-    alone), their difference taken before it is rounded."""
-    with mpmath.workdps(120):
-        joint = andreief_logdet([(gamma_ea, n_e), (gamma_ba, n_b)], n_a)
-        eve = andreief_logdet([(gamma_ea, n_e)], n_a)
-        return float((joint - eve) / mpmath.log(2))
-
-
 def control_terms(config: ProbingConfig) -> list[tuple[int, int, float]]:
     """(rows, cols, gamma) of the exact-mean term of each of the floor's
     log-det and trace controls at `config`, as capacity._controls declares
-    them (p2 and p3 have no gamma: their means are rows cols; w3's is 0)."""
-    return [(mean.rows, mean.cols, mean.gamma) for mean in
-            (control.mean for control in _controls(config).values())
+    them (p2 and p3 have no gamma: their means are rows cols; the edges'
+    are the floor's closed form, see TestClosedFloor)."""
+    return [mean.args for mean in (control.mean for control in _controls(config).values())
             if mean.kind in ("logdet", "trace")]
 
 
@@ -258,6 +203,21 @@ SAMPLED_NOISE_EA = [10 ** (j / 16) for j in range(-6, 7) if j]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def load_control_study():
+    """scripts/control_study.py loaded as a module: its sampled_points() are
+    every bundled point whose floor is sampled, and its smallest_pivot()
+    the engine's singularity measure of a fit's controls."""
+    spec = importlib.util.spec_from_file_location(
+        "control_study", PERFBENCH.parent / "scripts" / "control_study.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CONTROL_STUDY = load_control_study()
+BUNDLED_SAMPLED = CONTROL_STUDY.sampled_points()
+
+
 def null_space_t4(block, config) -> np.ndarray:
     """log2det(I + gamma_ba (h_ba N)(h_ba N)^H), N an orthonormal basis of
     null(g_a) from a complete QR factorization of g_a^H."""
@@ -267,7 +227,7 @@ def null_space_t4(block, config) -> np.ndarray:
 
 class TestControlVariates:
     """evaluate_many regresses each sampled point's floor on all of its
-    control variates (t2, t3, t5, t4 where n_e < n_a, t1, u3, u1, w3, p2
+    control variates (t2, t3, t5, t4 where n_e < n_a, t1, u3, u1, fl, fh, p2
     and p3), subtracts beta . (t - mean) from the floor's samples and v_a times
     it from lower_bob's, and reports the regression estimate's HC3 standard
     error."""
@@ -305,7 +265,7 @@ class TestControlVariates:
     @staticmethod
     def check_least_squares_correction(config):
         mc = McSettings(trials=BLOCK + 44, master_seed=9)
-        means = control_means(config)
+        means = engine_means(config)
         values = trial_values_many([(config, ("floor", "lower_bob") + tuple(means))], mc)[0]
         engine, factor = engine_correction(values["floor"], values, means)
         reference, _ = control_correction(values["floor"], values, means)
@@ -318,10 +278,10 @@ class TestControlVariates:
     @pytest.mark.parametrize("trials", [CV_MIN_TRIALS, 200, 3000])
     @pytest.mark.parametrize("config", [
         replace(FIG1_BASE, noise_ea=0.5), replace(FIG1_BASE, n_e=10, noise_ea=0.5)],
-        ids=["ten-controls", "nine-controls"])
+        ids=["eleven-controls", "ten-controls"])
     def test_floor_stderr_is_the_hc3_intercept_one(self, config, trials):
         mc = McSettings(trials=trials, master_seed=11)
-        means = control_means(config)
+        means = engine_means(config)
         values = trial_values_many([(config, ("floor",) + tuple(means))], mc)[0]
         _, reference = control_correction(values["floor"], values, means)
         stderr = evaluate(config, mc, ("floor",))["floor"].stderr
@@ -340,8 +300,8 @@ class TestControlVariates:
 
     @pytest.mark.parametrize("case,noise_ea", SPREAD_POINTS)
     def test_stderr_matches_the_spread_of_means_at_the_minimum_trials(self, case, noise_ea):
-        # where a point first regresses on all ten or nine controls: the
-        # spread over the median HC3 stderr is 0.85-0.92 here (0.88-1.13 at
+        # where a point first regresses on all eleven or ten controls: the
+        # spread over the median HC3 stderr is 0.91-0.96 here (0.88-1.13 at
         # the points the closed form now takes, where over the median
         # least-squares stderr it was 1.06-1.35)
         self.check_stderr_against_spread(case, noise_ea, CV_MIN_TRIALS)
@@ -452,60 +412,102 @@ class TestControlVariates:
             est = summarize(values[name])
             assert abs(est.mean - exact) <= 4 * est.stderr, name
 
-    @pytest.mark.parametrize("shape", [(4, 2, 2), (8, 4, 10), (3, 5, 2), (2, 3, 4)],
-                             ids=["n_e-below-n_a", "n_e-above-n_a", "n_b-above-n_a",
-                                  "n_e-and-n_b-above-n_a"])
-    def test_w3_sample_mean_is_zero(self, shape):
-        # E[G C G] = n_e^2 C + n_e tr(C) I for G = g_a^H g_a independent of
-        # H, so w3 = tr((A^-1 G)^2) - n_e^2 tr(A^-2) - n_e (tr A^-1)^2 has
-        # mean 0 given H, A = I + gamma_ba H
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (8, 4, 6), (8, 4, 10), (4, 4, 4)])
+    def test_edges_are_the_floor_at_their_gammas_on_every_trial(self, shape):
+        # fl and fh are the floor on the same draws at gamma_ea = gamma_ba /
+        # 3 and 3 gamma_ba, here noise_ea = 3 and 1/3 (to an ulp of gamma)
         n_a, n_b, n_e = shape
-        cfg = replace(FIG1_BASE, n_a=n_a, n_b=n_b, n_e=n_e, noise_ea=0.3)
-        assert capacity._control_mean(_controls(cfg)["w3"].mean) == 0.0
-        w3 = summarize(trial_values_many([(cfg, ("w3",))],
-                                         McSettings(trials=20_000, master_seed=17))[0]["w3"])
-        assert abs(w3.mean) <= 4 * w3.stderr
-
-    @pytest.mark.parametrize("shape,power", [
-        ((4, 2, 2), 10.0), ((8, 4, 6), 10.0), ((8, 4, 10), 10.0), ((4, 4, 4), 10.0),
-        ((3, 5, 2), 1e4), ((2, 3, 4), 10.0)])
-    def test_w3_is_the_second_order_term_on_every_trial(self, shape, power):
-        # against a dense inverse of A = I + gamma_ba H, n_a-square, relative
-        # to ||G||_F^2, the size of tr((A^-1 G)^2) before A^-1 shrinks it (at
-        # high power cond(A) eps sets the dense inverse's own error; verify's
-        # eigh oracle covers that, see test_verify.py)
-        n_a, n_b, n_e = shape
-        cfg = replace(FIG1_BASE, n_a=n_a, n_b=n_b, n_e=n_e, power_a=power, noise_ea=0.3)
+        cfg = replace(FIG1_BASE, n_a=n_a, n_b=n_b, n_e=n_e, noise_ea=0.5)
         mc = McSettings(trials=BLOCK + 44, master_seed=9)
-        w3 = trial_values_many([(cfg, ("floor", "w3"))], mc)[0]["w3"]
-        gamma = derive_gammas(cfg).gamma_ba
-        parts, scale = [], 0.0
-        for _, b in trial_blocks(cfg, mc):
-            g, h = (conj_t(m) @ m for m in (b.g_a, b.h_ba))
-            scale = max(scale, float(np.max(np.sum(np.abs(g) ** 2, axis=(-2, -1)))))
-            inverse = np.linalg.inv(np.eye(n_a) + gamma * h)
-            resolved = inverse @ g
-            parts.append(np.trace(resolved @ resolved, axis1=-2, axis2=-1).real
-                         - n_e ** 2 * np.trace(inverse @ inverse, axis1=-2, axis2=-1).real
-                         - n_e * np.trace(inverse, axis1=-2, axis2=-1).real ** 2)
-        assert np.max(np.abs(w3 - np.concatenate(parts))) <= 1e-12 * scale
+        values = trial_values_many([(cfg, ("floor", "fl", "fh"))], mc)[0]
+        for name, noise_ea in (("fl", 3.0), ("fh", 1 / 3)):
+            gamma_ea = _controls(cfg)[name].mean.args[3]
+            assert gamma_ea == pytest.approx(derive_gammas(cfg).gamma_ba / noise_ea, rel=1e-15)
+            floor = trial_values_many([(replace(cfg, noise_ea=noise_ea), ("floor",))],
+                                      mc)[0]["floor"]
+            assert np.max(np.abs(values[name] - floor)) <= 1e-12 * np.max(floor), name
 
-    @pytest.mark.parametrize("case", ["na8-nb4-ne6", "na8-nb4-ne10"])
-    def test_w3_halves_the_residual_variance_where_eve_is_noisy(self, case):
-        # at noise_ea = 10 what the first-order u3 leaves of the floor is
-        # mostly its second-order term in gamma_ea, which w3 carries:
-        # measured 0.39 at (8,4,6) and 0.41 at (8,4,10)
-        spec = load_spec("fig1")
-        cfg = apply_parameter(next(c for c in spec.cases if c.name == case).config,
-                              "noise_ea", 10.0)
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (8, 4, 10), (6, 4, 5)])
+    def test_edge_sample_means_are_their_closed_forms(self, shape):
+        n_a, n_b, n_e = shape
+        cfg = replace(FIG1_BASE, n_a=n_a, n_b=n_b, n_e=n_e, noise_ea=0.5)
         means = control_means(cfg)
-        values = trial_values_many([(cfg, ("floor",) + tuple(means))],
-                                   McSettings(trials=20_000, master_seed=7))[0]
-        without = {q: m for q, m in means.items() if q != "w3"}
+        values = trial_values_many([(cfg, ("fl", "fh"))],
+                                   McSettings(trials=4000, master_seed=17))[0]
+        for name in ("fl", "fh"):
+            est = summarize(values[name])
+            assert abs(est.mean - means[name]) <= 4 * est.stderr, name
+
+    @pytest.mark.parametrize("label,config", BUNDLED_SAMPLED, ids=[p[0] for p in BUNDLED_SAMPLED])
+    def test_edges_cut_the_residual_variance_25_fold(self, label, config):
+        # with t5 - t1, the floor at gamma_ea = gamma_ba, the two edges pin
+        # the floor's dependence on gamma_ea from both sides: measured 107
+        # (verify-default cfg1) to 855 (oneway) at 20,000 draws, seed 3
+        # (scripts/control_study.py)
+        means = engine_means(config)
+        values = trial_values_many([(config, ("floor",) + tuple(means))],
+                                   McSettings(trials=20_000, master_seed=3))[0]
+        without = {q: m for q, m in means.items() if q not in ("fl", "fh")}
         residual = {name: np.var(values["floor"] - engine_correction(
             values["floor"], values, kept)[0]) for name, kept in (("with", means),
                                                                    ("without", without))}
-        assert residual["with"] <= 0.5 * residual["without"]
+        assert residual["with"] * 25 <= residual["without"]
+
+    def test_edges_are_read_where_the_closed_form_admits_them(self):
+        # for gamma_ba log-uniform over 1e-5 to 1e9, 3 gamma_ba reads
+        # 2.9999999999999996 apart from gamma_ba at about 7% of them: the
+        # edges are moved out by an ulp or two so that the domain admits both
+        rng = np.random.default_rng(5)
+        gammas = 10.0 ** rng.uniform(-5.0, 9.0, 4000)
+        rounded = 0
+        for gamma in gammas.tolist():
+            low, high = capacity._floor_edges(gamma)
+            rounded += gamma * 3.0 / gamma < 3.0
+            for edge, naive in ((low, gamma / 3.0), (high, gamma * 3.0)):
+                assert capacity._floor_form_domain(8, 4, 6, edge, gamma), (gamma, edge)
+                assert abs(edge - naive) <= 2 * math.ulp(naive)
+        assert rounded > 0.03 * len(gammas)
+
+    def test_an_edge_outside_the_domain_is_no_control(self):
+        # at (8, 4, 10) with gamma_ba = 40 the high edge, Eve's SNR the larger
+        # and below a decade apart, is in the corner the domain leaves out
+        cfg = replace(FIG1_BASE, n_e=10, power_a=40.0, noise_ea=0.5)
+        assert "fl" in _controls(cfg) and "fh" not in _controls(cfg)
+        with pytest.raises(ValueError, match=r"^the control fh needs gamma_ba \* "
+                                             r"FLOOR_FORM_RATIO inside _floor_form_domain$"):
+            trial_values_many([(cfg, ("floor", "fh"))], McSettings(trials=10))
+        # a shape outside the form's has neither
+        cfg = replace(FIG1_BASE, n_b=5, noise_ea=0.5)
+        assert not {"fl", "fh"} & _controls(cfg).keys()
+        with pytest.raises(ValueError, match="the control fl needs"):
+            trial_values_many([(cfg, ("fl",))], McSettings(trials=10))
+
+    @pytest.mark.parametrize("trials", [CV_MIN_TRIALS, 200])
+    def test_the_singularity_test_keeps_every_bundled_point_whole(self, trials):
+        # the smallest squared pivot of the correlation-scaled system is at
+        # least 5.2e-8 (oneway's fh at CV_MIN_TRIALS, the least of 400
+        # seeds), 50 times CV_SINGULAR_PIVOT, and 3e-5 elsewhere
+        for label, config in BUNDLED_SAMPLED:
+            means = engine_means(config)
+            for seed in (1, 2, 3):
+                mc = McSettings(trials=trials, master_seed=seed)
+                values = trial_values_many([(config, ("floor",) + tuple(means))], mc)[0]
+                pivot = CONTROL_STUDY.smallest_pivot(values, means)
+                assert pivot > 10 * capacity.CV_SINGULAR_PIVOT, label
+                assert engine_correction(values["floor"], values, means) is not None, label
+
+    @pytest.mark.parametrize("case", ["na8-nb4-ne6", "na8-nb4-ne10", "na4-nb4-ne4"])
+    @pytest.mark.parametrize("noise_ea", [1 - 1e-5, 1 + 1e-5])
+    def test_the_singularity_test_rejects_near_equal_noise(self, case, noise_ea):
+        # t1 ~ t2 there: the smallest squared pivot is at most 2e-12
+        spec = load_spec("fig1")
+        cfg = apply_parameter(next(c for c in spec.cases if c.name == case).config,
+                              "noise_ea", noise_ea)
+        means = engine_means(cfg)
+        values = trial_values_many([(cfg, ("floor",) + tuple(means))],
+                                   McSettings(trials=200, master_seed=1))[0]
+        assert CONTROL_STUDY.smallest_pivot(values, means) < 1e-2 * capacity.CV_SINGULAR_PIVOT
+        assert engine_correction(values["floor"], values, means) is None
 
     @pytest.mark.parametrize("n_e", [6, 10])
     def test_traces_are_the_interaction_terms_on_every_trial(self, n_e):
@@ -555,22 +557,31 @@ class TestControlVariates:
 
     def test_a_singular_system_drops_the_fewest_controls_in_the_drop_order(self, rng):
         n = CV_MIN_TRIALS
-        floor, a, b, c, d, e, f = (rng.standard_normal(n) for _ in range(7))
-        means = {"t2": 0.1, "t3": 0.2, "t1": 0.3, "u1": 0.6, "p2": 0.4, "p3": 0.5}
+        floor, a, b, c, d, e, f, g, h = (rng.standard_normal(n) for _ in range(9))
+        means = {"t2": 0.1, "t3": 0.2, "t1": 0.3, "u1": 0.6, "fl": 0.7, "fh": 0.8, "p2": 0.4,
+                 "p3": 0.5}
+        rest = {"fl": g, "fh": h}
         cases = [
             # p2 collinear with t2: fitted without p2
-            ({"t2": a, "t3": b, "t1": c, "u1": d, "p2": 2.0 * a, "p3": e}, ("p2",)),
+            ({"t2": a, "t3": b, "t1": c, "u1": d, **rest, "p2": 2.0 * a, "p3": e}, ("p2",)),
             # t1 collinear with t2: without t1 alone, keeping p2 and p3
-            ({"t2": a, "t3": b, "t1": a, "u1": d, "p2": c, "p3": e}, ("t1",)),
+            ({"t2": a, "t3": b, "t1": a, "u1": d, **rest, "p2": c, "p3": e}, ("t1",)),
             # p2 and p3 collinear with t2 and t3: without both, keeping t1
-            ({"t2": a, "t3": b, "t1": c, "u1": d, "p2": 2.0 * a, "p3": 3.0 * b}, ("p2", "p3")),
+            ({"t2": a, "t3": b, "t1": c, "u1": d, **rest, "p2": 2.0 * a, "p3": 3.0 * b},
+             ("p2", "p3")),
             # u1 collinear with t3 and t1 with t2: without both, u1 last in the order
-            ({"t2": a, "t3": b, "t1": a, "u1": 2.0 * b, "p2": c, "p3": e}, ("t1", "u1")),
+            ({"t2": a, "t3": b, "t1": a, "u1": 2.0 * b, **rest, "p2": c, "p3": e}, ("t1", "u1")),
+            # an edge a combination of t2 and t3: without it, keeping the other
+            ({"t2": a, "t3": b, "t1": c, "u1": d, "fl": a - b, "fh": h, "p2": e, "p3": f},
+             ("fl",)),
+            # t1 collinear with t2 and fh with t3: without both, fh last
+            ({"t2": a, "t3": b, "t1": a, "u1": d, "fl": g, "fh": 2.0 * b, "p2": e, "p3": f},
+             ("t1", "fh")),
             # t3 collinear with t2 too: no fit
-            ({"t2": a, "t3": a, "t1": c, "u1": d, "p2": e, "p3": f}, None)]
+            ({"t2": a, "t3": a, "t1": c, "u1": d, **rest, "p2": e, "p3": f}, None)]
         points = [dict(controls, floor=floor) for controls, _ in cases]
         fits = [capacity._fit_controls(values, dict(means)) for values in points]
-        assert capacity.CV_DROP_ORDER == ("p2", "p3", "t1", "u1")
+        assert capacity.CV_DROP_ORDER == ("p2", "p3", "t1", "u1", "fl", "fh")
         for i, (controls, dropped) in enumerate(cases):
             if dropped is None:
                 assert fits[i] is None
@@ -580,47 +591,47 @@ class TestControlVariates:
             assert np.array_equal(fits[i][0], alone[0]) and fits[i][1] == alone[1], dropped
         assert [set(p) for p in points] == [{"floor"}] * len(cases)
 
-    @pytest.mark.parametrize("config,dropped,parent_dropped", [
-        (replace(ONEWAY, noise_ea=1e6), ("p2",), ()),
-        (replace(FIG1_BASE, n_e=10, noise_ea=0.5, power_a=1.5e-3), ("p2", "p3", "t1"), ("t1",))],
-        ids=["oneway-noisy-eve", "fig1-8-4-10-low-power"])
-    def test_degenerate_controls_are_dropped_not_the_fit(self, config, dropped, parent_dropped):
-        # at noise_ea = 1e6 t2 ~ gamma_ea p2 / ln 2, and at power_a = 1.5e-3 t3
-        # ~ gamma_ba p3 / ln 2 and t1 ~ gamma_ba p2 / ln 2: the system on
-        # every control is singular, and the point is fitted on the fewest
-        # controls dropped in CV_DROP_ORDER, not on raw samples
+    @pytest.mark.parametrize("config,dropped", [
+        (replace(ONEWAY, noise_ea=1e6), ("p2",)),
+        (replace(FIG1_BASE, n_e=10, noise_ea=0.5, power_a=1.5e-3), ("fl",)),
+        (replace(FIG1_BASE, n_e=10, noise_ea=0.5, power_a=1e-3), ("t1", "fl"))],
+        ids=["oneway-noisy-eve", "fig1-8-4-10-low-power", "fig1-8-4-10-lower-power"])
+    def test_degenerate_controls_are_dropped_not_the_fit(self, config, dropped):
+        # at noise_ea = 1e6 t2 ~ gamma_ea p2 / ln 2, and at power_a = 1.5e-3
+        # or 1e-3 the edges are nearly linear in the t's (t3 ~ gamma_ba p3 /
+        # ln 2, t1 ~ gamma_ba p2 / ln 2): the system on every control is
+        # singular, and the point is fitted on the fewest controls dropped in
+        # CV_DROP_ORDER, not on raw samples
         mc = McSettings(trials=277, master_seed=1)
         est = evaluate(config, mc, ("floor", "lower_bob"))
-        means = control_means(config)
+        means = engine_means(config)
         values = trial_values_many([(config, ("floor",) + tuple(means))], mc)[0]
         assert engine_correction(values["floor"], values, means) is None
         assert est["floor"] == self.adjusted_floor(config, mc, without=dropped)
         raw = trial_values_many([(config, ("floor", "lower_bob"))], mc)[0]
         assert est["floor"].stderr < 1e-3 * summarize(raw["floor"]).stderr
         assert est["lower_bob"].stderr < 1e-3 * summarize(raw["lower_bob"]).stderr
-        # no worse than the fit on the controls without p2 and p3, which
-        # at low power is singular with t1 and is fitted without it
+        # no worse than the fit on the controls without p2 and p3, which at
+        # low power is singular too and is fitted without the point's other
+        # dropped controls as well (measured: 1.003, 0.974 and 0.497 times
+        # that fit's stderr)
+        others = tuple(q for q in dropped if q not in ("p2", "p3"))
         without_powers = {q: m for q, m in means.items() if q not in ("p2", "p3")}
-        if parent_dropped:
+        if others:
             assert engine_correction(values["floor"], values, without_powers) is None
-        parent = self.adjusted_floor(config, mc, without=("p2", "p3") + parent_dropped)
-        assert est["floor"].stderr <= 1.1 * parent.stderr
+        fit = self.adjusted_floor(config, mc, without=("p2", "p3") + others)
+        assert est["floor"].stderr <= 1.1 * fit.stderr
 
-    def test_a_point_singular_with_u1_is_fitted_without_all_of_the_drop_order(self):
-        # at power_a = 1e-3 u1 and u3 are also nearly collinear (both ~
-        # gamma_ba tr(G H)): every system that keeps u1 is singular, down to
-        # the one without p2, p3 and t1, and the point is fitted without u1
-        # as well, not on raw samples
-        config = replace(FIG1_BASE, n_e=10, noise_ea=0.5, power_a=1e-3)
-        mc = McSettings(trials=277, master_seed=1)
-        est = evaluate(config, mc, ("floor",))["floor"]
-        means = control_means(config)
-        values = trial_values_many([(config, ("floor",) + tuple(means))], mc)[0]
-        kept = {q: m for q, m in means.items() if q not in ("p2", "p3", "t1")}
-        assert engine_correction(values["floor"], values, kept) is None
-        assert est == self.adjusted_floor(config, mc, without=("p2", "p3", "t1", "u1"))
-        raw = trial_values_many([(config, ("floor",))], mc)[0]
-        assert est.stderr < 1e-3 * summarize(raw["floor"]).stderr
+    @pytest.mark.parametrize("power_a", [1e-3, 1.5e-3])
+    def test_a_low_power_point_keeps_its_fit(self, power_a):
+        # under the determinant rule (det S <= 1e-12 prod diag S) these
+        # points were fitted without t1 and u1 and their floor's stderr was
+        # 1.5e-7 and 4.0e-7 bits; the correlation-scaled pivots keep p2, p3
+        # and u1 (and t1 at 1.5e-3), and with the edges the stderr is 1.7e-9
+        # and 4.4e-10
+        config = replace(FIG1_BASE, n_e=10, noise_ea=0.5, power_a=power_a)
+        est = evaluate(config, McSettings(trials=277, master_seed=1), ("floor",))["floor"]
+        assert est.stderr < 1e-8
 
     def test_t3_is_factored_once_per_block_for_a_noise_sweep(self, monkeypatch):
         logdets = []
@@ -630,10 +641,11 @@ class TestControlVariates:
         configs = [replace(FIG1_BASE, noise_ea=v) for v in SAMPLED_NOISE_EA]
         evaluate_many(configs, McSettings(trials=BLOCK + 5, master_seed=3), ("floor",))
         # per block: each point's stacked factorization (its floor and its
-        # t2), and one of the reordered stacked Gram (t3, t5 and u3), one t4
-        # and one of the stacked Gram in its own order (t1 and u1) shared by
-        # all points, whose gamma_ba is the same
-        per_block = [((10, 10), 6)] + [((10, 10), 4), ((10, 10), 6), ((10, 10), 6)] + \
+        # t2), and one of the reordered stacked Gram (t3, t5 and u3), one t4,
+        # one of the stacked Gram in its own order (t1 and u1) and the
+        # floor's at each edge shared by all points, whose gamma_ba is the
+        # same
+        per_block = [((10, 10), 6)] + [((10, 10), 4)] + [((10, 10), 6)] * 4 + \
             [((10, 10), 6)] * (len(configs) - 1)
         assert logdets == per_block * 2
 
@@ -652,7 +664,7 @@ class TestControlVariates:
         assert est["lower"] == est["upper"] == summarize(raw["lower_bob"])
 
     @pytest.mark.parametrize("config,count", [
-        (ONEWAY, 10), (replace(FIG1_BASE, n_e=10, noise_ea=0.5), 9)],
+        (ONEWAY, 11), (replace(FIG1_BASE, n_e=10, noise_ea=0.5), 10)],
         ids=["n_e-below-n_a", "n_e-above-n_a"])
     def test_a_point_takes_all_of_its_controls_from_the_minimum_trials(self, config, count):
         # below CV_MIN_TRIALS raw samples, from it every control at once
@@ -666,7 +678,7 @@ class TestControlVariates:
         """The floor at `config` regressed on the first `count` controls of
         its ordered list (all by default) less those named in `without`,
         with the engine's stderr factor, or raw when there are none."""
-        means = {name: mean for name, mean in control_means(config, count).items()
+        means = {name: mean for name, mean in engine_means(config, count).items()
                  if name not in without}
         values = trial_values_many([(config, ("floor",) + tuple(means))], mc)[0]
         if not means:
@@ -675,14 +687,14 @@ class TestControlVariates:
         return scaled(summarize(values["floor"] - correction), factor)
 
     @pytest.mark.parametrize("case,noise_ea,trials,count", [
-        ("na8-nb4-ne6", 0.5, 200, 10), ("na8-nb4-ne10", 0.5, 200, 9),
-        ("na4-nb4-ne4", 0.5, 3000, 9), ("na8-nb4-ne6", 1.77827941004, 200, 10),
-        ("na4-nb4-ne4", 0.562341325190, 200, 9)])
+        ("na8-nb4-ne6", 0.5, 200, 11), ("na8-nb4-ne10", 0.5, 200, 10),
+        ("na4-nb4-ne4", 0.5, 3000, 10), ("na8-nb4-ne6", 1.77827941004, 200, 11),
+        ("na4-nb4-ne4", 0.562341325190, 200, 10)])
     def test_a_fig1_point_takes_every_control_its_trials_allow(self, case, noise_ea, trials,
                                                                count):
         # at fig1's 200 trials the n_e < n_a case takes (t2, t3, t5, t4, t1,
-        # u3, u1, w3, p2, p3), not raw samples, and an n_e >= n_a point all but
-        # t4, also next to noise_ea = noise_b (where the floor is exact)
+        # u3, u1, fl, fh, p2, p3), not raw samples, and an n_e >= n_a point all
+        # but t4, also next to noise_ea = noise_b (where the floor is exact)
         spec = load_spec("fig1")
         cfg = apply_parameter(next(c for c in spec.cases if c.name == case).config,
                               "noise_ea", noise_ea)
@@ -912,8 +924,51 @@ class TestClosedFloor:
                     assert not capacity._floor_form_domain(*shape, gamma_ea, gamma_ba)
                     continue
                 reference = reference_floor(*shape, gamma_ea, gamma_ba)
-                floor = capacity._floor_form(*shape, gamma_ea, gamma_ba)
+                floor = capacity._floor_form(*shape, [gamma_ea], gamma_ba)[0]
                 assert abs(floor - reference) <= 1e-10 * reference, (gamma_ea, gamma_ba)
+
+    @pytest.mark.parametrize("label,config", BUNDLED_SAMPLED, ids=[p[0] for p in BUNDLED_SAMPLED])
+    def test_matches_the_reference_at_both_edges_of_every_bundled_sampled_point(self, label,
+                                                                              config):
+        # the edge controls' means: measured 1e-16 to 1.2e-14 relative, and
+        # 4.2e-11 at (8, 4, 10)'s high edge, gamma_ea = 30
+        for name in ("fl", "fh"):
+            mean = _controls(config)[name].mean
+            reference = reference_floor(*mean.args)
+            assert abs(capacity._control_mean(mean) - reference) <= 1e-10 * reference, name
+
+    def test_a_stack_is_its_points_one_at_a_time(self):
+        # every in-domain fig1 point, stacked per case and branch as
+        # evaluate_many stacks them, bit for bit its stack of one
+        points = [capacity._form_point(cfg) for cfg in fig1_points()]
+        points = [p for p in points if p is not None]
+        stacked = capacity._floor_forms(points)
+        assert [stacked[p] for p in points] == \
+            [capacity._floor_form(*p[:3], [p[3]], p[4])[0] for p in points]
+
+    def test_a_sweep_evaluates_each_stack_once(self, monkeypatch):
+        # more than 1024 in-domain points of one shape and gamma_ba, and two
+        # sampled ones: one _floor_form call per branch for all of them, the
+        # sampled points' edges included, and none while the points read
+        # their floors and the edges' means
+        calls = []
+        real = capacity._floor_form
+        monkeypatch.setattr(capacity, "_floor_form", lambda *args: (
+            calls.append(len(args[3])) or real(*args)))
+        capacity._control_mean.cache_clear()
+        base = replace(FIG1_BASE, n_e=10)
+        grid = [replace(base, noise_ea=float(v)) for v in np.logspace(-4, 4, 1800)]
+        exact = [cfg for cfg in grid if capacity._form_point(cfg) is not None]
+        sampled = [replace(base, noise_ea=v) for v in (1.77827941004, 0.562341325190)]
+        assert len(exact) > 1024
+        est = evaluate_many(exact + sampled, McSettings(trials=CV_MIN_TRIALS, master_seed=1),
+                            ("floor",))
+        gamma_ba = derive_gammas(base).gamma_ba
+        assert sorted(calls) == sorted([
+            sum(derive_gammas(cfg).gamma_ea > gamma_ba for cfg in exact) + 1,
+            sum(derive_gammas(cfg).gamma_ea < gamma_ba for cfg in exact) + 1])
+        assert all(e["floor"].method == "exact" for e in est[:len(exact)])
+        assert [e["floor"].method for e in est[len(exact):]] == ["monte-carlo"] * 2
 
     def test_is_exact_at_a_ratio_of_r_and_none_just_below_it(self):
         # fig1's gamma_ba is 10: noise_ea = 3 and 1/3 put gamma_ea exactly

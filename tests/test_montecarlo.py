@@ -7,7 +7,7 @@ from skcprobe import Estimate, McSettings, estimate, evaluate
 from skcprobe.capacity import secrecy_floor_sample, trial_values_many
 from skcprobe.errors import IntegrandFailure, ValidationError
 from skcprobe.montecarlo import BLOCK, collect, pairwise_sum, summarize, trial_blocks
-from conftest import control_means, engine_correction, make_config, scaled
+from conftest import engine_correction, engine_means, make_config, scaled
 
 
 def abs2_integrand(block):
@@ -59,7 +59,7 @@ class TestEstimate:
         # evaluate summarizes the same values less their control-variate
         # correction, its stderr times the regression's factor (see
         # test_control_variates.py)
-        means = control_means(cfg)
+        means = engine_means(cfg)
         values = trial_values_many([(cfg, ("floor",) + tuple(means))], settings)[0]
         correction, factor = engine_correction(values["floor"], values, means)
         assert evaluate(cfg, settings, ("floor",))["floor"] == \

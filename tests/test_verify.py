@@ -16,7 +16,8 @@ from skcprobe import (
     run_suite,
     siso_ergodic_capacity,
 )
-from skcprobe.capacity import CONTROLS, _closed_floor, _controls, trial_values_many
+from skcprobe.capacity import (CONTROLS, _closed_floor, _control_mean, _controls,
+                               trial_values_many)
 from skcprobe.channel import derive_gammas, sample_channels
 from skcprobe.errors import DimensionGuard, InvalidNoise, ValidationError
 from skcprobe.montecarlo import BLOCK, collect, summarize, trial_blocks
@@ -244,12 +245,12 @@ class TestIdentitySuite:
 
 def control_term(config, name) -> str:
     """How wishart-mean's detail names the control's exact-mean term."""
-    kind, rows, cols, gamma, _ = _controls(config)[name].mean
-    if kind == "zero":
-        return f"{name} (exactly 0)"
+    kind, args, _ = _controls(config)[name].mean
+    if kind == "floor":
+        return f"{name} (floor form, gamma_ea {args[3]:g})"
     if kind == "power":
-        return f"{name} ({rows}x{cols})"
-    return f"{name} ({rows}x{cols}, gamma {gamma:g})"
+        return f"{name} ({args[0]}x{args[1]})"
+    return f"{name} ({args[0]}x{args[1]}, gamma {args[2]:g})"
 
 
 class TestControlTable:
@@ -260,13 +261,13 @@ class TestControlTable:
         assert set(CONTROL_ORACLES) == set(CONTROLS)
 
     @pytest.mark.parametrize("overrides,declared", [
-        (dict(), "t2 t3 t5 t1 u3 u1 w3 p2 p3"),
-        (dict(n_a=3, n_b=2, n_e=4), "t2 t3 t5 t1 u3 u1 w3 p2 p3"),
-        (dict(n_a=4, n_b=2, n_e=2), "t2 t3 t5 t4 t1 u3 u1 w3 p2 p3"),
-        (dict(noise_ea=1.0), "t2 t3 t5 t1 u3 u1 w3 p2 p3"),
-        (dict(n_a=4, n_b=2, n_e=2, noise_ea=1.0), "t2 t3 t5 t4 t1 u3 u1 w3 p2 p3"),
-        (dict(noise_ea=0.0), "t3 t5 t1 u3 u1 w3 p2 p3"),
-        (dict(n_a=3, n_b=3, n_e=1, noise_ea=0.0), "t3 t5 t4 t1 u3 u1 w3 p2 p3"),
+        (dict(), "t2 t3 t5 t1 u3 u1 fl fh p2 p3"),
+        (dict(n_a=3, n_b=2, n_e=4), "t2 t3 t5 t1 u3 u1 fl fh p2 p3"),
+        (dict(n_a=4, n_b=2, n_e=2), "t2 t3 t5 t4 t1 u3 u1 fl fh p2 p3"),
+        (dict(noise_ea=1.0), "t2 t3 t5 t1 u3 u1 fl fh p2 p3"),
+        (dict(n_a=4, n_b=2, n_e=2, noise_ea=1.0), "t2 t3 t5 t4 t1 u3 u1 fl fh p2 p3"),
+        (dict(noise_ea=0.0), "t3 t5 t1 u3 u1 fl fh p2 p3"),
+        (dict(n_a=3, n_b=3, n_e=1, noise_ea=0.0), "t3 t5 t4 t1 u3 u1 fl fh p2 p3"),
     ], ids=["n_e-at-n_a", "n_e-above-n_a", "n_e-below-n_a", "equal-gammas",
             "equal-gammas-n_e-below-n_a", "noiseless-eve", "noiseless-eve-n_e-below-n_a"])
     def test_every_declared_control_is_checked(self, overrides, declared):
@@ -298,8 +299,8 @@ class TestControlTable:
         ("u3", dict(n_a=4, n_b=2, n_e=2, power_a=1e5, noise_ea=1e-4)),
         ("u1", dict()), ("u1", dict(n_a=3, n_b=2, n_e=4)), ("u1", dict(n_a=4, n_b=2, n_e=2)),
         ("u1", dict(n_a=4, n_b=2, n_e=2, power_a=1e5, noise_ea=1e-4)),
-        ("w3", dict()), ("w3", dict(n_a=3, n_b=2, n_e=4)), ("w3", dict(n_a=4, n_b=2, n_e=2)),
-        ("w3", dict(n_a=2, n_b=3, n_e=1)), ("w3", dict(n_a=3, n_b=5, n_e=2, power_a=1e4)),
+        ("fl", dict()), ("fl", dict(n_a=3, n_b=2, n_e=4)), ("fl", dict(n_a=4, n_b=2, n_e=2)),
+        ("fh", dict()), ("fh", dict(n_a=3, n_b=2, n_e=4)), ("fh", dict(n_a=4, n_b=2, n_e=2)),
         ("p2", dict()), ("p2", dict(n_a=3, n_b=2, n_e=4)), ("p2", dict(n_a=4, n_b=2, n_e=2)),
         ("p3", dict()), ("p3", dict(n_a=2, n_b=3, n_e=1)), ("p3", dict(n_a=4, n_b=2, n_e=2)),
     ])
@@ -356,13 +357,12 @@ class TestSmallerSideOracles:
     @pytest.mark.parametrize("seed", [1, 3])
     def test_sylvester_forms_agree_at_high_power_where_n_b_is_below_n_a(self, seed):
         # fig2's (8,4,10) at its top power: the engine's t3 and the t5 and
-        # t1 oracles were 1.1e-9 to 1.9e-9 bits apart on their larger sides;
-        # w3 is read on the n_b side where n_b < n_a, as its oracle is
+        # t1 oracles were 1.1e-9 to 1.9e-9 bits apart on their larger sides
         cfg = make_config(n_a=8, n_b=4, n_e=10, v_a=1, v_b=0, power_a=262144.0,
                           power_b=1.0, noise_ea=1.0, rho=0.0)
         outcomes = {o.check_name: o for o in determinant_identity_suite(
             cfg, realizations=300, master_seed=seed)}
-        for name in ("t2", "t3", "t5", "t1", "w3"):
+        for name in ("t2", "t3", "t5", "t1", "fl"):
             assert outcomes[f"{name}-form-equivalence"].passed, name
 
 
@@ -460,10 +460,11 @@ class TestRunSuite:
                     "floor-form-equivalence",
                     *(f"{name}-form-equivalence" for name in controls.split()),
                     "lower-bob-form-equivalence", "gap-nonnegative", "one-way-identity",
-                    "engine-reference-agreement", "wishart-mean", "w3-zero-mean"]
+                    "engine-reference-agreement", "wishart-mean", "fl-closed-form",
+                    "fh-closed-form"]
 
-        controls = ["t2 t3 t5 t1 u3 u1 w3 p2 p3", "t2 t3 t5 t1 u3 u1 w3 p2 p3",
-                    "t2 t3 t5 t4 t1 u3 u1 w3 p2 p3"]
+        controls = ["t2 t3 t5 t1 u3 u1 fl fh p2 p3", "t2 t3 t5 t1 u3 u1 fl fh p2 p3",
+                    "t2 t3 t5 t4 t1 u3 u1 fl fh p2 p3"]
         # cfg2's gammas are 4 apart: its floor has the closed form
         closed = [[], [], ["floor-closed-form"]]
         assert [o.check_name for o in summary.outcomes] == [
@@ -474,7 +475,7 @@ class TestRunSuite:
         assert report_path.exists()
         # the report at the spec's seed and trials, byte for byte
         assert hashlib.sha256(report_path.read_bytes()).hexdigest() == \
-            "d64629e6646d9a43e778e96a0a53c9163172312aaa35167212873f89e5208f3a"
+            "55dafbad1756686427271ce0aff73c9e605a8c5392db0d474de2eb7b15f51ffb"
         assert elapsed < 120.0
 
     def test_every_check_the_readme_names_is_reported(self, bundled_run):
@@ -495,39 +496,46 @@ def raw_mean_outcomes(config, mc, suffix):
     return [o for o in raw_mean_check(config, mc) if o.check_name.endswith(suffix)]
 
 
-class TestZeroMeanCheck:
-    """w3's mean is exactly 0 (capacity._controls); verify compares its raw
-    mean on the engine's draws with 0 and sends it to no quadrature."""
+class TestEdgeFormCheck:
+    """The edge controls' means are the floor's closed form
+    (capacity._controls); verify compares their raw means on the engine's
+    draws with it and sends them to no quadrature."""
 
     @pytest.mark.parametrize("overrides", [
         dict(), dict(n_a=3, n_b=2, n_e=4), dict(n_a=4, n_b=2, n_e=2), dict(n_a=2, n_b=3, n_e=1)],
         ids=["n_e-at-n_a", "n_e-above-n_a", "n_e-below-n_a", "n_b-above-n_a"])
-    def test_w3_raw_mean_is_within_four_stderr_of_zero(self, overrides):
+    def test_edge_raw_means_are_within_four_stderr_of_the_form(self, overrides):
         cfg = make_config(**overrides)
         mc = McSettings(trials=4000, master_seed=1)
-        [outcome] = raw_mean_outcomes(cfg, mc, "-zero-mean")
-        w3 = summarize(trial_values_many([(cfg, ("w3",))], mc)[0]["w3"])
-        assert outcome.check_name == "w3-zero-mean" and outcome.passed
-        assert outcome.computed_value == w3.mean and outcome.tolerance == 4 * w3.stderr
+        outcomes = raw_mean_outcomes(cfg, mc, "-closed-form")
+        values = trial_values_many([(cfg, ("fl", "fh"))], mc)[0]
+        assert [o.check_name for o in outcomes] == ["fl-closed-form", "fh-closed-form"]
+        for outcome, name in zip(outcomes, ("fl", "fh")):
+            est = summarize(values[name])
+            assert outcome.passed, name
+            assert outcome.reference_value == _control_mean(_controls(cfg)[name].mean)
+            assert outcome.computed_value == est.mean and outcome.tolerance == 4 * est.stderr
 
     @pytest.mark.parametrize("shift,passed", [(3.0, True), (5.0, False)])
     def test_a_shifted_mean_fails_beyond_four_stderr(self, monkeypatch, shift, passed):
         cfg = make_config()
         mc = McSettings(trials=4000, master_seed=1)
-        w3 = trial_values_many([(cfg, ("w3",))], mc)[0]["w3"]
-        offset = shift * summarize(w3).stderr - summarize(w3).mean
+        fh = trial_values_many([(cfg, ("fh",))], mc)[0]["fh"]
+        form = _control_mean(_controls(cfg)["fh"].mean)
+        offset = form + shift * summarize(fh).stderr - summarize(fh).mean
         real = verify.trial_values_many
 
         def shifted(points, mc):
             values = real(points, mc)
-            values[0]["w3"] = values[0]["w3"] + offset
+            values[0]["fh"] = values[0]["fh"] + offset
             return values
 
         monkeypatch.setattr(verify, "trial_values_many", shifted)
-        [outcome] = raw_mean_outcomes(cfg, mc, "-zero-mean")
-        assert outcome.passed is passed
+        outcomes = {o.check_name: o for o in raw_mean_outcomes(cfg, mc, "-closed-form")}
+        assert outcomes["fh-closed-form"].passed is passed
+        assert outcomes["fl-closed-form"].passed
 
-    def test_wishart_mean_names_w3_and_takes_no_quadrature_for_it(self, monkeypatch):
+    def test_wishart_mean_names_the_edges_and_takes_no_quadrature_for_them(self, monkeypatch):
         cfg = make_config()
         terms = []
         for name in ("wishart_logdet_quadrature", "wishart_trace_quadrature",
@@ -536,8 +544,10 @@ class TestZeroMeanCheck:
             monkeypatch.setattr(verify, name, lambda *args, real=real: (
                 terms.append(args) or real(*args)))
         outcome = wishart_mean_check(cfg)
-        assert outcome.passed and "; w3 (exactly 0); " in outcome.detail
-        assert len(terms) == len(_controls(cfg)) - 1
+        assert outcome.passed
+        assert "; fl (floor form, gamma_ea 0.666667); fh (floor form, gamma_ea 6); " \
+            in outcome.detail
+        assert len(terms) == len(_controls(cfg)) - 2
 
 
 class TestFloorFormCheck:
@@ -666,7 +676,7 @@ class TestWishartMeanCheck:
         # the engine's mean, skewed on one term, fails the check
         real = verify._control_mean
         monkeypatch.setattr(verify, "_control_mean", lambda mean: (
-            real(mean) * (1.0 + 1e-7 * (mean.rows == 2 and mean.kind == "power"))))
+            real(mean) * (1.0 + 1e-7 * (mean.kind == "power" and mean.args[0] == 2))))
         assert not wishart_mean_check(cfg).passed
 
     def test_trace_quadrature_is_exact_at_one_antenna(self):
@@ -680,6 +690,7 @@ class TestWishartMeanCheck:
         outcome = wishart_mean_check(cfg)
         assert outcome.passed
         # every log-det and trace term's gamma is 0; p2 and p3 have none
-        assert list(_controls(cfg)) == ["t2", "t3", "t5", "t1", "u3", "u1", "w3", "p2", "p3"]
+        # and the edges' gammas too: the config has none
+        assert list(_controls(cfg)) == ["t2", "t3", "t5", "t1", "u3", "u1", "p2", "p3"]
         assert outcome.detail.count("outside the domain") == 6
-        assert outcome.detail.endswith("outside the domain; w3 (exactly 0); p2 (2x2); p3 (2x2)")
+        assert outcome.detail.endswith("outside the domain; p2 (2x2); p3 (2x2)")
