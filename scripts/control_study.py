@@ -28,7 +28,7 @@ import numpy as np
 import yaml
 
 from skcprobe import McSettings
-from skcprobe.capacity import (_control_corrections, _control_means, _smallest_pivot,
+from skcprobe.capacity import (CV_MIN_TRIALS, _control_corrections, _plan, _smallest_pivot,
                                trial_values_many)
 from skcprobe.channel import derive_gammas
 from skcprobe.experiments import apply_parameter, config_from_mapping, load_spec, read_spec_text
@@ -72,7 +72,7 @@ def main() -> None:
     args = parser.parse_args()
     mc = McSettings(trials=args.trials, master_seed=args.seed)
     for label, config in sampled_points():
-        means = _control_means(config)
+        means = _plan([config], {"floor"}, CV_MIN_TRIALS)[0].means
         values = trial_values_many([(config, ("floor",) + tuple(means))], mc)[0]
         full = residual_variance(values, means, list(means))
         gam = derive_gammas(config)

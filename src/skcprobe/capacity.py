@@ -27,10 +27,11 @@ goes through: points whose draws are identical share one pass, and each
 block's Gram products, log-dets and traces are computed once for all of
 them, kept in one memo keyed by the product, the probing direction and the
 arguments, and built in the block's work matrices (see Grams; ``evaluate``
-is its one-point call).  The floor is exact where Eve hears Alice
-noiselessly or at Bob's SNR, and where Eve's and Bob's SNRs are three times
-or more apart (see _exact_floor); elsewhere it estimates the floor, and the
-bounds built on it, with control variates whose exact means
+is its one-point call).  One plan per call (_plan) decides before any draw
+what is exact: the floor where Eve hears Alice noiselessly or at Bob's
+SNR, and where Eve's and Bob's SNRs are three times or more apart
+(_floor_plan); elsewhere it estimates the floor, and the bounds built on
+it, with control variates whose exact means
 ``wishart_logdet_mean``, ``wishart_trace_mean`` and the floor's closed form
 evaluate: t2 and t3, the log-dets of what Eve and Bob see of Alice's
 probes, t5, what both see together at Bob's SNR, where n_e < n_a t4, what
@@ -40,8 +41,8 @@ Grams, fl and fh, the floor itself on the same draws at Eve's SNRs a third
 and three times Bob's (the closed form's domain edges), and p2 and p3, the
 power Eve and Bob receive (see _controls), all of them from CV_MIN_TRIALS
 trials on, in one regression per point, and reports the regression
-intercept's HC3 stderr.  Every closed form a call needs is evaluated in
-stacks, one per shape, Bob's SNR and branch (_floor_forms).
+intercept's HC3 stderr.  Every closed form a call needs is evaluated once,
+in stacks, one per shape, Bob's SNR and branch (_floor_forms).
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def wishart_trace_mean(rows: int, cols: int, gamma: float) -> float:
     return float((x / (1.0 + x)) @ weights)
 
 
-# The floor's closed form (_closed_floor) holds where gamma_ea and gamma_ba
+# The floor's closed form (_floor_form) holds where gamma_ea and gamma_ba
 # are between FLOOR_FORM_RATIO and FLOOR_FORM_MAX_RATIO apart, one over the
 # other, both in WISHART_GAMMAS, at the shapes _floor_form_shape admits, and
 # where np.longdouble carries at least 64 significand bits (its eps below
@@ -763,7 +764,7 @@ SAMPLED = ("floor", "lower_bob", "gap", "lower_alice")
 # p3 = tr H; their means are wishart_logdet_mean's, for u3 and u1 n_e and
 # n_b times wishart_trace_mean's, for fl and fh _floor_form's, and for p2
 # and p3 n_e n_a and n_b n_a.  From CV_MIN_TRIALS trials on (the regression
-# needs more than k + 1) a point whose floor is sampled (see _exact_floor)
+# needs more than k + 1) a point whose floor is sampled (see _floor_plan)
 # regresses on all of them
 CONTROLS = ("t2", "t3", "t5", "t4", "t1", "u3", "u1", "fl", "fh", "p2", "p3")
 # where a control is not one of a config's (see _controls)
@@ -780,11 +781,12 @@ CV_MIN_TRIALS = 52
 # noise_ea = 1e6) and 1.3e-13 at (8, 4, 10), power_a = 1.5e-3
 CV_SINGULAR_PIVOT = 1e-9
 # the controls that a point whose regression is singular is fitted again
-# without (see _refits): at a small gamma a log-det is nearly linear in its
-# Gram's trace (t2 ~ gamma_ea p2 / ln 2 where noise_ea is large, t3 ~
-# gamma_ba p3 / ln 2 and t1 ~ gamma_ba p2 / ln 2 at low power, where also
-# u1 and u3 are both ~ gamma_ba tr(G H) and the edges are nearly linear in
-# the t's), and near noise_ea = noise_b t1 and t2 are nearly collinear
+# without (see _control_corrections): at a small gamma a log-det is nearly
+# linear in its Gram's trace (t2 ~ gamma_ea p2 / ln 2 where noise_ea is
+# large, t3 ~ gamma_ba p3 / ln 2 and t1 ~ gamma_ba p2 / ln 2 at low power,
+# where also u1 and u3 are both ~ gamma_ba tr(G H) and the edges are nearly
+# linear in the t's), and near noise_ea = noise_b t1 and t2 are nearly
+# collinear
 CV_DROP_ORDER = ("p2", "p3", "t1", "u1", "fl", "fh")
 
 
@@ -828,7 +830,7 @@ def _controls(config: ProbingConfig) -> dict[str, _Control]:
     u3, u1), the edges (fl, fh) and (p2, p3) last; t2 only where noise_ea >
     0 (at noise_ea = 0 its gamma is inf), and each edge only where its
     gammas are inside _floor_form_domain.  Where the floor is exact (see
-    _exact_floor) no point regresses on them.  This table is the one
+    _floor_plan) no point regresses on them.  This table is the one
     statement of which controls a point has: verify checks each entry's
     mean and values against its own oracles.
     Each t is a log2det(I + gamma w^H w) with w rows x cols of iid CN(0, 1)
@@ -899,79 +901,50 @@ def _controls(config: ProbingConfig) -> dict[str, _Control]:
 
 @functools.lru_cache(maxsize=1024)
 def _control_mean(mean: _Mean) -> float:
-    """A _Control's exact mean, evaluated once per term: the points of a
-    sweep share most of their controls' means."""
+    """The exact mean of a control other than an edge (whose mean is the
+    floor's closed form, _floor_forms), evaluated once per term: the points
+    of a sweep share most of their controls' means."""
     if mean.kind == "power":
         return float(mean.times * math.prod(mean.args))
-    if mean.kind == "floor":
-        return _floor_forms([mean.args])[mean.args]
     form = wishart_trace_mean if mean.kind == "trace" else wishart_logdet_mean
     return mean.times * form(*mean.args)
 
 
-def _control_means(config: ProbingConfig, forms: dict[tuple, float] | None = None
-                   ) -> dict[str, float] | None:
-    """Exact means of the floor's controls at `config`, in order, or None
-    outside the Wishart means' domain (power_a = 0 is outside it); an
-    edge's mean is read from `forms`, closed forms keyed by point
-    (_floor_forms), where it is there."""
+def _control_means(config: ProbingConfig, names: Iterable[str]) -> dict[str, float] | None:
+    """The exact means of the named controls of `config` (no edge), or None
+    where one is outside its domain (power_a = 0 is outside it)."""
     try:
-        return {name: forms[control.mean.args] if forms and control.mean.args in forms
-                else _control_mean(control.mean) for name, control in _controls(config).items()}
+        return {name: _control_mean(_controls(config)[name].mean) for name in names}
     except ValueError:
         return None
 
 
-def _form_point(config: ProbingConfig) -> tuple | None:
-    """(n_a, n_b, n_e, gamma_ea, gamma_ba) of `config` where it is inside
-    the floor's closed form's domain (_floor_form_domain), otherwise None;
-    every test is a comparison of the config's numbers."""
+def _edge_points(config: ProbingConfig) -> dict[str, tuple]:
+    """Name -> (n_a, n_b, n_e, gamma_ea, gamma_ba) of each edge control of
+    `config` (see _controls), the point whose closed form is its mean."""
+    return {name: control.mean.args for name, control in _controls(config).items()
+            if control.mean.kind == "floor"}
+
+
+def _floor_plan(config: ProbingConfig) -> tuple[str | None, float | tuple | None]:
+    """The form of the floor's exact mean at `config` and the mean, or for
+    the closed form its point; (None, None) where the floor is sampled.  Per
+    draw the floor is, at noise_ea = 0, 0 where n_e >= n_a and t4 where n_e
+    < n_a, and at noise_ea = noise_b t5 - t2: its mean is "0", "E t4" or "E
+    t5 - E t2", unless a mean is outside its domain.  Otherwise it is the
+    "closed form" where _floor_form_domain admits the config's point
+    (gamma_ea and gamma_ba FLOOR_FORM_RATIO or more apart), its one test."""
+    if config.noise_ea == 0 and config.n_e >= config.n_a:
+        return "0", 0.0
+    if config.noise_ea in (0.0, config.noise_b):
+        means = _control_means(config, ("t4",) if config.noise_ea == 0 else ("t5", "t2"))
+        if means is None:
+            return None, None
+        return ("E t4", means["t4"]) if config.noise_ea == 0 else (
+            "E t5 - E t2", means["t5"] - means["t2"])
     gam = derive_gammas(config)
     point = (config.n_a, config.n_b, config.n_e, gam.gamma_ea, gam.gamma_ba)
-    return point if _floor_form_domain(*point) else None
-
-
-def _closed_floor(config: ProbingConfig) -> float | None:
-    """The floor's mean from its closed form (_floor_forms), or None
-    outside the form's domain (_form_point)."""
-    point = _form_point(config)
-    return None if point is None else _floor_forms([point])[point]
-
-
-def _form_points(config: ProbingConfig) -> list[tuple]:
-    """The points at which the floor at `config` takes the closed form: its
-    own where it is in the form's domain, otherwise, where it is sampled
-    (noise_ea neither 0 nor noise_b), those of its edge controls."""
-    point = _form_point(config)
-    if point is not None:
-        return [point]
-    if config.noise_ea in (0.0, config.noise_b):
-        return []
-    return [control.mean.args for control in _controls(config).values()
-            if control.mean.kind == "floor"]
-
-
-def _exact_floor(config: ProbingConfig, forms: dict[tuple, float] | None = None
-                 ) -> float | None:
-    """The floor's exact mean, or None where it has none here or a mean is
-    outside its closed form's domain: per draw it is, at noise_ea = 0, 0
-    where n_e >= n_a and t4 where n_e < n_a, and at noise_ea = noise_b
-    (gamma_ea = gamma_ba) t5 - t2, so its mean is 0, E t4 or E t5 - E t2;
-    where gamma_ea and gamma_ba are FLOOR_FORM_RATIO or more apart its mean
-    is _closed_floor's, in that form's domain, read from `forms`, closed
-    forms keyed by point (_floor_forms), where it is there."""
-    if config.noise_ea not in (0.0, config.noise_b):
-        point = _form_point(config)
-        return forms[point] if forms and point in forms else _closed_floor(config)
-    if config.noise_ea == 0 and config.n_e >= config.n_a:
-        return 0.0
-    controls = _controls(config)
-    try:
-        if config.noise_ea == 0:
-            return _control_mean(controls["t4"].mean)
-        return _control_mean(controls["t5"].mean) - _control_mean(controls["t2"].mean)
-    except ValueError:
-        return None
+    return ("closed form", point) if _floor_form_domain(*point) else (None, None)
 
 
 def _smallest_pivot(system: np.ndarray) -> float:
@@ -990,7 +963,7 @@ def _smallest_pivot(system: np.ndarray) -> float:
     return float(np.min(np.diagonal(factor)) ** 2)
 
 
-def _control_corrections(rows: np.ndarray, means: np.ndarray
+def _control_corrections(rows: np.ndarray, means: np.ndarray, droppable: Sequence[int] = ()
                          ) -> tuple[np.ndarray, float] | None:
     """One point's fit, with rows = (t_1 .. t_k, floor) over its n trials
     and means the exact means of the k controls: beta . (t - mean) per
@@ -1001,9 +974,12 @@ def _control_corrections(rows: np.ndarray, means: np.ndarray
     D_i trial i's centred controls, S their sums of products and d their
     means less the exact ones, w_i = 1/n - d^T S^-1 D_i is the trial's
     weight in the intercept, h_i = 1/n + D_i^T S^-1 D_i its leverage and r_i
-    its adjusted sample less their mean; None where S is singular
-    (_smallest_pivot), which is tested before the one solve that gives beta, S^-1
-    d and S^-1.  Beside rows the fit holds three buffers of n trials: the
+    its adjusted sample less their mean.  Where S is singular
+    (_smallest_pivot) the fit is on the controls left with the fewest of
+    those at the indices `droppable` dropped, earlier ones first among as
+    many, each set tested on its principal submatrix of S before the one
+    solve that gives beta, S^-1 d and S^-1; None where every set is
+    singular.  Beside rows the fit holds three buffers of n trials: the
     per-trial products with S^-1 and beta are formed over slices of at most
     BLOCK trials, whose columns are those of the whole products, and every
     sum over trials is one pairwise reduction over all n.  rows is
@@ -1011,13 +987,27 @@ def _control_corrections(rows: np.ndarray, means: np.ndarray
     n, k = rows.shape[1], len(means)
     centre = np.add.reduce(rows[:k], axis=-1) / n
     rows[:k] -= centre[:, None]
-    centred, floor = rows[:k], rows[k:]
     # the centred controls' sums of products with each other and with the
     # floor (which needs no centring: the controls sum to 0)
-    sums = centred @ rows.T
-    system, cross = sums[:, :k], sums[:, k:]
-    if _smallest_pivot(system) <= CV_SINGULAR_PIVOT:
+    sums = rows[:k] @ rows.T
+    for dropped in itertools.chain.from_iterable(
+            itertools.combinations(droppable, count) for count in range(len(droppable) + 1)):
+        kept = [i for i in range(k) if i not in dropped]
+        if _smallest_pivot(sums[np.ix_(kept, kept)]) > CV_SINGULAR_PIVOT:
+            break
+    else:
         return None
+    if dropped:
+        # the kept rows and the floor's moved up in place, with sums of
+        # products of their own (a product's round-off depends on its shape:
+        # the fit is bit for bit the one on those controls alone)
+        for row, source in enumerate(kept + [k]):
+            rows[row] = rows[source]
+        centre, means, k = centre[kept], means[kept], len(kept)
+        rows = rows[:k + 1]
+        sums = rows[:k] @ rows.T
+    centred, floor = rows[:k], rows[k:]
+    system, cross = sums[:, :k], sums[:, k:]
     offset = (centre - means)[:, None]
     solved = np.linalg.solve(system, np.concatenate([cross, offset, np.eye(k)], axis=-1))
     beta, s_inv = solved[:, :1], solved[:, 2:]
@@ -1054,31 +1044,15 @@ def _control_corrections(rows: np.ndarray, means: np.ndarray
     return corrections, float(np.sqrt(hc3 * (n * (n - 1)) / spread))
 
 
-def _refits(means: dict[str, float]) -> Iterable[dict[str, float]]:
-    """The control sets that a point whose regression on `means` is
-    singular is fitted on again, in turn: `means` less one of its
-    CV_DROP_ORDER controls, then less two of them, and so on, earlier ones
-    in that order dropped first among as many."""
-    droppable = [q for q in CV_DROP_ORDER if q in means]
-    for count in range(1, len(droppable) + 1):
-        for dropped in itertools.combinations(droppable, count):
-            yield {q: m for q, m in means.items() if q not in dropped}
-
-
 def _fit_controls(values: dict[str, np.ndarray], means: dict[str, float]
                   ) -> tuple[np.ndarray, float] | None:
-    """_control_corrections of one point on `means`, or where that system
-    is singular on the first of its _refits that is not; None if none is.
+    """_control_corrections of one point on `means`, on one copy of its
+    samples, dropping some of CV_DROP_ORDER where that system is singular.
     Pops the controls' values from `values`."""
-    for kept in itertools.chain([means], _refits(means)):
-        # one copy of the samples per try, which the fit centres in place
-        fit = _control_corrections(np.array([values[q] for q in kept] + [values["floor"]]),
-                                   np.array(list(kept.values())))
-        if fit is not None:
-            break
-    for q in means:
-        del values[q]
-    return fit
+    names = list(means)
+    rows = np.array([values.pop(q) for q in names] + [values["floor"]])
+    return _control_corrections(rows, np.array(list(means.values())),
+                                [names.index(q) for q in CV_DROP_ORDER if q in means])
 
 
 class _Key(NamedTuple):
@@ -1162,102 +1136,121 @@ def trial_values_many(points: Sequence[tuple[ProbingConfig, Iterable[str]]],
     return values
 
 
-def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
-                  quantities: Sequence[str],
-                  labels: Sequence[str] | None = None) -> list[dict[str, Estimate]]:
-    """Estimates of the requested QUANTITIES at every config, in order.
+class _Plan(NamedTuple):
+    """One point of an evaluate_many call (see _plan): its quantities'
+    exact values, the form of the floor's (_floor_plan; None where it is
+    sampled or not asked for), the names its pass draws and the exact means
+    of the controls its floor is fitted on (None where it is not)."""
 
-    Each point's Monte Carlo quantities come from shared draws, so upper ==
-    lower_bob + gap per sample and, at v_a = 0, lower_alice == upper per
-    sample; configs with identical draws share one pass (see
-    trial_values_many, which also says how `labels` name a failing point).
-    pilot_mi is exact, as are the floor where _exact_floor gives it (at
-    noise_ea = 0, at noise_ea = noise_b and where gamma_ea and gamma_ba are
-    FLOOR_FORM_RATIO or more apart, _closed_floor; at v_b = 0 lower_bob,
-    and with it upper and lower, is then pilot_mi + v_a times that value,
-    and at v_b > 0 lower_bob's samples carry v_a times it in place of v_a
-    times the floor's samples), the gap at v_b = 0 (0) and lower_alice at
-    noise_ea = 0 with v_a > 0 (-inf).  At v_b = 0 lower_alice is exact
-    otherwise too: per sample it is the role-swapped pilot_mi plus v_a (t3 -
-    t2), two of the floor's controls, so its mean is that pilot_mi plus v_a
-    (E t3 - E t2), unless a mean is outside wishart_logdet_mean's domain; at
-    v_b > 0 it is sampled raw.
+    exact: dict[str, float]
+    form: str | None
+    names: frozenset[str]
+    means: dict[str, float] | None
 
-    A sampled floor is estimated with control variates, one regression
-    per point once the draws are in: the floor's samples are regressed on
-    all of the point's controls, (t2, t3, t5), t4 where n_e < n_a, (t1, u3,
-    u1), the edges (fl, fh) and (p2, p3) (see _controls,
-    _control_corrections and _fit_controls, which solves a singular system
-    again without some of CV_DROP_ORDER), and the correction beta . (t -
-    mean), with the controls' exact means, is subtracted from the floor's
-    samples and v_a times it from lower_bob's, so upper and lower are built
-    from adjusted samples and upper == lower_bob + gap still holds per
-    sample.  A point with fewer than CV_MIN_TRIALS trials, a singular
-    regression or a config outside wishart_logdet_mean's domain gets the
-    raw samples.  An estimate built from adjusted samples takes their
-    stderr times _control_corrections' factor: the floor's HC3 stderr, v_a
-    times it for lower_bob at v_b = 0, an approximation at v_b > 0.
 
-    'lower' is the larger side bound, Bob's side winning ties.  At v_b = 0
-    it is lower_bob (which is then also upper), and lower_alice is
-    evaluated only when named: per sample, lower_bob - lower_alice =
-    (pilot_mi - the role-swapped pilot_mi) + v_a * [log2det(I + gamma_ea G +
-    gamma_ba H) - log2det(I + gamma_ba H)] >= 0, with G, H the Grams of
-    g_a, h_ba.  (At v_a = v_b = 0 the difference is the round-off between
-    the two pilot_mi values, which is the one case where comparing the
-    means could pick the Alice side.)
-    """
-    unknown = set(quantities) - set(QUANTITIES)
-    if unknown:
-        raise ValueError(f"unknown quantities {sorted(unknown)}; supported: {QUANTITIES}")
+def _plan(configs: Sequence[ProbingConfig], quantities: Iterable[str], trials: int
+          ) -> list[_Plan]:
+    """Each config's _Plan for `quantities` at `trials` trials, made before
+    any draw.  Each exact value reads only the means it uses, and every
+    closed form, the exact floors' and the fitted floors' edges, is
+    evaluated once, in _floor_forms' stacks.  pilot_mi is exact; so is the
+    floor, where asked for or read by lower_bob (which lower and upper
+    read), in _floor_plan's forms; at v_b = 0 the gap (0) and, with an exact
+    floor, lower_bob (pilot_mi + v_a floor), while at v_b > 0 an exact floor
+    is drawn beside lower_bob to replace the floor's samples in lower_bob's;
+    and lower_alice where Eve hears Alice noiselessly (-inf) and otherwise
+    at v_b = 0, the role-swapped pilot_mi plus v_a (E t3 - E t2) (per
+    sample, v_a (t3 - t2)), unless noise_ea = 0 or a mean is outside its
+    domain.  A sampled floor is fitted on all of its controls from
+    CV_MIN_TRIALS trials on where their means are inside their domains."""
     wanted = set(quantities)
     if "lower" in wanted:
         wanted.add("lower_bob")
     if "upper" in wanted:
         wanted |= {"lower_bob", "gap"}
-    # every closed form that the points' floors and edge controls take, in
-    # stacks, read by _exact_floor and _control_means
-    forms = _floor_forms(point for config in configs for point in _form_points(config))
-    exacts, sampled, control_means = [], [], []
+    decided = []
     for config in configs:
-        exact = {}
-        if "pilot_mi" in wanted:
-            exact["pilot_mi"] = pilot_mi(config)
-        floor = _exact_floor(config, forms)
-        if floor is not None:
-            exact["floor"] = floor
+        form, floor = _floor_plan(config) if wanted & {"floor", "lower_bob"} else (None, None)
+        fitted = form is None and trials >= CV_MIN_TRIALS and (
+            "floor" in wanted or "lower_bob" in wanted and config.v_a)
+        means = _control_means(config, [name for name, control in _controls(config).items()
+                                        if control.mean.kind != "floor"]) if fitted else None
+        decided.append((config, form, floor, means))
+    forms = _floor_forms([floor for _, form, floor, _ in decided if form == "closed form"]
+                         + [point for config, *_, means in decided if means is not None
+                            for point in _edge_points(config).values()])
+    plans = []
+    for config, form, floor, means in decided:
+        exact = {"pilot_mi": pilot_mi(config)} if "pilot_mi" in wanted else {}
+        if form is not None:
+            exact["floor"] = floor = forms[floor] if form == "closed form" else floor
         if config.v_b == 0:
             exact["gap"] = 0.0
-            if floor is not None:
+            if form is not None:
                 exact["lower_bob"] = pilot_mi(config) + config.v_a * floor
-        floor_sampled = floor is None and (
-            "floor" in wanted or ("lower_bob" in wanted and config.v_a))
-        means = _control_means(config, forms) if floor_sampled or (
-            config.noise_ea > 0 and "lower_alice" in wanted) else None
         if _alice_bound_diverges(config):
             exact["lower_alice"] = -math.inf
-        elif config.v_b == 0 and "lower_alice" in wanted and means is not None:
-            exact["lower_alice"] = pilot_mi(config.swap_roles()) + config.v_a * (
-                means["t3"] - means["t2"])
-        exacts.append(exact)
+        elif config.v_b == 0 and "lower_alice" in wanted and config.noise_ea > 0:
+            alice = _control_means(config, ("t3", "t2"))
+            if alice is not None:
+                exact["lower_alice"] = pilot_mi(config.swap_roles()) + config.v_a * (
+                    alice["t3"] - alice["t2"])
         names = wanted | {"lower_alice"} if "lower" in wanted and config.v_b else wanted
         names = names.difference(exact)
-        if floor_sampled and means is not None and mc.trials >= CV_MIN_TRIALS:
-            names = names | {"floor"} | set(means)
-        else:
-            means = None
-        if floor is not None and config.v_a and "lower_bob" in names:
-            names = names | {"floor"}
-        control_means.append(means)
-        sampled.append((config, names))
-    points = trial_values_many(sampled, mc, labels)
+        if means is not None:
+            means = {name: forms[control.mean.args] if control.mean.kind == "floor"
+                     else means[name] for name, control in _controls(config).items()}
+            names |= {"floor"} | set(means)
+        elif form is not None and config.v_a and "lower_bob" in names:
+            names |= {"floor"}
+        plans.append(_Plan(exact, form, frozenset(names), means))
+    return plans
+
+
+def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
+                  quantities: Sequence[str],
+                  labels: Sequence[str] | None = None) -> list[dict[str, Estimate]]:
+    """Estimates of the requested QUANTITIES at every config, in order.
+
+    What is exact, and what each point draws, is decided before any draw
+    (_plan).  Each point's Monte Carlo quantities come from shared draws, so
+    upper == lower_bob + gap per sample and, at v_a = 0, lower_alice ==
+    upper per sample; configs with identical draws share one pass (see
+    trial_values_many, which also says how `labels` name a failing point).
+
+    A fitted floor's samples are regressed on all of the point's controls
+    (see _controls, and _control_corrections, which drops some of
+    CV_DROP_ORDER where the system is singular), and the correction beta .
+    (t - mean) is subtracted from them and v_a times it from lower_bob's, so
+    upper == lower_bob + gap still holds per sample.  A sampled floor that
+    is not fitted, or whose every system is singular, gets the raw samples.
+    An estimate built from adjusted samples takes their stderr times
+    _control_corrections' factor: the floor's HC3 stderr, v_a times it for
+    lower_bob at v_b = 0, an approximation at v_b > 0.
+
+    'lower' is the larger side bound, Bob's side winning ties.  At v_b = 0
+    it is lower_bob (then also upper), and lower_alice is evaluated only
+    when named: per sample lower_bob - lower_alice = (pilot_mi - the
+    role-swapped pilot_mi) + v_a [log2det(I + gamma_ea G + gamma_ba H) -
+    log2det(I + gamma_ba H)] >= 0, G and H the Grams of g_a and h_ba (at v_a
+    = v_b = 0 it is the round-off between the two pilot_mi values, the one
+    case where comparing the means could pick the Alice side).
+    """
+    unknown = set(quantities) - set(QUANTITIES)
+    if unknown:
+        raise ValueError(f"unknown quantities {sorted(unknown)}; supported: {QUANTITIES}")
+    plans = _plan(configs, quantities, mc.trials)
+    points = trial_values_many([(config, plan.names) for config, plan in zip(configs, plans)],
+                               mc, labels)
     results = []
-    for config, exact, values, means in zip(configs, exacts, points, control_means):
-        if "floor" in exact.keys() & values:
+    for config, plan, values in zip(configs, plans, points):
+        if plan.means is not None:
+            fit = _fit_controls(values, plan.means)
+        elif plan.form is not None and "floor" in plan.names:
             # an exact floor replaces the floor's samples in lower_bob's
-            fit = (values.pop("floor") - exact["floor"], 1.0)
+            fit = (values.pop("floor") - plan.exact["floor"], 1.0)
         else:
-            fit = None if means is None else _fit_controls(values, means)
+            fit = None
         factor = {}
         if fit is not None:
             correction, stderr_factor = fit
@@ -1267,16 +1260,16 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
             if config.v_a and "lower_bob" in values:
                 values["lower_bob"] = values["lower_bob"] - config.v_a * correction
                 factor["lower_bob"] = factor["upper"] = stderr_factor
-        est = {name: Estimate.exact(value) for name, value in exact.items()}
+        est = {name: Estimate.exact(value) for name, value in plan.exact.items()}
         # a floor sampled only for lower_bob's correction is not reported
         est.update((name, summarize(v)) for name, v in values.items()
-                   if name != "floor" or "floor" in wanted)
-        if "upper" in wanted:
+                   if name != "floor" or "floor" in quantities)
+        if "upper" in quantities:
             est["upper"] = summarize(values["lower_bob"] + values["gap"]) \
                 if "gap" in values else est["lower_bob"]
         for name in factor.keys() & est.keys():
             est[name] = replace(est[name], stderr=est[name].stderr * factor[name])
-        if "lower" in wanted:
+        if "lower" in quantities:
             bob = est["lower_bob"]
             alice = est["lower_alice"] if config.v_b else bob
             est["lower"] = alice if alice.mean > bob.mean else bob

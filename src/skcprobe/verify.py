@@ -37,9 +37,11 @@ import numpy as np
 
 from .capacity import (
     _alice_bound_diverges,
-    _closed_floor,
     _control_mean,
     _controls,
+    _edge_points,
+    _floor_forms,
+    _floor_plan,
     bound_gap_sample,
     lower_bound_bob_sample,
     pilot_mi,
@@ -341,15 +343,16 @@ def raw_mean_check(config: ProbingConfig, mc: McSettings) -> list[VerificationOu
     independent oracle of the Andreief identity behind it: each of the
     floor's edge controls that capacity._controls declares (the floor at
     gamma_ea = gamma_ba / 3 and 3 gamma_ba) against its mean, as
-    <name>-closed-form; then, where the floor's own mean has the form
-    (capacity._closed_floor, gamma_ea and gamma_ba three times or more
-    apart), the floor against it, as floor-closed-form."""
-    references = {name: _control_mean(control.mean)
-                  for name, control in _controls(config).items()
-                  if control.mean.kind == "floor"}
-    closed = _closed_floor(config)
-    if closed is not None:
-        references["floor"] = closed
+    <name>-closed-form; then, where evaluate takes the floor's own mean from
+    the form (capacity._floor_plan, gamma_ea and gamma_ba three times or
+    more apart), the floor against it, as floor-closed-form.  Every form is
+    evaluated in one call of capacity._floor_forms."""
+    points = _edge_points(config)
+    form, point = _floor_plan(config)
+    if form == "closed form":
+        points["floor"] = point
+    forms = _floor_forms(points.values())
+    references = {name: forms[point] for name, point in points.items()}
     values = trial_values_many([(config, tuple(references))], mc)[0]
     outcomes = []
     for name, reference in references.items():

@@ -145,13 +145,49 @@ def control_means(config, count=None) -> dict:
     return dict(list(means.items())[:count])
 
 
+def planned_floor(config, trials=0):
+    """evaluate_many's plan (capacity._plan) of the floor at `config` alone
+    at `trials` trials (at 0 no fit is planned)."""
+    from skcprobe.capacity import _plan
+    return _plan([config], {"floor"}, trials)[0]
+
+
+def exact_floor(config):
+    """The floor's exact mean at `config` as evaluate plans it, or None
+    where the floor is sampled."""
+    return planned_floor(config).exact.get("floor")
+
+
+def closed_floor(config):
+    """The floor's exact mean at `config` where evaluate plans it from the
+    closed form, otherwise None."""
+    plan = planned_floor(config)
+    return plan.exact["floor"] if plan.form == "closed form" else None
+
+
+def edge_form(config, name):
+    """The closed form of the edge control `name` at `config`, its mean."""
+    from skcprobe.capacity import _edge_points, _floor_forms
+    point = _edge_points(config)[name]
+    return _floor_forms([point])[point]
+
+
+def shifted_forms(config, value):
+    """capacity._floor_forms with the closed form at `config`'s own point
+    replaced by value(form), the forms at other points as they are."""
+    from skcprobe.capacity import _floor_forms, _floor_plan
+    _, own = _floor_plan(config)
+    return lambda points: {point: value(form) if point == own else form
+                           for point, form in _floor_forms(points).items()}
+
+
 def engine_means(config, count=None) -> dict:
-    """The engine's exact means (capacity._control_means) of the controls
-    that control_means names, in its order, each within 1e-10 relative of
-    control_means' (which for the edges is mpmath's): a fit on them is the
-    engine's fit bit for bit."""
-    from skcprobe.capacity import _control_means
-    reference, engine = control_means(config, count), _control_means(config)
+    """The engine's exact means of the controls that control_means names
+    (those of the fit evaluate plans at `config`, capacity._plan), in its
+    order, each within 1e-10 relative of control_means' (which for the
+    edges is mpmath's): a fit on them is the engine's fit bit for bit."""
+    from skcprobe.capacity import CV_MIN_TRIALS
+    reference, engine = control_means(config, count), planned_floor(config, CV_MIN_TRIALS).means
     for name, mean in reference.items():
         assert abs(engine[name] - mean) <= 1e-10 * abs(mean), name
     return {name: engine[name] for name in reference}

@@ -47,8 +47,6 @@ from skcprobe.capacity import (
     SAMPLED,
     Grams,
     _alice_bound_diverges,
-    _closed_floor,
-    _exact_floor,
     trial_values_many,
 )
 from skcprobe.channel import derive_gammas
@@ -65,8 +63,8 @@ from skcprobe.experiments import apply_parameter, load_spec
 from skcprobe.montecarlo import BLOCK, collect, summarize, trial_blocks
 from skcprobe.verify import (IDENTITY_ATOL, floor_resolvent, gap_resolvent,
                              lower_bob_rectangular)
-from conftest import (capacity_logdet, engine_correction, engine_means, make_config,
-                      make_realization, scaled)
+from conftest import (capacity_logdet, closed_floor, engine_correction, engine_means,
+                      exact_floor, make_config, make_realization, scaled)
 
 LOG2_4_3 = 0.41503749927884382
 LOG2_3_2 = 0.58496250072115618
@@ -617,7 +615,7 @@ class TestEvaluateMany:
             if config.noise_ea == config.noise_b:
                 continue
             if config.noise_ea in closed:
-                assert point["floor"] == Estimate.exact(_closed_floor(config))
+                assert point["floor"] == Estimate.exact(closed_floor(config))
                 continue
             direct = np.concatenate([secrecy_floor_sample(block, config)
                                      for _, block in trial_blocks(config, mc)])
@@ -827,7 +825,7 @@ class TestOneWayLower:
         assert est["lower"] == est["lower_bob"] == est["upper"]
         assert named["lower"] == est["lower"]
         # where the floor is exact, so is the one-way bound
-        assert est["lower"].method == ("monte-carlo" if _exact_floor(cfg) is None else "exact")
+        assert est["lower"].method == ("monte-carlo" if exact_floor(cfg) is None else "exact")
 
     @pytest.mark.parametrize("seed", range(73, 84))
     def test_lower_alice_is_exact_and_below_lower_bob(self, seed):
@@ -844,6 +842,21 @@ class TestOneWayLower:
                 assert alice.mean == pilot_mi(cfg.swap_roles()) + cfg.v_a * (
                     means["t3"] - means["t2"]), name
             assert alice.mean <= est["lower_bob"].mean, name
+
+
+    def test_lower_alice_reads_only_the_means_it_uses(self):
+        # at (16, 16, 17) t5's mean (33 x 16) is outside wishart_logdet_mean's
+        # domain, but lower_alice reads E t3 and E t2 alone: it is exact, not
+        # a raw mean (11.798 +- 0.155 at 300 trials, seed 1, while it needed
+        # every control's mean)
+        cfg = ProbingConfig(n_a=16, n_b=16, n_e=17, power_a=10.0, power_b=10.0, noise_ea=2.0)
+        gam = derive_gammas(cfg)
+        with pytest.raises(ValueError):
+            wishart_logdet_mean(33, 16, gam.gamma_ba)
+        est = evaluate(cfg, McSettings(trials=300, master_seed=1), ("lower_alice",))
+        assert est["lower_alice"] == Estimate.exact(pilot_mi(cfg.swap_roles()) + cfg.v_a * (
+            wishart_logdet_mean(16, 16, gam.gamma_ba) - wishart_logdet_mean(17, 16, gam.gamma_ea)))
+        assert est["lower_alice"].mean == pytest.approx(11.519791, abs=1e-6)
 
 
 class TestRoleSymmetry:
@@ -970,7 +983,7 @@ class TestRandomValidConfigs:
             if alice_sampled:
                 bob, alice = values["lower_bob"], values["lower_alice"]
                 assert (alice - bob <= 1e-12 * (np.abs(alice) + np.abs(bob))).all()
-        floor = _exact_floor(config)
+        floor = exact_floor(config)
         if floor is None:
             assert upper == summarize(values["lower_bob"] + gap)
         elif config.v_b == 0:

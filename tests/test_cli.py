@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from skcprobe import cli, config_at_power, experiments, secrecy_floor_sample
 from skcprobe.cli import main
@@ -19,7 +20,7 @@ from skcprobe.experiments import apply_parameter, load_spec
 from skcprobe.montecarlo import trial_blocks
 from skcprobe.verify import VerificationSummary
 
-from conftest import child_env
+from conftest import child_env, shifted_forms
 
 SMALL_EVAL = """
 name: point
@@ -355,9 +356,9 @@ quantities: [gap]
         [check] = [c for c in report["checks"] if c["name"] == "cfg0:floor-closed-form"]
         assert check["passed"] is True
         # the form shifted by twice the check's tolerance fails it
-        real = verify._closed_floor
-        monkeypatch.setattr(verify, "_closed_floor",
-                            lambda config: real(config) + 2.0 * check["tolerance"])
+        config = experiments.config_from_mapping(yaml.safe_load(CLOSED_FORM_SET)["configs"][0])
+        monkeypatch.setattr(verify, "_floor_forms", shifted_forms(
+            config, lambda form: form + 2.0 * check["tolerance"]))
         assert main(["verify", "--config", spec, "--out", str(tmp_path)]) == 5
         assert "floor-closed-form" in capsys.readouterr().out
 
@@ -475,16 +476,16 @@ class TestEngineTraffic:
         spec = load_spec("fig1")
         sampled = [config for case in spec.cases for config in (
             apply_parameter(case.config, "noise_ea", v) for v in spec.sweep.values)
-            if capacity._exact_floor(config) is None]
+            if capacity._floor_plan(config)[0] is None]
         calls = self.count_calls(monkeypatch, capacity, "_control_corrections")
         assert main(["sweep", "--config", "fig1", "--trials", "60", "--out",
                      str(tmp_path)]) == 0
         assert len(calls) == len(sampled) == 6
         # each call is one sampled point's (k + 1, trials) rows on its k means
-        assert sorted(tuple(means) for _, means in calls) == sorted(
-            tuple(capacity._control_means(config).values()) for config in sampled)
-        assert [rows.shape for rows, means in calls] == [
-            (len(means) + 1, 60) for _, means in calls]
+        assert sorted(tuple(means) for _, means, _ in calls) == sorted(
+            tuple(plan.means.values()) for plan in capacity._plan(sampled, {"floor"}, 60))
+        assert [rows.shape for rows, means, _ in calls] == [
+            (len(means) + 1, 60) for _, means, _ in calls]
 
 
 class TestEnvironmentOverrides:

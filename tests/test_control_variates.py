@@ -14,6 +14,8 @@ nothing with the engine's quadrature rule.
 import importlib.util
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -36,9 +38,9 @@ from skcprobe.experiments import (apply_parameter, config_from_mapping,
 from skcprobe.montecarlo import BLOCK, summarize, trial_blocks
 from skcprobe.numerics import conj_t
 
-from conftest import (andreief_logdet, capacity_logdet, control_correction, control_means,
-                      engine_correction, engine_means, j_recurrence_digits, reference_floor,
-                      scaled)
+from conftest import (andreief_logdet, capacity_logdet, child_env, closed_floor,
+                      control_correction, control_means, edge_form, engine_correction,
+                      engine_means, exact_floor, j_recurrence_digits, reference_floor, scaled)
 
 
 def density_coefficients(m: int, d: int) -> list[Fraction]:
@@ -622,6 +624,23 @@ class TestControlVariates:
         fit = self.adjusted_floor(config, mc, without=("p2", "p3") + others)
         assert est["floor"].stderr <= 1.1 * fit.stderr
 
+    def test_a_point_singular_on_every_control_makes_one_fit(self, monkeypatch):
+        # at (8, 4, 10), power_a = 1e-3, noise_ea = 0.5 the system on every
+        # control is singular and the point is fitted without t1 and fl:
+        # each candidate set is tested on its principal submatrix of the one
+        # system and the chosen set is fitted once (18 fits, each on a fresh
+        # copy of the samples, while every candidate was fitted in turn)
+        calls = []
+        real = capacity._control_corrections
+        monkeypatch.setattr(capacity, "_control_corrections", lambda *args: (
+            calls.append(args) or real(*args)))
+        config = replace(FIG1_BASE, n_e=10, noise_ea=0.5, power_a=1e-3)
+        mc = McSettings(trials=277, master_seed=1)
+        est = evaluate(config, mc, ("floor",))["floor"]
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert est == self.adjusted_floor(config, mc, without=("t1", "fl"))
+
     @pytest.mark.parametrize("power_a", [1e-3, 1.5e-3])
     def test_a_low_power_point_keeps_its_fit(self, power_a):
         # under the determinant rule (det S <= 1e-12 prod diag S) these
@@ -879,7 +898,7 @@ def fig1_points() -> list[ProbingConfig]:
 
 class TestClosedFloor:
     """The floor's mean in closed form where gamma_ea and gamma_ba are
-    FLOOR_FORM_RATIO or more apart (capacity._closed_floor), against the
+    FLOOR_FORM_RATIO or more apart (capacity._floor_plan), against the
     exact Andreief form in mpmath (reference_floor)."""
 
     R = capacity.FLOOR_FORM_RATIO
@@ -895,7 +914,7 @@ class TestClosedFloor:
                     1e-13 * float(form)
 
     def test_matches_the_reference_at_every_fig1_point_in_the_domain(self):
-        closed = [(cfg, capacity._closed_floor(cfg)) for cfg in fig1_points()]
+        closed = [(cfg, closed_floor(cfg)) for cfg in fig1_points()]
         closed = [(cfg, floor) for cfg, floor in closed if floor is not None]
         # 31.6 down to 3.16 and their reciprocals, at each of the 3 cases
         assert len(closed) == 30
@@ -933,18 +952,32 @@ class TestClosedFloor:
         # the edge controls' means: measured 1e-16 to 1.2e-14 relative, and
         # 4.2e-11 at (8, 4, 10)'s high edge, gamma_ea = 30
         for name in ("fl", "fh"):
-            mean = _controls(config)[name].mean
-            reference = reference_floor(*mean.args)
-            assert abs(capacity._control_mean(mean) - reference) <= 1e-10 * reference, name
+            reference = reference_floor(*_controls(config)[name].mean.args)
+            assert abs(edge_form(config, name) - reference) <= 1e-10 * reference, name
 
     def test_a_stack_is_its_points_one_at_a_time(self):
         # every in-domain fig1 point, stacked per case and branch as
         # evaluate_many stacks them, bit for bit its stack of one
-        points = [capacity._form_point(cfg) for cfg in fig1_points()]
-        points = [p for p in points if p is not None]
+        plans = [capacity._floor_plan(cfg) for cfg in fig1_points()]
+        points = [point for form, point in plans if form == "closed form"]
         stacked = capacity._floor_forms(points)
         assert [stacked[p] for p in points] == \
             [capacity._floor_form(*p[:3], [p[3]], p[4])[0] for p in points]
+
+    def test_an_exact_floor_evaluates_its_form_alone(self, monkeypatch):
+        # at (8, 4, 6), noise_ea = 10, the floor is the closed form and
+        # lower_alice reads E t3 and E t2: one _floor_form call, a stack of
+        # one, and none for the edges, which no fit reads (3 calls while
+        # lower_alice read every control's mean)
+        calls = []
+        real = capacity._floor_form
+        monkeypatch.setattr(capacity, "_floor_form", lambda *args: (
+            calls.append(len(args[3])) or real(*args)))
+        cfg = replace(FIG1_BASE, noise_ea=10.0)
+        assert (cfg.n_a, cfg.n_b, cfg.n_e) == (8, 4, 6)
+        est = evaluate(cfg, McSettings(trials=300, master_seed=1), ("floor", "lower_alice"))
+        assert calls == [1]
+        assert est["floor"].method == est["lower_alice"].method == "exact"
 
     def test_a_sweep_evaluates_each_stack_once(self, monkeypatch):
         # more than 1024 in-domain points of one shape and gamma_ba, and two
@@ -955,10 +988,9 @@ class TestClosedFloor:
         real = capacity._floor_form
         monkeypatch.setattr(capacity, "_floor_form", lambda *args: (
             calls.append(len(args[3])) or real(*args)))
-        capacity._control_mean.cache_clear()
         base = replace(FIG1_BASE, n_e=10)
         grid = [replace(base, noise_ea=float(v)) for v in np.logspace(-4, 4, 1800)]
-        exact = [cfg for cfg in grid if capacity._form_point(cfg) is not None]
+        exact = [cfg for cfg in grid if capacity._floor_plan(cfg)[0] == "closed form"]
         sampled = [replace(base, noise_ea=v) for v in (1.77827941004, 0.562341325190)]
         assert len(exact) > 1024
         est = evaluate_many(exact + sampled, McSettings(trials=CV_MIN_TRIALS, master_seed=1),
@@ -978,9 +1010,9 @@ class TestClosedFloor:
             cfg = replace(FIG1_BASE, noise_ea=noise_ea)
             gam = derive_gammas(cfg)
             assert max(gam.gamma_ea / gam.gamma_ba, gam.gamma_ba / gam.gamma_ea) == self.R
-            assert capacity._closed_floor(cfg) is not None
+            assert closed_floor(cfg) is not None
         for noise_ea in (3.0 * (1 - 1e-9), 1 / 3 / (1 - 1e-9)):
-            assert capacity._exact_floor(replace(FIG1_BASE, noise_ea=noise_ea)) is None
+            assert exact_floor(replace(FIG1_BASE, noise_ea=noise_ea)) is None
 
     def test_fig1_points_at_ten_to_the_half_are_in_the_domain(self):
         # in floats fig1's noise_ea = 0.316 puts its gammas 3.162277660166759
@@ -988,7 +1020,7 @@ class TestClosedFloor:
         points = [cfg for cfg in fig1_points() if cfg.noise_ea in (0.316227766017, 3.16227766017)]
         assert len(points) == 6
         for cfg in points:
-            assert capacity._closed_floor(cfg) is not None, cfg
+            assert closed_floor(cfg) is not None, cfg
             if cfg.noise_ea < 1:
                 gam = derive_gammas(cfg)
                 assert gam.gamma_ea / gam.gamma_ba < 10 ** 0.5
@@ -1019,7 +1051,7 @@ class TestClosedFloor:
         # verify-default's cfg0 and cfg1 (2 and 1.3 apart); its cfg2 is 4
         # apart, inside the domain
         verify_configs = [config_from_mapping(c) for c in yaml.safe_load(text)["configs"]]
-        assert capacity._closed_floor(verify_configs[2]) is not None
+        assert closed_floor(verify_configs[2]) is not None
         configs += verify_configs[:2]
         # beyond the largest ratio, outside WISHART_GAMMAS, and at shapes
         # outside the domain, each a decade apart
@@ -1030,7 +1062,7 @@ class TestClosedFloor:
                     replace(FIG1_BASE, n_a=9, phi_a=0, noise_ea=10.0),
                     replace(FIG1_BASE, n_b=3, noise_ea=10.0)]
         for cfg in configs:
-            assert capacity._exact_floor(cfg) is None, cfg
+            assert exact_floor(cfg) is None, cfg
 
     def test_domain_is_empty_where_longdouble_has_no_extra_digits(self, monkeypatch):
         # where np.longdouble is float64 its eps is not below
@@ -1038,21 +1070,21 @@ class TestClosedFloor:
         cfg = replace(FIG1_BASE, noise_ea=0.0316227766017)
         mc = McSettings(trials=CV_MIN_TRIALS, master_seed=3)
         assert evaluate(cfg, mc, ("floor",))["floor"] == Estimate.exact(
-            capacity._closed_floor(cfg))
+            closed_floor(cfg))
         monkeypatch.setattr(capacity, "FLOOR_FORM_LONG_EPS",
                             float(np.finfo(np.longdouble).eps))
-        assert capacity._closed_floor(cfg) is None
+        assert closed_floor(cfg) is None
         assert evaluate(cfg, mc, ("floor",))["floor"] == \
             TestControlVariates.adjusted_floor(cfg, mc)
 
     def test_points_in_the_domain_draw_nothing(self, monkeypatch):
-        configs = [cfg for cfg in fig1_points() if capacity._closed_floor(cfg) is not None]
+        configs = [cfg for cfg in fig1_points() if closed_floor(cfg) is not None]
         calls = []
         real = capacity.collect
         monkeypatch.setattr(capacity, "collect", lambda *args: calls.append(args) or real(*args))
         mc = McSettings(trials=200, master_seed=5)
         for cfg, est in zip(configs, evaluate_many(configs, mc, ("floor", "lower"))):
-            floor = capacity._closed_floor(cfg)
+            floor = closed_floor(cfg)
             assert est["floor"] == Estimate.exact(floor)
             # at v_b = 0 lower is pilot_mi (0 at rho = 0) plus v_a times
             # the exact floor
@@ -1069,7 +1101,7 @@ class TestClosedFloor:
         # v_a floor at any trial count, not a mean of samples
         cfg = config_from_mapping(dict(n_a=8, n_b=4, n_e=6, v_a=1, v_b=0, power_a=10,
                                        power_b=10, noise_ea=10))
-        floor = capacity._closed_floor(cfg)
+        floor = closed_floor(cfg)
         assert floor is not None
         est = evaluate(cfg, McSettings(trials=trials, master_seed=1), ("lower", "upper"))
         assert est["lower"] == est["upper"] == Estimate.exact(pilot_mi(cfg) + cfg.v_a * floor)
@@ -1084,13 +1116,25 @@ class TestClosedFloor:
         checked = 0
         for case in spec.cases:
             for v in spec.sweep.values:
-                floor = capacity._closed_floor(apply_parameter(case.config, "noise_ea", v))
+                floor = closed_floor(apply_parameter(case.config, "noise_ea", v))
                 if floor is None:
                     continue
                 mean, stderr = reference[f"{case.name}@{v:.12g}"]
                 assert abs(floor - mean) <= 6.0 * stderr, (case.name, v)
                 checked += 1
         assert checked == 30
+
+
+def test_the_control_study_runs():
+    # scripts/control_study.py prints one heading line per bundled sampled
+    # point, each followed by its fit's lines
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH.parent / "scripts" / "control_study.py"),
+         "--trials", "300"], capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    headings = [line.split(":")[0] for line in proc.stdout.splitlines()
+                if not line.startswith(" ")]
+    assert headings == [label for label, _ in BUNDLED_SAMPLED]
 
 
 class TestQuadratureOracle:

@@ -10,14 +10,14 @@ import pytest
 from skcprobe import (
     McSettings,
     determinant_identity_suite,
+    evaluate,
     pilot_estimation_check,
     pilot_mi,
     pilot_mi_from_covariance,
     run_suite,
     siso_ergodic_capacity,
 )
-from skcprobe.capacity import (CONTROLS, _closed_floor, _control_mean, _controls,
-                               trial_values_many)
+from skcprobe.capacity import CONTROLS, CV_MIN_TRIALS, _controls, _plan, trial_values_many
 from skcprobe.channel import derive_gammas, sample_channels
 from skcprobe.errors import DimensionGuard, InvalidNoise, ValidationError
 from skcprobe.montecarlo import BLOCK, collect, summarize, trial_blocks
@@ -27,7 +27,7 @@ from skcprobe.verify import (CONTROL_ORACLES, IDENTITY_ATOL, floor_null_space,
                              pilot_mi_check, raw_mean_check, scalar_capacity_check,
                              wishart_logdet_quadrature, wishart_mean_check,
                              wishart_trace_quadrature)
-from conftest import make_config
+from conftest import closed_floor, edge_form, make_config, shifted_forms
 
 # e * E1(1) / ln 2 to double precision (30-digit mpmath, frozen)
 SCALAR_CAPACITY_AT_ONE = 0.86034738227088595
@@ -513,7 +513,7 @@ class TestEdgeFormCheck:
         for outcome, name in zip(outcomes, ("fl", "fh")):
             est = summarize(values[name])
             assert outcome.passed, name
-            assert outcome.reference_value == _control_mean(_controls(cfg)[name].mean)
+            assert outcome.reference_value == edge_form(cfg, name)
             assert outcome.computed_value == est.mean and outcome.tolerance == 4 * est.stderr
 
     @pytest.mark.parametrize("shift,passed", [(3.0, True), (5.0, False)])
@@ -521,7 +521,7 @@ class TestEdgeFormCheck:
         cfg = make_config()
         mc = McSettings(trials=4000, master_seed=1)
         fh = trial_values_many([(cfg, ("fh",))], mc)[0]["fh"]
-        form = _control_mean(_controls(cfg)["fh"].mean)
+        form = edge_form(cfg, "fh")
         offset = form + shift * summarize(fh).stderr - summarize(fh).mean
         real = verify.trial_values_many
 
@@ -551,8 +551,9 @@ class TestEdgeFormCheck:
 
 
 class TestFloorFormCheck:
-    """Where the floor has its closed form (capacity._closed_floor), verify
-    compares it with the raw mean of the floor's samples."""
+    """Where evaluate takes the floor from its closed form
+    (capacity._floor_plan), verify compares it with the raw mean of the
+    floor's samples."""
 
     CLOSED = make_config(n_a=4, n_b=4, n_e=4, v_a=1, v_b=0, power_a=10.0, power_b=10.0,
                          noise_ea=0.0316227766017, rho=0.0)
@@ -562,7 +563,7 @@ class TestFloorFormCheck:
         [outcome] = raw_mean_outcomes(self.CLOSED, mc, "floor-closed-form")
         raw = summarize(trial_values_many([(self.CLOSED, ("floor",))], mc)[0]["floor"])
         assert outcome.check_name == "floor-closed-form" and outcome.passed
-        assert outcome.reference_value == _closed_floor(self.CLOSED)
+        assert outcome.reference_value == closed_floor(self.CLOSED)
         assert outcome.computed_value == raw.mean and outcome.tolerance == 4 * raw.stderr
 
     def test_no_outcome_outside_the_domain(self):
@@ -576,9 +577,41 @@ class TestFloorFormCheck:
     def test_a_shifted_form_fails_beyond_four_stderr(self, monkeypatch, shift, passed):
         mc = McSettings(trials=2000, master_seed=1)
         raw = summarize(trial_values_many([(self.CLOSED, ("floor",))], mc)[0]["floor"])
-        monkeypatch.setattr(verify, "_closed_floor", lambda config: raw.mean + shift * raw.stderr)
+        monkeypatch.setattr(verify, "_floor_forms", shifted_forms(
+            self.CLOSED, lambda form: raw.mean + shift * raw.stderr))
         [outcome] = raw_mean_outcomes(self.CLOSED, mc, "floor-closed-form")
         assert outcome.passed is passed
+
+
+# fig1's three shapes, n_e below, at and above n_a (gamma_ba 10), at noise_ea
+# 0, noise_b, two points inside the closed form's domain and one outside:
+# the form of the floor's exact mean that the plan names at each
+ONE_DECISION = [(shape, noise_ea, form)
+                for shape, noiseless in (((8, 4, 6), "E t4"), ((4, 4, 4), "0"), ((8, 4, 10), "0"))
+                for noise_ea, form in ((0.0, noiseless), (1.0, "E t5 - E t2"),
+                                       (10.0, "closed form"), (0.0316227766017, "closed form"),
+                                       (1.77827941004, None))]
+
+
+@pytest.mark.parametrize("shape,noise_ea,form", ONE_DECISION,
+                         ids=[f"{s[0]}-{s[1]}-{s[2]}@{v:g}" for s, v, _ in ONE_DECISION])
+def test_evaluate_and_verify_read_one_decision(shape, noise_ea, form):
+    # evaluate's floor is exact where the plan (capacity._plan) names a
+    # form, at the plan's value, and verify checks the closed form against
+    # the raw mean where the plan takes the floor from it, and only there
+    n_a, n_b, n_e = shape
+    cfg = make_config(n_a=n_a, n_b=n_b, n_e=n_e, v_a=1, v_b=0, power_a=10.0, power_b=10.0,
+                      noise_ea=noise_ea, rho=0.0)
+    mc = McSettings(trials=CV_MIN_TRIALS, master_seed=1)
+    plan = _plan([cfg], {"floor"}, mc.trials)[0]
+    assert plan.form == form
+    floor = evaluate(cfg, mc, ("floor",))["floor"]
+    assert (floor.method == "exact") == (plan.form is not None)
+    if plan.form is not None:
+        assert floor.mean == plan.exact["floor"]
+    emitted = [o for o in raw_mean_check(cfg, mc) if o.check_name == "floor-closed-form"]
+    assert [o.reference_value for o in emitted] == \
+        ([plan.exact["floor"]] if form == "closed form" else [])
 
 
 class TestWishartMeanCheck:
