@@ -26,12 +26,11 @@ all of its trials at once with stacked Gram products and factorizations.
 goes through: points whose draws are identical share one pass, and each
 block's Gram products, log-dets and traces are computed once for all of
 them, kept in one memo keyed by the product, the probing direction and the
-arguments, and built in the block's work matrices (see Grams; ``evaluate``
-is its one-point call).  One plan per call (_plan) decides before any draw
-what is exact: the floor where Eve hears Alice noiselessly or at Bob's
-SNR, and where Eve's and Bob's SNRs are three times or more apart
-(_floor_plan); elsewhere it estimates the floor, and the bounds built on
-it, with control variates whose exact means
+arguments (see Grams; ``evaluate`` is its one-point call).  One plan per
+call (_plan) decides before any draw what is exact: the floor where Eve
+hears Alice noiselessly or at Bob's SNR, and where Eve's and Bob's SNRs are
+three times or more apart (_floor_plan); elsewhere it estimates the floor,
+and the bounds built on it, with control variates whose exact means
 ``wishart_logdet_mean``, ``wishart_trace_mean`` and the floor's closed form
 evaluate: t2 and t3, the log-dets of what Eve and Bob see of Alice's
 probes, t5, what both see together at Bob's SNR, where n_e < n_a t4, what
@@ -55,7 +54,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization, ProbingConfig, derive_gammas
+from .channel import ChannelRealization, ProbingConfig, _draws_key, derive_gammas
 from .errors import (GridTooSmall, IntegrandFailure, InvalidNoise, OrderingViolation,
                      SkcError, ValidationError)
 from .montecarlo import BLOCK, Estimate, McSettings, collect, summarize
@@ -439,34 +438,27 @@ def _per_block(method):
 
 
 class Grams:
-    """Gram matrices of the channels of a draw or a block of draws, the
-    log-dets factored from them, and the block's work matrices.  A caller
-    that evaluates several configs on the same draws passes one store to
-    every integrand; swap_roles() reads the role-swapped draws (see
-    ChannelRealization.swap_roles) from the same store.
+    """Gram matrices of the channels of a draw or a block of draws and the
+    log-dets factored from them.  A caller that evaluates several configs on
+    the same draws passes one store to every integrand; swap_roles() reads
+    the role-swapped draws (see ChannelRealization.swap_roles) from the same
+    store.
 
     The Grams are m^H m of each channel m and, for the floor where n_e <
     n_a, K = [g_a; h_ba][g_a; h_ba]^H, (n_e + n_b)-square (see
     floor_logdets).  Every method marked _per_block computes its value on
     first use and keeps it, read-only, for every integrand and point that
-    asks again with the same arguments in the same role.
-
-    work(shape) is a (trials, rows, cols) complex stack, allocated on first
-    use and then overwritten by every integrand that asks for that shape:
-    each builds the matrices it factors there (gamma G + I and the like) in
-    place.  A 200-trial stack of 8 x 8 matrices is 200 KB, above the
-    allocator's mmap threshold, so fresh temporaries at every point of a
-    sweep would be returned to the OS and faulted back in page by page.  A
-    work matrix holds only what its last writer left there; no integrand
-    returns one or a view of one.
+    asks again with the same arguments in the same role.  The matrices a
+    method factors or solves (gamma G + I and the like) are its own
+    temporaries.
     """
 
     def __init__(self, realization: ChannelRealization,
-                 shared: tuple[dict, dict] | None = None, swapped: bool = False):
+                 memo: dict | None = None, swapped: bool = False):
         self._realization = realization
         # the draws as this role names them
         self._draws = realization.swap_roles() if swapped else realization
-        self._memo, self._work = ({}, {}) if shared is None else shared
+        self._memo = {} if memo is None else memo
         self._swapped = swapped
 
     @_per_block
@@ -480,15 +472,12 @@ class Grams:
 
     @_per_block
     def identity_logdet(self, channel: str, gamma: float):
-        """log2det(I + gamma m^H m) of channel m, per trial, factored in the
-        work matrix on the smaller side of Sylvester's identity, as log2det(I
-        + gamma m m^H) where m has fewer rows than columns."""
+        """log2det(I + gamma m^H m) of channel m, per trial, factored on the
+        smaller side of Sylvester's identity, as log2det(I + gamma m m^H)
+        where m has fewer rows than columns."""
         rows, cols = getattr(self._draws, channel).shape[-2:]
         gram = self._gram(channel, rows < cols)
-        work = self.work(gram.shape[-2:])
-        np.multiply(gram, gamma, out=work)
-        work += _eye(gram.shape[-1])
-        return logdet_hermitian_pd(work)
+        return logdet_hermitian_pd(gram * gamma + _eye(gram.shape[-1]))
 
     @_per_block
     def power(self, channel: str):
@@ -501,25 +490,19 @@ class Grams:
 
     @_per_block
     def _stacked(self) -> np.ndarray:
-        """K = [g_a; h_ba][g_a; h_ba]^H, the stacked channel built in a work
-        matrix."""
-        g, h = self._draws.g_a, self._draws.h_ba
-        n_e = self._n_e()
-        stacked = self.work((n_e + h.shape[-2], g.shape[-1]))
-        stacked[..., :n_e, :] = g
-        stacked[..., n_e:, :] = h
-        return _outer(stacked)
+        """K = [g_a; h_ba][g_a; h_ba]^H."""
+        return _outer(np.concatenate([self._draws.g_a, self._draws.h_ba], axis=-2))
 
     def _scaled_stacked(self, lead: float, cross: float, trail: float) -> np.ndarray:
-        """K in the work matrix, its leading n_e-square block times `lead`,
-        the off-diagonal blocks times `cross` and the trailing block times
+        """K with its leading n_e-square block times `lead`, the
+        off-diagonal blocks times `cross` and the trailing block times
         `trail`; exactly Hermitian, as K is."""
         k = self._stacked()
         n_e = self._n_e()
         scale = np.full(k.shape[-2:], cross)
         scale[:n_e, :n_e] = lead
         scale[n_e:, n_e:] = trail
-        return np.multiply(k, scale, out=self.work(k.shape[-2:]))
+        return k * scale
 
     @_per_block
     def floor_logdets(self, gamma_ea: float, gamma_ba: float):
@@ -530,10 +513,10 @@ class Grams:
         (Sylvester), and its trailing n_b entries the log-det of the Schur
         complement I + gamma_ba h_ba (I + gamma_ea G)^-1 h_ba^H, which is
         the floor."""
-        work = self._scaled_stacked(
+        b = self._scaled_stacked(
             gamma_ea, math.sqrt(gamma_ea) * math.sqrt(gamma_ba), gamma_ba)
-        work += _eye(work.shape[-1])
-        return logdet_hermitian_pd(work, split=self._n_e())
+        b += _eye(b.shape[-1])
+        return logdet_hermitian_pd(b, split=self._n_e())
 
     @_per_block
     def null_logdet(self, gamma_ba: float):
@@ -544,27 +527,27 @@ class Grams:
         block only, whose Schur complement is I + gamma_ba h_ba (I - g_a^H
         (g_a g_a^H)^-1 g_a) h_ba^H."""
         n_e = self._n_e()
-        work = self._scaled_stacked(1.0, math.sqrt(gamma_ba), gamma_ba)
-        trailing = work[..., n_e:, n_e:]
+        limit = self._scaled_stacked(1.0, math.sqrt(gamma_ba), gamma_ba)
+        trailing = limit[..., n_e:, n_e:]
         trailing += _eye(trailing.shape[-1])
-        return logdet_hermitian_pd(work, split=n_e)[1]
+        return logdet_hermitian_pd(limit, split=n_e)[1]
 
     @_per_block
     def eve_joint_logdets(self, gamma_ba: float):
-        """(t1, u1) per trial where n_e < n_a, from one Cholesky
-        factorization of I + gamma_ba K in K's own [g_a; h_ba] order, built
-        in the work matrix: its leading n_e diagonal entries give t1 =
-        log2det(I + gamma_ba g_a g_a^H) = log2det(I + gamma_ba G)
-        (Sylvester), and the factor's off-diagonal block L21, with |L21|^2 =
-        gamma_ba^2 tr(h_ba g_a^H (I + gamma_ba g_a g_a^H)^-1 g_a h_ba^H),
-        gives u1 = tr(gamma_ba G (I + gamma_ba G)^-1 H) = |L21|^2 /
-        gamma_ba (push-through).  Exactly Hermitian, as K is."""
+        """(t1, |L21|^2) per trial where n_e < n_a, from one Cholesky
+        factorization of I + gamma_ba K in K's own [g_a; h_ba] order: its
+        leading n_e diagonal entries give t1 = log2det(I + gamma_ba g_a
+        g_a^H) = log2det(I + gamma_ba G) (Sylvester), and the factor's
+        off-diagonal block L21 has |L21|^2 = gamma_ba^2 tr(h_ba g_a^H (I +
+        gamma_ba g_a g_a^H)^-1 g_a h_ba^H) = gamma_ba u1, u1 = tr(gamma_ba G
+        (I + gamma_ba G)^-1 H) (push-through; _controls divides, so that
+        gamma_ba = 0 computes no 0/0 beside t1).  Exactly Hermitian, as K
+        is."""
         n_e = self._n_e()
         k = self._stacked()
-        work = np.multiply(k, gamma_ba, out=self.work(k.shape[-2:]))
-        work += _eye(k.shape[-1])
-        eve, _, chol = logdet_hermitian_pd(work, split=n_e, factor=True)
-        return eve, _squared_norm(chol[..., n_e:, :n_e]) / gamma_ba
+        eve, _, chol = logdet_hermitian_pd(k * gamma_ba + _eye(k.shape[-1]),
+                                           split=n_e, factor=True)
+        return eve, _squared_norm(chol[..., n_e:, :n_e])
 
     @_per_block
     def _times(self) -> np.ndarray:
@@ -577,35 +560,28 @@ class Grams:
         n_a, from the n_a x n_a Grams of g_a and h_ba: G commutes with its
         resolvent and H = h_ba^H h_ba, so u1 is gamma_ba tr(Y (I + gamma_ba
         G)^-1 h_ba^H), Y = h_ba G (see _times): one batched solve of I +
-        gamma_ba G, built in the work matrix, against h_ba^H's n_b
-        columns."""
+        gamma_ba G against h_ba^H's n_b columns."""
         h = self._draws.h_ba
-        n_a = h.shape[-1]
-        work = np.multiply(self["g_a"], gamma_ba, out=self.work((n_a, n_a)))
-        work += _eye(n_a)
-        solved = np.linalg.solve(work, conj_t(h))
+        solved = np.linalg.solve(self["g_a"] * gamma_ba + _eye(h.shape[-1]), conj_t(h))
         return gamma_ba * np.einsum("...ij,...ji->...", self._times(), solved).real
 
     @_per_block
     def bob_interaction_trace(self, gamma_ba: float):
         """u3 = tr(gamma_ba H (I + gamma_ba H)^-1 G) per trial where n_e >=
-        n_a, from one batched solve, built in the work matrix: where n_b <
-        n_a on the n_b-square outer Gram that t3 factors (see
-        identity_logdet), (I + gamma_ba h_ba h_ba^H)^-1 Y = Z, Y = h_ba G (see
-        _times), and u3 = gamma_ba tr(Z h_ba^H) (push-through: (I + gamma_ba
-        H)^-1, H of rank n_b < n_a, would carry the round-off of its null
-        space, gamma_ba times over, into u3); otherwise gamma_ba tr(H (I +
-        gamma_ba H)^-1 G), n_a-square."""
+        n_a, from one batched solve: where n_b < n_a on the n_b-square outer
+        Gram that t3 factors (see identity_logdet), (I + gamma_ba h_ba
+        h_ba^H)^-1 Y = Z, Y = h_ba G (see _times), and u3 = gamma_ba tr(Z
+        h_ba^H) (push-through: (I + gamma_ba H)^-1, H of rank n_b < n_a,
+        would carry the round-off of its null space, gamma_ba times over,
+        into u3); otherwise gamma_ba tr(H (I + gamma_ba H)^-1 G),
+        n_a-square."""
         h = self._draws.h_ba
         n_b, n_a = h.shape[-2:]
         if n_b < n_a:
             gram, rhs = self._gram("h_ba", True), self._times()
         else:
             gram, rhs = self["h_ba"], self["g_a"]
-        n = gram.shape[-1]
-        work = np.multiply(gram, gamma_ba, out=self.work((n, n)))
-        work += _eye(n)
-        resolved = np.linalg.solve(work, rhs)
+        resolved = np.linalg.solve(gram * gamma_ba + _eye(gram.shape[-1]), rhs)
         if n_b < n_a:
             u3 = np.trace(resolved @ conj_t(h), axis1=-2, axis2=-1).real
         else:
@@ -618,12 +594,11 @@ class Grams:
         Grams of g_a and h_ba: the floor's joint log-det where n_e >= n_a
         (ratio = noise_ea/noise_b) and t5 (gamma_ba and ratio 1.0), which
         are one factorization at noise_ea = noise_b."""
-        gram = self["g_a"]
-        work = np.multiply(self["h_ba"], ratio, out=self.work(gram.shape[-2:]))
-        work += gram
-        work *= gamma_ea
-        work += _eye(work.shape[-1])
-        return logdet_hermitian_pd(work)
+        folded = self["h_ba"] * ratio
+        folded += self["g_a"]
+        folded *= gamma_ea
+        folded += _eye(folded.shape[-1])
+        return logdet_hermitian_pd(folded)
 
     def floor(self, gamma_ea: float, gamma_ba: float, ratio: float) -> np.ndarray:
         """The floor per trial, clamped at 0 (see secrecy_floor_sample): where
@@ -642,32 +617,24 @@ class Grams:
 
     @_per_block
     def bob_joint_logdets(self, gamma_ba: float):
-        """(t3, t5, u3) per trial where n_e < n_a, from one Cholesky
+        """(t3, t5, |L21|^2) per trial where n_e < n_a, from one Cholesky
         factorization of I + gamma_ba K with K's blocks reordered to [h_ba;
-        g_a], built in the work matrix: its leading n_b diagonal entries give
-        t3 = log2det(I + gamma_ba h_ba h_ba^H) = log2det(I + gamma_ba H)
-        (Sylvester), all of them t5 = log2det(I + gamma_ba K) =
-        log2det(I + gamma_ba (G + H)), and the factor's off-diagonal block
-        L21 gives u3 = tr(gamma_ba H (I + gamma_ba H)^-1 G) = |L21|^2 /
-        gamma_ba (as in eve_joint_logdets).  Exactly Hermitian, as K is."""
+        g_a]: its leading n_b diagonal entries give t3 = log2det(I +
+        gamma_ba h_ba h_ba^H) = log2det(I + gamma_ba H) (Sylvester), all of
+        them t5 = log2det(I + gamma_ba K) = log2det(I + gamma_ba (G + H)),
+        and the factor's off-diagonal block L21 has |L21|^2 = gamma_ba u3,
+        u3 = tr(gamma_ba H (I + gamma_ba H)^-1 G) (as in
+        eve_joint_logdets).  Exactly Hermitian, as K is."""
         n_e = self._n_e()
         k = self._stacked()
         n_b = k.shape[-1] - n_e
         rows, cols = _h_ba_first(n_e, k.shape[-1])
-        work = np.multiply(k[..., rows, cols], gamma_ba, out=self.work(k.shape[-2:]))
-        work += _eye(k.shape[-1])
-        bob, rest, chol = logdet_hermitian_pd(work, split=n_b, factor=True)
-        return bob, bob + rest, _squared_norm(chol[..., n_b:, :n_b]) / gamma_ba
-
-    def work(self, shape: tuple[int, int]) -> np.ndarray:
-        """The work stack of matrix shape `shape`."""
-        if shape not in self._work:
-            self._work[shape] = np.empty(self._realization.trials_shape + shape,
-                                         dtype=complex)
-        return self._work[shape]
+        bob, rest, chol = logdet_hermitian_pd(k[..., rows, cols] * gamma_ba + _eye(k.shape[-1]),
+                                              split=n_b, factor=True)
+        return bob, bob + rest, _squared_norm(chol[..., n_b:, :n_b])
 
     def swap_roles(self) -> "Grams":
-        return Grams(self._realization, (self._memo, self._work), not self._swapped)
+        return Grams(self._realization, self._memo, not self._swapped)
 
 
 def secrecy_floor_sample(realization: ChannelRealization, config: ProbingConfig,
@@ -795,12 +762,6 @@ def _alice_bound_diverges(config: ProbingConfig) -> bool:
     return config.noise_ea == 0 and config.v_a > 0
 
 
-def _draws_key(config: ProbingConfig) -> tuple:
-    """The parameters sample_channels reads: configs equal on them get the
-    same draws."""
-    return (config.n_a, config.n_b, config.n_e, config.rho)
-
-
 class _Mean(NamedTuple):
     """A control's exact mean: `times` the mean of its `kind` of term at
     `args`.  With W = w^H w, w rows x cols with iid CN(0, 1) entries,
@@ -885,8 +846,8 @@ def _controls(config: ProbingConfig) -> dict[str, _Control]:
             "t5": logdet(n_e + n_b, n_a, g_ba, lambda grams: grams.bob_joint_logdets(g_ba)[1]),
             "t4": logdet(n_b, n_a - n_e, g_ba, lambda grams: grams.null_logdet(g_ba)),
             "t1": logdet(n_e, n_a, g_ba, lambda grams: grams.eve_joint_logdets(g_ba)[0]),
-            "u3": trace(n_e, n_b, lambda grams: grams.bob_joint_logdets(g_ba)[2]),
-            "u1": trace(n_b, n_e, lambda grams: grams.eve_joint_logdets(g_ba)[1])}
+            "u3": trace(n_e, n_b, lambda grams: grams.bob_joint_logdets(g_ba)[2] / g_ba),
+            "u1": trace(n_b, n_e, lambda grams: grams.eve_joint_logdets(g_ba)[1] / g_ba)}
     for name, edge in zip(("fl", "fh"), _floor_edges(g_ba)):
         if _floor_form_domain(n_a, n_b, n_e, edge, g_ba):
             controls[name] = _Control(
@@ -1156,7 +1117,8 @@ def _plan(configs: Sequence[ProbingConfig], quantities: Iterable[str], trials: i
     evaluated once, in _floor_forms' stacks.  pilot_mi is exact; so is the
     floor, where asked for or read by lower_bob (which lower and upper
     read), in _floor_plan's forms; at v_b = 0 the gap (0) and, with an exact
-    floor, lower_bob (pilot_mi + v_a floor), while at v_b > 0 an exact floor
+    floor, lower_bob (pilot_mi + v_a floor), or at v_a = 0 with any floor
+    (pilot_mi, on every draw), while at v_b > 0 an exact floor
     is drawn beside lower_bob to replace the floor's samples in lower_bob's;
     and lower_alice where Eve hears Alice noiselessly (-inf) and otherwise
     at v_b = 0, the role-swapped pilot_mi plus v_a (E t3 - E t2) (per
@@ -1188,6 +1150,8 @@ def _plan(configs: Sequence[ProbingConfig], quantities: Iterable[str], trials: i
             exact["gap"] = 0.0
             if form is not None:
                 exact["lower_bob"] = pilot_mi(config) + config.v_a * floor
+            elif config.v_a == 0 and "lower_bob" in wanted:
+                exact["lower_bob"] = pilot_mi(config)
         if _alice_bound_diverges(config):
             exact["lower_alice"] = -math.inf
         elif config.v_b == 0 and "lower_alice" in wanted and config.noise_ea > 0:

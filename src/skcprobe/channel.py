@@ -221,6 +221,12 @@ class ChannelRealization:
 DRAWN = ("h_ba", "residual", "g_a", "g_b")
 
 
+def _draws_key(config: ProbingConfig) -> tuple:
+    """The parameters sample_channels reads: configs equal on them get the
+    same draws."""
+    return (config.n_a, config.n_b, config.n_e, config.rho)
+
+
 def sample_channels(config: ProbingConfig, stream: RngStream,
                     trials: int | None = None) -> ChannelRealization:
     """One correlated channel realization, or a block of `trials`, whose

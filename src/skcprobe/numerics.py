@@ -202,12 +202,12 @@ def logdet_hermitian_pd(m: np.ndarray, split: int | None = None, factor: bool = 
     The input must be Hermitian to HERMITIAN_ATOL, which callers ensure by
     passing Gram products through hermitize; it is checked, on one triangle
     and the diagonal (see _max_asymmetry), and then factored as given, and
-    it is never modified, so a caller may pass a work array and overwrite
-    it afterwards.  If the factorization fails, each matrix is factored on
-    its own and a failing one is retried once with a tiny trace-scaled
-    diagonal jitter; a second failure raises NotPositiveDefinite naming the
-    matrix's index in the flattened stack (these matrices are PD by
-    construction, so failure indicates a caller bug rather than bad data).
+    it is never modified.  If the factorization fails, each matrix is
+    factored on its own and a failing one is retried once with a tiny
+    trace-scaled diagonal jitter; a second failure raises
+    NotPositiveDefinite naming the matrix's index in the flattened stack
+    (these matrices are PD by construction, so failure indicates a caller
+    bug rather than bad data).
 
     Two matrices are out of double range and get a NaN log-det (every part
     of a split), which the Monte Carlo engine's finiteness check then

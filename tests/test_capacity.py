@@ -13,6 +13,7 @@ Frozen expected values and how they were obtained:
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -477,12 +478,12 @@ def textbook_gap(r, cfg):
     return np.maximum(cfg.v_b * (swapped["joint"] - swapped["t3"]), 0.0)
 
 
-# (8, 4, 6) is fig1's first case, whose 256-trial 8 x 8 stacks are 256 KiB;
-# (6, 4, 5) with both probes is the benchmark's two-way scenario (9 x 9
-# stacks for the floor, 4 x 4 for the role-swapped one); (2, 8, 6) puts the
-# 8 x 8 stacks on Bob's side, where n_e < n_b gives the role-swapped floor,
-# and with it the gap and the v_b terms, the stacked form
-WORK_CONFIGS = {
+# (8, 4, 6) is fig1's first case, with 8 x 8 stacks; (6, 4, 5) with both
+# probes is the benchmark's two-way scenario (9 x 9 stacks for the floor,
+# 4 x 4 for the role-swapped one); (2, 8, 6) puts the 8 x 8 stacks on Bob's
+# side, where n_e < n_b gives the role-swapped floor, and with it the gap
+# and the v_b terms, the stacked form
+TEXTBOOK_CONFIGS = {
     "fig1": dict(n_a=8, n_b=4, n_e=6, v_a=1, v_b=0, power_a=10.0, power_b=10.0,
                  noise_ea=0.3, rho=0.0),
     "twoway": dict(n_a=6, n_b=4, n_e=5, v_a=2, v_b=3, power_a=10.0, power_b=10.0,
@@ -491,14 +492,13 @@ WORK_CONFIGS = {
 }
 
 
-class TestWorkMatrices:
-    """The integrands build what they factor in the block's work matrices
-    (see Grams); every value equals the plain expression bit for bit, and
-    nothing they return is overwritten by a later integrand."""
+class TestTextbookArithmetic:
+    """Every integrand equals its plain expression bit for bit, and nothing
+    it returns is overwritten by a later integrand on the same Gram store."""
 
-    @pytest.mark.parametrize("name", sorted(WORK_CONFIGS))
+    @pytest.mark.parametrize("name", sorted(TEXTBOOK_CONFIGS))
     def test_integrands_equal_their_textbook_expressions(self, name):
-        cfg = make_config(**WORK_CONFIGS[name])
+        cfg = make_config(**TEXTBOOK_CONFIGS[name])
         block = sample_channels(cfg, RngStream(71, 0), trials=BLOCK)
         for r in (block, block[0], block[BLOCK - 1]):
             assert np.array_equal(secrecy_floor_sample(r, cfg), textbook_floor(r, cfg))
@@ -506,11 +506,11 @@ class TestWorkMatrices:
             if cfg.v_b:
                 assert np.array_equal(bound_gap_sample(r, cfg), textbook_gap(r, cfg))
 
-    @pytest.mark.parametrize("name", sorted(WORK_CONFIGS))
+    @pytest.mark.parametrize("name", sorted(TEXTBOOK_CONFIGS))
     def test_engine_points_equal_their_textbook_expressions(self, name):
         # three points on shared draws and one Gram store per block, each
         # with every integrand including the role-swapped bound
-        base = make_config(**WORK_CONFIGS[name])
+        base = make_config(**TEXTBOOK_CONFIGS[name])
         configs = [base, replace(base, power_a=3.0, noise_ea=0.05),
                    replace(base, power_b=0.5, noise_eb=0.4)]
         mc = McSettings(trials=BLOCK + 7, master_seed=73)
@@ -528,7 +528,7 @@ class TestWorkMatrices:
                 assert np.array_equal(values[q], np.concatenate(expected[q])), (cfg, q)
 
     def test_returned_values_survive_later_points_and_the_swapped_view(self):
-        cfg = make_config(**WORK_CONFIGS["twoway"])
+        cfg = make_config(**TEXTBOOK_CONFIGS["twoway"])
         other = replace(cfg, power_a=0.5, power_b=20.0, noise_ea=2.0)
         block = sample_channels(cfg, RngStream(79, 0), trials=BLOCK)
         grams = Grams(block)
@@ -538,8 +538,6 @@ class TestWorkMatrices:
                  bound_gap_sample(block, cfg, grams=grams),
                  lower_bound_bob_sample(block.swap_roles(), cfg.swap_roles(), grams=swapped)]
         kept = [v.copy() for v in first]
-        # the same block's work matrices, written again by other points
-        assert swapped.work((cfg.n_a, cfg.n_a)) is grams.work((cfg.n_a, cfg.n_a))
         secrecy_floor_sample(block, other, grams=grams)
         lower_bound_bob_sample(block, other, grams=grams)
         bound_gap_sample(block, other, grams=grams)
@@ -729,9 +727,9 @@ class TestEvaluateMany:
         factored = []
         monkeypatch.setattr(capacity, "logdet_hermitian_pd", lambda m, *args, **kwargs: (
             factored.append(m.shape[1:]) or real_logdet(m, *args, **kwargs)))
-        # (at noise_ea = 0.5: at WORK_CONFIGS' 0.3 the gammas are 3.3 apart
+        # (at noise_ea = 0.5: at TEXTBOOK_CONFIGS' 0.3 the gammas are 3.3 apart
         # and the floor is exact)
-        twoway = make_config(**dict(WORK_CONFIGS["twoway"], noise_ea=0.5))
+        twoway = make_config(**dict(TEXTBOOK_CONFIGS["twoway"], noise_ea=0.5))
         evaluate(twoway, McSettings(trials=BLOCK, master_seed=5), QUANTITIES)
         assert sorted(factored) == [(4, 4)] * 3 + [(9, 9)] * 6
 
@@ -844,6 +842,21 @@ class TestOneWayLower:
             assert alice.mean <= est["lower_bob"].mean, name
 
 
+    def test_probeless_bounds_are_pilot_mi_without_a_draw(self, monkeypatch):
+        # at v_a = v_b = 0 lower_bob is pilot_mi on every draw, so it, lower
+        # and upper are exact where the floor is sampled too (gammas 2 apart
+        # here), and nothing is drawn
+        import skcprobe.capacity as capacity
+        calls = []
+        monkeypatch.setattr(capacity, "collect", lambda *args: calls.append(args))
+        cfg = ProbingConfig(n_a=2, n_b=3, n_e=1, v_a=0, v_b=0, power_a=2.0, power_b=1.0,
+                            noise_ea=0.5, rho=0.9)
+        assert exact_floor(cfg) is None
+        names = ("lower", "upper", "lower_bob")
+        est = evaluate(cfg, McSettings(trials=277), names)
+        assert calls == []
+        assert est == dict.fromkeys(names, Estimate.exact(pilot_mi(cfg)))
+
     def test_lower_alice_reads_only_the_means_it_uses(self):
         # at (16, 16, 17) t5's mean (33 x 16) is outside wishart_logdet_mean's
         # domain, but lower_alice reads E t3 and E t2 alone: it is exact, not
@@ -860,6 +873,16 @@ class TestOneWayLower:
 
 
 class TestRoleSymmetry:
+    def test_lower_alice_at_zero_power_divides_no_zero_by_zero(self):
+        # at power_a = 0 the role-swapped t3 is read from the factorization
+        # that also gives |L21|^2 = gamma_ba u3, which no point reads there;
+        # dividing it by gamma_ba = 0 beside t3 made a NaN and a warning
+        cfg = ProbingConfig(n_a=6, n_b=4, n_e=5, v_a=2, v_b=1, power_a=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            alice = evaluate(cfg, McSettings(trials=100), ("lower_alice",))["lower_alice"]
+        assert math.isfinite(alice.mean) and math.isfinite(alice.stderr)
+
     def test_symmetric_config_gives_identical_bounds(self):
         cfg = make_config(n_a=2, n_b=2, v_a=1, v_b=1, phi_a=16, phi_b=16,
                           power_a=2.0, power_b=2.0, noise_a=1.0, noise_b=1.0,
@@ -984,7 +1007,10 @@ class TestRandomValidConfigs:
                 bob, alice = values["lower_bob"], values["lower_alice"]
                 assert (alice - bob <= 1e-12 * (np.abs(alice) + np.abs(bob))).all()
         floor = exact_floor(config)
-        if floor is None:
+        if config.v_a == config.v_b == 0:
+            # lower_bob is pilot_mi on every draw
+            assert upper == Estimate.exact(pilot_mi(config))
+        elif floor is None:
             assert upper == summarize(values["lower_bob"] + gap)
         elif config.v_b == 0:
             assert upper == Estimate.exact(pilot_mi(config) + config.v_a * floor)

@@ -1,5 +1,6 @@
 """Scenario configuration, channel sampling, and pilots."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from skcprobe import (
     generate_pilot,
     sample_channels,
 )
+from skcprobe.channel import _draws_key
 from skcprobe.errors import PilotTooShort, ValidationError
 from conftest import make_config
 
@@ -156,6 +158,33 @@ class TestSampleChannelBlock:
                     make_config(n_b=1, rho=-0.5j)):
             other = sample_channels(cfg, RngStream(9, 2), trials=16)
             np.testing.assert_array_equal(other.g_a, ref.g_a)
+
+    # a value of every ProbingConfig field that make_config does not give
+    CHANGED = dict(n_a=3, n_b=3, n_e=3, v_a=0, v_b=2, phi_a=20, phi_b=24, power_a=7.0,
+                   power_b=0.25, noise_a=2.0, noise_b=0.5, noise_ea=0.0, noise_eb=3.0,
+                   rho=0.3 + 0.4j)
+
+    def test_draws_read_only_their_key(self):
+        # the Monte Carlo engine groups points by _draws_key: a field outside
+        # it leaves every matrix of a block bit for bit the same, and of the
+        # fields in it rho reaches h_ab alone (the antenna counts set shapes)
+        assert self.CHANGED.keys() == {f.name for f in dataclasses.fields(ProbingConfig)}
+        base = make_config()
+        ref = sample_channels(base, RngStream(9, 2), trials=16)
+        for name, value in self.CHANGED.items():
+            cfg = dataclasses.replace(base, **{name: value})
+            if name in ("n_a", "n_b", "n_e"):
+                assert _draws_key(cfg) != _draws_key(base), name
+                continue
+            other = sample_channels(cfg, RngStream(9, 2), trials=16)
+            same = [m for m in ("h_ba", "h_ab", "g_a", "g_b")
+                    if np.array_equal(getattr(other, m), getattr(ref, m))]
+            if name == "rho":
+                assert _draws_key(cfg) != _draws_key(base)
+                assert same == ["h_ba", "g_a", "g_b"]
+            else:
+                assert _draws_key(cfg) == _draws_key(base), name
+                assert same == ["h_ba", "h_ab", "g_a", "g_b"], name
 
     def test_single_draw_is_trial_zero_of_a_block(self):
         cfg = make_config(n_a=3, n_b=2, n_e=4)
