@@ -10,8 +10,11 @@ regression (capacity._control_corrections).  It prints:
 
 * the residual variance of that fit;
 * for each control, the residual variance of the fit without it over that
-  of the fit with all of them, and the same for the two edges fl and fh
-  together ("edges") and for the nearer edge alone ("near edge only");
+  of the fit with all of them, and the same for each ring of edges
+  (capacity.EDGE_RINGS, e.g. "ring 5" for fl5 and fh5), for all the edges
+  together ("edges") and for the nearer edge of the inner ring alone
+  ("near edge only"), and, where the point has t4 (n_e < n_a), for the fit
+  with t4 put back in beside the edges ("with t4");
 * the smallest squared Cholesky pivot of the regression system scaled to a
   unit diagonal (capacity._smallest_pivot), which capacity.CV_SINGULAR_PIVOT
   bounds from below.
@@ -28,8 +31,8 @@ import numpy as np
 import yaml
 
 from skcprobe import McSettings
-from skcprobe.capacity import (CV_MIN_TRIALS, _control_corrections, _plan, _smallest_pivot,
-                               trial_values_many)
+from skcprobe.capacity import (CV_MIN_TRIALS, EDGE_RINGS, _control_corrections, _control_means,
+                               _controls, _plan, _smallest_pivot, trial_values_many)
 from skcprobe.channel import derive_gammas
 from skcprobe.experiments import apply_parameter, config_from_mapping, load_spec, read_spec_text
 
@@ -73,18 +76,24 @@ def main() -> None:
     mc = McSettings(trials=args.trials, master_seed=args.seed)
     for label, config in sampled_points():
         means = _plan([config], {"floor"}, CV_MIN_TRIALS)[0].means
-        values = trial_values_many([(config, ("floor",) + tuple(means))], mc)[0]
+        t4 = {} if "t4" in means or "t4" not in _controls(config) else \
+            _control_means(config, ["t4"])
+        values = trial_values_many([(config, ("floor",) + tuple(means) + tuple(t4))], mc)[0]
         full = residual_variance(values, means, list(means))
         gam = derive_gammas(config)
         print(f"{label}: (n_a, n_b, n_e) = ({config.n_a}, {config.n_b}, {config.n_e}), "
               f"gamma_ea {gam.gamma_ea:.4g}, gamma_ba {gam.gamma_ba:.4g}")
         print(f"  residual variance {full:.3e} on {len(means)} controls; "
               f"smallest pivot^2 {smallest_pivot(values, list(means)):.2e}")
+        edges = [q for q in means if _controls(config)[q].mean.kind == "floor"]
         near = "fh" if gam.gamma_ea > gam.gamma_ba else "fl"
-        drops = [(q, (q,)) for q in means] + [("edges", ("fl", "fh")),
-                                             ("near edge only", ({"fl": "fh", "fh": "fl"}[near],))]
+        drops = [(q, (q,)) for q in means]
+        drops += [(f"ring {ratio:g}", (low, high)) for low, high, ratio in EDGE_RINGS]
+        drops += [("edges", tuple(edges)), ("near edge only", tuple(q for q in edges if q != near))]
         ratios = {name: residual_variance(values, means, [q for q in means if q not in out]) / full
-                  for name, out in drops if set(out) <= set(means)}
+                  for name, out in drops if out and set(out) <= set(means)}
+        if t4:
+            ratios["with t4"] = residual_variance(values, {**means, **t4}, list(means) + ["t4"]) / full
         print("  without: " + ", ".join(f"{name} {ratio:.3g}" for name, ratio in ratios.items()))
 
 

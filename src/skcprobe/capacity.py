@@ -36,12 +36,14 @@ evaluate: t2 and t3, the log-dets of what Eve and Bob see of Alice's
 probes, t5, what both see together at Bob's SNR, where n_e < n_a t4, what
 Bob sees through the dimensions Eve cannot observe, t1, what Eve sees at
 Bob's SNR, u3 and u1, the first-order interactions of Eve's and Bob's
-Grams, fl and fh, the floor itself on the same draws at Eve's SNRs a third
-and three times Bob's (the closed form's domain edges), and p2 and p3, the
-power Eve and Bob receive (see _controls), all of them from CV_MIN_TRIALS
-trials on, in one regression per point, and reports the regression
-intercept's HC3 stderr.  Every closed form a call needs is evaluated once,
-in stacks, one per shape, Bob's SNR and branch (_floor_forms).
+Grams, the edges fl and fh, the floor itself on the same draws at Eve's
+SNRs a third and three times Bob's (the closed form's domain edges), and
+fl5 and fh5 at a fifth and five times, and p2 and p3, the power Eve and Bob
+receive (see _controls), all of them but t4 beside the edges (_fitted),
+from CV_MIN_TRIALS trials on, in one regression per point solved in
+longdouble, and reports the regression intercept's HC3 stderr.  Every
+closed form a call needs is evaluated once, in stacks, one per shape, Bob's
+SNR and branch (_floor_forms).
 """
 
 from __future__ import annotations
@@ -232,17 +234,27 @@ def _floor_form_domain(n_a: int, n_b: int, n_e: int, gamma_ea: float, gamma_ba: 
             and np.finfo(np.longdouble).eps < FLOOR_FORM_LONG_EPS)
 
 
-def _floor_edges(gamma_ba: float) -> tuple[float, float]:
-    """gamma_ba / FLOOR_FORM_RATIO and gamma_ba FLOOR_FORM_RATIO, the gammas
-    of Eve at which the floor's edge controls fl and fh are taken (see
-    _controls), each moved outwards by the fewest ulps that make the ratio
-    _floor_form_domain reads at least FLOOR_FORM_RATIO: 3 gamma_ba itself
-    reads 2.9999999999999996 apart for about 7% of gamma_ba."""
-    low, high = gamma_ba / FLOOR_FORM_RATIO, gamma_ba * FLOOR_FORM_RATIO
+# the rings of the floor's edge controls (see _controls): the names of the
+# low and the high edge and the ratio of their gammas to gamma_ba.  The
+# inner ring sits on the closed form's domain edge.  Beside it the outer one
+# at 5 left about half the floor's error of one at 9 against the exact mean
+# (oneway at 3000 trials over 1000 seeds, fig1's six sampled points at 200
+# over 300) and divides the residual variance by a further 23.5 to 130 at
+# the bundled sampled points (scripts/control_study.py)
+EDGE_RINGS = (("fl", "fh", FLOOR_FORM_RATIO), ("fl5", "fh5", 5.0))
+
+
+def _floor_edges(gamma_ba: float, ratio: float = FLOOR_FORM_RATIO) -> tuple[float, float]:
+    """gamma_ba / ratio and gamma_ba ratio, the gammas of Eve at which a
+    ring of the floor's edge controls is taken (see EDGE_RINGS), each moved
+    outwards by the fewest ulps that make the ratio _floor_form_domain reads
+    at least `ratio`: 3 gamma_ba itself reads 2.9999999999999996 apart for
+    about 7% of gamma_ba."""
+    low, high = gamma_ba / ratio, gamma_ba * ratio
     if gamma_ba > 0:
-        while low > 0 and gamma_ba / low < FLOOR_FORM_RATIO:
+        while low > 0 and gamma_ba / low < ratio:
             low = math.nextafter(low, 0.0)
-        while high / gamma_ba < FLOOR_FORM_RATIO:
+        while high / gamma_ba < ratio:
             high = math.nextafter(high, math.inf)
     return low, high
 
@@ -725,36 +737,42 @@ SAMPLED = ("floor", "lower_bob", "gap", "lower_alice")
 # log2det(I + gamma_ba (G + H)), where n_e < n_a t4 = log2det(I + gamma_ba
 # h_ba P h_ba^H), P the projector onto null(g_a), t1 = log2det(I + gamma_ba
 # G), the interaction traces u3 = tr(gamma_ba H (I + gamma_ba H)^-1 G) and
-# u1 = tr(gamma_ba G (I + gamma_ba G)^-1 H), the floor's edges fl and fh,
-# the floor itself at gamma_ea = gamma_ba / FLOOR_FORM_RATIO and gamma_ba
-# FLOOR_FORM_RATIO (see _floor_edges), and the received powers p2 = tr G and
-# p3 = tr H; their means are wishart_logdet_mean's, for u3 and u1 n_e and
-# n_b times wishart_trace_mean's, for fl and fh _floor_form's, and for p2
-# and p3 n_e n_a and n_b n_a.  From CV_MIN_TRIALS trials on (the regression
-# needs more than k + 1) a point whose floor is sampled (see _floor_plan)
-# regresses on all of them
-CONTROLS = ("t2", "t3", "t5", "t4", "t1", "u3", "u1", "fl", "fh", "p2", "p3")
+# u1 = tr(gamma_ba G (I + gamma_ba G)^-1 H), the floor's edges, the floor
+# itself at gamma_ea = gamma_ba / r and gamma_ba r for each ring r of
+# EDGE_RINGS (fl and fh at FLOOR_FORM_RATIO, fl5 and fh5 at 5; see
+# _floor_edges), and the received powers p2 = tr G and p3 = tr H; their
+# means are wishart_logdet_mean's, for u3 and u1 n_e and n_b times
+# wishart_trace_mean's, for the edges _floor_form's, and for p2 and p3 n_e
+# n_a and n_b n_a.  From CV_MIN_TRIALS trials on (the regression needs more
+# than k + 1) a point whose floor is sampled (see _floor_plan) regresses on
+# all of them but t4 where it has an edge (_fitted)
+CONTROLS = ("t2", "t3", "t5", "t4", "t1", "u3", "u1", "fl", "fh", "fl5", "fh5", "p2", "p3")
 # where a control is not one of a config's (see _controls)
 _CONTROL_RULES = {"t2": "noise_ea > 0", "t4": "n_e < n_a",
                   "fl": "gamma_ba / FLOOR_FORM_RATIO inside _floor_form_domain",
-                  "fh": "gamma_ba * FLOOR_FORM_RATIO inside _floor_form_domain"}
+                  "fh": "gamma_ba * FLOOR_FORM_RATIO inside _floor_form_domain",
+                  "fl5": "gamma_ba / 5 inside _floor_form_domain",
+                  "fh5": "gamma_ba * 5 inside _floor_form_domain"}
 CV_MIN_TRIALS = 52
 # a regression system is singular where its form scaled to a unit diagonal
 # has a squared Cholesky pivot, the share of a control's spread that the
 # controls before it leave, at or below this, or no factor.  The smallest
-# (scripts/control_study.py): at least 5.2e-8 at every bundled sampled
-# point from CV_MIN_TRIALS on; at most 2e-12 where t1 ~ t2 (noise_ea within
-# 1e-5 of noise_b), 7.5e-11 where t2 ~ gamma_ea p2 / ln 2 (oneway at
-# noise_ea = 1e6) and 1.3e-13 at (8, 4, 10), power_a = 1.5e-3
+# (scripts/control_study.py), over 400 seeds: at least 3.2e-8 at every
+# bundled sampled point but oneway from CV_MIN_TRIALS on; at oneway, where
+# t5 - t1 and the four edges nearly coincide, 6.6e-10 at one seed of 400 at
+# CV_MIN_TRIALS (fitted without t1; the next 1.6e-9) and at least 7.4e-9
+# from 100 trials on; at most 2e-12 where t1 ~ t2 (noise_ea within 1e-5 of
+# noise_b), 7.5e-11 where t2 ~ gamma_ea p2 / ln 2 (oneway at noise_ea = 1e6)
+# and 1.3e-13 at (8, 4, 10), power_a = 1.5e-3
 CV_SINGULAR_PIVOT = 1e-9
 # the controls that a point whose regression is singular is fitted again
 # without (see _control_corrections): at a small gamma a log-det is nearly
 # linear in its Gram's trace (t2 ~ gamma_ea p2 / ln 2 where noise_ea is
 # large, t3 ~ gamma_ba p3 / ln 2 and t1 ~ gamma_ba p2 / ln 2 at low power,
-# where also u1 and u3 are both ~ gamma_ba tr(G H) and the edges are nearly
-# linear in the t's), and near noise_ea = noise_b t1 and t2 are nearly
-# collinear
-CV_DROP_ORDER = ("p2", "p3", "t1", "u1", "fl", "fh")
+# where also u1 and u3 are both ~ gamma_ba tr(G H) and the edges of both
+# rings are nearly linear in the t's), and near noise_ea = noise_b t1 and t2
+# are nearly collinear
+CV_DROP_ORDER = ("p2", "p3", "t1", "u1", "fl", "fh", "fl5", "fh5")
 
 
 def _alice_bound_diverges(config: ProbingConfig) -> bool:
@@ -788,23 +806,26 @@ class _Control(NamedTuple):
 def _controls(config: ProbingConfig) -> dict[str, _Control]:
     """Name -> _Control of each of the floor's CONTROLS at `config`, in the
     order a point takes them: (t2, t3, t5), then t4 where n_e < n_a, (t1,
-    u3, u1), the edges (fl, fh) and (p2, p3) last; t2 only where noise_ea >
-    0 (at noise_ea = 0 its gamma is inf), and each edge only where its
-    gammas are inside _floor_form_domain.  Where the floor is exact (see
-    _floor_plan) no point regresses on them.  This table is the one
-    statement of which controls a point has: verify checks each entry's
-    mean and values against its own oracles.
+    u3, u1), the edges ring by ring, (fl, fh) then (fl5, fh5), and (p2, p3)
+    last; t2 only where noise_ea > 0 (at noise_ea = 0 its gamma is inf), and
+    each edge only where its gammas are inside _floor_form_domain.  Where
+    the floor is exact (see _floor_plan) no point regresses on them, and a
+    sampled floor is fitted on all of them but t4 where it has an edge
+    (_fitted).  This table is the one statement of which controls a point
+    has: verify checks each entry's mean and values against its own
+    oracles.
     Each t is a log2det(I + gamma w^H w) with w rows x cols of iid CN(0, 1)
     entries, whose mean is wishart_logdet_mean(rows, cols, gamma); t5's w
     is [g_a; h_ba], (n_e + n_b) x n_a.  u3 = tr(P_H G), P_H = gamma_ba H (I
     + gamma_ba H)^-1, has mean n_e wishart_trace_mean(n_b, n_a, gamma_ba), G
     being independent of H with mean n_e I, and u1 = tr(P_G H) likewise n_b
     wishart_trace_mean(n_e, n_a, gamma_ba): to first order in gamma_ea the
-    floor is t3 - gamma_ea u3 / ln 2.  The edges fl and fh are the floor
-    itself (Grams.floor) on the same draws at Eve's gammas gamma_ba /
-    FLOOR_FORM_RATIO and gamma_ba FLOOR_FORM_RATIO (_floor_edges), where its
-    mean has the closed form: with t5 - t1, the floor at gamma_ea =
-    gamma_ba, they pin its dependence on gamma_ea from both sides.  p2 = tr
+    floor is t3 - gamma_ea u3 / ln 2.  The edges are the floor itself
+    (Grams.floor) on the same draws at Eve's gammas gamma_ba / r and
+    gamma_ba r for each ring r of EDGE_RINGS (_floor_edges): fl and fh at
+    FLOOR_FORM_RATIO, fl5 and fh5 at 5, where its mean has the closed form.
+    With t5 - t1, the floor at gamma_ea = gamma_ba, they pin its dependence
+    on gamma_ea from both sides, each ring a step further out.  p2 = tr
     G and p3 = tr H, sums of n_e n_a and n_b n_a squared unit-variance
     entries, have means n_e n_a and n_b n_a; they are read once per block
     from the raw draws (Grams.power), and the others from the Grams and
@@ -848,11 +869,12 @@ def _controls(config: ProbingConfig) -> dict[str, _Control]:
             "t1": logdet(n_e, n_a, g_ba, lambda grams: grams.eve_joint_logdets(g_ba)[0]),
             "u3": trace(n_e, n_b, lambda grams: grams.bob_joint_logdets(g_ba)[2] / g_ba),
             "u1": trace(n_b, n_e, lambda grams: grams.eve_joint_logdets(g_ba)[1] / g_ba)}
-    for name, edge in zip(("fl", "fh"), _floor_edges(g_ba)):
-        if _floor_form_domain(n_a, n_b, n_e, edge, g_ba):
-            controls[name] = _Control(
-                _Mean("floor", (n_a, n_b, n_e, edge, g_ba)),
-                lambda grams, edge=edge: grams.floor(edge, g_ba, g_ba / edge))
+    for low, high, ratio in EDGE_RINGS:
+        for name, edge in zip((low, high), _floor_edges(g_ba, ratio)):
+            if _floor_form_domain(n_a, n_b, n_e, edge, g_ba):
+                controls[name] = _Control(
+                    _Mean("floor", (n_a, n_b, n_e, edge, g_ba)),
+                    lambda grams, edge=edge: grams.floor(edge, g_ba, g_ba / edge))
     controls["p2"] = _Control(_Mean("power", (n_e, n_a)), lambda grams: grams.power("g_a"))
     controls["p3"] = _Control(_Mean("power", (n_b, n_a)), lambda grams: grams.power("h_ba"))
     if config.noise_ea == 0:
@@ -885,6 +907,23 @@ def _edge_points(config: ProbingConfig) -> dict[str, tuple]:
     `config` (see _controls), the point whose closed form is its mean."""
     return {name: control.mean.args for name, control in _controls(config).items()
             if control.mean.kind == "floor"}
+
+
+def _fitted(config: ProbingConfig) -> dict[str, _Control]:
+    """The controls a sampled floor at `config` is fitted on: all of its
+    _controls, but t4 where one of them is an edge.  t4 is the floor at
+    gamma_ea = inf, which the finite edges supersede: beside them it still
+    halves the residual variance at oneway (20,000 draws), but its
+    estimated coefficient leaves the estimate further from the exact mean
+    than its stderr says (oneway at 3000 trials, seeds 1 to 150: rms z 1.25
+    and |z| > 3 in 4.0% of seeds with it, 0.91 and none without).  Past the
+    shape cap, where no edge is in the domain, t4 stays: dropping it there
+    left 4.9 to 11 times the residual variance at (8, 2, 6) and 1.2 to 1.6
+    times at (8, 6, 6) (fig1's gammas, 20,000 draws)."""
+    controls = _controls(config)
+    edges = any(control.mean.kind == "floor" for control in controls.values())
+    return {name: control for name, control in controls.items()
+            if not (edges and name == "t4")}
 
 
 def _floor_plan(config: ProbingConfig) -> tuple[str | None, float | tuple | None]:
@@ -931,26 +970,35 @@ def _control_corrections(rows: np.ndarray, means: np.ndarray, droppable: Sequenc
     trial, beta the least-squares coefficients of the floor on the controls
     (intercept included), and the factor that takes the adjusted samples'
     stderr to the intercept's HC3 stderr (MacKinnon and White, J.
-    Econometrics 29(3), 1985), sqrt(sum_i w_i^2 r_i^2 / (1 - h_i)^2): with
+    Econometrics 29(3), 1985), sqrt(sum_i w_i^2 e_i^2 / (1 - h_i)^2): with
     D_i trial i's centred controls, S their sums of products and d their
     means less the exact ones, w_i = 1/n - d^T S^-1 D_i is the trial's
-    weight in the intercept, h_i = 1/n + D_i^T S^-1 D_i its leverage and r_i
-    its adjusted sample less their mean.  Where S is singular
-    (_smallest_pivot) the fit is on the controls left with the fewest of
-    those at the indices `droppable` dropped, earlier ones first among as
-    many, each set tested on its principal submatrix of S before the one
-    solve that gives beta, S^-1 d and S^-1; None where every set is
-    singular.  Beside rows the fit holds three buffers of n trials: the
-    per-trial products with S^-1 and beta are formed over slices of at most
-    BLOCK trials, whose columns are those of the whole products, and every
-    sum over trials is one pairwise reduction over all n.  rows is
-    overwritten."""
+    weight in the intercept, h_i = 1/n + D_i^T S^-1 D_i its leverage and e_i
+    its residual.  Where S is singular (_smallest_pivot, on S in float64)
+    the fit is on the controls left with the fewest of those at the indices
+    `droppable` dropped, earlier ones first among as many, each set tested
+    on its principal submatrix of S; None where every set is singular.
+
+    The chosen set is fitted in np.longdouble from the samples as they are:
+    the edges of both rings are nearly collinear with t5 and t1, so that one
+    ulp of the samples moved this stderr by up to 3e-11 relative, and the
+    float64 normal equations lost 1e-7 of it at oneway, CV_MIN_TRIALS
+    trials.  With L L^T = S the float64 Cholesky factor, the whitened
+    controls V = L^-1 D (L^-1 by _refined_solve) have sums of products G =
+    V V^T within about cond(S) eps of I, so S^-1 = L^-T G^-1 L^-1 gives h_i
+    = 1/n + V_i^T G^-1 V_i, w_i = 1/n - (G^-1 L^-1 d) . V_i and beta . D_i
+    = (G^-1 V floor) . V_i, each solve with G refined, and |V_i|^2 - h_i,
+    which is V_i^T (I - G^-1) V_i, small, in float64.  The stderr is then
+    within 1.4e-14 of a 60-digit evaluation at oneway and 1.1e-15 at fig1's
+    points (CV_MIN_TRIALS to 3000 trials).  V and the per-trial terms are
+    formed over slices of at most BLOCK trials, like the blocks.  rows is
+    overwritten (the floor's row excepted)."""
     n, k = rows.shape[1], len(means)
-    centre = np.add.reduce(rows[:k], axis=-1) / n
-    rows[:k] -= centre[:, None]
-    # the centred controls' sums of products with each other and with the
-    # floor (which needs no centring: the controls sum to 0)
-    sums = rows[:k] @ rows.T
+    samples = rows.astype(np.longdouble)
+    centre = np.add.reduce(samples, axis=-1) / n
+    samples -= centre[:, None]
+    rows[:k] = samples[:k]
+    sums = rows[:k] @ rows[:k].T
     for dropped in itertools.chain.from_iterable(
             itertools.combinations(droppable, count) for count in range(len(droppable) + 1)):
         kept = [i for i in range(k) if i not in dropped]
@@ -963,45 +1011,35 @@ def _control_corrections(rows: np.ndarray, means: np.ndarray, droppable: Sequenc
         # products of their own (a product's round-off depends on its shape:
         # the fit is bit for bit the one on those controls alone)
         for row, source in enumerate(kept + [k]):
-            rows[row] = rows[source]
-        centre, means, k = centre[kept], means[kept], len(kept)
-        rows = rows[:k + 1]
-        sums = rows[:k] @ rows.T
-    centred, floor = rows[:k], rows[k:]
-    system, cross = sums[:, :k], sums[:, k:]
-    offset = (centre - means)[:, None]
-    solved = np.linalg.solve(system, np.concatenate([cross, offset, np.eye(k)], axis=-1))
-    beta, s_inv = solved[:, :1], solved[:, 2:]
-    # one step of iterative refinement: the controls explain most of the
-    # floor's spread, so the residuals are a small difference, which would
-    # lose to beta's round-off (about cond(S) eps) the digits HC3 weighs
-    residuals = beta.T @ centred
-    np.subtract(floor, residuals, out=residuals)
-    residuals -= np.add.reduce(residuals, axis=-1)[:, None] / n
-    beta = beta + s_inv @ (centred @ residuals.T)
-    # per trial beta . D_i, w_i and 1 - h_i, formed a slice of trials at a
-    # time so that no (k, trials) product is held whole; the slices start
-    # at multiples of BLOCK, like the blocks.  The refined residuals' buffer
-    # takes the weights, and the floor's row, read no more once the
-    # corrections are formed, the adjusted samples' residuals
-    lead = np.concatenate([beta, solved[:, 1:2]], axis=-1).T
-    shift = np.add.reduce(beta[:, 0] * offset[:, 0])
-    weights = residuals[0]
-    corrections, denominators = np.empty_like(weights), np.empty_like(weights)
+            rows[row], samples[row] = rows[source], samples[source]
+        centre, means, k = centre[kept + [k]], means[kept], len(kept)
+        rows, samples = rows[:k + 1], samples[:k + 1]
+        sums = rows[:k] @ rows[:k].T
+    inverse = _refined_solve(np.linalg.cholesky(sums).astype(np.longdouble),
+                             np.eye(k, dtype=np.longdouble))
+    white, floor = samples[:k], samples[k]
+    for start in range(0, n, BLOCK):
+        white[:, start:start + BLOCK] = np.dot(inverse, white[:, start:start + BLOCK])
+    lifted = np.dot(inverse, centre[:k] - means)
+    solved = _refined_solve(np.einsum("it,jt->ij", white, white), np.concatenate(
+        [np.dot(white, floor)[:, None], lifted[:, None], np.eye(k, dtype=np.longdouble)], axis=-1))
+    projection, weight = solved[:, 0], solved[:, 1]
+    excess = (np.eye(k) - solved[:, 2:]).astype(float)
+    shift = np.dot(projection, lifted)
+    corrections, hc3 = np.empty(n), np.longdouble(0.0)
     for start in range(0, n, BLOCK):
         trials = slice(start, start + BLOCK)
-        part = centred[:, trials]
-        leverages = 1.0 / n + np.add.reduce((s_inv @ part) * part, axis=0)
-        np.subtract(1.0, leverages, out=denominators[trials])
-        fitted, offset_spans = lead @ part
-        np.add(fitted, shift, out=corrections[trials])
-        np.subtract(1.0 / n, offset_spans, out=weights[trials])
-    residuals = np.subtract(floor[0], corrections, out=floor[0])
-    residuals -= np.add.reduce(residuals) / n
-    weights *= residuals
-    weights /= denominators
-    hc3 = np.add.reduce(np.square(weights, out=weights))
-    spread = np.add.reduce(np.multiply(residuals, residuals, out=denominators))
+        part = white[:, trials]
+        fitted = np.dot(projection, part)
+        corrections[trials] = fitted + shift
+        leverages = 1.0 / n + np.einsum("it,it->t", part, part)
+        approximate = part.astype(float)
+        leverages -= np.add.reduce((excess @ approximate) * approximate, axis=0)
+        terms = (1.0 / n - np.dot(weight, part)) * (floor[trials] - fitted) / (1.0 - leverages)
+        hc3 += np.dot(terms, terms)
+    adjusted = rows[k] - corrections
+    adjusted -= np.add.reduce(adjusted) / n
+    spread = np.add.reduce(adjusted * adjusted)
     return corrections, float(np.sqrt(hc3 * (n * (n - 1)) / spread))
 
 
@@ -1123,7 +1161,7 @@ def _plan(configs: Sequence[ProbingConfig], quantities: Iterable[str], trials: i
     and lower_alice where Eve hears Alice noiselessly (-inf) and otherwise
     at v_b = 0, the role-swapped pilot_mi plus v_a (E t3 - E t2) (per
     sample, v_a (t3 - t2)), unless noise_ea = 0 or a mean is outside its
-    domain.  A sampled floor is fitted on all of its controls from
+    domain.  A sampled floor is fitted on its _fitted controls from
     CV_MIN_TRIALS trials on where their means are inside their domains."""
     wanted = set(quantities)
     if "lower" in wanted:
@@ -1135,7 +1173,7 @@ def _plan(configs: Sequence[ProbingConfig], quantities: Iterable[str], trials: i
         form, floor = _floor_plan(config) if wanted & {"floor", "lower_bob"} else (None, None)
         fitted = form is None and trials >= CV_MIN_TRIALS and (
             "floor" in wanted or "lower_bob" in wanted and config.v_a)
-        means = _control_means(config, [name for name, control in _controls(config).items()
+        means = _control_means(config, [name for name, control in _fitted(config).items()
                                         if control.mean.kind != "floor"]) if fitted else None
         decided.append((config, form, floor, means))
     forms = _floor_forms([floor for _, form, floor, _ in decided if form == "closed form"]
@@ -1163,7 +1201,7 @@ def _plan(configs: Sequence[ProbingConfig], quantities: Iterable[str], trials: i
         names = names.difference(exact)
         if means is not None:
             means = {name: forms[control.mean.args] if control.mean.kind == "floor"
-                     else means[name] for name, control in _controls(config).items()}
+                     else means[name] for name, control in _fitted(config).items()}
             names |= {"floor"} | set(means)
         elif form is not None and config.v_a and "lower_bob" in names:
             names |= {"floor"}
@@ -1182,8 +1220,8 @@ def evaluate_many(configs: Sequence[ProbingConfig], mc: McSettings,
     upper per sample; configs with identical draws share one pass (see
     trial_values_many, which also says how `labels` name a failing point).
 
-    A fitted floor's samples are regressed on all of the point's controls
-    (see _controls, and _control_corrections, which drops some of
+    A fitted floor's samples are regressed on the point's controls (see
+    _controls and _fitted, and _control_corrections, which drops some of
     CV_DROP_ORDER where the system is singular), and the correction beta .
     (t - mean) is subtracted from them and v_a times it from lower_bob's, so
     upper == lower_bob + gap still holds per sample.  A sampled floor that

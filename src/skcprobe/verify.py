@@ -12,8 +12,8 @@ Four kinds of checks live here:
   with the Laguerre polynomials from scipy.special, and the log-det mean
   against the scalar ergodic capacity; the floor's closed-form mean, at
   each edge control (the floor at Eve's gammas a third and three times
-  Bob's) and at the config itself where it has one, against the raw mean of
-  the same samples;
+  Bob's, and a fifth and five times) and at the config itself where it has
+  one, against the raw mean of the same samples;
 * per-trial determinant-identity checks on the engine's blocks of draws:
   the engine's floor, each of its declared controls (CONTROL_ORACLES), gap
   and Bob-side integrands against oracle forms that reach each value
@@ -342,10 +342,11 @@ def raw_mean_check(config: ProbingConfig, mc: McSettings) -> list[VerificationOu
     RAW_MEAN_SIGMAS standard errors of that form, the samples being the
     independent oracle of the Andreief identity behind it: each of the
     floor's edge controls that capacity._controls declares (the floor at
-    gamma_ea = gamma_ba / 3 and 3 gamma_ba) against its mean, as
-    <name>-closed-form; then, where evaluate takes the floor's own mean from
-    the form (capacity._floor_plan, gamma_ea and gamma_ba three times or
-    more apart), the floor against it, as floor-closed-form.  Every form is
+    gamma_ea = gamma_ba / r and r gamma_ba, r each ring's ratio of
+    capacity.EDGE_RINGS) against its mean, as <name>-closed-form; then,
+    where evaluate takes the floor's own mean from the form
+    (capacity._floor_plan, gamma_ea and gamma_ba three times or more apart),
+    the floor against it, as floor-closed-form.  Every form is
     evaluated in one call of capacity._floor_forms."""
     points = _edge_points(config)
     form, point = _floor_plan(config)
@@ -490,11 +491,11 @@ def received_powers(realization: ChannelRealization, config: ProbingConfig):
 
 
 def floor_edges(realization: ChannelRealization, config: ProbingConfig):
-    """Oracle of the floor's edge controls fl and fh that capacity._controls
-    declares at `config`, {"fl": ..., "fh": ...} per trial: the regime's
-    floor oracle (floor_null_space where n_e < n_a, otherwise
-    floor_resolvent) at the config whose noise_ea puts Eve's gamma at the
-    edge's."""
+    """Oracle of the floor's edge controls that capacity._controls declares
+    at `config`, of every ring (fl and fh, fl5 and fh5), {"fl": ..., "fh":
+    ..., ...} per trial: the regime's floor oracle (floor_null_space where
+    n_e < n_a, otherwise floor_resolvent) at the config whose noise_ea puts
+    Eve's gamma at the edge's."""
     values = {}
     for name, control in _controls(config).items():
         if control.mean.kind == "floor":
@@ -565,6 +566,7 @@ CONTROL_ORACLES = {"t2": eve_smaller_side, "t3": bob_smaller_side, "t5": joint_s
                    "t4": floor_null_space, "t1": eve_sylvester,
                    "u3": interaction_traces, "u1": interaction_traces,
                    "fl": floor_edges, "fh": floor_edges,
+                   "fl5": floor_edges, "fh5": floor_edges,
                    "p2": received_powers, "p3": received_powers}
 
 

@@ -112,34 +112,37 @@ def reference_floor(n_a: int, n_b: int, n_e: int, gamma_ea: float, gamma_ba: flo
 
 
 def control_means(config, count=None) -> dict:
-    """Exact means of the floor's control variates at `config`, by name, in
-    the engine's order: t2 (g_a at gamma_ea), t3 (h_ba at gamma_ba), t5
-    ([g_a; h_ba] at gamma_ba), where n_e < n_a t4 (h_ba on the n_a - n_e
-    dimensions of null(g_a)), t1 (g_a at gamma_ba), the interaction traces
-    u3 = tr(P_H G) and u1 = tr(P_G H) (n_e and n_b times the trace mean of
-    h_ba and g_a at gamma_ba), the edges fl and fh (the floor at gamma_ea =
-    gamma_ba / FLOOR_FORM_RATIO and gamma_ba FLOOR_FORM_RATIO, where the
-    engine declares them, their means reference_floor's in mpmath) and the
-    received powers p2 = tr G and p3 = tr H (n_e n_a and n_b n_a); the first
-    `count` of them when given."""
+    """Exact means of the control variates that a sampled floor at `config`
+    is fitted on, by name, in the engine's order: t2 (g_a at gamma_ea), t3
+    (h_ba at gamma_ba), t5 ([g_a; h_ba] at gamma_ba), t4 (h_ba on the n_a -
+    n_e dimensions of null(g_a)) where n_e < n_a and the engine declares no
+    edge, t1 (g_a at gamma_ba), the interaction traces u3 = tr(P_H G) and u1
+    = tr(P_G H) (n_e and n_b times the trace mean of h_ba and g_a at
+    gamma_ba), the edges of each ring of capacity.EDGE_RINGS (fl and fh, the
+    floor at gamma_ea = gamma_ba / FLOOR_FORM_RATIO and gamma_ba
+    FLOOR_FORM_RATIO, then fl5 and fh5 at gamma_ba / 5 and 5 gamma_ba, where
+    the engine declares them, their means reference_floor's in mpmath) and
+    the received powers p2 = tr G and p3 = tr H (n_e n_a and n_b n_a); the
+    first `count` of them when given."""
     from skcprobe.capacity import (_controls, wishart_logdet_mean,
                                    wishart_trace_mean)
     from skcprobe.channel import derive_gammas
     gam = derive_gammas(config)
+    edges = [name for name, control in _controls(config).items()
+             if control.mean.kind == "floor"]
     means = {"t2": wishart_logdet_mean(config.n_e, config.n_a, gam.gamma_ea),
              "t3": wishart_logdet_mean(config.n_b, config.n_a, gam.gamma_ba),
              "t5": wishart_logdet_mean(config.n_e + config.n_b, config.n_a, gam.gamma_ba)}
-    if config.n_e < config.n_a:
+    if config.n_e < config.n_a and not edges:
         means["t4"] = wishart_logdet_mean(config.n_b, config.n_a - config.n_e,
                                           gam.gamma_ba)
     means["t1"] = wishart_logdet_mean(config.n_e, config.n_a, gam.gamma_ba)
     means["u3"] = config.n_e * wishart_trace_mean(config.n_b, config.n_a, gam.gamma_ba)
     means["u1"] = config.n_b * wishart_trace_mean(config.n_e, config.n_a, gam.gamma_ba)
-    for name in ("fl", "fh"):
-        if name in _controls(config):
-            gamma_ea = _controls(config)[name].mean.args[3]
-            means[name] = reference_floor(config.n_a, config.n_b, config.n_e, gamma_ea,
-                                          gam.gamma_ba)
+    for name in edges:
+        gamma_ea = _controls(config)[name].mean.args[3]
+        means[name] = reference_floor(config.n_a, config.n_b, config.n_e, gamma_ea,
+                                      gam.gamma_ba)
     means["p2"] = float(config.n_e * config.n_a)
     means["p3"] = float(config.n_b * config.n_a)
     return dict(list(means.items())[:count])

@@ -718,10 +718,11 @@ class TestEvaluateMany:
                       mc, QUANTITIES)
         # n_e >= n_a: all four channels, once per block
         assert [kind for kind, _ in formed].count("gram") == 4 * 2
-        # a (6, 4, 5) block of every quantity factors the floor's six
+        # a (6, 4, 5) block of every quantity factors the floor's seven
         # (n_e + n_b)-square matrices (floor_logdets at the point and at each
-        # edge, bob_joint_logdets with u3, null_logdet, eve_joint_logdets
-        # with t1 and u1) and three
+        # of the four edges, bob_joint_logdets with u3, eve_joint_logdets
+        # with t1 and u1; t4's null_logdet is not drawn beside the edges) and
+        # three
         # n_b-square ones of the role-swapped floor (folded_logdet, t2',
         # t3'), which the bounds and the gap read too
         factored = []
@@ -731,7 +732,7 @@ class TestEvaluateMany:
         # and the floor is exact)
         twoway = make_config(**dict(TEXTBOOK_CONFIGS["twoway"], noise_ea=0.5))
         evaluate(twoway, McSettings(trials=BLOCK, master_seed=5), QUANTITIES)
-        assert sorted(factored) == [(4, 4)] * 3 + [(9, 9)] * 6
+        assert sorted(factored) == [(4, 4)] * 3 + [(9, 9)] * 7
 
     def test_exact_points_take_no_pass(self, monkeypatch):
         import skcprobe.capacity as capacity
@@ -807,11 +808,11 @@ class TestOneWayLower:
         assert len(collects) == 1
         assert bob_configs == [cfg] * blocks         # never the role-swapped config
         # n_e < n_a: the floor's stacked factorization (which also gives
-        # t2), t3, t5 and u3 from the reordered stacked Gram, t4 from its
-        # noiseless limit, t1 and u1 from the stacked Gram in its own order
-        # and the floor's factorization at each edge; Bob's bound reuses the
-        # floor
-        assert logdets == [((4, 4), 2)] * 6 * blocks
+        # t2), t3, t5 and u3 from the reordered stacked Gram, t1 and u1 from
+        # the stacked Gram in its own order and the floor's factorization at
+        # each of the four edges (t4 is not drawn beside them); Bob's bound
+        # reuses the floor
+        assert logdets == [((4, 4), 2)] * 7 * blocks
         assert est["lower"] == est["upper"]
 
     @pytest.mark.parametrize("overrides", list(ONE_WAY.values()), ids=list(ONE_WAY))

@@ -390,9 +390,9 @@ class TestDeterminism:
 
     # sha256 of what the bundled specs write at --trials 60 --seed 1
     BUNDLED_SHA256 = {
-        "oneway.csv": "332f2fcdf60fe717de61e7bbb245c002372bbf175c238a4c66d0a02edcb98126",
-        "fig1.csv": "e59a126da43f16553fbd7a29f1771693cd637f222916b45184618b977320d38f",
-        "fig1.svg": "fb2ad8f2562c5d5af609ff1c9da8403207e58b8dfc6f947c881209356bb22955",
+        "oneway.csv": "d7b0e776bae1fb1c6167e84cfd6b18d8bbbcfeb7ae33c15eafe09b5d0eff14df",
+        "fig1.csv": "811186946052c1a51a6798576080789e4f8f83b62472402b0b21e986e4bbe23f",
+        "fig1.svg": "20d4b94a38a1cdb0194c96639e6e51804172e947e5f14a181b16a665b6353d61",
         "fig2.csv": "e7c51abb43831579da7317e0582e3e9e665e4494e2ccc266761bc4a914260cfc",
         "fig2.svg": "5a25089b2f0c9a476db3f27409eeeb201874b6184b350d14f6f8dd8cec9e8b9c",
         "fig2-dof.csv": "46898ba1c6d5f1de30b2962805fc71d3e9e1c76371c6ee482e0876461a490fdd",
@@ -425,9 +425,9 @@ class TestDeterminism:
     # sha256 of outputs fitted over several blocks, at seed 1: oneway at
     # 3000 trials (12 blocks) and fig1 at 600 (3 blocks, the last partial)
     MULTI_BLOCK_SHA256 = {
-        "oneway.csv": "74c14989da3e82abd5577ca543871e214c39c2e051f8f035c3c7e918f86bd02e",
-        "fig1.csv": "aa3ea9c337f830bb147180dcefd3e6f87b2d53beb15381f0d942a25ae92b2230",
-        "fig1.svg": "ba8f0b9a74186af007bf03f6e48587dcda73cbbb137eda5766f3f7d424799c13",
+        "oneway.csv": "330a465f5cff33924ad0284028e6ec889415630537d3b789681ca495b1b2c92a",
+        "fig1.csv": "4905a18f7c5fb75938f32b81d52da2ed0dce866b8409797439a3601c6261e5a2",
+        "fig1.svg": "0b3c89ed61e1d4fc0b402e4aa998bef4b96384360382f087dfecc0b964d9b219",
     }
 
     def test_multi_block_outputs_are_pinned(self, tmp_path):
@@ -441,7 +441,7 @@ class TestDeterminism:
     # 1: the one pinned output where the floor's correction flows into
     # lower_bob at v_b > 0 and upper is lower_bob + gap
     TWOWAY_SHA256 = {
-        "twoway.csv": "b15cfdad7098b1f599b565b9254d3fd228c2657922f0450caa91e8baa2e76606",
+        "twoway.csv": "121a70e52b2e20ead6ac9d478886a58762ac0a5c2a33627639dda047e437ee29",
     }
 
     def test_two_way_outputs_are_pinned(self, tmp_path):
@@ -578,8 +578,8 @@ quantities: [gap, bounds]
         header, row = (tmp_path / "oneway.csv").read_text().splitlines()
         fields = dict(zip(header.split(","), row.split(",")))
         assert {k: v for k, v in fields.items() if k.endswith("_mean")} == {
-            "pilot_mi_mean": "19.1306071068", "floor_mean": "7.68742800699",
-            "gap_mean": "0", "lower_mean": "49.8803191347", "upper_mean": "49.8803191347"}
+            "pilot_mi_mean": "19.1306071068", "floor_mean": "7.687415614",
+            "gap_mean": "0", "lower_mean": "49.8802695628", "upper_mean": "49.8802695628"}
 
 
 class TestDegenerateConfig:

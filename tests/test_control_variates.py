@@ -229,10 +229,10 @@ def null_space_t4(block, config) -> np.ndarray:
 
 class TestControlVariates:
     """evaluate_many regresses each sampled point's floor on all of its
-    control variates (t2, t3, t5, t4 where n_e < n_a, t1, u3, u1, fl, fh, p2
-    and p3), subtracts beta . (t - mean) from the floor's samples and v_a times
-    it from lower_bob's, and reports the regression estimate's HC3 standard
-    error."""
+    control variates (t2, t3, t5, t1, u3, u1, the edges fl, fh, fl5 and fh5,
+    p2 and p3, and t4 where n_e < n_a and no edge is declared), subtracts
+    beta . (t - mean) from the floor's samples and v_a times it from
+    lower_bob's, and reports the regression estimate's HC3 standard error."""
 
     @pytest.mark.parametrize("config", [
         ONEWAY,
@@ -280,7 +280,7 @@ class TestControlVariates:
     @pytest.mark.parametrize("trials", [CV_MIN_TRIALS, 200, 3000])
     @pytest.mark.parametrize("config", [
         replace(FIG1_BASE, noise_ea=0.5), replace(FIG1_BASE, n_e=10, noise_ea=0.5)],
-        ids=["eleven-controls", "ten-controls"])
+        ids=["n_e-below-n_a", "n_e-above-n_a"])
     def test_floor_stderr_is_the_hc3_intercept_one(self, config, trials):
         mc = McSettings(trials=trials, master_seed=11)
         means = engine_means(config)
@@ -302,10 +302,11 @@ class TestControlVariates:
 
     @pytest.mark.parametrize("case,noise_ea", SPREAD_POINTS)
     def test_stderr_matches_the_spread_of_means_at_the_minimum_trials(self, case, noise_ea):
-        # where a point first regresses on all eleven or ten controls: the
-        # spread over the median HC3 stderr is 0.91-0.96 here (0.88-1.13 at
-        # the points the closed form now takes, where over the median
-        # least-squares stderr it was 1.06-1.35)
+        # where a point first regresses on all twelve of its controls (the
+        # spread over the median HC3 stderr was 0.91-0.96 here on eleven or
+        # ten controls without the outer ring, 0.88-1.13 at the points the
+        # closed form now takes, where over the median least-squares stderr it
+        # was 1.06-1.35)
         self.check_stderr_against_spread(case, noise_ea, CV_MIN_TRIALS)
 
     @staticmethod
@@ -324,6 +325,29 @@ class TestControlVariates:
         ref = evaluate(cfg, McSettings(trials=16 * trials, master_seed=201), ("floor",))["floor"]
         assert abs(float(np.mean(means)) - ref.mean) <= 4 * math.hypot(
             spread / math.sqrt(len(means)), ref.stderr)
+
+    # the points whose floor the product path samples: oneway at its 3000
+    # trials and fig1's six at its 200, each on the master seeds 1 to 150
+    CALIBRATION_POINTS = [
+        ("oneway", [ONEWAY], 3000),
+        ("fig1", [apply_parameter(case.config, "noise_ea", v) for case in load_spec("fig1").cases
+                  for v in (1.77827941004, 0.562341325190)], 200)]
+
+    @pytest.mark.parametrize("label,configs,trials", CALIBRATION_POINTS,
+                             ids=[p[0] for p in CALIBRATION_POINTS])
+    def test_stderr_covers_the_exact_floor(self, label, configs, trials):
+        # z = (estimate - exact mean) / reported stderr, the exact mean
+        # reference_floor's in mpmath: at every point rms z <= 1.15 and |z|
+        # > 3 in at most 2% of the seeds.  With t4 in the fit beside the
+        # edges oneway's stderr under-covered
+        exact = [reference_floor(c.n_a, c.n_b, c.n_e, g.gamma_ea, g.gamma_ba)
+                 for c, g in zip(configs, map(derive_gammas, configs))]
+        z = np.array([[(est["floor"].mean - mean) / est["floor"].stderr for est, mean in zip(
+            evaluate_many(configs, McSettings(trials=trials, master_seed=seed), ("floor",)), exact)]
+            for seed in range(1, 151)])
+        for config, column in zip(configs, z.T):
+            assert math.sqrt(np.mean(column ** 2)) <= 1.15, config
+            assert np.mean(np.abs(column) > 3) <= 0.02, config
 
     def test_controls_are_the_floor_terms_and_leave_the_floor_as_it_was(self):
         cfg = replace(FIG1_BASE, noise_ea=0.3)
@@ -417,12 +441,13 @@ class TestControlVariates:
     @pytest.mark.parametrize("shape", [(4, 2, 2), (8, 4, 6), (8, 4, 10), (4, 4, 4)])
     def test_edges_are_the_floor_at_their_gammas_on_every_trial(self, shape):
         # fl and fh are the floor on the same draws at gamma_ea = gamma_ba /
-        # 3 and 3 gamma_ba, here noise_ea = 3 and 1/3 (to an ulp of gamma)
+        # 3 and 3 gamma_ba, here noise_ea = 3 and 1/3 (to an ulp of gamma),
+        # and fl5 and fh5 at gamma_ba / 5 and 5 gamma_ba
         n_a, n_b, n_e = shape
         cfg = replace(FIG1_BASE, n_a=n_a, n_b=n_b, n_e=n_e, noise_ea=0.5)
         mc = McSettings(trials=BLOCK + 44, master_seed=9)
-        values = trial_values_many([(cfg, ("floor", "fl", "fh"))], mc)[0]
-        for name, noise_ea in (("fl", 3.0), ("fh", 1 / 3)):
+        values = trial_values_many([(cfg, ("floor", "fl", "fh", "fl5", "fh5"))], mc)[0]
+        for name, noise_ea in (("fl", 3.0), ("fh", 1 / 3), ("fl5", 5.0), ("fh5", 1 / 5)):
             gamma_ea = _controls(cfg)[name].mean.args[3]
             assert gamma_ea == pytest.approx(derive_gammas(cfg).gamma_ba / noise_ea, rel=1e-15)
             floor = trial_values_many([(replace(cfg, noise_ea=noise_ea), ("floor",))],
@@ -434,61 +459,76 @@ class TestControlVariates:
         n_a, n_b, n_e = shape
         cfg = replace(FIG1_BASE, n_a=n_a, n_b=n_b, n_e=n_e, noise_ea=0.5)
         means = control_means(cfg)
-        values = trial_values_many([(cfg, ("fl", "fh"))],
+        values = trial_values_many([(cfg, ("fl", "fh", "fl5", "fh5"))],
                                    McSettings(trials=4000, master_seed=17))[0]
-        for name in ("fl", "fh"):
+        for name in ("fl", "fh", "fl5", "fh5"):
             est = summarize(values[name])
             assert abs(est.mean - means[name]) <= 4 * est.stderr, name
 
     @pytest.mark.parametrize("label,config", BUNDLED_SAMPLED, ids=[p[0] for p in BUNDLED_SAMPLED])
     def test_edges_cut_the_residual_variance_25_fold(self, label, config):
-        # with t5 - t1, the floor at gamma_ea = gamma_ba, the two edges pin
-        # the floor's dependence on gamma_ea from both sides: measured 107
-        # (verify-default cfg1) to 855 (oneway) at 20,000 draws, seed 3
-        # (scripts/control_study.py)
+        # with t5 - t1, the floor at gamma_ea = gamma_ba, the edges pin the
+        # floor's dependence on gamma_ea from both sides: all four cut it by
+        # 8,130 ((4, 4, 4) at noise_ea 0.562) to 213,000 (oneway) at 20,000
+        # draws, seed 3 (scripts/control_study.py), the inner ring beside the
+        # outer one by 153 to 1,010 and the outer ring beside the inner one
+        # by 23.5 ((8, 4, 10) at noise_ea 0.562) to 130 (oneway)
         means = engine_means(config)
         values = trial_values_many([(config, ("floor",) + tuple(means))],
                                    McSettings(trials=20_000, master_seed=3))[0]
-        without = {q: m for q, m in means.items() if q not in ("fl", "fh")}
-        residual = {name: np.var(values["floor"] - engine_correction(
-            values["floor"], values, kept)[0]) for name, kept in (("with", means),
-                                                                   ("without", without))}
-        assert residual["with"] * 25 <= residual["without"]
+
+        def residual(without):
+            kept = {q: m for q, m in means.items() if q not in without}
+            return np.var(values["floor"] - engine_correction(values["floor"], values, kept)[0])
+
+        full = residual(())
+        assert full * 25 <= residual(("fl", "fh", "fl5", "fh5"))
+        assert full * 25 <= residual(("fl", "fh"))
+        assert full * 15 <= residual(("fl5", "fh5"))
 
     def test_edges_are_read_where_the_closed_form_admits_them(self):
         # for gamma_ba log-uniform over 1e-5 to 1e9, 3 gamma_ba reads
         # 2.9999999999999996 apart from gamma_ba at about 7% of them: the
-        # edges are moved out by an ulp or two so that the domain admits both
+        # edges are moved out by an ulp or two so that the domain admits both,
+        # and those of the outer ring read at least its ratio apart
         rng = np.random.default_rng(5)
         gammas = 10.0 ** rng.uniform(-5.0, 9.0, 4000)
         rounded = 0
         for gamma in gammas.tolist():
-            low, high = capacity._floor_edges(gamma)
             rounded += gamma * 3.0 / gamma < 3.0
-            for edge, naive in ((low, gamma / 3.0), (high, gamma * 3.0)):
-                assert capacity._floor_form_domain(8, 4, 6, edge, gamma), (gamma, edge)
-                assert abs(edge - naive) <= 2 * math.ulp(naive)
+            for *_, ratio in capacity.EDGE_RINGS:
+                low, high = capacity._floor_edges(gamma, ratio)
+                assert gamma / low >= ratio and high / gamma >= ratio, (gamma, ratio)
+                for edge, naive in ((low, gamma / ratio), (high, gamma * ratio)):
+                    assert capacity._floor_form_domain(8, 4, 6, edge, gamma), (gamma, edge)
+                    assert abs(edge - naive) <= 2 * math.ulp(naive)
         assert rounded > 0.03 * len(gammas)
 
     def test_an_edge_outside_the_domain_is_no_control(self):
         # at (8, 4, 10) with gamma_ba = 40 the high edge, Eve's SNR the larger
-        # and below a decade apart, is in the corner the domain leaves out
+        # and below a decade apart, is in the corner the domain leaves out,
+        # and so is the outer ring's
         cfg = replace(FIG1_BASE, n_e=10, power_a=40.0, noise_ea=0.5)
-        assert "fl" in _controls(cfg) and "fh" not in _controls(cfg)
+        assert {"fl", "fl5"} <= _controls(cfg).keys() and not {"fh", "fh5"} & _controls(cfg).keys()
         with pytest.raises(ValueError, match=r"^the control fh needs gamma_ba \* "
                                              r"FLOOR_FORM_RATIO inside _floor_form_domain$"):
             trial_values_many([(cfg, ("floor", "fh"))], McSettings(trials=10))
-        # a shape outside the form's has neither
+        with pytest.raises(ValueError, match=r"^the control fh5 needs gamma_ba \* 5 inside"):
+            trial_values_many([(cfg, ("floor", "fh5"))], McSettings(trials=10))
+        # a shape outside the form's has no edge
         cfg = replace(FIG1_BASE, n_b=5, noise_ea=0.5)
-        assert not {"fl", "fh"} & _controls(cfg).keys()
+        assert not {"fl", "fh", "fl5", "fh5"} & _controls(cfg).keys()
         with pytest.raises(ValueError, match="the control fl needs"):
             trial_values_many([(cfg, ("fl",))], McSettings(trials=10))
 
     @pytest.mark.parametrize("trials", [CV_MIN_TRIALS, 200])
     def test_the_singularity_test_keeps_every_bundled_point_whole(self, trials):
         # the smallest squared pivot of the correlation-scaled system is at
-        # least 5.2e-8 (oneway's fh at CV_MIN_TRIALS, the least of 400
-        # seeds), 50 times CV_SINGULAR_PIVOT, and 3e-5 elsewhere
+        # least 6.0e-8 at these seeds (oneway at CV_MIN_TRIALS), and 3.2e-8
+        # elsewhere over 400 seeds (verify-default cfg1); at oneway, where t5
+        # - t1 and the four edges nearly coincide, one of 400 seeds reads
+        # 6.6e-10 at CV_MIN_TRIALS and is fitted without t1, and from 100
+        # trials on none reads below 7.4e-9
         for label, config in BUNDLED_SAMPLED:
             means = engine_means(config)
             for seed in (1, 2, 3):
@@ -559,10 +599,11 @@ class TestControlVariates:
 
     def test_a_singular_system_drops_the_fewest_controls_in_the_drop_order(self, rng):
         n = CV_MIN_TRIALS
-        floor, a, b, c, d, e, f, g, h = (rng.standard_normal(n) for _ in range(9))
-        means = {"t2": 0.1, "t3": 0.2, "t1": 0.3, "u1": 0.6, "fl": 0.7, "fh": 0.8, "p2": 0.4,
-                 "p3": 0.5}
-        rest = {"fl": g, "fh": h}
+        floor, a, b, c, d, e, f, g, h, i, j = (rng.standard_normal(n) for _ in range(11))
+        means = {"t2": 0.1, "t3": 0.2, "t1": 0.3, "u1": 0.6, "fl": 0.7, "fh": 0.8, "fl5": 0.9,
+                 "fh5": 1.0, "p2": 0.4, "p3": 0.5}
+        ring = {"fl5": i, "fh5": j}
+        rest = {"fl": g, "fh": h, **ring}
         cases = [
             # p2 collinear with t2: fitted without p2
             ({"t2": a, "t3": b, "t1": c, "u1": d, **rest, "p2": 2.0 * a, "p3": e}, ("p2",)),
@@ -574,16 +615,23 @@ class TestControlVariates:
             # u1 collinear with t3 and t1 with t2: without both, u1 last in the order
             ({"t2": a, "t3": b, "t1": a, "u1": 2.0 * b, **rest, "p2": c, "p3": e}, ("t1", "u1")),
             # an edge a combination of t2 and t3: without it, keeping the other
-            ({"t2": a, "t3": b, "t1": c, "u1": d, "fl": a - b, "fh": h, "p2": e, "p3": f},
+            ({"t2": a, "t3": b, "t1": c, "u1": d, "fl": a - b, "fh": h, **ring, "p2": e, "p3": f},
              ("fl",)),
             # t1 collinear with t2 and fh with t3: without both, fh last
-            ({"t2": a, "t3": b, "t1": a, "u1": d, "fl": g, "fh": 2.0 * b, "p2": e, "p3": f},
-             ("t1", "fh")),
+            ({"t2": a, "t3": b, "t1": a, "u1": d, "fl": g, "fh": 2.0 * b, **ring, "p2": e,
+              "p3": f}, ("t1", "fh")),
+            # an outer edge collinear with t3: without it, last in the order
+            ({"t2": a, "t3": b, "t1": c, "u1": d, "fl": g, "fh": h, "fl5": i, "fh5": 2.0 * b,
+              "p2": e, "p3": f}, ("fh5",)),
+            # both edges of one side collinear: without the inner one, the
+            # earlier in the order
+            ({"t2": a, "t3": b, "t1": c, "u1": d, "fl": g, "fh": h, "fl5": i, "fh5": 2.0 * h,
+              "p2": e, "p3": f}, ("fh",)),
             # t3 collinear with t2 too: no fit
             ({"t2": a, "t3": a, "t1": c, "u1": d, **rest, "p2": e, "p3": f}, None)]
         points = [dict(controls, floor=floor) for controls, _ in cases]
         fits = [capacity._fit_controls(values, dict(means)) for values in points]
-        assert capacity.CV_DROP_ORDER == ("p2", "p3", "t1", "u1", "fl", "fh")
+        assert capacity.CV_DROP_ORDER == ("p2", "p3", "t1", "u1", "fl", "fh", "fl5", "fh5")
         for i, (controls, dropped) in enumerate(cases):
             if dropped is None:
                 assert fits[i] is None
@@ -595,8 +643,8 @@ class TestControlVariates:
 
     @pytest.mark.parametrize("config,dropped", [
         (replace(ONEWAY, noise_ea=1e6), ("p2",)),
-        (replace(FIG1_BASE, n_e=10, noise_ea=0.5, power_a=1.5e-3), ("fl",)),
-        (replace(FIG1_BASE, n_e=10, noise_ea=0.5, power_a=1e-3), ("t1", "fl"))],
+        (replace(FIG1_BASE, n_e=10, noise_ea=0.5, power_a=1.5e-3), ("t1", "fl", "fl5")),
+        (replace(FIG1_BASE, n_e=10, noise_ea=0.5, power_a=1e-3), ("t1", "fl", "fl5"))],
         ids=["oneway-noisy-eve", "fig1-8-4-10-low-power", "fig1-8-4-10-lower-power"])
     def test_degenerate_controls_are_dropped_not_the_fit(self, config, dropped):
         # at noise_ea = 1e6 t2 ~ gamma_ea p2 / ln 2, and at power_a = 1.5e-3
@@ -626,7 +674,7 @@ class TestControlVariates:
 
     def test_a_point_singular_on_every_control_makes_one_fit(self, monkeypatch):
         # at (8, 4, 10), power_a = 1e-3, noise_ea = 0.5 the system on every
-        # control is singular and the point is fitted without t1 and fl:
+        # control is singular and the point is fitted without t1, fl and fl5:
         # each candidate set is tested on its principal submatrix of the one
         # system and the chosen set is fitted once (18 fits, each on a fresh
         # copy of the samples, while every candidate was fitted in turn)
@@ -639,15 +687,15 @@ class TestControlVariates:
         est = evaluate(config, mc, ("floor",))["floor"]
         assert len(calls) == 1
         monkeypatch.undo()
-        assert est == self.adjusted_floor(config, mc, without=("t1", "fl"))
+        assert est == self.adjusted_floor(config, mc, without=("t1", "fl", "fl5"))
 
     @pytest.mark.parametrize("power_a", [1e-3, 1.5e-3])
     def test_a_low_power_point_keeps_its_fit(self, power_a):
         # under the determinant rule (det S <= 1e-12 prod diag S) these
         # points were fitted without t1 and u1 and their floor's stderr was
         # 1.5e-7 and 4.0e-7 bits; the correlation-scaled pivots keep p2, p3
-        # and u1 (and t1 at 1.5e-3), and with the edges the stderr is 1.7e-9
-        # and 4.4e-10
+        # and u1, and with the edges of both rings but the low ones the stderr
+        # is 1.8e-10 and 1.1e-9 (1.7e-9 and 4.4e-10 with the inner ring alone)
         config = replace(FIG1_BASE, n_e=10, noise_ea=0.5, power_a=power_a)
         est = evaluate(config, McSettings(trials=277, master_seed=1), ("floor",))["floor"]
         assert est.stderr < 1e-8
@@ -660,11 +708,11 @@ class TestControlVariates:
         configs = [replace(FIG1_BASE, noise_ea=v) for v in SAMPLED_NOISE_EA]
         evaluate_many(configs, McSettings(trials=BLOCK + 5, master_seed=3), ("floor",))
         # per block: each point's stacked factorization (its floor and its
-        # t2), and one of the reordered stacked Gram (t3, t5 and u3), one t4,
-        # one of the stacked Gram in its own order (t1 and u1) and the
-        # floor's at each edge shared by all points, whose gamma_ba is the
-        # same
-        per_block = [((10, 10), 6)] + [((10, 10), 4)] + [((10, 10), 6)] * 4 + \
+        # t2), and one of the reordered stacked Gram (t3, t5 and u3), one of
+        # the stacked Gram in its own order (t1 and u1) and the floor's at
+        # each of the four edges shared by all points, whose gamma_ba is the
+        # same; t4, which no point with an edge is fitted on, is not drawn
+        per_block = [((10, 10), 6)] + [((10, 10), 4)] + [((10, 10), 6)] * 5 + \
             [((10, 10), 6)] * (len(configs) - 1)
         assert logdets == per_block * 2
 
@@ -683,7 +731,7 @@ class TestControlVariates:
         assert est["lower"] == est["upper"] == summarize(raw["lower_bob"])
 
     @pytest.mark.parametrize("config,count", [
-        (ONEWAY, 11), (replace(FIG1_BASE, n_e=10, noise_ea=0.5), 10)],
+        (ONEWAY, 12), (replace(FIG1_BASE, n_e=10, noise_ea=0.5), 12)],
         ids=["n_e-below-n_a", "n_e-above-n_a"])
     def test_a_point_takes_all_of_its_controls_from_the_minimum_trials(self, config, count):
         # below CV_MIN_TRIALS raw samples, from it every control at once
@@ -706,14 +754,14 @@ class TestControlVariates:
         return scaled(summarize(values["floor"] - correction), factor)
 
     @pytest.mark.parametrize("case,noise_ea,trials,count", [
-        ("na8-nb4-ne6", 0.5, 200, 11), ("na8-nb4-ne10", 0.5, 200, 10),
-        ("na4-nb4-ne4", 0.5, 3000, 10), ("na8-nb4-ne6", 1.77827941004, 200, 11),
-        ("na4-nb4-ne4", 0.562341325190, 200, 10)])
+        ("na8-nb4-ne6", 0.5, 200, 12), ("na8-nb4-ne10", 0.5, 200, 12),
+        ("na4-nb4-ne4", 0.5, 3000, 12), ("na8-nb4-ne6", 1.77827941004, 200, 12),
+        ("na4-nb4-ne4", 0.562341325190, 200, 12)])
     def test_a_fig1_point_takes_every_control_its_trials_allow(self, case, noise_ea, trials,
                                                                count):
-        # at fig1's 200 trials the n_e < n_a case takes (t2, t3, t5, t4, t1,
-        # u3, u1, fl, fh, p2, p3), not raw samples, and an n_e >= n_a point all
-        # but t4, also next to noise_ea = noise_b (where the floor is exact)
+        # at fig1's 200 trials every case takes (t2, t3, t5, t1, u3, u1, fl,
+        # fh, fl5, fh5, p2, p3), not raw samples, also next to noise_ea =
+        # noise_b (where the floor is exact); the n_e < n_a case leaves t4 out
         spec = load_spec("fig1")
         cfg = apply_parameter(next(c for c in spec.cases if c.name == case).config,
                               "noise_ea", noise_ea)
@@ -947,11 +995,15 @@ class TestClosedFloor:
                 assert abs(floor - reference) <= 1e-10 * reference, (gamma_ea, gamma_ba)
 
     @pytest.mark.parametrize("label,config", BUNDLED_SAMPLED, ids=[p[0] for p in BUNDLED_SAMPLED])
-    def test_matches_the_reference_at_both_edges_of_every_bundled_sampled_point(self, label,
+    def test_matches_the_reference_at_every_edge_of_every_bundled_sampled_point(self, label,
                                                                               config):
-        # the edge controls' means: measured 1e-16 to 1.2e-14 relative, and
-        # 4.2e-11 at (8, 4, 10)'s high edge, gamma_ea = 30
-        for name in ("fl", "fh"):
+        # the edge controls' means, both rings: measured 1e-16 to 1.2e-14
+        # relative, and 4.2e-11 at (8, 4, 10)'s high inner edge, gamma_ea =
+        # 30, and 5.5e-12 at its high outer one, gamma_ea = 50
+        edges = [name for name, control in _controls(config).items()
+                 if control.mean.kind == "floor"]
+        assert edges == ["fl", "fh", "fl5", "fh5"]
+        for name in edges:
             reference = reference_floor(*_controls(config)[name].mean.args)
             assert abs(edge_form(config, name) - reference) <= 1e-10 * reference, name
 
@@ -982,8 +1034,9 @@ class TestClosedFloor:
     def test_a_sweep_evaluates_each_stack_once(self, monkeypatch):
         # more than 1024 in-domain points of one shape and gamma_ba, and two
         # sampled ones: one _floor_form call per branch for all of them, the
-        # sampled points' edges included, and none while the points read
-        # their floors and the edges' means
+        # sampled points' edges included (two per branch, one of each ring,
+        # shared by both points), and none while the points read their floors
+        # and the edges' means
         calls = []
         real = capacity._floor_form
         monkeypatch.setattr(capacity, "_floor_form", lambda *args: (
@@ -997,8 +1050,8 @@ class TestClosedFloor:
                             ("floor",))
         gamma_ba = derive_gammas(base).gamma_ba
         assert sorted(calls) == sorted([
-            sum(derive_gammas(cfg).gamma_ea > gamma_ba for cfg in exact) + 1,
-            sum(derive_gammas(cfg).gamma_ea < gamma_ba for cfg in exact) + 1])
+            sum(derive_gammas(cfg).gamma_ea > gamma_ba for cfg in exact) + 2,
+            sum(derive_gammas(cfg).gamma_ea < gamma_ba for cfg in exact) + 2])
         assert all(e["floor"].method == "exact" for e in est[:len(exact)])
         assert [e["floor"].method for e in est[len(exact):]] == ["monte-carlo"] * 2
 

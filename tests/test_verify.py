@@ -261,13 +261,13 @@ class TestControlTable:
         assert set(CONTROL_ORACLES) == set(CONTROLS)
 
     @pytest.mark.parametrize("overrides,declared", [
-        (dict(), "t2 t3 t5 t1 u3 u1 fl fh p2 p3"),
-        (dict(n_a=3, n_b=2, n_e=4), "t2 t3 t5 t1 u3 u1 fl fh p2 p3"),
-        (dict(n_a=4, n_b=2, n_e=2), "t2 t3 t5 t4 t1 u3 u1 fl fh p2 p3"),
-        (dict(noise_ea=1.0), "t2 t3 t5 t1 u3 u1 fl fh p2 p3"),
-        (dict(n_a=4, n_b=2, n_e=2, noise_ea=1.0), "t2 t3 t5 t4 t1 u3 u1 fl fh p2 p3"),
-        (dict(noise_ea=0.0), "t3 t5 t1 u3 u1 fl fh p2 p3"),
-        (dict(n_a=3, n_b=3, n_e=1, noise_ea=0.0), "t3 t5 t4 t1 u3 u1 fl fh p2 p3"),
+        (dict(), "t2 t3 t5 t1 u3 u1 fl fh fl5 fh5 p2 p3"),
+        (dict(n_a=3, n_b=2, n_e=4), "t2 t3 t5 t1 u3 u1 fl fh fl5 fh5 p2 p3"),
+        (dict(n_a=4, n_b=2, n_e=2), "t2 t3 t5 t4 t1 u3 u1 fl fh fl5 fh5 p2 p3"),
+        (dict(noise_ea=1.0), "t2 t3 t5 t1 u3 u1 fl fh fl5 fh5 p2 p3"),
+        (dict(n_a=4, n_b=2, n_e=2, noise_ea=1.0), "t2 t3 t5 t4 t1 u3 u1 fl fh fl5 fh5 p2 p3"),
+        (dict(noise_ea=0.0), "t3 t5 t1 u3 u1 fl fh fl5 fh5 p2 p3"),
+        (dict(n_a=3, n_b=3, n_e=1, noise_ea=0.0), "t3 t5 t4 t1 u3 u1 fl fh fl5 fh5 p2 p3"),
     ], ids=["n_e-at-n_a", "n_e-above-n_a", "n_e-below-n_a", "equal-gammas",
             "equal-gammas-n_e-below-n_a", "noiseless-eve", "noiseless-eve-n_e-below-n_a"])
     def test_every_declared_control_is_checked(self, overrides, declared):
@@ -461,10 +461,11 @@ class TestRunSuite:
                     *(f"{name}-form-equivalence" for name in controls.split()),
                     "lower-bob-form-equivalence", "gap-nonnegative", "one-way-identity",
                     "engine-reference-agreement", "wishart-mean", "fl-closed-form",
-                    "fh-closed-form"]
+                    "fh-closed-form", "fl5-closed-form", "fh5-closed-form"]
 
-        controls = ["t2 t3 t5 t1 u3 u1 fl fh p2 p3", "t2 t3 t5 t1 u3 u1 fl fh p2 p3",
-                    "t2 t3 t5 t4 t1 u3 u1 fl fh p2 p3"]
+        controls = ["t2 t3 t5 t1 u3 u1 fl fh fl5 fh5 p2 p3",
+                    "t2 t3 t5 t1 u3 u1 fl fh fl5 fh5 p2 p3",
+                    "t2 t3 t5 t4 t1 u3 u1 fl fh fl5 fh5 p2 p3"]
         # cfg2's gammas are 4 apart: its floor has the closed form
         closed = [[], [], ["floor-closed-form"]]
         assert [o.check_name for o in summary.outcomes] == [
@@ -475,7 +476,7 @@ class TestRunSuite:
         assert report_path.exists()
         # the report at the spec's seed and trials, byte for byte
         assert hashlib.sha256(report_path.read_bytes()).hexdigest() == \
-            "55dafbad1756686427271ce0aff73c9e605a8c5392db0d474de2eb7b15f51ffb"
+            "7ffe960f70dc1847f678659edadd5d9040634b7ab422a4d4921912c90b7bb84c"
         assert elapsed < 120.0
 
     def test_every_check_the_readme_names_is_reported(self, bundled_run):
@@ -508,9 +509,10 @@ class TestEdgeFormCheck:
         cfg = make_config(**overrides)
         mc = McSettings(trials=4000, master_seed=1)
         outcomes = raw_mean_outcomes(cfg, mc, "-closed-form")
-        values = trial_values_many([(cfg, ("fl", "fh"))], mc)[0]
-        assert [o.check_name for o in outcomes] == ["fl-closed-form", "fh-closed-form"]
-        for outcome, name in zip(outcomes, ("fl", "fh")):
+        edges = ("fl", "fh", "fl5", "fh5")
+        values = trial_values_many([(cfg, edges)], mc)[0]
+        assert [o.check_name for o in outcomes] == [f"{name}-closed-form" for name in edges]
+        for outcome, name in zip(outcomes, edges):
             est = summarize(values[name])
             assert outcome.passed, name
             assert outcome.reference_value == edge_form(cfg, name)
@@ -546,8 +548,8 @@ class TestEdgeFormCheck:
         outcome = wishart_mean_check(cfg)
         assert outcome.passed
         assert "; fl (floor form, gamma_ea 0.666667); fh (floor form, gamma_ea 6); " \
-            in outcome.detail
-        assert len(terms) == len(_controls(cfg)) - 2
+            "fl5 (floor form, gamma_ea 0.4); fh5 (floor form, gamma_ea 10); " in outcome.detail
+        assert len(terms) == len(_controls(cfg)) - 4
 
 
 class TestFloorFormCheck:
